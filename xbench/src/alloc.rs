@@ -17,9 +17,15 @@ struct Counts {
     peak: u64,
 }
 
+const ZERO: Counts = Counts {
+    allocs: 0,
+    bytes: 0,
+    live: 0,
+    peak: 0,
+};
+
 thread_local! {
-    static COUNTS: Cell<Counts> =
-        const { Cell::new(Counts { allocs: 0, bytes: 0, live: 0, peak: 0 }) };
+    static COUNTS: Cell<Counts> = const { Cell::new(ZERO) };
 }
 
 /// Applies `f` to this thread's counts. The const-initialised cell needs no
@@ -34,12 +40,7 @@ fn update(f: impl FnOnce(&mut Counts)) {
 }
 
 fn read() -> Counts {
-    COUNTS.try_with(Cell::get).unwrap_or(Counts {
-        allocs: 0,
-        bytes: 0,
-        live: 0,
-        peak: 0,
-    })
+    COUNTS.try_with(Cell::get).unwrap_or(ZERO)
 }
 
 /// System-allocator wrapper that counts every allocation and reallocation.
