@@ -4,17 +4,17 @@
 //! World-RNG draws mirror the entry points exactly (study-stream seed, then the
 //! population or `pop_seed` draw and `study_seed`, then the IpMap build,
 //! then the three registry seeds), so a rebuild's outputs must equal its
-//! entry point's; the runner checks that they do. Durable chunks and the
-//! completion stage are framed exactly as the streaming pipeline frames
-//! them, so the rebuild can replay a directory the pipeline wrote and writes
-//! byte-identical directories itself. Pipeline work with no public entry
-//! point (the worldscale row digests, concatenating the final log) runs
-//! outside any span and shows up as `trace.coverage` below 100 %.
+//! entry point's; the runner checks that they do. The streaming rebuild
+//! reads and writes only checkpoint directories it wrote itself, framed
+//! through the public codec, so the streaming pipeline's private chunk and
+//! stage formats can change without touching the benchmark. Pipeline work
+//! with no public entry point (the worldscale row digests, concatenating
+//! the final log) runs outside any span and shows up as `trace.coverage`
+//! below 100 %.
 
 use crate::trace::{Io, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 use std::path::Path;
 use xborder::confine::{region_breakdown_eu28, DestBreakdown};
@@ -36,8 +36,6 @@ use xborder_faults::{stable_hash, DegradationReport, FaultInjector, FaultPlan, K
 use xborder_geo::Region;
 use xborder_geoloc::{IpMap, RegistryDb, RegistryStyle};
 use xborder_netflow::{BlockMatchStats, FlowBlock, SyntheticFlowGen, TrackerIntervalSet};
-use xborder_netsim::{SimTime, TimeWindow};
-use xborder_webgraph::Domain;
 
 /// What every iteration is checked on: row counts, the Table-2 rows and
 /// one digest over every other output.
@@ -199,8 +197,10 @@ pub fn batch(world: &mut World, tr: &mut Tracer) -> (StudyOutputs, DestBreakdown
 }
 
 /// Durable streaming (`run_extension_pipeline_streaming` with
-/// `StreamConfig::durable(chunk_users, dir)`): replays every chunk and
-/// stage `dir` already holds, then ingests the remaining users.
+/// `StreamConfig::durable(chunk_users, dir)`): replays every chunk `dir`
+/// already holds, then ingests the remaining users. Unlike the pipeline,
+/// a replay recomputes pDNS completion (`ips.fold`, `ips.complete`) and
+/// checks it against the stored stage.
 pub fn stream(
     world: &mut World,
     dir: &Path,
@@ -380,34 +380,30 @@ pub fn stream(
     };
     let n_tracking = classification.total_tracking_requests();
 
-    // The completion stage: loaded when durable, else computed and stored.
+    // The completion stage. The pipeline decodes a stored stage with a
+    // private codec; the rebuild recomputes it through the public calls
+    // and, on replay, checks the stored bytes against the recomputation.
     let s = tr.enter("checkpoint.load");
-    let durable = match store.load_stage("completion").map_err(|e| e.to_string())? {
-        Some(payload) => Some((decode_completion(&payload)?, payload.len())),
-        None => None,
-    };
-    tr.exit(s, Io::bytes(durable.as_ref().map_or(0, |d| d.1)));
-    let (tracker_ips, completion) = match durable {
-        Some(((ips, stats, delta), _)) => {
-            report.absorb_counters(&delta);
-            (ips, stats)
+    let stored = store.load_stage("completion").map_err(|e| e.to_string())?;
+    tr.exit(s, Io::bytes(stored.as_ref().map_or(0, Vec::len)));
+    let s = tr.enter("ips.fold");
+    let mut tracker_ips = TrackerIpSet::from_dataset(&dataset, &classification);
+    tr.exit(s, Io::rows(n_tracking, tracker_ips.len()));
+    let completion = complete(world, &mut tracker_ips, &inj, &mut report, tr);
+    let payload = completion_bytes(&tracker_ips, &completion);
+    match stored {
+        Some(bytes) if bytes != payload => {
+            return Err("stored completion stage differs from the recomputed one".into());
         }
+        Some(_) => {}
         None => {
-            let s = tr.enter("ips.fold");
-            let mut tracker_ips = TrackerIpSet::from_dataset(&dataset, &classification);
-            tr.exit(s, Io::rows(n_tracking, tracker_ips.len()));
-            let mut delta = DegradationReport::default();
-            let stats = complete(world, &mut tracker_ips, &inj, &mut delta, tr);
-            report.absorb_counters(&delta);
-            let payload = encode_completion(&tracker_ips, &stats, &delta);
             let s = tr.enter("checkpoint.stage");
             store
                 .put_stage("completion", &payload, &kill)
                 .map_err(|e| e.to_string())?;
             tr.exit(s, Io::bytes(payload.len()));
-            (tracker_ips, stats)
         }
-    };
+    }
     let [ipmap, mm, ia] = geolocate(world, &mut rng, &tracker_ips, &inj, &mut report, tr);
     Ok(with_eu28(
         StudyOutputs {
@@ -689,10 +685,6 @@ fn decode_err(file: &str, e: DecodeError) -> String {
     format!("{file}: {e}")
 }
 
-// The completion-stage blob, in the streaming pipeline's format: the tracker
-// set sorted by IP (hosts sorted within), the completion stats, then the
-// stage's report counters.
-
 fn put_ip(w: &mut ByteWriter, ip: IpAddr) {
     match ip {
         IpAddr::V4(v4) => {
@@ -703,24 +695,6 @@ fn put_ip(w: &mut ByteWriter, ip: IpAddr) {
             w.put_u8(6);
             w.put_bytes(&v6.octets());
         }
-    }
-}
-
-fn read_ip(r: &mut ByteReader<'_>) -> Result<IpAddr, DecodeError> {
-    match r.u8()? {
-        4 => {
-            let b = r.bytes(4)?;
-            Ok(IpAddr::from([b[0], b[1], b[2], b[3]]))
-        }
-        6 => {
-            let mut o = [0u8; 16];
-            o.copy_from_slice(r.bytes(16)?);
-            Ok(IpAddr::from(o))
-        }
-        tag => Err(DecodeError {
-            offset: 0,
-            detail: format!("unknown IP tag {tag}"),
-        }),
     }
 }
 
@@ -752,65 +726,11 @@ fn put_completion(w: &mut ByteWriter, stats: &CompletionStats) {
     w.put_f64(stats.added_v4_share);
 }
 
-fn encode_completion(
-    ips: &TrackerIpSet,
-    stats: &CompletionStats,
-    delta: &DegradationReport,
-) -> Vec<u8> {
+/// The completion stage as the rebuild stores it: the canonical tracker
+/// set, then the completion stats.
+fn completion_bytes(ips: &TrackerIpSet, stats: &CompletionStats) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(64 + ips.len() * 48);
     put_tracker_set(&mut w, ips);
     put_completion(&mut w, stats);
-    for v in delta.counter_values() {
-        w.put_u64(v);
-    }
     w.into_bytes()
-}
-
-type Completion = (TrackerIpSet, CompletionStats, DegradationReport);
-
-fn decode_completion(payload: &[u8]) -> Result<Completion, String> {
-    let mut rd = ByteReader::new(payload);
-    let inner = |rd: &mut ByteReader<'_>| -> Result<Completion, DecodeError> {
-        let n = rd.len_prefix()?;
-        let mut ips = HashMap::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let ip = read_ip(rd)?;
-            let requests = rd.u64()?;
-            let n_hosts = rd.len_prefix()?;
-            let mut hosts = HashSet::with_capacity(n_hosts.min(1 << 16));
-            for _ in 0..n_hosts {
-                hosts.insert(Domain::new(rd.str()?));
-            }
-            let window = TimeWindow::new(SimTime(rd.u64()?), SimTime(rd.u64()?));
-            let from_pdns_only = rd.u8()? != 0;
-            ips.insert(
-                ip,
-                IpInfo {
-                    requests,
-                    hosts,
-                    window,
-                    from_pdns_only,
-                },
-            );
-        }
-        let stats = CompletionStats {
-            n_observed: rd.len_prefix()?,
-            n_added: rd.len_prefix()?,
-            v4_share: rd.f64()?,
-            added_v4_share: rd.f64()?,
-        };
-        let mut values = [0u64; DegradationReport::N_COUNTERS];
-        for slot in &mut values {
-            *slot = rd.u64()?;
-        }
-        Ok((
-            TrackerIpSet { ips },
-            stats,
-            DegradationReport::from_counter_values(&values),
-        ))
-    };
-    let out = inner(&mut rd).map_err(|e| decode_err("stage-completion.xbc", e))?;
-    rd.finish()
-        .map_err(|e| decode_err("stage-completion.xbc", e))?;
-    Ok(out)
 }

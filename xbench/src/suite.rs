@@ -2,27 +2,37 @@
 //! two-set self-check against the benchmark's own bounds, and
 //! parent-versus-change pairs.
 
-use crate::{opt, opt_num, spec, stats, Metric, Spec};
+use crate::{opt, opt_num, spec, stats, Metric};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::{Command, Stdio};
 
-/// One run's end-to-end metrics by name.
+/// One run's metrics by name.
 type Metrics = BTreeMap<String, f64>;
+/// One run's metrics and the lines it printed before them.
+type Run = (Metrics, Vec<String>);
 
-/// Runs `bin run` once and returns its metrics; an incorrect run is an
-/// error.
-fn run_child(bin: &Path, workload: &str, seed: u64, seconds: f64) -> Result<Metrics, String> {
+/// Runs `bin run` once and returns its metrics and the lines it printed
+/// before them; an incorrect run is an error.
+fn run_child(
+    bin: &Path,
+    workload: &str,
+    seed: u64,
+    seconds: f64,
+    trace: bool,
+) -> Result<Run, String> {
     let out = Command::new(bin)
         .args(["run", "--workload", workload, "--seed", &seed.to_string()])
-        .args(["--seconds", &seconds.to_string(), "--trace", "0"])
+        .args(["--seconds", &seconds.to_string()])
+        .args(["--trace", if trace { "1" } else { "0" }])
         .stderr(Stdio::inherit())
         .output()
         .map_err(|e| format!("cannot start {}: {e}", bin.display()))?;
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let last = stdout.lines().last().unwrap_or("");
-    let doc: Value = serde_json::from_str(last)
+    let mut lines: Vec<String> = stdout.lines().map(str::to_string).collect();
+    let last = lines.pop().unwrap_or_default();
+    let doc: Value = serde_json::from_str(&last)
         .map_err(|e| format!("{workload} seed {seed}: no result line ({e}): {stdout}"))?;
     if doc.get("correct") != Some(&Value::Bool(true)) || !out.status.success() {
         return Err(format!("{workload} seed {seed}: incorrect run:\n{stdout}"));
@@ -31,10 +41,11 @@ fn run_child(bin: &Path, workload: &str, seed: u64, seconds: f64) -> Result<Metr
         .get("metrics")
         .and_then(Value::as_object)
         .ok_or("result without metrics")?;
-    Ok(metrics
+    let metrics = metrics
         .iter()
         .filter_map(|(k, v)| Some((k.clone(), v.get("value")?.as_f64()?)))
-        .collect())
+        .collect();
+    Ok((metrics, lines))
 }
 
 /// How much worse `b` is than `a`, as a share of `a` (negative: better).
@@ -47,37 +58,45 @@ fn worse(m: &Metric, a: f64, b: f64) -> f64 {
     }
 }
 
-fn workloads(args: &[String], spec: &Spec) -> Vec<String> {
-    match opt(args, "--workload") {
-        Some(w) if w != "all" => vec![w.to_string()],
-        _ => spec.workloads.clone(),
-    }
-}
+/// Seeds of a self-check set, one run per seed and workload.
+const SELFCHECK_SEEDS: u64 = 10;
+/// Where the self-check writes both sets.
+const SELFCHECK_OUT: &str = "xbench/results.json";
 
-/// Runs the suite twice and checks the second set against the first
-/// within the bounds. `Ok(passed)`.
-pub fn selfcheck(args: &[String]) -> Result<bool, String> {
+/// Runs the whole suite twice, at `run_seconds`, on seeds 1..=10, and
+/// checks each end-to-end metric the way the benchmark is accepted: the
+/// quartile spread of each set within the bound (except `setup_s`), and
+/// the second set's median no worse than the first's by more than the
+/// bound. Then runs each workload traced once, on seed 1. Writes every
+/// run's metrics and printed lines (raw wall times among them).
+/// `Ok(passed)`.
+pub fn selfcheck() -> Result<bool, String> {
     let spec = spec();
-    let n_seeds = opt_num(args, "--seeds", 10.0)? as u64;
-    let seconds = opt_num(args, "--seconds", spec.run_seconds)?;
-    let out_path = opt(args, "--out").unwrap_or("xbench/results.json");
+    let seconds = spec.run_seconds;
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let names = workloads(args, &spec);
-    let seeds: Vec<u64> = (1..=n_seeds).collect();
+    let names = &spec.workloads;
+    let seeds: Vec<u64> = (1..=SELFCHECK_SEEDS).collect();
 
-    // sets[set][workload] = one metrics map per seed
-    let mut sets: Vec<Vec<Vec<Metrics>>> = Vec::new();
+    // sets[set][workload] = one (metrics, lines) per seed
+    let mut sets: Vec<Vec<Vec<Run>>> = Vec::new();
     for set in 0..2 {
         let mut per_workload = Vec::new();
-        for w in &names {
+        for w in names {
             let mut runs = Vec::new();
             for &seed in &seeds {
                 eprintln!("selfcheck: set {} {w} seed {seed}", set + 1);
-                runs.push(run_child(&exe, w, seed, seconds)?);
+                runs.push(run_child(&exe, w, seed, seconds, false)?);
             }
             per_workload.push(runs);
         }
         sets.push(per_workload);
+    }
+    let mut traced = Vec::new();
+    for w in names {
+        eprintln!("selfcheck: traced {w} seed 1");
+        let (metrics, lines) = run_child(&exe, w, 1, seconds, true)?;
+        let entry = serde_json::json!({"metrics": metrics, "lines": lines});
+        traced.push((w.clone(), entry));
     }
 
     let mut passed = true;
@@ -92,14 +111,14 @@ pub fn selfcheck(args: &[String]) -> Result<bool, String> {
             let values = |set: usize| -> Vec<f64> {
                 sets[set][wi]
                     .iter()
-                    .filter_map(|r| r.get(&m.name).copied())
+                    .filter_map(|(r, _)| r.get(&m.name).copied())
                     .collect()
             };
             let (a, b) = (values(0), values(1));
             let (ma, mb) = (stats::median(&a), stats::median(&b));
             let (sa, sb) = (stats::spread(&a), stats::spread(&b));
             let worse_by = worse(m, ma, mb);
-            let steady = m.name == "setup_s" || (sa <= m.bound / 3.0 && sb <= m.bound / 3.0);
+            let steady = m.name == "setup_s" || (sa <= m.bound && sb <= m.bound);
             let ok = steady && worse_by <= m.bound;
             passed &= ok;
             println!(
@@ -116,7 +135,9 @@ pub fn selfcheck(args: &[String]) -> Result<bool, String> {
                 doc_w[set].push((m.name.clone(), entry));
             }
         }
-        for (set, entries) in doc_w.into_iter().enumerate() {
+        for (set, mut entries) in doc_w.into_iter().enumerate() {
+            let lines: Vec<&Vec<String>> = sets[set][wi].iter().map(|(_, l)| l).collect();
+            entries.push(("lines".into(), serde_json::json!(lines)));
             doc_sets[set].push((w.clone(), Value::Object(entries)));
         }
     }
@@ -130,11 +151,13 @@ pub fn selfcheck(args: &[String]) -> Result<bool, String> {
             "sets".into(),
             Value::Array(doc_sets.into_iter().map(Value::Object).collect()),
         ),
+        ("traced".into(), Value::Object(traced)),
     ]);
     let text = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-    std::fs::write(out_path, text + "\n").map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    std::fs::write(SELFCHECK_OUT, text + "\n")
+        .map_err(|e| format!("cannot write {SELFCHECK_OUT}: {e}"))?;
     println!(
-        "selfcheck: {} (wrote {out_path})",
+        "selfcheck: {} (wrote {SELFCHECK_OUT})",
         if passed { "passed" } else { "FAILED" }
     );
     Ok(passed)
@@ -168,22 +191,30 @@ pub fn pairs(args: &[String]) -> Result<bool, String> {
     let parent = Path::new(opt(args, "--parent").ok_or("pairs needs --parent BIN")?);
     let change = Path::new(opt(args, "--change").ok_or("pairs needs --change BIN")?);
     let n = opt_num(args, "--pairs", 10.0)? as u64;
-    let seconds = opt_num(args, "--seconds", spec.run_seconds)?;
+    let seconds = spec.run_seconds;
     let mut clean = true;
     println!(
         "{:<14} {:<13} {:>30} {:>30} {:>7}  verdict",
         "workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "wins"
     );
-    for w in workloads(args, &spec) {
+    let names = match opt(args, "--workload") {
+        Some(w) => vec![w.to_string()],
+        None => spec.workloads.clone(),
+    };
+    for w in names {
         let (mut p, mut c): (Vec<Metrics>, Vec<Metrics>) = (Vec::new(), Vec::new());
         for i in 0..n {
             let seed = i + 1;
+            let side = |bin: &Path, runs: &mut Vec<Metrics>| -> Result<(), String> {
+                runs.push(run_child(bin, &w, seed, seconds, false)?.0);
+                Ok(())
+            };
             if i % 2 == 0 {
-                p.push(run_child(parent, &w, seed, seconds)?);
-                c.push(run_child(change, &w, seed, seconds)?);
+                side(parent, &mut p)?;
+                side(change, &mut c)?;
             } else {
-                c.push(run_child(change, &w, seed, seconds)?);
-                p.push(run_child(parent, &w, seed, seconds)?);
+                side(change, &mut c)?;
+                side(parent, &mut p)?;
             }
         }
         for m in &spec.end_to_end {

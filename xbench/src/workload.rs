@@ -7,10 +7,11 @@ use crate::stats;
 use crate::trace::{Profile, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use xborder::confine::{region_breakdown_eu28, DestBreakdown};
+use xborder::confine::region_breakdown_eu28;
 use xborder::pipeline::run_extension_pipeline_degraded;
 use xborder::stream::{run_extension_pipeline_streaming, StreamConfig};
 use xborder::worldscale::{dataset_digests, run_worldscale_pipeline, ScaleConfig};
@@ -21,25 +22,31 @@ use xborder_netflow::{
     generate_and_match_sharded, FlowBlock, FlowCollector, SyntheticConfig, SyntheticFlowGen,
     TrackerIntervalSet,
 };
-use xborder_netsim::{OrgKind, SimTime, TimeWindow};
+use xborder_netsim::{SimTime, TimeWindow};
 
-/// Config seed of the world every workload runs on: the paper-reference
-/// `small(11)` world that the repository's goldens pin. The run's seed
-/// picks the study populations that browse it, so inputs differ by seed
-/// while the web and its infrastructure stay fixed.
+/// Config seed of the world every pipeline workload runs on: the
+/// paper-reference `small(11)` world that the repository's goldens pin.
 pub const REFERENCE_WORLD: u64 = 11;
-/// Study populations per run of a pipeline workload. One population moves
-/// the pipeline's cost and heap by 5-10 % from seed to seed; a run cycles
-/// through four and averages them.
-pub const STUDIES: usize = 4;
+/// Studies per run of a pipeline workload: study 0 is the reference world's
+/// own population (the goldens' run), study 1 a population drawn from the
+/// run's seed.
+pub const STUDIES: usize = 2;
 /// Users per durable chunk in the streaming workloads.
 pub const CHUNK_USERS: usize = 5;
-/// Input constructions whose median is `setup_s`.
+/// Input constructions whose median is `setup_s`: at least this many, and
+/// more until `SETUP_SECONDS` have passed, so that a sub-millisecond
+/// construction (NetFlow's) still gives a steady median.
 pub const SETUP_REPS: usize = 11;
+const SETUP_SECONDS: f64 = 0.5;
 /// Users in the worldscale-vs-batch equality check.
 const CROSS_CHECK_USERS: usize = 2_000;
 /// Records re-matched by the per-record oracle.
 const ORACLE_RECORDS: u64 = 1_000_000;
+/// Addresses in the NetFlow tracker list.
+const TRACKER_ADDRESSES: usize = 4096;
+/// Milliseconds `speed_reference` takes on the 2-vCPU Xeon host the bounds
+/// were set on; every reported time is scaled to this speed.
+const REFERENCE_MS: f64 = 4.0;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
@@ -82,6 +89,8 @@ pub struct Outcome {
 /// One timed pipeline call and what it produced.
 struct Iter {
     ms: f64,
+    /// `speed_reference` just before the call.
+    reference_ms: f64,
     summary: Summary,
     /// `ScaleOutputs::fingerprint` for worldscale, the summary digest
     /// otherwise.
@@ -98,39 +107,24 @@ struct Flows {
 }
 
 impl Flows {
-    /// Every IPv4 address of an ad-tech server in `world`, half of them
-    /// with validity windows (staggered edges so the window check has
-    /// work), and a flow stream drawn from `seed`.
-    fn new(world: &World, seed: u64, records: u64) -> Flows {
+    /// The tracker list shape of the `bench_netflow` bin: 4096 addresses in
+    /// runs of 1-8 (co-hosted endpoints), validity windows on half the runs
+    /// with staggered edges so the window check has work; and a flow stream,
+    /// both drawn from `seed`.
+    fn new(seed: u64, records: u64) -> Flows {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut ips: Vec<Ipv4Addr> = world
-            .infra
-            .servers()
-            .iter()
-            .filter(|s| {
-                world
-                    .infra
-                    .org(s.org)
-                    .is_ok_and(|o| o.kind == OrgKind::AdTech)
-            })
-            .filter_map(|s| match s.ip {
-                IpAddr::V4(v4) => Some(v4),
-                IpAddr::V6(_) => None,
-            })
-            .collect();
-        ips.sort_unstable();
-        ips.dedup();
-        let list: Vec<(Ipv4Addr, Option<TimeWindow>)> = ips
-            .into_iter()
-            .enumerate()
-            .map(|(i, ip)| {
-                let k = (i % 8) as u64;
-                let window = rng
-                    .gen_bool(0.5)
-                    .then(|| TimeWindow::new(SimTime(1_000 + k * 500), SimTime(80_000 - k * 500)));
-                (ip, window)
-            })
-            .collect();
+        let mut list = Vec::new();
+        while list.len() < TRACKER_ADDRESSES {
+            let base: u32 = rng.gen_range(0x0B00_0000..0xDF00_0000);
+            let run = rng.gen_range(1..=8u32);
+            let windowed = rng.gen_bool(0.5);
+            for k in 0..run {
+                let edge = u64::from(k) * 500;
+                let window = windowed
+                    .then(|| TimeWindow::new(SimTime(1_000 + edge), SimTime(80_000 - edge)));
+                list.push((Ipv4Addr::from(base.wrapping_add(k)), window));
+            }
+        }
         let set = TrackerIntervalSet::build(list.iter().copied());
         let cfg = SyntheticConfig {
             seed,
@@ -140,12 +134,6 @@ impl Flows {
         let gen = SyntheticFlowGen::new(cfg, list.iter().map(|(ip, _)| *ip));
         Flows { list, set, gen }
     }
-}
-
-/// What a rebuild hands back for checking, kept out of its timing.
-enum Built {
-    Study(Box<StudyOutputs>, DestBreakdown),
-    Done(Summary),
 }
 
 impl Workload {
@@ -178,7 +166,9 @@ impl Workload {
     /// study stream and feeds its pDNS sensor, so no world is reused.
     fn world(&self, config: WorldConfig, k: usize) -> World {
         let mut world = World::build(config);
-        world.study_rng = StdRng::seed_from_u64(derive_stream_seed(self.seed, k as u64));
+        if k > 0 {
+            world.study_rng = StdRng::seed_from_u64(derive_stream_seed(self.seed, k as u64));
+        }
         world
     }
 
@@ -227,18 +217,20 @@ impl Workload {
         let mut iters: Vec<Vec<Iter>> = (0..studies).map(|_| Vec::new()).collect();
         let start = Instant::now();
         let mut i = 0;
-        let mut peaks_mib = Vec::new();
+        let mut peak_mib = f64::NAN;
         while i < studies || start.elapsed() < budget {
             let k = i % studies;
             i += 1;
             out.attempted += 1;
-            // Each study's first call also measures the heap's high-water
-            // mark, so the figure does not depend on how many calls fit.
-            let first = i <= studies;
-            if first {
+            // The first call measures the heap's high-water mark. It is the
+            // reference study's, whose inputs no seed changes, so the figure
+            // repeats exactly from run to run and seed to seed.
+            let reference_ms = speed_reference();
+            if i == 1 {
                 alloc::reset_peak();
             }
-            let checked = self.drive(k, scratch, flows.as_ref()).and_then(|it| {
+            let checked = self.drive(k, scratch, flows.as_ref()).and_then(|mut it| {
+                it.reference_ms = reference_ms;
                 let want = iters[k]
                     .first()
                     .map(|f| (&f.summary, f.fingerprint, f.dir_bytes));
@@ -252,8 +244,8 @@ impl Workload {
                     _ => Ok(it),
                 }
             });
-            if first {
-                peaks_mib.push(alloc::peak_bytes() as f64 / (1u64 << 20) as f64);
+            if i == 1 {
+                peak_mib = alloc::peak_bytes() as f64 / (1u64 << 20) as f64;
             }
             match checked {
                 Ok(it) => iters[k].push(it),
@@ -270,31 +262,24 @@ impl Workload {
         // The rebuild from the layers' public calls must reproduce the
         // pipeline's outputs.
         let budget = Duration::from_secs_f64(if traced { seconds / 2.0 } else { 0.0 });
-        let mut runs: Vec<(usize, u32, f64)> = Vec::new();
+        // (study, run id, wall ms, scaled ms) of each correct rebuild
+        let mut runs: Vec<(usize, u32, f64, f64)> = Vec::new();
         let start = Instant::now();
         let mut j = 0;
         while j < if traced { studies } else { 1 } || start.elapsed() < budget {
             let k = j % studies;
             j += 1;
             out.attempted += 1;
-            let run = out.tracer.begin_run();
+            let reference_ms = speed_reference();
             match self.rebuild(k, scratch, flows.as_ref(), &mut out.tracer) {
-                Ok((ms, summary, dir_bytes)) => {
-                    let first = &iters[k][0];
-                    if summary != first.summary {
-                        out.failed += 1;
-                        out.notes.push(format!(
-                            "FAIL rebuild {j}: outputs differ from the pipeline's"
-                        ));
-                    } else if dir_bytes != first.dir_bytes {
-                        out.failed += 1;
-                        out.notes.push(format!(
-                            "FAIL rebuild {j}: wrote {dir_bytes} checkpoint bytes, the pipeline {}",
-                            first.dir_bytes
-                        ));
-                    } else {
-                        runs.push((k, run, ms));
-                    }
+                Ok((run, ms, summary)) if summary == iters[k][0].summary => {
+                    runs.push((k, run, ms, ms * REFERENCE_MS / reference_ms));
+                }
+                Ok(_) => {
+                    out.failed += 1;
+                    out.notes.push(format!(
+                        "FAIL rebuild {j}: outputs differ from the pipeline's"
+                    ));
                 }
                 Err(e) => {
                     out.failed += 1;
@@ -303,45 +288,52 @@ impl Workload {
             }
         }
 
+        let scaled = |v: &[Iter]| -> Vec<f64> { v.iter().map(Iter::scaled_ms).collect() };
         let call_ms: Vec<(usize, f64)> = iters
             .iter()
             .enumerate()
-            .flat_map(|(k, v)| v.iter().map(move |it| (k, it.ms)))
+            .flat_map(|(k, v)| v.iter().map(move |it| (k, it.scaled_ms())))
             .collect();
         let iter_ms = per_study_mean(&call_ms);
-        let all_ms: Vec<f64> = call_ms.iter().map(|(_, ms)| *ms).collect();
-        out.notes.push(format!(
-            "{} calls over {studies} studies: p50 {:.3} ms, p90 {:.3} ms; {} rebuilds",
-            all_ms.len(),
-            stats::median(&all_ms),
-            stats::percentile(&all_ms, 0.9),
-            j
-        ));
+        for (k, v) in iters.iter().enumerate() {
+            let raw: Vec<f64> = v.iter().map(|it| it.ms).collect();
+            let reference: Vec<f64> = v.iter().map(|it| it.reference_ms).collect();
+            out.notes.push(format!(
+                "study {k}: {} rows, {} calls, wall p50 {:.3} ms p90 {:.3} ms, \
+                 speed reference p50 {:.3} ms, scaled p50 {:.3} ms",
+                v[0].summary.rows,
+                raw.len(),
+                stats::median(&raw),
+                stats::percentile(&raw, 0.9),
+                stats::median(&reference),
+                stats::median(&scaled(v)),
+            ));
+        }
         if traced {
-            out.metrics = per_layer(&out.tracer, &runs, iter_ms, stats::median(&build_s) * 1e3);
+            // NetFlow builds no world.
+            let build_ms = if build_s.is_empty() {
+                0.0
+            } else {
+                stats::median(&build_s) * 1e3
+            };
+            out.metrics = per_layer(&out.tracer, &runs, iter_ms, build_ms);
         } else {
             // Rows per second over the studies: each study's rows over its
             // median call time, summed.
             let rows: f64 = iters.iter().map(|v| v[0].summary.rows as f64).sum();
-            let secs: f64 = iters
-                .iter()
-                .map(|v| stats::median(&v.iter().map(|it| it.ms).collect::<Vec<_>>()) / 1e3)
-                .sum();
+            let secs: f64 = iters.iter().map(|v| stats::median(&scaled(v)) / 1e3).sum();
             out.metrics = vec![
                 ("setup_s", stats::median(&setup_s)),
                 ("iter_ms", iter_ms),
                 ("rows_per_s", rows / secs),
-                (
-                    "peak_heap_mib",
-                    peaks_mib.iter().sum::<f64>() / studies as f64,
-                ),
+                ("peak_heap_mib", peak_mib),
             ];
         }
         Ok(())
     }
 
-    /// Builds the inputs `SETUP_REPS` times, cycling through the studies,
-    /// and returns the NetFlow inputs (if any) with each construction's
+    /// Builds the inputs repeatedly (`SETUP_REPS`, `SETUP_SECONDS`),
+    /// cycling through the studies, and returns the NetFlow inputs (if any) with each construction's
     /// seconds and each world build's seconds. The replay workload's
     /// input is the durable directory a cold ingest leaves behind.
     #[allow(clippy::type_complexity)]
@@ -349,14 +341,19 @@ impl Workload {
         let mut setup_s = Vec::new();
         let mut build_s = Vec::new();
         let mut flows = None;
-        for i in 0..SETUP_REPS {
+        let start = Instant::now();
+        let mut i = 0;
+        while i < SETUP_REPS || start.elapsed().as_secs_f64() < SETUP_SECONDS {
             let k = i % self.studies();
+            i += 1;
+            let scale = REFERENCE_MS / speed_reference();
             let t = Instant::now();
-            let mut world = self.world(self.config(), k);
-            build_s.push(t.elapsed().as_secs_f64());
-            match self.kind {
-                Kind::Netflow => flows = Some(Flows::new(&world, self.seed, self.records)),
-                Kind::StreamReplay => {
+            if self.kind == Kind::Netflow {
+                flows = Some(Flows::new(self.seed, self.records));
+            } else {
+                let mut world = self.world(self.config(), k);
+                build_s.push(t.elapsed().as_secs_f64() * scale);
+                if self.kind == Kind::StreamReplay {
                     let dir = fresh_dir(scratch, &format!("replay-{k}"))?;
                     run_extension_pipeline_streaming(
                         &mut world,
@@ -366,9 +363,8 @@ impl Workload {
                     )
                     .map_err(|e| format!("setup ingest: {e}"))?;
                 }
-                _ => {}
             }
-            setup_s.push(t.elapsed().as_secs_f64());
+            setup_s.push(t.elapsed().as_secs_f64() * scale);
         }
         Ok((flows, setup_s, build_s))
     }
@@ -398,15 +394,15 @@ impl Workload {
         }
     }
 
-    /// On a smaller segmented world, the out-of-core pipeline must equal the
-    /// batch pipeline: the same row digests, Table-2 rows, tracker set,
-    /// estimates and EU28 breakdown.
+    /// On a smaller segmented world browsed by the seed's population, the
+    /// out-of-core pipeline must equal the batch pipeline: the same row
+    /// digests, Table-2 rows, tracker set, estimates and EU28 breakdown.
     fn cross_check(&self) -> Result<(), String> {
         let users = CROSS_CHECK_USERS.min(self.users);
         let config = WorldConfig::large(REFERENCE_WORLD, users).with_threads(1);
-        let mut world = self.world(config.clone(), 0);
+        let mut world = self.world(config.clone(), 1);
         let (batch, _) = run_extension_pipeline_degraded(&mut world, &FaultPlan::none());
-        let mut world = self.world(config, 0);
+        let mut world = self.world(config, 1);
         let (scale, _) = run_worldscale_pipeline(
             &mut world,
             &FaultPlan::none(),
@@ -469,6 +465,7 @@ impl Workload {
                 let ms = ms_since(t);
                 Ok(Iter {
                     ms,
+                    reference_ms: f64::NAN,
                     summary: Summary::scale(&out),
                     fingerprint: out.fingerprint(),
                     dir_bytes: 0,
@@ -482,6 +479,7 @@ impl Workload {
                 let summary = Summary::flows(&stats);
                 Ok(Iter {
                     ms,
+                    reference_ms: f64::NAN,
                     fingerprint: summary.digest,
                     summary,
                     dir_bytes: 0,
@@ -490,62 +488,91 @@ impl Workload {
         }
     }
 
-    /// One rebuild on a fresh world: its milliseconds, its summary, and
-    /// the bytes of the checkpoint directory it used.
+    /// One traced rebuild on a fresh world: its run id, milliseconds and
+    /// summary. The rebuild reads and writes only its own checkpoint
+    /// directories; stream-replay's is filled by an untraced rebuilt cold
+    /// ingest first.
     fn rebuild(
         &self,
         k: usize,
         scratch: &Path,
         flows: Option<&Flows>,
         tr: &mut Tracer,
-    ) -> Result<(f64, Summary, u64), String> {
-        let dir = match self.kind {
-            Kind::StreamIngest => fresh_dir(scratch, "rebuild")?,
-            _ => scratch.join(format!("replay-{k}")),
-        };
+    ) -> Result<(u32, f64, Summary), String> {
+        let dir = fresh_dir(scratch, "rebuild")?;
+        if self.kind == Kind::StreamReplay {
+            let mut world = self.world(self.config(), k);
+            rebuild::stream(&mut world, &dir, CHUNK_USERS, &mut Tracer::new(false))?;
+        }
         let mut world = (self.kind != Kind::Netflow).then(|| self.world(self.config(), k));
+        let run = tr.begin_run();
         let t = Instant::now();
-        let built = match (self.kind, world.as_mut()) {
+        let summary = match (self.kind, world.as_mut()) {
             (Kind::Batch, Some(w)) => {
                 let (out, eu28) = rebuild::batch(w, tr);
-                Built::Study(Box::new(out), eu28)
+                Summary::study(&out, &eu28)
             }
             (Kind::StreamIngest | Kind::StreamReplay, Some(w)) => {
                 let (out, eu28) = rebuild::stream(w, &dir, CHUNK_USERS, tr)?;
-                Built::Study(Box::new(out), eu28)
+                Summary::study(&out, &eu28)
             }
-            (Kind::Worldscale, Some(w)) => {
-                Built::Done(rebuild::worldscale(w, self.segment_users(), tr))
-            }
+            (Kind::Worldscale, Some(w)) => rebuild::worldscale(w, self.segment_users(), tr),
             (Kind::Netflow, None) => {
                 let f = flows.ok_or("no NetFlow inputs")?;
-                Built::Done(rebuild::netflow(&f.gen, &f.set, tr))
+                rebuild::netflow(&f.gen, &f.set, tr)
             }
             _ => unreachable!("a world exists exactly for the pipeline workloads"),
         };
-        let ms = ms_since(t);
-        let summary = match built {
-            Built::Study(out, eu28) => Summary::study(&out, &eu28),
-            Built::Done(summary) => summary,
-        };
-        let bytes = match self.kind {
-            Kind::StreamIngest | Kind::StreamReplay => dir_bytes(&dir)?,
-            _ => 0,
-        };
-        Ok((ms, summary, bytes))
+        Ok((run, ms_since(t), summary))
     }
 }
 
 impl Iter {
+    /// The call's time at the reference speed.
+    fn scaled_ms(&self) -> f64 {
+        self.ms * REFERENCE_MS / self.reference_ms
+    }
+
     fn study(ms: f64, out: &StudyOutputs, dir_bytes: u64) -> Iter {
         let summary = study_summary(out);
         Iter {
             ms,
+            reference_ms: f64::NAN,
             fingerprint: summary.digest,
             summary,
             dir_bytes,
         }
     }
+}
+
+/// Times a fixed computation in this benchmark's own code and returns its
+/// milliseconds. It hashes, allocates, sorts and formats, as the pipelines
+/// do, and no change to the repository's crates can alter it. Timed just
+/// before each call, it gives the host's speed at that moment (see "End-to-end
+/// metrics" in the crate docs).
+fn speed_reference() -> f64 {
+    let t = Instant::now();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut counts: HashMap<u64, u32> = HashMap::new();
+    let mut values = Vec::new();
+    for _ in 0..60_000 {
+        *counts.entry(next() % 50_000).or_default() += 1;
+        values.push(next());
+    }
+    values.sort_unstable();
+    let text: usize = values
+        .iter()
+        .step_by(16)
+        .map(|v| format!("{v:x}").len())
+        .sum();
+    std::hint::black_box((counts.len(), values[values.len() / 2], text));
+    ms_since(t)
 }
 
 fn study_summary(out: &StudyOutputs) -> Summary {
@@ -708,16 +735,17 @@ const LAYER_METRICS: &[(&str, Src)] = &[
 ];
 
 /// Per-layer metrics: each the mean over studies of its median over the
-/// traced runs of that study.
+/// traced runs of that study. Shares are of the rebuild's wall time;
+/// `trace.iter_ms` and the overhead use scaled times, as `iter_ms` does.
 fn per_layer(
     tr: &Tracer,
-    runs: &[(usize, u32, f64)],
+    runs: &[(usize, u32, f64, f64)],
     untraced_ms: f64,
     build_ms: f64,
 ) -> Vec<(&'static str, f64)> {
     let profiles: Vec<(usize, Profile, f64)> = runs
         .iter()
-        .map(|&(k, run, ms)| (k, tr.profile(run), ms))
+        .map(|&(k, run, ms, _)| (k, tr.profile(run), ms))
         .collect();
     let each = |f: &dyn Fn(&Profile, f64) -> f64| {
         let v: Vec<(usize, f64)> = profiles.iter().map(|(k, p, ms)| (*k, f(p, *ms))).collect();
@@ -739,7 +767,8 @@ fn per_layer(
             (*name, value)
         })
         .collect();
-    let traced_ms = each(&|_, ms| ms);
+    let scaled: Vec<(usize, f64)> = runs.iter().map(|&(k, _, _, ms)| (k, ms)).collect();
+    let traced_ms = per_study_mean(&scaled);
     out.push(("worldgen.build_ms", build_ms));
     out.push(("trace.iter_ms", traced_ms));
     out.push((
