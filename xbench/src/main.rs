@@ -54,7 +54,9 @@
 //! whole worlds differ too much: `small(1)`..`small(10)` log 55k to 105k
 //! requests per study, and their batch call times spread by 12 % of the
 //! median, more than the time bound. Populations drawn on `small(11)`
-//! log 84k to 93k requests.
+//! log 84k to 93k requests. netflow-1e8 has the same two studies: the
+//! `bench_netflow` bin's inputs (its seed `0x7EAC`) and inputs drawn from
+//! `--seed`.
 //!
 //! * `batch-small`: `run_extension_pipeline_degraded`, no faults. Traced,
 //!   the study takes about half the time, classification and geolocation
@@ -77,8 +79,7 @@
 //!   a 2-vCPU x86 host; 5k users fit several calls into a run.)
 //! * `netflow-1e8`: `generate_and_match_sharded` over 10^8 synthetic flow
 //!   records against the interval set of a 4096-address tracker list
-//!   shaped as in the `bench_netflow` bin, both drawn from the seed. The
-//!   Sect. 7 join's hot loop (generation about two thirds, matching one
+//!   shaped as in the `bench_netflow` bin. The Sect. 7 join's hot loop (generation about two thirds, matching one
 //!   third, about 3 % of records match); it touches no study, classify or
 //!   geolocation code, so pipeline changes must leave it unchanged.
 //!
@@ -93,8 +94,10 @@
 //! timed call and set-up, and each time is reported scaled to the speed
 //! at which that computation takes 4 ms. A change to the repository's
 //! code moves the scaled time as much as the wall time; a slow spell of
-//! the host moves both the call and the reference. Wall times stay in the
-//! printed lines.
+//! the host moves both the call and the reference. The reference tracks
+//! the pipelines' slow spells more closely than those of NetFlow's
+//! arithmetic-bound generator. Wall times stay in the printed lines, and
+//! `xbench/results.json` holds both for every self-check run.
 //!
 //! * `setup_s` (bound 25 %, the largest, as the benchmark contract asks):
 //!   median of the input constructions made before timing (at least 11
@@ -108,8 +111,9 @@
 //!   times.
 //! * `peak_heap_mib` (1 %): most heap bytes live at once during the
 //!   reference study's first call, world included, from the counting
-//!   allocator. It repeats exactly from run to run and seed to seed, so
-//!   any change is the code's.
+//!   allocator. It repeats to within a kilobyte from run to run and seed
+//!   to seed (the scratch path and hash order move a few hundred bytes),
+//!   so a change beyond that is the code's.
 //!
 //! The result's `attempted` counts timed calls and rebuilds, `failed`
 //! those that errored or failed a check.

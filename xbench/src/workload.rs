@@ -27,9 +27,11 @@ use xborder_netsim::{SimTime, TimeWindow};
 /// Config seed of the world every pipeline workload runs on: the
 /// paper-reference `small(11)` world that the repository's goldens pin.
 pub const REFERENCE_WORLD: u64 = 11;
-/// Studies per run of a pipeline workload: study 0 is the reference world's
-/// own population (the goldens' run), study 1 a population drawn from the
-/// run's seed.
+/// Seed of the reference NetFlow inputs: the `bench_netflow` bin's list.
+const REFERENCE_FLOWS: u64 = 0x7EAC;
+/// Studies per run: study 0 is the reference input (the reference world's
+/// own population, or the reference NetFlow inputs), the same for every
+/// seed; study 1 is drawn from the run's seed.
 pub const STUDIES: usize = 2;
 /// Users per durable chunk in the streaming workloads.
 pub const CHUNK_USERS: usize = 5;
@@ -147,13 +149,6 @@ impl Workload {
         })
     }
 
-    fn studies(&self) -> usize {
-        match self.kind {
-            Kind::Netflow => 1,
-            _ => STUDIES,
-        }
-    }
-
     fn config(&self) -> WorldConfig {
         match self.kind {
             Kind::Worldscale => WorldConfig::large(REFERENCE_WORLD, self.users),
@@ -208,9 +203,9 @@ impl Workload {
         traced: bool,
         out: &mut Outcome,
     ) -> Result<(), String> {
-        let studies = self.studies();
+        let studies = STUDIES;
         let (flows, setup_s, build_s) = self.setup(scratch)?;
-        let expected = self.references(flows.as_ref())?;
+        let expected = self.references(&flows)?;
 
         // Closed loop: each call starts when the previous one returned.
         let budget = Duration::from_secs_f64(if traced { seconds / 2.0 } else { seconds });
@@ -229,7 +224,7 @@ impl Workload {
             if i == 1 {
                 alloc::reset_peak();
             }
-            let checked = self.drive(k, scratch, flows.as_ref()).and_then(|mut it| {
+            let checked = self.drive(k, scratch, &flows).and_then(|mut it| {
                 it.reference_ms = reference_ms;
                 let want = iters[k]
                     .first()
@@ -271,7 +266,7 @@ impl Workload {
             j += 1;
             out.attempted += 1;
             let reference_ms = speed_reference();
-            match self.rebuild(k, scratch, flows.as_ref(), &mut out.tracer) {
+            match self.rebuild(k, scratch, &flows, &mut out.tracer) {
                 Ok((run, ms, summary)) if summary == iters[k][0].summary => {
                     runs.push((k, run, ms, ms * REFERENCE_MS / reference_ms));
                 }
@@ -333,23 +328,31 @@ impl Workload {
     }
 
     /// Builds the inputs repeatedly (`SETUP_REPS`, `SETUP_SECONDS`),
-    /// cycling through the studies, and returns the NetFlow inputs (if any) with each construction's
-    /// seconds and each world build's seconds. The replay workload's
-    /// input is the durable directory a cold ingest leaves behind.
+    /// cycling through the studies, and returns each study's NetFlow inputs
+    /// (none for the pipelines) with each construction's seconds and each
+    /// world build's seconds, all scaled. The replay workload's input is the
+    /// durable directory a cold ingest leaves behind.
     #[allow(clippy::type_complexity)]
-    fn setup(&self, scratch: &Path) -> Result<(Option<Flows>, Vec<f64>, Vec<f64>), String> {
+    fn setup(&self, scratch: &Path) -> Result<(Vec<Flows>, Vec<f64>, Vec<f64>), String> {
         let mut setup_s = Vec::new();
         let mut build_s = Vec::new();
-        let mut flows = None;
+        let mut flows = Vec::new();
         let start = Instant::now();
         let mut i = 0;
         while i < SETUP_REPS || start.elapsed().as_secs_f64() < SETUP_SECONDS {
-            let k = i % self.studies();
+            let k = i % STUDIES;
             i += 1;
             let scale = REFERENCE_MS / speed_reference();
             let t = Instant::now();
-            if self.kind == Kind::Netflow {
-                flows = Some(Flows::new(self.seed, self.records));
+            // Each block reads the clock before its inputs are dropped.
+            let secs = if self.kind == Kind::Netflow {
+                let seed = if k == 0 { REFERENCE_FLOWS } else { self.seed };
+                let built = Flows::new(seed, self.records);
+                let secs = t.elapsed().as_secs_f64();
+                if flows.len() <= k {
+                    flows.push(built);
+                }
+                secs
             } else {
                 let mut world = self.world(self.config(), k);
                 build_s.push(t.elapsed().as_secs_f64() * scale);
@@ -363,16 +366,17 @@ impl Workload {
                     )
                     .map_err(|e| format!("setup ingest: {e}"))?;
                 }
-            }
-            setup_s.push(t.elapsed().as_secs_f64() * scale);
+                t.elapsed().as_secs_f64()
+            };
+            setup_s.push(secs * scale);
         }
         Ok((flows, setup_s, build_s))
     }
 
     /// Untimed checks against independent computations. Returns, per
     /// study, the summary every call must equal, if there is one.
-    fn references(&self, flows: Option<&Flows>) -> Result<Vec<Option<Summary>>, String> {
-        let none = vec![None; self.studies()];
+    fn references(&self, flows: &[Flows]) -> Result<Vec<Option<Summary>>, String> {
+        let none = vec![None; STUDIES];
         match self.kind {
             Kind::Batch => Ok(none),
             // Streaming, cold or replayed, must equal the batch pipeline.
@@ -388,7 +392,7 @@ impl Workload {
                 Ok(none)
             }
             Kind::Netflow => {
-                oracle_check(flows.ok_or("no NetFlow inputs")?)?;
+                flows.iter().try_for_each(oracle_check)?;
                 Ok(none)
             }
         }
@@ -426,7 +430,7 @@ impl Workload {
     }
 
     /// One timed pipeline call on a fresh world.
-    fn drive(&self, k: usize, scratch: &Path, flows: Option<&Flows>) -> Result<Iter, String> {
+    fn drive(&self, k: usize, scratch: &Path, flows: &[Flows]) -> Result<Iter, String> {
         let plan = FaultPlan::none();
         let kill = KillSwitch::none();
         match self.kind {
@@ -472,7 +476,7 @@ impl Workload {
                 })
             }
             Kind::Netflow => {
-                let f = flows.ok_or("no NetFlow inputs")?;
+                let f = flows.get(k).ok_or("no NetFlow inputs")?;
                 let t = Instant::now();
                 let stats = generate_and_match_sharded(&f.gen, &f.set, 1);
                 let ms = ms_since(t);
@@ -496,7 +500,7 @@ impl Workload {
         &self,
         k: usize,
         scratch: &Path,
-        flows: Option<&Flows>,
+        flows: &[Flows],
         tr: &mut Tracer,
     ) -> Result<(u32, f64, Summary), String> {
         let dir = fresh_dir(scratch, "rebuild")?;
@@ -518,7 +522,7 @@ impl Workload {
             }
             (Kind::Worldscale, Some(w)) => rebuild::worldscale(w, self.segment_users(), tr),
             (Kind::Netflow, None) => {
-                let f = flows.ok_or("no NetFlow inputs")?;
+                let f = flows.get(k).ok_or("no NetFlow inputs")?;
                 rebuild::netflow(&f.gen, &f.set, tr)
             }
             _ => unreachable!("a world exists exactly for the pipeline workloads"),
