@@ -85,9 +85,11 @@ pub fn snapshot() -> (u64, u64) {
     (c.allocs, c.bytes)
 }
 
-/// Restarts the high-water mark of live heap bytes at the current level.
-pub fn reset_peak() {
+/// Restarts the high-water mark of live heap bytes at the current level
+/// and returns that level.
+pub fn reset_peak() -> u64 {
     update(|c| c.peak = c.live);
+    read().live
 }
 
 /// Most heap bytes live at once on this thread since the last reset.

@@ -109,11 +109,13 @@
 //! * `rows_per_s` (10 %): logged requests (flow records for netflow-1e8)
 //!   per second: the studies' rows over the sum of their median call
 //!   times.
-//! * `peak_heap_mib` (1 %): most heap bytes live at once during the
-//!   reference study's first call, world included, from the counting
-//!   allocator. It repeats to within a kilobyte from run to run and seed
-//!   to seed (the scratch path and hash order move a few hundred bytes),
-//!   so a change beyond that is the code's.
+//! * `peak_heap_mib` (1 %): how far the heap rises, at most, above its
+//!   level at the start of the reference study's first call, from the
+//!   counting allocator: the call's fresh world and all it builds (NetFlow
+//!   inputs are built before and not counted). It repeats to within a
+//!   kilobyte from run to run and seed to seed (the scratch path and hash
+//!   order move a few hundred bytes), so a change beyond that is the
+//!   code's.
 //!
 //! The result's `attempted` counts timed calls and rebuilds, `failed`
 //! those that errored or failed a check.

@@ -203,26 +203,27 @@ impl Workload {
         traced: bool,
         out: &mut Outcome,
     ) -> Result<(), String> {
-        let studies = STUDIES;
         let (flows, setup_s, build_s) = self.setup(scratch)?;
         let expected = self.references(&flows)?;
 
         // Closed loop: each call starts when the previous one returned.
         let budget = Duration::from_secs_f64(if traced { seconds / 2.0 } else { seconds });
-        let mut iters: Vec<Vec<Iter>> = (0..studies).map(|_| Vec::new()).collect();
+        let mut iters: Vec<Vec<Iter>> = (0..STUDIES).map(|_| Vec::new()).collect();
         let start = Instant::now();
         let mut i = 0;
         let mut peak_mib = f64::NAN;
-        while i < studies || start.elapsed() < budget {
-            let k = i % studies;
+        let mut heap_base = 0;
+        while i < STUDIES || start.elapsed() < budget {
+            let k = i % STUDIES;
             i += 1;
             out.attempted += 1;
-            // The first call measures the heap's high-water mark. It is the
-            // reference study's, whose inputs no seed changes, so the figure
-            // repeats exactly from run to run and seed to seed.
             let reference_ms = speed_reference();
+            // The first call measures how far the heap rises above its level
+            // at the call's start. It is the reference study's, whose inputs
+            // no seed changes, so the figure repeats from run to run and seed
+            // to seed.
             if i == 1 {
-                alloc::reset_peak();
+                heap_base = alloc::reset_peak();
             }
             let checked = self.drive(k, scratch, &flows).and_then(|mut it| {
                 it.reference_ms = reference_ms;
@@ -240,7 +241,7 @@ impl Workload {
                 }
             });
             if i == 1 {
-                peak_mib = alloc::peak_bytes() as f64 / (1u64 << 20) as f64;
+                peak_mib = (alloc::peak_bytes() - heap_base) as f64 / (1u64 << 20) as f64;
             }
             match checked {
                 Ok(it) => iters[k].push(it),
@@ -261,8 +262,8 @@ impl Workload {
         let mut runs: Vec<(usize, u32, f64, f64)> = Vec::new();
         let start = Instant::now();
         let mut j = 0;
-        while j < if traced { studies } else { 1 } || start.elapsed() < budget {
-            let k = j % studies;
+        while j < if traced { STUDIES } else { 1 } || start.elapsed() < budget {
+            let k = j % STUDIES;
             j += 1;
             out.attempted += 1;
             let reference_ms = speed_reference();
@@ -313,8 +314,8 @@ impl Workload {
             };
             out.metrics = per_layer(&out.tracer, &runs, iter_ms, build_ms);
         } else {
-            // Rows per second over the studies: each study's rows over its
-            // median call time, summed.
+            // Rows per second over the studies: their rows over the sum of
+            // their median call times.
             let rows: f64 = iters.iter().map(|v| v[0].summary.rows as f64).sum();
             let secs: f64 = iters.iter().map(|v| stats::median(&scaled(v)) / 1e3).sum();
             out.metrics = vec![
