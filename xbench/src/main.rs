@@ -90,9 +90,10 @@
 //! On a shared host the same code runs up to 1.6 times slower for tens of
 //! seconds at a time, in CPU time as much as in wall time. So a fixed
 //! computation in this binary (`speed_reference`: hashing, allocating,
-//! sorting, formatting; no repository code) is timed just before every
-//! timed call and set-up, and each time is reported scaled to the speed
-//! at which that computation takes 4 ms. A change to the repository's
+//! sorting, formatting; no repository code) is timed between every two
+//! timed calls or set-ups, and each time is reported scaled to the speed
+//! at which that computation takes 4 ms, by the mean of the samples just
+//! before and just after it. A change to the repository's
 //! code moves the scaled time as much as the wall time; a slow spell of
 //! the host moves both the call and the reference. The reference tracks
 //! the pipelines' slow spells more closely than those of NetFlow's

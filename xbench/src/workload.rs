@@ -91,7 +91,7 @@ pub struct Outcome {
 /// One timed pipeline call and what it produced.
 struct Iter {
     ms: f64,
-    /// `speed_reference` just before the call.
+    /// Mean of `speed_reference` just before and just after the call.
     reference_ms: f64,
     summary: Summary,
     /// `ScaleOutputs::fingerprint` for worldscale, the summary digest
@@ -213,11 +213,13 @@ impl Workload {
         let mut i = 0;
         let mut peak_mib = f64::NAN;
         let mut heap_base = 0;
+        // Each call's speed reference is the mean of the samples taken just
+        // before and just after it.
+        let mut reference_ms = speed_reference();
         while i < STUDIES || start.elapsed() < budget {
             let k = i % STUDIES;
             i += 1;
             out.attempted += 1;
-            let reference_ms = speed_reference();
             // The first call measures how far the heap rises above its level
             // at the call's start. It is the reference study's, whose inputs
             // no seed changes, so the figure repeats from run to run and seed
@@ -225,8 +227,14 @@ impl Workload {
             if i == 1 {
                 heap_base = alloc::reset_peak();
             }
-            let checked = self.drive(k, scratch, &flows).and_then(|mut it| {
-                it.reference_ms = reference_ms;
+            let called = self.drive(k, scratch, &flows);
+            if i == 1 {
+                peak_mib = (alloc::peak_bytes() - heap_base) as f64 / (1u64 << 20) as f64;
+            }
+            let before = reference_ms;
+            reference_ms = speed_reference();
+            let checked = called.and_then(|mut it| {
+                it.reference_ms = (before + reference_ms) / 2.0;
                 let want = iters[k]
                     .first()
                     .map(|f| (&f.summary, f.fingerprint, f.dir_bytes));
@@ -240,9 +248,6 @@ impl Workload {
                     _ => Ok(it),
                 }
             });
-            if i == 1 {
-                peak_mib = (alloc::peak_bytes() - heap_base) as f64 / (1u64 << 20) as f64;
-            }
             match checked {
                 Ok(it) => iters[k].push(it),
                 Err(e) => {
@@ -262,14 +267,18 @@ impl Workload {
         let mut runs: Vec<(usize, u32, f64, f64)> = Vec::new();
         let start = Instant::now();
         let mut j = 0;
+        let mut reference_ms = speed_reference();
         while j < if traced { STUDIES } else { 1 } || start.elapsed() < budget {
             let k = j % STUDIES;
             j += 1;
             out.attempted += 1;
-            let reference_ms = speed_reference();
-            match self.rebuild(k, scratch, &flows, &mut out.tracer) {
+            let rebuilt = self.rebuild(k, scratch, &flows, &mut out.tracer);
+            let before = reference_ms;
+            reference_ms = speed_reference();
+            let scale = 2.0 * REFERENCE_MS / (before + reference_ms);
+            match rebuilt {
                 Ok((run, ms, summary)) if summary == iters[k][0].summary => {
-                    runs.push((k, run, ms, ms * REFERENCE_MS / reference_ms));
+                    runs.push((k, run, ms, ms * scale));
                 }
                 Ok(_) => {
                     out.failed += 1;
@@ -340,23 +349,23 @@ impl Workload {
         let mut flows = Vec::new();
         let start = Instant::now();
         let mut i = 0;
+        let mut reference_ms = speed_reference();
         while i < SETUP_REPS || start.elapsed().as_secs_f64() < SETUP_SECONDS {
             let k = i % STUDIES;
             i += 1;
-            let scale = REFERENCE_MS / speed_reference();
             let t = Instant::now();
             // Each block reads the clock before its inputs are dropped.
-            let secs = if self.kind == Kind::Netflow {
+            let (secs, build) = if self.kind == Kind::Netflow {
                 let seed = if k == 0 { REFERENCE_FLOWS } else { self.seed };
                 let built = Flows::new(seed, self.records);
                 let secs = t.elapsed().as_secs_f64();
                 if flows.len() <= k {
                     flows.push(built);
                 }
-                secs
+                (secs, None)
             } else {
                 let mut world = self.world(self.config(), k);
-                build_s.push(t.elapsed().as_secs_f64() * scale);
+                let build = t.elapsed().as_secs_f64();
                 if self.kind == Kind::StreamReplay {
                     let dir = fresh_dir(scratch, &format!("replay-{k}"))?;
                     run_extension_pipeline_streaming(
@@ -367,9 +376,13 @@ impl Workload {
                     )
                     .map_err(|e| format!("setup ingest: {e}"))?;
                 }
-                t.elapsed().as_secs_f64()
+                (t.elapsed().as_secs_f64(), Some(build))
             };
+            let before = reference_ms;
+            reference_ms = speed_reference();
+            let scale = 2.0 * REFERENCE_MS / (before + reference_ms);
             setup_s.push(secs * scale);
+            build_s.extend(build.map(|b| b * scale));
         }
         Ok((flows, setup_s, build_s))
     }
