@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path xbench/Cargo.toml -- \
-//!     run --workload batch-small --seed 1 --seconds 15 --trace 0
+//!     run --workload batch-small --seed 1 --seconds 20 --trace 0
 //! ```
 //!
 //! `run` prints every metric with its unit, then one JSON line:
