@@ -55,7 +55,8 @@
 //! requests per study, and their batch call times spread by 12 % of the
 //! median, more than the time bound. Populations drawn on `small(11)`
 //! log 84k to 93k requests. netflow-1e8 has the same two studies: the
-//! `bench_netflow` bin's inputs (its seed `0x7EAC`) and inputs drawn from
+//! `bench_netflow` bin's 10^8-record inputs (its tracker list, seed
+//! `0x7EAC`, and the generator's default flow seed) and inputs drawn from
 //! `--seed`.
 //!
 //! * `batch-small`: `run_extension_pipeline_degraded`, no faults. Traced,
@@ -68,7 +69,7 @@
 //!   with its per-chunk deltas, and the columnar-log (colog) codec.
 //! * `stream-replay`: the same call on a directory a cold ingest filled:
 //!   every chunk and the completion stage are read back. Checkpoint reads
-//!   take over 40 %, then delta application and colog decoding, so a
+//!   take close to 40 %, then delta application and colog decoding, so a
 //!   change that shrinks writes by slowing replay shows here. Its set-up
 //!   is that cold ingest.
 //! * `worldscale-5k`: `run_worldscale_pipeline` on `large(11, 5000)` in
@@ -79,37 +80,51 @@
 //!   a 2-vCPU x86 host; 5k users fit several calls into a run.)
 //! * `netflow-1e8`: `generate_and_match_sharded` over 10^8 synthetic flow
 //!   records against the interval set of a 4096-address tracker list
-//!   shaped as in the `bench_netflow` bin. The Sect. 7 join's hot loop (generation about two thirds, matching one
-//!   third, about 3 % of records match); it touches no study, classify or
-//!   geolocation code, so pipeline changes must leave it unchanged.
+//!   drawn as in the `bench_netflow` bin. The Sect. 7 join's hot loop
+//!   (generation about two thirds, matching one third, about 3 % of
+//!   records match); it touches no study, classify or geolocation code,
+//!   so pipeline changes must leave it unchanged.
 //!
 //! Traced shares are in the `traced` runs of `xbench/results.json`.
 //!
 //! # End-to-end metrics
 //!
-//! On a shared host the same code runs up to 1.6 times slower for tens of
-//! seconds at a time, in CPU time as much as in wall time. So a fixed
-//! computation in this binary (`speed_reference`: hashing, allocating,
-//! sorting, formatting; no repository code) is timed between every two
-//! timed calls or set-ups, and each time is reported scaled to the speed
-//! at which that computation takes 4 ms, by the mean of the samples just
-//! before and just after it. A change to the repository's
-//! code moves the scaled time as much as the wall time; a slow spell of
-//! the host moves both the call and the reference. The reference tracks
-//! the pipelines' slow spells more closely than those of NetFlow's
-//! arithmetic-bound generator. Wall times stay in the printed lines, and
-//! `xbench/results.json` holds both for every self-check run.
+//! On a shared 2-vCPU host the same code runs up to twice as slow for
+//! minutes at a time, in thread CPU time as much as in wall time (the
+//! guest accounts stolen time apart, so this is contention for the
+//! physical core and its caches). So a fixed computation in this binary
+//! (`speed_reference`: hashing, allocating, sorting, formatting; no
+//! repository code) is timed between every two timed calls or set-ups,
+//! and each time is reported scaled to the speed at which that
+//! computation takes 4 ms, by the mean of the samples just before and
+//! just after it. A change to the repository's code moves the scaled time
+//! as much as the wall time; a slow spell of the host moves both the call
+//! and the reference. Under contention the reference slows about 2.1
+//! times and batch-small as much, but stream-replay and worldscale-5k
+//! only 1.6 to 1.7 times, so their calls are scaled by the reference's
+//! slowdown raised to 0.7 and 0.8 (`Kind::sensitivity`, fitted on the
+//! 2-vCPU host). The correction is not exact: NetFlow drifts against the
+//! reference by several percent either way, and the checkpoint store's
+//! fsyncs also wait on the shared disk. Wall times stay in the printed
+//! lines, and `xbench/results.json` holds both for every self-check run.
 //!
 //! * `setup_s` (bound 25 %, the largest, as the benchmark contract asks):
 //!   median of the input constructions made before timing (at least 11
 //!   and at least half a second's worth): a world build, plus the cold
 //!   ingest that fills stream-replay's directory, or the tracker list,
 //!   interval set and generator of netflow-1e8.
-//! * `iter_ms` (10 %): each study's median call time, averaged over the
+//! * `iter_ms` (20 %): each study's median call time, averaged over the
 //!   studies.
-//! * `rows_per_s` (10 %): logged requests (flow records for netflow-1e8)
+//! * `rows_per_s` (20 %): logged requests (flow records for netflow-1e8)
 //!   per second: the studies' rows over the sum of their median call
 //!   times.
+//!
+//! The time bounds are 20 %, not 10 %: over five two-set self-checks on
+//! the 2-vCPU host, the quartile spread of ten seeds reached 14 % for
+//! worldscale-5k and 13 % for netflow-1e8 (batch-small stays under 5 %),
+//! and cutting netflow's calls to 10^7 records, ten times the calls per
+//! run, did not narrow it: the spread comes from the host's slow spells
+//! between runs, not from too few calls within one.
 //! * `peak_heap_mib` (1 %): how far the heap rises, at most, above its
 //!   level at the start of the reference study's first call, from the
 //!   counting allocator: the call's fresh world and all it builds (NetFlow

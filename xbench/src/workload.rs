@@ -27,8 +27,10 @@ use xborder_netsim::{SimTime, TimeWindow};
 /// Config seed of the world every pipeline workload runs on: the
 /// paper-reference `small(11)` world that the repository's goldens pin.
 pub const REFERENCE_WORLD: u64 = 11;
-/// Seed of the reference NetFlow inputs: the `bench_netflow` bin's list.
-const REFERENCE_FLOWS: u64 = 0x7EAC;
+/// Seed of the `bench_netflow` bin's tracker list. With the default flow
+/// seed it makes the reference NetFlow inputs, the same as that bin's 10^8
+/// record run.
+const REFERENCE_LIST: u64 = 0x7EAC;
 /// Studies per run: study 0 is the reference input (the reference world's
 /// own population, or the reference NetFlow inputs), the same for every
 /// seed; study 1 is drawn from the run's seed.
@@ -57,6 +59,23 @@ pub enum Kind {
     StreamReplay,
     Worldscale,
     Netflow,
+}
+
+impl Kind {
+    /// How far the workload's calls slow when `speed_reference` slows, as
+    /// an exponent: a call is scaled by `(REFERENCE_MS / reference)` raised
+    /// to it. Fitted on the 2-vCPU host from 10-second medians of call and
+    /// reference times over several minutes of each workload: the replay's
+    /// file reads and worldscale's large heap slow less under contention
+    /// than the reference does (exponents 0.5-0.7 and 0.75-0.8 on separate
+    /// series), the others as much.
+    fn sensitivity(self) -> f64 {
+        match self {
+            Kind::StreamReplay => 0.7,
+            Kind::Worldscale => 0.8,
+            Kind::Batch | Kind::StreamIngest | Kind::Netflow => 1.0,
+        }
+    }
 }
 
 pub const WORKLOADS: [(&str, Kind); 5] = [
@@ -109,12 +128,12 @@ struct Flows {
 }
 
 impl Flows {
-    /// The tracker list shape of the `bench_netflow` bin: 4096 addresses in
-    /// runs of 1-8 (co-hosted endpoints), validity windows on half the runs
-    /// with staggered edges so the window check has work; and a flow stream,
-    /// both drawn from `seed`.
-    fn new(seed: u64, records: u64) -> Flows {
-        let mut rng = StdRng::seed_from_u64(seed);
+    /// The `bench_netflow` bin's tracker list, drawn from `list_seed`: 4096
+    /// addresses in runs of 1-8 (co-hosted endpoints), validity windows on
+    /// half the runs with staggered edges so the window check has work; and
+    /// a flow stream drawn from `flow_seed`.
+    fn new(list_seed: u64, flow_seed: u64, records: u64) -> Flows {
+        let mut rng = StdRng::seed_from_u64(list_seed);
         let mut list = Vec::new();
         while list.len() < TRACKER_ADDRESSES {
             let base: u32 = rng.gen_range(0x0B00_0000..0xDF00_0000);
@@ -129,7 +148,7 @@ impl Flows {
         }
         let set = TrackerIntervalSet::build(list.iter().copied());
         let cfg = SyntheticConfig {
-            seed,
+            seed: flow_seed,
             n_records: records,
             ..SyntheticConfig::default()
         };
@@ -169,6 +188,12 @@ impl Workload {
 
     fn segment_users(&self) -> usize {
         (self.users / 10).max(1)
+    }
+
+    /// A call's `ms` at the speed where `speed_reference` takes
+    /// `REFERENCE_MS`, given the reference time around the call.
+    fn scaled(&self, ms: f64, reference_ms: f64) -> f64 {
+        ms * (REFERENCE_MS / reference_ms).powf(self.kind.sensitivity())
     }
 
     /// Runs the workload for `seconds`. With `traced`, half the time goes
@@ -275,10 +300,9 @@ impl Workload {
             let rebuilt = self.rebuild(k, scratch, &flows, &mut out.tracer);
             let before = reference_ms;
             reference_ms = speed_reference();
-            let scale = 2.0 * REFERENCE_MS / (before + reference_ms);
             match rebuilt {
                 Ok((run, ms, summary)) if summary == iters[k][0].summary => {
-                    runs.push((k, run, ms, ms * scale));
+                    runs.push((k, run, ms, self.scaled(ms, (before + reference_ms) / 2.0)));
                 }
                 Ok(_) => {
                     out.failed += 1;
@@ -293,11 +317,15 @@ impl Workload {
             }
         }
 
-        let scaled = |v: &[Iter]| -> Vec<f64> { v.iter().map(Iter::scaled_ms).collect() };
+        let scaled = |v: &[Iter]| -> Vec<f64> {
+            v.iter()
+                .map(|it| self.scaled(it.ms, it.reference_ms))
+                .collect()
+        };
         let call_ms: Vec<(usize, f64)> = iters
             .iter()
             .enumerate()
-            .flat_map(|(k, v)| v.iter().map(move |it| (k, it.scaled_ms())))
+            .flat_map(|(k, v)| scaled(v).into_iter().map(move |ms| (k, ms)))
             .collect();
         let iter_ms = per_study_mean(&call_ms);
         for (k, v) in iters.iter().enumerate() {
@@ -356,8 +384,11 @@ impl Workload {
             let t = Instant::now();
             // Each block reads the clock before its inputs are dropped.
             let (secs, build) = if self.kind == Kind::Netflow {
-                let seed = if k == 0 { REFERENCE_FLOWS } else { self.seed };
-                let built = Flows::new(seed, self.records);
+                let built = if k == 0 {
+                    Flows::new(REFERENCE_LIST, SyntheticConfig::default().seed, self.records)
+                } else {
+                    Flows::new(self.seed, self.seed, self.records)
+                };
                 let secs = t.elapsed().as_secs_f64();
                 if flows.len() <= k {
                     flows.push(built);
@@ -380,6 +411,8 @@ impl Workload {
             };
             let before = reference_ms;
             reference_ms = speed_reference();
+            // World builds and cold ingests slow as the reference does,
+            // whatever the workload's own calls do.
             let scale = 2.0 * REFERENCE_MS / (before + reference_ms);
             setup_s.push(secs * scale);
             build_s.extend(build.map(|b| b * scale));
@@ -546,11 +579,6 @@ impl Workload {
 }
 
 impl Iter {
-    /// The call's time at the reference speed.
-    fn scaled_ms(&self) -> f64 {
-        self.ms * REFERENCE_MS / self.reference_ms
-    }
-
     fn study(ms: f64, out: &StudyOutputs, dir_bytes: u64) -> Iter {
         let summary = study_summary(out);
         Iter {
