@@ -52,12 +52,12 @@
 //! own, the goldens' and the ROADMAP headline's run, the same for every
 //! seed; study 1 is drawn from `--seed`. The world stays fixed because
 //! whole worlds differ too much: `small(1)`..`small(10)` log 55k to 105k
-//! requests per study, and their batch call times spread by 12 % of the
-//! median, more than the time bound. Populations drawn on `small(11)`
-//! log 84k to 93k requests. netflow-1e8 has the same two studies: the
-//! `bench_netflow` bin's 10^8-record inputs (its tracker list, seed
-//! `0x7EAC`, and the generator's default flow seed) and inputs drawn from
-//! `--seed`.
+//! requests per study, a quartile spread of a quarter of the median,
+//! more than the time bound before any host noise. Populations drawn on
+//! `small(11)` for seeds 1 to 10 log 84k to 95k requests. netflow-1e8 has
+//! the same two studies: the `bench_netflow` bin's 10^8-record inputs (its
+//! tracker list, seed `0x7EAC`, and the generator's default flow seed) and
+//! inputs drawn from `--seed`.
 //!
 //! * `batch-small`: `run_extension_pipeline_degraded`, no faults. Traced,
 //!   the study takes about half the time, classification and geolocation
@@ -119,12 +119,13 @@
 //!   per second: the studies' rows over the sum of their median call
 //!   times.
 //!
-//! The time bounds are 20 %, not 10 %: over five two-set self-checks on
+//! The time bounds are 20 %, not 10 %: over six two-set self-checks on
 //! the 2-vCPU host, the quartile spread of ten seeds reached 14 % for
 //! worldscale-5k and 13 % for netflow-1e8 (batch-small stays under 5 %),
-//! and cutting netflow's calls to 10^7 records, ten times the calls per
-//! run, did not narrow it: the spread comes from the host's slow spells
-//! between runs, not from too few calls within one.
+//! and netflow's median moved by 17 % between two sets. Cutting netflow's
+//! calls to 10^7 records, ten times the calls per run, did not narrow the
+//! spread: it comes from the host's slow spells between runs, not from
+//! too few calls within one.
 //! * `peak_heap_mib` (1 %): how far the heap rises, at most, above its
 //!   level at the start of the reference study's first call, from the
 //!   counting allocator: the call's fresh world and all it builds (NetFlow
