@@ -106,9 +106,9 @@
 //! the correction works best on short calls: eight seeds of NetFlow calls
 //! spread 9.8 % at 10^8 records per call and 0.95 % at 10^6. Under
 //! contention stream-ingest slows as much as the reference, batch-small
-//! and NetFlow a little more, stream-replay only about half as much (its
-//! file reads), and worldscale-5k's 1.5-second calls fit best at 0.8, so
-//! their calls are scaled by the reference's slowdown raised to 1.0, 1.1,
+//! and NetFlow more, stream-replay only about half as much (its file
+//! reads), and worldscale-5k's 1.5-second calls fit best at 0.8, so their
+//! calls are scaled by the reference's slowdown raised to 1.0, 1.1, 1.2,
 //! 0.6 and 0.8 (`Kind::sensitivity`, fitted on the 2-vCPU host). The fit
 //! is not exact, since each workload meets contention its own way: it
 //! leaves quartile spreads of 2-6 % over ten seeds, up to 10 % for NetFlow
