@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== tests =="
 cargo test -q --offline
 
+echo "== xbench smoke (every workload's output checks, incl. worldscale = batch) =="
+cargo test --offline --release --manifest-path xbench/Cargo.toml
+
 echo "== bench smoke (writes BENCH_pipeline.json) =="
 # Stash the committed baseline before the bench overwrites it, so the
 # fresh numbers can be compared against what the repo last recorded.
@@ -102,9 +105,9 @@ fi
 echo "== worldscale bench smoke (1e5 users; writes BENCH_worldscale.json) =="
 # The committed BENCH_worldscale.json documents a full 1e6-user run; stash
 # it so the smoke run's numbers can gate against it without clobbering it.
-# The binary itself asserts the resident-memory ceiling (segment-store
-# peak under the configured budget) and fingerprint equality across
-# segment sizes, so a smoke pass is also a memory-bound + determinism pass.
+# The binary itself asserts fingerprint equality across segment sizes, so
+# a smoke pass is also a determinism pass; the sanity block below gates
+# each row's process high-water mark (VmHWM) against the baseline.
 ws_baseline=""
 if [ -f BENCH_worldscale.json ]; then
     ws_baseline="$(mktemp)"
@@ -112,8 +115,10 @@ if [ -f BENCH_worldscale.json ]; then
 fi
 XBORDER_WORLDSCALE_MAX_USERS=100000 ./target/release/bench_worldscale
 
-echo "== worldscale bench sanity (BENCH_worldscale.json must exist and parse) =="
-python3 - BENCH_worldscale.json <<'EOF'
+echo "== worldscale bench sanity (BENCH_worldscale.json must exist and parse; VmHWM gate) =="
+# Every row must carry its own positive VmHWM, and no row may exceed the
+# committed baseline's row at the same (users, segment_users) by >20%.
+python3 - BENCH_worldscale.json "$ws_baseline" <<'EOF'
 import json, sys
 try:
     doc = json.load(open(sys.argv[1]))
@@ -123,18 +128,35 @@ except (OSError, ValueError) as e:
 if doc.get("worldscale_users_per_sec", 0) <= 0:
     print("FATAL: BENCH_worldscale.json has no positive worldscale_users_per_sec")
     sys.exit(1)
-budget = doc.get("resident_budget_bytes", 0)
 runs = doc.get("runs", [])
-if not runs or budget <= 0:
-    print("FATAL: BENCH_worldscale.json has no runs or no resident budget")
+if not runs:
+    print("FATAL: BENCH_worldscale.json has no runs")
     sys.exit(1)
-over = [r for r in runs if r.get("peak_resident_bytes", 0) > budget]
-if over:
-    print(f"FATAL: {len(over)} run(s) over the resident-memory budget")
+missing = [(r["users"], r["segment_users"]) for r in runs
+           if not (r.get("vm_hwm_bytes") or 0) > 0]
+if missing:
+    print(f"FATAL: row(s) without a positive vm_hwm_bytes: {missing}")
     sys.exit(1)
-if not any(r.get("segments_spilled", 0) > 0 for r in runs):
-    print("FATAL: no run exercised the spill path")
-    sys.exit(1)
+if sys.argv[2]:
+    try:
+        base = json.load(open(sys.argv[2]))
+    except (OSError, ValueError) as e:
+        print(f"FATAL: committed BENCH_worldscale.json unparseable: {e}")
+        sys.exit(1)
+    base_hwm = {(r["users"], r["segment_users"]): r.get("vm_hwm_bytes")
+                for r in base.get("runs", [])}
+    for r in runs:
+        key = (r["users"], r["segment_users"])
+        o, n = base_hwm.get(key), r["vm_hwm_bytes"]
+        if not o:
+            print(f"worldscale VmHWM at {key}: no baseline row; skipping")
+        elif n > o * 1.20:
+            print(f"FATAL: VmHWM at {key} over the baseline by >20%: "
+                  f"{o / 2**20:,.0f} -> {n / 2**20:,.0f} MiB ({n / o - 1:+.0%})")
+            sys.exit(1)
+        else:
+            print(f"worldscale VmHWM at {key}: {o / 2**20:,.0f} -> {n / 2**20:,.0f} MiB "
+                  f"({n / o - 1:+.0%}), within the 20% budget")
 print("worldscale bench sanity: ok")
 EOF
 

@@ -3,16 +3,16 @@
 //! `BENCH_worldscale.json` (run from the repo root; see ci.sh).
 //!
 //! Sweeps users 10⁴/10⁵/10⁶ (capped by `XBORDER_WORLDSCALE_MAX_USERS` for
-//! CI smoke runs) × segment sizes, always with a bounded resident window,
-//! and records wall time, users/sec, the segment store's peak resident
-//! bytes and spill counts, plus the process high-water mark (`VmHWM`).
-//! Two guards make a fast-but-wrong run impossible to report:
+//! CI smoke runs) × segment sizes and records wall time, users/sec and
+//! each row's own process high-water mark (`VmHWM`): the mark is reset
+//! through `/proc/self/clear_refs` before every row, so a row reports what
+//! its world build and run needed, not what an earlier row left behind.
+//! At every scale the two segment sizes must land on the same
+//! [`ScaleOutputs::fingerprint`] (the knob-invariance contract of
+//! DESIGN.md §5j at bench scale), so a fast-but-wrong run cannot be
+//! reported.
 //!
-//! 1. at every scale the two segment sizes must land on the same
-//!    [`ScaleOutputs::fingerprint`] (the knob-invariance contract of
-//!    DESIGN.md §5j at bench scale), and
-//! 2. the store's peak resident bytes must stay under the configured
-//!    budget — resident memory is O(segment × window), not O(world).
+//! [`ScaleOutputs::fingerprint`]: xborder::worldscale::ScaleOutputs::fingerprint
 
 use std::time::Instant;
 use xborder::worldscale::{run_worldscale_pipeline, ScaleConfig};
@@ -20,13 +20,18 @@ use xborder::{Parallelism, World, WorldConfig};
 use xborder_faults::{FaultPlan, KillSwitch};
 
 /// `VmHWM` (peak resident set size) from `/proc/self/status`, in bytes.
-/// Monotone over the process lifetime, so scales are run smallest-first
-/// and each run reports the mark reached *by the end of* that run.
 fn vm_hwm_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
+}
+
+/// Resets `VmHWM` to the current resident set size (Linux ≥ 4.0);
+/// `false` when `/proc` refuses, in which case the mark stays monotone
+/// over the process and cannot be attributed to one row.
+fn reset_vm_hwm() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 fn main() {
@@ -45,53 +50,37 @@ fn main() {
     );
     let seed = 0x5CA1Eu64;
     let plan = FaultPlan::none();
-    // Resident budget for the bounded window: ~16 KiB of columnar log per
-    // user (measured), so a 20k-user segment is ~320 MiB and the window
-    // holds at most 2 committed + 1 in-flight segment. The assert is on
-    // the store's logical resident bytes — the quantity the window
-    // actually bounds — not on allocator slack.
-    let window = 2usize;
-    let budget_bytes: u64 = 1024 * 1024 * 1024;
 
-    let spill_root = std::env::temp_dir().join(format!("xborder-bench-scale-{}", std::process::id()));
     let mut runs: Vec<serde_json::Value> = Vec::new();
     let mut headline_users_per_sec = 0.0f64;
     for &users in &scales {
         let mut fingerprints: Vec<u64> = Vec::new();
         for &segment_users in &[5_000usize, 20_000] {
-            let spill = spill_root.join(format!("{users}-{segment_users}"));
+            let hwm_reset = reset_vm_hwm();
             let t = Instant::now();
             let mut world = World::build(WorldConfig::large(seed, users));
             let build_ms = t.elapsed().as_secs_f64() * 1e3;
             let t = Instant::now();
-            let (out, report) = run_worldscale_pipeline(
+            let (out, _) = run_worldscale_pipeline(
                 &mut world,
                 &plan,
-                &ScaleConfig::in_memory(segment_users).with_resident_window(window, &spill),
+                &ScaleConfig::in_memory(segment_users),
                 &KillSwitch::none(),
             )
             .expect("worldscale bench run succeeds");
             let run_ms = t.elapsed().as_secs_f64() * 1e3;
-            let _ = std::fs::remove_dir_all(&spill);
+            let hwm = if hwm_reset { vm_hwm_bytes() } else { None };
             assert_eq!(out.stats.n_users, users, "driver lost users");
-            let peak = report.timings.peak_resident_bytes;
-            assert!(
-                peak <= budget_bytes,
-                "segment store peak {peak} B blew the {budget_bytes} B budget \
-                 at {users} users, segment {segment_users}"
-            );
             fingerprints.push(out.fingerprint());
             let users_per_sec = users as f64 / (run_ms / 1e3).max(f64::MIN_POSITIVE);
+            let hwm_mib = hwm.map_or("n/a".to_string(), |b| {
+                format!("{:.0} MiB", b as f64 / (1024.0 * 1024.0))
+            });
             println!(
-                "{users} users, segment {segment_users}, window {window}: \
-                 {run_ms:.0} ms (+{build_ms:.0} ms world build; \
-                 {users_per_sec:.2e} users/s, {} requests, peak resident {:.1} MiB, \
-                 {} spilled / {} reloaded, VmHWM {:.0} MiB)",
+                "{users} users, segment {segment_users}: {run_ms:.0} ms \
+                 (+{build_ms:.0} ms world build; {users_per_sec:.2e} users/s, \
+                 {} requests, VmHWM {hwm_mib})",
                 out.stats.n_third_party_requests,
-                peak as f64 / (1024.0 * 1024.0),
-                report.timings.segments_spilled,
-                report.timings.segments_reloaded,
-                vm_hwm_bytes().unwrap_or(0) as f64 / (1024.0 * 1024.0),
             );
             if users == *scales.last().unwrap() && segment_users == 20_000 {
                 headline_users_per_sec = users_per_sec;
@@ -99,17 +88,12 @@ fn main() {
             runs.push(serde_json::json!({
                 "users": users,
                 "segment_users": segment_users,
-                "resident_segments": window,
                 "build_ms": build_ms,
                 "run_ms": run_ms,
                 "users_per_sec": users_per_sec,
                 "requests": out.stats.n_third_party_requests,
                 "segments": out.n_segments,
-                "peak_resident_bytes": peak,
-                "segments_spilled": report.timings.segments_spilled,
-                "segments_reloaded": report.timings.segments_reloaded,
-                "spill_ms": report.timings.segment_io_ms,
-                "vm_hwm_bytes": vm_hwm_bytes(),
+                "vm_hwm_bytes": hwm,
             }));
         }
         assert!(
@@ -117,13 +101,10 @@ fn main() {
             "segment size changed the fingerprint at {users} users: {fingerprints:?}"
         );
     }
-    let _ = std::fs::remove_dir_all(&spill_root);
 
     let doc = serde_json::json!({
         "bench": "worldscale",
         "threads_available": n_threads,
-        "resident_segments": window,
-        "resident_budget_bytes": budget_bytes,
         "worldscale_users_per_sec": headline_users_per_sec,
         "runs": runs,
     });

@@ -11,13 +11,12 @@
 //! counts) it was built from, so storing blocks instead of AoS chunks is
 //! invisible to every fingerprint.
 //!
-//! Blocks implement [`xborder_webgraph::SegmentPayload`], so the driver
-//! can hold them in a [`xborder_webgraph::SegmentStore`] and spill cold
-//! segments to disk behind a bounded resident window (DESIGN.md §5j).
-//! The byte encoding doubles as the checkpoint chunk-blob payload: it
-//! leads with exact column counts so decoding pre-reserves every column
-//! and the downstream interners can size themselves before ingesting the
-//! segment (no rehash spikes mid-chunk).
+//! The streaming driver keeps its committed blocks resident until
+//! finalization; the out-of-core driver builds one only as the payload of
+//! a checkpoint chunk (DESIGN.md §5j). The byte encoding is the checkpoint
+//! chunk-blob payload: it leads with exact column counts so decoding
+//! pre-reserves every column and the downstream interners can size
+//! themselves before ingesting the segment (no rehash spikes mid-chunk).
 
 use crate::extension::{StudyChunk, Visit};
 use crate::request::{LoggedRequest, Referrer, RequestId};
@@ -27,7 +26,7 @@ use xborder_checkpoint::{ByteReader, ByteWriter, DecodeError};
 use xborder_dns::PdnsIdObservation;
 use xborder_faults::DegradationReport;
 use xborder_netsim::time::SimTime;
-use xborder_webgraph::{DomainId, PublisherId, SegmentPayload};
+use xborder_webgraph::{DomainId, PublisherId};
 
 /// Referrer column sentinel: no referrer.
 const REF_NONE: u32 = u32::MAX;
@@ -507,20 +506,6 @@ impl SegmentBlock {
     }
 }
 
-impl SegmentPayload for SegmentBlock {
-    fn encode(&self) -> Vec<u8> {
-        self.encode_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<SegmentBlock, String> {
-        SegmentBlock::decode_bytes(bytes).map_err(|e| e.to_string())
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.resident_bytes_logical()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,7 +599,7 @@ mod tests {
         let bytes = block.encode_bytes();
         let back = SegmentBlock::decode_bytes(&bytes).unwrap();
         assert_eq!(back, block);
-        // Deterministic encoding (spill files rely on it).
+        // Deterministic encoding (checkpoint blobs rely on it).
         assert_eq!(back.encode_bytes(), bytes);
     }
 

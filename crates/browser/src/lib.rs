@@ -16,8 +16,8 @@
 //! * [`extension`] — the study driver producing an [`ExtensionDataset`]
 //!   over the simulated study window, plus Table-1-style statistics.
 //! * [`colog`] — the log's columnar (SoA) twin: per-segment
-//!   [`SegmentBlock`]s that spill to disk behind a bounded resident
-//!   window for out-of-core million-user worlds (DESIGN.md §5j).
+//!   [`SegmentBlock`]s, the durable chunk payload of the streaming and
+//!   out-of-core drivers (DESIGN.md §5j).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

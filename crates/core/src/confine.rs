@@ -9,6 +9,7 @@
 use crate::pipeline::{EstimateMap, StudyOutputs};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::net::IpAddr;
 use xborder_geo::{CountryCode, Region, WORLD};
 
 /// Serde helper: tuple-keyed maps as entry lists (JSON keys must be
@@ -121,30 +122,44 @@ impl DestBreakdown {
 
     /// Absorbs one tracking flow, counting it only when the origin is an
     /// EU28 user country and the destination IP has a regioned estimate —
-    /// the exact per-flow filter of [`region_breakdown_eu28`], exposed so
-    /// the out-of-core driver can fold flows segment by segment without a
-    /// materialized dataset (the fold is commutative: counts and total).
+    /// the exact per-flow filter of [`region_breakdown_eu28`].
     pub fn absorb_eu28_flow(
         &mut self,
         user_country: CountryCode,
-        ip: std::net::IpAddr,
+        ip: IpAddr,
         estimates: &EstimateMap,
     ) {
-        let Ok(country) = WORLD.country(user_country) else {
-            return;
-        };
-        if !country.eu28 {
-            return;
+        if is_eu28_origin(user_country) {
+            self.absorb_flows(ip, 1, estimates);
         }
-        let Some(est) = estimates.get(&ip) else {
-            return;
-        };
-        let Some(to) = est.try_region() else {
-            return;
-        };
-        self.total += 1;
-        *self.counts.entry(to).or_insert(0) += 1;
     }
+
+    /// Absorbs a `tracking IP → flow count` tally of EU28-origin flows:
+    /// exactly what [`DestBreakdown::absorb_eu28_flow`] counts over the
+    /// same flows one by one, because the per-flow count depends only on
+    /// the origin filter (already applied by whoever built the tally) and
+    /// the destination IP. The out-of-core driver tallies during ingest,
+    /// before any estimate exists, and folds the tally after geolocation.
+    pub fn absorb_eu28_tally(&mut self, tally: &HashMap<IpAddr, u64>, estimates: &EstimateMap) {
+        for (&ip, &n) in tally {
+            self.absorb_flows(ip, n, estimates);
+        }
+    }
+
+    /// Counts `n` flows to `ip` when it has a regioned estimate.
+    fn absorb_flows(&mut self, ip: IpAddr, n: u64, estimates: &EstimateMap) {
+        let Some(to) = estimates.get(&ip).and_then(|est| est.try_region()) else {
+            return;
+        };
+        self.total += n;
+        *self.counts.entry(to).or_insert(0) += n;
+    }
+}
+
+/// Whether flows from a user in `country` count as EU28-origin (Fig. 7);
+/// countries missing from the world table never do.
+pub fn is_eu28_origin(country: CountryCode) -> bool {
+    WORLD.country(country).map(|c| c.eu28).unwrap_or(false)
 }
 
 /// Origin-country × destination-country counts for EU28 users (Fig. 8).
@@ -338,6 +353,54 @@ mod tests {
         b.total = 100;
         assert!((b.share(Region::Eu28) - 0.85).abs() < 1e-9);
         assert!((b.europe_continent_share() - 0.89).abs() < 1e-9);
+    }
+
+    #[test]
+    fn eu28_tally_equals_the_per_flow_fold() {
+        use crate::pipeline::EstimateMap;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use xborder_geoloc::GeoEstimate;
+        // EU28 and non-EU28 world countries plus "ZZ", which the world
+        // table lacks: as an origin it never counts, as an estimate it has
+        // no region.
+        let countries = [
+            cc!("DE"),
+            cc!("FR"),
+            cc!("GR"),
+            cc!("US"),
+            cc!("CH"),
+            cc!("JP"),
+            cc!("ZZ"),
+        ];
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..50 {
+            let ips: Vec<IpAddr> = (0..rng.gen_range(1..40u8))
+                .map(|i| IpAddr::from([10, 0, 0, i]))
+                .collect();
+            // Some IPs get no estimate at all.
+            let mut estimates = EstimateMap::new();
+            for &ip in &ips {
+                if rng.gen_bool(0.7) {
+                    let country = countries[rng.gen_range(0..countries.len())];
+                    estimates.insert(ip, GeoEstimate { country });
+                }
+            }
+            let mut per_flow = DestBreakdown::default();
+            let mut tally: HashMap<IpAddr, u64> = HashMap::new();
+            for _ in 0..rng.gen_range(0..300) {
+                let origin = countries[rng.gen_range(0..countries.len())];
+                let ip = ips[rng.gen_range(0..ips.len())];
+                per_flow.absorb_eu28_flow(origin, ip, &estimates);
+                if is_eu28_origin(origin) {
+                    *tally.entry(ip).or_insert(0) += 1;
+                }
+            }
+            let mut folded = DestBreakdown::default();
+            folded.absorb_eu28_tally(&tally, &estimates);
+            assert_eq!(folded.total, per_flow.total);
+            assert_eq!(folded.counts, per_flow.counts);
+        }
     }
 
     #[test]

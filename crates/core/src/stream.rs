@@ -93,7 +93,7 @@ use xborder_faults::{
 };
 use xborder_geo::Region;
 use xborder_netsim::time::{SimTime, TimeWindow};
-use xborder_webgraph::{Domain, SegmentError, SegmentStore, SegmentStoreConfig};
+use xborder_webgraph::Domain;
 
 /// How the streaming driver chunks and checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,19 +110,6 @@ pub struct StreamConfig {
     /// excluded from the checkpoint fingerprint, so a resume may change
     /// it freely.
     pub snapshot_windows: usize,
-    /// Maximum committed segments resident in memory at once; `0` keeps
-    /// every segment resident (the pre-segmentation behavior). With a
-    /// window and a [`StreamConfig::spill_dir`], older segments spill to
-    /// disk and resident memory is `O(chunk_users × resident_segments)`
-    /// instead of `O(n_users)`. A pure performance knob: every value
-    /// yields bit-identical outputs (DESIGN.md §5j), and — like chunking —
-    /// it is excluded from the checkpoint fingerprint.
-    pub resident_segments: usize,
-    /// Scratch directory for spilled segments (distinct from the
-    /// checkpoint directory: spill files are disposable, deleted when the
-    /// run ends, and carry no durability guarantees). Ignored when
-    /// `resident_segments == 0`.
-    pub spill_dir: Option<PathBuf>,
 }
 
 impl StreamConfig {
@@ -132,8 +119,6 @@ impl StreamConfig {
             chunk_users,
             checkpoint_dir: None,
             snapshot_windows: 0,
-            resident_segments: 0,
-            spill_dir: None,
         }
     }
 
@@ -143,8 +128,6 @@ impl StreamConfig {
             chunk_users,
             checkpoint_dir: Some(dir.into()),
             snapshot_windows: 0,
-            resident_segments: 0,
-            spill_dir: None,
         }
     }
 
@@ -152,18 +135,6 @@ impl StreamConfig {
     /// as ingestion progresses (DESIGN.md §5g).
     pub fn with_snapshots(mut self, windows: usize) -> StreamConfig {
         self.snapshot_windows = windows;
-        self
-    }
-
-    /// Bounds resident memory: keep at most `window` committed segments
-    /// in RAM, spilling older ones to `dir` (DESIGN.md §5j).
-    pub fn with_resident_window(
-        mut self,
-        window: usize,
-        dir: impl Into<PathBuf>,
-    ) -> StreamConfig {
-        self.resident_segments = window;
-        self.spill_dir = Some(dir.into());
         self
     }
 }
@@ -276,42 +247,27 @@ pub(crate) fn labels_to_bytes(labels: &[Classification]) -> Vec<u8> {
 }
 
 /// Reverses [`labels_to_bytes`]; an unknown tag is typed corruption (the
-/// bytes came from a spill file or checkpoint blob).
+/// bytes may have come from a checkpoint blob).
 pub(crate) fn labels_from_bytes(
     file: &str,
     bytes: &[u8],
 ) -> Result<Vec<Classification>, StreamError> {
-    bytes
-        .iter()
-        .map(|&b| match b {
-            LABEL_ABP => Ok(Classification::AbpTracking),
-            LABEL_SEMI => Ok(Classification::SemiTracking),
-            LABEL_CLEAN => Ok(Classification::Clean),
-            tag => Err(corrupt(
-                file,
-                DecodeError {
-                    offset: 0,
-                    detail: format!("unknown classification tag {tag}"),
-                },
-            )),
-        })
-        .collect()
+    bytes.iter().map(|&b| label_from_byte(file, b)).collect()
 }
 
-/// Lifts segment-store failures into the stream's error space. Spill
-/// files are checkpoint-adjacent scratch state, so the checkpoint error
-/// vocabulary (IO, corruption, bookkeeping) maps exactly.
-pub(crate) fn seg_err(e: SegmentError) -> StreamError {
-    StreamError::Checkpoint(match e {
-        SegmentError::Io { path, op, source } => CheckpointError::Io {
-            path,
-            detail: format!("{op}: {source}"),
-        },
-        SegmentError::Corrupt { path, detail } => CheckpointError::Corrupt { path, detail },
-        SegmentError::Missing { index } => CheckpointError::ManifestInvalid {
-            detail: format!("segment {index} missing or already consumed"),
-        },
-    })
+fn label_from_byte(file: &str, b: u8) -> Result<Classification, StreamError> {
+    match b {
+        LABEL_ABP => Ok(Classification::AbpTracking),
+        LABEL_SEMI => Ok(Classification::SemiTracking),
+        LABEL_CLEAN => Ok(Classification::Clean),
+        tag => Err(corrupt(
+            file,
+            DecodeError {
+                offset: 0,
+                detail: format!("unknown classification tag {tag}"),
+            },
+        )),
+    }
 }
 
 /// Runs the extension pipeline as checkpointed streaming ingestion.
@@ -370,16 +326,9 @@ pub fn run_extension_pipeline_streaming(
     });
     let mut snapshot_ms = 0.0f64;
 
-    // Committed segments live in a bounded-residency store: columnar
-    // blocks, FIFO-evicted to disposable spill files once the resident
-    // window fills (DESIGN.md §5j). Unbounded (the default) keeps the
-    // pre-segmentation behavior: everything resident, zero spill IO.
-    let seg_cfg = match (&stream_cfg.spill_dir, stream_cfg.resident_segments) {
-        (Some(dir), window) if window > 0 => SegmentStoreConfig::bounded(window, dir.clone()),
-        _ => SegmentStoreConfig::unbounded(),
-    };
-    let mut segments: SegmentStore<SegmentBlock> = SegmentStore::new(seg_cfg);
-    let mut segment_io_ms = 0.0f64;
+    // Committed segments stay resident as columnar blocks until
+    // finalization reassembles the global log from them.
+    let mut segments: Vec<SegmentBlock> = Vec::new();
     let mut pre_fault_offset: u64 = 0;
     let mut next_user = 0usize;
 
@@ -425,9 +374,7 @@ pub fn run_extension_pipeline_streaming(
             }
             pre_fault_offset += block.counters().requests_generated;
             next_user = entry.user_end as usize;
-            let t_seg = Instant::now();
-            segments.push(block).map_err(seg_err)?;
-            segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
+            segments.push(block);
             emit_due_snapshots(&mut snap_acc, next_user, kill, &mut snapshot_ms)?;
         }
     }
@@ -439,7 +386,6 @@ pub fn run_extension_pipeline_streaming(
     let t_ingest = Instant::now();
     let snap_ms_before_ingest = snapshot_ms;
     let cls_ms_before_ingest = classify_ms;
-    let seg_ms_before_ingest = segment_io_ms;
     let users = {
         let (view, pdns) = world.dns.indexed_view_and_pdns(world.graph.domains());
         let stream = StudyStream::with_view(
@@ -463,7 +409,7 @@ pub fn run_extension_pipeline_streaming(
             classify_ms += t_cls.elapsed().as_secs_f64() * 1e3;
             // The AoS chunk condenses into its columnar twin; the AoS form
             // dies with this iteration, so resident memory during ingest
-            // is one live chunk plus the store's resident window.
+            // is one live chunk plus the committed columnar blocks.
             let block = SegmentBlock::from_chunk(
                 &chunk,
                 &labels_to_bytes(&cls.labels),
@@ -485,9 +431,7 @@ pub fn run_extension_pipeline_streaming(
                 snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
             }
             pre_fault_offset += chunk.report.requests_generated;
-            let t_seg = Instant::now();
-            segments.push(block).map_err(seg_err)?;
-            segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
+            segments.push(block);
             next_user = end;
             emit_due_snapshots(&mut snap_acc, next_user, kill, &mut snapshot_ms)?;
             index += 1;
@@ -508,13 +452,9 @@ pub fn run_extension_pipeline_streaming(
     let mut labels: Vec<Classification> = Vec::new();
     let mut stage2_depth = 0usize;
     let mut stage3_rounds = 0usize;
-    for i in 0..segments.len() {
-        // Consume segments in append (= user) order; spilled ones reload
-        // from disk here, one at a time, and their spill files are gone
-        // once taken.
-        let t_seg = Instant::now();
-        let block = segments.take(i).map_err(seg_err)?;
-        segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
+    for (i, block) in segments.into_iter().enumerate() {
+        // Consume segments in append (= user) order; each block is freed
+        // once its rows have moved into the global log.
         let (chunk, label_bytes, seg_stage2, seg_stage3) = block.to_chunk();
         labels.extend(labels_from_bytes(&format!("segment-{i:05}"), &label_bytes)?);
         report.absorb_counters(&chunk.report);
@@ -531,14 +471,6 @@ pub fn run_extension_pipeline_streaming(
         stage2_depth = stage2_depth.max((seg_stage2 as usize).saturating_sub(1));
         stage3_rounds = stage3_rounds.max(seg_stage3 as usize);
     }
-    // Segment-store telemetry: deterministic under the contract, but a
-    // function of the segment-size/window knobs — reported as timings,
-    // outside report equality (DESIGN.md §5j).
-    let seg_stats = segments.stats();
-    report.timings.peak_resident_bytes = seg_stats.peak_resident_bytes;
-    report.timings.segments_spilled = seg_stats.segments_spilled;
-    report.timings.segments_reloaded = seg_stats.segments_reloaded;
-    report.timings.segment_io_ms = segment_io_ms;
     // Same stable timestamp sort as the batch driver (the pre-sort order —
     // user-major, generation order within a user — is identical).
     visits.sort_by_key(|v| v.time);
@@ -550,8 +482,7 @@ pub fn run_extension_pipeline_streaming(
     };
     report.timings.study_ms = t_ingest.elapsed().as_secs_f64() * 1e3
         - (classify_ms - cls_ms_before_ingest)
-        - (snapshot_ms - snap_ms_before_ingest)
-        - (segment_io_ms - seg_ms_before_ingest);
+        - (snapshot_ms - snap_ms_before_ingest);
 
     // Table-2 distinct counts absorbed chunk by chunk through the
     // classifier's persistent seen-bits — no full-log recount. The
@@ -715,7 +646,10 @@ pub(crate) fn encode_chunk_payload(
 }
 
 /// Splits a chunk payload into its decoded segment block and the raw bytes
-/// of the classifier delta section (applied by the replay loop).
+/// of the classifier delta section (applied by the replay loop). Every
+/// label byte is checked here, once for both drivers: downstream folds
+/// treat any tag other than [`LABEL_CLEAN`] as tracking, so an unknown
+/// tag must be refused as corruption rather than counted.
 pub(crate) fn decode_chunk_payload<'p>(
     file: &str,
     payload: &'p [u8],
@@ -738,6 +672,9 @@ pub(crate) fn decode_chunk_payload<'p>(
                 ),
             },
         ));
+    }
+    for &b in block.labels() {
+        label_from_byte(file, b)?;
     }
     Ok((block, cls))
 }

@@ -6,73 +6,73 @@
 //! allocations that cap it near 10⁵ users. This module is the driver for
 //! [`crate::worldgen::WorldConfig::large`] worlds: the population is never
 //! materialized (segments of users regenerate on demand from
-//! `(pop_seed, user_range)`), committed segments live as columnar
-//! [`SegmentBlock`]s in a bounded-residency [`SegmentStore`], and every
-//! downstream analysis folds segment by segment into constant-size
-//! aggregates instead of touching a concatenated log. Resident memory is
-//! `O(segment_users × resident_segments)` plus the classifier's interned
-//! state — never `O(n_users)`.
+//! `(pop_seed, user_range)`), and every downstream analysis folds segment
+//! by segment, in one pass, into aggregates instead of touching a
+//! concatenated log. No segment outlives its iteration: a committed
+//! segment becomes a columnar [`SegmentBlock`] only as the payload of a
+//! checkpoint chunk. EU28 confinement needs each flow's origin country,
+//! which the fold state never keeps, so ingest tallies `tracking IP → flow
+//! count` for EU28-origin users while the segment's users are at hand; the
+//! tally (bounded by the tracker-IP set) folds into the destination
+//! breakdown once geolocation has produced estimates. Resident memory is
+//! one segment of simulation plus the fold state plus the classifier's
+//! interned state, which still grows with the number of unique URLs.
 //!
 //! ## The determinism contract, unchanged
 //!
-//! Segment size, resident window, thread budget, kill schedule and
-//! checkpointing remain pure performance/availability knobs. The
-//! mechanisms are the streaming driver's (per-user RNG streams,
-//! offset-keyed log faults, delta-fixpoint classification), plus two
-//! aggregate-level rules that make segmentation invisible in the folded
-//! outputs:
+//! Segment size, thread budget, kill schedule and checkpointing remain
+//! pure performance/availability knobs. The mechanisms are the streaming
+//! driver's (per-user RNG streams, offset-keyed log faults,
+//! delta-fixpoint classification), plus two aggregate-level rules that
+//! make segmentation invisible in the folded outputs:
 //!
 //! * **Commutative folds stay commutative.** The visit digest XORs
 //!   per-visit hashes, so the batch driver's final timestamp sort cannot
 //!   show; dataset stats fold through bitsets (users never span segments,
 //!   so distinct counts are unions of segment-local sets); the tracker IP
-//!   set folds through [`TrackerIpSet::absorb_tracking_request`].
+//!   set folds through [`TrackerIpSet::absorb_tracking_request`]; the EU28
+//!   tally is a per-IP count ([`DestBreakdown::absorb_eu28_tally`]).
 //! * **Order-sensitive folds key on global coordinates.** The request
 //!   digest chains in global log order and rebases cascade referrers to
 //!   the *global* row index before hashing — a segment-local index would
 //!   make the segment size observable.
 //!
 //! `tests/worldscale.rs` pins [`ScaleOutputs::fingerprint`] across segment
-//! sizes × resident windows × thread budgets × kill schedules, and pins
+//! sizes × thread budgets × fault plans × kill schedules, and pins
 //! every aggregate against the materialized batch pipeline on a shared
 //! segmented config.
 
-use crate::confine::DestBreakdown;
+use crate::confine::{is_eu28_origin, DestBreakdown};
 use crate::ips::{CompletionStats, IpInfo, TrackerIpSet};
 use crate::pipeline::{geolocate_providers, EstimateMap};
 use crate::stream::{
     config_fingerprint, corrupt, decode_chunk_payload, decode_completion_state,
-    encode_chunk_payload, encode_completion_state, killable, labels_to_bytes, seg_err,
-    StreamError,
+    encode_chunk_payload, encode_completion_state, killable, labels_to_bytes, StreamError,
 };
 use crate::worldgen::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::net::IpAddr;
 use std::path::PathBuf;
 use std::time::Instant;
 use xborder_browser::{
-    Referrer, RequestId, SegmentBlock, StudyChunk, StudyCtx, UserPopulation, LABEL_CLEAN,
+    Referrer, RequestId, SegmentBlock, StudyChunk, StudyCtx, User, UserId, UserPopulation,
+    LABEL_CLEAN,
 };
-use xborder_checkpoint::{ByteWriter, CheckpointError, CheckpointStore};
+use xborder_checkpoint::{ByteWriter, CheckpointError, CheckpointStore, DecodeError};
 use xborder_classify::{
     generate_lists, ClassifierStages, IncrementalClassifier, MethodCounts,
 };
 use xborder_faults::{stable_hash, DegradationReport, FaultInjector, FaultPlan, KillSwitch};
 use xborder_geo::Region;
-use xborder_webgraph::{DomainTable, SegmentStore, SegmentStoreConfig};
+use xborder_webgraph::DomainTable;
 
-/// How the out-of-core driver segments, spills and checkpoints.
+/// How the out-of-core driver segments and checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaleConfig {
     /// Users per segment (clamped to ≥ 1). A pure performance knob.
     pub segment_users: usize,
-    /// Committed segments kept resident; `0` keeps everything in RAM.
-    /// A pure performance knob.
-    pub resident_segments: usize,
-    /// Scratch directory for spilled segments (disposable; deleted when
-    /// the run ends). Required when `resident_segments > 0`.
-    pub spill_dir: Option<PathBuf>,
     /// Checkpoint directory; `None` disables durability. The format is
     /// the streaming driver's (same chunk payloads, same manifest), so
     /// kill-anywhere resume works identically.
@@ -80,14 +80,10 @@ pub struct ScaleConfig {
 }
 
 impl ScaleConfig {
-    /// In-memory out-of-core run: segmented execution, no spill, no
-    /// checkpoints (aggregates are still constant-size; only the segment
-    /// store is unbounded).
+    /// In-memory out-of-core run: segmented execution, no checkpoints.
     pub fn in_memory(segment_users: usize) -> ScaleConfig {
         ScaleConfig {
             segment_users,
-            resident_segments: 0,
-            spill_dir: None,
             checkpoint_dir: None,
         }
     }
@@ -98,18 +94,6 @@ impl ScaleConfig {
             checkpoint_dir: Some(dir.into()),
             ..ScaleConfig::in_memory(segment_users)
         }
-    }
-
-    /// Bounds resident segments: keep at most `window` in RAM, spilling
-    /// older ones to `dir`.
-    pub fn with_resident_window(
-        mut self,
-        window: usize,
-        dir: impl Into<PathBuf>,
-    ) -> ScaleConfig {
-        self.resident_segments = window;
-        self.spill_dir = Some(dir.into());
-        self
     }
 }
 
@@ -152,8 +136,8 @@ pub struct ScaleOutputs {
 
 impl ScaleOutputs {
     /// Canonical digest of every knob-invariant output. Bit-identical
-    /// across segment sizes, resident windows, thread budgets and kill
-    /// schedules; `n_segments` (a knob echo) is deliberately excluded.
+    /// across segment sizes, thread budgets and kill schedules;
+    /// `n_segments` (a knob echo) is deliberately excluded.
     pub fn fingerprint(&self) -> u64 {
         let mut w = ByteWriter::new();
         w.put_usize(self.stats.n_users);
@@ -332,10 +316,11 @@ impl Bitset {
     }
 }
 
-/// The constant-size fold state every segment absorbs into. All fields
-/// are either commutative (bitsets, XOR digest, tracker set) or chained
+/// The fold state every segment absorbs into. All fields are either
+/// commutative (bitsets, XOR digest, tracker set, EU28 tally) or chained
 /// in global log order with global coordinates (request digest), so the
-/// final values are invariant to how the stream was segmented.
+/// final values are invariant to how the stream was segmented. Only the
+/// tracker set and the EU28 tally grow, both bounded by the tracker IPs.
 struct Aggregates {
     visited_publishers: Bitset,
     request_hosts: Bitset,
@@ -344,6 +329,8 @@ struct Aggregates {
     visit_hash: u64,
     request_hash: u64,
     tracker_ips: TrackerIpSet,
+    /// Tracking flows from EU28-origin users, per destination IP.
+    eu28_tally: HashMap<IpAddr, u64>,
     row_buf: Vec<u8>,
 }
 
@@ -357,14 +344,22 @@ impl Aggregates {
             visit_hash: 0,
             request_hash: 0,
             tracker_ips: TrackerIpSet::default(),
+            eu28_tally: HashMap::new(),
             row_buf: Vec::with_capacity(256),
         }
     }
 
     /// Folds one classified chunk. `labels` are the per-request tag bytes;
-    /// chunks must arrive in user (= global log) order for the request
+    /// `eu28_user` says whether a user of the chunk is an EU28 origin.
+    /// Chunks must arrive in user (= global log) order for the request
     /// digest to chain correctly.
-    fn absorb_chunk(&mut self, chunk: &StudyChunk, labels: &[u8], domains: &DomainTable) {
+    fn absorb_chunk(
+        &mut self,
+        chunk: &StudyChunk,
+        labels: &[u8],
+        eu28_user: impl Fn(UserId) -> bool,
+        domains: &DomainTable,
+    ) {
         debug_assert_eq!(labels.len(), chunk.requests.len());
         for v in &chunk.visits {
             self.visited_publishers.insert(v.publisher.0 as usize);
@@ -389,9 +384,25 @@ impl Aggregates {
             if labels[i] != LABEL_CLEAN {
                 self.tracker_ips
                     .absorb_tracking_request(r.ip, domains.domain(r.host), r.time);
+                if eu28_user(r.user) {
+                    *self.eu28_tally.entry(r.ip).or_insert(0) += 1;
+                }
             }
         }
         self.n_requests += chunk.requests.len() as u64;
+    }
+
+    /// Folds one segment whose users are `users` (ids `user_start..`).
+    fn absorb_segment(
+        &mut self,
+        chunk: &StudyChunk,
+        labels: &[u8],
+        users: &[User],
+        user_start: usize,
+        domains: &DomainTable,
+    ) {
+        let eu28: Vec<bool> = users.iter().map(|u| is_eu28_origin(u.country)).collect();
+        self.absorb_chunk(chunk, labels, |u| eu28[u.0 as usize - user_start], domains);
     }
 
     fn stats(&self, n_users: usize) -> xborder_browser::DatasetStats {
@@ -454,12 +465,7 @@ pub fn run_worldscale_pipeline(
     let mut classifier = IncrementalClassifier::new(&easylist, &easyprivacy, stages);
     let mut classify_ms = t_compile.elapsed().as_secs_f64() * 1e3;
 
-    let seg_cfg = match (&scale_cfg.spill_dir, scale_cfg.resident_segments) {
-        (Some(dir), window) if window > 0 => SegmentStoreConfig::bounded(window, dir.clone()),
-        _ => SegmentStoreConfig::unbounded(),
-    };
-    let mut segments: SegmentStore<SegmentBlock> = SegmentStore::new(seg_cfg);
-    let mut segment_io_ms = 0.0f64;
+    let mut n_segments = 0usize;
     let mut agg = Aggregates::new(world.graph.publishers.len(), world.graph.domains().len());
     let mut stage2_depth = 0usize;
     let mut stage3_rounds = 0usize;
@@ -467,8 +473,9 @@ pub fn run_worldscale_pipeline(
     let mut next_user = 0usize;
 
     // Replay durable segments instead of simulating them; aggregates fold
-    // from the decoded blocks, so a resumed run accumulates exactly what
-    // the killed run had.
+    // from the decoded blocks, and the EU28 tally from users regenerated
+    // for the chunk's range, so a resumed run accumulates exactly what the
+    // killed run had and the checkpoint format carries no countries.
     if let Some(store) = &store {
         for entry in store.chunks().to_vec() {
             if entry.user_start != next_user as u64
@@ -495,25 +502,51 @@ pub fn run_worldscale_pipeline(
                 .dns
                 .absorb_id_observations(&observations, world.graph.domains());
             let (chunk, label_bytes, seg_stage2, seg_stage3) = block.to_chunk();
-            agg.absorb_chunk(&chunk, &label_bytes, world.graph.domains());
+            // The EU28 tally looks users up by id: a request naming a user
+            // outside the chunk's range is corruption, not an index.
+            if let Some(r) = chunk
+                .requests
+                .iter()
+                .find(|r| !(entry.user_start..entry.user_end).contains(&u64::from(r.user.0)))
+            {
+                return Err(corrupt(
+                    &entry.file,
+                    DecodeError {
+                        offset: 0,
+                        detail: format!(
+                            "request of user {} outside the chunk's users {}..{}",
+                            r.user.0, entry.user_start, entry.user_end
+                        ),
+                    },
+                ));
+            }
+            let users = UserPopulation::generate_range(
+                &pop_cfg,
+                pop_seed,
+                entry.user_start as u32..entry.user_end as u32,
+            );
+            agg.absorb_segment(
+                &chunk,
+                &label_bytes,
+                &users,
+                next_user,
+                world.graph.domains(),
+            );
             report.absorb_counters(&chunk.report);
             stage2_depth = stage2_depth.max((seg_stage2 as usize).saturating_sub(1));
             stage3_rounds = stage3_rounds.max(seg_stage3 as usize);
             pre_fault_offset += block.counters().requests_generated;
             next_user = entry.user_end as usize;
-            let t_seg = Instant::now();
-            segments.push(block).map_err(seg_err)?;
-            segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
+            n_segments += 1;
         }
     }
 
     // Ingest the remaining users segment by segment. Each iteration holds
-    // one regenerated user slice and one AoS chunk; both die before the
-    // next segment starts, so live memory is one segment of simulation
-    // plus the store's resident window plus the fold state.
+    // one regenerated user slice and one AoS chunk (plus, when durable,
+    // its columnar block); all die before the next segment starts, so
+    // live memory is one segment of simulation plus the fold state.
     let t_ingest = Instant::now();
     let cls_ms_before_ingest = classify_ms;
-    let seg_ms_before_ingest = segment_io_ms;
     {
         let (view, pdns) = world.dns.indexed_view_and_pdns(world.graph.domains());
         let ctx = StudyCtx::new(
@@ -523,26 +556,26 @@ pub fn run_worldscale_pipeline(
             study_seed,
             mean_activity,
         );
-        let mut index = segments.len() as u64;
         while next_user < n_users {
+            let index = n_segments as u64;
             let end = (next_user + segment_users).min(n_users);
             killable(kill, &format!("chunk-{index}:begin"))?;
             let users =
                 UserPopulation::generate_range(&pop_cfg, pop_seed, next_user as u32..end as u32);
             let chunk = ctx.simulate_users(&users, &inj, threads, pre_fault_offset);
-            drop(users);
             let t_cls = Instant::now();
             let cls = classifier.append_chunk(&chunk.requests, world.graph.domains());
             classify_ms += t_cls.elapsed().as_secs_f64() * 1e3;
             let labels_u8 = labels_to_bytes(&cls.labels);
-            let block = SegmentBlock::from_chunk(
-                &chunk,
-                &labels_u8,
-                cls.stage2_rounds as u32,
-                cls.stage3_rounds as u32,
-                (next_user as u32, end as u32),
-            );
             if let Some(store) = &mut store {
+                // The columnar block exists only as the durable payload.
+                let block = SegmentBlock::from_chunk(
+                    &chunk,
+                    &labels_u8,
+                    cls.stage2_rounds as u32,
+                    cls.stage3_rounds as u32,
+                    (next_user as u32, end as u32),
+                );
                 let payload = encode_chunk_payload(&block, &mut classifier);
                 store.append_chunk(index, next_user as u64, end as u64, &payload, kill)?;
             }
@@ -550,22 +583,18 @@ pub fn run_worldscale_pipeline(
             for o in &chunk.observations {
                 pdns.observe(world.graph.domains().domain(o.host), o.ip, o.time);
             }
-            agg.absorb_chunk(&chunk, &labels_u8, world.graph.domains());
+            agg.absorb_segment(&chunk, &labels_u8, &users, next_user, world.graph.domains());
             report.absorb_counters(&chunk.report);
             stage2_depth = stage2_depth.max(cls.stage2_rounds.saturating_sub(1));
             stage3_rounds = stage3_rounds.max(cls.stage3_rounds);
             pre_fault_offset += chunk.report.requests_generated;
-            let t_seg = Instant::now();
-            segments.push(block).map_err(seg_err)?;
-            segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
             next_user = end;
-            index += 1;
+            n_segments += 1;
         }
     }
     killable(kill, "stage:study:done")?;
-    report.timings.study_ms = t_ingest.elapsed().as_secs_f64() * 1e3
-        - (classify_ms - cls_ms_before_ingest)
-        - (segment_io_ms - seg_ms_before_ingest);
+    report.timings.study_ms =
+        t_ingest.elapsed().as_secs_f64() * 1e3 - (classify_ms - cls_ms_before_ingest);
 
     let (abp, semi) = classifier.counts();
     let stage2_rounds = 1 + stage2_depth;
@@ -608,43 +637,13 @@ pub fn run_worldscale_pipeline(
     report.timings.geolocate_ms = t_stage.elapsed().as_secs_f64() * 1e3;
     killable(kill, "stage:geolocate:done")?;
 
-    // EU28 confinement needs user countries, which the fold state never
-    // kept: a second sequential pass over the stored segments regenerates
-    // each segment's users (pure in `(pop_seed, range)`) and folds the
-    // flows. Under a bounded window this reloads spilled segments one at
-    // a time — still `O(window)` resident.
+    // The EU28 tally was counted during ingest, keyed by destination IP;
+    // with estimates in hand it folds into the destination breakdown.
     let mut eu28 = DestBreakdown::default();
-    for i in 0..segments.len() {
-        let t_seg = Instant::now();
-        let block = segments.get(i).map_err(seg_err)?;
-        segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
-        let users = UserPopulation::generate_range(
-            &pop_cfg,
-            pop_seed,
-            block.user_start..block.user_end,
-        );
-        for row in 0..block.n_requests() {
-            if !block.is_tracking(row) {
-                continue;
-            }
-            let local = (block.request_user(row) - block.user_start) as usize;
-            eu28.absorb_eu28_flow(
-                users[local].country,
-                block.request_ip(row),
-                &ipmap_estimates,
-            );
-        }
-    }
+    eu28.absorb_eu28_tally(&agg.eu28_tally, &ipmap_estimates);
     report.eu28_confinement = eu28.share(Region::Eu28);
-
-    let seg_stats = segments.stats();
-    report.timings.peak_resident_bytes = seg_stats.peak_resident_bytes;
-    report.timings.segments_spilled = seg_stats.segments_spilled;
-    report.timings.segments_reloaded = seg_stats.segments_reloaded;
-    report.timings.segment_io_ms = segment_io_ms;
     report.timings.total_ms = t_total.elapsed().as_secs_f64() * 1e3;
 
-    let n_segments = segments.len();
     let stats = agg.stats(n_users);
     Ok((
         ScaleOutputs {
@@ -685,7 +684,7 @@ mod tests {
         // Two chunks absorbed in opposite orders must disagree: the
         // request digest is chained, not commutative (the global log has
         // one order).
-        use xborder_browser::{LoggedRequest, UserId, LABEL_ABP};
+        use xborder_browser::{LoggedRequest, LABEL_ABP};
         use xborder_netsim::time::SimTime;
         use xborder_webgraph::{DomainId, PublisherId};
         let domains = {
@@ -712,11 +711,11 @@ mod tests {
         };
         let (c1, c2) = (chunk(0, "https://a.example/x"), chunk(1, "https://b.example/y"));
         let mut fwd = Aggregates::new(4, 4);
-        fwd.absorb_chunk(&c1, &[LABEL_ABP], &domains);
-        fwd.absorb_chunk(&c2, &[LABEL_ABP], &domains);
+        fwd.absorb_chunk(&c1, &[LABEL_ABP], |_| false, &domains);
+        fwd.absorb_chunk(&c2, &[LABEL_ABP], |_| false, &domains);
         let mut rev = Aggregates::new(4, 4);
-        rev.absorb_chunk(&c2, &[LABEL_ABP], &domains);
-        rev.absorb_chunk(&c1, &[LABEL_ABP], &domains);
+        rev.absorb_chunk(&c2, &[LABEL_ABP], |_| false, &domains);
+        rev.absorb_chunk(&c1, &[LABEL_ABP], |_| false, &domains);
         assert_ne!(fwd.request_hash, rev.request_hash);
         // The visit digest and distinct counts stay commutative.
         assert_eq!(fwd.visit_hash, rev.visit_hash);

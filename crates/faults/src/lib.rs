@@ -581,24 +581,6 @@ pub struct StageTimings {
     /// caveats as `netflow_generate_ms`.
     #[serde(default)]
     pub netflow_match_ms: f64,
-    /// High-water mark of logical bytes resident in the driver's segment
-    /// store (DESIGN.md §5j); 0 when the run is not segmented. The value
-    /// is thread-budget invariant (the store is driven from the
-    /// sequential driver loop) but depends on the segment-size and
-    /// resident-window knobs, so like every field here it is
-    /// observational: zero `timings` before comparing reports.
-    #[serde(default)]
-    pub peak_resident_bytes: u64,
-    /// Segments evicted from the resident window (same caveats).
-    #[serde(default)]
-    pub segments_spilled: u64,
-    /// Segments reloaded from spill files (same caveats).
-    #[serde(default)]
-    pub segments_reloaded: u64,
-    /// Wall-clock spent encoding/writing/reading spill files (same
-    /// caveats as the other `_ms` fields).
-    #[serde(default)]
-    pub segment_io_ms: f64,
 }
 
 /// Cumulative allocation counters read from an installed probe:

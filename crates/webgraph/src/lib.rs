@@ -23,9 +23,6 @@
 //! * [`intern`] — the worldgen-time domain interner ([`DomainId`] /
 //!   [`DomainTable`]) the study hot path moves ids through instead of
 //!   cloning strings (DESIGN.md §5f).
-//! * [`segment`] — fixed-size disk-backed segments with a bounded
-//!   resident window, the out-of-core substrate for million-user worlds
-//!   (DESIGN.md §5j).
 //!
 //! Dynamic behaviour (who visits what, which coins get flipped) lives in
 //! `xborder-browser`; this crate is the schema and the world content.
@@ -40,7 +37,6 @@ pub mod gen;
 pub mod graph;
 pub mod intern;
 pub mod publisher;
-pub mod segment;
 pub mod service;
 pub mod url;
 
@@ -51,6 +47,5 @@ pub use gen::{generate, WebGraphConfig};
 pub use graph::WebGraph;
 pub use intern::{fx_hash, DomainId, DomainTable, FxHasher, FxMap};
 pub use publisher::{Audience, Embed, EmbedMode, Publisher, PublisherId};
-pub use segment::{SegmentError, SegmentPayload, SegmentStats, SegmentStore, SegmentStoreConfig};
 pub use service::{HostingPolicy, ServiceId, ServiceKind, ServiceOrg, ServiceOrgId, ThirdPartyService};
 pub use url::Url;

@@ -1,5 +1,5 @@
 //! The out-of-core contract of the worldscale driver (DESIGN.md §5j):
-//! segment size, resident window, thread budget and kill schedule are pure
+//! segment size, thread budget and kill schedule are pure
 //! performance/availability knobs of a pipeline that never materializes
 //! the population or the concatenated log.
 //!
@@ -8,23 +8,29 @@
 //!    completion, all three estimate maps, the EU28 breakdown — equals
 //!    the materialized batch pipeline on the same segmented config.
 //! 2. **Knob invariance.** Segment sizes {1, 7, whole} × thread budgets
-//!    {1, 8} × resident windows {0, 1, 2} × fault plans {none, aggressive}
-//!    all land on one [`ScaleOutputs::fingerprint`].
+//!    {1, 8} × fault plans {none, aggressive} all land on one
+//!    [`ScaleOutputs::fingerprint`], at 10 users and on a 600-user
+//!    `WorldConfig::large` world.
 //! 3. **Kill-anywhere resume.** Every kill site of a durable run (chunk
-//!    boundaries, blob write phases, stage boundaries) is swept with the
-//!    spill window on: kill, resume on the same directory, fingerprints
-//!    bit-identical to the uninterrupted run.
+//!    boundaries, blob write phases, stage boundaries) is swept: kill,
+//!    resume on the same directory, fingerprints bit-identical to the
+//!    uninterrupted run.
+//! 4. **Replay refuses corrupt chunks.** A checksum-valid chunk carrying
+//!    an unknown label tag or a request of a user outside its range is a
+//!    typed error, and the directory stays byte-identical.
 
+use std::collections::HashMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use xborder::confine::region_breakdown_eu28;
 use xborder::pipeline::run_extension_pipeline_degraded;
-use xborder::stream::StreamError;
+use xborder::stream::{config_fingerprint, StreamError};
 use xborder::worldscale::{
     dataset_digests, run_worldscale_pipeline, ScaleConfig, ScaleOutputs,
 };
 use xborder::{World, WorldConfig};
-use xborder_browser::{LABEL_ABP, LABEL_CLEAN, LABEL_SEMI};
+use xborder_browser::{SegmentBlock, UserId, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI};
+use xborder_checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointStore};
 use xborder_classify::Classification;
 use xborder_faults::{FaultPlan, KillSwitch, StageTimings};
 
@@ -105,15 +111,13 @@ fn out_of_core_fold_matches_batch_pipeline() {
     let plan = FaultPlan::none();
     let reference = batch_reference(tiny_config(seed).with_threads(1), &plan);
 
-    let spill = tmp_dir("fold-spill");
     let (scale, _) = run_scale(
         tiny_config(seed).with_threads(1),
         &plan,
-        &ScaleConfig::in_memory(3).with_resident_window(1, &spill),
+        &ScaleConfig::in_memory(3),
         &KillSwitch::none(),
     )
     .expect("out-of-core run succeeds");
-    let _ = fs::remove_dir_all(&spill);
 
     // Component-wise first, for a readable failure...
     assert_eq!(scale.stats, reference.stats);
@@ -148,29 +152,20 @@ fn segment_knobs_are_invisible_in_fingerprint() {
             r
         };
         // n_users is 10, so 16 is a whole-stream segment.
-        for (i, segment_users) in [1usize, 7, 16].into_iter().enumerate() {
-            for (j, threads) in [1usize, 8].into_iter().enumerate() {
-                // Cycle the resident window through {0 (unbounded), 1, 2}
-                // so every window size appears in the matrix.
-                let window = (i + j) % 3;
-                let mut scale_cfg = ScaleConfig::in_memory(segment_users);
-                let spill = tmp_dir(&format!("matrix-{segment_users}-{threads}-{window}"));
-                if window > 0 {
-                    scale_cfg = scale_cfg.with_resident_window(window, &spill);
-                }
+        for segment_users in [1usize, 7, 16] {
+            for threads in [1usize, 8] {
                 let (out, report) = run_scale(
                     tiny_config(seed).with_threads(threads),
                     &plan,
-                    &scale_cfg,
+                    &ScaleConfig::in_memory(segment_users),
                     &KillSwitch::none(),
                 )
                 .expect("matrix run succeeds");
-                let _ = fs::remove_dir_all(&spill);
                 assert_eq!(
                     out.fingerprint(),
                     want,
                     "fingerprint drifted at segment {segment_users}, threads {threads}, \
-                     window {window}, plan {plan:?}"
+                     plan {plan:?}"
                 );
                 // The degradation counters are knob-invariant too (report
                 // equality pins them; timings were zeroed by run_scale).
@@ -180,10 +175,10 @@ fn segment_knobs_are_invisible_in_fingerprint() {
     }
 }
 
-/// Kill at every site of a durable run with the spill window on, resume
-/// on the same directory, and pin the fingerprint against the
-/// uninterrupted run — mid-segment sites included (the blob write phases
-/// fire *inside* a segment's commit).
+/// Kill at every site of a durable run, resume on the same directory,
+/// and pin the fingerprint against the uninterrupted run — mid-segment
+/// sites included (the blob write phases fire *inside* a segment's
+/// commit). Resumed runs rebuild the EU28 tally from replayed chunks.
 #[test]
 fn kill_anywhere_resume_matches_uninterrupted() {
     let seed = 11u64;
@@ -194,21 +189,18 @@ fn kill_anywhere_resume_matches_uninterrupted() {
     // Dry run to learn the kill-site count for this configuration.
     let probe = KillSwitch::none();
     let ckpt = tmp_dir("scale-sweep-dry");
-    let spill = tmp_dir("scale-sweep-dry-spill");
-    let scale_cfg = ScaleConfig::durable(3, &ckpt).with_resident_window(1, &spill);
+    let scale_cfg = ScaleConfig::durable(3, &ckpt);
     let (out, _) = run_scale(tiny_config(seed), &plan, &scale_cfg, &probe)
         .expect("dry run succeeds");
     assert_eq!(out.fingerprint(), want, "un-killed durable run must match batch");
     let _ = fs::remove_dir_all(&ckpt);
-    let _ = fs::remove_dir_all(&spill);
     let n_sites = probe.sites_visited();
     assert!(n_sites > 20, "expected chunk+stage+write sites, saw {n_sites}");
 
     let mut site = 0u64;
     while site < n_sites {
         let ckpt = tmp_dir(&format!("scale-sweep-{site}"));
-        let spill = tmp_dir(&format!("scale-sweep-{site}-spill"));
-        let scale_cfg = ScaleConfig::durable(3, &ckpt).with_resident_window(1, &spill);
+        let scale_cfg = ScaleConfig::durable(3, &ckpt);
         let kill = KillSwitch::at_site(site);
         match run_scale(tiny_config(seed), &plan, &scale_cfg, &kill) {
             Err(StreamError::Killed { .. }) => {}
@@ -222,58 +214,165 @@ fn kill_anywhere_resume_matches_uninterrupted() {
             "fingerprint drifted after kill at site {site}"
         );
         let _ = fs::remove_dir_all(&ckpt);
-        let _ = fs::remove_dir_all(&spill);
         site += 2;
     }
 }
 
-/// `WorldConfig::large` worlds stream end to end, and the bounded window
-/// actually bounds the store: with the window on, the segment store's
-/// peak resident footprint must come in under one segment's worth of
-/// slack, far below the unbounded run's.
+/// `WorldConfig::large` worlds stream end to end holding one segment at a
+/// time: two segment sizes land on one fingerprint, and the EU28
+/// breakdown folded from the ingest-time tally equals the per-flow
+/// breakdown of the materialized batch run.
 #[test]
 fn large_world_streams_with_bounded_resident_segments() {
     let users = 600usize;
     let plan = FaultPlan::none();
     let mk = || WorldConfig::large(29, users).with_threads(1);
 
-    let mut world = World::build(mk());
-    let (unbounded, unbounded_report) = run_worldscale_pipeline(
-        &mut world,
-        &plan,
-        &ScaleConfig::in_memory(100),
-        &KillSwitch::none(),
-    )
-    .expect("unbounded run succeeds");
-    assert_eq!(unbounded.stats.n_users, users);
-    assert_eq!(unbounded.n_segments, 6);
-    assert!(unbounded.stats.n_third_party_requests > 0);
-    assert_eq!(unbounded_report.timings.segments_spilled, 0);
-
-    let spill = tmp_dir("large-bounded");
-    let mut world = World::build(mk());
-    let (bounded, bounded_report) = run_worldscale_pipeline(
-        &mut world,
-        &plan,
-        &ScaleConfig::in_memory(100).with_resident_window(1, &spill),
-        &KillSwitch::none(),
-    )
-    .expect("bounded run succeeds");
-    let _ = fs::remove_dir_all(&spill);
-
-    // Same world, same outputs — the window is a pure perf knob.
-    assert_eq!(bounded.fingerprint(), unbounded.fingerprint());
-    // The store spilled (and reloaded for the EU28 pass), and its peak
-    // resident footprint stayed a small multiple of one segment instead
-    // of the whole log.
-    assert!(bounded_report.timings.segments_spilled >= 4, "{bounded_report:?}");
-    assert!(bounded_report.timings.segments_reloaded >= 4, "{bounded_report:?}");
-    let (peak_b, peak_u) = (
-        bounded_report.timings.peak_resident_bytes,
-        unbounded_report.timings.peak_resident_bytes,
+    let mut fingerprints = Vec::new();
+    let mut eu28 = None;
+    for segment_users in [100usize, 600] {
+        let (out, _) = run_scale(
+            mk(),
+            &plan,
+            &ScaleConfig::in_memory(segment_users),
+            &KillSwitch::none(),
+        )
+        .expect("large-world run succeeds");
+        assert_eq!(out.stats.n_users, users);
+        assert_eq!(out.n_segments, users.div_ceil(segment_users));
+        assert!(out.stats.n_third_party_requests > 0);
+        fingerprints.push(out.fingerprint());
+        eu28 = Some(out.eu28);
+    }
+    assert_eq!(
+        fingerprints[0], fingerprints[1],
+        "segment size changed the fingerprint"
     );
+
+    let mut world = World::build(mk());
+    let (batch, _) = run_extension_pipeline_degraded(&mut world, &plan);
+    let want = region_breakdown_eu28(&batch, &batch.ipmap_estimates);
+    let eu28 = eu28.expect("two runs");
     assert!(
-        peak_b * 2 < peak_u,
-        "bounded peak {peak_b} not well under unbounded peak {peak_u}"
+        want.total > 0,
+        "the large world has EU28-origin tracking flows"
     );
+    assert_eq!(eu28.total, want.total);
+    assert_eq!(eu28.counts, want.counts);
+}
+
+/// Byte-for-byte snapshot of a checkpoint directory.
+fn snapshot(dir: &Path) -> HashMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .expect("checkpoint dir readable")
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (
+                entry.file_name().to_string_lossy().into_owned(),
+                fs::read(entry.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// Chunks whose framing and checksum are valid but whose rows are wrong
+/// must not be folded on replay: an unknown label tag (the folds count
+/// every non-clean tag as tracking) and a request naming a user outside
+/// the chunk's range (the EU28 tally looks users up by id) each refuse
+/// with typed corruption and write nothing.
+#[test]
+fn replay_refuses_checksum_valid_corrupt_chunks() {
+    let seed = 11u64;
+    let plan = FaultPlan::none();
+    let fingerprint = config_fingerprint(&tiny_config(seed), &plan).unwrap();
+
+    // A genuine chunk 1 (users 3..6) to tamper with.
+    let source = tmp_dir("tamper-source");
+    run_scale(
+        tiny_config(seed),
+        &plan,
+        &ScaleConfig::durable(3, &source),
+        &KillSwitch::none(),
+    )
+    .expect("source run succeeds");
+    let (entry, payload) = {
+        let store = CheckpointStore::open(&source, fingerprint).unwrap();
+        let entry = store.chunks()[1].clone();
+        let payload = store.load_chunk(&entry).unwrap();
+        (entry, payload)
+    };
+    let _ = fs::remove_dir_all(&source);
+    let mut rd = ByteReader::new(&payload);
+    let (seg, cls) = (rd.blob().unwrap(), rd.blob().unwrap());
+    let (chunk, labels, stage2, stage3) = SegmentBlock::decode_bytes(seg).unwrap().to_chunk();
+    assert!(!labels.is_empty(), "chunk 1 has requests");
+
+    let mut bad_tag = labels.clone();
+    bad_tag[0] = 9;
+    let mut bad_user = chunk.clone();
+    bad_user.requests[0].user = UserId(entry.user_end as u32);
+    for (what, chunk, labels, want) in [
+        (
+            "unknown tag",
+            &chunk,
+            &bad_tag,
+            "unknown classification tag 9",
+        ),
+        (
+            "foreign user",
+            &bad_user,
+            &labels,
+            "outside the chunk's users",
+        ),
+    ] {
+        let tampered = SegmentBlock::from_chunk(
+            chunk,
+            labels,
+            stage2,
+            stage3,
+            (entry.user_start as u32, entry.user_end as u32),
+        );
+        let mut w = ByteWriter::new();
+        w.put_blob(&tampered.encode_bytes());
+        w.put_blob(cls);
+        let tampered_payload = w.into_bytes();
+
+        // A directory holding a genuine chunk 0, then the tampered chunk 1
+        // committed through the store, so its checksum is valid.
+        let dir = tmp_dir("tamper-target");
+        let scale_cfg = ScaleConfig::durable(3, &dir);
+        match run_scale(
+            tiny_config(seed),
+            &plan,
+            &scale_cfg,
+            &KillSwitch::at_label("chunk-1:begin"),
+        ) {
+            Err(StreamError::Killed { .. }) => {}
+            other => panic!("{what}: expected a kill, got {other:?}"),
+        }
+        CheckpointStore::open(&dir, fingerprint)
+            .unwrap()
+            .append_chunk(
+                1,
+                entry.user_start,
+                entry.user_end,
+                &tampered_payload,
+                &KillSwitch::none(),
+            )
+            .unwrap();
+
+        let before = snapshot(&dir);
+        match run_scale(tiny_config(seed), &plan, &scale_cfg, &KillSwitch::none()) {
+            Err(StreamError::Checkpoint(CheckpointError::Corrupt { detail, .. })) => {
+                assert!(detail.contains(want), "{what}: {detail}");
+            }
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(
+            snapshot(&dir),
+            before,
+            "{what}: refusal must not write to the dir"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
