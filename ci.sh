@@ -19,7 +19,8 @@ cargo test --offline --release --manifest-path xbench/Cargo.toml
 
 echo "== bench smoke (writes BENCH_pipeline.json) =="
 # Stash the committed baseline before the bench overwrites it, so the
-# fresh numbers can be compared against what the repo last recorded.
+# fresh numbers can be compared against what the repo last recorded; the
+# regression check below puts it back.
 baseline=""
 if [ -f BENCH_pipeline.json ]; then
     baseline="$(mktemp)"
@@ -201,9 +202,11 @@ fi
 if [ -n "$baseline" ]; then
     echo "== bench regression check (study/geolocate/total/allocs/streaming vs committed baseline) =="
     # An unparseable baseline or fresh bench doc fails the gate; a >20%
-    # wall-clock regression warns (CI boxes are noisy), a >20% allocation
-    # jump is deterministic and still warns loudly for triage.
-    python3 - "$baseline" BENCH_pipeline.json <<'EOF'
+    # wall-clock regression warns (CI boxes are noisy), a >20% rise in
+    # study_allocs fails it (the count is deterministic). The committed
+    # document is restored whether or not the gate passes.
+    gate=0
+    python3 - "$baseline" BENCH_pipeline.json <<'EOF' || gate=$?
 import json, sys
 
 def load(path):
@@ -223,8 +226,17 @@ old_doc, new_doc = load(sys.argv[1]), load(sys.argv[2])
 old, new = seq_run(old_doc), seq_run(new_doc)
 # study_allocs is deterministic (counting allocator over a fixed workload),
 # so a >20% jump there means an allocation crept back into the hot path.
+o, n = old.get("study_allocs"), new.get("study_allocs")
+if not o or n is None:
+    print("bench check: no comparable study_allocs in baseline; skipping")
+elif n > o * 1.20:
+    print(f"FATAL: study_allocs rose >20%: {o:,} -> {n:,} ({n / o - 1:+.0%})")
+    sys.exit(1)
+else:
+    print(f"bench check: study_allocs {o:,} -> {n:,} ({n / o - 1:+.0%}), "
+          f"within the 20% budget")
 pairs = [(stage, old.get(stage), new.get(stage))
-         for stage in ("study_ms", "geolocate_ms", "total_ms", "study_allocs",
+         for stage in ("study_ms", "geolocate_ms", "total_ms",
                        "netflow_generate_ms", "netflow_match_ms")]
 # The streaming row rides the same gate: the chunked driver, the
 # checkpointed variant, the incremental classifier and the rolling
@@ -250,7 +262,10 @@ for stage, o, n in pairs:
         print(f"bench check: {stage} {o:,.1f} -> {n:,.1f} "
               f"({n / o - 1:+.0%}), within the 20% budget")
 EOF
+    # Restore the committed document; the smoke doc is CI-only.
+    cp "$baseline" BENCH_pipeline.json
     rm -f "$baseline"
+    [ "$gate" -eq 0 ] || exit "$gate"
 fi
 
 echo "== resume smoke (kill at chunk 2 mid-write, resume, fingerprint vs batch) =="

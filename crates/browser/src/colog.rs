@@ -407,15 +407,18 @@ impl SegmentBlock {
         for slot in &mut counters {
             *slot = r.u64()?;
         }
+        // Every column is sized from a header count, so each count is first
+        // checked against the bytes left: a corrupt header must fail as a
+        // typed error, not as an allocation the input cannot back.
         fn col_u32(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<u32>, DecodeError> {
-            let mut v = Vec::with_capacity(n);
+            let mut v = Vec::with_capacity(r.bounded_count(n, 4)?);
             for _ in 0..n {
                 v.push(r.u32()?);
             }
             Ok(v)
         }
         fn col_u64(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<u64>, DecodeError> {
-            let mut v = Vec::with_capacity(n);
+            let mut v = Vec::with_capacity(r.bounded_count(n, 8)?);
             for _ in 0..n {
                 v.push(r.u64()?);
             }
@@ -425,7 +428,7 @@ impl SegmentBlock {
             r: &mut ByteReader<'_>,
             n: usize,
         ) -> Result<Vec<(u32, [u8; 16])>, DecodeError> {
-            let mut v: Vec<(u32, [u8; 16])> = Vec::with_capacity(n);
+            let mut v: Vec<(u32, [u8; 16])> = Vec::with_capacity(r.bounded_count(n, 20)?);
             for _ in 0..n {
                 let row = r.u32()?;
                 let octets: [u8; 16] = r.bytes(16)?.try_into().expect("16 bytes");
@@ -442,7 +445,7 @@ impl SegmentBlock {
         let r_publisher = col_u32(&mut r, n_requests)?;
         let r_host = col_u32(&mut r, n_requests)?;
         let r_referrer = col_u32(&mut r, n_requests)?;
-        let mut url_off = Vec::with_capacity(n_requests + 1);
+        let mut url_off = Vec::with_capacity(r.bounded_count(n_requests, 4)? + 1);
         url_off.push(0);
         for _ in 0..n_requests {
             url_off.push(r.u32()?);
@@ -615,6 +618,50 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(SegmentBlock::decode_bytes(&long).is_err());
+    }
+
+    #[test]
+    fn inflated_header_counts_are_typed_errors() {
+        // Each header count is a little-endian u64 after the two u32 user
+        // bounds. Inflating any one of them must fail as a `DecodeError`
+        // before a column is sized from it — on an empty block (nothing to
+        // back any count) and on a full one. At 2^40 an unchecked
+        // `with_capacity` aborts the process; at u64::MAX the request
+        // count's `+ 1` for `url_off` overflows.
+        let fields = [
+            "n_visits",
+            "n_requests",
+            "n_observations",
+            "url_len",
+            "n_r_ip6",
+            "n_o_ip6",
+            "n_labels",
+        ];
+        let empty = StudyChunk {
+            visits: vec![],
+            requests: vec![],
+            observations: vec![],
+            report: DegradationReport::default(),
+        };
+        let labels = [LABEL_ABP, LABEL_SEMI, LABEL_CLEAN];
+        for block in [
+            SegmentBlock::from_chunk(&empty, &[], 0, 0, (0, 0)),
+            SegmentBlock::from_chunk(&sample_chunk(), &labels, 1, 1, (7, 9)),
+        ] {
+            let bytes = block.encode_bytes();
+            for (k, field) in fields.iter().enumerate() {
+                let at = 8 + 8 * k;
+                for inflated in [1u64 << 40, u64::MAX / 4, u64::MAX] {
+                    let mut bad = bytes.clone();
+                    bad[at..at + 8].copy_from_slice(&inflated.to_le_bytes());
+                    assert!(
+                        SegmentBlock::decode_bytes(&bad).is_err(),
+                        "{field} = {inflated} on a {}-request block",
+                        block.n_requests()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

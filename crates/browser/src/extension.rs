@@ -304,8 +304,9 @@ struct ShardOutput {
 
 /// Simulates one contiguous run of users. Each user gets an independent
 /// hash-derived RNG stream (`derive_stream_seed(study_seed, user_id)`) and
-/// their own stub-resolver cache, so this function's output depends only
-/// on `(study_seed, the users given)` — never on which shard, thread, or
+/// starts from an empty stub-resolver cache (the shard's one [`DnsCache`],
+/// reset per user), so this function's output depends only on
+/// `(study_seed, the users given)` — never on which shard, thread, or
 /// order it runs in.
 #[allow(clippy::too_many_arguments)]
 fn simulate_shard(
@@ -328,9 +329,10 @@ fn simulate_shard(
         observations: Vec::new(),
         report: DegradationReport::default(),
     };
+    let mut cache = DnsCache::new();
     for user in shard {
         let mut urng = StdRng::seed_from_u64(derive_stream_seed(study_seed, user.id.0 as u64));
-        let mut cache = DnsCache::for_user(study_seed, user.id.0 as u64);
+        cache.reset_for_user(study_seed, user.id.0 as u64);
         let n_visits = ((cfg.visits_per_user_mean * user.activity / mean_activity).round()
             as usize)
             .max(1);
@@ -361,9 +363,9 @@ fn simulate_shard(
                 &mut out.report,
             );
         }
-        // Per-user caches die with the user; their would-have-been sensor
-        // observations replay centrally afterwards, in user order.
-        out.observations.extend(cache.take_id_observations());
+        // The user's would-have-been sensor observations replay centrally
+        // afterwards, in user order.
+        out.observations.extend(cache.drain_id_observations());
     }
     out
 }
@@ -611,8 +613,8 @@ impl<'a> StudyStream<'a> {
 ///    `derive_stream_seed(study_seed, user_id)` — the same hash-derived
 ///    construction `xborder-faults` uses for fault coins.
 /// 2. **A shardable DNS layer.** Shards resolve against a shared
-///    read-only [`IndexedZoneView`] through per-user [`DnsCache`]s (the paper's
-///    per-client caching, Sect. 5.1); cache-miss lookups use RNG derived
+///    read-only [`IndexedZoneView`] through a [`DnsCache`] reset per user (the
+///    paper's per-client caching, Sect. 5.1); cache-miss lookups use RNG derived
 ///    from `(user stream, host, time)`, and pDNS observations are
 ///    buffered and replayed into `dns` in user order after the join.
 /// 3. **Order-restoring merges.** Shards cover contiguous user ranges;

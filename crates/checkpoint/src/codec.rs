@@ -178,6 +178,29 @@ impl<'a> ByteReader<'a> {
         })
     }
 
+    /// Checks a decoded item count against the input left: `n` items of
+    /// at least `min_width` encoded bytes each must still fit, so a corrupt
+    /// count can never size an allocation. Returns `n`.
+    pub fn bounded_count(&self, n: usize, min_width: usize) -> Result<usize, DecodeError> {
+        if n > self.remaining() / min_width {
+            return Err(DecodeError {
+                offset: self.pos,
+                detail: format!(
+                    "count {n} of {min_width}-byte items exceeds the {} bytes left",
+                    self.remaining()
+                ),
+            });
+        }
+        Ok(n)
+    }
+
+    /// Reads the length prefix of a run of items at least `min_width`
+    /// encoded bytes each, checked with [`ByteReader::bounded_count`].
+    pub fn count(&mut self, min_width: usize) -> Result<usize, DecodeError> {
+        let n = self.len_prefix()?;
+        self.bounded_count(n, min_width)
+    }
+
     /// Reads `n` raw bytes.
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         self.take(n, "bytes")
@@ -270,6 +293,20 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         let err = r.str().unwrap_err();
         assert!(err.detail.contains("utf-8"));
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        let r = ByteReader::new(&[0u8; 12]);
+        assert_eq!(r.bounded_count(3, 4).unwrap(), 3);
+        assert!(r.bounded_count(4, 4).is_err());
+        assert!(r.bounded_count(usize::MAX, 1).is_err());
+        let mut w = ByteWriter::new();
+        w.put_u64(2);
+        w.put_u64(0);
+        let bytes = w.into_bytes();
+        assert_eq!(ByteReader::new(&bytes).count(4).unwrap(), 2);
+        assert!(ByteReader::new(&bytes).count(5).is_err());
     }
 
     #[test]

@@ -851,7 +851,8 @@ impl IncrementalClassifier {
                 self.urls.len()
             )));
         }
-        let n_new_hosts = r.len_prefix()?;
+        // Each new host is a u32 id plus a seen byte.
+        let n_new_hosts = r.count(5)?;
         // Pre-reserve the host-side tables from the delta header, and the
         // world-id remap to its final extent, so cross-segment replay
         // never pays doubling spikes mid-chunk (the same cold-growth
@@ -880,7 +881,9 @@ impl IncrementalClassifier {
             }
             self.host_seen[h as usize] = seen;
         }
-        let n_new_urls = r.len_prefix()?;
+        // Each new URL is at least a string length prefix, a u32 host ref
+        // and four state bytes.
+        let n_new_urls = r.count(16)?;
         if (base_urls + n_new_urls) as u64 > n_requests {
             return Err(bad(format!(
                 "{} unique urls exceed {n_requests} total requests",
@@ -890,8 +893,14 @@ impl IncrementalClassifier {
         // Size the open-addressing URL table for the post-chunk total
         // before interning (the batch interner's sizing rule; without
         // this, replaying a large run rehashes the full table mid-delta),
-        // and every dense per-URL column alongside it.
-        self.url_slots.reserve_for_total(n_requests as usize);
+        // and every dense per-URL column alongside it. The total itself is
+        // not backed by any bytes here, so the table is sized for at most
+        // four slots per URL the state will hold: a corrupt total cannot
+        // size an allocation, and a valid total above that only leaves the
+        // table at a load factor of 1/4 instead of lower.
+        let unique_after = (base_urls + n_new_urls) as u64;
+        self.url_slots
+            .reserve_for_total(n_requests.min(unique_after.saturating_mul(4)) as usize);
         self.urls.spans.reserve(n_new_urls);
         self.host_of_url.reserve(n_new_urls);
         self.args_memo.reserve(n_new_urls);
@@ -930,7 +939,7 @@ impl IncrementalClassifier {
             }
             self.url_seen.push(seen);
         }
-        let n_host_updates = r.len_prefix()?;
+        let n_host_updates = r.count(5)?;
         for _ in 0..n_host_updates {
             let h = r.u32()? as usize;
             if h >= base_hosts {
@@ -949,7 +958,7 @@ impl IncrementalClassifier {
             }
             self.host_seen[h] = seen;
         }
-        let n_url_updates = r.len_prefix()?;
+        let n_url_updates = r.count(8)?;
         for _ in 0..n_url_updates {
             let u = r.u32()? as usize;
             if u >= base_urls {
@@ -1241,6 +1250,50 @@ mod tests {
                 fresh.apply_delta(&mut r, graph.domains()).is_err(),
                 "truncation at {cut} must not apply"
             );
+        }
+    }
+
+    #[test]
+    fn inflated_delta_counts_never_size_an_allocation() {
+        // A delta whose header is otherwise empty, with one count inflated.
+        // Every item count must fail as a `DecodeError` before anything is
+        // reserved from it (at 2^40 an unchecked `reserve` aborts the
+        // process). The request total is backed by no bytes of the delta:
+        // it may apply, but must not size the URL table (the replay
+        // drivers then check it against the chunk's rows).
+        let (graph, _) = dataset(26);
+        let (el, ep) = generate_lists(&graph);
+        let header = [
+            "n_requests",
+            "base_hosts",
+            "base_urls",
+            "n_new_hosts",
+            "n_new_urls",
+            "n_host_updates",
+            "n_url_updates",
+        ];
+        for (k, field) in header.iter().enumerate() {
+            for inflated in [1u64 << 40, u64::MAX] {
+                let mut w = ByteWriter::new();
+                for (j, _) in header.iter().enumerate() {
+                    w.put_u64(if j == k { inflated } else { 0 });
+                }
+                for _ in 0..8 {
+                    w.put_usize(0);
+                }
+                let bytes = w.into_bytes();
+                let mut fresh = IncrementalClassifier::new(&el, &ep, ClassifierStages::default());
+                let applied = fresh.apply_delta(&mut ByteReader::new(&bytes), graph.domains());
+                if *field == "n_requests" {
+                    assert!(applied.is_ok(), "{field} = {inflated}: {applied:?}");
+                    assert!(
+                        fresh.url_slots.slots.len() <= 1024,
+                        "{field} sized the URL table"
+                    );
+                } else {
+                    assert!(applied.is_err(), "{field} = {inflated} must not apply");
+                }
+            }
         }
     }
 

@@ -93,7 +93,7 @@ use xborder_faults::{
 };
 use xborder_geo::Region;
 use xborder_netsim::time::{SimTime, TimeWindow};
-use xborder_webgraph::Domain;
+use xborder_webgraph::{Domain, DomainTable};
 
 /// How the streaming driver chunks and checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -355,11 +355,13 @@ pub fn run_extension_pipeline_streaming(
             }
             let payload = store.load_chunk(&entry)?;
             let (block, cls_bytes) = decode_chunk_payload(&entry.file, &payload)?;
-            let mut rd = ByteReader::new(cls_bytes);
-            classifier
-                .apply_delta(&mut rd, world.graph.domains())
-                .map_err(|e| corrupt(&entry.file, e))?;
-            rd.finish().map_err(|e| corrupt(&entry.file, e))?;
+            apply_chunk_delta(
+                &mut classifier,
+                &entry.file,
+                cls_bytes,
+                &block,
+                world.graph.domains(),
+            )?;
             let observations = block.observations_vec();
             world
                 .dns
@@ -645,8 +647,40 @@ pub(crate) fn encode_chunk_payload(
     w.into_bytes()
 }
 
+/// Applies a replayed chunk's classifier delta (the second half of its
+/// payload). The delta's running request total is the one count in it that
+/// none of its own bytes back; the chunk's rows do, so the two must agree
+/// before a resumed run sizes anything from that total.
+pub(crate) fn apply_chunk_delta(
+    classifier: &mut IncrementalClassifier,
+    file: &str,
+    cls_bytes: &[u8],
+    block: &SegmentBlock,
+    domains: &DomainTable,
+) -> Result<(), StreamError> {
+    let expected = classifier.n_requests() + block.n_requests() as u64;
+    let mut rd = ByteReader::new(cls_bytes);
+    classifier
+        .apply_delta(&mut rd, domains)
+        .map_err(|e| corrupt(file, e))?;
+    rd.finish().map_err(|e| corrupt(file, e))?;
+    if classifier.n_requests() != expected {
+        return Err(corrupt(
+            file,
+            DecodeError {
+                offset: 0,
+                detail: format!(
+                    "delta request total {} does not match the {expected} requests replayed",
+                    classifier.n_requests()
+                ),
+            },
+        ));
+    }
+    Ok(())
+}
+
 /// Splits a chunk payload into its decoded segment block and the raw bytes
-/// of the classifier delta section (applied by the replay loop). Every
+/// of the classifier delta section (applied by [`apply_chunk_delta`]). Every
 /// label byte is checked here, once for both drivers: downstream folds
 /// treat any tag other than [`LABEL_CLEAN`] as tracking, so an unknown
 /// tag must be refused as corruption rather than counted.

@@ -46,7 +46,7 @@ use crate::confine::{is_eu28_origin, DestBreakdown};
 use crate::ips::{CompletionStats, IpInfo, TrackerIpSet};
 use crate::pipeline::{geolocate_providers, EstimateMap};
 use crate::stream::{
-    config_fingerprint, corrupt, decode_chunk_payload, decode_completion_state,
+    apply_chunk_delta, config_fingerprint, corrupt, decode_chunk_payload, decode_completion_state,
     encode_chunk_payload, encode_completion_state, killable, labels_to_bytes, StreamError,
 };
 use crate::worldgen::World;
@@ -492,11 +492,13 @@ pub fn run_worldscale_pipeline(
             }
             let payload = store.load_chunk(&entry)?;
             let (block, cls_bytes) = decode_chunk_payload(&entry.file, &payload)?;
-            let mut rd = xborder_checkpoint::ByteReader::new(cls_bytes);
-            classifier
-                .apply_delta(&mut rd, world.graph.domains())
-                .map_err(|e| corrupt(&entry.file, e))?;
-            rd.finish().map_err(|e| corrupt(&entry.file, e))?;
+            apply_chunk_delta(
+                &mut classifier,
+                &entry.file,
+                cls_bytes,
+                &block,
+                world.graph.domains(),
+            )?;
             let observations = block.observations_vec();
             world
                 .dns

@@ -9,17 +9,23 @@
 //!
 //! Since the parallel-study refactor (DESIGN.md §5d) this is also the
 //! *per-user* resolver state of the extension study, mirroring the paper's
-//! per-client caching (Sect. 5.1): each simulated user owns one
-//! `DnsCache`, resolves against a shared read-only [`ZoneView`], and
+//! per-client caching (Sect. 5.1): each simulated user starts from an
+//! empty cache, resolves against a shared read-only [`ZoneView`], and
 //! buffers the [`PdnsObservation`]s its cache misses would have produced
 //! at a production resolver. Lookup RNG is hash-derived from
 //! `(user stream, host, time)`, so a lookup's answer never depends on how
 //! many lookups ran before it — the property that lets user shards run
 //! concurrently and still merge bit-identically.
+//!
+//! A study shard holds one `DnsCache` and hands it from user to user with
+//! [`DnsCache::reset_for_user`] (DESIGN.md §5f): the user-visible state
+//! starts over exactly as [`DnsCache::for_user`] would build it, while
+//! the allocations and the [`PopOrders`] memo carry over — the memo holds
+//! pure functions of the zone table, never anything a user did.
 
 use crate::resolver::ClientCtx;
 use crate::sim::{DnsSim, IndexedZoneView, PdnsIdObservation, PdnsObservation, ZoneView};
-use crate::zone::ZoneServer;
+use crate::zone::{PopOrders, ZoneServer};
 use crate::DnsError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,6 +50,12 @@ pub struct DnsCache {
     /// Dense id-indexed entries for the allocation-free study path
     /// (DESIGN.md §5f); grown lazily to the highest id touched.
     by_id: Vec<Option<CacheEntry>>,
+    /// Ids whose `by_id` slot this user filled, so a reset clears only
+    /// those.
+    touched: Vec<u32>,
+    /// Per-resolver-site PoP orders of the zones missed so far; kept
+    /// across users.
+    orders: PopOrders,
     hits: u64,
     misses: u64,
     /// Seed of this client's lookup-RNG stream (see [`DnsCache::for_user`]).
@@ -69,6 +81,23 @@ impl DnsCache {
             lookup_seed: derive_stream_seed(study_seed, user),
             ..Self::default()
         }
+    }
+
+    /// Turns this cache into [`DnsCache::for_user`]`(study_seed, user)`
+    /// without giving back its allocations: entries, counters and buffered
+    /// observations are dropped (clearing only the id slots the previous
+    /// user filled), the PoP-order memo is kept. Drain the previous user's
+    /// observations first.
+    pub fn reset_for_user(&mut self, study_seed: u64, user: u64) {
+        self.entries.clear();
+        for id in self.touched.drain(..) {
+            self.by_id[id as usize] = None;
+        }
+        self.hits = 0;
+        self.misses = 0;
+        self.lookup_seed = derive_stream_seed(study_seed, user);
+        self.observations.clear();
+        self.id_observations.clear();
     }
 
     /// Resolves through the cache: returns the cached answer while its TTL
@@ -162,7 +191,8 @@ impl DnsCache {
     /// bytes — the same value the string path hashes per miss — so answers,
     /// effective times, and fault coins are bit-identical. No `Domain` is
     /// cloned anywhere: cache slots are a dense `Vec` indexed by id and
-    /// observations buffer the id.
+    /// observations buffer the id. Each zone's PoP order is computed once
+    /// per resolver site and kept in the cache's [`PopOrders`] memo.
     pub fn resolve_shared_id(
         &mut self,
         view: &IndexedZoneView<'_>,
@@ -189,13 +219,23 @@ impl DnsCache {
             self.lookup_seed,
             view.host_hash(host_id) ^ now.0.rotate_left(32),
         ));
-        let (answer, t_eff, ttl) =
-            view.resolve_degraded_id(host_id, client, now, &mut rng, inj, report)?;
+        let (answer, t_eff, ttl) = view.resolve_degraded_id(
+            host_id,
+            client,
+            now,
+            &mut rng,
+            &mut self.orders,
+            inj,
+            report,
+        )?;
         self.id_observations.push(PdnsIdObservation {
             host: host_id,
             ip: answer.ip,
             time: t_eff,
         });
+        if self.by_id[idx].is_none() {
+            self.touched.push(host_id.0);
+        }
         self.by_id[idx] = Some(CacheEntry {
             answer,
             expires: t_eff.plus_secs(ttl as u64),
@@ -210,9 +250,10 @@ impl DnsCache {
     }
 
     /// Drains the buffered id observations (in lookup order) for replay
-    /// into [`DnsSim::absorb_id_observations`].
-    pub fn take_id_observations(&mut self) -> Vec<PdnsIdObservation> {
-        std::mem::take(&mut self.id_observations)
+    /// into [`DnsSim::absorb_id_observations`]; the buffer keeps its
+    /// capacity for the next user.
+    pub fn drain_id_observations(&mut self) -> std::vec::Drain<'_, PdnsIdObservation> {
+        self.id_observations.drain(..)
     }
 
     /// Cache hits so far.
@@ -441,7 +482,7 @@ mod tests {
         assert_eq!(rep_s.dns_cache_misses, rep_i.dns_cache_misses);
 
         let obs_s = string_cache.take_observations();
-        let obs_i = id_cache.take_id_observations();
+        let obs_i: Vec<_> = id_cache.drain_id_observations().collect();
         assert_eq!(obs_s.len(), obs_i.len());
         let mut replay_s = DnsSim::new();
         let mut replay_i = DnsSim::new();
@@ -449,6 +490,88 @@ mod tests {
         replay_i.absorb_id_observations(&obs_i, &domains);
         for h in &hosts {
             assert_eq!(replay_s.pdns().forward(h), replay_i.pdns().forward(h));
+        }
+    }
+
+    #[test]
+    fn reset_cache_matches_fresh_per_user_caches() {
+        use xborder_webgraph::DomainTable;
+        // One cache handed from user to user must behave exactly like a
+        // fresh `for_user` cache per user: same answers, effective times,
+        // hit/miss counts and observations. Users differ in resolver site
+        // (so the kept PoP-order memo serves several sites), in which hosts
+        // they touch (user 2 reaches a higher id than user 1 did), and in
+        // time, so stale slots from an earlier user would show as hits.
+        let mut dns = DnsSim::new();
+        let mut domains = DomainTable::new();
+        let mut ids = Vec::new();
+        for (k, countries) in [
+            &["DE", "US", "SG"][..],
+            &["FR"],
+            &["GB", "DE"],
+            &["US", "BR", "JP", "DE"],
+        ]
+        .iter()
+        .enumerate()
+        {
+            let host = format!("h{k}.x.com");
+            let mut z = zone(&host, "1.0.0.1", countries[0], 300 + 100 * k as u32);
+            z.servers = countries
+                .iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    let c = WORLD.country_or_panic(CountryCode::parse(c).unwrap());
+                    ZoneServer {
+                        server: ServerId(i as u32),
+                        ip: std::net::IpAddr::from([1, k as u8, i as u8, 1]),
+                        country: c.code,
+                        location: c.centroid(),
+                        valid: None,
+                    }
+                })
+                .collect();
+            if countries.len() > 1 {
+                z.policy = MappingPolicy::NearestToResolver { epsilon: 0.2 };
+            }
+            dns.add_zone(z).unwrap();
+            ids.push(domains.intern(&Domain::new(&host)));
+        }
+        let view = dns.indexed_view(&domains);
+        let inj = FaultInjector::inactive();
+        let site = |c| ClientCtx::with_isp_resolver(c, WORLD.country_or_panic(c).centroid());
+        // (user, resolver, hosts touched in order)
+        let users: [(u64, ClientCtx, &[usize]); 4] = [
+            (0, site(cc!("DE")), &[0, 1, 0, 0, 1]),
+            (1, site(cc!("HU")), &[1, 0, 0]),
+            (2, site(cc!("DE")), &[3, 0, 2, 3, 3, 1]),
+            (3, site(cc!("BR")), &[0, 3]),
+        ];
+        let mut shared = DnsCache::new();
+        for (user, client, hosts) in users {
+            let mut fresh = DnsCache::for_user(77, user);
+            shared.reset_for_user(77, user);
+            let (mut rep_f, mut rep_s) =
+                (DegradationReport::default(), DegradationReport::default());
+            for (step, &h) in hosts.iter().enumerate() {
+                let t = SimTime(step as u64 * 250);
+                let a = fresh
+                    .resolve_shared_id(&view, ids[h], &client, t, &inj, &mut rep_f)
+                    .unwrap();
+                let b = shared
+                    .resolve_shared_id(&view, ids[h], &client, t, &inj, &mut rep_s)
+                    .unwrap();
+                assert_eq!(a, b, "user {user} step {step}");
+            }
+            assert_eq!(
+                (fresh.hits(), fresh.misses()),
+                (shared.hits(), shared.misses()),
+                "user {user}"
+            );
+            assert_eq!(rep_f.dns_cache_hits, rep_s.dns_cache_hits);
+            assert_eq!(rep_f.dns_cache_misses, rep_s.dns_cache_misses);
+            let obs_f: Vec<_> = fresh.drain_id_observations().collect();
+            let obs_s: Vec<_> = shared.drain_id_observations().collect();
+            assert_eq!(obs_f, obs_s, "user {user}");
         }
     }
 

@@ -30,7 +30,7 @@ pub use cache::DnsCache;
 pub use pdns::{PassiveDnsDb, PdnsRecord};
 pub use resolver::{ClientCtx, Resolver, ResolverKind};
 pub use sim::{DnsSim, IndexedZoneView, PdnsIdObservation, PdnsObservation, ZoneView};
-pub use zone::{MappingPolicy, ZoneEntry, ZoneServer};
+pub use zone::{MappingPolicy, PopOrders, ZoneEntry, ZoneServer};
 
 /// Errors produced by this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

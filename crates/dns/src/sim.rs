@@ -12,11 +12,12 @@
 
 use crate::pdns::PassiveDnsDb;
 use crate::resolver::ClientCtx;
-use crate::zone::{ZoneEntry, ZoneServer};
+use crate::zone::{PopOrders, ZoneEntry, ZoneServer};
 use crate::DnsError;
 use rand::Rng;
 use std::collections::HashMap;
 use std::net::IpAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use xborder_faults::{stable_hash, DegradationReport, FaultError, FaultInjector};
 use xborder_netsim::time::SimTime;
 use xborder_webgraph::{Domain, DomainId, DomainTable};
@@ -150,6 +151,9 @@ impl<'a> ZoneView<'a> {
 /// as the string path without hashing a host per miss.
 #[derive(Debug, Clone)]
 pub struct IndexedZoneView<'a> {
+    /// Process-unique identity of this snapshot (clones share it), so a
+    /// [`PopOrders`] memo can tell which zone table its orders belong to.
+    id: u64,
     /// `DomainId → zone` (`None` for domains without a zone, e.g.
     /// publisher domains or unwired hosts).
     by_id: Vec<Option<&'a ZoneEntry>>,
@@ -176,19 +180,21 @@ impl<'a> IndexedZoneView<'a> {
     }
 
     /// Dense-path equivalent of [`ZoneView::resolve`]: same answers, same
-    /// RNG draws, no string hashing.
+    /// RNG draws, no string hashing, and each zone's PoP order computed
+    /// once per resolver site into `orders`.
     pub fn resolve_id<R: Rng + ?Sized>(
         &self,
         host_id: DomainId,
         client: &ClientCtx,
         t: SimTime,
         rng: &mut R,
+        orders: &mut PopOrders,
     ) -> Result<(ZoneServer, u32), DnsError> {
         let zone = self
             .zone_by_id(host_id)
             .ok_or_else(|| DnsError::NxDomain(self.domains.domain(host_id).clone()))?;
-        let answer = zone
-            .select(client.resolver.location, t, rng)
+        let answer = orders
+            .select(self.id, host_id, zone, client.resolver.location, t, rng)
             .ok_or_else(|| DnsError::EmptyZone(self.domains.domain(host_id).clone()))?;
         Ok((answer, zone.ttl_secs))
     }
@@ -197,19 +203,21 @@ impl<'a> IndexedZoneView<'a> {
     /// coins key on the precomputed [`IndexedZoneView::host_hash`], which
     /// equals the string path's `stable_hash(host bytes)` — bit-identical
     /// retry/backoff behaviour with zero per-call hashing.
+    #[allow(clippy::too_many_arguments)]
     pub fn resolve_degraded_id<R: Rng + ?Sized>(
         &self,
         host_id: DomainId,
         client: &ClientCtx,
         t: SimTime,
         rng: &mut R,
+        orders: &mut PopOrders,
         inj: &FaultInjector,
         report: &mut DegradationReport,
     ) -> Result<(ZoneServer, SimTime, u32), FaultError> {
         if !inj.is_active() {
             report.dns_attempts += 1;
             return self
-                .resolve_id(host_id, client, t, rng)
+                .resolve_id(host_id, client, t, rng, orders)
                 .map(|(a, ttl)| (a, t, ttl))
                 .map_err(|e| FaultError::Dns(e.to_string()));
         }
@@ -229,7 +237,7 @@ impl<'a> IndexedZoneView<'a> {
                 report.dns_retries += 1;
             }
             return self
-                .resolve_id(host_id, client, t_eff, rng)
+                .resolve_id(host_id, client, t_eff, rng, orders)
                 .map(|(a, ttl)| (a, t_eff, ttl))
                 .map_err(|e| FaultError::Dns(e.to_string()));
         }
@@ -254,7 +262,15 @@ fn build_indexed_view<'a>(
         by_id[id.0 as usize] = zones.get(d);
         host_hash[id.0 as usize] = stable_hash(d.as_str().as_bytes());
     }
-    IndexedZoneView { by_id, host_hash, domains }
+    static NEXT_VIEW_ID: AtomicU64 = AtomicU64::new(1);
+    // Relaxed: the id only has to be unique, it publishes no other data.
+    let id = NEXT_VIEW_ID.fetch_add(1, Ordering::Relaxed);
+    IndexedZoneView {
+        id,
+        by_id,
+        host_hash,
+        domains,
+    }
 }
 
 impl DnsSim {
@@ -570,9 +586,12 @@ mod tests {
         let client = de_client();
         let mut r1 = StdRng::seed_from_u64(7);
         let mut r2 = r1.clone();
+        let mut orders = PopOrders::new();
         for i in 0..50u64 {
             let a = view.resolve(&host, &client, SimTime(i), &mut r1).unwrap();
-            let b = iview.resolve_id(host_id, &client, SimTime(i), &mut r2).unwrap();
+            let b = iview
+                .resolve_id(host_id, &client, SimTime(i), &mut r2, &mut orders)
+                .unwrap();
             assert_eq!(a, b);
         }
         assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
@@ -585,7 +604,15 @@ mod tests {
         let mut r2 = r1.clone();
         for i in 0..200u64 {
             let a = view.resolve_degraded(&host, &client, SimTime(i * 31), &mut r1, &inj, &mut rep_a);
-            let b = iview.resolve_degraded_id(host_id, &client, SimTime(i * 31), &mut r2, &inj, &mut rep_b);
+            let b = iview.resolve_degraded_id(
+                host_id,
+                &client,
+                SimTime(i * 31),
+                &mut r2,
+                &mut orders,
+                &inj,
+                &mut rep_b,
+            );
             match (a, b) {
                 (Ok(x), Ok(y)) => assert_eq!(x, y),
                 (Err(x), Err(y)) => assert_eq!(x.to_string(), y.to_string()),

@@ -217,11 +217,11 @@ pub struct SnapshotBlocksOutput {
 /// * Flows are emitted as columnar [`FlowBlock`]s through `on_block` —
 ///   resident memory is one block, not the day's `Vec<FlowRecord>`.
 /// * DNS runs read-only: renders resolve against the shared
-///   [`IndexedZoneView`] through a fresh per-view [`DnsCache`] (each
-///   sampled view is an ephemeral subscriber with an empty stub cache,
-///   the paper's per-client caching), and the observations a production
-///   resolver's sensor would have recorded are buffered for replay in
-///   canonical order after the sharded join.
+///   [`IndexedZoneView`] through the cell's one [`DnsCache`], reset per
+///   view (each sampled view is an ephemeral subscriber with an empty
+///   stub cache, the paper's per-client caching), and the observations a
+///   production resolver's sensor would have recorded are buffered for
+///   replay in canonical order after the sharded join.
 /// * All randomness comes from `cell_seed`: one sequential generation
 ///   stream per (ISP, day) cell, plus hash-derived per-view lookup
 ///   streams inside the caches. Nothing depends on `block_len` except
@@ -248,6 +248,7 @@ pub fn generate_snapshot_blocks(
     let mut scratch: Vec<LoggedRequest> = Vec::new();
     let mut block = FlowBlock::with_capacity(cap);
     let mut rng = StdRng::seed_from_u64(cell_seed);
+    let mut cache = DnsCache::new();
 
     for view_idx in 0..cfg.n_page_views {
         // Ephemeral subscriber for this sampled view (same coins, in the
@@ -281,9 +282,9 @@ pub fn generate_snapshot_blocks(
         let publisher = graph.publisher(pid);
         let sub_ip = subscriber_ip(&mut rng);
 
-        // A fresh stub cache per ephemeral subscriber; its lookup streams
+        // An empty stub cache per ephemeral subscriber; its lookup streams
         // hash-derive from (cell_seed, view index), never from `rng`.
-        let mut cache = DnsCache::for_user(cell_seed, view_idx as u64);
+        cache.reset_for_user(cell_seed, view_idx as u64);
         scratch.clear();
         engine.render_visit_cached(
             &user,
@@ -307,7 +308,7 @@ pub fn generate_snapshot_blocks(
                 }
             }
         }
-        out.id_observations.extend(cache.take_id_observations());
+        out.id_observations.extend(cache.drain_id_observations());
 
         let n_bg = cfg.background_per_view.floor() as usize
             + usize::from(rng.gen::<f64>() < cfg.background_per_view.fract());

@@ -311,18 +311,30 @@ fn replay_refuses_checksum_valid_corrupt_chunks() {
     bad_tag[0] = 9;
     let mut bad_user = chunk.clone();
     bad_user.requests[0].user = UserId(entry.user_end as u32);
-    for (what, chunk, labels, want) in [
+    // The classifier delta leads with its running request total.
+    let mut bad_total = cls.to_vec();
+    bad_total[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    for (what, chunk, labels, cls, want) in [
         (
             "unknown tag",
             &chunk,
             &bad_tag,
+            cls,
             "unknown classification tag 9",
         ),
         (
             "foreign user",
             &bad_user,
             &labels,
+            cls,
             "outside the chunk's users",
+        ),
+        (
+            "inflated delta total",
+            &chunk,
+            &labels,
+            &bad_total[..],
+            "does not match",
         ),
     ] {
         let tampered = SegmentBlock::from_chunk(
