@@ -5,6 +5,32 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The bench smokes below overwrite the committed BENCH_*.json documents
+# with smoke numbers. Stash them up front and put every one back on any
+# exit, so a failing gate or step never leaves smoke numbers behind; the
+# regression checks read their baselines from the stash.
+stash="$(mktemp -d)"
+for doc in BENCH_pipeline.json BENCH_netflow.json BENCH_worldscale.json; do
+    if [ -f "$doc" ]; then
+        cp "$doc" "$stash/"
+    fi
+done
+restore_bench_docs() {
+    for doc in "$stash"/*; do
+        if [ -f "$doc" ]; then
+            cp "$doc" .
+        fi
+    done
+    rm -rf "$stash"
+}
+trap restore_bench_docs EXIT
+# The stashed copy of a committed document, or nothing if it has none.
+stashed() {
+    if [ -f "$stash/$1" ]; then
+        echo "$stash/$1"
+    fi
+}
+
 echo "== build (release) =="
 cargo build --release --offline --workspace
 
@@ -18,14 +44,9 @@ echo "== xbench smoke (every workload's output checks, incl. worldscale = batch)
 cargo test --offline --release --manifest-path xbench/Cargo.toml
 
 echo "== bench smoke (writes BENCH_pipeline.json) =="
-# Stash the committed baseline before the bench overwrites it, so the
-# fresh numbers can be compared against what the repo last recorded; the
-# regression check below puts it back.
-baseline=""
-if [ -f BENCH_pipeline.json ]; then
-    baseline="$(mktemp)"
-    cp BENCH_pipeline.json "$baseline"
-fi
+# The stashed committed baseline lets the fresh numbers be compared
+# against what the repo last recorded.
+baseline="$(stashed BENCH_pipeline.json)"
 ./target/release/bench_pipeline
 
 echo "== bench output sanity (BENCH_pipeline.json must exist and parse) =="
@@ -46,13 +67,9 @@ print("bench output sanity: ok")
 EOF
 
 echo "== netflow bench smoke (1e6 records; writes BENCH_netflow.json) =="
-# The committed BENCH_netflow.json documents a full 1e8-record run; stash
-# it so the smoke run's numbers can gate against it without clobbering it.
-nf_baseline=""
-if [ -f BENCH_netflow.json ]; then
-    nf_baseline="$(mktemp)"
-    cp BENCH_netflow.json "$nf_baseline"
-fi
+# The committed BENCH_netflow.json documents a full 1e8-record run; the
+# smoke run's numbers gate against the stashed copy.
+nf_baseline="$(stashed BENCH_netflow.json)"
 XBORDER_NETFLOW_MAX_RECORDS=1000000 ./target/release/bench_netflow
 
 echo "== netflow bench sanity (BENCH_netflow.json must exist and parse) =="
@@ -98,22 +115,15 @@ else:
     print(f"netflow check: netflow_records_per_sec {o:,.0f} -> {n:,.0f} "
           f"({n / o - 1:+.0%}), within the 20% budget")
 EOF
-    # Restore the committed full-scale document; the smoke doc is CI-only.
-    cp "$nf_baseline" BENCH_netflow.json
-    rm -f "$nf_baseline"
 fi
 
 echo "== worldscale bench smoke (1e5 users; writes BENCH_worldscale.json) =="
-# The committed BENCH_worldscale.json documents a full 1e6-user run; stash
-# it so the smoke run's numbers can gate against it without clobbering it.
-# The binary itself asserts fingerprint equality across segment sizes, so
-# a smoke pass is also a determinism pass; the sanity block below gates
-# each row's process high-water mark (VmHWM) against the baseline.
-ws_baseline=""
-if [ -f BENCH_worldscale.json ]; then
-    ws_baseline="$(mktemp)"
-    cp BENCH_worldscale.json "$ws_baseline"
-fi
+# The committed BENCH_worldscale.json documents a full 1e6-user run; the
+# smoke run's numbers gate against the stashed copy. The binary itself
+# asserts fingerprint equality across segment sizes, so a smoke pass is
+# also a determinism pass; the sanity block below gates each row's
+# process high-water mark (VmHWM) against the baseline.
+ws_baseline="$(stashed BENCH_worldscale.json)"
 XBORDER_WORLDSCALE_MAX_USERS=100000 ./target/release/bench_worldscale
 
 echo "== worldscale bench sanity (BENCH_worldscale.json must exist and parse; VmHWM gate) =="
@@ -194,19 +204,14 @@ else:
         print(f"worldscale check: users_per_sec at {key} {o:,.0f} -> {n:,.0f} "
               f"({n / o - 1:+.0%}), within the 20% budget")
 EOF
-    # Restore the committed full-scale document; the smoke doc is CI-only.
-    cp "$ws_baseline" BENCH_worldscale.json
-    rm -f "$ws_baseline"
 fi
 
 if [ -n "$baseline" ]; then
     echo "== bench regression check (study/geolocate/total/allocs/streaming vs committed baseline) =="
     # An unparseable baseline or fresh bench doc fails the gate; a >20%
     # wall-clock regression warns (CI boxes are noisy), a >20% rise in
-    # study_allocs fails it (the count is deterministic). The committed
-    # document is restored whether or not the gate passes.
-    gate=0
-    python3 - "$baseline" BENCH_pipeline.json <<'EOF' || gate=$?
+    # study_allocs fails it (the count is deterministic).
+    python3 - "$baseline" BENCH_pipeline.json <<'EOF'
 import json, sys
 
 def load(path):
@@ -262,10 +267,6 @@ for stage, o, n in pairs:
         print(f"bench check: {stage} {o:,.1f} -> {n:,.1f} "
               f"({n / o - 1:+.0%}), within the 20% budget")
 EOF
-    # Restore the committed document; the smoke doc is CI-only.
-    cp "$baseline" BENCH_pipeline.json
-    rm -f "$baseline"
-    [ "$gate" -eq 0 ] || exit "$gate"
 fi
 
 echo "== resume smoke (kill at chunk 2 mid-write, resume, fingerprint vs batch) =="

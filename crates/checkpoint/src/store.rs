@@ -34,12 +34,22 @@
 //! and the same dir fsync also covers the freshly created chunk file's
 //! directory entry (both live in the checkpoint dir).
 //!
+//! ## Checksums
+//!
+//! A frame's trailer is [`checksum64`] (XXH64) of its header and payload,
+//! and the manifest entry records that same value, read back from the
+//! frame rather than recomputed: each write hashes the blob once, and
+//! each load hashes it once.
+//!
 //! ## Validation order
 //!
 //! On load, a blob's length is checked against the manifest *before* its
 //! checksum, so a torn file reports [`CheckpointError::Truncated`] and a
 //! same-length corruption reports [`CheckpointError::ChecksumMismatch`].
-//! The loader never writes: a refused checkpoint directory is left
+//! The one checksum pass covers the header too, so a flip in the magic or
+//! version bytes is a mismatch against the manifest, and a flip in the
+//! trailer is a mismatch between the trailer and that same pass. The
+//! loader never writes: a refused checkpoint directory is left
 //! byte-identical for post-mortem.
 //!
 //! ## Kill points
@@ -56,12 +66,13 @@ use serde::{Deserialize, Serialize};
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use xborder_faults::{stable_hash, KillSwitch};
+use xborder_faults::{checksum64, KillSwitch};
 
 /// Format version written into every frame and the manifest. Bump on any
 /// incompatible layout change; old checkpoints are refused, not migrated.
-/// (v3: chunk blobs carry columnar segment blocks, DESIGN.md §5j.)
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// (v3: chunk blobs carry columnar segment blocks, DESIGN.md §5j; v4: the
+/// frame trailer and manifest checksum are XXH64, not FNV-1a.)
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Magic prefix of every framed blob file.
 pub const MAGIC: [u8; 4] = *b"XBCP";
@@ -89,7 +100,7 @@ pub struct ChunkEntry {
     pub file: String,
     /// Exact on-disk length of the framed blob.
     pub bytes: u64,
-    /// `stable_hash` of the full framed file.
+    /// The frame's trailer: [`checksum64`] of its header and payload.
     pub checksum: u64,
 }
 
@@ -102,7 +113,7 @@ pub struct StageEntry {
     pub file: String,
     /// Exact on-disk length of the framed blob.
     pub bytes: u64,
-    /// `stable_hash` of the full framed file.
+    /// The frame's trailer: [`checksum64`] of its header and payload.
     pub checksum: u64,
 }
 
@@ -120,7 +131,8 @@ pub struct Manifest {
     pub stages: Vec<StageEntry>,
 }
 
-/// Frames `payload` as a versioned, checksummed blob file image.
+/// Frames `payload` as a versioned, checksummed blob file image. The
+/// trailer — the last eight bytes — is the checksum the manifest records.
 pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut v = Vec::with_capacity(FRAME_MIN + payload.len());
     v.extend_from_slice(&MAGIC);
@@ -128,9 +140,23 @@ pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     v.push(kind);
     v.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     v.extend_from_slice(payload);
-    let sum = stable_hash(&v);
+    let sum = checksum64(&v);
     v.extend_from_slice(&sum.to_le_bytes());
     v
+}
+
+/// The trailing checksum of a frame image: its last eight bytes.
+fn frame_trailer(frame: &[u8]) -> u64 {
+    let mut sum8 = [0u8; 8];
+    sum8.copy_from_slice(&frame[frame.len() - 8..]);
+    u64::from_le_bytes(sum8)
+}
+
+/// [`checksum64`] of everything before the trailer, the one hash pass a
+/// load makes. Images too short to hold a trailer hash as empty; the
+/// frame checks then refuse them as truncated.
+fn body_checksum(bytes: &[u8]) -> u64 {
+    checksum64(&bytes[..bytes.len().saturating_sub(8)])
 }
 
 /// Validates a framed blob image and returns its payload slice.
@@ -142,6 +168,17 @@ pub fn decode_frame<'a>(
     path: &Path,
     bytes: &'a [u8],
     expect_kind: u8,
+) -> Result<&'a [u8], CheckpointError> {
+    check_frame(path, bytes, expect_kind, body_checksum(bytes))
+}
+
+/// [`decode_frame`] with the body checksum already computed, so a load
+/// that has hashed the image against the manifest does not hash it again.
+fn check_frame<'a>(
+    path: &Path,
+    bytes: &'a [u8],
+    expect_kind: u8,
+    actual: u64,
 ) -> Result<&'a [u8], CheckpointError> {
     if bytes.len() < FRAME_MIN {
         return Err(CheckpointError::Truncated {
@@ -190,11 +227,7 @@ pub fn decode_frame<'a>(
             ),
         });
     }
-    let body_end = bytes.len() - 8;
-    let mut sum8 = [0u8; 8];
-    sum8.copy_from_slice(&bytes[body_end..]);
-    let expected = u64::from_le_bytes(sum8);
-    let actual = stable_hash(&bytes[..body_end]);
+    let expected = frame_trailer(bytes);
     if expected != actual {
         return Err(CheckpointError::ChecksumMismatch {
             path: path.to_path_buf(),
@@ -202,7 +235,7 @@ pub fn decode_frame<'a>(
             actual,
         });
     }
-    Ok(&bytes[FRAME_HEADER..body_end])
+    Ok(&bytes[FRAME_HEADER..bytes.len() - 8])
 }
 
 /// A checkpoint directory opened for reading and appending.
@@ -308,7 +341,7 @@ impl CheckpointStore {
         kind: u8,
     ) -> Result<Vec<u8>, CheckpointError> {
         let path = self.dir.join(file);
-        let raw = fs::read(&path).map_err(|e| io_err(&path, e))?;
+        let mut raw = fs::read(&path).map_err(|e| io_err(&path, e))?;
         // Length before checksum: a torn write is truncation, not bit rot.
         if (raw.len() as u64) != bytes {
             if (raw.len() as u64) < bytes {
@@ -326,7 +359,9 @@ impl CheckpointStore {
                 ),
             });
         }
-        let actual = stable_hash(&raw);
+        // One hash pass: the manifest records the frame's trailer, so the
+        // same body checksum is checked against both.
+        let actual = body_checksum(&raw);
         if actual != checksum {
             return Err(CheckpointError::ChecksumMismatch {
                 path,
@@ -334,8 +369,11 @@ impl CheckpointStore {
                 actual,
             });
         }
-        let payload = decode_frame(&path, &raw, kind)?;
-        Ok(payload.to_vec())
+        let payload_len = check_frame(&path, &raw, kind, actual)?.len();
+        // Shift the payload to the front in place: no second buffer.
+        raw.truncate(FRAME_HEADER + payload_len);
+        raw.drain(..FRAME_HEADER);
+        Ok(raw)
     }
 
     /// Appends a chunk blob and commits it to the manifest. `index` must
@@ -358,7 +396,7 @@ impl CheckpointStore {
         }
         let file = format!("chunk-{index:05}.xbc");
         let frame = encode_frame(KIND_CHUNK, payload);
-        let checksum = stable_hash(&frame);
+        let checksum = frame_trailer(&frame);
         // Chunk files are append-only and unreferenced until the manifest
         // commit below, so the direct-write path is safe (module docs).
         self.write_direct(&file, &frame, &format!("chunk-{index}:blob"), kill)?;
@@ -382,7 +420,7 @@ impl CheckpointStore {
     ) -> Result<(), CheckpointError> {
         let file = format!("stage-{name}.xbc");
         let frame = encode_frame(KIND_STAGE, payload);
-        let checksum = stable_hash(&frame);
+        let checksum = frame_trailer(&frame);
         self.write_atomic(&file, &frame, &format!("stage-{name}:blob"), kill)?;
         let entry = StageEntry {
             name: name.to_string(),
@@ -487,6 +525,8 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -675,6 +715,81 @@ mod tests {
         let check = CheckpointStore::open(&dir, 6).unwrap();
         assert_eq!(check.load_chunk(&check.chunks()[0]).unwrap(), b"alpha");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().to_string_lossy().into_owned(), fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn manifest_checksum_is_the_frame_trailer() {
+        let dir = tmp_dir("trailer");
+        let kill = KillSwitch::none();
+        let mut store = CheckpointStore::open(&dir, 4).unwrap();
+        store.append_chunk(0, 0, 5, b"alpha", &kill).unwrap();
+        store.put_stage("completion", b"stage-bytes", &kill).unwrap();
+        let (chunk, stage) = (&store.chunks()[0], store.stage("completion").unwrap());
+        for (file, checksum) in [(&chunk.file, chunk.checksum), (&stage.file, stage.checksum)] {
+            let frame = fs::read(dir.join(file)).unwrap();
+            assert_eq!(checksum, frame_trailer(&frame), "{file}");
+            assert_eq!(checksum, checksum64(&frame[..frame.len() - 8]), "{file}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every single-bit flip anywhere in a committed chunk file — magic,
+        /// header, payload or trailer — is a checksum mismatch, and every
+        /// truncation is `Truncated`; the loader never returns the payload
+        /// and never touches the directory.
+        #[test]
+        fn committed_chunk_damage_is_always_refused(
+            len in 0usize..160,
+            fill in any::<u64>(),
+            flip in any::<u64>(),
+            cut in any::<u64>(),
+        ) {
+            let payload: Vec<u8> =
+                (0..len as u64).map(|i| (fill.rotate_left(i as u32) ^ i) as u8).collect();
+            let dir = tmp_dir("damage");
+            let mut store = CheckpointStore::open(&dir, 2).unwrap();
+            store.append_chunk(0, 0, 1, &payload, &KillSwitch::none()).unwrap();
+            let entry = store.chunks()[0].clone();
+            let path = dir.join(&entry.file);
+            let frame = fs::read(&path).unwrap();
+            prop_assert_eq!(store.load_chunk(&entry).unwrap(), payload);
+
+            let bit = (flip % (frame.len() as u64 * 8)) as usize;
+            let mut flipped = frame.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &flipped).unwrap();
+            let before = snapshot(&dir);
+            let got = CheckpointStore::open(&dir, 2).unwrap().load_chunk(&entry);
+            prop_assert!(
+                matches!(got, Err(CheckpointError::ChecksumMismatch { .. })),
+                "bit {} of {}: {:?}", bit, frame.len() * 8, got
+            );
+            prop_assert_eq!(&snapshot(&dir), &before);
+
+            let keep = (cut % frame.len() as u64) as usize;
+            fs::write(&path, &frame[..keep]).unwrap();
+            let before = snapshot(&dir);
+            let got = CheckpointStore::open(&dir, 2).unwrap().load_chunk(&entry);
+            prop_assert!(
+                matches!(got, Err(CheckpointError::Truncated { .. })),
+                "cut at {} of {}: {:?}", keep, frame.len(), got
+            );
+            prop_assert_eq!(&snapshot(&dir), &before);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

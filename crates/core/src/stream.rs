@@ -745,6 +745,11 @@ pub(crate) fn encode_completion_state(
     w.into_bytes()
 }
 
+/// Smallest encoded tracker-IP record of the completion stage: a v4
+/// address (tag + 4), the request count, the host count, the window and
+/// the pDNS flag. Each host adds at least its 8-byte length prefix.
+const IP_RECORD_MIN: usize = 5 + 8 + 8 + 16 + 1;
+
 pub(crate) fn decode_completion_state(
     payload: &[u8],
 ) -> Result<(TrackerIpSet, CompletionStats, DegradationReport), StreamError> {
@@ -754,13 +759,13 @@ pub(crate) fn decode_completion_state(
         (TrackerIpSet, CompletionStats, DegradationReport),
         DecodeError,
     > {
-        let n = rd.len_prefix()?;
-        let mut ips: HashMap<IpAddr, IpInfo> = HashMap::with_capacity(n.min(1 << 20));
+        let n = rd.count(IP_RECORD_MIN)?;
+        let mut ips: HashMap<IpAddr, IpInfo> = HashMap::with_capacity(n);
         for _ in 0..n {
             let ip = read_ip(rd)?;
             let requests = rd.u64()?;
-            let n_hosts = rd.len_prefix()?;
-            let mut hosts = HashSet::with_capacity(n_hosts.min(1 << 16));
+            let n_hosts = rd.count(8)?;
+            let mut hosts = HashSet::with_capacity(n_hosts);
             for _ in 0..n_hosts {
                 hosts.insert(Domain::new(rd.str()?));
             }
@@ -947,6 +952,49 @@ mod tests {
         assert_eq!(info.window, TimeWindow::new(SimTime(5), SimTime(900)));
         assert_eq!(stats2, stats);
         assert_eq!(delta2, delta);
+    }
+
+    #[test]
+    fn inflated_completion_counts_are_typed_corruption() {
+        // A few dozen checksum-valid bytes must not reserve a table from
+        // an unchecked count: both the IP-record count and a record's host
+        // count are bounded by the bytes left.
+        let delta = DegradationReport::default();
+        let stats = CompletionStats {
+            n_observed: 0,
+            n_added: 0,
+            v4_share: 0.0,
+            added_v4_share: 0.0,
+        };
+        let empty = encode_completion_state(&TrackerIpSet::default(), &stats, &delta);
+        let mut one = HashMap::new();
+        one.insert(
+            "9.8.7.6".parse().unwrap(),
+            IpInfo {
+                requests: 1,
+                hosts: HashSet::new(),
+                window: TimeWindow::new(SimTime(0), SimTime(1)),
+                from_pdns_only: false,
+            },
+        );
+        let single = encode_completion_state(&TrackerIpSet { ips: one }, &stats, &delta);
+        // The record count leads the blob; a record's host count follows
+        // its address (tag + 4 bytes) and request count.
+        for (what, base, at) in [("ip records", &empty, 0), ("hosts", &single, 8 + 5 + 8)] {
+            for inflated in [1u64 << 20, 1 << 40, u64::MAX] {
+                let mut bad = base.clone();
+                bad[at..at + 8].copy_from_slice(&inflated.to_le_bytes());
+                match decode_completion_state(&bad) {
+                    Err(StreamError::Checkpoint(CheckpointError::Corrupt { detail, .. })) => {
+                        assert!(
+                            detail.contains("bytes left") || detail.contains("exceeds usize"),
+                            "{what} = {inflated}: {detail}"
+                        );
+                    }
+                    other => panic!("{what} = {inflated}: expected Corrupt, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -64,7 +64,9 @@ use xborder_checkpoint::{ByteWriter, CheckpointError, CheckpointStore, DecodeErr
 use xborder_classify::{
     generate_lists, ClassifierStages, IncrementalClassifier, MethodCounts,
 };
-use xborder_faults::{stable_hash, DegradationReport, FaultInjector, FaultPlan, KillSwitch};
+use xborder_faults::{
+    checksum64, stable_hash, DegradationReport, FaultInjector, FaultPlan, KillSwitch,
+};
 use xborder_geo::Region;
 use xborder_webgraph::DomainTable;
 
@@ -204,7 +206,7 @@ fn visit_row_hash(user: u32, publisher: u32, time: u64) -> u64 {
     b[..4].copy_from_slice(&user.to_le_bytes());
     b[4..8].copy_from_slice(&publisher.to_le_bytes());
     b[8..16].copy_from_slice(&time.to_le_bytes());
-    stable_hash(&b)
+    checksum64(&b)
 }
 
 /// Digest of one request row at `global_row`. `parent` must already be a
@@ -245,7 +247,7 @@ fn request_row_hash(
     }
     buf.push(label);
     buf.extend_from_slice(r.url.as_bytes());
-    stable_hash(buf)
+    checksum64(buf)
 }
 
 /// Folds a *materialized* log into the `(visit_hash, request_hash)`

@@ -224,7 +224,11 @@ pub fn derive_stream_seed(parent: u64, key: u64) -> u64 {
     mix64(mix64(parent ^ 0x9E37_79B9_7F4A_7C15) ^ mix64(key.wrapping_add(0x6a09_e667_f3bc_c909)))
 }
 
-/// FNV-1a over bytes, for keying coins on names.
+/// FNV-1a over bytes, for keying coins and seeds on names: fault coins,
+/// DNS lookup RNG streams and passive-DNS keys all derive from it, so its
+/// output is pinned by every golden and must never change. It runs a
+/// byte at a time — never use it for bulk bytes; integrity checksums and
+/// row digests use [`checksum64`].
 pub fn stable_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -232,6 +236,87 @@ pub fn stable_hash(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+fn xxh_merge(h: u64, acc: u64) -> u64 {
+    (h ^ xxh_round(0, acc))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8-byte lane"))
+}
+
+/// XXH64 (seed 0) over bytes: the integrity hash for checkpoint frames
+/// and the digest of bulk rows. It reads 32-byte stripes into four
+/// 64-bit lanes, so it runs at memory speed where [`stable_hash`] walks a
+/// byte at a time. Not for coins or seeds — those stay on
+/// [`stable_hash`], whose values the goldens pin.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut rest = bytes;
+    let mut h = if bytes.len() >= 32 {
+        let mut acc = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        let mut stripes = bytes.chunks_exact(32);
+        for stripe in &mut stripes {
+            for (a, lane) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *a = xxh_round(*a, le64(lane));
+            }
+        }
+        rest = stripes.remainder();
+        let h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.iter().fold(h, |h, &a| xxh_merge(h, a))
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = rest.chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ xxh_round(0, le64(w)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_P1)
+            .wrapping_add(XXH_P4);
+    }
+    rest = words.remainder();
+    if rest.len() >= 4 {
+        let w = u32::from_le_bytes(rest[..4].try_into().expect("4-byte word"));
+        h = (h ^ (w as u64).wrapping_mul(XXH_P1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_P2)
+            .wrapping_add(XXH_P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h = (h ^ (b as u64).wrapping_mul(XXH_P5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
 }
 
 /// A stable 64-bit key for an address, for keying coins on IPs.
@@ -1018,6 +1103,91 @@ mod tests {
         assert_eq!(acc.counter_values(), vals);
         assert_eq!(acc.eu28_confinement, 0.0);
         assert_eq!(acc.timings, StageTimings::default());
+    }
+
+    /// XXH64 (seed 0) written the plainest way: words assembled a byte
+    /// at a time by index, so its stripe, word and tail splitting shares
+    /// nothing with [`checksum64`]'s `chunks_exact` path.
+    fn xxh64_reference(bytes: &[u8]) -> u64 {
+        let word = |at: usize, n: usize| {
+            (0..n).fold(0u64, |w, k| w | (bytes[at + k] as u64) << (8 * k))
+        };
+        let mut i = 0;
+        let mut h = if bytes.len() >= 32 {
+            let mut acc = [
+                XXH_P1.wrapping_add(XXH_P2),
+                XXH_P2,
+                0,
+                XXH_P1.wrapping_neg(),
+            ];
+            while i + 32 <= bytes.len() {
+                for a in acc.iter_mut() {
+                    *a = xxh_round(*a, word(i, 8));
+                    i += 8;
+                }
+            }
+            let mut h = acc[0]
+                .rotate_left(1)
+                .wrapping_add(acc[1].rotate_left(7))
+                .wrapping_add(acc[2].rotate_left(12))
+                .wrapping_add(acc[3].rotate_left(18));
+            for a in acc {
+                h = xxh_merge(h, a);
+            }
+            h
+        } else {
+            XXH_P5
+        };
+        h = h.wrapping_add(bytes.len() as u64);
+        while i + 8 <= bytes.len() {
+            h ^= xxh_round(0, word(i, 8));
+            h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+            i += 8;
+        }
+        if i + 4 <= bytes.len() {
+            h ^= word(i, 4).wrapping_mul(XXH_P1);
+            h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+            i += 4;
+        }
+        while i < bytes.len() {
+            h ^= (bytes[i] as u64).wrapping_mul(XXH_P5);
+            h = h.rotate_left(11).wrapping_mul(XXH_P1);
+            i += 1;
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(XXH_P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(XXH_P3);
+        h ^ (h >> 32)
+    }
+
+    #[test]
+    fn checksum64_known_answers() {
+        assert_eq!(checksum64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(checksum64(b"abc"), 0x44BC_2CF5_AD77_0999);
+    }
+
+    #[test]
+    fn checksum64_matches_the_bytewise_reference_at_every_length() {
+        // Lengths 0..=200 cover the short path, every 8/4/1-byte tail
+        // combination, and one to six 32-byte stripes.
+        let buf: Vec<u8> = (0..200u32)
+            .map(|i| (i.wrapping_mul(151) ^ (i >> 3)) as u8)
+            .collect();
+        for n in 0..=buf.len() {
+            assert_eq!(
+                checksum64(&buf[..n]),
+                xxh64_reference(&buf[..n]),
+                "length {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn stable_hash_is_unchanged_fnv1a() {
+        // Coins, DNS seeds and pDNS keys derive from these values.
+        assert_eq!(stable_hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(stable_hash(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]
