@@ -71,8 +71,9 @@ use xborder_faults::{checksum64, KillSwitch};
 /// Format version written into every frame and the manifest. Bump on any
 /// incompatible layout change; old checkpoints are refused, not migrated.
 /// (v3: chunk blobs carry columnar segment blocks, DESIGN.md §5j; v4: the
-/// frame trailer and manifest checksum are XXH64, not FNV-1a.)
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// frame trailer and manifest checksum are XXH64, not FNV-1a; v5: classifier
+/// deltas carry URLs in split form with one state byte, DESIGN.md §5g.)
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Magic prefix of every framed blob file.
 pub const MAGIC: [u8; 4] = *b"XBCP";
@@ -586,6 +587,38 @@ mod tests {
             decode_frame(p, &frame, KIND_STAGE),
             Err(CheckpointError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn v4_directory_is_refused() {
+        // A directory written by the previous format: its manifest and
+        // frames say version 4. Opening it is a typed refusal that leaves
+        // every file as it was.
+        let dir = tmp_dir("v4");
+        let kill = KillSwitch::none();
+        let mut store = CheckpointStore::open(&dir, 7).unwrap();
+        store.append_chunk(0, 0, 3, b"old chunk", &kill).unwrap();
+        drop(store);
+        let manifest = dir.join("manifest.json");
+        let text = fs::read_to_string(&manifest).unwrap();
+        let needle = format!("\"version\": {CHECKPOINT_VERSION}");
+        assert!(text.contains(&needle), "manifest carries its version: {text}");
+        fs::write(&manifest, text.replace(&needle, "\"version\": 4")).unwrap();
+        let chunk = dir.join("chunk-00000.xbc");
+        let mut frame = fs::read(&chunk).unwrap();
+        frame[4..8].copy_from_slice(&4u32.to_le_bytes());
+        fs::write(&chunk, &frame).unwrap();
+        let before = (fs::read(&manifest).unwrap(), fs::read(&chunk).unwrap());
+        assert!(matches!(
+            CheckpointStore::open(&dir, 7),
+            Err(CheckpointError::VersionMismatch { found: 4, expected: 5 })
+        ));
+        assert!(matches!(
+            decode_frame(&chunk, &frame, KIND_CHUNK),
+            Err(CheckpointError::VersionMismatch { found: 4, expected: 5 })
+        ));
+        assert_eq!(before, (fs::read(&manifest).unwrap(), fs::read(&chunk).unwrap()));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`IncrementalClassifier`] closes that gap by persisting the classifier's
 //! cross-chunk state between [`IncrementalClassifier::append_chunk`] calls:
 //!
-//! - the URL interner (owned strings + open-addressing dedup table), the
+//! - the URL interner (owned URLs + open-addressing dedup table), the
 //!   host remap, and the compiled [`RuleEngine`] with its dense
 //!   [`HostRow`] table (DESIGN.md §5h), so every string is hashed, every
 //!   host gate-resolved and `tld()`-ed, once per *unique* value across the
@@ -20,7 +20,7 @@
 //! - the per-unique-URL predicate memos (argument presence, keyword
 //!   verdict, URL-dependent stage-1 gate verdict) — all pure functions of
 //!   the URL string, so a memo filled in chunk 0 is exact in chunk 40;
-//! - the Table-2 seen-bit arrays and running [`MethodCounts`], making the
+//! - the Table-2 seen-bits and running [`MethodCounts`], making the
 //!   counts absorbable per chunk: finalize no longer re-walks anything.
 //!
 //! The propagation stages still run the PR 2 worklist, but only over the
@@ -30,6 +30,23 @@
 //! decomposes exactly into per-chunk fixpoints. Labels are monotone
 //! (Clean → Semi/AbpTracking, never back), so a chunk's labels are final
 //! the moment the chunk is processed.
+//!
+//! # Per-URL layout
+//!
+//! The per-unique-URL state is what grows with the stream (DESIGN.md §5g,
+//! "Classifier state layout"), so it is kept to about 17 bytes plus the
+//! URL's suffix:
+//!
+//! - a URL whose bytes are `http(s)://` + its request's host name + a
+//!   suffix is stored in *split form*: a scheme, the host id it already
+//!   carries, and only the suffix bytes; any other URL is stored raw.
+//!   Equal URLs share a host (the batch interner debug-asserts it), so
+//!   comparing form, host id and suffix is exact;
+//! - suffix bytes and the fixed-width columns (locator, host id, the low
+//!   half of the URL hash, one state byte) live in fixed-size pages that
+//!   are never reallocated, so growth copies nothing and leaves at most
+//!   one page of slack per structure;
+//! - the three tri-state memos and the two seen-bits share one state byte.
 //!
 //! # Determinism
 //!
@@ -47,19 +64,20 @@
 //! move the state through the `xborder-checkpoint` codec so a killed
 //! streaming run resumes without re-deriving it (format: DESIGN.md §5g).
 //! Each delta carries only what changed since the previous one — new
-//! unique URLs/hosts plus the sparse memo/seen-bit mutations to older
-//! entries — so the total serialized volume across a stream is O(unique
-//! values), not O(chunks × state). Replaying a checkpoint applies the
-//! chunk deltas in order, which reconstructs the exact live state. Gates,
-//! TLD ids and the dedup table are *rebuilt* on apply from the stored
-//! unique strings — they are deterministic functions of (filter lists,
-//! domain table), both of which the resuming process re-derives from the
-//! seed before the store is opened.
+//! unique URLs/hosts plus the sparse state-byte updates of older entries —
+//! so the total serialized volume across a stream is O(unique values),
+//! not O(chunks × state). Replaying a checkpoint applies the chunk deltas
+//! in order, which reconstructs the exact live state. Gates, TLD ids and
+//! the dedup table are *rebuilt* on apply from the stored unique values —
+//! they are deterministic functions of (filter lists, domain table), both
+//! of which the resuming process re-derives from the seed before the store
+//! is opened.
 
 use crate::classifier::{url_hash, ChildIndex, Classification, ClassifierStages, MethodCounts, NO_REFERRER};
 use crate::engine::{HostRow, KeywordScanner, RuleEngine};
 use crate::rules::FilterList;
 use std::collections::VecDeque;
+use std::mem::size_of;
 use xborder_browser::{LoggedRequest, Referrer};
 use xborder_checkpoint::{ByteReader, ByteWriter, DecodeError};
 use xborder_webgraph::{DomainId, DomainTable};
@@ -68,6 +86,50 @@ use xborder_webgraph::{DomainId, DomainTable};
 const MEMO_UNKNOWN: u8 = 0;
 const MEMO_NO: u8 = 1;
 const MEMO_YES: u8 = 2;
+
+/// Bit offsets of the 2-bit fields of a URL's state byte: the argument,
+/// keyword and stage-1 gate memos, and the Table-2 seen-bits (bit 0 =
+/// ABP, bit 1 = semi).
+const ARGS: u32 = 0;
+const KW: u32 = 2;
+const GATE: u32 = 4;
+const SEEN: u32 = 6;
+
+/// True if no memo field of a decoded state byte holds the unused value 3.
+fn valid_state(state: u8) -> bool {
+    [ARGS, KW, GATE].iter().all(|&f| (state >> f) & 3 <= MEMO_YES)
+}
+
+/// Storage forms of a unique URL: raw bytes, or split into a scheme, the
+/// URL's host and a suffix. The value indexes [`SCHEME_PREFIX`].
+const FORM_RAW: u8 = 0;
+const FORM_HTTP: u8 = 1;
+const FORM_HTTPS: u8 = 2;
+const SCHEME_PREFIX: [&[u8]; 3] = [b"", b"http://", b"https://"];
+
+/// Splits a URL into its storage form and stored bytes: `(form, suffix)`
+/// with `url == SCHEME_PREFIX[form] + host + suffix` for the split forms,
+/// `(FORM_RAW, url)` otherwise.
+fn split_url<'a>(url: &'a [u8], host: &[u8]) -> (u8, &'a [u8]) {
+    for form in [FORM_HTTPS, FORM_HTTP] {
+        if let Some(suffix) = url
+            .strip_prefix(SCHEME_PREFIX[form as usize])
+            .and_then(|rest| rest.strip_prefix(host))
+        {
+            return (form, suffix);
+        }
+    }
+    (FORM_RAW, url)
+}
+
+/// A unique URL as the store compares and keeps it.
+#[derive(Clone, Copy)]
+struct UrlKey<'a> {
+    form: u8,
+    /// Dense host id.
+    host: u32,
+    suffix: &'a [u8],
+}
 
 /// One chunk's classification, emitted by
 /// [`IncrementalClassifier::append_chunk`]. `labels` is parallel to the
@@ -85,56 +147,194 @@ pub struct ChunkClassification {
     pub stage3_rounds: usize,
 }
 
-/// Owned unique-URL store: one contiguous byte buffer plus per-id spans.
+/// Bytes held by an [`IncrementalClassifier`]'s per-URL and per-host
+/// structures, from their capacities (what the allocator handed out, not
+/// what is filled). The compiled rule engine is fixed at construction and
+/// not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResidentBytes {
+    /// Pages of unique-URL suffix bytes.
+    pub url_suffixes: usize,
+    /// Fixed-width per-URL columns: locator, host id, hash half, state
+    /// byte, and the serialization snapshot of the state bytes.
+    pub url_columns: usize,
+    /// The cross-chunk dedup table: one 8-byte slot per request absorbed,
+    /// rounded up to a power of two.
+    pub url_slots: usize,
+    /// Per-host and per-TLD tables: world-id remap, host ids, engine rows
+    /// and seen-bits.
+    pub hosts: usize,
+    /// Per-chunk working memory. It is reused from chunk to chunk and sized
+    /// by the largest chunk, not by the stream, so it is reported apart.
+    pub chunk_scratch: usize,
+}
+
+impl ResidentBytes {
+    /// Everything that grows with the stream: all but the chunk scratch.
+    pub fn state(&self) -> usize {
+        self.url_suffixes + self.url_columns + self.url_slots + self.hosts
+    }
+}
+
+/// Entries per page of a [`Paged`] column.
+const COLUMN_PAGE: usize = 1 << 12;
+
+/// An append-only column in fixed-size pages that are never reallocated:
+/// growing it allocates one more page and copies nothing, and at most one
+/// page is slack.
+#[derive(Default)]
+struct Paged<T> {
+    pages: Vec<Box<[T]>>,
+    len: usize,
+}
+
+impl<T: Copy + Default + PartialEq> Paged<T> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, v: T) {
+        if self.len == self.pages.len() * COLUMN_PAGE {
+            self.pages.push(vec![T::default(); COLUMN_PAGE].into_boxed_slice());
+        }
+        self.pages[self.len / COLUMN_PAGE][self.len % COLUMN_PAGE] = v;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> T {
+        debug_assert!(i < self.len, "index {i} past {} entries", self.len);
+        self.pages[i / COLUMN_PAGE][i % COLUMN_PAGE]
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize, v: T) {
+        debug_assert!(i < self.len, "index {i} past {} entries", self.len);
+        self.pages[i / COLUMN_PAGE][i % COLUMN_PAGE] = v;
+    }
+
+    /// The filled entries, one slice per page.
+    fn filled_pages(&self) -> impl Iterator<Item = &[T]> {
+        let len = self.len;
+        self.pages
+            .iter()
+            .enumerate()
+            .map(move |(p, page)| &page[..(len - p * COLUMN_PAGE).min(COLUMN_PAGE)])
+    }
+
+    /// Makes `self` equal to `src`, overwriting the pages it already has.
+    fn copy_from(&mut self, src: &Paged<T>) {
+        self.pages.truncate(src.pages.len());
+        for (p, page) in src.pages.iter().enumerate() {
+            match self.pages.get_mut(p) {
+                Some(dst) => dst.copy_from_slice(page),
+                None => self.pages.push(page.clone()),
+            }
+        }
+        self.len = src.len;
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.pages.len() * COLUMN_PAGE * size_of::<T>() + self.pages.capacity() * size_of::<Box<[T]>>()
+    }
+}
+
+/// Suffix bytes per page of a [`UrlStore`].
+const SUFFIX_PAGE: usize = 1 << 16;
+/// Locator length field of a suffix too long for a shared page: it has a
+/// page of its own and is the whole of it.
+const WHOLE_PAGE: u64 = 0xFFFF;
+
+/// Owned unique-URL store: suffix bytes in fixed-size pages plus one
+/// locator and one host id per URL.
 ///
 /// The batch interner never copies a URL — it borrows equality targets
 /// from the request log. Across chunks the log is gone, so the classifier
-/// must own one copy per unique URL; an arena makes that ownership an
-/// amortized byte append instead of a per-string allocation, and keeps
-/// cold equality probes walking one linear buffer.
+/// must own one copy per unique URL. In split form only the bytes after
+/// `scheme://host` are kept (about a third of a simulator URL is that
+/// prefix). Pages are never reallocated, so the store never copies what it
+/// holds as it grows.
 #[derive(Default)]
-struct UrlArena {
-    bytes: Vec<u8>,
-    spans: Vec<(usize, u32)>,
+struct UrlStore {
+    pages: Vec<Vec<u8>>,
+    /// Whether the last page takes further suffixes (a page holding one
+    /// oversized suffix does not).
+    tail_open: bool,
+    /// Per URL: form (2 bits) | page (30) | offset in the page (16) |
+    /// length (16, or [`WHOLE_PAGE`]).
+    loc: Paged<u64>,
+    /// Per URL: dense host id.
+    host: Paged<u32>,
 }
 
-impl UrlArena {
+impl UrlStore {
     fn len(&self) -> usize {
-        self.spans.len()
+        self.loc.len()
     }
 
-    fn push(&mut self, url: &str) {
-        self.spans.push((self.bytes.len(), url.len() as u32));
-        self.bytes.extend_from_slice(url.as_bytes());
+    fn push(&mut self, key: UrlKey<'_>) {
+        let len = key.suffix.len();
+        let (off, len_field) = if len as u64 >= WHOLE_PAGE {
+            self.pages.push(key.suffix.to_vec());
+            self.tail_open = false;
+            (0, WHOLE_PAGE)
+        } else {
+            // Offset plus length stays below SUFFIX_PAGE, so both fit 16 bits.
+            if !self.tail_open || self.pages.last().is_some_and(|p| p.len() + len >= SUFFIX_PAGE) {
+                self.pages.push(Vec::with_capacity(SUFFIX_PAGE));
+                self.tail_open = true;
+            }
+            let page = self.pages.last_mut().expect("a page was just ensured");
+            let off = page.len() as u64;
+            page.extend_from_slice(key.suffix);
+            (off, len as u64)
+        };
+        let page = (self.pages.len() - 1) as u64;
+        assert!(page < 1 << 30, "suffix page index overflows its locator field");
+        self.loc.push((key.form as u64) << 62 | page << 32 | off << 16 | len_field);
+        self.host.push(key.host);
     }
 
-    fn bytes_of(&self, id: usize) -> &[u8] {
-        let (off, len) = self.spans[id];
-        &self.bytes[off..off + len as usize]
+    fn key(&self, id: usize) -> UrlKey<'_> {
+        let l = self.loc.get(id);
+        let page = &self.pages[(l >> 32 & 0x3FFF_FFFF) as usize];
+        let suffix = if l & 0xFFFF == WHOLE_PAGE {
+            &page[..]
+        } else {
+            let off = (l >> 16 & 0xFFFF) as usize;
+            &page[off..off + (l & 0xFFFF) as usize]
+        };
+        UrlKey { form: (l >> 62) as u8, host: self.host.get(id), suffix }
     }
 
-    fn str_of(&self, id: usize) -> &str {
-        std::str::from_utf8(self.bytes_of(id)).expect("arena bytes come from pushed &str")
+    fn matches(&self, id: usize, key: UrlKey<'_>) -> bool {
+        let stored = self.key(id);
+        stored.form == key.form && stored.host == key.host && stored.suffix == key.suffix
+    }
+
+    /// Bytes held by the suffix pages (the columns are counted apart).
+    fn suffix_bytes(&self) -> usize {
+        self.pages.iter().map(Vec::capacity).sum::<usize>()
+            + self.pages.capacity() * size_of::<Vec<u8>>()
     }
 }
 
-/// Cross-chunk dedup table over the classifier's owned URL strings —
-/// level two of the two-level intern (see `append_chunk`). Same load
-/// factor and linear probing as the batch `UrlTable`, so ids are assigned
-/// in the same first-occurrence order, but it is only ever probed once
-/// per *chunk-distinct* URL (the chunk-local [`ScratchSlots`] absorbs all
+/// Cross-chunk dedup table over the classifier's owned URLs — level two
+/// of the two-level intern (see `append_chunk`). Same load factor and
+/// linear probing as the batch `UrlTable`, so ids are assigned in the same
+/// first-occurrence order, but it is only ever probed once per
+/// *chunk-distinct* URL (the chunk-local [`ScratchSlots`] absorbs all
 /// within-chunk repeats), so its slots carry no occurrence index — 8
-/// bytes, equality always against the owned arena.
+/// bytes, equality always against the owned store.
 struct UrlSlots {
     slots: Vec<Slot>,
     mask: usize,
     len: u32,
-    /// Interned id -> full 64-bit hash, dense. Kept so a table grow is a
-    /// sequential re-insert of (hash, id) pairs instead of re-hashing
-    /// every owned string through cold arena reads — on the streaming
-    /// workload each of those rehashes cost multiple milliseconds (the
-    /// arena is several MB by the time the table crosses a power of two).
-    hashes: Vec<u64>,
+    /// Interned id -> low 32 bits of its hash (the slot's tag holds the
+    /// high 32). Together they reject nearly every false tag match without
+    /// touching the colder suffix bytes, and let a table grow re-insert
+    /// from the old slots alone instead of re-hashing every owned URL.
+    hash_lo: Paged<u32>,
 }
 
 /// `id1` is the interned id plus one (0 = empty slot).
@@ -223,51 +423,56 @@ impl UrlSlots {
             slots: vec![Slot::default(); slots],
             mask: slots - 1,
             len: 0,
-            hashes: Vec::new(),
+            hash_lo: Paged::default(),
         }
+    }
+
+    /// Home slot of a hash (from its low half, the part the sidecar keeps).
+    fn home(&self, hash: u64) -> usize {
+        hash as u32 as usize & self.mask
     }
 
     /// Pulls the slot a hash maps to into cache ahead of its `intern` call.
     fn prefetch(&self, hash: u64) {
-        std::hint::black_box(self.slots[hash as usize & self.mask].id1);
+        std::hint::black_box(self.slots[self.home(hash)].id1);
     }
 
-    /// Chases a probed slot into the arena: if the hash's home slot holds
-    /// a tag match, its string is about to be equality-compared — touching
-    /// the span and first byte a few iterations early overlaps those two
-    /// dependent DRAM loads with the resolve loop.
-    fn prefetch_arena(&self, hash: u64, urls: &UrlArena) {
-        let slot = self.slots[hash as usize & self.mask];
+    /// Chases a probed slot into the store: if the hash's home slot holds
+    /// a tag match, its hash half and suffix are about to be compared —
+    /// touching them a few iterations early overlaps those dependent DRAM
+    /// loads with the resolve loop.
+    fn prefetch_url(&self, hash: u64, urls: &UrlStore) {
+        let slot = self.slots[self.home(hash)];
         if slot.id1 != 0 && slot.tag == (hash >> 32) as u32 {
-            std::hint::black_box(urls.bytes_of((slot.id1 - 1) as usize).first().copied());
+            let id = (slot.id1 - 1) as usize;
+            std::hint::black_box(self.hash_lo.get(id));
+            std::hint::black_box(urls.key(id).suffix.first().copied());
         }
     }
 
-    /// Interns against the owned unique-string store (both the pass-2
-    /// resolve loop and the `apply_delta` path, where no chunk slice
-    /// exists).
-    fn intern_owned(&mut self, hash: u64, url: &str, urls: &UrlArena) -> UrlSlot {
+    /// Interns against the owned unique-URL store (both the pass-2 resolve
+    /// loop and the `apply_delta` path, where no chunk slice exists).
+    /// `hash` is `url_hash` of the URL's full bytes.
+    fn intern_owned(&mut self, hash: u64, key: UrlKey<'_>, urls: &UrlStore) -> UrlSlot {
         if self.len as usize * 4 >= self.slots.len() * 3 {
-            self.grow();
+            self.grow_to(self.slots.len() * 2);
         }
         let tag = (hash >> 32) as u32;
-        let mut s = hash as usize & self.mask;
+        let mut s = self.home(hash);
         loop {
             let slot = self.slots[s];
             if slot.id1 == 0 {
                 self.len += 1;
                 self.slots[s] = Slot { tag, id1: self.len };
-                self.hashes.push(hash);
+                self.hash_lo.push(hash as u32);
                 return UrlSlot::New(self.len - 1);
             }
-            // Tag (high 32 bits) filters in the slot line itself; the full
-            // 64-bit hash from the dense sidecar then rejects nearly every
-            // residual false tag match without touching the (colder) arena
-            // bytes. The byte equality stays authoritative.
-            if slot.tag == tag
-                && self.hashes[(slot.id1 - 1) as usize] == hash
-                && urls.bytes_of((slot.id1 - 1) as usize) == url.as_bytes()
-            {
+            // Tag (high 32 bits) filters in the slot line itself; the low
+            // half from the dense sidecar then rejects nearly every
+            // residual false tag match without touching the (colder)
+            // suffix bytes. The key comparison stays authoritative.
+            let id = (slot.id1 - 1) as usize;
+            if slot.tag == tag && self.hash_lo.get(id) == hash as u32 && urls.matches(id, key) {
                 return UrlSlot::Existing(slot.id1 - 1);
             }
             s = (s + 1) & self.mask;
@@ -290,26 +495,25 @@ impl UrlSlots {
         }
     }
 
-    /// Doubles the table.
-    fn grow(&mut self) {
-        self.grow_to(self.slots.len() * 2);
-    }
-
-    /// Rebuilds the table at `n` slots from the dense id -> hash sidecar:
-    /// one sequential walk, no arena reads. Linear-probe lookups only need
-    /// every key reachable from its home slot without crossing an empty
-    /// slot, and re-inserting every key into an empty table preserves that
-    /// regardless of insertion order — slot layout is not part of the
-    /// determinism contract (interned ids are, and they don't move).
+    /// Rebuilds the table at `n` slots from the old slots, which carry
+    /// each entry's tag and id; the home slot comes from the hash half in
+    /// the sidecar. Linear-probe lookups only need every key reachable
+    /// from its home slot without crossing an empty slot, and re-inserting
+    /// every key into an empty table preserves that regardless of
+    /// insertion order — slot layout is not part of the determinism
+    /// contract (interned ids are, and they don't move).
     fn grow_to(&mut self, n: usize) {
         let mut slots = vec![Slot::default(); n];
         let mask = n - 1;
-        for (id, &hash) in self.hashes.iter().enumerate() {
-            let mut d = hash as usize & mask;
+        for &old in &self.slots {
+            if old.id1 == 0 {
+                continue;
+            }
+            let mut d = self.hash_lo.get((old.id1 - 1) as usize) as usize & mask;
             while slots[d].id1 != 0 {
                 d = (d + 1) & mask;
             }
-            slots[d] = Slot { tag: (hash >> 32) as u32, id1: id as u32 + 1 };
+            slots[d] = old;
         }
         self.slots = slots;
         self.mask = mask;
@@ -318,7 +522,7 @@ impl UrlSlots {
 
 /// Reusable per-chunk working memory: the chunk-local dedup table and the
 /// dense per-request/per-chunk-distinct views. `append_chunk` used to
-/// allocate these eight buffers afresh every chunk; at streaming chunk
+/// allocate these buffers afresh every chunk; at streaming chunk
 /// sizes (~1.3K requests) that fixed cost repeats hundreds of times over a
 /// stream, so the buffers persist across chunks and are cleared instead.
 #[derive(Default)]
@@ -329,6 +533,7 @@ struct ChunkScratch {
     uid_hash: Vec<u64>,
     uid_verdict: Vec<bool>,
     gid_of: Vec<u32>,
+    gid_host: Vec<u32>,
     url_of: Vec<u32>,
     host_of: Vec<u32>,
     referrer_of: Vec<u32>,
@@ -342,6 +547,7 @@ impl ChunkScratch {
         self.uid_hash.clear();
         self.uid_verdict.clear();
         self.gid_of.clear();
+        self.gid_host.clear();
         self.url_of.clear();
         self.host_of.clear();
         self.referrer_of.clear();
@@ -349,6 +555,20 @@ impl ChunkScratch {
         self.url_of.reserve(n);
         self.host_of.reserve(n);
         self.referrer_of.reserve(n);
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.scratch.slots.capacity() * size_of::<ScratchSlot>()
+            + self.uid_hash.capacity() * size_of::<u64>()
+            + self.uid_verdict.capacity()
+            + (self.chunk_of.capacity()
+                + self.uid_first.capacity()
+                + self.gid_of.capacity()
+                + self.gid_host.capacity()
+                + self.url_of.capacity()
+                + self.host_of.capacity()
+                + self.referrer_of.capacity())
+                * size_of::<u32>()
     }
 }
 
@@ -362,55 +582,50 @@ pub struct IncrementalClassifier {
     stages: ClassifierStages,
     scanner: KeywordScanner,
 
-    /// Owned unique-URL arena. The batch classifier borrows equality
-    /// targets from the request log; across chunks the log is gone, so the
-    /// interner owns one copy per *unique* URL (contiguous, span-indexed).
-    urls: UrlArena,
+    /// Owned unique URLs (split or raw form) with their host ids.
+    urls: UrlStore,
     url_slots: UrlSlots,
-    /// Unique-URL id -> unique-host id (a URL embeds its host, so equal
-    /// URLs share a host — same invariant the batch interner debug-asserts).
-    host_of_url: Vec<u32>,
     /// World `DomainId` -> classifier-local dense host id (`u32::MAX` =
     /// unseen), lazily grown.
     host_remap: Vec<u32>,
-    /// Dense host id -> world `DomainId` (serialization + row re-resolution
-    /// on decode).
+    /// Dense host id -> world `DomainId` (serialization, host names, and
+    /// row re-resolution on decode).
     host_ids: Vec<DomainId>,
     /// Dense host id -> compiled engine row (gate verdict + TLD id).
     rows: Vec<HostRow>,
 
-    /// Per-unique-URL memos, all pure functions of the URL string:
-    /// argument presence, keyword verdict, and the stage-1 URL-dependent
-    /// gate verdict (shard-local in the batch classifier; persisting it is
-    /// invisible because the verdict is the same every time).
-    args_memo: Vec<u8>,
-    kw_memo: Vec<u8>,
-    gate_memo: Vec<u8>,
+    /// Per-unique-URL state byte: the argument, keyword and URL-dependent
+    /// stage-1 gate memos — pure functions of the URL, so persisting them
+    /// is invisible (the stage-1 memo is shard-local in the batch
+    /// classifier) — and the URL's Table-2 seen-bits, 2 bits each.
+    url_state: Paged<u8>,
 
-    /// Table-2 seen-bits (bit 0 = ABP, bit 1 = semi), indexed by dense id.
+    /// Table-2 seen-bits (bit 0 = ABP, bit 1 = semi) by dense host / TLD id.
     host_seen: Vec<u8>,
     tld_seen: Vec<u8>,
-    url_seen: Vec<u8>,
     abp: MethodCounts,
     semi: MethodCounts,
     n_requests: u64,
 
-    /// Serialization baseline: high-water marks plus byte snapshots of the
-    /// mutable per-entry state as of the last `encode_delta`/`apply_delta`,
-    /// so the next delta carries only entries created or mutated since. A
-    /// fresh classifier's baseline is empty, making its first delta a full
-    /// encoding.
-    enc_urls: usize,
-    enc_hosts: usize,
-    enc_args: Vec<u8>,
-    enc_kw: Vec<u8>,
-    enc_gate: Vec<u8>,
-    enc_url_seen: Vec<u8>,
+    /// Serialization baseline: snapshots of the mutable per-entry state as
+    /// of the last `encode_delta`/`apply_delta` (their lengths are the
+    /// baseline's URL and host counts), so the next delta carries only
+    /// entries created or mutated since. A fresh classifier's baseline is
+    /// empty, making its first delta a full encoding.
+    enc_state: Paged<u8>,
     enc_host_seen: Vec<u8>,
 
     /// Reusable per-chunk working memory (see [`ChunkScratch`]).
     chunk_scratch: ChunkScratch,
 }
+
+/// Minimum encoded widths of the delta's items: a new host (u32 id + seen
+/// byte), a new URL (u32 host ref, form byte, state byte, u64 suffix
+/// length), a host update (u32 + seen byte), a URL update (u32 + state).
+const NEW_HOST_MIN: usize = 5;
+const NEW_URL_MIN: usize = 4 + 1 + 1 + 8;
+const HOST_UPDATE_MIN: usize = 5;
+const URL_UPDATE_MIN: usize = 5;
 
 impl IncrementalClassifier {
     /// A fresh classifier over the given filter lists and stage toggles.
@@ -426,27 +641,18 @@ impl IncrementalClassifier {
             engine: RuleEngine::compile(&[easylist, easyprivacy]),
             stages,
             scanner: KeywordScanner::new(),
-            urls: UrlArena::default(),
+            urls: UrlStore::default(),
             url_slots: UrlSlots::with_capacity(1024),
-            host_of_url: Vec::new(),
             host_remap: Vec::new(),
             host_ids: Vec::new(),
             rows: Vec::new(),
-            args_memo: Vec::new(),
-            kw_memo: Vec::new(),
-            gate_memo: Vec::new(),
+            url_state: Paged::default(),
             host_seen: Vec::new(),
             tld_seen: Vec::new(),
-            url_seen: Vec::new(),
             abp: MethodCounts::default(),
             semi: MethodCounts::default(),
             n_requests: 0,
-            enc_urls: 0,
-            enc_hosts: 0,
-            enc_args: Vec::new(),
-            enc_kw: Vec::new(),
-            enc_gate: Vec::new(),
-            enc_url_seen: Vec::new(),
+            enc_state: Paged::default(),
             enc_host_seen: Vec::new(),
             chunk_scratch: ChunkScratch::default(),
         }
@@ -463,9 +669,30 @@ impl IncrementalClassifier {
         (self.abp, self.semi)
     }
 
-    /// Interns a first-occurrence URL's host, resolving its gate and TLD
-    /// id exactly as the batch interner/stage-1 would (same order, same
-    /// combine rule), and returns the dense host id.
+    /// Bytes held by the per-URL and per-host structures, with the chunk
+    /// scratch reported apart (see [`ResidentBytes`]).
+    pub fn resident_bytes(&self) -> ResidentBytes {
+        ResidentBytes {
+            url_suffixes: self.urls.suffix_bytes(),
+            url_columns: self.urls.loc.resident_bytes()
+                + self.urls.host.resident_bytes()
+                + self.url_slots.hash_lo.resident_bytes()
+                + self.url_state.resident_bytes()
+                + self.enc_state.resident_bytes(),
+            url_slots: self.url_slots.slots.capacity() * size_of::<Slot>(),
+            hosts: self.host_remap.capacity() * size_of::<u32>()
+                + self.host_ids.capacity() * size_of::<DomainId>()
+                + self.rows.capacity() * size_of::<HostRow>()
+                + self.host_seen.capacity()
+                + self.tld_seen.capacity()
+                + self.enc_host_seen.capacity(),
+            chunk_scratch: self.chunk_scratch.resident_bytes(),
+        }
+    }
+
+    /// Interns a URL's host, resolving its gate and TLD id exactly as the
+    /// batch interner/stage-1 would (same order, same combine rule), and
+    /// returns the dense host id.
     fn intern_host(&mut self, host_id: DomainId, domains: &DomainTable) -> u32 {
         let hid = host_id.0 as usize;
         if hid >= self.host_remap.len() {
@@ -516,6 +743,7 @@ impl IncrementalClassifier {
             uid_hash,
             uid_verdict,
             gid_of,
+            gid_host,
             url_of,
             host_of,
             referrer_of,
@@ -550,77 +778,61 @@ impl IncrementalClassifier {
 
         // Pass 2 resolves each chunk-distinct URL to its cross-chunk id in
         // one tight pipelined loop: the big table's slot is prefetched
-        // SLOT_AHEAD out, and the arena span it points at (the equality
-        // target for a recurring URL) ARENA_AHEAD out, once the slot line
-        // has had time to arrive — the two dependent DRAM chases that
+        // SLOT_AHEAD out, and the stored URL it points at (the equality
+        // target for a recurring URL) URL_AHEAD out, once the slot line
+        // has had time to arrive — the dependent DRAM chases that
         // otherwise stall every first-recurrence-this-chunk probe.
         const SLOT_AHEAD: usize = 8;
-        const ARENA_AHEAD: usize = 4;
+        const URL_AHEAD: usize = 4;
         gid_of.reserve(uid_first.len());
-        // Worst case every chunk-distinct URL is stream-new: reserving the
-        // per-unique side tables once keeps the New arm's scattered pushes
-        // from re-amortizing six separate grows mid-loop.
-        let worst_new = uid_first.len();
-        self.urls.spans.reserve(worst_new);
-        self.host_of_url.reserve(worst_new);
-        self.args_memo.reserve(worst_new);
-        self.kw_memo.reserve(worst_new);
-        self.gate_memo.reserve(worst_new);
-        self.url_seen.reserve(worst_new);
+        gid_host.reserve(uid_first.len());
         for (j, &h) in uid_hash.iter().enumerate().take(SLOT_AHEAD.min(uid_hash.len())) {
             self.url_slots.prefetch(h);
-            if j < ARENA_AHEAD {
-                self.url_slots.prefetch_arena(h, &self.urls);
+            if j < URL_AHEAD {
+                self.url_slots.prefetch_url(h, &self.urls);
             }
         }
         for (k, &hash) in uid_hash.iter().enumerate() {
             if let Some(&h) = uid_hash.get(k + SLOT_AHEAD) {
                 self.url_slots.prefetch(h);
             }
-            if let Some(&h) = uid_hash.get(k + ARENA_AHEAD) {
-                self.url_slots.prefetch_arena(h, &self.urls);
+            if let Some(&h) = uid_hash.get(k + URL_AHEAD) {
+                self.url_slots.prefetch_url(h, &self.urls);
             }
             let r = &requests[uid_first[k] as usize];
-            let u = match self.url_slots.intern_owned(hash, &r.url, &self.urls) {
+            // A recurring URL's host is already interned (equal URLs share
+            // a host), so interning it first assigns new host ids in the
+            // same first-occurrence order as interning it for new URLs only.
+            let h = self.intern_host(r.host, domains);
+            let host_name = domains.domain(r.host).as_str();
+            let (form, suffix) = split_url(r.url.as_bytes(), host_name.as_bytes());
+            let key = UrlKey { form, host: h, suffix };
+            let u = match self.url_slots.intern_owned(hash, key, &self.urls) {
                 UrlSlot::New(u) => {
-                    self.urls.push(&r.url);
-                    self.args_memo.push(MEMO_UNKNOWN);
-                    self.kw_memo.push(MEMO_UNKNOWN);
-                    self.gate_memo.push(MEMO_UNKNOWN);
-                    self.url_seen.push(0);
-                    let h = self.intern_host(r.host, domains);
-                    self.host_of_url.push(h);
+                    self.urls.push(key);
+                    self.url_state.push(0);
                     u
                 }
                 UrlSlot::Existing(u) => u,
             };
-            debug_assert_eq!(
-                self.host_ids[self.host_of_url[u as usize] as usize],
-                r.host,
-                "requests sharing a URL string must share its embedded host"
-            );
             // Stage-1 verdict, hoisted to the chunk-distinct level: the
             // blocklist verdict is a pure function of the URL (the host is
             // embedded in it), so it is decided once per chunk-distinct
             // URL here — where the request string is already in cache —
             // and the per-request loop below only projects a bool.
-            let row = self.rows[self.host_of_url[u as usize] as usize];
+            let row = self.rows[h as usize];
             let hit = if row.always() {
                 true
             } else if row.never() {
                 false
             } else {
-                match self.gate_memo[u as usize] {
-                    MEMO_UNKNOWN => {
-                        let hit = self.engine.url_verdict(row, domains.domain(r.host), &r.url);
-                        self.gate_memo[u as usize] = 1 + hit as u8;
-                        hit
-                    }
-                    v => v == MEMO_YES,
-                }
+                memo_get(&mut self.url_state, u, GATE, || {
+                    self.engine.url_verdict(row, domains.domain(r.host), &r.url)
+                })
             };
             uid_verdict.push(hit);
             gid_of.push(u);
+            gid_host.push(h);
         }
 
         // Pass 3 projects the per-request views (and the stage-1 labels)
@@ -629,9 +841,8 @@ impl IncrementalClassifier {
         let mut labels = vec![Classification::Clean; n];
         for (i, r) in requests.iter().enumerate() {
             let cu = chunk_of[i] as usize;
-            let u = gid_of[cu];
-            url_of.push(u);
-            host_of.push(self.host_of_url[u as usize]);
+            url_of.push(gid_of[cu]);
+            host_of.push(gid_host[cu]);
             referrer_of.push(match r.referrer {
                 Referrer::Request(parent) => parent.0,
                 Referrer::FirstParty | Referrer::None => NO_REFERRER,
@@ -668,7 +879,7 @@ impl IncrementalClassifier {
                     continue;
                 }
                 if self.stages.require_args
-                    && !memo_get(&mut self.args_memo, url_of[i], || requests[i].has_args())
+                    && !memo_get(&mut self.url_state, url_of[i], ARGS, || requests[i].has_args())
                 {
                     continue;
                 }
@@ -682,7 +893,7 @@ impl IncrementalClassifier {
                     url_of,
                     &mut labels,
                     self.stages,
-                    &mut self.args_memo,
+                    &mut self.url_state,
                     idx,
                     seeds,
                 );
@@ -699,8 +910,10 @@ impl IncrementalClassifier {
                     continue;
                 }
                 let u = url_of[i];
-                if !memo_get(&mut self.args_memo, u, || requests[i].has_args())
-                    || !memo_get(&mut self.kw_memo, u, || self.scanner.matches(&requests[i].url))
+                if !memo_get(&mut self.url_state, u, ARGS, || requests[i].has_args())
+                    || !memo_get(&mut self.url_state, u, KW, || {
+                        self.scanner.matches(&requests[i].url)
+                    })
                 {
                     continue;
                 }
@@ -714,7 +927,7 @@ impl IncrementalClassifier {
                     url_of,
                     &mut labels,
                     self.stages,
-                    &mut self.args_memo,
+                    &mut self.url_state,
                     idx,
                     newly,
                 );
@@ -742,8 +955,9 @@ impl IncrementalClassifier {
                 }
             }
             let u = url_of[i] as usize;
-            if self.url_seen[u] & bit == 0 {
-                self.url_seen[u] |= bit;
+            let state = self.url_state.get(u);
+            if (state >> SEEN) & bit == 0 {
+                self.url_state.set(u, state | bit << SEEN);
                 slot.n_unique_urls += 1;
             }
         }
@@ -765,24 +979,24 @@ impl IncrementalClassifier {
     /// Gates, TLD ids and the dedup table are derivable and not stored.
     /// On a fresh classifier this is a full encoding of the state.
     pub fn encode_delta(&mut self, w: &mut ByteWriter) {
+        let (enc_hosts, enc_urls) = (self.enc_host_seen.len(), self.enc_state.len());
         w.put_u64(self.n_requests);
-        w.put_usize(self.enc_hosts);
-        w.put_usize(self.enc_urls);
-        w.put_usize(self.host_ids.len() - self.enc_hosts);
-        for h in self.enc_hosts..self.host_ids.len() {
+        w.put_usize(enc_hosts);
+        w.put_usize(enc_urls);
+        w.put_usize(self.host_ids.len() - enc_hosts);
+        for h in enc_hosts..self.host_ids.len() {
             w.put_u32(self.host_ids[h].0);
             w.put_u8(self.host_seen[h]);
         }
-        w.put_usize(self.urls.len() - self.enc_urls);
-        for u in self.enc_urls..self.urls.len() {
-            w.put_str(self.urls.str_of(u));
-            w.put_u32(self.host_of_url[u]);
-            w.put_u8(self.args_memo[u]);
-            w.put_u8(self.kw_memo[u]);
-            w.put_u8(self.gate_memo[u]);
-            w.put_u8(self.url_seen[u]);
+        w.put_usize(self.urls.len() - enc_urls);
+        for u in enc_urls..self.urls.len() {
+            let key = self.urls.key(u);
+            w.put_u32(key.host);
+            w.put_u8(key.form);
+            w.put_u8(self.url_state.get(u));
+            w.put_blob(key.suffix);
         }
-        let dirty_hosts: Vec<u32> = (0..self.enc_hosts)
+        let dirty_hosts: Vec<u32> = (0..enc_hosts)
             .filter(|&h| self.host_seen[h] != self.enc_host_seen[h])
             .map(|h| h as u32)
             .collect();
@@ -791,23 +1005,27 @@ impl IncrementalClassifier {
             w.put_u32(h);
             w.put_u8(self.host_seen[h as usize]);
         }
-        let dirty_urls: Vec<u32> = (0..self.enc_urls)
-            .filter(|&u| {
-                self.args_memo[u] != self.enc_args[u]
-                    || self.kw_memo[u] != self.enc_kw[u]
-                    || self.gate_memo[u] != self.enc_gate[u]
-                    || self.url_seen[u] != self.enc_url_seen[u]
-            })
-            .map(|u| u as u32)
-            .collect();
+        // Page by page: an unchanged page is one slice comparison.
+        let mut dirty_urls: Vec<u32> = Vec::new();
+        for (p, (now, then)) in self
+            .url_state
+            .filled_pages()
+            .zip(self.enc_state.filled_pages())
+            .enumerate()
+        {
+            if now[..then.len()] != *then {
+                let base = p * COLUMN_PAGE;
+                dirty_urls.extend(
+                    (0..then.len())
+                        .filter(|&k| now[k] != then[k])
+                        .map(|k| (base + k) as u32),
+                );
+            }
+        }
         w.put_usize(dirty_urls.len());
         for &u in &dirty_urls {
-            let u = u as usize;
-            w.put_u32(u as u32);
-            w.put_u8(self.args_memo[u]);
-            w.put_u8(self.kw_memo[u]);
-            w.put_u8(self.gate_memo[u]);
-            w.put_u8(self.url_seen[u]);
+            w.put_u32(u);
+            w.put_u8(self.url_state.get(u as usize));
         }
         for c in [&self.abp, &self.semi] {
             w.put_usize(c.n_fqdn);
@@ -851,8 +1069,7 @@ impl IncrementalClassifier {
                 self.urls.len()
             )));
         }
-        // Each new host is a u32 id plus a seen byte.
-        let n_new_hosts = r.count(5)?;
+        let n_new_hosts = r.count(NEW_HOST_MIN)?;
         // Pre-reserve the host-side tables from the delta header, and the
         // world-id remap to its final extent, so cross-segment replay
         // never pays doubling spikes mid-chunk (the same cold-growth
@@ -881,9 +1098,7 @@ impl IncrementalClassifier {
             }
             self.host_seen[h as usize] = seen;
         }
-        // Each new URL is at least a string length prefix, a u32 host ref
-        // and four state bytes.
-        let n_new_urls = r.count(16)?;
+        let n_new_urls = r.count(NEW_URL_MIN)?;
         if (base_urls + n_new_urls) as u64 > n_requests {
             return Err(bad(format!(
                 "{} unique urls exceed {n_requests} total requests",
@@ -892,30 +1107,19 @@ impl IncrementalClassifier {
         }
         // Size the open-addressing URL table for the post-chunk total
         // before interning (the batch interner's sizing rule; without
-        // this, replaying a large run rehashes the full table mid-delta),
-        // and every dense per-URL column alongside it. The total itself is
-        // not backed by any bytes here, so the table is sized for at most
-        // four slots per URL the state will hold: a corrupt total cannot
-        // size an allocation, and a valid total above that only leaves the
-        // table at a load factor of 1/4 instead of lower.
+        // this, replaying a large run rehashes the full table mid-delta).
+        // The total itself is not backed by any bytes here, so the table
+        // is sized for at most four slots per URL the state will hold: a
+        // corrupt total cannot size an allocation, and a valid total above
+        // that only leaves the table at a load factor of 1/4 instead of
+        // lower.
         let unique_after = (base_urls + n_new_urls) as u64;
         self.url_slots
             .reserve_for_total(n_requests.min(unique_after.saturating_mul(4)) as usize);
-        self.urls.spans.reserve(n_new_urls);
-        self.host_of_url.reserve(n_new_urls);
-        self.args_memo.reserve(n_new_urls);
-        self.kw_memo.reserve(n_new_urls);
-        self.gate_memo.reserve(n_new_urls);
-        self.url_seen.reserve(n_new_urls);
+        // The full URL bytes a split-form URL hashes over, rebuilt from
+        // scheme, host name and suffix in one reused buffer.
+        let mut full: Vec<u8> = Vec::new();
         for _ in 0..n_new_urls {
-            let url = r.str()?;
-            match self.url_slots.intern_owned(url_hash(url.as_bytes()), url, &self.urls) {
-                UrlSlot::New(u) => debug_assert_eq!(u as usize, self.urls.len()),
-                UrlSlot::Existing(_) => {
-                    return Err(bad(format!("duplicate url in delta: {url}")));
-                }
-            }
-            self.urls.push(url);
             let h = r.u32()?;
             if h as usize >= self.host_ids.len() {
                 return Err(bad(format!(
@@ -923,23 +1127,41 @@ impl IncrementalClassifier {
                     self.host_ids.len()
                 )));
             }
-            self.host_of_url.push(h);
-            let memos = [r.u8()?, r.u8()?, r.u8()?];
-            for m in memos {
-                if m > MEMO_YES {
-                    return Err(bad(format!("memo byte {m} out of range")));
+            let form = r.u8()?;
+            if form > FORM_HTTPS {
+                return Err(bad(format!("url form {form} out of range")));
+            }
+            let state = r.u8()?;
+            if !valid_state(state) {
+                return Err(bad(format!("url state byte {state:#04x} out of range")));
+            }
+            let suffix = r.str()?.as_bytes();
+            let host_name = domains.domain(self.host_ids[h as usize]).as_str().as_bytes();
+            let hash = if form == FORM_RAW {
+                // A raw URL that splits under its host would never match
+                // the split form `append_chunk` derives for it.
+                if split_url(suffix, host_name).0 != FORM_RAW {
+                    return Err(bad("raw-form url splits under its host".into()));
+                }
+                url_hash(suffix)
+            } else {
+                full.clear();
+                full.extend_from_slice(SCHEME_PREFIX[form as usize]);
+                full.extend_from_slice(host_name);
+                full.extend_from_slice(suffix);
+                url_hash(&full)
+            };
+            let key = UrlKey { form, host: h, suffix };
+            match self.url_slots.intern_owned(hash, key, &self.urls) {
+                UrlSlot::New(u) => debug_assert_eq!(u as usize, self.urls.len()),
+                UrlSlot::Existing(u) => {
+                    return Err(bad(format!("duplicate of url {u} in delta")));
                 }
             }
-            self.args_memo.push(memos[0]);
-            self.kw_memo.push(memos[1]);
-            self.gate_memo.push(memos[2]);
-            let seen = r.u8()?;
-            if seen > 3 {
-                return Err(bad(format!("url seen-bits {seen} out of range")));
-            }
-            self.url_seen.push(seen);
+            self.urls.push(key);
+            self.url_state.push(state);
         }
-        let n_host_updates = r.count(5)?;
+        let n_host_updates = r.count(HOST_UPDATE_MIN)?;
         for _ in 0..n_host_updates {
             let h = r.u32()? as usize;
             if h >= base_hosts {
@@ -958,7 +1180,7 @@ impl IncrementalClassifier {
             }
             self.host_seen[h] = seen;
         }
-        let n_url_updates = r.count(8)?;
+        let n_url_updates = r.count(URL_UPDATE_MIN)?;
         for _ in 0..n_url_updates {
             let u = r.u32()? as usize;
             if u >= base_urls {
@@ -966,23 +1188,15 @@ impl IncrementalClassifier {
                     "url update {u} outside the {base_urls}-url baseline"
                 )));
             }
-            let memos = [r.u8()?, r.u8()?, r.u8()?];
-            for m in memos {
-                if m > MEMO_YES {
-                    return Err(bad(format!("memo byte {m} out of range")));
-                }
-            }
-            self.args_memo[u] = memos[0];
-            self.kw_memo[u] = memos[1];
-            self.gate_memo[u] = memos[2];
-            let seen = r.u8()?;
-            if seen > 3 || seen & self.url_seen[u] != self.url_seen[u] {
+            let state = r.u8()?;
+            let (seen, was) = (state >> SEEN, self.url_state.get(u) >> SEEN);
+            if !valid_state(state) || seen & was != was {
                 return Err(bad(format!(
-                    "url {u} seen-bits update {seen} is not a superset of {}",
-                    self.url_seen[u]
+                    "url {u} state update {state:#04x} is out of range or drops \
+                     seen-bits {was}"
                 )));
             }
-            self.url_seen[u] = seen;
+            self.url_state.set(u, state);
         }
         // TLD seen-bits are the union of their hosts' (a TLD bit is only
         // ever set alongside a host bit in the absorb pass), so they are
@@ -1004,24 +1218,25 @@ impl IncrementalClassifier {
 
     /// Advances the serialization baseline to the current state.
     fn sync_baseline(&mut self) {
-        self.enc_urls = self.urls.len();
-        self.enc_hosts = self.host_ids.len();
-        self.enc_args.clone_from(&self.args_memo);
-        self.enc_kw.clone_from(&self.kw_memo);
-        self.enc_gate.clone_from(&self.gate_memo);
-        self.enc_url_seen.clone_from(&self.url_seen);
+        self.enc_state.copy_from(&self.url_state);
         self.enc_host_seen.clone_from(&self.host_seen);
     }
 }
 
-/// Tri-state memo lookup (free function so callers can split borrows of
-/// the classifier's fields inside loops).
-fn memo_get(memo: &mut [u8], url_id: u32, eval: impl FnOnce() -> bool) -> bool {
-    let slot = &mut memo[url_id as usize];
-    if *slot == MEMO_UNKNOWN {
-        *slot = if eval() { MEMO_YES } else { MEMO_NO };
+/// Tri-state memo lookup in the `field` bits of a URL's state byte (free
+/// function so callers can split borrows of the classifier's fields
+/// inside loops).
+fn memo_get(state: &mut Paged<u8>, url_id: u32, field: u32, eval: impl FnOnce() -> bool) -> bool {
+    let s = state.get(url_id as usize);
+    match (s >> field) & 3 {
+        MEMO_UNKNOWN => {
+            let hit = eval();
+            let memo = if hit { MEMO_YES } else { MEMO_NO };
+            state.set(url_id as usize, s | memo << field);
+            hit
+        }
+        m => m == MEMO_YES,
     }
-    *slot == MEMO_YES
 }
 
 /// BFS worklist propagation to true convergence within one chunk — the
@@ -1032,7 +1247,7 @@ fn propagate_worklist(
     url_of: &[u32],
     labels: &mut [Classification],
     stages: ClassifierStages,
-    args_memo: &mut [u8],
+    url_state: &mut Paged<u8>,
     idx: &ChildIndex,
     seeds: Vec<usize>,
 ) -> usize {
@@ -1044,7 +1259,9 @@ fn propagate_worklist(
             if labels[c].is_tracking() {
                 continue;
             }
-            if stages.require_args && !memo_get(args_memo, url_of[c], || requests[c].has_args()) {
+            if stages.require_args
+                && !memo_get(url_state, url_of[c], ARGS, || requests[c].has_args())
+            {
                 continue;
             }
             labels[c] = Classification::SemiTracking;
@@ -1065,6 +1282,7 @@ mod tests {
     use xborder_dns::{DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
     use xborder_geo::{CountryCode, WORLD};
     use xborder_netsim::ServerId;
+    use std::mem::size_of;
     use xborder_webgraph::{generate, Domain, WebGraph, WebGraphConfig};
 
     fn dataset(seed: u64) -> (WebGraph, Vec<LoggedRequest>) {
@@ -1272,8 +1490,30 @@ mod tests {
             "n_host_updates",
             "n_url_updates",
         ];
+        // Minimum encoded width of one item of each count field.
+        let min_width = |field: &str| match field {
+            "n_new_hosts" => Some(NEW_HOST_MIN),
+            "n_new_urls" => Some(NEW_URL_MIN),
+            "n_host_updates" => Some(HOST_UPDATE_MIN),
+            "n_url_updates" => Some(URL_UPDATE_MIN),
+            _ => None,
+        };
+        assert_eq!(
+            [NEW_HOST_MIN, NEW_URL_MIN, HOST_UPDATE_MIN, URL_UPDATE_MIN],
+            [5, 14, 5, 5]
+        );
         for (k, field) in header.iter().enumerate() {
-            for inflated in [1u64 << 40, u64::MAX] {
+            // Past the header come the later counts and the 8 running
+            // totals, all zero: the bytes left after this field's count.
+            let left = 8 * (header.len() - k - 1) + 8 * 8;
+            let mut values = vec![1u64 << 40, u64::MAX];
+            if let Some(w) = min_width(field) {
+                // The smallest count those bytes cannot back at the item's
+                // minimum width: refused by the count check itself, not by
+                // a short read further on.
+                values.push((left / w + 1) as u64);
+            }
+            for inflated in values {
                 let mut w = ByteWriter::new();
                 for (j, _) in header.iter().enumerate() {
                     w.put_u64(if j == k { inflated } else { 0 });
@@ -1289,6 +1529,12 @@ mod tests {
                     assert!(
                         fresh.url_slots.slots.len() <= 1024,
                         "{field} sized the URL table"
+                    );
+                } else if min_width(field).is_some() {
+                    let err = applied.expect_err("an unbacked count must not apply");
+                    assert!(
+                        err.detail.contains("bytes left"),
+                        "{field} = {inflated} refused by the wrong check: {err}"
                     );
                 } else {
                     assert!(applied.is_err(), "{field} = {inflated} must not apply");
@@ -1369,5 +1615,214 @@ mod tests {
         let out = cls.append_chunk(&requests, &domains);
         assert!(out.labels.iter().all(|l| l.is_tracking()));
         assert!(out.stage2_rounds > 16);
+    }
+
+    #[test]
+    fn url_store_keeps_every_suffix_length() {
+        // Empty, page-filling and oversized suffixes, mixed with enough
+        // small ones to cross page boundaries, all read back exactly.
+        let mut store = UrlStore::default();
+        let lens = [0usize, 1, 40, 65_534, 3, 65_535, 0, 70_000, 2, SUFFIX_PAGE, 7];
+        let mut want: Vec<(u8, u32, Vec<u8>)> = Vec::new();
+        for round in 0..3u32 {
+            for (i, &len) in lens.iter().enumerate() {
+                let suffix: Vec<u8> = (0..len).map(|b| (b * 7 + i) as u8).collect();
+                let form = (i % 3) as u8;
+                let host = round * 100 + i as u32;
+                store.push(UrlKey { form, host, suffix: &suffix });
+                want.push((form, host, suffix));
+            }
+        }
+        for _ in 0..3 * COLUMN_PAGE {
+            store.push(UrlKey { form: FORM_HTTPS, host: 9, suffix: b"/p?x=1" });
+            want.push((FORM_HTTPS, 9, b"/p?x=1".to_vec()));
+        }
+        assert_eq!(store.len(), want.len());
+        for (id, (form, host, suffix)) in want.iter().enumerate() {
+            let key = store.key(id);
+            assert_eq!((key.form, key.host, key.suffix), (*form, *host, &suffix[..]), "url {id}");
+            assert!(store.matches(id, UrlKey { form: *form, host: *host, suffix }));
+            assert!(!store.matches(id, UrlKey { form: *form, host: *host + 1, suffix }));
+            assert!(!store.matches(id, UrlKey { form: (*form + 1) % 3, host: *host, suffix }));
+        }
+        // Shared pages are never grown past their first allocation.
+        assert!(store.pages.iter().all(|p| p.capacity() == SUFFIX_PAGE || p.len() >= 0xFFFF));
+    }
+
+    #[test]
+    fn resident_bytes_stay_within_the_layout_bound() {
+        // Per-URL state may cost the suffix bytes plus at most 32 bytes per
+        // unique URL, beside the request-sized slot table and one page of
+        // slack per paged structure. A layout that regrows past that (or
+        // that stops dropping the `scheme://host` prefix) fails here.
+        let (graph, requests) = dataset(27);
+        let domains = graph.domains();
+        let (el, ep) = generate_lists(&graph);
+        let mut cls = IncrementalClassifier::new(&el, &ep, ClassifierStages::default());
+        let mut offset = 0usize;
+        for chunk in user_chunks(&requests, 5) {
+            cls.append_chunk(&rebased(chunk, offset), domains);
+            offset += chunk.len();
+        }
+        let mut unique: std::collections::HashMap<&str, DomainId> = Default::default();
+        for r in &requests {
+            unique.entry(&r.url).or_insert(r.host);
+        }
+        let suffix_bytes: usize = unique
+            .iter()
+            .map(|(url, &host)| {
+                let host = domains.domain(host).as_str();
+                ["https://", "http://"]
+                    .iter()
+                    .find_map(|scheme| url.strip_prefix(scheme)?.strip_prefix(host))
+                    .unwrap_or(url)
+                    .len()
+            })
+            .sum();
+        let slot_table = requests.len().max(1024).next_power_of_two() * size_of::<Slot>();
+        let one_page = SUFFIX_PAGE + COLUMN_PAGE * (size_of::<u64>() + 2 * size_of::<u32>() + 1);
+        let rb = cls.resident_bytes();
+        let bound = suffix_bytes + 32 * unique.len() + slot_table + one_page;
+        assert!(
+            rb.state() <= bound,
+            "{rb:?}: {} resident bytes past the bound {bound} ({} unique urls, {suffix_bytes} \
+             suffix bytes)",
+            rb.state(),
+            unique.len()
+        );
+        assert!(rb.url_suffixes >= suffix_bytes && rb.url_slots == slot_table);
+        assert!(rb.chunk_scratch > 0, "the chunk scratch is reported apart");
+    }
+
+    /// Hosts whose names prefix one another (`a.co` / `a.com`), so a URL
+    /// can split under a host it does not name in full.
+    const HOSTS: [&str; 6] = ["a.com", "a.co", "ads.b.com", "b.com", "tr1.net", "x.zz"];
+
+    /// Suffixes shared across hosts and schemes; most are shorter than
+    /// `url_hash`'s 32-byte window, so the hash also reads the host.
+    const SUFFIXES: [&str; 8] = [
+        "",
+        "/",
+        "?x=1",
+        "/ad?id=2",
+        "/rtb?uid=3",
+        "/px",
+        "/sync/cookiesync?partner=4&uid=5",
+        "/a/long/path/well/past/thirty-two/bytes?usermatch=6",
+    ];
+
+    /// One adversarial URL for `host` (by index into [`HOSTS`]).
+    fn adversarial_url(rng: &mut StdRng, host: usize) -> String {
+        use rand::Rng;
+        let name = HOSTS[host];
+        let suffix = SUFFIXES[rng.gen_range(0..SUFFIXES.len())];
+        match rng.gen_range(0..10u32) {
+            0..=3 => format!("https://{name}{suffix}"),
+            4..=5 => format!("http://{name}{suffix}"),
+            // Raw forms: no scheme, another scheme or case, or another
+            // host's name in the URL.
+            6 => format!("//{name}{suffix}"),
+            7 => format!("HTTPS://{name}{suffix}"),
+            8 => format!("ftp://{name}{suffix}"),
+            _ => format!("https://{}{suffix}", HOSTS[(host + 1) % HOSTS.len()]),
+        }
+    }
+
+    proptest::proptest! {
+        /// Random logs over adversarial URL shapes: the incremental
+        /// classifier's labels equal batch per chunk, `counts()` equals
+        /// batch over the log so far after every chunk, and a classifier
+        /// rebuilt mid-stream from the encoded deltas continues exactly.
+        #[test]
+        fn adversarial_urls_match_batch_through_a_delta_round_trip(seed in proptest::prelude::any::<u64>()) {
+            use rand::Rng;
+            use xborder_browser::{RequestId, UserId};
+            use xborder_netsim::time::SimTime;
+            use xborder_webgraph::PublisherId;
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let mut domains = DomainTable::new();
+            let hosts: Vec<DomainId> =
+                HOSTS.iter().map(|h| domains.intern(&Domain::new(*h))).collect();
+            let site = domains.intern(&Domain::new("pub.example.org"));
+            let mut el = FilterList::new("easylist");
+            el.push(crate::rules::FilterRule::DomainAnchor(Domain::new("ads.b.com")));
+            el.push(crate::rules::FilterRule::DomainWithPath {
+                domain: Domain::new("a.com"),
+                path_prefix: "/ad".into(),
+            });
+            let mut ep = FilterList::new("easyprivacy");
+            ep.push(crate::rules::FilterRule::UrlSubstring("/px".into()));
+
+            // A URL pool in which every string keeps one host, as in a
+            // real log (equal URLs share a host).
+            let mut pool: Vec<(String, DomainId)> = Vec::new();
+            let mut owner: std::collections::HashMap<String, DomainId> = Default::default();
+            for _ in 0..rng.gen_range(4..40) {
+                let h = rng.gen_range(0..HOSTS.len());
+                let url = adversarial_url(rng, h);
+                if *owner.entry(url.clone()).or_insert(hosts[h]) == hosts[h] {
+                    pool.push((url, hosts[h]));
+                }
+            }
+            let mut requests: Vec<LoggedRequest> = Vec::new();
+            for user in 0..rng.gen_range(1..30u32) {
+                let first = requests.len();
+                for k in 0..rng.gen_range(1..8usize) {
+                    let (url, host) = pool[rng.gen_range(0..pool.len())].clone();
+                    let referrer = if k > 0 && rng.gen_bool(0.6) {
+                        Referrer::Request(RequestId(rng.gen_range(first..first + k) as u32))
+                    } else {
+                        Referrer::FirstParty
+                    };
+                    requests.push(LoggedRequest {
+                        user: UserId(user),
+                        time: SimTime(requests.len() as u64),
+                        first_party: site,
+                        publisher: PublisherId(0),
+                        url: url.into_boxed_str(),
+                        host,
+                        referrer,
+                        ip: "10.0.0.1".parse().unwrap(),
+                    });
+                }
+            }
+            let batch = classify(&requests, &domains, &el, &ep);
+            let chunks = user_chunks(&requests, rng.gen_range(1..5));
+            let split = rng.gen_range(0..=chunks.len());
+
+            let fresh = || IncrementalClassifier::new(&el, &ep, ClassifierStages::default());
+            let mut live = fresh();
+            let mut resumed: Option<IncrementalClassifier> = None;
+            let mut deltas: Vec<Vec<u8>> = Vec::new();
+            let mut offset = 0usize;
+            for (c, chunk) in chunks.iter().enumerate() {
+                if c == split {
+                    let mut r = fresh();
+                    for bytes in &deltas {
+                        let mut rd = ByteReader::new(bytes);
+                        r.apply_delta(&mut rd, &domains).expect("delta applies");
+                        rd.finish().expect("no trailing bytes");
+                    }
+                    proptest::prop_assert_eq!(r.counts(), live.counts());
+                    resumed = Some(r);
+                }
+                let local = rebased(chunk, offset);
+                let out = live.append_chunk(&local, &domains);
+                let end = offset + chunk.len();
+                proptest::prop_assert_eq!(&out.labels[..], &batch.labels[offset..end]);
+                let prefix = classify(&requests[..end], &domains, &el, &ep);
+                proptest::prop_assert_eq!(live.counts(), (prefix.abp, prefix.semi));
+                if let Some(r) = resumed.as_mut() {
+                    let again = r.append_chunk(&local, &domains);
+                    proptest::prop_assert_eq!(&again.labels, &out.labels);
+                    proptest::prop_assert_eq!(r.counts(), live.counts());
+                }
+                let mut w = ByteWriter::new();
+                live.encode_delta(&mut w);
+                deltas.push(w.into_bytes());
+                offset = end;
+            }
+            proptest::prop_assert_eq!(live.counts(), (batch.abp, batch.semi));
+        }
     }
 }

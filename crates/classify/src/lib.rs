@@ -36,7 +36,7 @@ pub use classifier::{
     Classification, ClassificationResult, ClassifierStages, MethodCounts,
 };
 pub use engine::{AhoCorasick, HostRow, KeywordScanner, RuleEngine, TokenPrefilter};
-pub use incremental::{ChunkClassification, IncrementalClassifier};
+pub use incremental::{ChunkClassification, IncrementalClassifier, ResidentBytes};
 pub use eval::{evaluate, Evaluation};
 pub use listgen::generate_lists;
 pub use rules::{FilterList, FilterRule, HostGate};

@@ -266,14 +266,25 @@ impl DnsCache {
         self.misses
     }
 
-    /// Number of live entries at `now`.
+    /// Number of live entries at `now`, on both the string-keyed and the
+    /// id-indexed path.
     pub fn live_entries(&self, now: SimTime) -> usize {
-        self.entries.values().filter(|e| now < e.expires).count()
+        let by_id = self.by_id.iter().flatten().filter(|e| now < e.expires).count();
+        self.entries.values().filter(|e| now < e.expires).count() + by_id
     }
 
-    /// Drops expired entries (housekeeping; correctness never needs it).
+    /// Drops expired entries on both paths (housekeeping; correctness never
+    /// needs it: an expired entry already misses).
     pub fn evict_expired(&mut self, now: SimTime) {
         self.entries.retain(|_, e| now < e.expires);
+        let by_id = &mut self.by_id;
+        self.touched.retain(|&id| {
+            let slot = &mut by_id[id as usize];
+            if slot.is_some_and(|e| e.expires <= now) {
+                *slot = None;
+            }
+            slot.is_some()
+        });
     }
 }
 
@@ -432,6 +443,39 @@ mod tests {
         assert_eq!(cache.live_entries(SimTime(500)), 1);
         cache.evict_expired(SimTime(500));
         assert_eq!(cache.live_entries(SimTime(50)), 1);
+    }
+
+    #[test]
+    fn id_path_entries_are_counted_and_evicted() {
+        use xborder_webgraph::DomainTable;
+        let mut dns = DnsSim::new();
+        dns.add_zone(zone("a.x.com", "1.0.0.1", "DE", 100)).unwrap();
+        dns.add_zone(zone("b.x.com", "1.0.0.2", "DE", 1000)).unwrap();
+        let mut domains = DomainTable::new();
+        let a = domains.intern(&Domain::new("a.x.com"));
+        let b = domains.intern(&Domain::new("b.x.com"));
+        let iview = dns.indexed_view(&domains);
+        let inj = FaultInjector::inactive();
+        let mut report = DegradationReport::default();
+        let mut cache = DnsCache::for_user(5, 1);
+        for h in [a, b] {
+            cache.resolve_shared_id(&iview, h, &client(), SimTime(0), &inj, &mut report).unwrap();
+        }
+        assert_eq!(cache.live_entries(SimTime(99)), 2);
+        // `a` expires at its TTL boundary (half-open, like `resolve`).
+        assert_eq!(cache.live_entries(SimTime(100)), 1);
+        cache.evict_expired(SimTime(100));
+        assert_eq!(cache.live_entries(SimTime(0)), 1, "the expired id entry is gone");
+        // The evicted host misses again and refills its slot.
+        cache.resolve_shared_id(&iview, a, &client(), SimTime(100), &inj, &mut report).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (0, 3));
+        assert_eq!(cache.live_entries(SimTime(150)), 2);
+        cache.evict_expired(SimTime(1000));
+        assert_eq!(cache.live_entries(SimTime(0)), 0);
+        // A reset after eviction still clears every slot it must.
+        cache.resolve_shared_id(&iview, b, &client(), SimTime(1000), &inj, &mut report).unwrap();
+        cache.reset_for_user(5, 2);
+        assert_eq!(cache.live_entries(SimTime(1000)), 0);
     }
 
     #[test]

@@ -433,7 +433,67 @@ mod tests {
         assert_eq!(out[0].packets, 0);
     }
 
+    /// A valid template + data packet over a random field subset (with
+    /// unknown fields interleaved), plus the byte offsets of its template
+    /// `n_fields` and its data FlowSet `length`.
+    fn random_packet(case_seed: u64) -> (Bytes, usize, usize) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let rng = &mut StdRng::seed_from_u64(case_seed);
+        let mut fields: Vec<FieldSpec> = Template::standard(256)
+            .fields
+            .into_iter()
+            .filter(|_| rng.gen_bool(0.7))
+            .collect();
+        if rng.gen_bool(0.3) {
+            fields.push(FieldSpec {
+                field_type: rng.gen_range(500..1000),
+                length: rng.gen_range(1..9),
+            });
+        }
+        let template = Template { id: rng.gen_range(256..1000), fields };
+        let flows: Vec<FlowRecord> = (0..rng.gen_range(1..20u32)).map(sample).collect();
+        let wire = encode_v9(&template, &flows, 1, 9);
+        let n_fields_at = 20 + 6;
+        let data_len_at = 20 + 8 + template.fields.len() * 4 + 2;
+        (wire, n_fields_at, data_len_at)
+    }
+
     proptest! {
+        #[test]
+        fn mutated_packets_decode_or_fail_typed(
+            case_seed in any::<u64>(),
+            mutation in 0u8..4,
+            at in any::<usize>(),
+            value in any::<u16>(),
+        ) {
+            // Damage a valid packet one way: a bit flip anywhere, a
+            // truncation, an inflated data FlowSet `length`, or an
+            // inflated template `n_fields`. Decoding must return `Ok` or a
+            // typed `V9Error` (a panic fails the case), on a fresh decoder
+            // and on one that already holds the packet's template; and the
+            // decoder must still decode the undamaged packet afterwards.
+            let (wire, n_fields_at, data_len_at) = random_packet(case_seed);
+            let mut bytes = wire.to_vec();
+            match mutation {
+                0 => bytes[at % wire.len()] ^= 1 << (at % 8),
+                1 => bytes.truncate(at % wire.len()),
+                2 => bytes[data_len_at..data_len_at + 2].copy_from_slice(&value.to_be_bytes()),
+                _ => bytes[n_fields_at..n_fields_at + 2].copy_from_slice(&value.to_be_bytes()),
+            }
+            let damaged = Bytes::from(bytes);
+            let want = V9Decoder::new().decode(wire.clone()).unwrap();
+
+            let mut fresh = V9Decoder::new();
+            let _typed: Result<Vec<FlowRecord>, V9Error> = fresh.decode(damaged.clone());
+            prop_assert_eq!(&fresh.decode(wire.clone()).unwrap(), &want);
+
+            let mut warm = V9Decoder::new();
+            warm.decode(wire.clone()).unwrap();
+            let _typed: Result<Vec<FlowRecord>, V9Error> = warm.decode(damaged);
+            prop_assert_eq!(&warm.decode(wire).unwrap(), &want);
+        }
+
         #[test]
         fn roundtrip_any_flows(n in 1usize..40, seed in any::<u32>()) {
             let template = Template::standard(320);
