@@ -269,7 +269,7 @@ for stage, o, n in pairs:
 EOF
 fi
 
-echo "== resume smoke (kill at chunk 2 mid-write, resume, fingerprint vs batch) =="
+echo "== resume smoke (streaming and worldscale: kill at chunk 2 mid-write, resume, fingerprint vs uninterrupted run) =="
 ./target/release/resume_smoke
 
 echo "ci.sh: all green"

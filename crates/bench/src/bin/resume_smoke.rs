@@ -1,15 +1,26 @@
-//! CI resume smoke (ci.sh): crash the streaming pipeline *mid-write* of
-//! chunk 2's blob — leaving a torn file at the blob's final name — then
-//! resume on the same checkpoint directory and require bit-identical
-//! outputs against the uninterrupted batch pipeline. A second scenario
-//! crashes immediately after the first rolling snapshot is published and
-//! requires the same equality. Exits nonzero on any drift, so a broken
-//! recovery path fails the gate rather than warning.
+//! CI resume smoke (ci.sh), in release mode, for both segment-driver
+//! pipelines:
+//!
+//! 1. crash the streaming pipeline *mid-write* of chunk 2's blob — leaving
+//!    a torn file at the blob's final name — then resume on the same
+//!    checkpoint directory and require bit-identical outputs against the
+//!    uninterrupted batch pipeline;
+//! 2. crash the streaming pipeline immediately after the first rolling
+//!    snapshot is published, and require the same equality;
+//! 3. crash a durable worldscale run on a small `WorldConfig::large`
+//!    world mid-write of chunk 2's blob, resume, and require its
+//!    `ScaleOutputs::fingerprint` to equal the uninterrupted in-memory
+//!    run's.
+//!
+//! Exits nonzero on any drift, so a broken recovery path fails the gate
+//! rather than warning.
 
 use std::net::IpAddr;
+use std::path::Path;
 use std::process::ExitCode;
 use xborder::pipeline::{run_extension_pipeline_degraded, StudyOutputs};
 use xborder::stream::{run_extension_pipeline_streaming, StreamConfig, StreamError};
+use xborder::worldscale::{run_worldscale_pipeline, ScaleConfig};
 use xborder::{World, WorldConfig};
 use xborder_faults::{FaultPlan, KillSwitch};
 
@@ -49,52 +60,64 @@ fn fingerprint(out: &StudyOutputs) -> (usize, usize, u64, u64, usize, usize, u64
 }
 
 fn main() -> ExitCode {
-    let seed = 11u64;
-    let plan = FaultPlan::aggressive(seed);
-    let cfg = || WorldConfig::small(seed).with_threads(2);
-    let dir = std::env::temp_dir().join(format!("xborder-resume-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let stream = StreamConfig::durable(5, &dir);
-
-    let mut world = World::build(cfg());
-    let (batch_out, _) = run_extension_pipeline_degraded(&mut world, &plan);
-    let want = fingerprint(&batch_out);
-
-    // Crash while chunk 2's blob is half-written: chunks 0 and 1 are
-    // durable, chunk 2 exists only as a torn, unreferenced file at its
-    // final name.
-    let kill = KillSwitch::at_label("chunk-2:blob:mid");
-    let mut world = World::build(cfg());
-    match run_extension_pipeline_streaming(&mut world, &plan, &stream, &kill) {
-        Err(StreamError::Killed { site, label }) => {
-            println!("resume_smoke: killed at site {site} ({label})");
-        }
+    match scenarios() {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("resume_smoke: FAIL — expected a kill at chunk-2:blob:mid, got error: {e}");
-            return ExitCode::FAILURE;
-        }
-        Ok(_) => {
-            eprintln!("resume_smoke: FAIL — run completed without firing the kill point");
-            return ExitCode::FAILURE;
+            eprintln!("resume_smoke: FAIL — {e}");
+            ExitCode::FAILURE
         }
     }
+}
 
-    let mut world = World::build(cfg());
-    let got = match run_extension_pipeline_streaming(&mut world, &plan, &stream, &KillSwitch::none())
-    {
-        Ok((out, _report)) => fingerprint(&out),
-        Err(e) => {
-            eprintln!("resume_smoke: FAIL — resume after kill failed: {e}");
-            return ExitCode::FAILURE;
+/// Kills `run` at the site labelled `label` on a fresh `dir`, resumes it
+/// on the same directory, and returns the resumed run's outputs.
+fn kill_and_resume<T>(
+    what: &str,
+    dir: &Path,
+    label: &str,
+    run: impl Fn(&KillSwitch) -> Result<T, StreamError>,
+) -> Result<T, String> {
+    let _ = std::fs::remove_dir_all(dir);
+    match run(&KillSwitch::at_label(label)) {
+        Err(StreamError::Killed { site, label }) => {
+            println!("resume_smoke: killed {what} at site {site} ({label})");
         }
-    };
-    let _ = std::fs::remove_dir_all(&dir);
+        Err(e) => return Err(format!("expected a {what} kill at {label}, got error: {e}")),
+        Ok(_) => return Err(format!("{what} run completed without firing {label}")),
+    }
+    let resumed = run(&KillSwitch::none())
+        .map_err(|e| format!("{what} resume after the kill at {label} failed: {e}"));
+    let _ = std::fs::remove_dir_all(dir);
+    resumed
+}
 
-    if got != want {
-        eprintln!("resume_smoke: FAIL — resumed outputs drifted from batch:");
-        eprintln!("  batch:   {want:?}");
-        eprintln!("  resumed: {got:?}");
-        return ExitCode::FAILURE;
+fn scenarios() -> Result<(), String> {
+    let seed = 11u64;
+    let plan = FaultPlan::aggressive(seed);
+    let tmp = |tag: &str| {
+        std::env::temp_dir().join(format!("xborder-resume-{tag}-{}", std::process::id()))
+    };
+    let cfg = || WorldConfig::small(seed).with_threads(2);
+    let stream = |stream_cfg: &StreamConfig, kill: &KillSwitch| {
+        run_extension_pipeline_streaming(&mut World::build(cfg()), &plan, stream_cfg, kill)
+            .map(|(out, _report)| out)
+    };
+    let (batch_out, _) = run_extension_pipeline_degraded(&mut World::build(cfg()), &plan);
+    let want = fingerprint(&batch_out);
+
+    // 1. Crash while chunk 2's blob is half-written: chunks 0 and 1 are
+    // durable, chunk 2 exists only as a torn, unreferenced file at its
+    // final name.
+    let dir = tmp("smoke");
+    let durable = StreamConfig::durable(5, &dir);
+    let out = kill_and_resume("streaming", &dir, "chunk-2:blob:mid", |kill| {
+        stream(&durable, kill)
+    })?;
+    if fingerprint(&out) != want {
+        return Err(format!(
+            "resumed outputs drifted from batch:\n  batch:   {want:?}\n  resumed: {:?}",
+            fingerprint(&out)
+        ));
     }
     println!(
         "resume_smoke: OK — kill at chunk 2 + resume is bit-identical to batch \
@@ -102,53 +125,56 @@ fn main() -> ExitCode {
         want.0, want.4
     );
 
-    // Second scenario: rolling snapshots on, crash right after the first
-    // window is published, resume, and require batch equality again (the
-    // resumed run also re-emits the full snapshot series).
-    let dir2 = std::env::temp_dir().join(format!("xborder-resume-snap-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir2);
-    let snap_stream = StreamConfig::durable(5, &dir2).with_snapshots(4);
-    let kill = KillSwitch::at_label("snapshot-0:emitted");
-    let mut world = World::build(cfg());
-    match run_extension_pipeline_streaming(&mut world, &plan, &snap_stream, &kill) {
-        Err(StreamError::Killed { site, label }) => {
-            println!("resume_smoke: killed at site {site} ({label})");
-        }
-        Err(e) => {
-            eprintln!("resume_smoke: FAIL — expected a kill at snapshot-0:emitted, got error: {e}");
-            return ExitCode::FAILURE;
-        }
-        Ok(_) => {
-            eprintln!("resume_smoke: FAIL — run completed without firing the snapshot kill point");
-            return ExitCode::FAILURE;
-        }
-    }
-    let mut world = World::build(cfg());
-    let (out, _report) =
-        match run_extension_pipeline_streaming(&mut world, &plan, &snap_stream, &KillSwitch::none())
-        {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("resume_smoke: FAIL — resume after snapshot kill failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    let _ = std::fs::remove_dir_all(&dir2);
+    // 2. Rolling snapshots on, crash right after the first window is
+    // published, resume, and require batch equality again (the resumed
+    // run also re-emits the full snapshot series).
+    let dir = tmp("snap");
+    let snap = StreamConfig::durable(5, &dir).with_snapshots(4);
+    let out = kill_and_resume("streaming", &dir, "snapshot-0:emitted", |kill| {
+        stream(&snap, kill)
+    })?;
     if fingerprint(&out) != want {
-        eprintln!("resume_smoke: FAIL — snapshot-kill resume drifted from batch");
-        return ExitCode::FAILURE;
+        return Err("snapshot-kill resume drifted from batch".into());
     }
     if out.snapshots.len() != 4 {
-        eprintln!(
-            "resume_smoke: FAIL — expected 4 rolling snapshots, got {}",
+        return Err(format!(
+            "expected 4 rolling snapshots, got {}",
             out.snapshots.len()
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     println!(
         "resume_smoke: OK — kill after snapshot 0 + resume is bit-identical to batch \
          ({} rolling snapshots re-emitted)",
         out.snapshots.len()
     );
-    ExitCode::SUCCESS
+
+    // 3. The out-of-core driver on a 400-user segmented world in segments
+    // of 50, killed mid-write of chunk 2's blob and resumed, must land on
+    // the uninterrupted in-memory run's fingerprint.
+    let large = || WorldConfig::large(seed, 400).with_threads(2);
+    let scale = |scale_cfg: &ScaleConfig, kill: &KillSwitch| {
+        run_worldscale_pipeline(&mut World::build(large()), &plan, scale_cfg, kill)
+            .map(|(out, _report)| out)
+    };
+    let want = scale(&ScaleConfig::in_memory(50), &KillSwitch::none())
+        .map_err(|e| format!("in-memory worldscale run failed: {e}"))?
+        .fingerprint();
+    let dir = tmp("scale");
+    let durable = ScaleConfig::durable(50, &dir);
+    let out = kill_and_resume("worldscale", &dir, "chunk-2:blob:mid", |kill| {
+        scale(&durable, kill)
+    })?;
+    if out.fingerprint() != want {
+        return Err(format!(
+            "resumed worldscale fingerprint {:#018x} drifted from the in-memory run's {want:#018x}",
+            out.fingerprint()
+        ));
+    }
+    println!(
+        "resume_smoke: OK — worldscale kill at chunk 2 + resume matches the in-memory run \
+         ({} segments, {} trackers)",
+        out.n_segments,
+        out.tracker_ips.len()
+    );
+    Ok(())
 }

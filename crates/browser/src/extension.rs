@@ -558,13 +558,8 @@ impl<'a> StudyStream<'a> {
         users: UserPopulation,
         study_seed: u64,
     ) -> StudyStream<'a> {
-        // Mean activity normalizes per-user visit counts and is a
-        // population-wide statistic: it must be computed over *all* users,
-        // never per chunk, or chunking would change visit counts.
-        let mean_activity: f64 =
-            users.users.iter().map(|u| u.activity).sum::<f64>() / users.users.len().max(1) as f64;
         StudyStream {
-            ctx: StudyCtx::new(cfg, graph, view, study_seed, mean_activity),
+            ctx: StudyCtx::new(cfg, graph, view, study_seed, users.mean_activity()),
             users,
         }
     }

@@ -236,6 +236,12 @@ impl UserPopulation {
         users
     }
 
+    /// Population-wide mean activity: the study's visit budget normalizes
+    /// by it, so it is always taken over every user, never per chunk.
+    pub fn mean_activity(&self) -> f64 {
+        self.users.iter().map(|u| u.activity).sum::<f64>() / self.users.len().max(1) as f64
+    }
+
     /// Population-wide mean activity of a segmented population, computed
     /// in one streaming pass without materializing any `User` vector
     /// (the study's visit budget normalizes by this, so out-of-core

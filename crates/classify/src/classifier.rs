@@ -36,7 +36,7 @@ use crate::rules::FilterList;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use xborder_browser::{LoggedRequest, Referrer};
-use xborder_webgraph::{fx_hash, Domain, DomainTable, FxMap};
+use xborder_webgraph::{fx_hash, DomainTable};
 
 /// Per-request classification outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -219,7 +219,7 @@ pub fn classify_with_engine(
     // Intern the log's heavily-repeated URLs into dense ids once and remap
     // the pre-interned host ids to log-local ones; every stage after this
     // is an array pass instead of repeated string hashing.
-    let mut interned = Interned::build_core(requests);
+    let mut interned = Interned::build(requests);
     // One engine resolution per unique host yields the stage-1 gate AND
     // the dense TLD id in the same pass — the separate per-unique-host
     // `tld()` derivation the interner used to run is gone.
@@ -329,33 +329,6 @@ pub fn classify_with_engine(
         stage2_rounds,
         stage3_rounds,
     }
-}
-
-/// Recomputes both Table-2 [`MethodCounts`] rows from a request log and its
-/// per-request labels.
-///
-/// This is the streaming pipeline's finalizer: per-chunk classification
-/// yields exact labels (referrer chains never cross chunk boundaries, and
-/// every other verdict is per-request), but the *distinct* FQDN / TLD /
-/// URL counts are not additive across chunks — a host first seen in chunk
-/// 0 must not count again in chunk 3. So the stream concatenates labels
-/// and calls this once over the full log, which is exactly the
-/// `method_counts_both` pass the batch classifier ends with.
-///
-/// `labels` must be parallel to `requests` (see the index invariant on
-/// [`ClassificationResult`]).
-pub fn method_counts(
-    requests: &[LoggedRequest],
-    domains: &DomainTable,
-    labels: &[Classification],
-) -> (MethodCounts, MethodCounts) {
-    assert_eq!(
-        requests.len(),
-        labels.len(),
-        "labels must be parallel to the request slice"
-    );
-    let interned = Interned::build(requests, domains);
-    method_counts_both(&interned, labels)
 }
 
 /// Open-addressing URL interner specialized for one pass over a request log.
@@ -531,27 +504,10 @@ impl UrlMemo {
 }
 
 impl Interned {
-    /// Full build including the standalone TLD pass — the path for callers
-    /// without a [`RuleEngine`] (e.g. [`method_counts`]). The engine-backed
-    /// classify path uses [`Interned::build_core`] and takes TLD ids from
-    /// the engine's host rows instead.
-    fn build(requests: &[LoggedRequest], domains: &DomainTable) -> Interned {
-        let mut interned = Interned::build_core(requests);
-        let mut tld_ids: FxMap<Domain, u32> = FxMap::default();
-        let mut tld_of_host = Vec::with_capacity(interned.host_rep.len());
-        for &rep in &interned.host_rep {
-            let tld = domains.domain(requests[rep as usize].host).tld();
-            let next = tld_ids.len() as u32;
-            tld_of_host.push(*tld_ids.entry(tld).or_insert(next));
-        }
-        interned.tld_of_host = tld_of_host;
-        interned.n_tlds = tld_ids.len();
-        interned
-    }
-
     /// Interns hosts/URLs/referrers but leaves `tld_of_host`/`n_tlds`
-    /// empty for the caller to fill.
-    fn build_core(requests: &[LoggedRequest]) -> Interned {
+    /// empty: [`classify_with_engine`] fills them from the rule
+    /// engine's host rows.
+    fn build(requests: &[LoggedRequest]) -> Interned {
         let n = requests.len();
         // World `DomainId` -> log-local dense host id (`u32::MAX` =
         // unseen), lazily grown. Hosts arrive pre-interned from the study,
@@ -860,7 +816,7 @@ mod tests {
     use xborder_dns::{DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
     use xborder_geo::{CountryCode, WORLD};
     use xborder_netsim::ServerId;
-    use xborder_webgraph::{generate, WebGraph, WebGraphConfig};
+    use xborder_webgraph::{generate, Domain, WebGraph, WebGraphConfig};
 
     fn wire_all(graph: &WebGraph, dns: &mut DnsSim) {
         let de = WORLD.country_or_panic(CountryCode::parse("DE").unwrap());

@@ -54,8 +54,8 @@
 //! bit, for every chunking: a URL's (and host's, and TLD's) dense id is
 //! its global first-occurrence rank either way, the stage verdicts are
 //! per-request or per-chunk-closed, and the absorbed counts walk requests
-//! in the same global order over the same seen-bits as the batch
-//! `method_counts_both` pass. `tests/streaming_resume.rs` pins this
+//! in the same global order over the same seen-bits as the count pass
+//! that ends [`crate::classify`]. `tests/streaming_resume.rs` pins this
 //! against the batch fingerprints.
 //!
 //! # Serialization
@@ -664,7 +664,8 @@ impl IncrementalClassifier {
     }
 
     /// The running Table-2 rows `(abp, semi)` over everything absorbed so
-    /// far. Equals `classify` / `method_counts` over the concatenated log.
+    /// far. Equals the counts [`crate::classify`] returns over the concatenated
+    /// log.
     pub fn counts(&self) -> (MethodCounts, MethodCounts) {
         (self.abp, self.semi)
     }

@@ -32,8 +32,8 @@ pub mod listgen;
 pub mod rules;
 
 pub use classifier::{
-    classify, classify_with_stages, classify_with_stages_threads, method_counts,
-    Classification, ClassificationResult, ClassifierStages, MethodCounts,
+    classify, classify_with_stages, classify_with_stages_threads, Classification,
+    ClassificationResult, ClassifierStages, MethodCounts,
 };
 pub use engine::{AhoCorasick, HostRow, KeywordScanner, RuleEngine, TokenPrefilter};
 pub use incremental::{ChunkClassification, IncrementalClassifier, ResidentBytes};

@@ -57,6 +57,7 @@ pub mod pipeline;
 pub mod regulations;
 pub mod related;
 pub mod report;
+mod segment;
 pub mod sensitive;
 pub mod snapshots;
 pub mod stream;

@@ -1,0 +1,672 @@
+//! The segment driver shared by the streaming and out-of-core pipelines
+//! (DESIGN.md §5g, §5j).
+//!
+//! [`crate::stream`] and [`crate::worldscale`] run one loop, [`run_segments`],
+//! and differ only in the [`SegmentSink`] each committed segment goes to.
+//! The driver does, once for both:
+//!
+//! 1. open the checkpoint store under the config fingerprint, so a seed,
+//!    scale or plan mismatch refuses before any simulation;
+//! 2. the batch pipeline's world-RNG draws: the study stream, the
+//!    population (drawn the sink's way), the study seed;
+//! 3. replay every durable chunk: manifest-range and per-request user
+//!    checks, payload decode, classifier delta, pDNS and counter
+//!    absorption;
+//! 4. ingest the remaining users segment by segment: simulate, classify,
+//!    persist when a store exists, observe pDNS;
+//! 5. the completion stage (loaded from its checkpoint, or completed from
+//!    the sink's observed tracker set and checkpointed) and geolocation.
+//!
+//! Every kill site outside the sink (`chunk-{i}:begin`,
+//! `chunk-{i}:committed`, `stage:*:done` and the store's own) is the
+//! driver's, so both pipelines crash and resume at the same labels.
+//!
+//! The typed blob codecs live here too: the checkpoint crate stores
+//! opaque bytes, and these encodings sit next to the driver that writes
+//! them. Floats are stored as IEEE-754 bit patterns, so round trips are
+//! bit-exact.
+
+use crate::ips::{CompletionStats, IpInfo, TrackerIpSet};
+use crate::pipeline::{geolocate_providers, EstimateMap};
+use crate::stream::{config_fingerprint, StreamError};
+use crate::worldgen::World;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, HashSet};
+use std::net::IpAddr;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
+use xborder_browser::{
+    SegmentBlock, StudyChunk, StudyConfig, StudyCtx, User, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI,
+};
+use xborder_checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointStore, DecodeError};
+use xborder_classify::{
+    generate_lists, Classification, ClassificationResult, ClassifierStages, FilterList,
+    IncrementalClassifier,
+};
+use xborder_faults::{DegradationReport, FaultInjector, FaultPlan, KillSwitch};
+use xborder_netsim::time::{SimTime, TimeWindow};
+use xborder_netsim::Infrastructure;
+use xborder_webgraph::{Domain, DomainTable};
+
+/// One committed segment, handed to the sink once, in user order.
+pub(crate) enum Segment<'a> {
+    /// A durable chunk replayed from the store, columnar only. Its labels
+    /// and request users are already validated.
+    Replayed(SegmentBlock),
+    /// A segment this run simulated and classified.
+    Ingested {
+        /// The simulated rows (referrers segment-local).
+        chunk: &'a StudyChunk,
+        /// Per-request label tags.
+        labels: &'a [u8],
+        /// The columnar form, built when a store persisted the segment or
+        /// the sink keeps blocks ([`SegmentSink::KEEPS_BLOCKS`]).
+        block: Option<SegmentBlock>,
+    },
+}
+
+/// What the driver's completion and geolocation stages produced.
+pub(crate) struct Located {
+    pub(crate) easylist: FilterList,
+    pub(crate) easyprivacy: FilterList,
+    pub(crate) n_segments: usize,
+    pub(crate) tracker_ips: TrackerIpSet,
+    pub(crate) completion: CompletionStats,
+    pub(crate) ipmap_estimates: EstimateMap,
+    pub(crate) maxmind_estimates: EstimateMap,
+    pub(crate) ipapi_estimates: EstimateMap,
+}
+
+/// What a pipeline does with the segments [`run_segments`] commits.
+pub(crate) trait SegmentSink: Sized {
+    /// The pipeline's outputs.
+    type Output;
+    /// The sink once ingest has ended.
+    type Study;
+    /// Ingest builds a columnar block for every segment, not only for the
+    /// ones a store persists.
+    const KEEPS_BLOCKS: bool;
+
+    /// Draws the population from the world RNG, between the study-stream
+    /// draw and the study seed, and returns its mean activity (the visit
+    /// budget normalizes by it).
+    fn draw_population(&mut self, study: &StudyConfig, rng: &mut StdRng) -> f64;
+
+    /// The users `range` of the drawn population.
+    fn users(&self, range: Range<usize>) -> Vec<User>;
+
+    /// Absorbs one committed segment whose users are `users`.
+    fn absorb(
+        &mut self,
+        segment: Segment<'_>,
+        users: &[User],
+        domains: &DomainTable,
+        infra: &Infrastructure,
+    );
+
+    /// Runs after every absorbed segment, and once after ingest, with the
+    /// number of users now durable.
+    fn committed(&mut self, _users_ingested: usize, _kill: &KillSwitch) -> Result<(), StreamError> {
+        Ok(())
+    }
+
+    /// Sink time booked as snapshot time rather than study time.
+    fn snapshot_ms(&self) -> f64 {
+        0.0
+    }
+
+    /// Ends ingest. `classification` carries the run's Table-2 rows and
+    /// fixpoint rounds; its labels are empty (the sink holds them).
+    fn finish_study(
+        self,
+        classification: ClassificationResult,
+        domains: &DomainTable,
+    ) -> Result<Self::Study, StreamError>;
+
+    /// The observed tracker set the completion stage starts from (asked
+    /// only when no durable completion exists).
+    fn observed_tracker_ips(study: &mut Self::Study) -> TrackerIpSet;
+
+    /// Assembles the outputs and sets the report's EU28 confinement.
+    fn finish(study: Self::Study, located: Located, report: &mut DegradationReport)
+        -> Self::Output;
+}
+
+/// Fires a driver-level kill site, turning a hit into the typed error.
+pub(crate) fn killable(kill: &KillSwitch, label: &str) -> Result<(), StreamError> {
+    if kill.fire(label) {
+        let site = kill.fired().map(|(s, _)| s).unwrap_or_default();
+        return Err(StreamError::Killed {
+            site,
+            label: label.to_string(),
+        });
+    }
+    Ok(())
+}
+
+/// Runs the extension pipeline in segments of `segment_users` users,
+/// checkpointed into `checkpoint_dir` when one is given, and hands every
+/// committed segment to `sink`.
+///
+/// Chunk size, kill schedule and thread budget never change an output: a
+/// killed run called again on the same directory replays the durable
+/// chunks and continues from the first missing one.
+pub(crate) fn run_segments<S: SegmentSink>(
+    world: &mut World,
+    plan: &FaultPlan,
+    segment_users: usize,
+    checkpoint_dir: Option<&Path>,
+    kill: &KillSwitch,
+    mut sink: S,
+) -> Result<(S::Output, DegradationReport), StreamError> {
+    let inj = FaultInjector::new(plan.clone());
+    let mut report = DegradationReport::default();
+    let threads = world.config.parallelism.threads.max(1);
+    let t_total = Instant::now();
+
+    // Open (and validate) the checkpoint directory before burning any
+    // simulation time: a seed/version mismatch must refuse up front.
+    let fingerprint = config_fingerprint(&world.config, plan)?;
+    let mut store = match checkpoint_dir {
+        Some(dir) => Some(CheckpointStore::open(dir, fingerprint)?),
+        None => None,
+    };
+
+    // World-RNG draws mirror the batch pipeline exactly: one study-stream
+    // draw, then the population, then the study seed. Resume runs repeat
+    // these draws (they are cheap and deterministic), which leaves `rng`
+    // positioned where the geolocation stage expects it.
+    let mut rng = StdRng::seed_from_u64(world.study_rng.gen());
+    let mean_activity = sink.draw_population(&world.config.study, &mut rng);
+    let study_seed: u64 = rng.gen();
+    let n_users = world.config.study.population.n_users;
+    let segment_users = segment_users.max(1);
+    let domains = world.graph.domains();
+
+    // Filter lists are a pure function of the web graph (no RNG).
+    // Constructing the classifier compiles the rule engine, so the compile
+    // cost books under classify time, as it does in the batch pipeline.
+    let (easylist, easyprivacy) = generate_lists(&world.graph);
+    let t_compile = Instant::now();
+    let mut classifier =
+        IncrementalClassifier::new(&easylist, &easyprivacy, ClassifierStages::default());
+    let mut classify_ms = t_compile.elapsed().as_secs_f64() * 1e3;
+
+    let mut n_segments = 0usize;
+    // Segment propagation rounds are BFS depths over segment-disjoint
+    // component sets, so the batch depth is the max across segments.
+    let mut stage2_depth = 0usize;
+    let mut stage3_rounds = 0usize;
+    let mut pre_fault_offset: u64 = 0;
+    let mut next_user = 0usize;
+
+    // Replay: every chunk the manifest says is durable is loaded and
+    // validated instead of simulated. The loader never writes: a corrupt
+    // chunk surfaces as a typed error with the directory untouched. The
+    // classifier deltas, pDNS observations and counters re-apply in chunk
+    // order, which reconstructs the killed run's state exactly.
+    if let Some(store) = &store {
+        for entry in store.chunks().to_vec() {
+            if entry.user_start != next_user as u64
+                || entry.user_end < entry.user_start
+                || entry.user_end > n_users as u64
+            {
+                return Err(CheckpointError::ManifestInvalid {
+                    detail: format!(
+                        "chunk {} covers users {}..{} but {} of {} users are accounted for",
+                        entry.index, entry.user_start, entry.user_end, next_user, n_users
+                    ),
+                }
+                .into());
+            }
+            let payload = store.load_chunk(&entry)?;
+            let (block, cls_bytes) = decode_chunk_payload(&entry.file, &payload)?;
+            // Sinks look users up by id: a request naming a user outside
+            // the chunk's range is corruption, not an index.
+            let range = entry.user_start..entry.user_end;
+            if let Some(user) = (0..block.n_requests())
+                .map(|i| block.request_user(i))
+                .find(|&u| !range.contains(&u64::from(u)))
+            {
+                return Err(corrupt(
+                    &entry.file,
+                    DecodeError {
+                        offset: 0,
+                        detail: format!(
+                            "request of user {user} outside the chunk's users {}..{}",
+                            entry.user_start, entry.user_end
+                        ),
+                    },
+                ));
+            }
+            apply_chunk_delta(&mut classifier, &entry.file, cls_bytes, &block, domains)?;
+            world
+                .dns
+                .absorb_id_observations(&block.observations_vec(), domains);
+            let counters = block.counters();
+            report.absorb_counters(&counters);
+            pre_fault_offset += counters.requests_generated;
+            stage2_depth = stage2_depth.max((block.stage2_rounds as usize).saturating_sub(1));
+            stage3_rounds = stage3_rounds.max(block.stage3_rounds as usize);
+            let users = sink.users(next_user..entry.user_end as usize);
+            sink.absorb(Segment::Replayed(block), &users, domains, &world.infra);
+            next_user = entry.user_end as usize;
+            n_segments += 1;
+            sink.committed(next_user, kill)?;
+        }
+    }
+
+    // Ingest the remaining users segment by segment. The view over the
+    // world's DNS zones is read-only; the pDNS sensor is borrowed mutably
+    // alongside it (disjoint fields) so each committed segment's buffered
+    // observations absorb immediately, in segment order. Each iteration's
+    // AoS chunk dies with it: what outlives it is the sink's business.
+    let t_ingest = Instant::now();
+    let cls_ms_before_ingest = classify_ms;
+    let snap_ms_before_ingest = sink.snapshot_ms();
+    {
+        let (view, pdns) = world.dns.indexed_view_and_pdns(domains);
+        let ctx = StudyCtx::new(
+            &world.config.study,
+            &world.graph,
+            view,
+            study_seed,
+            mean_activity,
+        );
+        while next_user < n_users {
+            let index = n_segments as u64;
+            let end = (next_user + segment_users).min(n_users);
+            killable(kill, &format!("chunk-{index}:begin"))?;
+            let users = sink.users(next_user..end);
+            let chunk = ctx.simulate_users(&users, &inj, threads, pre_fault_offset);
+            // Delta-fixpoint classification: only this segment's frontier
+            // is walked; interner/memo/count state persists across
+            // segments, so labels and counts equal the batch pass.
+            let t_cls = Instant::now();
+            let cls = classifier.append_chunk(&chunk.requests, domains);
+            classify_ms += t_cls.elapsed().as_secs_f64() * 1e3;
+            let label_bytes = labels_to_bytes(&cls.labels);
+            let block = (S::KEEPS_BLOCKS || store.is_some()).then(|| {
+                SegmentBlock::from_chunk(
+                    &chunk,
+                    &label_bytes,
+                    cls.stage2_rounds as u32,
+                    cls.stage3_rounds as u32,
+                    (next_user as u32, end as u32),
+                )
+            });
+            if let (Some(store), Some(block)) = (&mut store, &block) {
+                let payload = encode_chunk_payload(block, &mut classifier);
+                store.append_chunk(index, next_user as u64, end as u64, &payload, kill)?;
+            }
+            killable(kill, &format!("chunk-{index}:committed"))?;
+            for o in &chunk.observations {
+                pdns.observe(domains.domain(o.host), o.ip, o.time);
+            }
+            report.absorb_counters(&chunk.report);
+            pre_fault_offset += chunk.report.requests_generated;
+            stage2_depth = stage2_depth.max(cls.stage2_rounds.saturating_sub(1));
+            stage3_rounds = stage3_rounds.max(cls.stage3_rounds);
+            let segment = Segment::Ingested {
+                chunk: &chunk,
+                labels: &label_bytes,
+                block,
+            };
+            sink.absorb(segment, &users, domains, &world.infra);
+            next_user = end;
+            n_segments += 1;
+            sink.committed(next_user, kill)?;
+        }
+    }
+    // Degenerate streams (zero users) never enter the loop; the sink still
+    // hears that ingest is complete.
+    sink.committed(next_user, kill)?;
+    killable(kill, "stage:study:done")?;
+
+    // Table-2 distinct counts absorbed segment by segment through the
+    // classifier's persistent seen-bits: no full-log recount.
+    let (abp, semi) = classifier.counts();
+    drop(classifier);
+    let stage2_rounds = 1 + stage2_depth;
+    let classification = ClassificationResult {
+        labels: Vec::new(),
+        abp,
+        semi,
+        propagation_rounds: stage2_rounds + stage3_rounds,
+        stage2_rounds,
+        stage3_rounds,
+    };
+    let snapshot_ms = sink.snapshot_ms();
+    let mut study = sink.finish_study(classification, domains)?;
+    report.timings.study_ms = t_ingest.elapsed().as_secs_f64() * 1e3
+        - (classify_ms - cls_ms_before_ingest)
+        - (snapshot_ms - snap_ms_before_ingest);
+    report.timings.classify_ms = classify_ms;
+    report.timings.snapshot_ms = snapshot_ms;
+    killable(kill, "stage:classify:done")?;
+
+    // Tracker IP set + pDNS completion: the stage-boundary checkpoint. A
+    // resume that already has the completion blob loads it (with its
+    // counter delta) instead of recomputing; both paths are bit-identical
+    // because completion is a deterministic function of (labels, pDNS).
+    let t_stage = Instant::now();
+    let durable_completion = match &store {
+        Some(s) => s.load_stage("completion")?,
+        None => None,
+    };
+    let (tracker_ips, completion) = match durable_completion {
+        Some(payload) => {
+            let (ips, stats, delta) = decode_completion_state(&payload)?;
+            report.absorb_counters(&delta);
+            (ips, stats)
+        }
+        None => {
+            let mut tracker_ips = S::observed_tracker_ips(&mut study);
+            let mut delta = DegradationReport::default();
+            let stats = tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut delta);
+            report.absorb_counters(&delta);
+            if let Some(store) = &mut store {
+                let payload = encode_completion_state(&tracker_ips, &stats, &delta);
+                store.put_stage("completion", &payload, kill)?;
+            }
+            (tracker_ips, stats)
+        }
+    };
+    report.timings.completion_ms = t_stage.elapsed().as_secs_f64() * 1e3;
+    killable(kill, "stage:completion:done")?;
+
+    // Geolocation, shared verbatim with the batch pipeline. Nothing after
+    // this point is checkpointed: a crash here re-runs geolocation
+    // deterministically from the durable completion state.
+    let t_stage = Instant::now();
+    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) =
+        geolocate_providers(world, &mut rng, &tracker_ips, &inj, &mut report, threads);
+    report.timings.geolocate_ms = t_stage.elapsed().as_secs_f64() * 1e3;
+    killable(kill, "stage:geolocate:done")?;
+
+    let located = Located {
+        easylist,
+        easyprivacy,
+        n_segments,
+        tracker_ips,
+        completion,
+        ipmap_estimates,
+        maxmind_estimates,
+        ipapi_estimates,
+    };
+    let out = S::finish(study, located, &mut report);
+    report.timings.total_ms = t_total.elapsed().as_secs_f64() * 1e3;
+    Ok((out, report))
+}
+
+// ---------------------------------------------------------------------------
+// Blob codecs.
+// ---------------------------------------------------------------------------
+
+pub(crate) fn corrupt(file: &str, e: DecodeError) -> StreamError {
+    StreamError::Checkpoint(CheckpointError::Corrupt {
+        path: PathBuf::from(file),
+        detail: e.to_string(),
+    })
+}
+
+/// Maps chunk labels onto the [`SegmentBlock`] tag bytes (the tag values
+/// are part of the checkpoint format; `xborder_browser::colog` documents
+/// them as matching this codec).
+pub(crate) fn labels_to_bytes(labels: &[Classification]) -> Vec<u8> {
+    labels
+        .iter()
+        .map(|l| match l {
+            Classification::AbpTracking => LABEL_ABP,
+            Classification::SemiTracking => LABEL_SEMI,
+            Classification::Clean => LABEL_CLEAN,
+        })
+        .collect()
+}
+
+/// Reverses [`labels_to_bytes`]; an unknown tag is typed corruption (the
+/// bytes may have come from a checkpoint blob).
+pub(crate) fn labels_from_bytes(
+    file: &str,
+    bytes: &[u8],
+) -> Result<Vec<Classification>, StreamError> {
+    bytes.iter().map(|&b| label_from_byte(file, b)).collect()
+}
+
+fn label_from_byte(file: &str, b: u8) -> Result<Classification, StreamError> {
+    match b {
+        LABEL_ABP => Ok(Classification::AbpTracking),
+        LABEL_SEMI => Ok(Classification::SemiTracking),
+        LABEL_CLEAN => Ok(Classification::Clean),
+        tag => Err(corrupt(
+            file,
+            DecodeError {
+                offset: 0,
+                detail: format!("unknown classification tag {tag}"),
+            },
+        )),
+    }
+}
+
+pub(crate) fn put_ip(w: &mut ByteWriter, ip: IpAddr) {
+    match ip {
+        IpAddr::V4(v4) => {
+            w.put_u8(4);
+            w.put_bytes(&v4.octets());
+        }
+        IpAddr::V6(v6) => {
+            w.put_u8(6);
+            w.put_bytes(&v6.octets());
+        }
+    }
+}
+
+fn read_ip(r: &mut ByteReader<'_>) -> Result<IpAddr, DecodeError> {
+    match r.u8()? {
+        4 => {
+            let b = r.bytes(4)?;
+            Ok(IpAddr::from([b[0], b[1], b[2], b[3]]))
+        }
+        6 => {
+            let b = r.bytes(16)?;
+            let mut o = [0u8; 16];
+            o.copy_from_slice(b);
+            Ok(IpAddr::from(o))
+        }
+        tag => Err(DecodeError {
+            offset: 0,
+            detail: format!("unknown IP tag {tag}"),
+        }),
+    }
+}
+
+/// The fixed counter order of the report codec
+/// ([`DegradationReport::counter_values`]). Only counters travel in
+/// blobs: chunk reports carry deltas, and `eu28_confinement`/timings are
+/// finalization-time observations that are never absorbed.
+fn put_counters(w: &mut ByteWriter, r: &DegradationReport) {
+    for v in r.counter_values() {
+        w.put_u64(v);
+    }
+}
+
+fn read_counters(rd: &mut ByteReader<'_>) -> Result<DegradationReport, DecodeError> {
+    let mut values = [0u64; DegradationReport::N_COUNTERS];
+    for slot in &mut values {
+        *slot = rd.u64()?;
+    }
+    Ok(DegradationReport::from_counter_values(&values))
+}
+
+/// The durable chunk payload: two length-prefixed sections — the columnar
+/// segment block, then the incremental-classifier *delta* for this chunk.
+/// Encoding advances the classifier's delta baseline (the only caller
+/// encodes each chunk exactly once, in order); replay applies every
+/// durable chunk's delta in the same order to reconstruct the state.
+fn encode_chunk_payload(block: &SegmentBlock, classifier: &mut IncrementalClassifier) -> Vec<u8> {
+    let mut cw = ByteWriter::new();
+    classifier.encode_delta(&mut cw);
+    let cls = cw.into_bytes();
+    let seg = block.encode_bytes();
+    let mut w = ByteWriter::with_capacity(16 + seg.len() + cls.len());
+    w.put_blob(&seg);
+    w.put_blob(&cls);
+    w.into_bytes()
+}
+
+/// Applies a replayed chunk's classifier delta (the second half of its
+/// payload). The delta's running request total is the one count in it that
+/// none of its own bytes back; the chunk's rows do, so the two must agree
+/// before a resumed run sizes anything from that total.
+fn apply_chunk_delta(
+    classifier: &mut IncrementalClassifier,
+    file: &str,
+    cls_bytes: &[u8],
+    block: &SegmentBlock,
+    domains: &DomainTable,
+) -> Result<(), StreamError> {
+    let expected = classifier.n_requests() + block.n_requests() as u64;
+    let mut rd = ByteReader::new(cls_bytes);
+    classifier
+        .apply_delta(&mut rd, domains)
+        .map_err(|e| corrupt(file, e))?;
+    rd.finish().map_err(|e| corrupt(file, e))?;
+    if classifier.n_requests() != expected {
+        return Err(corrupt(
+            file,
+            DecodeError {
+                offset: 0,
+                detail: format!(
+                    "delta request total {} does not match the {expected} requests replayed",
+                    classifier.n_requests()
+                ),
+            },
+        ));
+    }
+    Ok(())
+}
+
+/// Splits a chunk payload into its decoded segment block and the raw bytes
+/// of the classifier delta section (applied by [`apply_chunk_delta`]). Every
+/// label byte is checked here: sinks treat any tag other than
+/// [`LABEL_CLEAN`] as tracking, so an unknown tag must be refused as
+/// corruption rather than counted.
+pub(crate) fn decode_chunk_payload<'p>(
+    file: &str,
+    payload: &'p [u8],
+) -> Result<(SegmentBlock, &'p [u8]), StreamError> {
+    let mut rd = ByteReader::new(payload);
+    let seg = rd.blob().map_err(|e| corrupt(file, e))?;
+    let cls = rd.blob().map_err(|e| corrupt(file, e))?;
+    rd.finish().map_err(|e| corrupt(file, e))?;
+    let block = SegmentBlock::decode_bytes(seg).map_err(|e| corrupt(file, e))?;
+    // Durable chunks are always classified: one label byte per request.
+    if block.labels().len() != block.n_requests() {
+        return Err(corrupt(
+            file,
+            DecodeError {
+                offset: 0,
+                detail: format!(
+                    "label count {} does not match request count {}",
+                    block.labels().len(),
+                    block.n_requests()
+                ),
+            },
+        ));
+    }
+    for &b in block.labels() {
+        label_from_byte(file, b)?;
+    }
+    Ok((block, cls))
+}
+
+/// Writes the tracker set in canonical order (sorted by IP, hosts sorted
+/// within each record; the in-memory maps hash-order freely) followed by
+/// the four completion stats. These are the bytes the completion
+/// checkpoint stores and [`crate::worldscale::ScaleOutputs::fingerprint`]
+/// hashes.
+pub(crate) fn put_tracker_state(w: &mut ByteWriter, ips: &TrackerIpSet, stats: &CompletionStats) {
+    let mut sorted: Vec<(&IpAddr, &IpInfo)> = ips.ips.iter().collect();
+    sorted.sort_by_key(|(ip, _)| **ip);
+    w.put_usize(sorted.len());
+    for (ip, info) in sorted {
+        put_ip(w, *ip);
+        w.put_u64(info.requests);
+        let mut hosts: Vec<&str> = info.hosts.iter().map(|h| h.as_str()).collect();
+        hosts.sort_unstable();
+        w.put_usize(hosts.len());
+        for h in hosts {
+            w.put_str(h);
+        }
+        w.put_u64(info.window.start.0);
+        w.put_u64(info.window.end.0);
+        w.put_u8(info.from_pdns_only as u8);
+    }
+    w.put_usize(stats.n_observed);
+    w.put_usize(stats.n_added);
+    w.put_f64(stats.v4_share);
+    w.put_f64(stats.added_v4_share);
+}
+
+pub(crate) fn encode_completion_state(
+    ips: &TrackerIpSet,
+    stats: &CompletionStats,
+    delta: &DegradationReport,
+) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(64 + ips.len() * 48);
+    put_tracker_state(&mut w, ips, stats);
+    put_counters(&mut w, delta);
+    w.into_bytes()
+}
+
+/// Smallest encoded tracker-IP record of the completion stage: a v4
+/// address (tag + 4), the request count, the host count, the window and
+/// the pDNS flag. Each host adds at least its 8-byte length prefix.
+const IP_RECORD_MIN: usize = 5 + 8 + 8 + 16 + 1;
+
+pub(crate) fn decode_completion_state(
+    payload: &[u8],
+) -> Result<(TrackerIpSet, CompletionStats, DegradationReport), StreamError> {
+    const FILE: &str = "stage-completion.xbc";
+    let mut rd = ByteReader::new(payload);
+    let inner = |rd: &mut ByteReader<'_>| -> Result<
+        (TrackerIpSet, CompletionStats, DegradationReport),
+        DecodeError,
+    > {
+        let n = rd.count(IP_RECORD_MIN)?;
+        let mut ips: HashMap<IpAddr, IpInfo> = HashMap::with_capacity(n);
+        for _ in 0..n {
+            let ip = read_ip(rd)?;
+            let requests = rd.u64()?;
+            let n_hosts = rd.count(8)?;
+            let mut hosts = HashSet::with_capacity(n_hosts);
+            for _ in 0..n_hosts {
+                hosts.insert(Domain::new(rd.str()?));
+            }
+            let window = TimeWindow::new(SimTime(rd.u64()?), SimTime(rd.u64()?));
+            let from_pdns_only = rd.u8()? != 0;
+            ips.insert(
+                ip,
+                IpInfo {
+                    requests,
+                    hosts,
+                    window,
+                    from_pdns_only,
+                },
+            );
+        }
+        let stats = CompletionStats {
+            n_observed: rd.len_prefix()?,
+            n_added: rd.len_prefix()?,
+            v4_share: rd.f64()?,
+            added_v4_share: rd.f64()?,
+        };
+        let delta = read_counters(rd)?;
+        Ok((TrackerIpSet { ips }, stats, delta))
+    };
+    let out = inner(&mut rd).map_err(|e| corrupt(FILE, e))?;
+    rd.finish().map_err(|e| corrupt(FILE, e))?;
+    Ok(out)
+}

@@ -35,7 +35,9 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::net::IpAddr;
-use xborder_browser::{ExtensionDataset, LoggedRequest, UserPopulation, Visit};
+use xborder_browser::{
+    ExtensionDataset, LoggedRequest, UserPopulation, Visit, LABEL_ABP, LABEL_SEMI,
+};
 use xborder_classify::Classification;
 use xborder_geo::WORLD;
 use xborder_netsim::time::{SimTime, TimeWindow};
@@ -186,13 +188,14 @@ impl SnapshotAccumulator {
         }
     }
 
-    /// Buckets one committed chunk's events. `labels` is parallel to
-    /// `requests`; both are chunk-local (user ids are global).
+    /// Buckets one committed chunk's events. `labels` are the label tags
+    /// ([`LABEL_ABP`] / [`LABEL_SEMI`] / clean), parallel to `requests`;
+    /// both are chunk-local (user ids are global).
     pub(crate) fn absorb_chunk(
         &mut self,
         visits: &[Visit],
         requests: &[LoggedRequest],
-        labels: &[Classification],
+        labels: &[u8],
         infra: &Infrastructure,
     ) {
         debug_assert_eq!(requests.len(), labels.len());
@@ -202,10 +205,10 @@ impl SnapshotAccumulator {
         for (r, l) in requests.iter().zip(labels) {
             let d = &mut self.buckets[self.wins.entry(r.user.0, r.time)];
             d.requests += 1;
-            match l {
-                Classification::AbpTracking => d.abp += 1,
-                Classification::SemiTracking => d.semi += 1,
-                Classification::Clean => continue,
+            match *l {
+                LABEL_ABP => d.abp += 1,
+                LABEL_SEMI => d.semi += 1,
+                _ => continue,
             }
             d.tracker_ips.push(r.ip);
             if self.user_eu28.get(r.user.0 as usize).copied().unwrap_or(false) {

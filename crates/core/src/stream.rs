@@ -3,12 +3,18 @@
 //!
 //! The paper's study ran for 4.5 months; operated as a standing service
 //! (the WhoTracks.Me model), ingestion must survive kills, torn writes and
-//! restarts. This module cuts the extension study into append-only chunks
-//! of users, classifies each chunk as it lands, and — when a checkpoint
-//! directory is configured — makes every chunk durable through
-//! `xborder-checkpoint` before moving on. A killed run re-opened on the
-//! same directory replays the durable chunks from disk and continues from
-//! the first missing one.
+//! restarts. The extension study is cut into append-only chunks of users,
+//! each classified as it lands and, when a checkpoint directory is
+//! configured, made durable through `xborder-checkpoint` before moving on.
+//! A killed run re-opened on the same directory replays the durable chunks
+//! from disk and continues from the first missing one.
+//!
+//! The loop itself (replay, ingest, the completion checkpoint and
+//! geolocation) is the segment driver `crate::segment`, shared with
+//! [`crate::worldscale`]. This module is its *materialize* sink: every
+//! committed chunk stays resident as a columnar [`SegmentBlock`], the
+//! optional rolling-snapshot accumulator absorbs it, and once ingest ends
+//! the blocks reassemble into the batch pipeline's [`StudyOutputs`].
 //!
 //! ## The determinism contract, extended
 //!
@@ -66,36 +72,28 @@
 //! minus the IO; with `chunk_users >= n_users` it is structurally the
 //! batch pipeline.
 
-use crate::ips::{CompletionStats, IpInfo, TrackerIpSet};
-use crate::pipeline::{geolocate_providers, StudyOutputs};
-use crate::snapshots::SnapshotAccumulator;
+use crate::ips::TrackerIpSet;
+use crate::pipeline::StudyOutputs;
+use crate::segment::{killable, labels_from_bytes, run_segments, Located, Segment, SegmentSink};
+use crate::snapshots::{RollingSnapshot, SnapshotAccumulator};
 use crate::worldgen::{World, WorldConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::net::IpAddr;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::time::Instant;
 use xborder_browser::{
-    ExtensionDataset, LoggedRequest, Referrer, RequestId, SegmentBlock, StudyStream,
-    UserPopulation, Visit, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI,
+    ExtensionDataset, LoggedRequest, Referrer, RequestId, SegmentBlock, StudyConfig, User,
+    UserPopulation, Visit,
 };
-use xborder_checkpoint::{
-    ByteReader, ByteWriter, CheckpointError, CheckpointStore, DecodeError,
-};
-use xborder_classify::{
-    generate_lists, Classification, ClassificationResult, ClassifierStages,
-    IncrementalClassifier,
-};
-use xborder_faults::{
-    stable_hash, DegradationReport, FaultInjector, FaultPlan, KillSwitch,
-};
+use xborder_checkpoint::CheckpointError;
+use xborder_classify::ClassificationResult;
+use xborder_faults::{stable_hash, DegradationReport, FaultPlan, KillSwitch};
 use xborder_geo::Region;
-use xborder_netsim::time::{SimTime, TimeWindow};
-use xborder_webgraph::{Domain, DomainTable};
+use xborder_netsim::Infrastructure;
+use xborder_webgraph::DomainTable;
 
-/// How the streaming driver chunks and checkpoints.
+/// How the streaming pipeline chunks and checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Users per append-only chunk (clamped to ≥ 1). A pure availability
@@ -177,35 +175,6 @@ impl From<CheckpointError> for StreamError {
     }
 }
 
-/// Fires a driver-level kill site, turning a hit into the typed error.
-pub(crate) fn killable(kill: &KillSwitch, label: &str) -> Result<(), StreamError> {
-    if kill.fire(label) {
-        let site = kill.fired().map(|(s, _)| s).unwrap_or_default();
-        return Err(StreamError::Killed { site, label: label.to_string() });
-    }
-    Ok(())
-}
-
-/// Emits every rolling snapshot whose window is fully covered now that
-/// `users_ingested` users are durable. Each emission is a kill site
-/// (`snapshot-{i}:emitted`): a crash immediately after publishing a
-/// snapshot is a scheduled scenario in the resume tests.
-fn emit_due_snapshots(
-    acc: &mut Option<SnapshotAccumulator>,
-    users_ingested: usize,
-    kill: &KillSwitch,
-    snapshot_ms: &mut f64,
-) -> Result<(), StreamError> {
-    let Some(acc) = acc.as_mut() else { return Ok(()) };
-    while acc.due(users_ingested) {
-        let t = Instant::now();
-        let i = acc.emit_next();
-        *snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
-        killable(kill, &format!("snapshot-{i}:emitted"))?;
-    }
-    Ok(())
-}
-
 /// The configuration fingerprint stored in the manifest: a stable hash of
 /// the world config and fault plan with the performance/availability knobs
 /// canonicalised away (the thread budget never changes outputs, so a
@@ -232,44 +201,6 @@ pub fn config_fingerprint(config: &WorldConfig, plan: &FaultPlan) -> Result<u64,
     Ok(h)
 }
 
-/// Maps chunk labels onto the [`SegmentBlock`] tag bytes (the tag values
-/// are part of the checkpoint format; `xborder_browser::colog` documents
-/// them as matching this codec).
-pub(crate) fn labels_to_bytes(labels: &[Classification]) -> Vec<u8> {
-    labels
-        .iter()
-        .map(|l| match l {
-            Classification::AbpTracking => LABEL_ABP,
-            Classification::SemiTracking => LABEL_SEMI,
-            Classification::Clean => LABEL_CLEAN,
-        })
-        .collect()
-}
-
-/// Reverses [`labels_to_bytes`]; an unknown tag is typed corruption (the
-/// bytes may have come from a checkpoint blob).
-pub(crate) fn labels_from_bytes(
-    file: &str,
-    bytes: &[u8],
-) -> Result<Vec<Classification>, StreamError> {
-    bytes.iter().map(|&b| label_from_byte(file, b)).collect()
-}
-
-fn label_from_byte(file: &str, b: u8) -> Result<Classification, StreamError> {
-    match b {
-        LABEL_ABP => Ok(Classification::AbpTracking),
-        LABEL_SEMI => Ok(Classification::SemiTracking),
-        LABEL_CLEAN => Ok(Classification::Clean),
-        tag => Err(corrupt(
-            file,
-            DecodeError {
-                offset: 0,
-                detail: format!("unknown classification tag {tag}"),
-            },
-        )),
-    }
-}
-
 /// Runs the extension pipeline as checkpointed streaming ingestion.
 ///
 /// Identical outputs to [`crate::pipeline::run_extension_pipeline_degraded`]
@@ -284,523 +215,196 @@ pub fn run_extension_pipeline_streaming(
     stream_cfg: &StreamConfig,
     kill: &KillSwitch,
 ) -> Result<(StudyOutputs, DegradationReport), StreamError> {
-    let inj = FaultInjector::new(plan.clone());
-    let mut report = DegradationReport::default();
-    let threads = world.config.parallelism.threads.max(1);
-    let t_total = Instant::now();
-
-    // Open (and validate) the checkpoint directory before burning any
-    // simulation time: a seed/version mismatch must refuse up front.
-    let fingerprint = config_fingerprint(&world.config, plan)?;
-    let mut store = match &stream_cfg.checkpoint_dir {
-        Some(dir) => Some(CheckpointStore::open(dir, fingerprint)?),
-        None => None,
+    let sink = Materialize {
+        windows: stream_cfg.snapshot_windows,
+        population: UserPopulation { users: Vec::new() },
+        snapshots: None,
+        snapshot_ms: 0.0,
+        segments: Vec::new(),
     };
+    run_segments(
+        world,
+        plan,
+        stream_cfg.chunk_users,
+        stream_cfg.checkpoint_dir.as_deref(),
+        kill,
+        sink,
+    )
+}
 
-    // World-RNG draws mirror the batch pipeline exactly: one study-stream
-    // draw, then population generation, then the study seed. Resume runs
-    // repeat these draws (they are cheap and deterministic), which leaves
-    // `rng` positioned where the geolocation stage expects it.
-    let mut rng = StdRng::seed_from_u64(world.study_rng.gen());
-    let population = UserPopulation::generate(&world.config.study.population, &mut rng);
-    let study_seed: u64 = rng.gen();
-    let n_users = population.users.len();
-    let chunk_users = stream_cfg.chunk_users.max(1);
+/// The materialize sink: committed segments stay resident as columnar
+/// blocks until ingest ends and they reassemble the global log.
+struct Materialize {
+    /// Rolling snapshot windows requested (`0` = none).
+    windows: usize,
+    population: UserPopulation,
+    snapshots: Option<SnapshotAccumulator>,
+    snapshot_ms: f64,
+    segments: Vec<SegmentBlock>,
+}
 
-    // Filter lists are a pure function of the web graph (no RNG); build
-    // them once for the delta-fixpoint classifier. Constructing the
-    // classifier compiles the rule engine (automaton, anchor buckets,
-    // prefilter), so the compile cost books under classify time — the
-    // batch path pays the same compile inside `classify_with_stages`.
-    let (easylist, easyprivacy) = generate_lists(&world.graph);
-    let stages = ClassifierStages::default();
-    let t_compile = Instant::now();
-    let mut classifier = IncrementalClassifier::new(&easylist, &easyprivacy, stages);
-    let mut classify_ms = t_compile.elapsed().as_secs_f64() * 1e3;
-    let mut snap_acc = (stream_cfg.snapshot_windows > 0).then(|| {
-        SnapshotAccumulator::new(
-            world.config.study.window,
-            &population,
-            stream_cfg.snapshot_windows,
-        )
-    });
-    let mut snapshot_ms = 0.0f64;
+/// The materialize sink once ingest has ended.
+struct Materialized {
+    dataset: ExtensionDataset,
+    classification: ClassificationResult,
+    snapshots: Vec<RollingSnapshot>,
+}
 
-    // Committed segments stay resident as columnar blocks until
-    // finalization reassembles the global log from them.
-    let mut segments: Vec<SegmentBlock> = Vec::new();
-    let mut pre_fault_offset: u64 = 0;
-    let mut next_user = 0usize;
+impl SegmentSink for Materialize {
+    type Output = StudyOutputs;
+    type Study = Materialized;
+    const KEEPS_BLOCKS: bool = true;
 
-    // Replay: every chunk the manifest says is durable is loaded and
-    // validated instead of simulated. The loader never writes — a corrupt
-    // chunk surfaces as a typed error with the directory untouched. Side
-    // effects (pDNS absorption, snapshot accumulation) re-apply in chunk
-    // order, and so do the classifier state deltas: applying them in
-    // order reconstructs the exact live classifier, so the resumed run
-    // continues without re-deriving it.
-    if let Some(store) = &store {
-        for entry in store.chunks().to_vec() {
-            if entry.user_start != next_user as u64
-                || entry.user_end < entry.user_start
-                || entry.user_end > n_users as u64
-            {
-                return Err(CheckpointError::ManifestInvalid {
-                    detail: format!(
-                        "chunk {} covers users {}..{} but {} of {} users are accounted for",
-                        entry.index, entry.user_start, entry.user_end, next_user, n_users
-                    ),
+    fn draw_population(&mut self, study: &StudyConfig, rng: &mut StdRng) -> f64 {
+        self.population = UserPopulation::generate(&study.population, rng);
+        self.snapshots = (self.windows > 0)
+            .then(|| SnapshotAccumulator::new(study.window, &self.population, self.windows));
+        self.population.mean_activity()
+    }
+
+    fn users(&self, range: Range<usize>) -> Vec<User> {
+        self.population.users[range].to_vec()
+    }
+
+    fn absorb(
+        &mut self,
+        segment: Segment<'_>,
+        _users: &[User],
+        _domains: &DomainTable,
+        infra: &Infrastructure,
+    ) {
+        if let Some(acc) = &mut self.snapshots {
+            let t = Instant::now();
+            match &segment {
+                Segment::Replayed(block) => {
+                    // Snapshots absorb AoS rows; materialize this segment
+                    // once, on the snapshot clock (nothing else needs it).
+                    let (chunk, labels, _, _) = block.to_chunk();
+                    acc.absorb_chunk(&chunk.visits, &chunk.requests, &labels, infra);
                 }
-                .into());
+                Segment::Ingested { chunk, labels, .. } => {
+                    acc.absorb_chunk(&chunk.visits, &chunk.requests, labels, infra);
+                }
             }
-            let payload = store.load_chunk(&entry)?;
-            let (block, cls_bytes) = decode_chunk_payload(&entry.file, &payload)?;
-            apply_chunk_delta(
-                &mut classifier,
-                &entry.file,
-                cls_bytes,
-                &block,
-                world.graph.domains(),
-            )?;
-            let observations = block.observations_vec();
-            world
-                .dns
-                .absorb_id_observations(&observations, world.graph.domains());
-            if let Some(acc) = &mut snap_acc {
-                // Snapshots absorb AoS rows; materialize this segment once.
-                let (chunk, label_bytes, _, _) = block.to_chunk();
-                let labels = labels_from_bytes(&entry.file, &label_bytes)?;
-                let t = Instant::now();
-                acc.absorb_chunk(&chunk.visits, &chunk.requests, &labels, &world.infra);
-                snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
+            self.snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
+        }
+        self.segments.push(match segment {
+            Segment::Replayed(block) => block,
+            Segment::Ingested { block, .. } => {
+                block.expect("the driver builds a block for a sink that keeps them")
             }
-            pre_fault_offset += block.counters().requests_generated;
-            next_user = entry.user_end as usize;
-            segments.push(block);
-            emit_due_snapshots(&mut snap_acc, next_user, kill, &mut snapshot_ms)?;
-        }
+        });
     }
 
-    // Ingest the remaining users chunk by chunk. The view over the
-    // world's DNS zones is read-only; the pDNS sensor is borrowed
-    // mutably alongside it (disjoint fields) so each committed chunk's
-    // buffered observations absorb immediately, in chunk order.
-    let t_ingest = Instant::now();
-    let snap_ms_before_ingest = snapshot_ms;
-    let cls_ms_before_ingest = classify_ms;
-    let users = {
-        let (view, pdns) = world.dns.indexed_view_and_pdns(world.graph.domains());
-        let stream = StudyStream::with_view(
-            &world.config.study,
-            &world.graph,
-            view,
-            population,
-            study_seed,
-        );
-        let mut index = segments.len() as u64;
-        while next_user < n_users {
-            let end = (next_user + chunk_users).min(n_users);
-            killable(kill, &format!("chunk-{index}:begin"))?;
-            let chunk = stream.simulate_chunk(next_user..end, &inj, threads, pre_fault_offset);
-            // Delta-fixpoint classification: only this chunk's frontier is
-            // walked; interner/memo/count state persists across chunks.
-            // Sequential absorption is label- and count-identical to the
-            // batch pass (and trivially thread-invariant).
-            let t_cls = Instant::now();
-            let cls = classifier.append_chunk(&chunk.requests, world.graph.domains());
-            classify_ms += t_cls.elapsed().as_secs_f64() * 1e3;
-            // The AoS chunk condenses into its columnar twin; the AoS form
-            // dies with this iteration, so resident memory during ingest
-            // is one live chunk plus the committed columnar blocks.
-            let block = SegmentBlock::from_chunk(
-                &chunk,
-                &labels_to_bytes(&cls.labels),
-                cls.stage2_rounds as u32,
-                cls.stage3_rounds as u32,
-                (next_user as u32, end as u32),
-            );
-            if let Some(store) = &mut store {
-                let payload = encode_chunk_payload(&block, &mut classifier);
-                store.append_chunk(index, next_user as u64, end as u64, &payload, kill)?;
-            }
-            killable(kill, &format!("chunk-{index}:committed"))?;
-            for o in &chunk.observations {
-                pdns.observe(world.graph.domains().domain(o.host), o.ip, o.time);
-            }
-            if let Some(acc) = &mut snap_acc {
-                let t = Instant::now();
-                acc.absorb_chunk(&chunk.visits, &chunk.requests, &cls.labels, &world.infra);
-                snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
-            }
-            pre_fault_offset += chunk.report.requests_generated;
-            segments.push(block);
-            next_user = end;
-            emit_due_snapshots(&mut snap_acc, next_user, kill, &mut snapshot_ms)?;
-            index += 1;
-        }
-        stream.into_users()
-    };
-    // Degenerate streams (zero users) never enter the loop; drain any
-    // windows whose coverage is trivially complete.
-    emit_due_snapshots(&mut snap_acc, next_user, kill, &mut snapshot_ms)?;
-    killable(kill, "stage:study:done")?;
-
-    // Finalize the study: reassemble the global log in chunk (= user)
-    // order, exactly the batch merge. pDNS observations were already
-    // absorbed as each chunk committed (or replayed), so finalization is
-    // pure concatenation.
-    let mut visits: Vec<Visit> = Vec::new();
-    let mut requests: Vec<LoggedRequest> = Vec::new();
-    let mut labels: Vec<Classification> = Vec::new();
-    let mut stage2_depth = 0usize;
-    let mut stage3_rounds = 0usize;
-    for (i, block) in segments.into_iter().enumerate() {
-        // Consume segments in append (= user) order; each block is freed
-        // once its rows have moved into the global log.
-        let (chunk, label_bytes, seg_stage2, seg_stage3) = block.to_chunk();
-        labels.extend(labels_from_bytes(&format!("segment-{i:05}"), &label_bytes)?);
-        report.absorb_counters(&chunk.report);
-        let offset = requests.len() as u32;
-        visits.extend(chunk.visits);
-        requests.extend(chunk.requests.into_iter().map(|mut r| {
-            if let Referrer::Request(RequestId(p)) = r.referrer {
-                r.referrer = Referrer::Request(RequestId(p + offset));
-            }
-            r
-        }));
-        // Chunk propagation rounds are BFS depths over chunk-disjoint
-        // component sets, so the batch depth is the max across chunks.
-        stage2_depth = stage2_depth.max((seg_stage2 as usize).saturating_sub(1));
-        stage3_rounds = stage3_rounds.max(seg_stage3 as usize);
-    }
-    // Same stable timestamp sort as the batch driver (the pre-sort order —
-    // user-major, generation order within a user — is identical).
-    visits.sort_by_key(|v| v.time);
-    let dataset = ExtensionDataset {
-        users,
-        visits,
-        requests,
-        domains: world.graph.domains().clone(),
-    };
-    report.timings.study_ms = t_ingest.elapsed().as_secs_f64() * 1e3
-        - (classify_ms - cls_ms_before_ingest)
-        - (snapshot_ms - snap_ms_before_ingest);
-
-    // Table-2 distinct counts absorbed chunk by chunk through the
-    // classifier's persistent seen-bits — no full-log recount. The
-    // running totals equal `method_counts` over the concatenated log
-    // (pinned in the classify crate's incremental tests).
-    let (abp, semi) = classifier.counts();
-    let stage2_rounds = 1 + stage2_depth;
-    let classification = ClassificationResult {
-        labels,
-        abp,
-        semi,
-        propagation_rounds: stage2_rounds + stage3_rounds,
-        stage2_rounds,
-        stage3_rounds,
-    };
-    report.timings.classify_ms = classify_ms;
-    report.timings.snapshot_ms = snapshot_ms;
-    killable(kill, "stage:classify:done")?;
-
-    // Tracker IP set + pDNS completion — the stage-boundary checkpoint. A
-    // resume that already has the completion blob loads it (with its
-    // counter delta) instead of recomputing; both paths are bit-identical
-    // because completion is a deterministic function of (labels, pDNS).
-    let t_stage = Instant::now();
-    let durable_completion = match &store {
-        Some(s) => s.load_stage("completion")?,
-        None => None,
-    };
-    let (tracker_ips, completion) = match durable_completion {
-        Some(payload) => {
-            let (ips, stats, delta) = decode_completion_state(&payload)?;
-            report.absorb_counters(&delta);
-            (ips, stats)
-        }
-        None => {
-            let mut tracker_ips = TrackerIpSet::from_dataset(&dataset, &classification);
-            let mut delta = DegradationReport::default();
-            let stats =
-                tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut delta);
-            report.absorb_counters(&delta);
-            if let Some(store) = &mut store {
-                let payload = encode_completion_state(&tracker_ips, &stats, &delta);
-                store.put_stage("completion", &payload, kill)?;
-            }
-            (tracker_ips, stats)
-        }
-    };
-    report.timings.completion_ms = t_stage.elapsed().as_secs_f64() * 1e3;
-    killable(kill, "stage:completion:done")?;
-
-    // Geolocation — shared verbatim with the batch pipeline. Nothing
-    // after this point is checkpointed: a crash here re-runs geolocation
-    // deterministically from the durable completion state.
-    let t_stage = Instant::now();
-    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) =
-        geolocate_providers(world, &mut rng, &tracker_ips, &inj, &mut report, threads);
-    report.timings.geolocate_ms = t_stage.elapsed().as_secs_f64() * 1e3;
-    killable(kill, "stage:geolocate:done")?;
-
-    // The classifier borrows the filter lists; it is fully consumed
-    // (labels emitted, counts read) before the lists move into the output.
-    drop(classifier);
-    let out = StudyOutputs {
-        dataset,
-        classification,
-        easylist,
-        easyprivacy,
-        tracker_ips,
-        completion,
-        ipmap_estimates,
-        maxmind_estimates,
-        ipapi_estimates,
-        snapshots: snap_acc.map(SnapshotAccumulator::into_snapshots).unwrap_or_default(),
-    };
-    report.eu28_confinement =
-        crate::confine::region_breakdown_eu28(&out, &out.ipmap_estimates).share(Region::Eu28);
-    report.timings.total_ms = t_total.elapsed().as_secs_f64() * 1e3;
-    Ok((out, report))
-}
-
-// ---------------------------------------------------------------------------
-// Blob codecs. The checkpoint crate stores opaque bytes; the typed
-// encodings live here, next to the domain types they serialize. Floats are
-// stored as IEEE-754 bit patterns, so round trips are bit-exact.
-// ---------------------------------------------------------------------------
-
-pub(crate) fn corrupt(file: &str, e: DecodeError) -> StreamError {
-    StreamError::Checkpoint(CheckpointError::Corrupt {
-        path: PathBuf::from(file),
-        detail: e.to_string(),
-    })
-}
-
-fn put_ip(w: &mut ByteWriter, ip: IpAddr) {
-    match ip {
-        IpAddr::V4(v4) => {
-            w.put_u8(4);
-            w.put_bytes(&v4.octets());
-        }
-        IpAddr::V6(v6) => {
-            w.put_u8(6);
-            w.put_bytes(&v6.octets());
-        }
-    }
-}
-
-fn read_ip(r: &mut ByteReader<'_>) -> Result<IpAddr, DecodeError> {
-    match r.u8()? {
-        4 => {
-            let b = r.bytes(4)?;
-            Ok(IpAddr::from([b[0], b[1], b[2], b[3]]))
-        }
-        6 => {
-            let b = r.bytes(16)?;
-            let mut o = [0u8; 16];
-            o.copy_from_slice(b);
-            Ok(IpAddr::from(o))
-        }
-        tag => Err(DecodeError {
-            offset: 0,
-            detail: format!("unknown IP tag {tag}"),
-        }),
-    }
-}
-
-/// The fixed counter order of the report codec
-/// ([`DegradationReport::counter_values`]). Only counters travel in
-/// blobs: chunk reports carry deltas, and `eu28_confinement`/timings are
-/// finalization-time observations that are never absorbed.
-fn put_counters(w: &mut ByteWriter, r: &DegradationReport) {
-    for v in r.counter_values() {
-        w.put_u64(v);
-    }
-}
-
-fn read_counters(rd: &mut ByteReader<'_>) -> Result<DegradationReport, DecodeError> {
-    let mut values = [0u64; DegradationReport::N_COUNTERS];
-    for slot in &mut values {
-        *slot = rd.u64()?;
-    }
-    Ok(DegradationReport::from_counter_values(&values))
-}
-
-/// The durable chunk payload: two length-prefixed sections — the columnar
-/// segment block, then the incremental-classifier *delta* for this chunk.
-/// Encoding advances the classifier's delta baseline (the only caller
-/// encodes each chunk exactly once, in order); replay applies every
-/// durable chunk's delta in the same order to reconstruct the state.
-pub(crate) fn encode_chunk_payload(
-    block: &SegmentBlock,
-    classifier: &mut IncrementalClassifier,
-) -> Vec<u8> {
-    let mut cw = ByteWriter::new();
-    classifier.encode_delta(&mut cw);
-    let cls = cw.into_bytes();
-    let seg = block.encode_bytes();
-    let mut w = ByteWriter::with_capacity(16 + seg.len() + cls.len());
-    w.put_blob(&seg);
-    w.put_blob(&cls);
-    w.into_bytes()
-}
-
-/// Applies a replayed chunk's classifier delta (the second half of its
-/// payload). The delta's running request total is the one count in it that
-/// none of its own bytes back; the chunk's rows do, so the two must agree
-/// before a resumed run sizes anything from that total.
-pub(crate) fn apply_chunk_delta(
-    classifier: &mut IncrementalClassifier,
-    file: &str,
-    cls_bytes: &[u8],
-    block: &SegmentBlock,
-    domains: &DomainTable,
-) -> Result<(), StreamError> {
-    let expected = classifier.n_requests() + block.n_requests() as u64;
-    let mut rd = ByteReader::new(cls_bytes);
-    classifier
-        .apply_delta(&mut rd, domains)
-        .map_err(|e| corrupt(file, e))?;
-    rd.finish().map_err(|e| corrupt(file, e))?;
-    if classifier.n_requests() != expected {
-        return Err(corrupt(
-            file,
-            DecodeError {
-                offset: 0,
-                detail: format!(
-                    "delta request total {} does not match the {expected} requests replayed",
-                    classifier.n_requests()
-                ),
-            },
-        ));
-    }
-    Ok(())
-}
-
-/// Splits a chunk payload into its decoded segment block and the raw bytes
-/// of the classifier delta section (applied by [`apply_chunk_delta`]). Every
-/// label byte is checked here, once for both drivers: downstream folds
-/// treat any tag other than [`LABEL_CLEAN`] as tracking, so an unknown
-/// tag must be refused as corruption rather than counted.
-pub(crate) fn decode_chunk_payload<'p>(
-    file: &str,
-    payload: &'p [u8],
-) -> Result<(SegmentBlock, &'p [u8]), StreamError> {
-    let mut rd = ByteReader::new(payload);
-    let seg = rd.blob().map_err(|e| corrupt(file, e))?;
-    let cls = rd.blob().map_err(|e| corrupt(file, e))?;
-    rd.finish().map_err(|e| corrupt(file, e))?;
-    let block = SegmentBlock::decode_bytes(seg).map_err(|e| corrupt(file, e))?;
-    // Durable chunks are always classified: one label byte per request.
-    if block.labels().len() != block.n_requests() {
-        return Err(corrupt(
-            file,
-            DecodeError {
-                offset: 0,
-                detail: format!(
-                    "label count {} does not match request count {}",
-                    block.labels().len(),
-                    block.n_requests()
-                ),
-            },
-        ));
-    }
-    for &b in block.labels() {
-        label_from_byte(file, b)?;
-    }
-    Ok((block, cls))
-}
-
-pub(crate) fn encode_completion_state(
-    ips: &TrackerIpSet,
-    stats: &CompletionStats,
-    delta: &DegradationReport,
-) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(64 + ips.len() * 48);
-    // Canonical order: sorted by IP, hosts sorted within each record. The
-    // in-memory maps hash-order freely; the blob does not.
-    let mut sorted: Vec<(&IpAddr, &IpInfo)> = ips.ips.iter().collect();
-    sorted.sort_by_key(|(ip, _)| **ip);
-    w.put_usize(sorted.len());
-    for (ip, info) in sorted {
-        put_ip(&mut w, *ip);
-        w.put_u64(info.requests);
-        let mut hosts: Vec<&str> = info.hosts.iter().map(|h| h.as_str()).collect();
-        hosts.sort_unstable();
-        w.put_usize(hosts.len());
-        for h in hosts {
-            w.put_str(h);
-        }
-        w.put_u64(info.window.start.0);
-        w.put_u64(info.window.end.0);
-        w.put_u8(info.from_pdns_only as u8);
-    }
-    w.put_usize(stats.n_observed);
-    w.put_usize(stats.n_added);
-    w.put_f64(stats.v4_share);
-    w.put_f64(stats.added_v4_share);
-    put_counters(&mut w, delta);
-    w.into_bytes()
-}
-
-/// Smallest encoded tracker-IP record of the completion stage: a v4
-/// address (tag + 4), the request count, the host count, the window and
-/// the pDNS flag. Each host adds at least its 8-byte length prefix.
-const IP_RECORD_MIN: usize = 5 + 8 + 8 + 16 + 1;
-
-pub(crate) fn decode_completion_state(
-    payload: &[u8],
-) -> Result<(TrackerIpSet, CompletionStats, DegradationReport), StreamError> {
-    const FILE: &str = "stage-completion.xbc";
-    let mut rd = ByteReader::new(payload);
-    let inner = |rd: &mut ByteReader<'_>| -> Result<
-        (TrackerIpSet, CompletionStats, DegradationReport),
-        DecodeError,
-    > {
-        let n = rd.count(IP_RECORD_MIN)?;
-        let mut ips: HashMap<IpAddr, IpInfo> = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let ip = read_ip(rd)?;
-            let requests = rd.u64()?;
-            let n_hosts = rd.count(8)?;
-            let mut hosts = HashSet::with_capacity(n_hosts);
-            for _ in 0..n_hosts {
-                hosts.insert(Domain::new(rd.str()?));
-            }
-            let window = TimeWindow::new(SimTime(rd.u64()?), SimTime(rd.u64()?));
-            let from_pdns_only = rd.u8()? != 0;
-            ips.insert(
-                ip,
-                IpInfo {
-                    requests,
-                    hosts,
-                    window,
-                    from_pdns_only,
-                },
-            );
-        }
-        let stats = CompletionStats {
-            n_observed: rd.len_prefix()?,
-            n_added: rd.len_prefix()?,
-            v4_share: rd.f64()?,
-            added_v4_share: rd.f64()?,
+    /// Emits every rolling snapshot whose window is fully covered now that
+    /// `users_ingested` users are durable. Each emission is a kill site
+    /// (`snapshot-{i}:emitted`): a crash immediately after publishing a
+    /// snapshot is a scheduled scenario in the resume tests.
+    fn committed(&mut self, users_ingested: usize, kill: &KillSwitch) -> Result<(), StreamError> {
+        let Some(acc) = self.snapshots.as_mut() else {
+            return Ok(());
         };
-        let delta = read_counters(rd)?;
-        Ok((TrackerIpSet { ips }, stats, delta))
-    };
-    let out = inner(&mut rd).map_err(|e| corrupt(FILE, e))?;
-    rd.finish().map_err(|e| corrupt(FILE, e))?;
-    Ok(out)
+        while acc.due(users_ingested) {
+            let t = Instant::now();
+            let i = acc.emit_next();
+            self.snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
+            killable(kill, &format!("snapshot-{i}:emitted"))?;
+        }
+        Ok(())
+    }
+
+    fn snapshot_ms(&self) -> f64 {
+        self.snapshot_ms
+    }
+
+    /// Reassembles the global log in chunk (= user) order, exactly the
+    /// batch merge. pDNS observations were absorbed as each chunk
+    /// committed (or replayed), so this is pure concatenation.
+    fn finish_study(
+        self,
+        mut classification: ClassificationResult,
+        domains: &DomainTable,
+    ) -> Result<Materialized, StreamError> {
+        let mut visits: Vec<Visit> = Vec::new();
+        let mut requests: Vec<LoggedRequest> = Vec::new();
+        for (i, block) in self.segments.into_iter().enumerate() {
+            // Each block is freed once its rows have moved into the log.
+            let (chunk, labels, _, _) = block.to_chunk();
+            classification
+                .labels
+                .extend(labels_from_bytes(&format!("segment-{i:05}"), &labels)?);
+            let offset = requests.len() as u32;
+            visits.extend(chunk.visits);
+            requests.extend(chunk.requests.into_iter().map(|mut r| {
+                if let Referrer::Request(RequestId(p)) = r.referrer {
+                    r.referrer = Referrer::Request(RequestId(p + offset));
+                }
+                r
+            }));
+        }
+        // Same stable timestamp sort as the batch driver (the pre-sort
+        // order — user-major, generation order within a user — is
+        // identical).
+        visits.sort_by_key(|v| v.time);
+        Ok(Materialized {
+            dataset: ExtensionDataset {
+                users: self.population,
+                visits,
+                requests,
+                domains: domains.clone(),
+            },
+            classification,
+            snapshots: self
+                .snapshots
+                .map(SnapshotAccumulator::into_snapshots)
+                .unwrap_or_default(),
+        })
+    }
+
+    fn observed_tracker_ips(study: &mut Materialized) -> TrackerIpSet {
+        TrackerIpSet::from_dataset(&study.dataset, &study.classification)
+    }
+
+    fn finish(
+        study: Materialized,
+        located: Located,
+        report: &mut DegradationReport,
+    ) -> StudyOutputs {
+        let out = StudyOutputs {
+            dataset: study.dataset,
+            classification: study.classification,
+            easylist: located.easylist,
+            easyprivacy: located.easyprivacy,
+            tracker_ips: located.tracker_ips,
+            completion: located.completion,
+            ipmap_estimates: located.ipmap_estimates,
+            maxmind_estimates: located.maxmind_estimates,
+            ipapi_estimates: located.ipapi_estimates,
+            snapshots: study.snapshots,
+        };
+        report.eu28_confinement =
+            crate::confine::region_breakdown_eu28(&out, &out.ipmap_estimates).share(Region::Eu28);
+        out
+    }
 }
 
+// The chunk and completion codecs of the checkpoint format are the segment
+// driver's; these tests pin them through the streaming pipeline's module.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xborder_browser::{StudyChunk, UserId};
+    use crate::ips::{CompletionStats, IpInfo};
+    use crate::segment::{
+        decode_chunk_payload, decode_completion_state, encode_completion_state, labels_to_bytes,
+    };
+    use std::collections::{HashMap, HashSet};
+    use std::net::IpAddr;
+    use xborder_browser::{StudyChunk, UserId, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI};
+    use xborder_checkpoint::ByteWriter;
+    use xborder_classify::Classification;
     use xborder_dns::PdnsIdObservation;
-    use xborder_webgraph::{DomainId, PublisherId};
+    use xborder_netsim::time::{SimTime, TimeWindow};
+    use xborder_webgraph::{Domain, DomainId, PublisherId};
 
     fn sample_block() -> SegmentBlock {
         let report = DegradationReport {

@@ -3,20 +3,25 @@
 //! [`crate::stream`] bounds the resident *study log* but still
 //! materializes the full population up front and reassembles the full
 //! [`xborder_browser::ExtensionDataset`] at finalization — both `O(world)`
-//! allocations that cap it near 10⁵ users. This module is the driver for
+//! allocations that cap it near 10⁵ users. This module is the pipeline for
 //! [`crate::worldgen::WorldConfig::large`] worlds: the population is never
 //! materialized (segments of users regenerate on demand from
 //! `(pop_seed, user_range)`), and every downstream analysis folds segment
 //! by segment, in one pass, into aggregates instead of touching a
-//! concatenated log. No segment outlives its iteration: a committed
-//! segment becomes a columnar [`SegmentBlock`] only as the payload of a
-//! checkpoint chunk. EU28 confinement needs each flow's origin country,
-//! which the fold state never keeps, so ingest tallies `tracking IP → flow
-//! count` for EU28-origin users while the segment's users are at hand; the
-//! tally (bounded by the tracker-IP set) folds into the destination
-//! breakdown once geolocation has produced estimates. Resident memory is
-//! one segment of simulation plus the fold state plus the classifier's
-//! interned state, which still grows with the number of unique URLs.
+//! concatenated log.
+//!
+//! The loop (replay, ingest, the completion checkpoint and geolocation)
+//! is the segment driver `crate::segment`, shared with [`crate::stream`];
+//! this module is its *fold* sink, `Aggregates`. No segment outlives
+//! its iteration: a committed segment becomes a columnar
+//! [`xborder_browser::SegmentBlock`] only as the payload of a checkpoint
+//! chunk. EU28 confinement needs each flow's origin country, which the
+//! fold state never keeps, so the sink tallies `tracking IP → flow count`
+//! for EU28-origin users while the segment's users are at hand; the tally
+//! (bounded by the tracker-IP set) folds into the destination breakdown
+//! once geolocation has produced estimates. Resident memory is one segment
+//! of simulation plus the fold state plus the classifier's interned
+//! state, which still grows with the number of unique URLs.
 //!
 //! ## The determinism contract, unchanged
 //!
@@ -43,31 +48,27 @@
 //! segmented config.
 
 use crate::confine::{is_eu28_origin, DestBreakdown};
-use crate::ips::{CompletionStats, IpInfo, TrackerIpSet};
-use crate::pipeline::{geolocate_providers, EstimateMap};
-use crate::stream::{
-    apply_chunk_delta, config_fingerprint, corrupt, decode_chunk_payload, decode_completion_state,
-    encode_chunk_payload, encode_completion_state, killable, labels_to_bytes, StreamError,
-};
+use crate::ips::{CompletionStats, TrackerIpSet};
+use crate::pipeline::EstimateMap;
+use crate::segment::{put_ip, put_tracker_state, run_segments, Located, Segment, SegmentSink};
+use crate::stream::StreamError;
 use crate::worldgen::World;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::IpAddr;
+use std::ops::Range;
 use std::path::PathBuf;
-use std::time::Instant;
 use xborder_browser::{
-    Referrer, RequestId, SegmentBlock, StudyChunk, StudyCtx, User, UserId, UserPopulation,
-    LABEL_CLEAN,
+    Referrer, RequestId, StudyChunk, StudyConfig, User, UserId, UserPopulation,
+    UserPopulationConfig, LABEL_CLEAN,
 };
-use xborder_checkpoint::{ByteWriter, CheckpointError, CheckpointStore, DecodeError};
-use xborder_classify::{
-    generate_lists, ClassifierStages, IncrementalClassifier, MethodCounts,
-};
-use xborder_faults::{
-    checksum64, stable_hash, DegradationReport, FaultInjector, FaultPlan, KillSwitch,
-};
+use xborder_checkpoint::ByteWriter;
+use xborder_classify::{ClassificationResult, MethodCounts};
+use xborder_faults::{checksum64, stable_hash, DegradationReport, FaultPlan, KillSwitch};
 use xborder_geo::Region;
+use xborder_netsim::Infrastructure;
 use xborder_webgraph::DomainTable;
 
 /// How the out-of-core driver segments and checkpoints.
@@ -157,27 +158,7 @@ impl ScaleOutputs {
         }
         w.put_usize(self.stage2_rounds);
         w.put_usize(self.stage3_rounds);
-        // Canonical tracker-set order: sorted by IP, hosts sorted within.
-        let mut sorted: Vec<(&IpAddr, &IpInfo)> = self.tracker_ips.ips.iter().collect();
-        sorted.sort_by_key(|(ip, _)| **ip);
-        w.put_usize(sorted.len());
-        for (ip, info) in sorted {
-            put_ip(&mut w, *ip);
-            w.put_u64(info.requests);
-            let mut hosts: Vec<&str> = info.hosts.iter().map(|h| h.as_str()).collect();
-            hosts.sort_unstable();
-            w.put_usize(hosts.len());
-            for h in hosts {
-                w.put_str(h);
-            }
-            w.put_u64(info.window.start.0);
-            w.put_u64(info.window.end.0);
-            w.put_u8(info.from_pdns_only as u8);
-        }
-        w.put_usize(self.completion.n_observed);
-        w.put_usize(self.completion.n_added);
-        w.put_f64(self.completion.v4_share);
-        w.put_f64(self.completion.added_v4_share);
+        put_tracker_state(&mut w, &self.tracker_ips, &self.completion);
         for map in [
             &self.ipmap_estimates,
             &self.maxmind_estimates,
@@ -278,19 +259,6 @@ pub fn dataset_digests(
             ^ request_row_hash(&mut buf, i as u64, r, parent, fp, labels[i]);
     }
     (visit_hash, request_hash)
-}
-
-fn put_ip(w: &mut ByteWriter, ip: IpAddr) {
-    match ip {
-        IpAddr::V4(v4) => {
-            w.put_u8(4);
-            w.put_bytes(&v4.octets());
-        }
-        IpAddr::V6(v6) => {
-            w.put_u8(6);
-            w.put_bytes(&v6.octets());
-        }
-    }
 }
 
 /// Dense-id membership set: the out-of-core stand-in for the batch
@@ -394,19 +362,6 @@ impl Aggregates {
         self.n_requests += chunk.requests.len() as u64;
     }
 
-    /// Folds one segment whose users are `users` (ids `user_start..`).
-    fn absorb_segment(
-        &mut self,
-        chunk: &StudyChunk,
-        labels: &[u8],
-        users: &[User],
-        user_start: usize,
-        domains: &DomainTable,
-    ) {
-        let eu28: Vec<bool> = users.iter().map(|u| is_eu28_origin(u.country)).collect();
-        self.absorb_chunk(chunk, labels, |u| eu28[u.0 as usize - user_start], domains);
-    }
-
     fn stats(&self, n_users: usize) -> xborder_browser::DatasetStats {
         xborder_browser::DatasetStats {
             n_users,
@@ -435,239 +390,124 @@ pub fn run_worldscale_pipeline(
         world.config.study.population.segmented,
         "worldscale requires a segmented population config (WorldConfig::large)"
     );
-    let inj = FaultInjector::new(plan.clone());
-    let mut report = DegradationReport::default();
-    let threads = world.config.parallelism.threads.max(1);
-    let t_total = Instant::now();
-
-    let fingerprint = config_fingerprint(&world.config, plan)?;
-    let mut store = match &scale_cfg.checkpoint_dir {
-        Some(dir) => Some(CheckpointStore::open(dir, fingerprint)?),
-        None => None,
+    let fold = Fold {
+        agg: Aggregates::new(world.graph.publishers.len(), world.graph.domains().len()),
+        pop_cfg: world.config.study.population.clone(),
+        pop_seed: 0,
     };
+    run_segments(
+        world,
+        plan,
+        scale_cfg.segment_users,
+        scale_cfg.checkpoint_dir.as_deref(),
+        kill,
+        fold,
+    )
+}
 
-    // World-RNG draws mirror the batch/streaming drivers on a segmented
-    // config bit for bit: one study-stream draw, then the single
-    // `pop_seed` draw segmented population generation consumes, then the
-    // study seed — without materializing a single user.
-    let mut rng = StdRng::seed_from_u64(world.study_rng.gen());
-    let pop_seed: u64 = rng.gen();
-    let study_seed: u64 = rng.gen();
-    let pop_cfg = world.config.study.population.clone();
-    let n_users = pop_cfg.n_users;
-    let segment_users = scale_cfg.segment_users.max(1);
-    // Population-wide mean activity, streamed without a user vector (the
-    // per-user visit budget normalizes by it, so it must never be
-    // computed per segment).
-    let mean_activity = UserPopulation::mean_activity_segmented(&pop_cfg, pop_seed);
+/// The fold sink: every segment, replayed or ingested, folds into the
+/// aggregates and dies. Replayed blocks materialize once for the fold, and
+/// their EU28 tally reads users regenerated for the chunk's range, so a
+/// resumed run accumulates exactly what the killed run had and the
+/// checkpoint format carries no countries.
+struct Fold {
+    agg: Aggregates,
+    /// The population is never materialized: any user range regenerates
+    /// from `(pop_cfg, pop_seed, range)`.
+    pop_cfg: UserPopulationConfig,
+    pop_seed: u64,
+}
 
-    let (easylist, easyprivacy) = generate_lists(&world.graph);
-    let stages = ClassifierStages::default();
-    let t_compile = Instant::now();
-    let mut classifier = IncrementalClassifier::new(&easylist, &easyprivacy, stages);
-    let mut classify_ms = t_compile.elapsed().as_secs_f64() * 1e3;
+impl SegmentSink for Fold {
+    type Output = ScaleOutputs;
+    type Study = (Fold, ClassificationResult);
+    const KEEPS_BLOCKS: bool = false;
 
-    let mut n_segments = 0usize;
-    let mut agg = Aggregates::new(world.graph.publishers.len(), world.graph.domains().len());
-    let mut stage2_depth = 0usize;
-    let mut stage3_rounds = 0usize;
-    let mut pre_fault_offset: u64 = 0;
-    let mut next_user = 0usize;
-
-    // Replay durable segments instead of simulating them; aggregates fold
-    // from the decoded blocks, and the EU28 tally from users regenerated
-    // for the chunk's range, so a resumed run accumulates exactly what the
-    // killed run had and the checkpoint format carries no countries.
-    if let Some(store) = &store {
-        for entry in store.chunks().to_vec() {
-            if entry.user_start != next_user as u64
-                || entry.user_end < entry.user_start
-                || entry.user_end > n_users as u64
-            {
-                return Err(CheckpointError::ManifestInvalid {
-                    detail: format!(
-                        "chunk {} covers users {}..{} but {} of {} users are accounted for",
-                        entry.index, entry.user_start, entry.user_end, next_user, n_users
-                    ),
-                }
-                .into());
-            }
-            let payload = store.load_chunk(&entry)?;
-            let (block, cls_bytes) = decode_chunk_payload(&entry.file, &payload)?;
-            apply_chunk_delta(
-                &mut classifier,
-                &entry.file,
-                cls_bytes,
-                &block,
-                world.graph.domains(),
-            )?;
-            let observations = block.observations_vec();
-            world
-                .dns
-                .absorb_id_observations(&observations, world.graph.domains());
-            let (chunk, label_bytes, seg_stage2, seg_stage3) = block.to_chunk();
-            // The EU28 tally looks users up by id: a request naming a user
-            // outside the chunk's range is corruption, not an index.
-            if let Some(r) = chunk
-                .requests
-                .iter()
-                .find(|r| !(entry.user_start..entry.user_end).contains(&u64::from(r.user.0)))
-            {
-                return Err(corrupt(
-                    &entry.file,
-                    DecodeError {
-                        offset: 0,
-                        detail: format!(
-                            "request of user {} outside the chunk's users {}..{}",
-                            r.user.0, entry.user_start, entry.user_end
-                        ),
-                    },
-                ));
-            }
-            let users = UserPopulation::generate_range(
-                &pop_cfg,
-                pop_seed,
-                entry.user_start as u32..entry.user_end as u32,
-            );
-            agg.absorb_segment(
-                &chunk,
-                &label_bytes,
-                &users,
-                next_user,
-                world.graph.domains(),
-            );
-            report.absorb_counters(&chunk.report);
-            stage2_depth = stage2_depth.max((seg_stage2 as usize).saturating_sub(1));
-            stage3_rounds = stage3_rounds.max(seg_stage3 as usize);
-            pre_fault_offset += block.counters().requests_generated;
-            next_user = entry.user_end as usize;
-            n_segments += 1;
-        }
+    /// The single `pop_seed` draw segmented population generation
+    /// consumes, without materializing a single user.
+    fn draw_population(&mut self, _study: &StudyConfig, rng: &mut StdRng) -> f64 {
+        self.pop_seed = rng.gen();
+        UserPopulation::mean_activity_segmented(&self.pop_cfg, self.pop_seed)
     }
 
-    // Ingest the remaining users segment by segment. Each iteration holds
-    // one regenerated user slice and one AoS chunk (plus, when durable,
-    // its columnar block); all die before the next segment starts, so
-    // live memory is one segment of simulation plus the fold state.
-    let t_ingest = Instant::now();
-    let cls_ms_before_ingest = classify_ms;
-    {
-        let (view, pdns) = world.dns.indexed_view_and_pdns(world.graph.domains());
-        let ctx = StudyCtx::new(
-            &world.config.study,
-            &world.graph,
-            view,
-            study_seed,
-            mean_activity,
+    fn users(&self, range: Range<usize>) -> Vec<User> {
+        UserPopulation::generate_range(
+            &self.pop_cfg,
+            self.pop_seed,
+            range.start as u32..range.end as u32,
+        )
+    }
+
+    fn absorb(
+        &mut self,
+        segment: Segment<'_>,
+        users: &[User],
+        domains: &DomainTable,
+        _infra: &Infrastructure,
+    ) {
+        let (chunk, labels) = match segment {
+            Segment::Replayed(block) => {
+                let (chunk, labels, _, _) = block.to_chunk();
+                (Cow::Owned(chunk), Cow::Owned(labels))
+            }
+            Segment::Ingested { chunk, labels, .. } => {
+                (Cow::Borrowed(chunk), Cow::Borrowed(labels))
+            }
+        };
+        // Users are contiguous ids, and the driver has checked that every
+        // request's user lies in the segment's range.
+        let user_start = users.first().map_or(0, |u| u.id.0 as usize);
+        let eu28: Vec<bool> = users.iter().map(|u| is_eu28_origin(u.country)).collect();
+        self.agg.absorb_chunk(
+            &chunk,
+            &labels,
+            |u| eu28[u.0 as usize - user_start],
+            domains,
         );
-        while next_user < n_users {
-            let index = n_segments as u64;
-            let end = (next_user + segment_users).min(n_users);
-            killable(kill, &format!("chunk-{index}:begin"))?;
-            let users =
-                UserPopulation::generate_range(&pop_cfg, pop_seed, next_user as u32..end as u32);
-            let chunk = ctx.simulate_users(&users, &inj, threads, pre_fault_offset);
-            let t_cls = Instant::now();
-            let cls = classifier.append_chunk(&chunk.requests, world.graph.domains());
-            classify_ms += t_cls.elapsed().as_secs_f64() * 1e3;
-            let labels_u8 = labels_to_bytes(&cls.labels);
-            if let Some(store) = &mut store {
-                // The columnar block exists only as the durable payload.
-                let block = SegmentBlock::from_chunk(
-                    &chunk,
-                    &labels_u8,
-                    cls.stage2_rounds as u32,
-                    cls.stage3_rounds as u32,
-                    (next_user as u32, end as u32),
-                );
-                let payload = encode_chunk_payload(&block, &mut classifier);
-                store.append_chunk(index, next_user as u64, end as u64, &payload, kill)?;
-            }
-            killable(kill, &format!("chunk-{index}:committed"))?;
-            for o in &chunk.observations {
-                pdns.observe(world.graph.domains().domain(o.host), o.ip, o.time);
-            }
-            agg.absorb_segment(&chunk, &labels_u8, &users, next_user, world.graph.domains());
-            report.absorb_counters(&chunk.report);
-            stage2_depth = stage2_depth.max(cls.stage2_rounds.saturating_sub(1));
-            stage3_rounds = stage3_rounds.max(cls.stage3_rounds);
-            pre_fault_offset += chunk.report.requests_generated;
-            next_user = end;
-            n_segments += 1;
-        }
     }
-    killable(kill, "stage:study:done")?;
-    report.timings.study_ms =
-        t_ingest.elapsed().as_secs_f64() * 1e3 - (classify_ms - cls_ms_before_ingest);
 
-    let (abp, semi) = classifier.counts();
-    let stage2_rounds = 1 + stage2_depth;
-    report.timings.classify_ms = classify_ms;
-    killable(kill, "stage:classify:done")?;
+    fn finish_study(
+        self,
+        classification: ClassificationResult,
+        _domains: &DomainTable,
+    ) -> Result<Self::Study, StreamError> {
+        Ok((self, classification))
+    }
 
-    // Tracker completion — the stage-boundary checkpoint, shared format
-    // with the streaming driver. The observed set was folded during
-    // ingest; only the pDNS walk happens here.
-    let t_stage = Instant::now();
-    let durable_completion = match &store {
-        Some(s) => s.load_stage("completion")?,
-        None => None,
-    };
-    let (tracker_ips, completion) = match durable_completion {
-        Some(payload) => {
-            let (ips, stats, delta) = decode_completion_state(&payload)?;
-            report.absorb_counters(&delta);
-            (ips, stats)
-        }
-        None => {
-            let mut tracker_ips = std::mem::take(&mut agg.tracker_ips);
-            let mut delta = DegradationReport::default();
-            let stats =
-                tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut delta);
-            report.absorb_counters(&delta);
-            if let Some(store) = &mut store {
-                let payload = encode_completion_state(&tracker_ips, &stats, &delta);
-                store.put_stage("completion", &payload, kill)?;
-            }
-            (tracker_ips, stats)
-        }
-    };
-    report.timings.completion_ms = t_stage.elapsed().as_secs_f64() * 1e3;
-    killable(kill, "stage:completion:done")?;
+    /// The observed set was folded during ingest; only the pDNS walk is
+    /// left for the completion stage.
+    fn observed_tracker_ips((fold, _): &mut Self::Study) -> TrackerIpSet {
+        std::mem::take(&mut fold.agg.tracker_ips)
+    }
 
-    let t_stage = Instant::now();
-    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) =
-        geolocate_providers(world, &mut rng, &tracker_ips, &inj, &mut report, threads);
-    report.timings.geolocate_ms = t_stage.elapsed().as_secs_f64() * 1e3;
-    killable(kill, "stage:geolocate:done")?;
-
-    // The EU28 tally was counted during ingest, keyed by destination IP;
-    // with estimates in hand it folds into the destination breakdown.
-    let mut eu28 = DestBreakdown::default();
-    eu28.absorb_eu28_tally(&agg.eu28_tally, &ipmap_estimates);
-    report.eu28_confinement = eu28.share(Region::Eu28);
-    report.timings.total_ms = t_total.elapsed().as_secs_f64() * 1e3;
-
-    let stats = agg.stats(n_users);
-    Ok((
+    /// The EU28 tally was counted during ingest, keyed by destination IP;
+    /// with estimates in hand it folds into the destination breakdown.
+    fn finish(
+        (fold, cls): Self::Study,
+        located: Located,
+        report: &mut DegradationReport,
+    ) -> ScaleOutputs {
+        let agg = fold.agg;
+        let mut eu28 = DestBreakdown::default();
+        eu28.absorb_eu28_tally(&agg.eu28_tally, &located.ipmap_estimates);
+        report.eu28_confinement = eu28.share(Region::Eu28);
         ScaleOutputs {
-            n_segments,
-            stats,
+            n_segments: located.n_segments,
+            stats: agg.stats(fold.pop_cfg.n_users),
             visit_hash: agg.visit_hash,
             request_hash: agg.request_hash,
-            abp,
-            semi,
-            stage2_rounds,
-            stage3_rounds,
-            tracker_ips,
-            completion,
-            ipmap_estimates,
-            maxmind_estimates,
-            ipapi_estimates,
+            abp: cls.abp,
+            semi: cls.semi,
+            stage2_rounds: cls.stage2_rounds,
+            stage3_rounds: cls.stage3_rounds,
+            tracker_ips: located.tracker_ips,
+            completion: located.completion,
+            ipmap_estimates: located.ipmap_estimates,
+            maxmind_estimates: located.maxmind_estimates,
+            ipapi_estimates: located.ipapi_estimates,
             eu28,
-        },
-        report,
-    ))
+        }
+    }
 }
 
 #[cfg(test)]

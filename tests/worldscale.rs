@@ -16,15 +16,19 @@
 //!    resume on the same directory, fingerprints bit-identical to the
 //!    uninterrupted run.
 //! 4. **Replay refuses corrupt chunks.** A checksum-valid chunk carrying
-//!    an unknown label tag or a request of a user outside its range is a
-//!    typed error, and the directory stays byte-identical.
+//!    an unknown label tag, a request of a user outside its range or an
+//!    inflated classifier-delta total is a typed error under both the
+//!    worldscale and the streaming driver, and the directory stays
+//!    byte-identical.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use xborder::confine::region_breakdown_eu28;
 use xborder::pipeline::run_extension_pipeline_degraded;
-use xborder::stream::{config_fingerprint, StreamError};
+use xborder::stream::{
+    config_fingerprint, run_extension_pipeline_streaming, StreamConfig, StreamError,
+};
 use xborder::worldscale::{
     dataset_digests, run_worldscale_pipeline, ScaleConfig, ScaleOutputs,
 };
@@ -349,42 +353,57 @@ fn replay_refuses_checksum_valid_corrupt_chunks() {
         w.put_blob(cls);
         let tampered_payload = w.into_bytes();
 
-        // A directory holding a genuine chunk 0, then the tampered chunk 1
-        // committed through the store, so its checksum is valid.
-        let dir = tmp_dir("tamper-target");
-        let scale_cfg = ScaleConfig::durable(3, &dir);
-        match run_scale(
-            tiny_config(seed),
-            &plan,
-            &scale_cfg,
-            &KillSwitch::at_label("chunk-1:begin"),
-        ) {
-            Err(StreamError::Killed { .. }) => {}
-            other => panic!("{what}: expected a kill, got {other:?}"),
-        }
-        CheckpointStore::open(&dir, fingerprint)
-            .unwrap()
-            .append_chunk(
-                1,
-                entry.user_start,
-                entry.user_end,
-                &tampered_payload,
-                &KillSwitch::none(),
-            )
-            .unwrap();
-
-        let before = snapshot(&dir);
-        match run_scale(tiny_config(seed), &plan, &scale_cfg, &KillSwitch::none()) {
-            Err(StreamError::Checkpoint(CheckpointError::Corrupt { detail, .. })) => {
-                assert!(detail.contains(want), "{what}: {detail}");
+        // Both drivers share the checkpoint format, so each must refuse
+        // the same tampered chunk.
+        for driver in ["worldscale", "streaming"] {
+            let dir = tmp_dir("tamper-target");
+            let run = |kill: &KillSwitch| match driver {
+                "worldscale" => run_scale(
+                    tiny_config(seed),
+                    &plan,
+                    &ScaleConfig::durable(3, &dir),
+                    kill,
+                )
+                .map(drop),
+                _ => run_extension_pipeline_streaming(
+                    &mut World::build(tiny_config(seed)),
+                    &plan,
+                    &StreamConfig::durable(3, &dir),
+                    kill,
+                )
+                .map(drop),
+            };
+            // A directory holding a genuine chunk 0, then the tampered
+            // chunk 1 committed through the store, so its checksum is
+            // valid.
+            match run(&KillSwitch::at_label("chunk-1:begin")) {
+                Err(StreamError::Killed { .. }) => {}
+                other => panic!("{driver}, {what}: expected a kill, got {other:?}"),
             }
-            other => panic!("{what}: expected Corrupt, got {other:?}"),
+            CheckpointStore::open(&dir, fingerprint)
+                .unwrap()
+                .append_chunk(
+                    1,
+                    entry.user_start,
+                    entry.user_end,
+                    &tampered_payload,
+                    &KillSwitch::none(),
+                )
+                .unwrap();
+
+            let before = snapshot(&dir);
+            match run(&KillSwitch::none()) {
+                Err(StreamError::Checkpoint(CheckpointError::Corrupt { detail, .. })) => {
+                    assert!(detail.contains(want), "{driver}, {what}: {detail}");
+                }
+                other => panic!("{driver}, {what}: expected Corrupt, got {other:?}"),
+            }
+            assert_eq!(
+                snapshot(&dir),
+                before,
+                "{driver}, {what}: refusal must not write to the dir"
+            );
+            let _ = fs::remove_dir_all(&dir);
         }
-        assert_eq!(
-            snapshot(&dir),
-            before,
-            "{what}: refusal must not write to the dir"
-        );
-        let _ = fs::remove_dir_all(&dir);
     }
 }
