@@ -241,7 +241,7 @@ else:
     print(f"bench check: study_allocs {o:,} -> {n:,} ({n / o - 1:+.0%}), "
           f"within the 20% budget")
 pairs = [(stage, old.get(stage), new.get(stage))
-         for stage in ("study_ms", "geolocate_ms", "total_ms",
+         for stage in ("study_ms", "classify_ms", "geolocate_ms", "total_ms",
                        "netflow_generate_ms", "netflow_match_ms")]
 # The streaming row rides the same gate: the chunked driver, the
 # checkpointed variant, the incremental classifier and the rolling

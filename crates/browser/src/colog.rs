@@ -22,6 +22,7 @@ use crate::extension::{StudyChunk, Visit};
 use crate::request::{LoggedRequest, Referrer, RequestId};
 use crate::user::UserId;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::ops::Range;
 use xborder_checkpoint::{ByteReader, ByteWriter, DecodeError};
 use xborder_dns::PdnsIdObservation;
 use xborder_faults::DegradationReport;
@@ -276,6 +277,39 @@ impl SegmentBlock {
     /// Row `i`'s response IP.
     pub fn request_ip(&self, i: usize) -> IpAddr {
         unpack_ip(i, &self.r_ip4, &self.r_ip6)
+    }
+
+    /// Checks every id the block carries against the run replaying it:
+    /// visit and request users inside `users`, visit and request
+    /// publishers below `n_publishers`, request and observation hosts
+    /// below `n_domains`. Decoding checks the framing only, so a
+    /// checksum-valid block a buggy writer filled with foreign ids is
+    /// refused here, before anything indexes by them.
+    pub fn check_ids(
+        &self,
+        users: Range<u64>,
+        n_publishers: usize,
+        n_domains: usize,
+    ) -> Result<(), DecodeError> {
+        let refuse = |detail: String| Err(DecodeError { offset: 0, detail });
+        let foreign = |&&u: &&u32| !users.contains(&u64::from(u));
+        if let Some(&user) = self.v_user.iter().chain(&self.r_user).find(foreign) {
+            return refuse(format!(
+                "user {user} outside the chunk's users {}..{}",
+                users.start, users.end
+            ));
+        }
+        let past = |ids: &[u32], n: usize| ids.iter().copied().find(|&id| id as usize >= n);
+        let publisher = past(&self.v_publisher, n_publishers);
+        if let Some(p) = publisher.or_else(|| past(&self.r_publisher, n_publishers)) {
+            return refuse(format!(
+                "publisher {p} outside the world's {n_publishers} publishers"
+            ));
+        }
+        if let Some(h) = past(&self.r_host, n_domains).or_else(|| past(&self.o_host, n_domains)) {
+            return refuse(format!("host {h} outside the world's {n_domains} domains"));
+        }
+        Ok(())
     }
 
     /// Per-row labels (empty if the segment was stored unclassified).

@@ -1,14 +1,11 @@
 //! Delta-fixpoint incremental classifier for the streaming driver.
 //!
-//! The batch classifier ([`crate::classify_with_stages_threads`]) interns
-//! the whole log, labels it, and derives the Table-2 distinct counts in one
-//! final pass. The streaming driver ingests the log in append-only chunks,
-//! and until this module existed it re-ran the batch classifier per chunk
-//! *and* re-interned the full concatenated log once more at finalize to
-//! recover the distinct FQDN/TLD/URL counts — ~17% over batch at chunk=5.
-//!
-//! [`IncrementalClassifier`] closes that gap by persisting the classifier's
-//! cross-chunk state between [`IncrementalClassifier::append_chunk`] calls:
+//! The streaming and out-of-core drivers ingest the log in append-only
+//! chunks. [`IncrementalClassifier`] labels each chunk with the same
+//! labelling core as the batch classifier (`label.rs`: chunk index,
+//! stages 2–3, Table-2 count walk) and keeps, between
+//! [`IncrementalClassifier::append_chunk`] calls, what batch rebuilds per
+//! log:
 //!
 //! - the URL interner (owned URLs + open-addressing dedup table), the
 //!   host remap, and the compiled [`RuleEngine`] with its dense
@@ -17,19 +14,23 @@
 //!   whole stream, not once per chunk it appears in — and the engine
 //!   itself (automaton, anchor buckets, prefilter) is compiled exactly
 //!   once, at construction;
-//! - the per-unique-URL predicate memos (argument presence, keyword
-//!   verdict, URL-dependent stage-1 gate verdict) — all pure functions of
-//!   the URL string, so a memo filled in chunk 0 is exact in chunk 40;
-//! - the Table-2 seen-bits and running [`MethodCounts`], making the
-//!   counts absorbable per chunk: finalize no longer re-walks anything.
+//! - the per-unique-URL state bytes: the argument, keyword and
+//!   URL-dependent stage-1 gate memos — all pure functions of the URL
+//!   string, so a memo filled in chunk 0 is exact in chunk 40 — and the
+//!   URL seen-bits;
+//! - the Table-2 tally (host/TLD seen-bits and running [`MethodCounts`]),
+//!   so the counts absorb per chunk and finalize re-walks nothing.
 //!
-//! The propagation stages still run the PR 2 worklist, but only over the
-//! frontier the new chunk introduces: referrer edges are positional within
-//! a chunk and never cross users (hence never cross chunk boundaries —
-//! chunks are whole-user ranges), so the fixpoint over the concatenated log
-//! decomposes exactly into per-chunk fixpoints. Labels are monotone
-//! (Clean → Semi/AbpTracking, never back), so a chunk's labels are final
-//! the moment the chunk is processed.
+//! What only this classifier does is the cross-chunk resolve: the core's
+//! chunk index dedups the chunk against itself, then pass 2 resolves each
+//! chunk-distinct URL against the owned store to its stream-global id and
+//! pass 3 projects those ids onto the requests. Propagation runs over the
+//! frontier the new chunk introduces only: referrer edges are positional
+//! within a chunk and never cross users (hence never cross chunk
+//! boundaries — chunks are whole-user ranges), so the fixpoint over the
+//! concatenated log decomposes exactly into per-chunk fixpoints. Labels are
+//! monotone (Clean → Semi/AbpTracking, never back), so a chunk's labels are
+//! final the moment the chunk is processed.
 //!
 //! # Per-URL layout
 //!
@@ -40,7 +41,7 @@
 //! - a URL whose bytes are `http(s)://` + its request's host name + a
 //!   suffix is stored in *split form*: a scheme, the host id it already
 //!   carries, and only the suffix bytes; any other URL is stored raw.
-//!   Equal URLs share a host (the batch interner debug-asserts it), so
+//!   Equal URLs share a host (the batch classifier debug-asserts it), so
 //!   comparing form, host id and suffix is exact;
 //! - suffix bytes and the fixed-width columns (locator, host id, the low
 //!   half of the URL hash, one state byte) live in fixed-size pages that
@@ -51,11 +52,10 @@
 //! # Determinism
 //!
 //! Feeding chunks in log order reproduces the batch classifier bit for
-//! bit, for every chunking: a URL's (and host's, and TLD's) dense id is
-//! its global first-occurrence rank either way, the stage verdicts are
-//! per-request or per-chunk-closed, and the absorbed counts walk requests
-//! in the same global order over the same seen-bits as the count pass
-//! that ends [`crate::classify`]. `tests/streaming_resume.rs` pins this
+//! bit, for every chunking: the stage verdicts are per-URL or
+//! per-chunk-closed, and the absorbed counts walk requests in the same
+//! global order through the same count walk, over seen-bits that persist
+//! instead of starting fresh. `tests/streaming_resume.rs` pins this
 //! against the batch fingerprints.
 //!
 //! # Serialization
@@ -73,27 +73,17 @@
 //! of which the resuming process re-derives from the seed before the store
 //! is opened.
 
-use crate::classifier::{url_hash, ChildIndex, Classification, ClassifierStages, MethodCounts, NO_REFERRER};
+use crate::classifier::{Classification, ClassifierStages, MethodCounts};
 use crate::engine::{HostRow, KeywordScanner, RuleEngine};
+use crate::label::{
+    memo_get, semi_automatic, url_hash, ChunkIndex, Tally, UrlStates, ARGS, GATE, KW, MEMO_YES,
+    SEEN,
+};
 use crate::rules::FilterList;
-use std::collections::VecDeque;
 use std::mem::size_of;
-use xborder_browser::{LoggedRequest, Referrer};
+use xborder_browser::LoggedRequest;
 use xborder_checkpoint::{ByteReader, ByteWriter, DecodeError};
 use xborder_webgraph::{DomainId, DomainTable};
-
-/// Tri-state memo values (shared by the args/keyword/gate memos).
-const MEMO_UNKNOWN: u8 = 0;
-const MEMO_NO: u8 = 1;
-const MEMO_YES: u8 = 2;
-
-/// Bit offsets of the 2-bit fields of a URL's state byte: the argument,
-/// keyword and stage-1 gate memos, and the Table-2 seen-bits (bit 0 =
-/// ABP, bit 1 = semi).
-const ARGS: u32 = 0;
-const KW: u32 = 2;
-const GATE: u32 = 4;
-const SEEN: u32 = 6;
 
 /// True if no memo field of a decoded state byte holds the unused value 3.
 fn valid_state(state: u8) -> bool {
@@ -134,9 +124,9 @@ struct UrlKey<'a> {
 /// One chunk's classification, emitted by
 /// [`IncrementalClassifier::append_chunk`]. `labels` is parallel to the
 /// chunk's request slice; the rounds fields have the same per-chunk
-/// semantics as [`crate::ClassificationResult`], so the streaming driver
-/// reassembles whole-log rounds the same way it did for per-chunk batch
-/// classification (`1 + max(stage2 - 1)` / `max(stage3)`).
+/// semantics as [`crate::ClassificationResult`], so the segment driver
+/// reassembles whole-log rounds from them (`1 + max(stage2 - 1)` /
+/// `max(stage3)`).
 #[derive(Debug, Clone)]
 pub struct ChunkClassification {
     /// Per-request labels, parallel to the chunk slice.
@@ -239,6 +229,18 @@ impl<T: Copy + Default + PartialEq> Paged<T> {
     }
 }
 
+impl UrlStates for Paged<u8> {
+    #[inline]
+    fn state(&self, url: usize) -> u8 {
+        self.get(url)
+    }
+
+    #[inline]
+    fn set_state(&mut self, url: usize, state: u8) {
+        self.set(url, state);
+    }
+}
+
 /// Suffix bytes per page of a [`UrlStore`].
 const SUFFIX_PAGE: usize = 1 << 16;
 /// Locator length field of a suffix too long for a shared page: it has a
@@ -248,8 +250,8 @@ const WHOLE_PAGE: u64 = 0xFFFF;
 /// Owned unique-URL store: suffix bytes in fixed-size pages plus one
 /// locator and one host id per URL.
 ///
-/// The batch interner never copies a URL — it borrows equality targets
-/// from the request log. Across chunks the log is gone, so the classifier
+/// The core's chunk index never copies a URL — it borrows equality
+/// targets from the request slice. Across chunks the log is gone, so the classifier
 /// must own one copy per unique URL. In split form only the bytes after
 /// `scheme://host` are kept (about a third of a simulator URL is that
 /// prefix). Pages are never reallocated, so the store never copies what it
@@ -320,12 +322,11 @@ impl UrlStore {
 }
 
 /// Cross-chunk dedup table over the classifier's owned URLs — level two
-/// of the two-level intern (see `append_chunk`). Same load factor and
-/// linear probing as the batch `UrlTable`, so ids are assigned in the same
-/// first-occurrence order, but it is only ever probed once per
-/// *chunk-distinct* URL (the chunk-local [`ScratchSlots`] absorbs all
-/// within-chunk repeats), so its slots carry no occurrence index — 8
-/// bytes, equality always against the owned store.
+/// of the two-level intern (see `append_chunk`). Linear probing at under
+/// 3/4 load, ids in insertion order, but it is only ever probed once per
+/// *chunk-distinct* URL (the core's chunk index absorbs all within-chunk
+/// repeats), so its slots carry no occurrence index — 8 bytes, equality
+/// always against the owned store.
 struct UrlSlots {
     slots: Vec<Slot>,
     mask: usize,
@@ -342,71 +343,6 @@ struct UrlSlots {
 struct Slot {
     tag: u32,
     id1: u32,
-}
-
-/// Chunk-local dedup table — level one of the two-level intern. Exactly
-/// the batch `UrlTable`: ids are chunk-first-occurrence ranks, equality
-/// compares against the most recent occurrence in the live chunk slice
-/// (always warm), and the table is sized for the chunk up front, so at
-/// streaming chunk sizes it stays cache-resident and absorbs the ~40% of
-/// requests that repeat a URL within their own chunk without ever
-/// touching the big cross-chunk table.
-#[derive(Default)]
-struct ScratchSlots {
-    slots: Vec<ScratchSlot>,
-    mask: usize,
-}
-
-#[derive(Clone, Copy, Default)]
-struct ScratchSlot {
-    tag: u32,
-    uid1: u32,
-    last: u32,
-}
-
-impl ScratchSlots {
-    /// Re-sizes/clears the persistent table so `n` insertions stay under
-    /// 3/4 load: no grow path needed, and at steady-state chunk sizes no
-    /// allocation either — just a `fill` of an already-warm buffer. A
-    /// larger-than-needed table from an earlier chunk is kept (table size
-    /// only shifts probe positions; interned ids are first-occurrence
-    /// ranks either way).
-    fn reset_for_chunk(&mut self, n: usize) {
-        let want = (n * 4 / 3 + 1).max(16).next_power_of_two();
-        if self.slots.len() < want {
-            self.slots.clear();
-            self.slots.resize(want, ScratchSlot::default());
-        } else {
-            self.slots.fill(ScratchSlot::default());
-        }
-        self.mask = self.slots.len() - 1;
-    }
-
-    /// Interns one request against the live chunk slice. `next_uid` is the
-    /// chunk-local id to assign on first occurrence.
-    fn intern(
-        &mut self,
-        hash: u64,
-        url: &str,
-        requests: &[LoggedRequest],
-        i: u32,
-        next_uid: u32,
-    ) -> UrlSlot {
-        let tag = (hash >> 32) as u32;
-        let mut s = hash as usize & self.mask;
-        loop {
-            let slot = self.slots[s];
-            if slot.uid1 == 0 {
-                self.slots[s] = ScratchSlot { tag, uid1: next_uid + 1, last: i };
-                return UrlSlot::New(next_uid);
-            }
-            if slot.tag == tag && &*requests[slot.last as usize].url == url {
-                self.slots[s].last = i;
-                return UrlSlot::Existing(slot.uid1 - 1);
-            }
-            s = (s + 1) & self.mask;
-        }
-    }
 }
 
 enum UrlSlot {
@@ -480,14 +416,13 @@ impl UrlSlots {
     }
 
     /// Sizes the table for a cumulative request total, rehashing at most
-    /// once — the exact sizing rule of the batch `UrlTable::with_capacity`
-    /// (one slot per request, rounded up to a power of two), applied per
-    /// chunk with the running total. Matching batch sizing matters twice
-    /// over: a table left to the 3/4 load-factor doublings runs ~2x longer
-    /// probe chains (measurably dragging the pipelined intern pass), while
-    /// oversizing it past the batch rule doubles the cache footprint every
-    /// probe has to miss through. It also means a chunk never pays
-    /// repeated doublings mid-pass.
+    /// once: one slot per request, rounded up to a power of two, applied
+    /// per chunk with the running total. The rule matters twice over: a
+    /// table left to the 3/4 load-factor doublings runs ~2x longer probe
+    /// chains (measurably dragging the pipelined resolve pass), while a
+    /// larger one doubles the cache footprint every probe has to miss
+    /// through. It also means a chunk never pays repeated doublings
+    /// mid-pass.
     fn reserve_for_total(&mut self, total_requests: usize) {
         let target = total_requests.max(16).next_power_of_two();
         if target > self.slots.len() {
@@ -520,54 +455,32 @@ impl UrlSlots {
     }
 }
 
-/// Reusable per-chunk working memory: the chunk-local dedup table and the
-/// dense per-request/per-chunk-distinct views. `append_chunk` used to
-/// allocate these buffers afresh every chunk; at streaming chunk
-/// sizes (~1.3K requests) that fixed cost repeats hundreds of times over a
-/// stream, so the buffers persist across chunks and are cleared instead.
+/// Reusable per-chunk working memory: the core's chunk index and the
+/// dense per-request/per-chunk-distinct views. At streaming chunk sizes
+/// (~1.3K requests) allocating these afresh would repeat hundreds of times
+/// over a stream, so the buffers persist across chunks and are cleared
+/// instead.
 #[derive(Default)]
 struct ChunkScratch {
-    scratch: ScratchSlots,
-    chunk_of: Vec<u32>,
-    uid_first: Vec<u32>,
-    uid_hash: Vec<u64>,
-    uid_verdict: Vec<bool>,
+    index: ChunkIndex,
+    /// Chunk-local URL id -> stream-global URL id, dense host id, and
+    /// stage-1 verdict.
     gid_of: Vec<u32>,
     gid_host: Vec<u32>,
+    hit: Vec<bool>,
+    /// Request -> stream-global URL id / dense host id.
     url_of: Vec<u32>,
     host_of: Vec<u32>,
-    referrer_of: Vec<u32>,
 }
 
 impl ChunkScratch {
-    fn reset_for_chunk(&mut self, n: usize) {
-        self.scratch.reset_for_chunk(n);
-        self.chunk_of.clear();
-        self.uid_first.clear();
-        self.uid_hash.clear();
-        self.uid_verdict.clear();
-        self.gid_of.clear();
-        self.gid_host.clear();
-        self.url_of.clear();
-        self.host_of.clear();
-        self.referrer_of.clear();
-        self.chunk_of.reserve(n);
-        self.url_of.reserve(n);
-        self.host_of.reserve(n);
-        self.referrer_of.reserve(n);
-    }
-
     fn resident_bytes(&self) -> usize {
-        self.scratch.slots.capacity() * size_of::<ScratchSlot>()
-            + self.uid_hash.capacity() * size_of::<u64>()
-            + self.uid_verdict.capacity()
-            + (self.chunk_of.capacity()
-                + self.uid_first.capacity()
-                + self.gid_of.capacity()
+        self.index.resident_bytes()
+            + self.hit.capacity()
+            + (self.gid_of.capacity()
                 + self.gid_host.capacity()
                 + self.url_of.capacity()
-                + self.host_of.capacity()
-                + self.referrer_of.capacity())
+                + self.host_of.capacity())
                 * size_of::<u32>()
     }
 }
@@ -594,17 +507,11 @@ pub struct IncrementalClassifier {
     /// Dense host id -> compiled engine row (gate verdict + TLD id).
     rows: Vec<HostRow>,
 
-    /// Per-unique-URL state byte: the argument, keyword and URL-dependent
-    /// stage-1 gate memos — pure functions of the URL, so persisting them
-    /// is invisible (the stage-1 memo is shard-local in the batch
-    /// classifier) — and the URL's Table-2 seen-bits, 2 bits each.
+    /// Per-unique-URL state byte (the core's memo fields and URL
+    /// seen-bits), by stream-global URL id.
     url_state: Paged<u8>,
-
-    /// Table-2 seen-bits (bit 0 = ABP, bit 1 = semi) by dense host / TLD id.
-    host_seen: Vec<u8>,
-    tld_seen: Vec<u8>,
-    abp: MethodCounts,
-    semi: MethodCounts,
+    /// Host/TLD seen-bits and the running Table-2 rows.
+    tally: Tally,
     n_requests: u64,
 
     /// Serialization baseline: snapshots of the mutable per-entry state as
@@ -647,10 +554,7 @@ impl IncrementalClassifier {
             host_ids: Vec::new(),
             rows: Vec::new(),
             url_state: Paged::default(),
-            host_seen: Vec::new(),
-            tld_seen: Vec::new(),
-            abp: MethodCounts::default(),
-            semi: MethodCounts::default(),
+            tally: Tally::default(),
             n_requests: 0,
             enc_state: Paged::default(),
             enc_host_seen: Vec::new(),
@@ -667,7 +571,7 @@ impl IncrementalClassifier {
     /// far. Equals the counts [`crate::classify`] returns over the concatenated
     /// log.
     pub fn counts(&self) -> (MethodCounts, MethodCounts) {
-        (self.abp, self.semi)
+        (self.tally.abp, self.tally.semi)
     }
 
     /// Bytes held by the per-URL and per-host structures, with the chunk
@@ -684,16 +588,15 @@ impl IncrementalClassifier {
             hosts: self.host_remap.capacity() * size_of::<u32>()
                 + self.host_ids.capacity() * size_of::<DomainId>()
                 + self.rows.capacity() * size_of::<HostRow>()
-                + self.host_seen.capacity()
-                + self.tld_seen.capacity()
+                + self.tally.host_seen.capacity()
+                + self.tally.tld_seen.capacity()
                 + self.enc_host_seen.capacity(),
             chunk_scratch: self.chunk_scratch.resident_bytes(),
         }
     }
 
-    /// Interns a URL's host, resolving its gate and TLD id exactly as the
-    /// batch interner/stage-1 would (same order, same combine rule), and
-    /// returns the dense host id.
+    /// Interns a URL's host, resolving its engine row (gate and TLD id),
+    /// and returns the dense host id.
     fn intern_host(&mut self, host_id: DomainId, domains: &DomainTable) -> u32 {
         let hid = host_id.0 as usize;
         if hid >= self.host_remap.len() {
@@ -705,12 +608,12 @@ impl IncrementalClassifier {
         let h = self.host_ids.len() as u32;
         self.host_remap[hid] = h;
         self.host_ids.push(host_id);
-        self.host_seen.push(0);
+        self.tally.host_seen.push(0);
         let row = self.engine.host_row(host_id, domains);
         self.rows.push(row);
         let t = row.tld() as usize;
-        if t >= self.tld_seen.len() {
-            self.tld_seen.resize(t + 1, 0);
+        if t >= self.tally.tld_seen.len() {
+            self.tally.tld_seen.resize(t + 1, 0);
         }
         h
     }
@@ -719,8 +622,7 @@ impl IncrementalClassifier {
     ///
     /// Chunks must arrive in log order; `requests` must be a whole-user
     /// range (referrer indices are chunk-local positions — the same
-    /// contract the streaming driver already holds for per-chunk batch
-    /// classification).
+    /// contract the batch classifier holds for a whole log).
     pub fn append_chunk(
         &mut self,
         requests: &[LoggedRequest],
@@ -728,54 +630,30 @@ impl IncrementalClassifier {
     ) -> ChunkClassification {
         let n = requests.len();
         // Size the cross-chunk table for the worst case (every request
-        // unique) before the resolve pass, like the batch interner's
-        // whole-log `with_capacity` — the pipelined loop never rehashes.
+        // unique) before the resolve pass — the pipelined loop never
+        // rehashes.
         self.url_slots
             .reserve_for_total(self.n_requests as usize + n);
         // Per-chunk working memory persists across chunks (reset, not
         // reallocated); taken out of `self` so the borrow checker lets the
         // passes below index `self`'s per-unique tables while filling it.
         let mut sc = std::mem::take(&mut self.chunk_scratch);
-        sc.reset_for_chunk(n);
         let ChunkScratch {
-            scratch,
-            chunk_of,
-            uid_first,
-            uid_hash,
-            uid_verdict,
+            index,
             gid_of,
             gid_host,
+            hit,
             url_of,
             host_of,
-            referrer_of,
         } = &mut sc;
 
-        // Two-level interning. Pass 1 dedups the chunk against itself in a
-        // cache-resident scratch table — the batch interner's exact loop,
-        // equality always against the live chunk slice (string bytes
-        // touched BYTES_AHEAD out so each fresh pointer chase overlaps the
-        // previous iterations). Chunk-local ids are first-occurrence
-        // ranks, so walking them in order preserves the global
-        // first-occurrence id assignment the determinism contract pins.
-        const BYTES_AHEAD: usize = 16;
-        for (i, r) in requests.iter().enumerate() {
-            if let Some(ahead) = requests.get(i + BYTES_AHEAD) {
-                let u = ahead.url.as_bytes();
-                std::hint::black_box(u.first().copied());
-                std::hint::black_box(u.last().copied());
-            }
-            let hash = url_hash(r.url.as_bytes());
-            let uid = match scratch.intern(hash, &r.url, requests, i as u32, uid_first.len() as u32)
-            {
-                UrlSlot::New(uid) => {
-                    uid_first.push(i as u32);
-                    uid_hash.push(hash);
-                    uid
-                }
-                UrlSlot::Existing(uid) => uid,
-            };
-            chunk_of.push(uid);
-        }
+        // Two-level interning. Pass 1 is the core's chunk index: it dedups
+        // the chunk against itself in a cache-resident table, absorbing the
+        // ~40% of requests that repeat a URL within their own chunk.
+        // Chunk-local ids are first-occurrence ranks, so walking them in
+        // order preserves the global first-occurrence id assignment the
+        // determinism contract pins.
+        index.build(requests);
 
         // Pass 2 resolves each chunk-distinct URL to its cross-chunk id in
         // one tight pipelined loop: the big table's slot is prefetched
@@ -785,22 +663,26 @@ impl IncrementalClassifier {
         // otherwise stall every first-recurrence-this-chunk probe.
         const SLOT_AHEAD: usize = 8;
         const URL_AHEAD: usize = 4;
-        gid_of.reserve(uid_first.len());
-        gid_host.reserve(uid_first.len());
-        for (j, &h) in uid_hash.iter().enumerate().take(SLOT_AHEAD.min(uid_hash.len())) {
+        let hashes = &index.hash;
+        gid_of.clear();
+        gid_host.clear();
+        hit.clear();
+        gid_of.reserve(hashes.len());
+        gid_host.reserve(hashes.len());
+        for (j, &h) in hashes.iter().enumerate().take(SLOT_AHEAD.min(hashes.len())) {
             self.url_slots.prefetch(h);
             if j < URL_AHEAD {
                 self.url_slots.prefetch_url(h, &self.urls);
             }
         }
-        for (k, &hash) in uid_hash.iter().enumerate() {
-            if let Some(&h) = uid_hash.get(k + SLOT_AHEAD) {
+        for (k, &hash) in hashes.iter().enumerate() {
+            if let Some(&h) = hashes.get(k + SLOT_AHEAD) {
                 self.url_slots.prefetch(h);
             }
-            if let Some(&h) = uid_hash.get(k + URL_AHEAD) {
+            if let Some(&h) = hashes.get(k + URL_AHEAD) {
                 self.url_slots.prefetch_url(h, &self.urls);
             }
-            let r = &requests[uid_first[k] as usize];
+            let r = &requests[index.first[k] as usize];
             // A recurring URL's host is already interned (equal URLs share
             // a host), so interning it first assigns new host ids in the
             // same first-occurrence order as interning it for new URLs only.
@@ -816,152 +698,51 @@ impl IncrementalClassifier {
                 }
                 UrlSlot::Existing(u) => u,
             };
-            // Stage-1 verdict, hoisted to the chunk-distinct level: the
-            // blocklist verdict is a pure function of the URL (the host is
-            // embedded in it), so it is decided once per chunk-distinct
-            // URL here — where the request string is already in cache —
-            // and the per-request loop below only projects a bool.
+            // Stage 1, decided once per chunk-distinct URL here — where the
+            // request string is already in cache — and memoized across
+            // chunks; the projection below only copies a bool.
             let row = self.rows[h as usize];
-            let hit = if row.always() {
-                true
-            } else if row.never() {
-                false
-            } else {
-                memo_get(&mut self.url_state, u, GATE, || {
-                    self.engine.url_verdict(row, domains.domain(r.host), &r.url)
-                })
-            };
-            uid_verdict.push(hit);
+            hit.push(
+                row.always()
+                    || (!row.never()
+                        && memo_get(&mut self.url_state, u, GATE, || {
+                            self.engine.url_verdict(row, domains.domain(r.host), &r.url)
+                        })),
+            );
             gid_of.push(u);
             gid_host.push(h);
         }
 
-        // Pass 3 projects the per-request views (and the stage-1 labels)
+        // Pass 3 projects the per-request views and the stage-1 labels
         // through the two maps — linear over arrays that are all still
         // warm.
-        let mut labels = vec![Classification::Clean; n];
-        for (i, r) in requests.iter().enumerate() {
-            let cu = chunk_of[i] as usize;
+        url_of.clear();
+        host_of.clear();
+        url_of.reserve(n);
+        host_of.reserve(n);
+        let mut labels = Vec::with_capacity(n);
+        for &cu in &index.url_of {
+            let cu = cu as usize;
             url_of.push(gid_of[cu]);
             host_of.push(gid_host[cu]);
-            referrer_of.push(match r.referrer {
-                Referrer::Request(parent) => parent.0,
-                Referrer::FirstParty | Referrer::None => NO_REFERRER,
+            labels.push(if hit[cu] {
+                Classification::AbpTracking
+            } else {
+                Classification::Clean
             });
-            if uid_verdict[cu] {
-                labels[i] = Classification::AbpTracking;
-            }
         }
 
-        // Stage 2: ordered forward sweep over the chunk's (backward-
-        // pointing) referrer edges, with the worklist fallback for forward
-        // edges — the frontier is exactly the new chunk, since chains
-        // never cross chunk boundaries.
-        let mut children: Option<ChildIndex> = None;
-        let mut stage2_rounds = 0usize;
-        if self.stages.referrer_propagation {
-            stage2_rounds = 1;
-            let mut forward_edges = false;
-            for i in 0..n {
-                let p = referrer_of[i] as usize;
-                if p == NO_REFERRER as usize {
-                    continue;
-                }
-                debug_assert!(
-                    p < n,
-                    "referrer index {p} out of range ({n} requests): chunk referrers \
-                     must be chunk-local positions"
-                );
-                if p >= i {
-                    forward_edges = true;
-                    continue;
-                }
-                if labels[i].is_tracking() || !labels[p].is_tracking() {
-                    continue;
-                }
-                if self.stages.require_args
-                    && !memo_get(&mut self.url_state, url_of[i], ARGS, || requests[i].has_args())
-                {
-                    continue;
-                }
-                labels[i] = Classification::SemiTracking;
-            }
-            if forward_edges {
-                let idx = children.get_or_insert_with(|| ChildIndex::build(referrer_of));
-                let seeds: Vec<usize> = (0..n).filter(|&i| labels[i].is_tracking()).collect();
-                stage2_rounds += propagate_worklist(
-                    requests,
-                    url_of,
-                    &mut labels,
-                    self.stages,
-                    &mut self.url_state,
-                    idx,
-                    seeds,
-                );
-            }
-        }
-
-        // Stage 3: argument + keyword matching on what's left, then re-
-        // propagation from exactly the newly labeled requests.
-        let mut stage3_rounds = 0usize;
-        if self.stages.keywords {
-            let mut newly: Vec<usize> = Vec::new();
-            for i in 0..n {
-                if labels[i].is_tracking() {
-                    continue;
-                }
-                let u = url_of[i];
-                if !memo_get(&mut self.url_state, u, ARGS, || requests[i].has_args())
-                    || !memo_get(&mut self.url_state, u, KW, || {
-                        self.scanner.matches(&requests[i].url)
-                    })
-                {
-                    continue;
-                }
-                labels[i] = Classification::SemiTracking;
-                newly.push(i);
-            }
-            if self.stages.referrer_propagation && !newly.is_empty() {
-                let idx = children.get_or_insert_with(|| ChildIndex::build(referrer_of));
-                stage3_rounds = propagate_worklist(
-                    requests,
-                    url_of,
-                    &mut labels,
-                    self.stages,
-                    &mut self.url_state,
-                    idx,
-                    newly,
-                );
-            }
-        }
-
-        // Absorb the Table-2 counts: identical walk to the batch
-        // `method_counts_both`, except the seen-bits persist so a host
-        // first counted in chunk 0 never counts again in chunk 3.
-        for (i, l) in labels.iter().enumerate() {
-            let (slot, bit) = match l {
-                Classification::AbpTracking => (&mut self.abp, 1u8),
-                Classification::SemiTracking => (&mut self.semi, 2u8),
-                Classification::Clean => continue,
-            };
-            slot.n_total_requests += 1;
-            let h = host_of[i] as usize;
-            if self.host_seen[h] & bit == 0 {
-                self.host_seen[h] |= bit;
-                slot.n_fqdn += 1;
-                let t = self.rows[h].tld() as usize;
-                if self.tld_seen[t] & bit == 0 {
-                    self.tld_seen[t] |= bit;
-                    slot.n_tld += 1;
-                }
-            }
-            let u = url_of[i] as usize;
-            let state = self.url_state.get(u);
-            if (state >> SEEN) & bit == 0 {
-                self.url_state.set(u, state | bit << SEEN);
-                slot.n_unique_urls += 1;
-            }
-        }
+        let (stage2_rounds, stage3_rounds) = semi_automatic(
+            requests,
+            url_of,
+            &index.referrer_of,
+            &mut labels,
+            self.stages,
+            &self.scanner,
+            &mut self.url_state,
+        );
+        self.tally
+            .absorb(&labels, host_of, url_of, &self.rows, &mut self.url_state);
         self.n_requests += n as u64;
         self.chunk_scratch = sc;
 
@@ -987,7 +768,7 @@ impl IncrementalClassifier {
         w.put_usize(self.host_ids.len() - enc_hosts);
         for h in enc_hosts..self.host_ids.len() {
             w.put_u32(self.host_ids[h].0);
-            w.put_u8(self.host_seen[h]);
+            w.put_u8(self.tally.host_seen[h]);
         }
         w.put_usize(self.urls.len() - enc_urls);
         for u in enc_urls..self.urls.len() {
@@ -998,13 +779,13 @@ impl IncrementalClassifier {
             w.put_blob(key.suffix);
         }
         let dirty_hosts: Vec<u32> = (0..enc_hosts)
-            .filter(|&h| self.host_seen[h] != self.enc_host_seen[h])
+            .filter(|&h| self.tally.host_seen[h] != self.enc_host_seen[h])
             .map(|h| h as u32)
             .collect();
         w.put_usize(dirty_hosts.len());
         for &h in &dirty_hosts {
             w.put_u32(h);
-            w.put_u8(self.host_seen[h as usize]);
+            w.put_u8(self.tally.host_seen[h as usize]);
         }
         // Page by page: an unchanged page is one slice comparison.
         let mut dirty_urls: Vec<u32> = Vec::new();
@@ -1028,7 +809,7 @@ impl IncrementalClassifier {
             w.put_u32(u);
             w.put_u8(self.url_state.get(u as usize));
         }
-        for c in [&self.abp, &self.semi] {
+        for c in [&self.tally.abp, &self.tally.semi] {
             w.put_usize(c.n_fqdn);
             w.put_usize(c.n_tld);
             w.put_usize(c.n_unique_urls);
@@ -1076,7 +857,7 @@ impl IncrementalClassifier {
         // never pays doubling spikes mid-chunk (the same cold-growth
         // class `reserve_for_total` kills for the URL table below).
         self.host_ids.reserve(n_new_hosts);
-        self.host_seen.reserve(n_new_hosts);
+        self.tally.host_seen.reserve(n_new_hosts);
         self.rows.reserve(n_new_hosts);
         if self.host_remap.len() < domains.len() {
             self.host_remap.resize(domains.len(), u32::MAX);
@@ -1097,7 +878,7 @@ impl IncrementalClassifier {
             if h as usize + 1 != self.host_ids.len() {
                 return Err(bad(format!("duplicate host id {wid} in delta")));
             }
-            self.host_seen[h as usize] = seen;
+            self.tally.host_seen[h as usize] = seen;
         }
         let n_new_urls = r.count(NEW_URL_MIN)?;
         if (base_urls + n_new_urls) as u64 > n_requests {
@@ -1107,7 +888,7 @@ impl IncrementalClassifier {
             )));
         }
         // Size the open-addressing URL table for the post-chunk total
-        // before interning (the batch interner's sizing rule; without
+        // before interning (`append_chunk`'s sizing rule; without
         // this, replaying a large run rehashes the full table mid-delta).
         // The total itself is not backed by any bytes here, so the table
         // is sized for at most four slots per URL the state will hold: a
@@ -1173,13 +954,13 @@ impl IncrementalClassifier {
             let seen = r.u8()?;
             // Seen-bits are monotone: an update that drops a bit means the
             // delta does not belong to this state.
-            if seen > 3 || seen & self.host_seen[h] != self.host_seen[h] {
+            if seen > 3 || seen & self.tally.host_seen[h] != self.tally.host_seen[h] {
                 return Err(bad(format!(
                     "host {h} seen-bits update {seen} is not a superset of {}",
-                    self.host_seen[h]
+                    self.tally.host_seen[h]
                 )));
             }
-            self.host_seen[h] = seen;
+            self.tally.host_seen[h] = seen;
         }
         let n_url_updates = r.count(URL_UPDATE_MIN)?;
         for _ in 0..n_url_updates {
@@ -1202,11 +983,11 @@ impl IncrementalClassifier {
         // TLD seen-bits are the union of their hosts' (a TLD bit is only
         // ever set alongside a host bit in the absorb pass), so they are
         // recomputed rather than stored.
-        self.tld_seen.fill(0);
+        self.tally.tld_seen.fill(0);
         for h in 0..self.host_ids.len() {
-            self.tld_seen[self.rows[h].tld() as usize] |= self.host_seen[h];
+            self.tally.tld_seen[self.rows[h].tld() as usize] |= self.tally.host_seen[h];
         }
-        for c in [&mut self.abp, &mut self.semi] {
+        for c in [&mut self.tally.abp, &mut self.tally.semi] {
             c.n_fqdn = r.len_prefix()?;
             c.n_tld = r.len_prefix()?;
             c.n_unique_urls = r.len_prefix()?;
@@ -1220,57 +1001,8 @@ impl IncrementalClassifier {
     /// Advances the serialization baseline to the current state.
     fn sync_baseline(&mut self) {
         self.enc_state.copy_from(&self.url_state);
-        self.enc_host_seen.clone_from(&self.host_seen);
+        self.enc_host_seen.clone_from(&self.tally.host_seen);
     }
-}
-
-/// Tri-state memo lookup in the `field` bits of a URL's state byte (free
-/// function so callers can split borrows of the classifier's fields
-/// inside loops).
-fn memo_get(state: &mut Paged<u8>, url_id: u32, field: u32, eval: impl FnOnce() -> bool) -> bool {
-    let s = state.get(url_id as usize);
-    match (s >> field) & 3 {
-        MEMO_UNKNOWN => {
-            let hit = eval();
-            let memo = if hit { MEMO_YES } else { MEMO_NO };
-            state.set(url_id as usize, s | memo << field);
-            hit
-        }
-        m => m == MEMO_YES,
-    }
-}
-
-/// BFS worklist propagation to true convergence within one chunk — the
-/// incremental twin of the batch `propagate_worklist`, over chunk-local
-/// arrays and the persistent args memo.
-fn propagate_worklist(
-    requests: &[LoggedRequest],
-    url_of: &[u32],
-    labels: &mut [Classification],
-    stages: ClassifierStages,
-    url_state: &mut Paged<u8>,
-    idx: &ChildIndex,
-    seeds: Vec<usize>,
-) -> usize {
-    let mut queue: VecDeque<(usize, usize)> = seeds.into_iter().map(|i| (i, 0)).collect();
-    let mut depth = 0usize;
-    while let Some((i, d)) = queue.pop_front() {
-        for &c in idx.children_of(i) {
-            let c = c as usize;
-            if labels[c].is_tracking() {
-                continue;
-            }
-            if stages.require_args
-                && !memo_get(url_state, url_of[c], ARGS, || requests[c].has_args())
-            {
-                continue;
-            }
-            labels[c] = Classification::SemiTracking;
-            depth = depth.max(d + 1);
-            queue.push_back((c, d + 1));
-        }
-    }
-    depth
 }
 
 #[cfg(test)]
@@ -1278,76 +1010,11 @@ mod tests {
     use super::*;
     use crate::classifier::{classify, classify_with_stages_threads};
     use crate::listgen::generate_lists;
+    use crate::testkit::{dataset, rebased, reversed_chain, user_chunks};
     use rand::{rngs::StdRng, SeedableRng};
-    use xborder_browser::{run_study, StudyConfig};
-    use xborder_dns::{DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
-    use xborder_geo::{CountryCode, WORLD};
-    use xborder_netsim::ServerId;
     use std::mem::size_of;
-    use xborder_webgraph::{generate, Domain, WebGraph, WebGraphConfig};
-
-    fn dataset(seed: u64) -> (WebGraph, Vec<LoggedRequest>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = generate(&WebGraphConfig::small(), &mut rng);
-        let mut dns = DnsSim::new();
-        let de = WORLD.country_or_panic(CountryCode::parse("DE").unwrap());
-        let mut next = 0u32;
-        for s in &graph.services {
-            for h in &s.hosts {
-                next += 1;
-                dns.add_zone(ZoneEntry {
-                    host: h.clone(),
-                    servers: vec![ZoneServer {
-                        server: ServerId(next),
-                        ip: std::net::IpAddr::V4(std::net::Ipv4Addr::from(0x0300_0000u32 + next)),
-                        country: de.code,
-                        location: de.centroid(),
-                        valid: None,
-                    }],
-                    policy: MappingPolicy::Pinned,
-                    ttl_secs: 300,
-                })
-                .unwrap();
-            }
-        }
-        let ds = run_study(&StudyConfig::small(), &graph, &mut dns, &mut rng);
-        (graph, ds.requests)
-    }
-
-    /// User-boundary chunk splits (referrer chains never cross users, so
-    /// any split at a user boundary is a legal chunking).
-    fn user_chunks(requests: &[LoggedRequest], users_per_chunk: usize) -> Vec<&[LoggedRequest]> {
-        let mut chunks = Vec::new();
-        let mut start = 0usize;
-        while start < requests.len() {
-            let first_user = requests[start].user.0 as usize;
-            let mut end = start;
-            while end < requests.len()
-                && (requests[end].user.0 as usize) < first_user + users_per_chunk
-            {
-                end += 1;
-            }
-            chunks.push(&requests[start..end]);
-            start = end;
-        }
-        chunks
-    }
-
-    /// Rebase chunk-global referrers to chunk-local positions, as the
-    /// streaming study emits them.
-    fn rebased(chunk: &[LoggedRequest], offset: usize) -> Vec<LoggedRequest> {
-        chunk
-            .iter()
-            .map(|r| {
-                let mut r = r.clone();
-                if let Referrer::Request(p) = r.referrer {
-                    r.referrer =
-                        Referrer::Request(xborder_browser::RequestId(p.0 - offset as u32));
-                }
-                r
-            })
-            .collect()
-    }
+    use xborder_browser::Referrer;
+    use xborder_webgraph::{Domain, WebGraph};
 
     fn run_incremental(
         requests: &[LoggedRequest],
@@ -1584,34 +1251,8 @@ mod tests {
     /// worklist fallback (same guarantee the batch classifier pins).
     #[test]
     fn forward_chain_within_chunk_fully_labeled() {
-        use xborder_browser::{RequestId, UserId};
-        use xborder_netsim::time::SimTime;
-        use xborder_webgraph::PublisherId;
         const LEN: usize = 40;
-        let mut domains = DomainTable::new();
-        let mk = |i: usize, referrer: Referrer, domains: &mut DomainTable| {
-            let host = Domain::new(format!("h{i}.example.com"));
-            LoggedRequest {
-                user: UserId(0),
-                time: SimTime(i as u64),
-                first_party: domains.intern(&Domain::new("pub.example.org")),
-                publisher: PublisherId(0),
-                url: format!("https://{host}/p?x={i}").into_boxed_str(),
-                host: domains.intern(&host),
-                referrer,
-                ip: "10.0.0.1".parse().unwrap(),
-            }
-        };
-        let mut requests: Vec<LoggedRequest> = (0..LEN - 1)
-            .map(|i| mk(i, Referrer::Request(RequestId(i as u32 + 1)), &mut domains))
-            .collect();
-        requests.push(mk(LEN - 1, Referrer::FirstParty, &mut domains));
-        let mut el = FilterList::new("easylist");
-        el.push(crate::rules::FilterRule::DomainAnchor(Domain::new(format!(
-            "h{}.example.com",
-            LEN - 1
-        ))));
-        let ep = FilterList::new("easyprivacy");
+        let (domains, requests, el, ep) = reversed_chain(LEN);
         let mut cls = IncrementalClassifier::new(&el, &ep, ClassifierStages::default());
         let out = cls.append_chunk(&requests, &domains);
         assert!(out.labels.iter().all(|l| l.is_tracking()));

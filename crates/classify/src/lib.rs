@@ -16,10 +16,15 @@
 //!
 //! [`rules`] is the filter-list engine, [`listgen`] writes
 //! easylist/easyprivacy-style lists from the synthetic world's blocklist
-//! bits, [`classifier`] runs the three stages over a whole log,
-//! [`incremental`] is the chunk-at-a-time delta-fixpoint twin the
-//! streaming driver uses, and [`eval`] scores the result against ground
-//! truth.
+//! bits, and [`eval`] scores the result against ground truth.
+//!
+//! One labelling core (`label.rs`) implements the algorithm: the chunk
+//! index that dedups a request slice's URLs, stages 2 and 3, and the
+//! Table-2 count walk. It has two callers. [`classifier`] runs it once
+//! over a whole borrowed log, after a log-local host remap and a stage 1
+//! sharded over the thread budget; [`incremental`] runs it per chunk for
+//! the streaming and out-of-core drivers, after resolving the chunk's URLs
+//! against the state it keeps across chunks and checkpoints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,8 +33,13 @@ pub mod classifier;
 pub mod engine;
 pub mod eval;
 pub mod incremental;
+mod label;
 pub mod listgen;
+#[cfg(test)]
+mod oracle;
 pub mod rules;
+#[cfg(test)]
+mod testkit;
 
 pub use classifier::{
     classify, classify_with_stages, classify_with_stages_threads, Classification,

@@ -9,9 +9,9 @@
 //!    scale or plan mismatch refuses before any simulation;
 //! 2. the batch pipeline's world-RNG draws: the study stream, the
 //!    population (drawn the sink's way), the study seed;
-//! 3. replay every durable chunk: manifest-range and per-request user
-//!    checks, payload decode, classifier delta, pDNS and counter
-//!    absorption;
+//! 3. replay every durable chunk: manifest-range check, payload decode,
+//!    id checks (users, publishers, hosts), classifier delta, pDNS and
+//!    counter absorption;
 //! 4. ingest the remaining users segment by segment: simulate, classify,
 //!    persist when a store exists, observe pDNS;
 //! 5. the completion stage (loaded from its checkpoint, or completed from
@@ -53,7 +53,7 @@ use xborder_webgraph::{Domain, DomainTable};
 /// One committed segment, handed to the sink once, in user order.
 pub(crate) enum Segment<'a> {
     /// A durable chunk replayed from the store, columnar only. Its labels
-    /// and request users are already validated.
+    /// and ids are already validated.
     Replayed(SegmentBlock),
     /// A segment this run simulated and classified.
     Ingested {
@@ -223,24 +223,16 @@ pub(crate) fn run_segments<S: SegmentSink>(
             }
             let payload = store.load_chunk(&entry)?;
             let (block, cls_bytes) = decode_chunk_payload(&entry.file, &payload)?;
-            // Sinks look users up by id: a request naming a user outside
-            // the chunk's range is corruption, not an index.
-            let range = entry.user_start..entry.user_end;
-            if let Some(user) = (0..block.n_requests())
-                .map(|i| block.request_user(i))
-                .find(|&u| !range.contains(&u64::from(u)))
-            {
-                return Err(corrupt(
-                    &entry.file,
-                    DecodeError {
-                        offset: 0,
-                        detail: format!(
-                            "request of user {user} outside the chunk's users {}..{}",
-                            entry.user_start, entry.user_end
-                        ),
-                    },
-                ));
-            }
+            // Sinks look users, publishers and hosts up by id: an id
+            // outside the chunk's users or the world's tables is
+            // corruption, not an index.
+            block
+                .check_ids(
+                    entry.user_start..entry.user_end,
+                    world.graph.publishers.len(),
+                    domains.len(),
+                )
+                .map_err(|e| corrupt(&entry.file, e))?;
             apply_chunk_delta(&mut classifier, &entry.file, cls_bytes, &block, domains)?;
             world
                 .dns

@@ -16,7 +16,8 @@
 //!    resume on the same directory, fingerprints bit-identical to the
 //!    uninterrupted run.
 //! 4. **Replay refuses corrupt chunks.** A checksum-valid chunk carrying
-//!    an unknown label tag, a request of a user outside its range or an
+//!    an unknown label tag, a visit or request of a user outside its
+//!    range, a publisher or host id outside the world's tables or an
 //!    inflated classifier-delta total is a typed error under both the
 //!    worldscale and the streaming driver, and the directory stays
 //!    byte-identical.
@@ -33,10 +34,11 @@ use xborder::worldscale::{
     dataset_digests, run_worldscale_pipeline, ScaleConfig, ScaleOutputs,
 };
 use xborder::{World, WorldConfig};
-use xborder_browser::{SegmentBlock, UserId, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI};
+use xborder_browser::{SegmentBlock, StudyChunk, UserId, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI};
 use xborder_checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointStore};
 use xborder_classify::Classification;
 use xborder_faults::{FaultPlan, KillSwitch, StageTimings};
+use xborder_webgraph::{DomainId, PublisherId};
 
 /// Small segmented world (mirrors streaming_resume.rs) so the matrix and
 /// the kill-site sweep stay fast.
@@ -315,6 +317,22 @@ fn replay_refuses_checksum_valid_corrupt_chunks() {
     bad_tag[0] = 9;
     let mut bad_user = chunk.clone();
     bad_user.requests[0].user = UserId(entry.user_end as u32);
+    // The first id past the chunk's users or the world's tables, in each
+    // column the drivers index by.
+    let world = World::build(tiny_config(seed));
+    let n_publishers = world.graph.publishers.len() as u32;
+    let n_domains = world.graph.domains().len() as u32;
+    assert!(!chunk.visits.is_empty() && !chunk.observations.is_empty());
+    let tampered = |edit: &dyn Fn(&mut StudyChunk)| {
+        let mut c = chunk.clone();
+        edit(&mut c);
+        c
+    };
+    let bad_visit_user = tampered(&|c| c.visits[0].user = UserId(entry.user_end as u32));
+    let bad_visit_publisher = tampered(&|c| c.visits[0].publisher = PublisherId(n_publishers));
+    let bad_request_publisher = tampered(&|c| c.requests[0].publisher = PublisherId(n_publishers));
+    let bad_request_host = tampered(&|c| c.requests[0].host = DomainId(n_domains));
+    let bad_observation_host = tampered(&|c| c.observations[0].host = DomainId(n_domains));
     // The classifier delta leads with its running request total.
     let mut bad_total = cls.to_vec();
     bad_total[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
@@ -332,6 +350,41 @@ fn replay_refuses_checksum_valid_corrupt_chunks() {
             &labels,
             cls,
             "outside the chunk's users",
+        ),
+        (
+            "foreign visit user",
+            &bad_visit_user,
+            &labels,
+            cls,
+            "outside the chunk's users",
+        ),
+        (
+            "visit publisher",
+            &bad_visit_publisher,
+            &labels,
+            cls,
+            "outside the world's",
+        ),
+        (
+            "request publisher",
+            &bad_request_publisher,
+            &labels,
+            cls,
+            "outside the world's",
+        ),
+        (
+            "request host",
+            &bad_request_host,
+            &labels,
+            cls,
+            "outside the world's",
+        ),
+        (
+            "observation host",
+            &bad_observation_host,
+            &labels,
+            cls,
+            "outside the world's",
         ),
         (
             "inflated delta total",
