@@ -67,8 +67,10 @@ pub struct SegmentBlock {
     /// Segment-local parent row, or [`REF_NONE`] / [`REF_FIRST_PARTY`].
     r_referrer: Vec<u32>,
     /// Row `i`'s URL is `url_bytes[url_off[i] as usize..url_off[i + 1] as usize]`.
+    /// The offsets rise from 0 to `url_bytes.len()` and each falls on a
+    /// char boundary (checked when a block is decoded).
     url_off: Vec<u32>,
-    url_bytes: Vec<u8>,
+    url_bytes: String,
     /// Packed IPv4 octets; rows with an IPv6 address hold 0 here and a
     /// side row below.
     r_ip4: Vec<u32>,
@@ -142,7 +144,7 @@ impl SegmentBlock {
             r_host: Vec::with_capacity(n_req),
             r_referrer: Vec::with_capacity(n_req),
             url_off: Vec::with_capacity(n_req + 1),
-            url_bytes: Vec::with_capacity(chunk.requests.iter().map(|r| r.url.len()).sum()),
+            url_bytes: String::with_capacity(chunk.requests.iter().map(|r| r.url.len()).sum()),
             r_ip4: Vec::with_capacity(n_req),
             r_ip6: Vec::new(),
             o_host: Vec::with_capacity(chunk.observations.len()),
@@ -174,7 +176,7 @@ impl SegmentBlock {
                     p
                 }
             });
-            b.url_bytes.extend_from_slice(r.url.as_bytes());
+            b.url_bytes.push_str(&r.url);
             assert!(b.url_bytes.len() <= u32::MAX as usize, "URL arena > 4 GiB");
             b.url_off.push(b.url_bytes.len() as u32);
             pack_ip(r.ip, row as u32, &mut b.r_ip4, &mut b.r_ip6);
@@ -244,9 +246,7 @@ impl SegmentBlock {
 
     /// Row `i`'s URL, straight from the arena (no allocation).
     pub fn url(&self, i: usize) -> &str {
-        let s = self.url_off[i] as usize;
-        let e = self.url_off[i + 1] as usize;
-        std::str::from_utf8(&self.url_bytes[s..e]).expect("arena holds UTF-8 URL bytes")
+        &self.url_bytes[self.url_off[i] as usize..self.url_off[i + 1] as usize]
     }
 
     /// Row `i`'s user id.
@@ -281,8 +281,10 @@ impl SegmentBlock {
 
     /// Checks every id the block carries against the run replaying it:
     /// visit and request users inside `users`, visit and request
-    /// publishers below `n_publishers`, request and observation hosts
-    /// below `n_domains`. Decoding checks the framing only, so a
+    /// publishers below `n_publishers`, request hosts, request first
+    /// parties and observation hosts below `n_domains`, and referrer rows
+    /// (other than the two sentinels) below the block's request count.
+    /// Decoding checks the framing and the URL arena only, so a
     /// checksum-valid block a buggy writer filled with foreign ids is
     /// refused here, before anything indexes by them.
     pub fn check_ids(
@@ -308,6 +310,19 @@ impl SegmentBlock {
         }
         if let Some(h) = past(&self.r_host, n_domains).or_else(|| past(&self.o_host, n_domains)) {
             return refuse(format!("host {h} outside the world's {n_domains} domains"));
+        }
+        if let Some(d) = past(&self.r_first_party, n_domains) {
+            return refuse(format!(
+                "first-party domain {d} outside the world's {n_domains} domains"
+            ));
+        }
+        let n_requests = self.n_requests();
+        let dangling =
+            |&&p: &&u32| p != REF_NONE && p != REF_FIRST_PARTY && p as usize >= n_requests;
+        if let Some(p) = self.r_referrer.iter().find(dangling) {
+            return refuse(format!(
+                "referrer row {p} outside the chunk's {n_requests} requests"
+            ));
         }
         Ok(())
     }
@@ -397,7 +412,7 @@ impl SegmentBlock {
         for &v in &self.url_off[1..] {
             w.put_u32(v);
         }
-        w.put_bytes(&self.url_bytes);
+        w.put_bytes(self.url_bytes.as_bytes());
         for &v in &self.r_ip4 {
             w.put_u32(v);
         }
@@ -479,12 +494,43 @@ impl SegmentBlock {
         let r_publisher = col_u32(&mut r, n_requests)?;
         let r_host = col_u32(&mut r, n_requests)?;
         let r_referrer = col_u32(&mut r, n_requests)?;
+        let off_at = bytes.len() - r.remaining();
         let mut url_off = Vec::with_capacity(r.bounded_count(n_requests, 4)? + 1);
         url_off.push(0);
         for _ in 0..n_requests {
             url_off.push(r.u32()?);
         }
-        let url_bytes = r.bytes(url_len)?.to_vec();
+        let arena_at = bytes.len() - r.remaining();
+        let url_bytes = String::from_utf8(r.bytes(url_len)?.to_vec()).map_err(|e| {
+            let valid = e.utf8_error().valid_up_to();
+            DecodeError {
+                offset: arena_at + valid,
+                detail: format!("URL arena is not UTF-8 after byte {valid}"),
+            }
+        })?;
+        // Every row's URL must be an in-order slice of the arena on char
+        // boundaries, so that `url` never panics.
+        for (i, w) in url_off.windows(2).enumerate() {
+            if w[1] < w[0] || !url_bytes.is_char_boundary(w[1] as usize) {
+                return Err(DecodeError {
+                    offset: off_at + 4 * i,
+                    detail: format!(
+                        "URL offset {} of row {i} does not follow {} on a char boundary \
+                         of the {url_len}-byte arena",
+                        w[1], w[0]
+                    ),
+                });
+            }
+        }
+        if url_off[n_requests] as usize != url_len {
+            return Err(DecodeError {
+                offset: arena_at,
+                detail: format!(
+                    "URL offsets end at {} but the arena holds {url_len} bytes",
+                    url_off[n_requests]
+                ),
+            });
+        }
         let r_ip4 = col_u32(&mut r, n_requests)?;
         let r_ip6 = col_ip6(&mut r, n_r_ip6)?;
         let o_host = col_u32(&mut r, n_obs)?;
@@ -696,6 +742,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn tampered_url_columns_are_typed_errors() {
+        // A writer bug that keeps the framing intact: offsets out of
+        // order, past the arena, short of its end or inside a multi-byte
+        // char, and arena bytes that are not UTF-8. Each must decode to a
+        // `DecodeError`, never to a block whose `url` panics.
+        let mut chunk = sample_chunk();
+        chunk.requests[0].url = "https://ads.t.com/p\u{fc}xel?id=1".into();
+        let good = SegmentBlock::from_chunk(&chunk, &[], 0, 0, (7, 9));
+        let len = good.url_bytes.len() as u32;
+        let mid_char = chunk.requests[0].url.find('\u{fc}').unwrap() as u32 + 1;
+        // (what, offset index, tampered value)
+        for (what, at, value) in [
+            ("out of order", 1, good.url_off[2] + 1),
+            ("past the arena", 1, len + 1),
+            ("short of the end", 3, len - 1),
+            ("inside a char", 1, mid_char),
+        ] {
+            let mut bad = good.clone();
+            bad.url_off[at] = value;
+            let err = SegmentBlock::decode_bytes(&bad.encode_bytes()).expect_err(what);
+            assert!(err.detail.contains("URL offset"), "{what}: {err}");
+        }
+        // Arena bytes that are not UTF-8: overwrite the lead byte of the
+        // multi-byte char in the encoded block.
+        let mut bytes = good.encode_bytes();
+        let url = chunk.requests[0].url.as_bytes();
+        let at = bytes.windows(url.len()).position(|w| w == url).unwrap();
+        bytes[at + mid_char as usize - 1] = 0xFF;
+        let err = SegmentBlock::decode_bytes(&bytes).expect_err("not UTF-8");
+        assert!(err.detail.contains("not UTF-8"), "{err}");
+        assert_eq!(SegmentBlock::decode_bytes(&good.encode_bytes()).unwrap(), good);
     }
 
     #[test]

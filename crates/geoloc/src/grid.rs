@@ -22,7 +22,15 @@
 //! the slack (subtracted again at query time) absorbs every rounding
 //! difference between chord-space angles and float haversine — an
 //! under-estimated bound only costs an extra cell visit, never exactness.
+//!
+//! Inside a visited cell, a point whose squared chord to the target
+//! exceeds that of the current k-th distance plus the same slack cannot
+//! enter the top-`k`, so its haversine is skipped. The chord only decides
+//! what is skipped; every distance that ranks a candidate is still the
+//! float haversine.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use xborder_geo::{
     geodesy,
     geodesy::{GeoPoint, EARTH_RADIUS_KM},
@@ -43,6 +51,12 @@ const N_LON: usize = (360.0 / CELL_DEG) as usize;
 /// Only ever makes the bound smaller, i.e. the pruning more conservative.
 const BOUND_SLACK_RAD: f64 = 1e-6;
 
+/// Central angle (~19,100 km) from which the per-point chord pre-check
+/// stops pruning. Below it, one slack of extra angle still adds more than
+/// `2·sin(3)·1e-6 ≈ 2.8e-7` to the squared chord, far above its float
+/// error.
+const PRUNE_MAX_RAD: f64 = 3.0;
+
 /// One non-empty cell: a bounding cap plus the member point indices
 /// (ascending, so candidate evaluation order is deterministic).
 #[derive(Debug, Clone)]
@@ -56,7 +70,8 @@ struct Cell {
 }
 
 /// A candidate ordered exactly like the brute-force scan: by float
-/// haversine distance, ties by ascending index.
+/// haversine distance, ties by ascending index. Cells reuse it as
+/// `(lower bound, cell index)` for their visit order.
 #[derive(Debug, Clone, Copy)]
 struct Cand {
     dist_km: f64,
@@ -142,7 +157,7 @@ impl GridIndex {
 
     /// The `k` indexed points nearest to `loc` in exact brute-force order
     /// (float haversine ascending, ties by ascending index), plus the
-    /// number of candidate points whose distance was evaluated.
+    /// number of candidate points in the cells the search visited.
     pub fn nearest_k(&self, loc: LatLon, k: usize) -> (Vec<usize>, u64) {
         let k = k.min(self.pre.len());
         if k == 0 {
@@ -150,9 +165,10 @@ impl GridIndex {
         }
         let target = GeoPoint::new(loc);
 
-        // Lower bound per non-empty cell, visited in ascending-bound order
-        // (ties by cell position for a deterministic visit count).
-        let mut order: Vec<(f64, u32)> = self
+        // Lower bound per non-empty cell. Cells pop lazily from a min-heap
+        // in ascending (bound, cell index) order — the order a full sort
+        // would give, without sorting the cells the search never reaches.
+        let mut queue: BinaryHeap<Reverse<Cand>> = self
             .cells
             .iter()
             .enumerate()
@@ -165,27 +181,38 @@ impl GridIndex {
                 };
                 let angle = geodesy::chord_sq_to_angle_rad(chord_sq);
                 let bound_rad = (angle - cell.radius_rad - BOUND_SLACK_RAD).max(0.0);
-                (EARTH_RADIUS_KM * bound_rad, ci as u32)
+                Reverse(Cand {
+                    dist_km: EARTH_RADIUS_KM * bound_rad,
+                    idx: ci as u32,
+                })
             })
             .collect();
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         // Max-heap of the current best k under the exact (distance, index)
         // order; its top is the candidate a new point must beat.
-        let mut heap: std::collections::BinaryHeap<Cand> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
+        let mut heap: BinaryHeap<Cand> = BinaryHeap::with_capacity(k + 1);
+        // Squared chord past which a point is provably farther than the
+        // current top; infinite until the heap holds k candidates.
+        let mut prune_chord_sq = f64::INFINITY;
         let mut visited = 0u64;
-        for &(bound_km, ci) in &order {
+        while let Some(Reverse(Cand { dist_km: bound_km, idx: ci })) = queue.pop() {
             // Strict >: at bound == kth distance an unvisited point could
             // still tie the distance with a smaller index and win the
             // tie-break, so only a strictly larger bound ends the search.
             if heap.len() == k && bound_km > heap.peek().expect("heap non-empty").dist_km {
                 break;
             }
-            for &pi in &self.cells[ci as usize].members {
-                visited += 1;
+            let members = &self.cells[ci as usize].members;
+            visited += members.len() as u64;
+            for &pi in members {
+                let p = &self.pre[pi as usize];
+                // A point this far would lose to the top on distance alone;
+                // skipping its haversine leaves the heap exactly as is.
+                if geodesy::chord_sq(&target, p) > prune_chord_sq {
+                    continue;
+                }
                 let cand = Cand {
-                    dist_km: geodesy::haversine_km_pre(&target, &self.pre[pi as usize]),
+                    dist_km: geodesy::haversine_km_pre(&target, p),
                     idx: pi,
                 };
                 if heap.len() < k {
@@ -193,6 +220,12 @@ impl GridIndex {
                 } else if cand < *heap.peek().expect("heap non-empty") {
                     heap.pop();
                     heap.push(cand);
+                } else {
+                    continue;
+                }
+                if heap.len() == k {
+                    let kth_km = heap.peek().expect("heap non-empty").dist_km;
+                    prune_chord_sq = prune_chord_sq_beyond(kth_km);
                 }
             }
         }
@@ -201,6 +234,21 @@ impl GridIndex {
         best.sort_unstable();
         (best.into_iter().map(|c| c.idx as usize).collect(), visited)
     }
+}
+
+/// The squared chord of central angle `dist_km / R` plus
+/// [`BOUND_SLACK_RAD`]: a point whose chord to the target exceeds it lies
+/// farther than `dist_km` in float haversine as well, since the slack
+/// (~6 m) dwarfs the rounding of both. Infinite, so that nothing is
+/// pruned, from [`PRUNE_MAX_RAD`] on: near the antipode chord length
+/// stops resolving angle.
+fn prune_chord_sq_beyond(dist_km: f64) -> f64 {
+    let angle = dist_km / EARTH_RADIUS_KM + BOUND_SLACK_RAD;
+    if angle >= PRUNE_MAX_RAD {
+        return f64::INFINITY;
+    }
+    let half_chord = (angle / 2.0).sin();
+    4.0 * half_chord * half_chord
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 //! 3. Every assigned probe measures min-of-n RTT through the
 //!    [`xborder_netsim::LatencyModel`].
 //! 4. Each probe votes for its own country *weighted by an RTT-derived
-//!    plausibility*; the majority country wins (ties → nearest probe).
+//!    plausibility*; the majority country wins (exact ties → the
+//!    lexicographically last country).
 //!
 //! Errors emerge, rather than being injected: a target in a small country
 //! whose nearest probes sit across a border gets outvoted — the paper's
@@ -30,7 +31,9 @@ use crate::{GeoEstimate, Geolocator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize, Value, ValueError};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -169,10 +172,11 @@ pub struct IpMapConfig {
     pub samples_per_probe: usize,
     /// Landmark probes used for the coarse pre-localization.
     pub landmarks: usize,
-    /// Disables the per-location assignment/landmark-baseline memoization
-    /// (every lookup recomputes from the index). The cache is semantically
-    /// transparent — this knob exists so tests can pin that outputs are
-    /// bit-identical either way.
+    /// Disables every freeze-wide memo — assignments, landmark baselines
+    /// and per-(anchor, target) probe baselines — so every lookup
+    /// recomputes from the index. The cache is semantically transparent —
+    /// this knob exists so tests can pin that outputs are bit-identical
+    /// either way.
     pub disable_assign_cache: bool,
 }
 
@@ -219,27 +223,47 @@ pub struct AssignCacheStats {
     pub index_probe_visits: u64,
 }
 
-/// A location-bits-keyed memo table shared across shard threads.
-type LocMemo<T> = RwLock<HashMap<(u64, u64), Arc<T>>>;
+/// A memo table shared across shard threads.
+type Memo<K, T> = RwLock<HashMap<K, Arc<T>>>;
+
+/// Cache key for a coordinate: exact bit pattern, because only bit-equal
+/// locations are guaranteed to produce bit-equal results.
+type LocKey = (u64, u64);
 
 /// Freeze-wide memoization shared read-only across shard threads: tracker
 /// IPs cluster in a few PoP locations, so the (location-keyed) landmark
-/// baselines and nearest-`k` assignments repeat heavily.
+/// baselines, nearest-`k` assignments and assigned-probe baselines repeat
+/// heavily.
 #[derive(Debug, Default)]
 struct AssignCache {
     /// anchor location bits → assigned probe indices.
-    assignments: LocMemo<Vec<usize>>,
+    assignments: Memo<LocKey, Vec<usize>>,
     /// target location bits → per-landmark baseline RTTs (stride order).
-    landmark_baselines: LocMemo<Vec<f64>>,
+    landmark_baselines: Memo<LocKey, Vec<f64>>,
+    /// (anchor, target) location bits → the anchor's assigned probes, each
+    /// with its baseline RTT to the target, in assignment order.
+    assigned_baselines: Memo<(LocKey, LocKey), Vec<(usize, f64)>>,
     lookups: AtomicU64,
     fills: AtomicU64,
     probe_visits: AtomicU64,
 }
 
-/// Cache key for a coordinate: exact bit pattern, because only bit-equal
-/// locations are guaranteed to produce bit-equal results.
-fn loc_key(loc: LatLon) -> (u64, u64) {
+fn loc_key(loc: LatLon) -> LocKey {
     (loc.lat.to_bits(), loc.lon.to_bits())
+}
+
+fn memo_get<K: Hash + Eq, T>(memo: &Memo<K, T>, key: &K) -> Option<Arc<T>> {
+    memo.read().expect("cache lock").get(key).map(Arc::clone)
+}
+
+/// Stores `computed` under `key` unless another thread got there first.
+/// Returns the stored value and whether this call filled the entry (won
+/// the insert race).
+fn memo_insert<K: Hash + Eq, T>(memo: &Memo<K, T>, key: K, computed: T) -> (Arc<T>, bool) {
+    match memo.write().expect("cache lock").entry(key) {
+        Entry::Occupied(e) => (Arc::clone(e.get()), false),
+        Entry::Vacant(e) => (Arc::clone(e.insert(Arc::new(computed))), true),
+    }
 }
 
 /// The IPmap-style geolocator bound to a ground-truth world.
@@ -297,39 +321,41 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
         }
     }
 
-    /// Probe indices assigned to a target anchored at `anchor`, memoized
-    /// per anchor location. The double-checked pattern computes outside
-    /// the write lock; on an insert race only the winner's fill and probe
-    /// visits are counted, which keeps the counters identical at every
-    /// thread budget.
-    fn assigned_probes(&self, anchor: LatLon) -> Arc<Vec<usize>> {
+    /// The probes assigned to a target anchored at `anchor`, each with its
+    /// baseline RTT to `target`, in assignment order. One lookup is counted
+    /// per call (one per measurement round). On a miss the assignment comes
+    /// from the per-anchor memo without counting a second lookup: a fill
+    /// and its index probe visits are counted there, by the insert-race
+    /// winner only, so the counters equal one memo per anchor at every
+    /// thread budget. The double-checked pattern computes outside the
+    /// write lock.
+    fn assigned_baselines(&self, anchor: LatLon, target: LatLon) -> Arc<Vec<(usize, f64)>> {
+        let price = |idxs: &[usize]| -> Vec<(usize, f64)> {
+            idxs.iter()
+                .map(|&i| (i, self.latency.baseline_rtt_ms(self.mesh.probes[i].location, target)))
+                .collect()
+        };
         if self.cfg.disable_assign_cache {
             let (idxs, visits) = self.mesh.nearest_k_counted(anchor, self.cfg.probes_per_target);
             self.cache.probe_visits.fetch_add(visits, Ordering::Relaxed);
-            return Arc::new(idxs);
+            return Arc::new(price(&idxs));
         }
         self.cache.lookups.fetch_add(1, Ordering::Relaxed);
-        let key = loc_key(anchor);
-        if let Some(hit) = self.cache.assignments.read().expect("cache lock").get(&key) {
-            return Arc::clone(hit);
+        let key = (loc_key(anchor), loc_key(target));
+        if let Some(hit) = memo_get(&self.cache.assigned_baselines, &key) {
+            return hit;
         }
-        let (idxs, visits) = self.mesh.nearest_k_counted(anchor, self.cfg.probes_per_target);
-        let computed = Arc::new(idxs);
-        match self
-            .cache
-            .assignments
-            .write()
-            .expect("cache lock")
-            .entry(key)
-        {
-            std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
-            std::collections::hash_map::Entry::Vacant(e) => {
+        let akey = loc_key(anchor);
+        let assigned = memo_get(&self.cache.assignments, &akey).unwrap_or_else(|| {
+            let (idxs, visits) = self.mesh.nearest_k_counted(anchor, self.cfg.probes_per_target);
+            let (stored, filled) = memo_insert(&self.cache.assignments, akey, idxs);
+            if filled {
                 self.cache.fills.fetch_add(1, Ordering::Relaxed);
                 self.cache.probe_visits.fetch_add(visits, Ordering::Relaxed);
-                e.insert(Arc::clone(&computed));
-                computed
             }
-        }
+            stored
+        });
+        memo_insert(&self.cache.assigned_baselines, key, price(&assigned)).0
     }
 
     /// Baseline RTTs from each landmark probe (stride order) to `target`,
@@ -353,36 +379,20 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
         }
         self.cache.lookups.fetch_add(1, Ordering::Relaxed);
         let key = loc_key(target);
-        if let Some(hit) = self
-            .cache
-            .landmark_baselines
-            .read()
-            .expect("cache lock")
-            .get(&key)
-        {
-            return Arc::clone(hit);
+        if let Some(hit) = memo_get(&self.cache.landmark_baselines, &key) {
+            return hit;
         }
-        let computed = Arc::new(compute());
-        match self
-            .cache
-            .landmark_baselines
-            .write()
-            .expect("cache lock")
-            .entry(key)
-        {
-            std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.cache.fills.fetch_add(1, Ordering::Relaxed);
-                e.insert(Arc::clone(&computed));
-                computed
-            }
+        let (stored, filled) = memo_insert(&self.cache.landmark_baselines, key, compute());
+        if filled {
+            self.cache.fills.fetch_add(1, Ordering::Relaxed);
         }
+        stored
     }
 
     fn rng_for(&self, ip: IpAddr) -> StdRng {
         // Stable measurement noise per target: repeat lookups agree.
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        use std::hash::{Hash, Hasher};
+        use std::hash::Hasher;
         ip.hash(&mut h);
         self.seed.hash(&mut h);
         StdRng::seed_from_u64(h.finish())
@@ -414,12 +424,6 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
         let tkey = ip_key(ip);
         let mut rng = self.rng_for(ip);
 
-        // Per-(probe, target) baseline memo for this call: the baseline is
-        // a pure function of the two endpoints, so reusing the value is
-        // bitwise-neutral and saves the haversine when round 1 re-measures
-        // a probe round 0 (or a landmark) already priced.
-        let mut base_memo: HashMap<usize, f64> = HashMap::new();
-
         // Stage 1: coarse pre-localization from landmark RTTs. Real IPmap
         // narrows the probe assignment with prior knowledge; we use the
         // lowest-RTT landmark as the assignment anchor. Baselines come from
@@ -430,11 +434,9 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
         let mut anchor = target; // fallback
         let mut best_rtt = f64::INFINITY;
         for (j, i) in (0..self.mesh.probes.len()).step_by(stride).enumerate() {
-            let base = baselines[j];
-            base_memo.insert(i, base);
             let rtt = self
                 .latency
-                .min_rtt_over_baseline_ms(base, self.cfg.samples_per_probe, &mut rng);
+                .min_rtt_over_baseline_ms(baselines[j], self.cfg.samples_per_probe, &mut rng);
             if rtt < best_rtt {
                 best_rtt = rtt;
                 anchor = self.mesh.probes[i].location;
@@ -443,27 +445,20 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
 
         // Stage 2: assign the probes nearest the anchor and measure; then
         // one refinement round re-anchored at the lowest-RTT probe (real
-        // IPmap iterates its probe selection the same way).
-        let mut measured: Vec<(usize, f64)> = Vec::new();
+        // IPmap iterates its probe selection the same way). Baselines come
+        // from the freeze-wide (anchor, target) memo; only the jitter draws
+        // are per IP.
+        let k = self.cfg.probes_per_target.min(self.mesh.probes.len());
+        let mut measured: Vec<(usize, f64)> = Vec::with_capacity(k);
         for round in 0..2 {
             measured.clear();
-            let assigned = self.assigned_probes(anchor);
-            for &idx in assigned.iter() {
+            let assigned = self.assigned_baselines(anchor, target);
+            for &(idx, base) in assigned.iter() {
                 report.probes_assigned += 1;
                 if inj.probe_out(tkey, idx as u64) {
                     report.probes_out += 1;
                     continue;
                 }
-                let base = match base_memo.get(&idx) {
-                    Some(b) => *b,
-                    None => {
-                        let b = self
-                            .latency
-                            .baseline_rtt_ms(self.mesh.probes[idx].location, target);
-                        base_memo.insert(idx, b);
-                        b
-                    }
-                };
                 let mut rtt = self
                     .latency
                     .min_rtt_over_baseline_ms(base, self.cfg.samples_per_probe, &mut rng);
@@ -540,7 +535,7 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
             .iter()
             .map(|(_, rtt)| self.latency.rtt_to_max_distance_km(*rtt).max(1.0))
             .fold(f64::INFINITY, f64::min);
-        let mut votes: Vec<(CountryCode, f64)> = Vec::new();
+        let mut votes: Vec<(CountryCode, f64)> = Vec::with_capacity(measured.len());
         for (idx, rtt) in &measured {
             let bound_km = self.latency.rtt_to_max_distance_km(*rtt).max(1.0);
             if bound_km > min_bound * 1.5 + 50.0 {
@@ -562,21 +557,11 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
             });
         }
 
-        // Stage 4: weighted majority. BTreeMap keeps tie-breaking
-        // deterministic (ties resolve to the lexicographically first
-        // country instead of hash order).
-        let mut tally: std::collections::BTreeMap<CountryCode, f64> = Default::default();
-        for (c, w) in &votes {
-            *tally.entry(*c).or_insert(0.0) += *w;
-        }
-        let winner = tally
-            .into_iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(c, _)| c)
-            .ok_or(FaultError::QuorumNotMet {
-                votes: 0,
-                needed: min_quorum.max(1),
-            })?;
+        // Stage 4: weighted majority.
+        let winner = weighted_majority(&votes).ok_or(FaultError::QuorumNotMet {
+            votes: 0,
+            needed: min_quorum.max(1),
+        })?;
         Ok((GeoEstimate { country: winner }, votes))
     }
 
@@ -596,6 +581,21 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
             .sum();
         Some(winner / total)
     }
+}
+
+/// The country with the largest summed vote weight, `None` without votes.
+/// Each country's weights add up in vote order. Ties go to the
+/// lexicographically *last* country: `max_by` keeps the last of equal
+/// maxima, and the tally iterates in ascending country order.
+fn weighted_majority(votes: &[(CountryCode, f64)]) -> Option<CountryCode> {
+    let mut tally: std::collections::BTreeMap<CountryCode, f64> = Default::default();
+    for (c, w) in votes {
+        *tally.entry(*c).or_insert(0.0) += *w;
+    }
+    tally
+        .into_iter()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(c, _)| c)
 }
 
 impl<G: GroundTruth + ?Sized> Geolocator for IpMap<'_, G> {
@@ -928,6 +928,19 @@ mod tests {
             without.index_probe_visits > with_cache.index_probe_visits,
             "{without:?} vs {with_cache:?}"
         );
+    }
+
+    #[test]
+    fn majority_ties_go_to_the_last_country() {
+        // Exact weight ties: the lexicographically last country wins,
+        // whatever the vote order.
+        let (de, fr, nl) = (cc!("DE"), cc!("FR"), cc!("NL"));
+        assert_eq!(weighted_majority(&[(de, 0.5), (fr, 0.5)]), Some(fr));
+        assert_eq!(weighted_majority(&[(fr, 0.5), (de, 0.5)]), Some(fr));
+        assert_eq!(weighted_majority(&[(nl, 0.25), (de, 0.5), (nl, 0.25), (fr, 0.5)]), Some(nl));
+        // A strictly larger sum still wins outright.
+        assert_eq!(weighted_majority(&[(de, 0.5), (fr, 0.25), (nl, 0.125)]), Some(de));
+        assert_eq!(weighted_majority(&[]), None);
     }
 
     #[test]

@@ -16,11 +16,20 @@
 //!    probe visits, since nothing is memoized).
 //! 3. The counters populate: tracker IPs share PoP locations, so a real
 //!    run must record both misses (distinct locations) and hits (repeats).
+//! 4. On the reference `small(11)` world the counters and the probes
+//!    assigned are pinned exactly, and a freeze over the IP list in
+//!    reverse order reproduces the estimate map and every counter.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::net::IpAddr;
-use xborder::pipeline::{run_extension_pipeline_degraded, StudyOutputs};
+use xborder::pipeline::{
+    freeze_estimates_degraded, run_extension_pipeline, run_extension_pipeline_degraded,
+    StudyOutputs,
+};
 use xborder::{World, WorldConfig};
-use xborder_faults::{DegradationReport, FaultPlan, StageTimings};
+use xborder_faults::{DegradationReport, FaultInjector, FaultPlan, StageTimings};
+use xborder_geoloc::IpMap;
 
 /// FNV-fold over the geolocation-relevant output surface: tracker-IP set
 /// plus all three provider estimate maps.
@@ -108,5 +117,58 @@ fn assign_cache_is_bit_transparent_across_thread_budgets() {
                 assert_eq!(report, base_report, "seed {seed} threads {threads} uncached");
             }
         }
+    }
+}
+
+/// The reference world's geolocation work, counted: assignment-cache hits,
+/// misses (distinct anchor and target locations), grid-index probe visits
+/// and probes assigned, at threads=1. A memo that skipped or doubled a
+/// lookup, or counted a fill twice, moves one of these.
+#[test]
+fn small11_geolocation_counters_are_pinned() {
+    for (plan, want) in [
+        (FaultPlan::none(), [1691u64, 289, 28805, 52800]),
+        (FaultPlan::aggressive(11), [1460, 334, 33784, 47840]),
+    ] {
+        let mut world = World::build(WorldConfig::small(11).with_threads(1));
+        let (_, report) = run_extension_pipeline_degraded(&mut world, &plan);
+        let got = [
+            report.geoloc_assign_cache_hits,
+            report.geoloc_assign_cache_misses,
+            report.geoloc_index_probe_visits,
+            report.probes_assigned,
+        ];
+        assert_eq!(
+            got, want,
+            "plan {plan:?}: [hits, misses, index probe visits, probes assigned]"
+        );
+    }
+}
+
+/// Each IP's estimate is a function of the IP alone, and the counters are
+/// counts over the set of lookups: freezing the tracker IPs in reverse
+/// order gives the same map and the same counters, with and without
+/// faults.
+#[test]
+fn freeze_is_independent_of_ip_order() {
+    let mut world = World::build(WorldConfig::small(11).with_threads(1));
+    let out = run_extension_pipeline(&mut world);
+    let mut ips: Vec<IpAddr> = out.tracker_ips.ips.keys().copied().collect();
+    ips.sort();
+    for plan in [FaultPlan::none(), FaultPlan::aggressive(11)] {
+        let inj = FaultInjector::new(plan);
+        let freeze = |ips: &[IpAddr]| {
+            let ipmap = IpMap::new(world.config.ipmap, &world.infra, &mut StdRng::seed_from_u64(7));
+            let mut report = DegradationReport::default();
+            let map = freeze_estimates_degraded(&ipmap, ips, &inj, &mut report);
+            (map, report, ipmap.assign_cache_stats())
+        };
+        let forward = freeze(&ips);
+        let reversed: Vec<IpAddr> = ips.iter().rev().copied().collect();
+        let backward = freeze(&reversed);
+        assert!(!forward.0.is_empty());
+        assert_eq!(forward.0, backward.0, "estimate map depends on IP order");
+        assert_eq!(forward.1, backward.1, "fault counters depend on IP order");
+        assert_eq!(forward.2, backward.2, "cache counters depend on IP order");
     }
 }

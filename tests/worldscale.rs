@@ -34,7 +34,9 @@ use xborder::worldscale::{
     dataset_digests, run_worldscale_pipeline, ScaleConfig, ScaleOutputs,
 };
 use xborder::{World, WorldConfig};
-use xborder_browser::{SegmentBlock, StudyChunk, UserId, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI};
+use xborder_browser::{
+    Referrer, RequestId, SegmentBlock, StudyChunk, UserId, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI,
+};
 use xborder_checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointStore};
 use xborder_classify::Classification;
 use xborder_faults::{FaultPlan, KillSwitch, StageTimings};
@@ -283,9 +285,11 @@ fn snapshot(dir: &Path) -> HashMap<String, Vec<u8>> {
 
 /// Chunks whose framing and checksum are valid but whose rows are wrong
 /// must not be folded on replay: an unknown label tag (the folds count
-/// every non-clean tag as tracking) and a request naming a user outside
-/// the chunk's range (the EU28 tally looks users up by id) each refuse
-/// with typed corruption and write nothing.
+/// every non-clean tag as tracking), a request naming a user outside the
+/// chunk's range (the EU28 tally looks users up by id), an id past the
+/// world's tables, a dangling referrer row, and a URL column whose offsets
+/// or bytes do not form the arena's UTF-8 slices each refuse with typed
+/// corruption and write nothing.
 #[test]
 fn replay_refuses_checksum_valid_corrupt_chunks() {
     let seed = 11u64;
@@ -333,76 +337,125 @@ fn replay_refuses_checksum_valid_corrupt_chunks() {
     let bad_request_publisher = tampered(&|c| c.requests[0].publisher = PublisherId(n_publishers));
     let bad_request_host = tampered(&|c| c.requests[0].host = DomainId(n_domains));
     let bad_observation_host = tampered(&|c| c.observations[0].host = DomainId(n_domains));
-    // The classifier delta leads with its running request total.
-    let mut bad_total = cls.to_vec();
-    bad_total[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-    for (what, chunk, labels, cls, want) in [
-        (
-            "unknown tag",
-            &chunk,
-            &bad_tag,
-            cls,
-            "unknown classification tag 9",
-        ),
-        (
-            "foreign user",
-            &bad_user,
-            &labels,
-            cls,
-            "outside the chunk's users",
-        ),
-        (
-            "foreign visit user",
-            &bad_visit_user,
-            &labels,
-            cls,
-            "outside the chunk's users",
-        ),
-        (
-            "visit publisher",
-            &bad_visit_publisher,
-            &labels,
-            cls,
-            "outside the world's",
-        ),
-        (
-            "request publisher",
-            &bad_request_publisher,
-            &labels,
-            cls,
-            "outside the world's",
-        ),
-        (
-            "request host",
-            &bad_request_host,
-            &labels,
-            cls,
-            "outside the world's",
-        ),
-        (
-            "observation host",
-            &bad_observation_host,
-            &labels,
-            cls,
-            "outside the world's",
-        ),
-        (
-            "inflated delta total",
-            &chunk,
-            &labels,
-            &bad_total[..],
-            "does not match",
-        ),
-    ] {
-        let tampered = SegmentBlock::from_chunk(
+    let bad_first_party = tampered(&|c| c.requests[0].first_party = DomainId(n_domains));
+    let n_requests = chunk.requests.len() as u32;
+    let bad_referrer =
+        tampered(&|c| c.requests[0].referrer = Referrer::Request(RequestId(n_requests)));
+    let encode = |chunk: &StudyChunk, labels: &[u8]| {
+        SegmentBlock::from_chunk(
             chunk,
             labels,
             stage2,
             stage3,
             (entry.user_start as u32, entry.user_end as u32),
-        );
+        )
+        .encode_bytes()
+    };
+    // The URL columns, edited in the encoded block: the arena starts with
+    // row 0's URL and the `n_requests` trailing offsets (u32 LE) sit right
+    // before it.
+    let genuine = encode(&chunk, &labels);
+    assert_eq!(genuine, seg, "block encoding is deterministic");
+    let first_url = chunk.requests[0].url.as_bytes();
+    let arena_at = genuine
+        .windows(first_url.len())
+        .position(|w| w == first_url)
+        .expect("row 0's URL in the arena");
+    let offsets_at = arena_at - 4 * n_requests as usize;
+    let url_len: u32 = chunk.requests.iter().map(|r| r.url.len() as u32).sum();
+    let offset = |row: usize| offsets_at + 4 * row;
+    assert_eq!(
+        genuine[offset(n_requests as usize - 1)..arena_at],
+        url_len.to_le_bytes(),
+        "the last offset ends the arena"
+    );
+    let edit_bytes = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut b = genuine.clone();
+        edit(&mut b);
+        b
+    };
+    let put_u32 = |b: &mut Vec<u8>, at: usize, v: u32| {
+        b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    };
+    let offset_out_of_order = edit_bytes(&|b| {
+        let second = u32::from_le_bytes(b[offset(1)..offset(1) + 4].try_into().unwrap());
+        put_u32(b, offset(0), second + 1);
+    });
+    let offset_past_arena = edit_bytes(&|b| put_u32(b, offset(0), url_len + 1));
+    let offsets_end_short =
+        edit_bytes(&|b| put_u32(b, offset(n_requests as usize - 1), url_len - 1));
+    let not_utf8 = edit_bytes(&|b| b[arena_at] = 0xFF);
+    // The classifier delta leads with its running request total.
+    let mut bad_total = cls.to_vec();
+    bad_total[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    for (what, seg, cls, want) in [
+        (
+            "unknown tag",
+            encode(&chunk, &bad_tag),
+            cls,
+            "unknown classification tag 9",
+        ),
+        (
+            "foreign user",
+            encode(&bad_user, &labels),
+            cls,
+            "outside the chunk's users",
+        ),
+        (
+            "foreign visit user",
+            encode(&bad_visit_user, &labels),
+            cls,
+            "outside the chunk's users",
+        ),
+        (
+            "visit publisher",
+            encode(&bad_visit_publisher, &labels),
+            cls,
+            "outside the world's",
+        ),
+        (
+            "request publisher",
+            encode(&bad_request_publisher, &labels),
+            cls,
+            "outside the world's",
+        ),
+        (
+            "request host",
+            encode(&bad_request_host, &labels),
+            cls,
+            "outside the world's",
+        ),
+        (
+            "observation host",
+            encode(&bad_observation_host, &labels),
+            cls,
+            "outside the world's",
+        ),
+        (
+            "request first party",
+            encode(&bad_first_party, &labels),
+            cls,
+            "outside the world's",
+        ),
+        (
+            "referrer row",
+            encode(&bad_referrer, &labels),
+            cls,
+            "referrer row",
+        ),
+        ("URL offset out of order", offset_out_of_order, cls, "URL offset"),
+        ("URL offset past the arena", offset_past_arena, cls, "URL offset"),
+        ("URL offsets end short", offsets_end_short, cls, "URL offset"),
+        ("URL bytes not UTF-8", not_utf8, cls, "not UTF-8"),
+        (
+            "inflated delta total",
+            genuine,
+            &bad_total[..],
+            "does not match",
+        ),
+    ] {
         let mut w = ByteWriter::new();
-        w.put_blob(&tampered.encode_bytes());
+        w.put_blob(&seg);
         w.put_blob(cls);
         let tampered_payload = w.into_bytes();
 
