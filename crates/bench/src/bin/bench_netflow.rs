@@ -159,7 +159,8 @@ fn main() {
         for b in &blocks {
             set.match_block(b, &mut stats);
         }
-        (t.elapsed().as_secs_f64() * 1e3, stats)
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        (ms, stats.to_match_stats(&set))
     };
     let run_oracle = || {
         let mut oracle = oracle_collector(&list);
@@ -174,33 +175,21 @@ fn main() {
     // The speedup is a ratio of two wall times on a noisy box: alternate
     // the sides round by round (a monotonic drift cannot bias one) and
     // take each side's minimum — the noise-robust estimator of the work
-    // actually done (the bench_pipeline idiom).
-    let mut interval_match_ms = f64::INFINITY;
-    let mut oracle_match_ms = f64::INFINITY;
-    let mut stats = set.new_stats();
-    let mut oracle_stats = xborder_netflow::MatchStats::default();
+    // actually done (the bench_pipeline idiom). Side 0 is the interval
+    // set, side 1 the oracle.
+    let (mut best, mut results) = ([f64::INFINITY; 2], [None, None]);
     for round in 0..3 {
-        if round % 2 == 0 {
-            let (ms, s) = run_interval();
-            interval_match_ms = interval_match_ms.min(ms);
-            stats = s;
-            let (ms, s) = run_oracle();
-            oracle_match_ms = oracle_match_ms.min(ms);
-            oracle_stats = s;
-        } else {
-            let (ms, s) = run_oracle();
-            oracle_match_ms = oracle_match_ms.min(ms);
-            oracle_stats = s;
-            let (ms, s) = run_interval();
-            interval_match_ms = interval_match_ms.min(ms);
-            stats = s;
+        for side in [round % 2, 1 - round % 2] {
+            let (ms, stats) = if side == 0 { run_interval() } else { run_oracle() };
+            best[side] = best[side].min(ms);
+            results[side] = Some(stats);
         }
     }
     assert_eq!(
-        stats.to_match_stats(&set),
-        oracle_stats,
+        results[0], results[1],
         "interval-set matcher drifted from the per-record oracle"
     );
+    let [interval_match_ms, oracle_match_ms] = best;
     let speedup_vs_oracle = oracle_match_ms / interval_match_ms.max(f64::MIN_POSITIVE);
     println!(
         "oracle ({oracle_records} records, threads 1): interval set {interval_match_ms:.0} ms \
@@ -228,17 +217,7 @@ fn main() {
         "oracle": oracle_doc,
     });
     let out = "BENCH_netflow.json";
-    let doc = match serde_json::to_string_pretty(&doc) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("bench_netflow: FAIL — bench doc does not serialize: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = std::fs::write(out, doc) {
-        eprintln!("bench_netflow: FAIL — cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    xborder_bench::write_bench_doc(out, &doc);
     println!(
         "wrote {out} ({:.2e} records/s headline at {} records / 1 thread; \
          {n_threads} threads available)",

@@ -1,8 +1,10 @@
-//! Pipeline bench smoke: end-to-end and per-stage wall-clock across a
+//! Pipeline bench smoke: end-to-end and per-layer wall-clock across a
 //! sweep of thread budgets, written to `BENCH_pipeline.json` (run from the
-//! repo root; see ci.sh). The per-stage numbers come from the pipeline's
-//! own `DegradationReport::timings`, so the bench measures exactly what
-//! production runs record.
+//! repo root; see ci.sh). Each row carries the run's own
+//! `DegradationReport::profile`, so the bench records exactly what
+//! production runs record, and a `spread` map: for every timed value of
+//! the row, keyed by its path in the row, its `[min, max]` over the
+//! repeats the value was taken from (a single-shot value has none).
 //!
 //! The sweep runs the budgets 1, 2 and 4 and the available budget
 //! (`XBORDER_THREADS`, else the core count), deduplicated, and skips every
@@ -14,6 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use xborder::ispstudy::{run_isp_study, IspStudyConfig};
@@ -21,7 +24,7 @@ use xborder::pipeline::{run_extension_pipeline_degraded, StudyOutputs};
 use xborder::stream::{run_extension_pipeline_streaming, StreamConfig};
 use xborder::{Parallelism, World, WorldConfig};
 use xborder_classify::{FilterList, FilterRule, RuleEngine};
-use xborder_faults::{FaultPlan, KillSwitch};
+use xborder_faults::{profile::LAYERS, FaultPlan, KillSwitch, Profile};
 use xborder_webgraph::Domain;
 
 /// Deterministic URL-dependent workload for the rule-engine microbench: a
@@ -69,7 +72,8 @@ fn engine_workload(n_rules: usize, n_urls: usize, seed: u64) -> (FilterList, Vec
 /// Allocation calls and requested bytes since process start. The library
 /// crates are `forbid(unsafe_code)`, so the counting allocator lives here
 /// in the bench binary and feeds the pipeline's report through the safe
-/// `xborder_faults::install_alloc_probe` hook.
+/// `xborder_faults::install_alloc_probe` hook, which the profile's spans
+/// read.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -106,6 +110,36 @@ fn alloc_probe() -> (u64, u64) {
     )
 }
 
+/// `[min, max]` of one timed value over its repeats.
+fn spread(xs: impl IntoIterator<Item = f64>) -> [f64; 2] {
+    xs.into_iter()
+        .fold([f64::INFINITY, f64::NEG_INFINITY], |[lo, hi], x| [lo.min(x), hi.max(x)])
+}
+
+/// The spread of every layer's wall clock over repeated runs' profiles,
+/// keyed by its path in a bench row (`{key}.{layer}.wall_ms`).
+fn layer_spreads<'a>(
+    key: &str,
+    profiles: impl Iterator<Item = &'a Profile> + Clone,
+) -> BTreeMap<String, [f64; 2]> {
+    LAYERS
+        .iter()
+        .filter(|path| profiles.clone().any(|p| p.layer(path).is_some()))
+        .map(|path| {
+            let walls = profiles.clone().filter_map(|p| p.layer(path)).map(|l| l.wall_ms);
+            (format!("{key}.{path}.wall_ms"), spread(walls))
+        })
+        .collect()
+}
+
+/// The run with the smallest wall clock.
+fn fastest(runs: &[(f64, Profile)]) -> (f64, Profile) {
+    runs.iter()
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .cloned()
+        .expect("at least one timed run")
+}
+
 fn main() {
     let seed = 11u64;
     xborder_faults::install_alloc_probe(alloc_probe);
@@ -116,8 +150,11 @@ fn main() {
         .collect();
     budgets.sort_unstable();
     budgets.dedup();
+    assert_eq!(budgets[0], 1, "sweep starts at the sequential budget");
 
-    let mut measured: Vec<(usize, f64, xborder_faults::StageTimings, usize)> = Vec::new();
+    let mut runs: Vec<serde_json::Value> = Vec::new();
+    let mut seq: Option<(f64, f64)> = None;
+    let mut best_e2e = 1.0f64;
     for &threads in &budgets {
         // One discarded warmup (page cache, allocator, frequency ramp),
         // then median-of-3 by wall-clock. The median is robust against the
@@ -130,40 +167,44 @@ fn main() {
             let (out, mut report) = run_extension_pipeline_degraded(&mut world, &FaultPlan::none());
             let wall_ms = t.elapsed().as_secs_f64() * 1e3;
             // The Sect. 7 NetFlow join rides the same thread budget; its
-            // stage split lands in the report next to the pipeline stages.
+            // layers join the pipeline's in the row's profile.
             let isp = run_isp_study(
                 &mut world,
                 &out.tracker_ips,
                 &out.ipmap_estimates,
                 &IspStudyConfig::small(),
             );
-            report.timings.netflow_generate_ms = isp.timings.generate_ms;
-            report.timings.netflow_match_ms = isp.timings.match_ms;
-            (wall_ms, report.timings, out.dataset.visits.len())
+            report.profile.absorb(&isp.profile);
+            (wall_ms, report.profile, out.dataset.visits.len())
         };
         let _warmup = run_once();
-        let mut runs: Vec<(f64, xborder_faults::StageTimings, usize)> =
-            (0..3).map(|_| run_once()).collect();
-        runs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let (wall_ms, timings, n_visits) = runs.swap_remove(1);
+        let mut repeats: Vec<(f64, Profile, usize)> = (0..3).map(|_| run_once()).collect();
+        let mut spreads = layer_spreads("profile", repeats.iter().map(|r| &r.1));
+        spreads.insert("pipeline_ms".into(), spread(repeats.iter().map(|r| r.0)));
+        repeats.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (wall_ms, profile, n_visits) = repeats.swap_remove(1);
+        let study = profile.layer("study").copied().unwrap_or_default();
+        let layers: Vec<String> =
+            profile.layers.iter().map(|l| format!("{} {:.1}", l.path, l.wall_ms)).collect();
         println!(
-            "threads {threads}: pipeline {wall_ms:.1} ms (study {:.1}, classify {:.1}, \
-             completion {:.1}, geolocate {:.1}; study allocs {} / {} visits; \
-             netflow gen {:.1} + match {:.1})",
-            timings.study_ms,
-            timings.classify_ms,
-            timings.completion_ms,
-            timings.geolocate_ms,
-            timings.study_allocs,
-            n_visits,
-            timings.netflow_generate_ms,
-            timings.netflow_match_ms
+            "threads {threads}: pipeline {wall_ms:.1} ms ({}; study allocs {} / {n_visits} visits)",
+            layers.join(", "),
+            study.allocs
         );
-        measured.push((threads, wall_ms, timings, n_visits));
+        let (seq_ms, seq_study_ms) = *seq.get_or_insert((wall_ms, study.wall_ms));
+        best_e2e = best_e2e.max(seq_ms / wall_ms.max(f64::MIN_POSITIVE));
+        runs.push(serde_json::json!({
+            "threads": threads,
+            "pipeline_ms": wall_ms,
+            "visits": n_visits,
+            "profile": profile,
+            "spread": spreads,
+            "study_allocs_per_visit": study.allocs as f64 / n_visits.max(1) as f64,
+            "study_speedup_vs_sequential": if study.wall_ms > 0.0 { seq_study_ms / study.wall_ms } else { 1.0 },
+            "e2e_speedup_vs_sequential": if wall_ms > 0.0 { seq_ms / wall_ms } else { 1.0 },
+        }));
     }
-
-    let seq = &measured[0];
-    assert_eq!(seq.0, 1, "sweep starts at the sequential budget");
+    let seq_ms = seq.expect("the sweep ran").0;
 
     // --- Streaming mode: chunked ingestion at threads=1, with and without
     // durable checkpoints, against the batch sequential baseline. The
@@ -201,7 +242,7 @@ fn main() {
             "streaming bench output drifted from batch"
         );
         assert_eq!(out.snapshots.len(), snapshot_windows, "rolling snapshots missing");
-        (wall_ms, out.dataset.visits.len(), report.timings)
+        (wall_ms, report.profile)
     };
     // Both variants emit rolling snapshots so the checkpoint-overhead
     // comparison stays apples-to-apples. checkpoint_overhead_pct is a
@@ -215,29 +256,29 @@ fn main() {
     let durable = StreamConfig::durable(chunk_users, &ckpt_dir).with_snapshots(snapshot_windows);
     let _warmup = run_streaming(&in_memory);
     let _warmup = run_streaming(&durable);
-    let mut mem_runs: Vec<(f64, usize, xborder_faults::StageTimings)> = Vec::new();
-    let mut ckpt_runs: Vec<f64> = Vec::new();
+    let mut mem_runs: Vec<(f64, Profile)> = Vec::new();
+    let mut ckpt_runs: Vec<(f64, Profile)> = Vec::new();
     for round in 0..7 {
         if round % 2 == 0 {
             mem_runs.push(run_streaming(&in_memory));
-            ckpt_runs.push(run_streaming(&durable).0);
+            ckpt_runs.push(run_streaming(&durable));
         } else {
-            ckpt_runs.push(run_streaming(&durable).0);
+            ckpt_runs.push(run_streaming(&durable));
             mem_runs.push(run_streaming(&in_memory));
         }
     }
     let _ = std::fs::remove_dir_all(&ckpt_dir);
-    mem_runs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let (streaming_ms, n_visits, stream_timings) = mem_runs.swap_remove(0);
-    let streaming_ckpt_ms = ckpt_runs.iter().copied().fold(f64::INFINITY, f64::min);
-    let visits_per_sec = n_visits as f64 / (streaming_ckpt_ms / 1e3).max(f64::MIN_POSITIVE);
+    let (streaming_ms, stream_profile) = fastest(&mem_runs);
+    let (streaming_ckpt_ms, ckpt_profile) = fastest(&ckpt_runs);
+    let visits_per_sec = batch_summary.1 as f64 / (streaming_ckpt_ms / 1e3).max(f64::MIN_POSITIVE);
     let checkpoint_overhead_ms = streaming_ckpt_ms - streaming_ms;
     let checkpoint_overhead_pct = (streaming_ckpt_ms / streaming_ms.max(f64::MIN_POSITIVE) - 1.0) * 100.0;
-    let overhead_vs_batch_pct = (streaming_ms / seq.1.max(f64::MIN_POSITIVE) - 1.0) * 100.0;
+    let overhead_vs_batch_pct = (streaming_ms / seq_ms.max(f64::MIN_POSITIVE) - 1.0) * 100.0;
     // Incremental-vs-batch classify is a ratio of two small stage times, so
     // clock drift between the thread sweep and the streaming block (minutes
     // apart on a noisy box) would dominate it. Interleave batch and
     // streaming runs back to back and compare their medians instead.
+    let classify_ms = |profile: &Profile| profile.layer("classify").map_or(0.0, |l| l.wall_ms);
     let run_batch_classify = || {
         let mut world = World::build(WorldConfig::small(seed).with_threads(1));
         let (out, report) = run_extension_pipeline_degraded(&mut world, &FaultPlan::none());
@@ -246,7 +287,7 @@ fn main() {
             batch_summary,
             "batch classify-baseline run drifted"
         );
-        report.timings.classify_ms
+        classify_ms(&report.profile)
     };
     let mut batch_cls: Vec<f64> = Vec::new();
     let mut inc_cls: Vec<f64> = Vec::new();
@@ -255,22 +296,20 @@ fn main() {
         // clock (thermal throttling) cannot bias one side.
         if round % 2 == 0 {
             batch_cls.push(run_batch_classify());
-            inc_cls.push(run_streaming(&in_memory).2.classify_ms);
+            inc_cls.push(classify_ms(&run_streaming(&in_memory).1));
         } else {
-            inc_cls.push(run_streaming(&in_memory).2.classify_ms);
+            inc_cls.push(classify_ms(&run_streaming(&in_memory).1));
             batch_cls.push(run_batch_classify());
         }
     }
     // Min, not median: both stages are sub-15 ms on a box whose clock swings
     // ~2x under load, so the minimum is the only noise-robust estimator of
     // the work actually done.
-    let min = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
-    let batch_classify_ms = min(&batch_cls);
-    let incremental_classify_ms = min(&inc_cls);
+    let [batch_classify_ms, _] = spread(batch_cls.iter().copied());
+    let [incremental_classify_ms, _] = spread(inc_cls.iter().copied());
     let classify_overhead_vs_batch_pct =
         (incremental_classify_ms / batch_classify_ms.max(f64::MIN_POSITIVE) - 1.0) * 100.0;
-    let snapshot_ms = stream_timings.snapshot_ms;
-    let snapshot_ms_per_window = snapshot_ms / snapshot_windows as f64;
+    let snapshot_ms = stream_profile.layer("ingest/snapshot").map_or(0.0, |l| l.wall_ms);
     println!(
         "streaming (chunk {chunk_users} users, threads 1): {streaming_ms:.1} ms in-memory, \
          {streaming_ckpt_ms:.1} ms checkpointed ({checkpoint_overhead_ms:+.1} ms / \
@@ -280,39 +319,46 @@ fn main() {
          [{classify_overhead_vs_batch_pct:+.1}% vs batch], \
          {snapshot_windows} snapshots {snapshot_ms:.2} ms total)"
     );
+    let mut stream_spreads = layer_spreads("profile", mem_runs.iter().map(|r| &r.1));
+    stream_spreads.extend(layer_spreads("checkpoint_profile", ckpt_runs.iter().map(|r| &r.1)));
+    stream_spreads.insert("streaming_ms".into(), spread(mem_runs.iter().map(|r| r.0)));
+    stream_spreads.insert("streaming_ckpt_ms".into(), spread(ckpt_runs.iter().map(|r| r.0)));
+    stream_spreads.insert("batch_classify_ms".into(), spread(batch_cls));
+    stream_spreads.insert("incremental_classify_ms".into(), spread(inc_cls));
     // --- Rule-engine microbench: compiled Aho-Corasick engine vs the
     // naive per-rule oracle over a synthetic URL-dependent rule set (the
-    // generated lists are all domain anchors, which both paths resolve
-    // per-host; substring/path rules are where the automaton earns its
-    // keep). Results are asserted equal while timing, so the speedup
+    // generated lists are all domain anchors, which engine and oracle both
+    // resolve per-host; substring/path rules are where the automaton earns
+    // its keep). Results are asserted equal while timing, so the speedup
     // number can never come from a divergent matcher.
     let (list, probes) = engine_workload(512, 4096, 97);
     let t_build = Instant::now();
     let mut engine = RuleEngine::compile(&[&list]);
     let build_ms = t_build.elapsed().as_secs_f64() * 1e3;
     let time_min5 = |f: &mut dyn FnMut() -> u64| {
-        let mut best = f64::INFINITY;
+        let mut walls = Vec::new();
         let mut hits = 0u64;
         for _ in 0..5 {
             let t = Instant::now();
             hits = f();
-            best = best.min(t.elapsed().as_secs_f64() * 1e3);
+            walls.push(t.elapsed().as_secs_f64() * 1e3);
         }
-        (best, hits)
+        (spread(walls), hits)
     };
-    let (engine_match_ms, engine_hits) = time_min5(&mut || {
+    let (engine_spread, engine_hits) = time_min5(&mut || {
         probes
             .iter()
             .filter(|(host, url)| engine.matches(host, url))
             .count() as u64
     });
-    let (oracle_match_ms, oracle_hits) = time_min5(&mut || {
+    let (oracle_spread, oracle_hits) = time_min5(&mut || {
         probes
             .iter()
             .filter(|(host, url)| list.matches(host, url))
             .count() as u64
     });
     assert_eq!(engine_hits, oracle_hits, "engine drifted from the rule oracle");
+    let (engine_match_ms, oracle_match_ms) = (engine_spread[0], oracle_spread[0]);
     let speedup_vs_oracle = oracle_match_ms / engine_match_ms.max(f64::MIN_POSITIVE);
     println!(
         "rule engine ({} rules, {} urls): build {build_ms:.2} ms, match {engine_match_ms:.2} ms \
@@ -327,46 +373,27 @@ fn main() {
         "engine_match_ms": engine_match_ms,
         "oracle_match_ms": oracle_match_ms,
         "speedup_vs_oracle": speedup_vs_oracle,
+        "spread": BTreeMap::from([
+            ("engine_match_ms", engine_spread),
+            ("oracle_match_ms", oracle_spread),
+        ]),
     });
-    let runs: Vec<serde_json::Value> = measured
-        .iter()
-        .map(|(threads, wall_ms, t, n_visits)| {
-            serde_json::json!({
-                "threads": threads,
-                "pipeline_ms": wall_ms,
-                "study_ms": t.study_ms,
-                "classify_ms": t.classify_ms,
-                "completion_ms": t.completion_ms,
-                "geolocate_ms": t.geolocate_ms,
-                "total_ms": t.total_ms,
-                "study_allocs": t.study_allocs,
-                "study_alloc_bytes": t.study_alloc_bytes,
-                "netflow_generate_ms": t.netflow_generate_ms,
-                "netflow_match_ms": t.netflow_match_ms,
-                "study_allocs_per_visit": t.study_allocs as f64 / (*n_visits).max(1) as f64,
-                "study_speedup_vs_sequential": if t.study_ms > 0.0 { seq.2.study_ms / t.study_ms } else { 1.0 },
-                "e2e_speedup_vs_sequential": if *wall_ms > 0.0 { seq.1 / wall_ms } else { 1.0 },
-            })
-        })
-        .collect();
-    let best_e2e = measured
-        .iter()
-        .map(|(_, wall_ms, _, _)| seq.1 / wall_ms.max(f64::MIN_POSITIVE))
-        .fold(1.0f64, f64::max);
     let streaming_doc = serde_json::json!({
         "chunk_users": chunk_users,
         "threads": 1,
+        "snapshot_windows": snapshot_windows,
         "streaming_ms": streaming_ms,
         "streaming_ckpt_ms": streaming_ckpt_ms,
         "visits_per_sec": visits_per_sec,
         "checkpoint_overhead_ms": checkpoint_overhead_ms,
         "checkpoint_overhead_pct": checkpoint_overhead_pct,
         "overhead_vs_batch_pct": overhead_vs_batch_pct,
+        "batch_classify_ms": batch_classify_ms,
         "incremental_classify_ms": incremental_classify_ms,
         "classify_overhead_vs_batch_pct": classify_overhead_vs_batch_pct,
-        "snapshot_windows": snapshot_windows,
-        "snapshot_ms": snapshot_ms,
-        "snapshot_ms_per_window": snapshot_ms_per_window,
+        "profile": stream_profile,
+        "checkpoint_profile": ckpt_profile,
+        "spread": stream_spreads,
     });
     let doc = serde_json::json!({
         "bench": "pipeline",
@@ -378,16 +405,6 @@ fn main() {
         "rule_engine": rule_engine_doc,
     });
     let out = "BENCH_pipeline.json";
-    let doc = match serde_json::to_string_pretty(&doc) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("bench_pipeline: FAIL — bench doc does not serialize: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = std::fs::write(out, doc) {
-        eprintln!("bench_pipeline: FAIL — cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    xborder_bench::write_bench_doc(out, &doc);
     println!("wrote {out} (best e2e speedup vs sequential: {best_e2e:.2}x; {n_threads} threads available)");
 }

@@ -3,7 +3,8 @@
 //! `BENCH_worldscale.json` (run from the repo root; see ci.sh).
 //!
 //! Sweeps users 10⁴/10⁵/10⁶ (capped by `XBORDER_WORLDSCALE_MAX_USERS` for
-//! CI smoke runs) × segment sizes and records wall time, users/sec and
+//! CI smoke runs) × segment sizes and records wall time, users/sec, the
+//! run's own per-layer profile (with the classifier's resident bytes) and
 //! each row's own process high-water mark (`VmHWM`): the mark is reset
 //! through `/proc/self/clear_refs` before every row, so a row reports what
 //! its world build and run needed, not what an earlier row left behind.
@@ -61,7 +62,7 @@ fn main() {
             let mut world = World::build(WorldConfig::large(seed, users));
             let build_ms = t.elapsed().as_secs_f64() * 1e3;
             let t = Instant::now();
-            let (out, _) = run_worldscale_pipeline(
+            let (out, report) = run_worldscale_pipeline(
                 &mut world,
                 &plan,
                 &ScaleConfig::in_memory(segment_users),
@@ -94,6 +95,7 @@ fn main() {
                 "requests": out.stats.n_third_party_requests,
                 "segments": out.n_segments,
                 "vm_hwm_bytes": hwm,
+                "profile": report.profile,
             }));
         }
         assert!(
@@ -109,17 +111,7 @@ fn main() {
         "runs": runs,
     });
     let out = "BENCH_worldscale.json";
-    let doc = match serde_json::to_string_pretty(&doc) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("bench_worldscale: FAIL — bench doc does not serialize: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = std::fs::write(out, doc) {
-        eprintln!("bench_worldscale: FAIL — cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    xborder_bench::write_bench_doc(out, &doc);
     println!(
         "wrote {out} ({headline_users_per_sec:.2e} users/s headline at {} users / \
          segment 20000; {n_threads} threads available)",

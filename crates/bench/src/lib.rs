@@ -186,3 +186,15 @@ pub fn stability_study(n_seeds: u64, base_seed: u64) -> StabilityReport {
         runs,
     }
 }
+
+/// Writes a bench binary's document as pretty JSON to `path` (relative
+/// to the working directory), exiting with status 1 if it cannot.
+pub fn write_bench_doc(path: &str, doc: &serde_json::Value) {
+    let written = serde_json::to_string_pretty(doc)
+        .map_err(|e| format!("bench doc does not serialize: {e}"))
+        .and_then(|json| std::fs::write(path, json).map_err(|e| format!("cannot write: {e}")));
+    if let Err(e) = written {
+        eprintln!("{path}: FAIL — {e}");
+        std::process::exit(1);
+    }
+}

@@ -473,13 +473,30 @@ impl SegmentBlock {
             }
             Ok(v)
         }
+        // `unpack_ip` binary-searches the IPv6 side rows of a column by
+        // row index, so they must be strictly increasing and inside the
+        // column's `rows`: an unsorted, repeated or stray row would read
+        // another row's address, or the v4 placeholder, without an error.
         fn col_ip6(
             r: &mut ByteReader<'_>,
             n: usize,
+            rows: usize,
+            len: usize,
         ) -> Result<Vec<(u32, [u8; 16])>, DecodeError> {
             let mut v: Vec<(u32, [u8; 16])> = Vec::with_capacity(r.bounded_count(n, 20)?);
             for _ in 0..n {
+                let offset = len - r.remaining();
                 let row = r.u32()?;
+                let prev = v.last().map(|&(p, _)| p);
+                if row as usize >= rows || prev.is_some_and(|p| row <= p) {
+                    return Err(DecodeError {
+                        offset,
+                        detail: format!(
+                            "IPv6 side row {row} does not follow {prev:?} inside the \
+                             column's {rows} rows"
+                        ),
+                    });
+                }
                 let octets: [u8; 16] = r.bytes(16)?.try_into().expect("16 bytes");
                 v.push((row, octets));
             }
@@ -532,11 +549,11 @@ impl SegmentBlock {
             });
         }
         let r_ip4 = col_u32(&mut r, n_requests)?;
-        let r_ip6 = col_ip6(&mut r, n_r_ip6)?;
+        let r_ip6 = col_ip6(&mut r, n_r_ip6, n_requests, bytes.len())?;
         let o_host = col_u32(&mut r, n_obs)?;
         let o_time = col_u64(&mut r, n_obs)?;
         let o_ip4 = col_u32(&mut r, n_obs)?;
-        let o_ip6 = col_ip6(&mut r, n_o_ip6)?;
+        let o_ip6 = col_ip6(&mut r, n_o_ip6, n_obs, bytes.len())?;
         let labels = r.bytes(n_labels)?.to_vec();
         r.finish()?;
         Ok(SegmentBlock {
@@ -775,6 +792,43 @@ mod tests {
         bytes[at + mid_char as usize - 1] = 0xFF;
         let err = SegmentBlock::decode_bytes(&bytes).expect_err("not UTF-8");
         assert!(err.detail.contains("not UTF-8"), "{err}");
+        assert_eq!(SegmentBlock::decode_bytes(&good.encode_bytes()).unwrap(), good);
+    }
+
+    #[test]
+    fn tampered_ip6_side_rows_are_typed_errors() {
+        // `unpack_ip` binary-searches each address column's IPv6 side
+        // rows. Unsorted, repeated or out-of-range rows would read another
+        // row's address or the v4 placeholder without an error, so the
+        // decoder refuses them in both columns.
+        let mut chunk = sample_chunk();
+        chunk.requests[2].ip = "2001:db8::9".parse().unwrap();
+        for (host, ip, time) in [(12, "2001:db8::7", 102), (14, "2001:db8::9", 221)] {
+            chunk.observations.push(PdnsIdObservation {
+                host: DomainId(host),
+                ip: ip.parse().unwrap(),
+                time: SimTime(time),
+            });
+        }
+        let good = SegmentBlock::from_chunk(&chunk, &[], 0, 0, (7, 9));
+        assert_eq!((good.r_ip6.len(), good.o_ip6.len()), (2, 2));
+        for column in ["request", "observation"] {
+            for what in ["unsorted", "repeated", "out of range"] {
+                let mut bad = good.clone();
+                let side = match column {
+                    "request" => &mut bad.r_ip6,
+                    _ => &mut bad.o_ip6,
+                };
+                match what {
+                    "unsorted" => side.swap(0, 1),
+                    "repeated" => side[1].0 = side[0].0,
+                    _ => side[1].0 = 3,
+                }
+                let err = SegmentBlock::decode_bytes(&bad.encode_bytes())
+                    .expect_err(&format!("{column} {what}"));
+                assert!(err.detail.contains("IPv6 side row"), "{column} {what}: {err}");
+            }
+        }
         assert_eq!(SegmentBlock::decode_bytes(&good.encode_bytes()).unwrap(), good);
     }
 

@@ -823,6 +823,89 @@ mod tests {
             prop_assert_eq!(&snapshot(&dir), &before);
             let _ = fs::remove_dir_all(&dir);
         }
+
+        /// A damaged `manifest.json` — one bit flipped, a truncation, or
+        /// one field's value replaced by another number, a negative, a
+        /// float, a string or `null` — opens to `Ok` or a typed
+        /// [`CheckpointError`], never a panic, and opening writes nothing:
+        /// a refused directory stays byte-identical.
+        #[test]
+        fn damaged_manifests_open_or_refuse_typed(
+            n_chunks in 0u64..4,
+            mutation in 0u8..3,
+            at in any::<u64>(),
+            value in any::<u64>(),
+        ) {
+            // A valid manifest as the store writes it; `open` reads no blob.
+            let dir = tmp_dir("manifest-damage");
+            fs::create_dir_all(&dir).unwrap();
+            let manifest = Manifest {
+                version: CHECKPOINT_VERSION,
+                fingerprint: 5,
+                chunks: (0..n_chunks)
+                    .map(|i| ChunkEntry {
+                        index: i,
+                        user_start: 2 * i,
+                        user_end: 2 * i + 2,
+                        file: format!("chunk-{i:05}.xbc"),
+                        bytes: 34,
+                        checksum: value.rotate_left(i as u32),
+                    })
+                    .collect(),
+                stages: vec![StageEntry {
+                    name: "completion".into(),
+                    file: "stage-completion.xbc".into(),
+                    bytes: 29,
+                    checksum: at,
+                }],
+            };
+            let path = dir.join("manifest.json");
+            let mut bytes = serde_json::to_string_pretty(&manifest).unwrap().into_bytes();
+            fs::write(&path, &bytes).unwrap();
+            prop_assert_eq!(CheckpointStore::open(&dir, 5).unwrap().chunks(), &manifest.chunks[..]);
+            match mutation {
+                0 => {
+                    let bit = (at % (bytes.len() as u64 * 8)) as usize;
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+                1 => bytes.truncate((at % bytes.len() as u64) as usize),
+                _ => {
+                    use serde_json::Value;
+                    fn leaves(v: &mut Value) -> Vec<&mut Value> {
+                        match v {
+                            Value::Object(o) => o.iter_mut().flat_map(|(_, v)| leaves(v)).collect(),
+                            Value::Array(a) => a.iter_mut().flat_map(leaves).collect(),
+                            leaf => vec![leaf],
+                        }
+                    }
+                    let text = String::from_utf8(bytes).unwrap();
+                    let mut tree: Value = serde_json::from_str(&text).unwrap();
+                    let mut fields = leaves(&mut tree);
+                    let n_fields = fields.len() as u64;
+                    *fields[(at % n_fields) as usize] = match value % 5 {
+                        0 => Value::U64(value),
+                        1 => Value::I64(-1 - (value % 7) as i64),
+                        2 => Value::F64(0.5),
+                        3 => Value::Str(format!("x{value}")),
+                        _ => Value::Null,
+                    };
+                    bytes = serde_json::to_string_pretty(&tree).unwrap().into_bytes();
+                }
+            }
+            fs::write(&path, &bytes).unwrap();
+            let before = snapshot(&dir);
+            let opened: Result<CheckpointStore, CheckpointError> = CheckpointStore::open(&dir, 5);
+            if let Ok(store) = &opened {
+                let chunks = store.chunks().iter().enumerate();
+                prop_assert!(
+                    chunks.clone().all(|(i, c)| c.index == i as u64),
+                    "accepted a non-contiguous manifest: {:?}",
+                    chunks.collect::<Vec<_>>()
+                );
+            }
+            prop_assert_eq!(&snapshot(&dir), &before, "open wrote to the dir: {:?}", opened.err());
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

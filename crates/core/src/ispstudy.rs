@@ -25,9 +25,8 @@ use crate::worldgen::World;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::IpAddr;
-use std::time::Instant;
 use xborder_dns::PdnsIdObservation;
-use xborder_faults::derive_stream_seed;
+use xborder_faults::{derive_stream_seed, Profile};
 use xborder_geo::{CountryCode, Region};
 use xborder_netflow::{
     generate_snapshot_blocks, IspProfile, SnapshotConfig, TrackerIntervalSet, DEFAULT_BLOCK_LEN,
@@ -135,28 +134,17 @@ impl SnapshotStats {
     }
 }
 
-/// Wall-clock attribution of one study run. Observational only, never
-/// part of the determinism contract: zero it
-/// (`results.timings = IspStudyTimings::default()`) before comparing
-/// serialized results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct IspStudyTimings {
-    /// Summed per-cell flow-generation time.
-    pub generate_ms: f64,
-    /// Summed per-cell interval-set matching time.
-    pub match_ms: f64,
-}
-
 /// Full study results: `results[isp_name][day_name]`, in canonical
 /// (lexicographic) order so serialization is byte-stable.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct IspStudyResults {
     /// Per-ISP, per-day statistics.
     pub cells: BTreeMap<String, BTreeMap<String, SnapshotStats>>,
-    /// Per-stage timing attribution. Machine-dependent: zero before
-    /// comparing serialized results (the stats cells are deterministic,
-    /// the timings are not).
-    pub timings: IspStudyTimings,
+    /// The run profile: per-cell flow generation (`netflow/generate`) and
+    /// interval-set matching (`netflow/match`), summed over cells.
+    /// Machine-dependent: zero it (`results.profile = Profile::default()`)
+    /// before comparing serialized results.
+    pub profile: Profile,
 }
 
 impl IspStudyResults {
@@ -170,8 +158,7 @@ impl IspStudyResults {
 struct CellOutput {
     stats: SnapshotStats,
     observations: Vec<PdnsIdObservation>,
-    generate_ms: f64,
-    match_ms: f64,
+    profile: Profile,
 }
 
 /// Runs the four-ISP, four-day study, sharding the 16 cells across the
@@ -234,22 +221,18 @@ pub fn run_isp_study(
                 derive_stream_seed(cfg.seed, ((p_idx as u64) << 32) | d_idx as u64);
             let set = &day_sets[d_idx];
             let mut bstats = set.new_stats();
-            let t_cell = Instant::now();
-            let mut match_secs = 0.0f64;
-            let gen = generate_snapshot_blocks(
-                profile,
-                &snap_cfg,
-                graph,
-                &view,
-                cell_seed,
-                cfg.block_len.max(1),
-                |block| {
-                    let t_match = Instant::now();
-                    set.match_block(block, &mut bstats);
-                    match_secs += t_match.elapsed().as_secs_f64();
-                },
-            );
-            let total_secs = t_cell.elapsed().as_secs_f64();
+            let mut cell_profile = Profile::default();
+            let gen = cell_profile.span("netflow/generate", |p| {
+                generate_snapshot_blocks(
+                    profile,
+                    &snap_cfg,
+                    graph,
+                    &view,
+                    cell_seed,
+                    cfg.block_len.max(1),
+                    |block| p.span("netflow/match", |_| set.match_block(block, &mut bstats)),
+                )
+            });
             let matched = bstats.to_match_stats(set);
 
             // Join matched IP counters with geolocation.
@@ -269,8 +252,7 @@ pub fn run_isp_study(
             CellOutput {
                 stats,
                 observations: gen.id_observations,
-                generate_ms: (total_secs - match_secs) * 1000.0,
-                match_ms: match_secs * 1000.0,
+                profile: cell_profile,
             }
         };
 
@@ -301,8 +283,7 @@ pub fn run_isp_study(
         world
             .dns
             .absorb_id_observations(&out.observations, world.graph.domains());
-        results.timings.generate_ms += out.generate_ms;
-        results.timings.match_ms += out.match_ms;
+        results.profile.absorb(&out.profile);
         results
             .cells
             .entry(profiles[p_idx].name.to_owned())

@@ -12,13 +12,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::time::Instant;
 use xborder_browser::{run_study_sharded, ExtensionDataset};
 use xborder_classify::{
     classify_with_stages_threads, generate_lists, ClassificationResult, ClassifierStages,
     FilterList,
 };
-use xborder_faults::{DegradationReport, FaultInjector, FaultPlan};
+use xborder_faults::{DegradationReport, FaultInjector, FaultPlan, Profile};
 use xborder_geo::Region;
 use xborder_geoloc::{GeoEstimate, Geolocator, IpMap, RegistryDb, RegistryStyle};
 
@@ -231,59 +230,55 @@ pub fn run_extension_pipeline_degraded(
 ) -> (StudyOutputs, DegradationReport) {
     let inj = FaultInjector::new(plan.clone());
     let mut report = DegradationReport::default();
+    let mut profile = Profile::default();
     let threads = world.config.parallelism.threads.max(1);
-    let t_total = Instant::now();
 
     // 1. The 4.5-month study (in-path resolver faults, post-hoc log faults).
     // Users shard across threads: each has a private hash-derived RNG
     // stream and stub-resolver cache, so the budget never shows in the
-    // output (DESIGN.md §5d).
-    let t_stage = Instant::now();
-    // With a counting-allocator probe installed (bench builds), the study
-    // stage's allocation traffic lands in the report next to its wall
-    // clock. No probe → zeros.
-    let alloc_before = xborder_faults::alloc_snapshot();
-    let mut rng = StdRng::seed_from_u64(world.study_rng.gen());
-    let dataset = run_study_sharded(
-        &world.config.study,
-        &world.graph,
-        &mut world.dns,
-        &mut rng,
-        &inj,
-        &mut report,
-        threads,
-    );
-    report.timings.study_ms = t_stage.elapsed().as_secs_f64() * 1e3;
-    if let (Some((a0, b0)), Some((a1, b1))) = (alloc_before, xborder_faults::alloc_snapshot()) {
-        report.timings.study_allocs = a1.saturating_sub(a0);
-        report.timings.study_alloc_bytes = b1.saturating_sub(b0);
-    }
+    // output (DESIGN.md §5d). With a counting-allocator probe installed
+    // (bench builds), the span books the study's allocation traffic.
+    let (mut rng, dataset) = profile.span("study", |_| {
+        let mut rng = StdRng::seed_from_u64(world.study_rng.gen());
+        let dataset = run_study_sharded(
+            &world.config.study,
+            &world.graph,
+            &mut world.dns,
+            &mut rng,
+            &inj,
+            &mut report,
+            threads,
+        );
+        (rng, dataset)
+    });
 
     // 2. Classification (Table 2). Stage-1 blocklist matching shards over
     // the request log; labels never depend on the split.
-    let t_stage = Instant::now();
-    let (easylist, easyprivacy) = generate_lists(&world.graph);
-    let classification = classify_with_stages_threads(
-        &dataset.requests,
-        &dataset.domains,
-        &easylist,
-        &easyprivacy,
-        ClassifierStages::default(),
-        threads,
-    );
-    report.timings.classify_ms = t_stage.elapsed().as_secs_f64() * 1e3;
+    let (easylist, easyprivacy, classification) = profile.span("classify", |_| {
+        let (easylist, easyprivacy) = generate_lists(&world.graph);
+        let classification = classify_with_stages_threads(
+            &dataset.requests,
+            &dataset.domains,
+            &easylist,
+            &easyprivacy,
+            ClassifierStages::default(),
+            threads,
+        );
+        (easylist, easyprivacy, classification)
+    });
 
     // 3. Tracker IP set + pDNS completion (Sect. 3.3).
-    let t_stage = Instant::now();
-    let mut tracker_ips = TrackerIpSet::from_dataset(&dataset, &classification);
-    let completion = tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut report);
-    report.timings.completion_ms = t_stage.elapsed().as_secs_f64() * 1e3;
+    let (tracker_ips, completion) = profile.span("completion", |_| {
+        let mut tracker_ips = TrackerIpSet::from_dataset(&dataset, &classification);
+        let completion =
+            tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut report);
+        (tracker_ips, completion)
+    });
 
     // 4. Geolocation with all three providers (Sect. 3.4).
-    let t_stage = Instant::now();
-    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) =
-        geolocate_providers(world, &mut rng, &tracker_ips, &inj, &mut report, threads);
-    report.timings.geolocate_ms = t_stage.elapsed().as_secs_f64() * 1e3;
+    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) = profile.span("geolocate", |_| {
+        geolocate_providers(world, &mut rng, &tracker_ips, &inj, &mut report, threads)
+    });
 
     let out = StudyOutputs {
         dataset,
@@ -302,7 +297,7 @@ pub fn run_extension_pipeline_degraded(
     // compared against a fault-free run of the same seed.
     report.eu28_confinement =
         crate::confine::region_breakdown_eu28(&out, &out.ipmap_estimates).share(Region::Eu28);
-    report.timings.total_ms = t_total.elapsed().as_secs_f64() * 1e3;
+    report.profile = profile;
     (out, report)
 }
 

@@ -36,7 +36,6 @@ use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 use xborder_browser::{
     SegmentBlock, StudyChunk, StudyConfig, StudyCtx, User, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI,
 };
@@ -45,7 +44,7 @@ use xborder_classify::{
     generate_lists, Classification, ClassificationResult, ClassifierStages, FilterList,
     IncrementalClassifier,
 };
-use xborder_faults::{DegradationReport, FaultInjector, FaultPlan, KillSwitch};
+use xborder_faults::{DegradationReport, FaultInjector, FaultPlan, KillSwitch, Profile};
 use xborder_netsim::time::{SimTime, TimeWindow};
 use xborder_netsim::Infrastructure;
 use xborder_webgraph::{Domain, DomainTable};
@@ -97,24 +96,26 @@ pub(crate) trait SegmentSink: Sized {
     /// The users `range` of the drawn population.
     fn users(&self, range: Range<usize>) -> Vec<User>;
 
-    /// Absorbs one committed segment whose users are `users`.
+    /// Absorbs one committed segment whose users are `users`, booking any
+    /// work of its own into `profile`.
     fn absorb(
         &mut self,
         segment: Segment<'_>,
         users: &[User],
         domains: &DomainTable,
         infra: &Infrastructure,
+        profile: &mut Profile,
     );
 
     /// Runs after every absorbed segment, and once after ingest, with the
     /// number of users now durable.
-    fn committed(&mut self, _users_ingested: usize, _kill: &KillSwitch) -> Result<(), StreamError> {
+    fn committed(
+        &mut self,
+        _users_ingested: usize,
+        _kill: &KillSwitch,
+        _profile: &mut Profile,
+    ) -> Result<(), StreamError> {
         Ok(())
-    }
-
-    /// Sink time booked as snapshot time rather than study time.
-    fn snapshot_ms(&self) -> f64 {
-        0.0
     }
 
     /// Ends ingest. `classification` carries the run's Table-2 rows and
@@ -153,6 +154,10 @@ pub(crate) fn killable(kill: &KillSwitch, label: &str) -> Result<(), StreamError
 /// Chunk size, kill schedule and thread budget never change an output: a
 /// killed run called again on the same directory replays the durable
 /// chunks and continues from the first missing one.
+///
+/// The report's profile books the ingest loop as `study`, with the
+/// classify, `ingest/checkpoint` and sink spans inside it booked to their
+/// own layers; replay is booked to no layer.
 pub(crate) fn run_segments<S: SegmentSink>(
     world: &mut World,
     plan: &FaultPlan,
@@ -163,8 +168,8 @@ pub(crate) fn run_segments<S: SegmentSink>(
 ) -> Result<(S::Output, DegradationReport), StreamError> {
     let inj = FaultInjector::new(plan.clone());
     let mut report = DegradationReport::default();
+    let mut profile = Profile::default();
     let threads = world.config.parallelism.threads.max(1);
-    let t_total = Instant::now();
 
     // Open (and validate) the checkpoint directory before burning any
     // simulation time: a seed/version mismatch must refuse up front.
@@ -189,10 +194,9 @@ pub(crate) fn run_segments<S: SegmentSink>(
     // Constructing the classifier compiles the rule engine, so the compile
     // cost books under classify time, as it does in the batch pipeline.
     let (easylist, easyprivacy) = generate_lists(&world.graph);
-    let t_compile = Instant::now();
-    let mut classifier =
-        IncrementalClassifier::new(&easylist, &easyprivacy, ClassifierStages::default());
-    let mut classify_ms = t_compile.elapsed().as_secs_f64() * 1e3;
+    let mut classifier = profile.span("classify", |_| {
+        IncrementalClassifier::new(&easylist, &easyprivacy, ClassifierStages::default())
+    });
 
     let mut n_segments = 0usize;
     // Segment propagation rounds are BFS depths over segment-disjoint
@@ -243,10 +247,16 @@ pub(crate) fn run_segments<S: SegmentSink>(
             stage2_depth = stage2_depth.max((block.stage2_rounds as usize).saturating_sub(1));
             stage3_rounds = stage3_rounds.max(block.stage3_rounds as usize);
             let users = sink.users(next_user..entry.user_end as usize);
-            sink.absorb(Segment::Replayed(block), &users, domains, &world.infra);
+            sink.absorb(
+                Segment::Replayed(block),
+                &users,
+                domains,
+                &world.infra,
+                &mut profile,
+            );
             next_user = entry.user_end as usize;
             n_segments += 1;
-            sink.committed(next_user, kill)?;
+            sink.committed(next_user, kill, &mut profile)?;
         }
     }
 
@@ -255,10 +265,7 @@ pub(crate) fn run_segments<S: SegmentSink>(
     // alongside it (disjoint fields) so each committed segment's buffered
     // observations absorb immediately, in segment order. Each iteration's
     // AoS chunk dies with it: what outlives it is the sink's business.
-    let t_ingest = Instant::now();
-    let cls_ms_before_ingest = classify_ms;
-    let snap_ms_before_ingest = sink.snapshot_ms();
-    {
+    let mut study = profile.span("study", |profile| -> Result<S::Study, StreamError> {
         let (view, pdns) = world.dns.indexed_view_and_pdns(domains);
         let ctx = StudyCtx::new(
             &world.config.study,
@@ -276,9 +283,9 @@ pub(crate) fn run_segments<S: SegmentSink>(
             // Delta-fixpoint classification: only this segment's frontier
             // is walked; interner/memo/count state persists across
             // segments, so labels and counts equal the batch pass.
-            let t_cls = Instant::now();
-            let cls = classifier.append_chunk(&chunk.requests, domains);
-            classify_ms += t_cls.elapsed().as_secs_f64() * 1e3;
+            let cls = profile.span("classify", |_| {
+                classifier.append_chunk(&chunk.requests, domains)
+            });
             let label_bytes = labels_to_bytes(&cls.labels);
             let block = (S::KEEPS_BLOCKS || store.is_some()).then(|| {
                 SegmentBlock::from_chunk(
@@ -290,8 +297,12 @@ pub(crate) fn run_segments<S: SegmentSink>(
                 )
             });
             if let (Some(store), Some(block)) = (&mut store, &block) {
-                let payload = encode_chunk_payload(block, &mut classifier);
-                store.append_chunk(index, next_user as u64, end as u64, &payload, kill)?;
+                profile.span("ingest/checkpoint", |_| {
+                    let payload = encode_chunk_payload(block, &mut classifier);
+                    store.append_chunk(index, next_user as u64, end as u64, &payload, kill)
+                })?;
+                let written = store.chunks().last().map_or(0, |c| c.bytes);
+                profile.layer_mut("ingest/checkpoint").bytes_written += written;
             }
             killable(kill, &format!("chunk-{index}:committed"))?;
             for o in &chunk.observations {
@@ -306,76 +317,75 @@ pub(crate) fn run_segments<S: SegmentSink>(
                 labels: &label_bytes,
                 block,
             };
-            sink.absorb(segment, &users, domains, &world.infra);
+            sink.absorb(segment, &users, domains, &world.infra, profile);
             next_user = end;
             n_segments += 1;
-            sink.committed(next_user, kill)?;
+            sink.committed(next_user, kill, profile)?;
         }
-    }
-    // Degenerate streams (zero users) never enter the loop; the sink still
-    // hears that ingest is complete.
-    sink.committed(next_user, kill)?;
-    killable(kill, "stage:study:done")?;
+        // The read-only view dies here, before the sink reassembles its log.
+        drop(ctx);
+        // Degenerate streams (zero users) never enter the loop; the sink
+        // still hears that ingest is complete.
+        sink.committed(next_user, kill, profile)?;
+        killable(kill, "stage:study:done")?;
 
-    // Table-2 distinct counts absorbed segment by segment through the
-    // classifier's persistent seen-bits: no full-log recount.
-    let (abp, semi) = classifier.counts();
-    drop(classifier);
-    let stage2_rounds = 1 + stage2_depth;
-    let classification = ClassificationResult {
-        labels: Vec::new(),
-        abp,
-        semi,
-        propagation_rounds: stage2_rounds + stage3_rounds,
-        stage2_rounds,
-        stage3_rounds,
-    };
-    let snapshot_ms = sink.snapshot_ms();
-    let mut study = sink.finish_study(classification, domains)?;
-    report.timings.study_ms = t_ingest.elapsed().as_secs_f64() * 1e3
-        - (classify_ms - cls_ms_before_ingest)
-        - (snapshot_ms - snap_ms_before_ingest);
-    report.timings.classify_ms = classify_ms;
-    report.timings.snapshot_ms = snapshot_ms;
+        // Table-2 distinct counts absorbed segment by segment through the
+        // classifier's persistent seen-bits: no full-log recount.
+        let (abp, semi) = classifier.counts();
+        let resident = classifier.resident_bytes();
+        profile.layer_mut("classify").resident_bytes =
+            (resident.state() + resident.chunk_scratch) as u64;
+        drop(classifier);
+        let stage2_rounds = 1 + stage2_depth;
+        let classification = ClassificationResult {
+            labels: Vec::new(),
+            abp,
+            semi,
+            propagation_rounds: stage2_rounds + stage3_rounds,
+            stage2_rounds,
+            stage3_rounds,
+        };
+        sink.finish_study(classification, domains)
+    })?;
     killable(kill, "stage:classify:done")?;
 
     // Tracker IP set + pDNS completion: the stage-boundary checkpoint. A
     // resume that already has the completion blob loads it (with its
     // counter delta) instead of recomputing; both paths are bit-identical
     // because completion is a deterministic function of (labels, pDNS).
-    let t_stage = Instant::now();
-    let durable_completion = match &store {
-        Some(s) => s.load_stage("completion")?,
-        None => None,
-    };
-    let (tracker_ips, completion) = match durable_completion {
-        Some(payload) => {
-            let (ips, stats, delta) = decode_completion_state(&payload)?;
-            report.absorb_counters(&delta);
-            (ips, stats)
-        }
-        None => {
-            let mut tracker_ips = S::observed_tracker_ips(&mut study);
-            let mut delta = DegradationReport::default();
-            let stats = tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut delta);
-            report.absorb_counters(&delta);
-            if let Some(store) = &mut store {
-                let payload = encode_completion_state(&tracker_ips, &stats, &delta);
-                store.put_stage("completion", &payload, kill)?;
+    let (tracker_ips, completion) = profile.span("completion", |_| {
+        let durable_completion = match &store {
+            Some(s) => s.load_stage("completion")?,
+            None => None,
+        };
+        Ok::<_, StreamError>(match durable_completion {
+            Some(payload) => {
+                let (ips, stats, delta) = decode_completion_state(&payload)?;
+                report.absorb_counters(&delta);
+                (ips, stats)
             }
-            (tracker_ips, stats)
-        }
-    };
-    report.timings.completion_ms = t_stage.elapsed().as_secs_f64() * 1e3;
+            None => {
+                let mut tracker_ips = S::observed_tracker_ips(&mut study);
+                let mut delta = DegradationReport::default();
+                let stats =
+                    tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut delta);
+                report.absorb_counters(&delta);
+                if let Some(store) = &mut store {
+                    let payload = encode_completion_state(&tracker_ips, &stats, &delta);
+                    store.put_stage("completion", &payload, kill)?;
+                }
+                (tracker_ips, stats)
+            }
+        })
+    })?;
     killable(kill, "stage:completion:done")?;
 
     // Geolocation, shared verbatim with the batch pipeline. Nothing after
     // this point is checkpointed: a crash here re-runs geolocation
     // deterministically from the durable completion state.
-    let t_stage = Instant::now();
-    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) =
-        geolocate_providers(world, &mut rng, &tracker_ips, &inj, &mut report, threads);
-    report.timings.geolocate_ms = t_stage.elapsed().as_secs_f64() * 1e3;
+    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) = profile.span("geolocate", |_| {
+        geolocate_providers(world, &mut rng, &tracker_ips, &inj, &mut report, threads)
+    });
     killable(kill, "stage:geolocate:done")?;
 
     let located = Located {
@@ -389,7 +399,7 @@ pub(crate) fn run_segments<S: SegmentSink>(
         ipapi_estimates,
     };
     let out = S::finish(study, located, &mut report);
-    report.timings.total_ms = t_total.elapsed().as_secs_f64() * 1e3;
+    report.profile = profile;
     Ok((out, report))
 }
 
@@ -476,7 +486,7 @@ fn read_ip(r: &mut ByteReader<'_>) -> Result<IpAddr, DecodeError> {
 
 /// The fixed counter order of the report codec
 /// ([`DegradationReport::counter_values`]). Only counters travel in
-/// blobs: chunk reports carry deltas, and `eu28_confinement`/timings are
+/// blobs: chunk reports carry deltas, and `eu28_confinement`/the profile are
 /// finalization-time observations that are never absorbed.
 fn put_counters(w: &mut ByteWriter, r: &DegradationReport) {
     for v in r.counter_values() {

@@ -81,14 +81,13 @@ use rand::rngs::StdRng;
 use std::fmt;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::time::Instant;
 use xborder_browser::{
     ExtensionDataset, LoggedRequest, Referrer, RequestId, SegmentBlock, StudyConfig, User,
     UserPopulation, Visit,
 };
 use xborder_checkpoint::CheckpointError;
 use xborder_classify::ClassificationResult;
-use xborder_faults::{stable_hash, DegradationReport, FaultPlan, KillSwitch};
+use xborder_faults::{stable_hash, DegradationReport, FaultPlan, KillSwitch, Profile};
 use xborder_geo::Region;
 use xborder_netsim::Infrastructure;
 use xborder_webgraph::DomainTable;
@@ -219,7 +218,6 @@ pub fn run_extension_pipeline_streaming(
         windows: stream_cfg.snapshot_windows,
         population: UserPopulation { users: Vec::new() },
         snapshots: None,
-        snapshot_ms: 0.0,
         segments: Vec::new(),
     };
     run_segments(
@@ -239,7 +237,6 @@ struct Materialize {
     windows: usize,
     population: UserPopulation,
     snapshots: Option<SnapshotAccumulator>,
-    snapshot_ms: f64,
     segments: Vec<SegmentBlock>,
 }
 
@@ -272,10 +269,10 @@ impl SegmentSink for Materialize {
         _users: &[User],
         _domains: &DomainTable,
         infra: &Infrastructure,
+        profile: &mut Profile,
     ) {
         if let Some(acc) = &mut self.snapshots {
-            let t = Instant::now();
-            match &segment {
+            profile.span("ingest/snapshot", |_| match &segment {
                 Segment::Replayed(block) => {
                     // Snapshots absorb AoS rows; materialize this segment
                     // once, on the snapshot clock (nothing else needs it).
@@ -285,8 +282,7 @@ impl SegmentSink for Materialize {
                 Segment::Ingested { chunk, labels, .. } => {
                     acc.absorb_chunk(&chunk.visits, &chunk.requests, labels, infra);
                 }
-            }
-            self.snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
+            });
         }
         self.segments.push(match segment {
             Segment::Replayed(block) => block,
@@ -300,21 +296,20 @@ impl SegmentSink for Materialize {
     /// `users_ingested` users are durable. Each emission is a kill site
     /// (`snapshot-{i}:emitted`): a crash immediately after publishing a
     /// snapshot is a scheduled scenario in the resume tests.
-    fn committed(&mut self, users_ingested: usize, kill: &KillSwitch) -> Result<(), StreamError> {
+    fn committed(
+        &mut self,
+        users_ingested: usize,
+        kill: &KillSwitch,
+        profile: &mut Profile,
+    ) -> Result<(), StreamError> {
         let Some(acc) = self.snapshots.as_mut() else {
             return Ok(());
         };
         while acc.due(users_ingested) {
-            let t = Instant::now();
-            let i = acc.emit_next();
-            self.snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
+            let i = profile.span("ingest/snapshot", |_| acc.emit_next());
             killable(kill, &format!("snapshot-{i}:emitted"))?;
         }
         Ok(())
-    }
-
-    fn snapshot_ms(&self) -> f64 {
-        self.snapshot_ms
     }
 
     /// Reassembles the global log in chunk (= user) order, exactly the

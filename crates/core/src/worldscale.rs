@@ -66,7 +66,7 @@ use xborder_browser::{
 };
 use xborder_checkpoint::ByteWriter;
 use xborder_classify::{ClassificationResult, MethodCounts};
-use xborder_faults::{checksum64, stable_hash, DegradationReport, FaultPlan, KillSwitch};
+use xborder_faults::{checksum64, stable_hash, DegradationReport, FaultPlan, KillSwitch, Profile};
 use xborder_geo::Region;
 use xborder_netsim::Infrastructure;
 use xborder_webgraph::DomainTable;
@@ -444,6 +444,7 @@ impl SegmentSink for Fold {
         users: &[User],
         domains: &DomainTable,
         _infra: &Infrastructure,
+        _profile: &mut Profile,
     ) {
         let (chunk, labels) = match segment {
             Segment::Replayed(block) => {

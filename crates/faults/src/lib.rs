@@ -8,7 +8,7 @@
 //! weathers all of this silently; this crate makes the weathering explicit
 //! so its effect on the headline numbers can be *measured*.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`FaultPlan`] — a seeded, serializable description of which fault
 //!   classes fire and how often. [`FaultPlan::none`] is the identity plan:
@@ -21,10 +21,15 @@
 //! * [`DegradationReport`] — counters quantifying what was dropped,
 //!   retried, abstained or missed, with a self-consistency invariant
 //!   (`dropped + delivered == generated`) the property tests enforce.
+//! * [`Profile`] — the per-layer run profile every driver books into
+//!   [`DegradationReport::profile`] (module [`profile`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod profile;
+
+pub use profile::{install_alloc_probe, Profile};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
@@ -624,70 +629,11 @@ pub struct DegradationReport {
     /// metric-drift headline.
     pub eu28_confinement: f64,
 
-    /// Per-stage wall-clock of the producing pipeline run. Timings are
-    /// observational, never part of the determinism contract: zero them
-    /// (`timings = StageTimings::default()`) before comparing reports.
+    /// Per-layer run profile of the producing pipeline run. Observational,
+    /// never part of the determinism contract: zero it
+    /// (`profile = Profile::default()`) before comparing reports.
     #[serde(default)]
-    pub timings: StageTimings,
-}
-
-/// Wall-clock milliseconds per pipeline stage, recorded alongside the
-/// degradation counters so speedups are observable in the same artifact.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct StageTimings {
-    /// Browser-study simulation (visit sampling + request logging).
-    pub study_ms: f64,
-    /// List generation + three-stage classification.
-    pub classify_ms: f64,
-    /// Tracker-IP completion via passive DNS.
-    pub completion_ms: f64,
-    /// IPmap build + all three provider freezes.
-    pub geolocate_ms: f64,
-    /// Whole pipeline, entry to exit (≥ the sum of the stages).
-    pub total_ms: f64,
-    /// Heap allocations during the study stage, when an allocation probe
-    /// is installed ([`install_alloc_probe`]); 0 otherwise. Like the
-    /// wall-clock fields, observational only — zero `timings` before
-    /// comparing reports.
-    #[serde(default)]
-    pub study_allocs: u64,
-    /// Bytes requested by those allocations (same caveats).
-    #[serde(default)]
-    pub study_alloc_bytes: u64,
-    /// Rolling-window snapshot accumulation + emission in the streaming
-    /// driver; 0 when snapshots are disabled or in the batch pipeline.
-    #[serde(default)]
-    pub snapshot_ms: f64,
-    /// NetFlow snapshot generation in the ISP scale-up study (Sect. 7);
-    /// 0 when the study is not run alongside the pipeline.
-    #[serde(default)]
-    pub netflow_generate_ms: f64,
-    /// Tracker-IP interval-set matching in the ISP scale-up study; same
-    /// caveats as `netflow_generate_ms`.
-    #[serde(default)]
-    pub netflow_match_ms: f64,
-}
-
-/// Cumulative allocation counters read from an installed probe:
-/// `(allocation count, bytes requested)` since process start.
-pub type AllocSnapshot = (u64, u64);
-
-/// The process-wide allocation probe, if one was installed.
-static ALLOC_PROBE: std::sync::OnceLock<fn() -> AllocSnapshot> = std::sync::OnceLock::new();
-
-/// Installs a process-wide allocation probe (typically backed by a counting
-/// `#[global_allocator]` in a bench binary). First installation wins;
-/// returns `false` if a probe was already installed. Library code stays
-/// `forbid(unsafe_code)`-clean: only the reporting plumbing lives here, the
-/// counting allocator itself belongs to the binary that owns `main`.
-pub fn install_alloc_probe(probe: fn() -> AllocSnapshot) -> bool {
-    ALLOC_PROBE.set(probe).is_ok()
-}
-
-/// Reads the installed allocation probe, or `None` when no probe exists
-/// (the common case outside bench builds — callers record zeros).
-pub fn alloc_snapshot() -> Option<AllocSnapshot> {
-    ALLOC_PROBE.get().map(|p| p())
+    pub profile: Profile,
 }
 
 impl DegradationReport {
@@ -696,32 +642,12 @@ impl DegradationReport {
     /// Counter addition is commutative, so per-shard reports merged in any
     /// fixed order equal the sequential run's totals — this is what lets
     /// the pipeline shard degraded stages without perturbing the report.
-    /// `eu28_confinement` and `timings` are *not* counters and are left
+    /// `eu28_confinement` and `profile` are *not* counters and are left
     /// untouched (the pipeline sets them once, at the end).
     pub fn absorb_counters(&mut self, other: &DegradationReport) {
-        self.requests_generated += other.requests_generated;
-        self.requests_delivered += other.requests_delivered;
-        self.requests_dropped_loss += other.requests_dropped_loss;
-        self.requests_dropped_truncation += other.requests_dropped_truncation;
-        self.dns_cache_hits += other.dns_cache_hits;
-        self.dns_cache_misses += other.dns_cache_misses;
-        self.dns_attempts += other.dns_attempts;
-        self.dns_timeouts += other.dns_timeouts;
-        self.dns_retries += other.dns_retries;
-        self.dns_failures += other.dns_failures;
-        self.dns_backoff_secs += other.dns_backoff_secs;
-        self.pdns_records_seen += other.pdns_records_seen;
-        self.pdns_records_gapped += other.pdns_records_gapped;
-        self.pdns_records_stale += other.pdns_records_stale;
-        self.probes_assigned += other.probes_assigned;
-        self.probes_out += other.probes_out;
-        self.probes_flaky += other.probes_flaky;
-        self.quorum_abstentions += other.quorum_abstentions;
-        self.geo_lookups += other.geo_lookups;
-        self.geo_misses += other.geo_misses;
-        self.geoloc_assign_cache_hits += other.geoloc_assign_cache_hits;
-        self.geoloc_assign_cache_misses += other.geoloc_assign_cache_misses;
-        self.geoloc_index_probe_visits += other.geoloc_index_probe_visits;
+        for (slot, v) in self.counter_slots().into_iter().zip(other.counter_values()) {
+            *slot += v;
+        }
     }
 
     /// Number of commutative-additive counters (the fields
@@ -763,40 +689,43 @@ impl DegradationReport {
     }
 
     /// Rebuilds a counters-only report from [`DegradationReport::counter_values`]'s
-    /// order (`eu28_confinement` and `timings` stay default).
+    /// order (`eu28_confinement` and `profile` stay default).
     pub fn from_counter_values(values: &[u64; Self::N_COUNTERS]) -> DegradationReport {
         let mut r = DegradationReport::default();
-        for (slot, &v) in [
-            &mut r.requests_generated,
-            &mut r.requests_delivered,
-            &mut r.requests_dropped_loss,
-            &mut r.requests_dropped_truncation,
-            &mut r.dns_cache_hits,
-            &mut r.dns_cache_misses,
-            &mut r.dns_attempts,
-            &mut r.dns_timeouts,
-            &mut r.dns_retries,
-            &mut r.dns_failures,
-            &mut r.dns_backoff_secs,
-            &mut r.pdns_records_seen,
-            &mut r.pdns_records_gapped,
-            &mut r.pdns_records_stale,
-            &mut r.probes_assigned,
-            &mut r.probes_out,
-            &mut r.probes_flaky,
-            &mut r.quorum_abstentions,
-            &mut r.geo_lookups,
-            &mut r.geo_misses,
-            &mut r.geoloc_assign_cache_hits,
-            &mut r.geoloc_assign_cache_misses,
-            &mut r.geoloc_index_probe_visits,
-        ]
-        .into_iter()
-        .zip(values.iter())
-        {
+        for (slot, &v) in r.counter_slots().into_iter().zip(values) {
             *slot = v;
         }
         r
+    }
+
+    /// The counters as mutable slots, in [`DegradationReport::counter_values`]'s
+    /// order.
+    fn counter_slots(&mut self) -> [&mut u64; Self::N_COUNTERS] {
+        [
+            &mut self.requests_generated,
+            &mut self.requests_delivered,
+            &mut self.requests_dropped_loss,
+            &mut self.requests_dropped_truncation,
+            &mut self.dns_cache_hits,
+            &mut self.dns_cache_misses,
+            &mut self.dns_attempts,
+            &mut self.dns_timeouts,
+            &mut self.dns_retries,
+            &mut self.dns_failures,
+            &mut self.dns_backoff_secs,
+            &mut self.pdns_records_seen,
+            &mut self.pdns_records_gapped,
+            &mut self.pdns_records_stale,
+            &mut self.probes_assigned,
+            &mut self.probes_out,
+            &mut self.probes_flaky,
+            &mut self.quorum_abstentions,
+            &mut self.geo_lookups,
+            &mut self.geo_misses,
+            &mut self.geoloc_assign_cache_hits,
+            &mut self.geoloc_assign_cache_misses,
+            &mut self.geoloc_index_probe_visits,
+        ]
     }
 
     /// The log-layer accounting invariant.
@@ -997,7 +926,7 @@ mod tests {
             geoloc_assign_cache_misses: next(),
             geoloc_index_probe_visits: next(),
             eu28_confinement: 0.0,
-            timings: StageTimings::default(),
+            profile: Profile::default(),
         }
     }
 
@@ -1029,7 +958,7 @@ mod tests {
             assert_eq!(ab_c, a_bc, "absorb_counters not associative at seed {seed}");
 
             // Identity: default + a == a (counters only; confinement and
-            // timings are excluded from absorption by contract).
+            // the profile are excluded from absorption by contract).
             let mut id_a = DegradationReport::default();
             id_a.absorb_counters(&a);
             assert_eq!(id_a, a, "default report not neutral at seed {seed}");
@@ -1037,10 +966,11 @@ mod tests {
             // Non-counters stay untouched.
             let mut carrier = a.clone();
             carrier.eu28_confinement = 0.75;
-            carrier.timings.total_ms = 123.0;
+            carrier.profile.layer_mut("study").wall_ms = 123.0;
+            let profile = carrier.profile.clone();
             carrier.absorb_counters(&b);
             assert_eq!(carrier.eu28_confinement, 0.75);
-            assert_eq!(carrier.timings.total_ms, 123.0);
+            assert_eq!(carrier.profile, profile);
         }
     }
 
@@ -1102,7 +1032,7 @@ mod tests {
         acc.absorb_counters(&r);
         assert_eq!(acc.counter_values(), vals);
         assert_eq!(acc.eu28_confinement, 0.0);
-        assert_eq!(acc.timings, StageTimings::default());
+        assert_eq!(acc.profile, Profile::default());
     }
 
     /// XXH64 (seed 0) written the plainest way: words assembled a byte

@@ -419,6 +419,53 @@ mod tests {
 
     proptest! {
         #[test]
+        fn mutated_packets_decode_or_fail_typed(
+            n in 0usize..=V5_MAX_RECORDS,
+            seed in any::<u32>(),
+            mutation in 0u8..4,
+            at in any::<usize>(),
+            value in any::<u16>(),
+        ) {
+            // Damage a valid packet one way: a bit flip anywhere, a
+            // truncation, an inflated record count, or a version other
+            // than 5. Both decoders must return `Ok` or the same typed
+            // `CodecError` (a panic fails the case), and what they accept
+            // must fit the bytes given: no header count is trusted past
+            // the body that backs it, so none can size an allocation.
+            let pkt = V5Packet {
+                flow_sequence: seed,
+                engine_id: 3,
+                sampling_interval: 100,
+                records: (0..n as u32).map(|i| sample_record(i + seed % 1000)).collect(),
+            };
+            let wire = pkt.encode();
+            let mut bytes = wire.to_vec();
+            match mutation {
+                0 => bytes[at % wire.len()] ^= 1 << (at % 8),
+                1 => bytes.truncate(at % wire.len()),
+                2 => bytes[2..4].copy_from_slice(&value.max(n as u16 + 1).to_be_bytes()),
+                _ => {
+                    let version = if value == 5 { 9 } else { value };
+                    bytes[0..2].copy_from_slice(&version.to_be_bytes());
+                }
+            }
+            let view = V5View::parse(&bytes);
+            let owned = V5Packet::decode(Bytes::from(bytes.clone()));
+            match (&view, &owned) {
+                (Ok(v), Ok(p)) => {
+                    prop_assert!(v.len() <= V5_MAX_RECORDS);
+                    prop_assert!(V5_HEADER_LEN + v.len() * V5_RECORD_LEN <= bytes.len());
+                    prop_assert_eq!(&v.records().collect::<Vec<_>>(), &p.records);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                _ => panic!("the decoders disagree: {view:?} vs {owned:?}"),
+            }
+            // Truncation, an inflated count and a bad version always fail.
+            prop_assert!(mutation == 0 || owned.is_err(), "mutation {mutation} accepted");
+            prop_assert_eq!(V5Packet::decode(wire).unwrap(), pkt);
+        }
+
+        #[test]
         fn roundtrip_any_record(src in any::<u32>(), dst in any::<u32>(),
                                 sp in any::<u16>(), dp in any::<u16>(),
                                 protocol in any::<u8>(), packets in any::<u32>(),

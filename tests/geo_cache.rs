@@ -28,7 +28,7 @@ use xborder::pipeline::{
     StudyOutputs,
 };
 use xborder::{World, WorldConfig};
-use xborder_faults::{DegradationReport, FaultInjector, FaultPlan, StageTimings};
+use xborder_faults::{DegradationReport, FaultInjector, FaultPlan, Profile};
 use xborder_geoloc::IpMap;
 
 /// FNV-fold over the geolocation-relevant output surface: tracker-IP set
@@ -75,7 +75,7 @@ fn run(cfg: WorldConfig, plan: &FaultPlan) -> (u64, DegradationReport) {
     let mut world = World::build(cfg);
     let (out, mut report) = run_extension_pipeline_degraded(&mut world, plan);
     // Wall-clock is the one field allowed to differ between runs.
-    report.timings = StageTimings::default();
+    report.profile = Profile::default();
     (fingerprint(&out), report)
 }
 

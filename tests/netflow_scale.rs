@@ -6,22 +6,23 @@
 //! tracker list → sharded columnar join → serialized report):
 //!
 //! 1. `run_isp_study` serializes to byte-identical JSON across thread
-//!    budgets {1, 2, 8} and across block lengths, timings zeroed first
+//!    budgets {1, 2, 8} and across block lengths, profile zeroed first
 //!    (wall-clock is observational, never contractual).
 //! 2. The sharded synthetic join over the pipeline's *real* tracker-IP
 //!    list equals the per-record `HashSet` oracle exactly, at every thread
 //!    budget and block length.
 
 use std::net::IpAddr;
-use xborder::ispstudy::{run_isp_study, IspStudyConfig, IspStudyTimings};
+use xborder::ispstudy::{run_isp_study, IspStudyConfig};
 use xborder::pipeline::run_extension_pipeline;
 use xborder::{World, WorldConfig};
+use xborder_faults::Profile;
 use xborder_netflow::{
     generate_and_match_sharded, FlowCollector, SyntheticConfig, SyntheticFlowGen,
     DEFAULT_BLOCK_LEN,
 };
 
-/// One full study at the given knobs, serialized with timings zeroed.
+/// One full study at the given knobs, serialized with its profile zeroed.
 fn study_json(threads: usize, block_len: usize) -> String {
     let mut world = World::build(WorldConfig::small(21).with_threads(threads));
     let out = run_extension_pipeline(&mut world);
@@ -30,11 +31,13 @@ fn study_json(threads: usize, block_len: usize) -> String {
         ..IspStudyConfig::small()
     };
     let mut results = run_isp_study(&mut world, &out.tracker_ips, &out.ipmap_estimates, &cfg);
+    let layers: Vec<&str> = results.profile.layers.iter().map(|l| l.path).collect();
+    assert_eq!(layers, ["netflow/generate", "netflow/match"]);
     assert!(
-        results.timings.generate_ms + results.timings.match_ms > 0.0,
+        results.profile.layers.iter().map(|l| l.wall_ms).sum::<f64>() > 0.0,
         "stage timings never recorded"
     );
-    results.timings = IspStudyTimings::default();
+    results.profile = Profile::default();
     serde_json::to_string(&results).expect("study results serialize")
 }
 

@@ -9,7 +9,7 @@
 //! 1. Across ≥5 world seeds, under both `FaultPlan::none()` and an
 //!    aggressive plan, thread budgets {1, 2, 8} produce bit-identical
 //!    `StudyOutputs` fingerprints *and* identical `DegradationReport`s
-//!    (timings zeroed — wall-clock is observational, not contractual).
+//!    (profile zeroed — wall-clock is observational, not contractual).
 //! 2. At the golden seed (`WorldConfig::small(11)`), every thread budget
 //!    reproduces the pre-PR sequential pipeline's fingerprint exactly.
 //!
@@ -26,7 +26,7 @@
 use std::net::IpAddr;
 use xborder::pipeline::{run_extension_pipeline_degraded, StudyOutputs};
 use xborder::{World, WorldConfig};
-use xborder_faults::{DegradationReport, FaultPlan, StageTimings};
+use xborder_faults::{DegradationReport, FaultPlan, Profile};
 
 /// FNV-fold over every output surface the pipeline produces: request log
 /// shape, Table-2 counts, tracker-IP set, and *all three* provider
@@ -104,7 +104,7 @@ fn run(cfg: WorldConfig, plan: &FaultPlan) -> (Fingerprint, DegradationReport) {
     let mut world = World::build(cfg);
     let (out, mut report) = run_extension_pipeline_degraded(&mut world, plan);
     // Wall-clock is the one field allowed to differ across budgets.
-    report.timings = StageTimings::default();
+    report.profile = Profile::default();
     (fingerprint(&out), report)
 }
 

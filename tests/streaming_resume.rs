@@ -5,7 +5,7 @@
 //! 1. **Chunking invariance.** Chunk sizes {1, 7, whole-stream} × thread
 //!    budgets {1, 8} × fault plans {none, aggressive} all reproduce the
 //!    uninterrupted batch pipeline's fingerprint *and* degradation report
-//!    (timings zeroed), with checkpointing off and on.
+//!    (profile zeroed), with checkpointing off and on.
 //! 2. **Kill-anywhere resume.** Every kill site of a checkpointed run —
 //!    chunk boundaries, stage boundaries, every phase of every blob write
 //!    (fresh chunk blobs write directly at their final name, so mid-write
@@ -29,7 +29,7 @@ use xborder::pipeline::{run_extension_pipeline_degraded, StudyOutputs};
 use xborder::stream::{run_extension_pipeline_streaming, StreamConfig, StreamError};
 use xborder::{World, WorldConfig};
 use xborder_checkpoint::CheckpointError;
-use xborder_faults::{DegradationReport, FaultPlan, KillSwitch, StageTimings};
+use xborder_faults::{DegradationReport, FaultPlan, KillSwitch, Profile};
 
 /// FNV-fold over every output surface (mirrors tests/parallel_determinism.rs).
 #[derive(Debug, PartialEq, Clone)]
@@ -109,7 +109,7 @@ fn tiny_config(seed: u64) -> WorldConfig {
 fn run_batch(cfg: WorldConfig, plan: &FaultPlan) -> (Fingerprint, DegradationReport) {
     let mut world = World::build(cfg);
     let (out, mut report) = run_extension_pipeline_degraded(&mut world, plan);
-    report.timings = StageTimings::default();
+    report.profile = Profile::default();
     (fingerprint(&out), report)
 }
 
@@ -121,7 +121,7 @@ fn run_streaming(
 ) -> Result<(Fingerprint, DegradationReport), StreamError> {
     let mut world = World::build(cfg);
     let (out, mut report) = run_extension_pipeline_streaming(&mut world, plan, stream, kill)?;
-    report.timings = StageTimings::default();
+    report.profile = Profile::default();
     Ok((fingerprint(&out), report))
 }
 

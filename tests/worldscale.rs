@@ -17,13 +17,15 @@
 //!    uninterrupted run.
 //! 4. **Replay refuses corrupt chunks.** A checksum-valid chunk carrying
 //!    an unknown label tag, a visit or request of a user outside its
-//!    range, a publisher or host id outside the world's tables or an
-//!    inflated classifier-delta total is a typed error under both the
+//!    range, a publisher or host id outside the world's tables, an
+//!    unsorted, repeated or out-of-range IPv6 side row or an inflated
+//!    classifier-delta total is a typed error under both the
 //!    worldscale and the streaming driver, and the directory stays
 //!    byte-identical.
 
 use std::collections::HashMap;
 use std::fs;
+use std::net::{IpAddr, Ipv6Addr};
 use std::path::{Path, PathBuf};
 use xborder::confine::region_breakdown_eu28;
 use xborder::pipeline::run_extension_pipeline_degraded;
@@ -39,7 +41,7 @@ use xborder_browser::{
 };
 use xborder_checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointStore};
 use xborder_classify::Classification;
-use xborder_faults::{FaultPlan, KillSwitch, StageTimings};
+use xborder_faults::{FaultPlan, KillSwitch, Profile};
 use xborder_webgraph::{DomainId, PublisherId};
 
 /// Small segmented world (mirrors streaming_resume.rs) so the matrix and
@@ -67,7 +69,7 @@ fn run_scale(
 ) -> Result<(ScaleOutputs, xborder_faults::DegradationReport), StreamError> {
     let mut world = World::build(cfg);
     let (out, mut report) = run_worldscale_pipeline(&mut world, plan, scale, kill)?;
-    report.timings = StageTimings::default();
+    report.profile = Profile::default();
     Ok((out, report))
 }
 
@@ -156,7 +158,7 @@ fn segment_knobs_are_invisible_in_fingerprint() {
         let batch_report = {
             let mut world = World::build(tiny_config(seed).with_threads(1));
             let (_, mut r) = run_extension_pipeline_degraded(&mut world, &plan);
-            r.timings = StageTimings::default();
+            r.profile = Profile::default();
             r
         };
         // n_users is 10, so 16 is a whole-stream segment.
@@ -176,7 +178,7 @@ fn segment_knobs_are_invisible_in_fingerprint() {
                      plan {plan:?}"
                 );
                 // The degradation counters are knob-invariant too (report
-                // equality pins them; timings were zeroed by run_scale).
+                // equality pins them; profiles were zeroed by run_scale).
                 assert_eq!(report, batch_report, "report drifted at segment {segment_users}");
             }
         }
@@ -287,9 +289,11 @@ fn snapshot(dir: &Path) -> HashMap<String, Vec<u8>> {
 /// must not be folded on replay: an unknown label tag (the folds count
 /// every non-clean tag as tracking), a request naming a user outside the
 /// chunk's range (the EU28 tally looks users up by id), an id past the
-/// world's tables, a dangling referrer row, and a URL column whose offsets
-/// or bytes do not form the arena's UTF-8 slices each refuse with typed
-/// corruption and write nothing.
+/// world's tables, a dangling referrer row, a URL column whose offsets
+/// or bytes do not form the arena's UTF-8 slices, and IPv6 side rows that
+/// are unsorted, repeated or outside their column (the address lookup
+/// binary-searches them) each refuse with typed corruption and write
+/// nothing.
 #[test]
 fn replay_refuses_checksum_valid_corrupt_chunks() {
     let seed = 11u64;
@@ -385,6 +389,30 @@ fn replay_refuses_checksum_valid_corrupt_chunks() {
     let offsets_end_short =
         edit_bytes(&|b| put_u32(b, offset(n_requests as usize - 1), url_len - 1));
     let not_utf8 = edit_bytes(&|b| b[arena_at] = 0xFF);
+    // IPv6 side rows: two v6 requests (rows 0 and 1) and two v6
+    // observations (rows 0 and 1), then each column's side rows doctored
+    // in the encoded block. A side row is its row index (u32 LE) followed
+    // by the address's 16 octets.
+    assert!(chunk.requests.len() >= 2 && chunk.observations.len() >= 2);
+    let v6 = |k: u16| Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0xbeef, k);
+    let with_v6 = tampered(&|c| {
+        c.requests[0].ip = IpAddr::V6(v6(1));
+        c.requests[1].ip = IpAddr::V6(v6(2));
+        c.observations[0].ip = IpAddr::V6(v6(3));
+        c.observations[1].ip = IpAddr::V6(v6(4));
+    });
+    let v6_block = encode(&with_v6, &labels);
+    let row_at = |k: u16| {
+        let octets = v6(k).octets();
+        v6_block.windows(16).position(|w| w == octets).expect("side row") - 4
+    };
+    let n_obs = chunk.observations.len() as u32;
+    let side_rows = |first: u16, rows: [u32; 2]| {
+        let mut b = v6_block.clone();
+        put_u32(&mut b, row_at(first), rows[0]);
+        put_u32(&mut b, row_at(first + 1), rows[1]);
+        b
+    };
     // The classifier delta leads with its running request total.
     let mut bad_total = cls.to_vec();
     bad_total[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
@@ -447,6 +475,12 @@ fn replay_refuses_checksum_valid_corrupt_chunks() {
         ("URL offset past the arena", offset_past_arena, cls, "URL offset"),
         ("URL offsets end short", offsets_end_short, cls, "URL offset"),
         ("URL bytes not UTF-8", not_utf8, cls, "not UTF-8"),
+        ("request IPv6 rows unsorted", side_rows(1, [1, 0]), cls, "IPv6 side row"),
+        ("request IPv6 rows repeated", side_rows(1, [0, 0]), cls, "IPv6 side row"),
+        ("request IPv6 row out of range", side_rows(1, [0, n_requests]), cls, "IPv6 side row"),
+        ("observation IPv6 rows unsorted", side_rows(3, [1, 0]), cls, "IPv6 side row"),
+        ("observation IPv6 rows repeated", side_rows(3, [0, 0]), cls, "IPv6 side row"),
+        ("observation IPv6 row out of range", side_rows(3, [0, n_obs]), cls, "IPv6 side row"),
         (
             "inflated delta total",
             genuine,
