@@ -1,14 +1,14 @@
 //! CI resume smoke (ci.sh), in release mode, for both segment-driver
 //! pipelines:
 //!
-//! 1. crash the streaming pipeline *mid-write* of chunk 2's blob — leaving
-//!    a torn file at the blob's final name — then resume on the same
+//! 1. crash the streaming pipeline *mid-write* of chunk 2's record —
+//!    leaving a torn tail in the checkpoint journal — then resume on the same
 //!    checkpoint directory and require bit-identical outputs against the
 //!    uninterrupted batch pipeline;
 //! 2. crash the streaming pipeline immediately after the first rolling
 //!    snapshot is published, and require the same equality;
 //! 3. crash a durable worldscale run on a small `WorldConfig::large`
-//!    world mid-write of chunk 2's blob, resume, and require its
+//!    world mid-write of chunk 2's record, resume, and require its
 //!    `ScaleOutputs::fingerprint` to equal the uninterrupted in-memory
 //!    run's.
 //!
@@ -105,9 +105,9 @@ fn scenarios() -> Result<(), String> {
     let (batch_out, _) = run_extension_pipeline_degraded(&mut World::build(cfg()), &plan);
     let want = fingerprint(&batch_out);
 
-    // 1. Crash while chunk 2's blob is half-written: chunks 0 and 1 are
-    // durable, chunk 2 exists only as a torn, unreferenced file at its
-    // final name.
+    // 1. Crash while chunk 2's record is half-written: chunks 0 and 1 are
+    // durable, chunk 2 exists only as a torn tail of the journal, which the
+    // resume truncates and appends again.
     let dir = tmp("smoke");
     let durable = StreamConfig::durable(5, &dir);
     let out = kill_and_resume("streaming", &dir, "chunk-2:blob:mid", |kill| {

@@ -13,36 +13,37 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// An underlying filesystem operation failed (open, read, write,
-    /// rename, sync). `detail` carries the OS error text.
+    /// truncate, sync). `detail` carries the OS error text.
     Io {
         /// The file or directory the operation touched.
         path: PathBuf,
         /// Human-readable description of the OS failure.
         detail: String,
     },
-    /// A file is shorter than its recorded length — the classic torn
-    /// write. Checked *before* the checksum so truncation is reported as
-    /// truncation, not as a checksum mismatch.
+    /// The journal ended inside a committed record: it shrank after
+    /// `open` measured it. (A torn tail at `open` is not an error: it is
+    /// dropped, and the next append overwrites it.)
     Truncated {
         /// The truncated file.
         path: PathBuf,
-        /// Bytes the manifest (or frame header) says should exist.
+        /// Bytes the record heads say should exist.
         needed: u64,
         /// Bytes actually on disk.
         have: u64,
     },
-    /// Content bytes do not hash to the recorded checksum (bit rot, a
+    /// A committed record's bytes do not hash to its trailer (bit rot, a
     /// partial overwrite of the right length, or tampering).
     ChecksumMismatch {
-        /// The corrupt file.
+        /// The journal and the record's label (`journal.xbj#1`).
         path: PathBuf,
-        /// The checksum the manifest or frame trailer recorded.
+        /// The checksum the record's trailer holds.
         expected: u64,
         /// The checksum of the bytes actually read.
         actual: u64,
     },
-    /// Structurally invalid bytes: bad magic, an impossible length field,
-    /// an unknown blob kind.
+    /// Structurally invalid bytes: bad magic, a record head that fails its
+    /// check, an unknown record kind, a chunk out of order, or a payload
+    /// that does not decode.
     Corrupt {
         /// The unparseable file.
         path: PathBuf,
@@ -61,14 +62,16 @@ pub enum CheckpointError {
     /// fingerprint (seed, world shape, fault plan — everything that feeds
     /// the deterministic outputs) does not match the run trying to resume.
     SeedMismatch {
-        /// Fingerprint recorded in the manifest.
+        /// Fingerprint recorded in the journal header.
         found: u64,
         /// Fingerprint of the resuming configuration.
         expected: u64,
     },
-    /// The manifest parsed as JSON but violates the schema's invariants
-    /// (or failed to parse / serialize at all).
-    ManifestInvalid {
+    /// A request or a checkpoint's contents violate the store's
+    /// invariants: an append out of order, a record extent outside the
+    /// journal, chunks that do not cover the run's users, a configuration
+    /// that does not serialize.
+    Invalid {
         /// What is wrong with it.
         detail: String,
     },
@@ -110,8 +113,8 @@ impl fmt::Display for CheckpointError {
                 "checkpoint belongs to a different configuration: \
                  fingerprint {found:#018x}, this run is {expected:#018x}"
             ),
-            CheckpointError::ManifestInvalid { detail } => {
-                write!(f, "checkpoint manifest invalid: {detail}")
+            CheckpointError::Invalid { detail } => {
+                write!(f, "checkpoint invalid: {detail}")
             }
             CheckpointError::Killed { site, label } => {
                 write!(f, "kill point fired at site {site} ({label})")

@@ -9,7 +9,7 @@
 //!    scale or plan mismatch refuses before any simulation;
 //! 2. the batch pipeline's world-RNG draws: the study stream, the
 //!    population (drawn the sink's way), the study seed;
-//! 3. replay every durable chunk: manifest-range check, payload decode,
+//! 3. replay every durable chunk: user-range check, payload decode,
 //!    id checks (users, publishers, hosts), classifier delta, pDNS and
 //!    counter absorption;
 //! 4. ingest the remaining users segment by segment: simulate, classify,
@@ -157,7 +157,9 @@ pub(crate) fn killable(kill: &KillSwitch, label: &str) -> Result<(), StreamError
 ///
 /// The report's profile books the ingest loop as `study`, with the
 /// classify, `ingest/checkpoint` and sink spans inside it booked to their
-/// own layers; replay is booked to no layer.
+/// own layers; replay is booked to no layer. `ingest/checkpoint` books one
+/// call per chunk append and every journal byte this run wrote past the
+/// header, the completion stage record included.
 pub(crate) fn run_segments<S: SegmentSink>(
     world: &mut World,
     plan: &FaultPlan,
@@ -206,7 +208,7 @@ pub(crate) fn run_segments<S: SegmentSink>(
     let mut pre_fault_offset: u64 = 0;
     let mut next_user = 0usize;
 
-    // Replay: every chunk the manifest says is durable is loaded and
+    // Replay: every chunk the journal holds is loaded and
     // validated instead of simulated. The loader never writes: a corrupt
     // chunk surfaces as a typed error with the directory untouched. The
     // classifier deltas, pDNS observations and counters re-apply in chunk
@@ -217,7 +219,7 @@ pub(crate) fn run_segments<S: SegmentSink>(
                 || entry.user_end < entry.user_start
                 || entry.user_end > n_users as u64
             {
-                return Err(CheckpointError::ManifestInvalid {
+                return Err(CheckpointError::Invalid {
                     detail: format!(
                         "chunk {} covers users {}..{} but {} of {} users are accounted for",
                         entry.index, entry.user_start, entry.user_end, next_user, n_users
@@ -353,7 +355,7 @@ pub(crate) fn run_segments<S: SegmentSink>(
     // resume that already has the completion blob loads it (with its
     // counter delta) instead of recomputing; both paths are bit-identical
     // because completion is a deterministic function of (labels, pDNS).
-    let (tracker_ips, completion) = profile.span("completion", |_| {
+    let (tracker_ips, completion) = profile.span("completion", |profile| {
         let durable_completion = match &store {
             Some(s) => s.load_stage("completion")?,
             None => None,
@@ -372,7 +374,12 @@ pub(crate) fn run_segments<S: SegmentSink>(
                 report.absorb_counters(&delta);
                 if let Some(store) = &mut store {
                     let payload = encode_completion_state(&tracker_ips, &stats, &delta);
+                    let before = store.records_len();
                     store.put_stage("completion", &payload, kill)?;
+                    // Every journal byte past the header is booked to
+                    // `ingest/checkpoint`; its calls stay one per chunk.
+                    profile.layer_mut("ingest/checkpoint").bytes_written +=
+                        store.records_len() - before;
                 }
                 (tracker_ips, stats)
             }
@@ -631,7 +638,7 @@ const IP_RECORD_MIN: usize = 5 + 8 + 8 + 16 + 1;
 pub(crate) fn decode_completion_state(
     payload: &[u8],
 ) -> Result<(TrackerIpSet, CompletionStats, DegradationReport), StreamError> {
-    const FILE: &str = "stage-completion.xbc";
+    const FILE: &str = "journal.xbj#completion";
     let mut rd = ByteReader::new(payload);
     let inner = |rd: &mut ByteReader<'_>| -> Result<
         (TrackerIpSet, CompletionStats, DegradationReport),
@@ -671,4 +678,197 @@ pub(crate) fn decode_completion_state(
     let out = inner(&mut rd).map_err(|e| corrupt(FILE, e))?;
     rd.finish().map_err(|e| corrupt(FILE, e))?;
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stream::{run_extension_pipeline_streaming, StreamConfig};
+    use crate::worldgen::WorldConfig;
+    use proptest::prelude::*;
+    use xborder_checkpoint::ChunkEntry;
+
+    /// A small world, its filter lists, and the genuine records of the
+    /// first two chunks of a durable run over it.
+    struct Fixture {
+        world: World,
+        lists: (FilterList, FilterList),
+        chunks: Vec<(ChunkEntry, Vec<u8>)>,
+    }
+
+    fn fixture() -> Fixture {
+        let mut cfg = WorldConfig::small(11);
+        cfg.web.n_publishers = 60;
+        cfg.web.n_adtech_orgs = 20;
+        cfg.web.n_clean_orgs = 10;
+        cfg.study.population.n_users = 6;
+        cfg.study.visits_per_user_mean = 6.0;
+        let plan = FaultPlan::none();
+        let dir = tmp_dir("fixture");
+        run_extension_pipeline_streaming(
+            &mut World::build(cfg.clone()),
+            &plan,
+            &StreamConfig::durable(3, &dir),
+            &KillSwitch::none(),
+        )
+        .expect("fixture run succeeds");
+        let store = CheckpointStore::open(&dir, config_fingerprint(&cfg, &plan).unwrap()).unwrap();
+        let chunks = store
+            .chunks()
+            .iter()
+            .map(|e| (e.clone(), store.load_chunk(e).unwrap()))
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        let world = World::build(cfg);
+        let lists = generate_lists(&world.graph);
+        Fixture {
+            world,
+            lists,
+            chunks,
+        }
+    }
+
+    thread_local! {
+        static FIXTURE: Fixture = fixture();
+    }
+
+    /// A fresh directory per call: tests run on parallel threads.
+    fn tmp_dir(tag: &str) -> PathBuf {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("xborder-segment-{tag}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The shared replay of one chunk record, as `run_segments` runs it:
+    /// decode, id checks, classifier delta, then what the sinks and the
+    /// pDNS absorption read first.
+    fn replay(
+        f: &Fixture,
+        classifier: &mut IncrementalClassifier,
+        entry: &ChunkEntry,
+        payload: &[u8],
+    ) -> Result<(), StreamError> {
+        let domains = f.world.graph.domains();
+        let (block, cls_bytes) = decode_chunk_payload(&entry.file, payload)?;
+        block
+            .check_ids(
+                entry.user_start..entry.user_end,
+                f.world.graph.publishers.len(),
+                domains.len(),
+            )
+            .map_err(|e| corrupt(&entry.file, e))?;
+        apply_chunk_delta(classifier, &entry.file, cls_bytes, &block, domains)?;
+        block.observations_vec();
+        block.counters();
+        classifier.counts();
+        Ok(())
+    }
+
+    /// Re-seals `mutated` as chunk 1 of a fresh journal through
+    /// `append_chunk`, so its frame checksum is valid, then replays chunk 0
+    /// and the re-sealed chunk 1 from that journal.
+    fn reseal_and_replay(f: &Fixture, mutated: &[u8]) -> Result<(), StreamError> {
+        let dir = tmp_dir("reseal");
+        let none = KillSwitch::none();
+        let mut store = CheckpointStore::open(&dir, 1).unwrap();
+        for (i, (entry, payload)) in f.chunks[..2].iter().enumerate() {
+            let payload = if i == 1 { mutated } else { &payload[..] };
+            store
+                .append_chunk(
+                    entry.index,
+                    entry.user_start,
+                    entry.user_end,
+                    payload,
+                    &none,
+                )
+                .unwrap();
+        }
+        let store = CheckpointStore::open(&dir, 1).unwrap();
+        let (easylist, easyprivacy) = &f.lists;
+        let mut classifier =
+            IncrementalClassifier::new(easylist, easyprivacy, ClassifierStages::default());
+        let mut result = Ok(());
+        for entry in store.chunks() {
+            let payload = store.load_chunk(entry).expect("a re-sealed record loads");
+            result = replay(f, &mut classifier, entry, &payload);
+            if result.is_err() {
+                assert_eq!(entry.index, 1, "the genuine chunk 0 replays");
+                break;
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        result
+    }
+
+    /// The replay's contract on checksum-valid bytes: `Ok` or typed
+    /// corruption, never a panic and never another error.
+    fn assert_ok_or_corrupt(result: Result<(), StreamError>, what: &str) {
+        assert!(
+            matches!(
+                result,
+                Ok(()) | Err(StreamError::Checkpoint(CheckpointError::Corrupt { .. }))
+            ),
+            "{what}: {result:?}"
+        );
+    }
+
+    #[test]
+    fn genuine_chunks_replay() {
+        FIXTURE.with(|f| {
+            assert!(f.chunks.len() >= 2, "the fixture run writes two chunks");
+            reseal_and_replay(f, &f.chunks[1].1).expect("a genuine chunk 1 replays");
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A genuine chunk payload damaged by bit flips, a truncation or a
+        /// byte-range overwrite — aimed at the whole payload or at its
+        /// classifier-delta section — and re-sealed with a valid frame
+        /// checksum replays to `Ok` or typed corruption, never a panic.
+        #[test]
+        fn resealed_mutated_chunks_replay_or_refuse_typed(
+            mutation in 0u8..3,
+            in_delta in any::<bool>(),
+            at in any::<u64>(),
+            fill in any::<u64>(),
+        ) {
+            FIXTURE.with(|f| {
+                let genuine = &f.chunks[1].1;
+                let mut rd = ByteReader::new(genuine);
+                let _ = rd.blob().unwrap();
+                let delta_len = rd.blob().unwrap().len();
+                let (lo, span) = if in_delta {
+                    (genuine.len() - delta_len, delta_len)
+                } else {
+                    (0, genuine.len())
+                };
+                let pos = |salt: u32| lo + (at.rotate_left(salt) % span as u64) as usize;
+                let mut mutated = genuine.clone();
+                match mutation {
+                    0 => {
+                        for k in 0..1 + fill % 4 {
+                            let p = pos(16 * k as u32);
+                            mutated[p] ^= 1 << (fill.rotate_left(8 * k as u32) % 8);
+                        }
+                    }
+                    1 => mutated.truncate(pos(0)),
+                    _ => {
+                        let start = pos(0);
+                        let end = (start + 1 + (fill % 16) as usize).min(genuine.len());
+                        for (i, b) in mutated[start..end].iter_mut().enumerate() {
+                            *b = fill.rotate_left(8 * i as u32) as u8;
+                        }
+                    }
+                }
+                let what = format!("mutation {mutation}, delta {in_delta}, at {at}, fill {fill}");
+                assert_ok_or_corrupt(reseal_and_replay(f, &mutated), &what);
+            });
+        }
+    }
 }

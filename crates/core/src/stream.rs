@@ -174,7 +174,7 @@ impl From<CheckpointError> for StreamError {
     }
 }
 
-/// The configuration fingerprint stored in the manifest: a stable hash of
+/// The configuration fingerprint stored in the journal header: a stable hash of
 /// the world config and fault plan with the performance/availability knobs
 /// canonicalised away (the thread budget never changes outputs, so a
 /// checkpoint written at 8 threads legitimately resumes at 1 — while any
@@ -186,12 +186,12 @@ pub fn config_fingerprint(config: &WorldConfig, plan: &FaultPlan) -> Result<u64,
     let mut canonical = config.clone();
     canonical.parallelism = crate::par::Parallelism::sequential();
     let cfg_json = serde_json::to_string(&canonical).map_err(|e| {
-        StreamError::Checkpoint(CheckpointError::ManifestInvalid {
+        StreamError::Checkpoint(CheckpointError::Invalid {
             detail: format!("world config does not serialize: {e}"),
         })
     })?;
     let plan_json = serde_json::to_string(plan).map_err(|e| {
-        StreamError::Checkpoint(CheckpointError::ManifestInvalid {
+        StreamError::Checkpoint(CheckpointError::Invalid {
             detail: format!("fault plan does not serialize: {e}"),
         })
     })?;
@@ -472,13 +472,13 @@ mod tests {
         w.put_blob(&block.encode_bytes());
         w.put_blob(&[0xAB, 0xCD, 0xEF]);
         let payload = w.into_bytes();
-        let (back, cls) = decode_chunk_payload("chunk-00000.xbc", &payload).unwrap();
+        let (back, cls) = decode_chunk_payload("journal.xbj#0", &payload).unwrap();
         assert_eq!(back, block);
         assert_eq!(cls, &[0xAB, 0xCD, 0xEF]);
 
         let mut with_trailer = payload.clone();
         with_trailer.push(0);
-        let err = decode_chunk_payload("chunk-00000.xbc", &with_trailer).unwrap_err();
+        let err = decode_chunk_payload("journal.xbj#0", &with_trailer).unwrap_err();
         assert!(matches!(
             err,
             StreamError::Checkpoint(CheckpointError::Corrupt { .. })
@@ -493,7 +493,7 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_blob(&seg[..seg.len() - 3]);
         w.put_blob(&[]);
-        let err = decode_chunk_payload("chunk-00000.xbc", &w.into_bytes()).unwrap_err();
+        let err = decode_chunk_payload("journal.xbj#0", &w.into_bytes()).unwrap_err();
         assert!(matches!(
             err,
             StreamError::Checkpoint(CheckpointError::Corrupt { .. })
@@ -509,7 +509,7 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_blob(&unlabeled.encode_bytes());
         w.put_blob(&[]);
-        let err = decode_chunk_payload("chunk-00000.xbc", &w.into_bytes()).unwrap_err();
+        let err = decode_chunk_payload("journal.xbj#0", &w.into_bytes()).unwrap_err();
         assert!(matches!(
             err,
             StreamError::Checkpoint(CheckpointError::Corrupt { .. })

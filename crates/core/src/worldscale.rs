@@ -77,7 +77,7 @@ pub struct ScaleConfig {
     /// Users per segment (clamped to ≥ 1). A pure performance knob.
     pub segment_users: usize,
     /// Checkpoint directory; `None` disables durability. The format is
-    /// the streaming driver's (same chunk payloads, same manifest), so
+    /// the streaming driver's (same chunk payloads, same journal), so
     /// kill-anywhere resume works identically.
     pub checkpoint_dir: Option<PathBuf>,
 }

@@ -472,12 +472,12 @@ pub enum KillRule {
 /// A seeded crash simulator for the streaming pipeline.
 ///
 /// The checkpointed ingestion path calls [`KillSwitch::fire`] at every
-/// *kill site*: chunk boundaries, stage boundaries, and inside the atomic
-/// write protocol (before the tmp write, mid-write with a torn file on
-/// disk, after the tmp is complete but unrenamed, and after the rename).
-/// When the switch fires, the caller abandons all in-memory state and
-/// returns a typed "killed" error — exactly what a real `kill -9` leaves
-/// behind, including half-written tmp files.
+/// *kill site*: chunk boundaries, stage boundaries, and inside every
+/// checkpoint append (before the write, mid-write with half the record on
+/// disk, and after the record is committed). When the switch fires, the
+/// caller abandons all in-memory state and returns a typed "killed" error
+/// — exactly what a real `kill -9` leaves behind, including a half-written
+/// record at the journal's tail.
 ///
 /// The site counter is monotonic per switch, so a harness can first run
 /// with [`KillSwitch::none`] to learn how many sites a configuration

@@ -1,16 +1,17 @@
 //! The run profile (`DegradationReport::profile`) every driver books:
 //! batch, durable streaming with rolling snapshots and worldscale, all at
 //! `small(11)`, each report the study, classify, completion and geolocate
-//! layers; the durable run books exactly the chunk bytes its manifest
-//! commits; and the segment driver reports the classifier's resident
-//! bytes, read before it drops the classifier.
+//! layers; the durable run leaves one journal file, books one checkpoint
+//! call per chunk and exactly the journal bytes past its header; and the
+//! segment driver reports the classifier's resident bytes, read before it
+//! drops the classifier.
 
 use std::fs;
 use xborder::pipeline::run_extension_pipeline_degraded;
 use xborder::stream::{config_fingerprint, run_extension_pipeline_streaming, StreamConfig};
 use xborder::worldscale::{run_worldscale_pipeline, ScaleConfig};
 use xborder::{World, WorldConfig};
-use xborder_checkpoint::CheckpointStore;
+use xborder_checkpoint::{CheckpointStore, JOURNAL};
 use xborder_faults::{FaultPlan, KillSwitch, Profile};
 
 fn assert_pipeline_layers(driver: &str, profile: &Profile) {
@@ -42,14 +43,22 @@ fn every_driver_books_the_pipeline_layers() {
     assert_eq!(out.snapshots.len(), windows);
     assert_pipeline_layers("streaming", &streaming.profile);
     let fingerprint = config_fingerprint(&WorldConfig::small(11), &plan).unwrap();
+    // The host-independent form of "one write per commit, no renames, no
+    // file created after the first": one file, one append per chunk, and
+    // every journal byte past the header booked as written.
+    let files: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(files, [JOURNAL], "a finished durable run leaves only the journal");
     let store = CheckpointStore::open(&dir, fingerprint).unwrap();
+    let header = store.chunks()[0].offset;
+    let journal_len = fs::metadata(dir.join(JOURNAL)).unwrap().len();
     let ckpt = streaming.profile.layer("ingest/checkpoint").expect("checkpoint layer");
     assert_eq!(ckpt.calls, store.chunks().len() as u64);
     assert_eq!(
         ckpt.bytes_written,
-        store.chunks().iter().map(|c| c.bytes).sum::<u64>(),
-        "bytes written must be the committed chunk frames"
+        journal_len - header,
+        "bytes written must be the journal minus its header"
     );
+    assert_eq!(ckpt.bytes_written, store.records_len());
     let snapshot = streaming.profile.layer("ingest/snapshot").expect("snapshot layer");
     assert!(snapshot.calls >= windows as u64, "{snapshot:?}");
     let _ = fs::remove_dir_all(&dir);

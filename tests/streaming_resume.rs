@@ -7,28 +7,31 @@
 //!    uninterrupted batch pipeline's fingerprint *and* degradation report
 //!    (profile zeroed), with checkpointing off and on.
 //! 2. **Kill-anywhere resume.** Every kill site of a checkpointed run —
-//!    chunk boundaries, stage boundaries, every phase of every blob write
-//!    (fresh chunk blobs write directly at their final name, so mid-write
-//!    kills leave a *torn final-name* file; replacing writes keep the
-//!    tmp→rename dance), and the directory fsync after each manifest
-//!    rename — is swept: kill there, resume on the same directory, and
-//!    the final outputs must be bit-identical to batch. Also pinned: a
-//!    double-kill schedule (two crashes in one logical run), an explicit
-//!    post-commit `:dirsync` kill, and that resume actually consumes
-//!    durable chunks rather than recomputing them.
-//! 3. **Corruption matrix.** A truncated blob, a bit-flipped blob, a
-//!    version-bumped manifest and a mismatched world seed each refuse
-//!    resume with the precise typed error — and leave every byte of the
-//!    checkpoint directory untouched.
+//!    chunk boundaries, stage boundaries, and the three phases of every
+//!    journal append (`:pre`, `:mid` with half the record on disk as a
+//!    torn tail, `:durable` after the commit point) — is swept against the
+//!    run's derived site list: kill there, resume on the same directory,
+//!    and the final outputs must be bit-identical to batch. Also pinned: a
+//!    double-kill schedule (two crashes in one logical run), a kill at
+//!    `:durable` that must leave its chunk committed, and that resume
+//!    actually consumes durable chunks rather than recomputing them.
+//! 3. **Corruption matrix.** A journal truncated anywhere is a torn tail:
+//!    resume drops it and lands on batch. A same-length flip in a chunk's
+//!    payload, a flipped length in its record head, a version-bumped
+//!    journal header and a mismatched world seed each refuse resume with
+//!    the precise typed error — and leave every byte of the checkpoint
+//!    directory untouched.
 
 use std::collections::HashMap;
 use std::fs;
 use std::net::IpAddr;
 use std::path::{Path, PathBuf};
 use xborder::pipeline::{run_extension_pipeline_degraded, StudyOutputs};
-use xborder::stream::{run_extension_pipeline_streaming, StreamConfig, StreamError};
+use xborder::stream::{
+    config_fingerprint, run_extension_pipeline_streaming, StreamConfig, StreamError,
+};
 use xborder::{World, WorldConfig};
-use xborder_checkpoint::CheckpointError;
+use xborder_checkpoint::{CheckpointError, CheckpointStore, CHECKPOINT_VERSION, JOURNAL};
 use xborder_faults::{DegradationReport, FaultPlan, KillSwitch, Profile};
 
 /// FNV-fold over every output surface (mirrors tests/parallel_determinism.rs).
@@ -175,10 +178,28 @@ fn chunking_is_invisible_in_output() {
     }
 }
 
+/// The kill sites one uninterrupted durable run of `n_chunks` chunks
+/// visits, in order: per chunk its boundary, the three phases of its
+/// journal append and its commit; then the stage boundaries around the
+/// completion stage's append.
+fn durable_run_sites(n_chunks: usize) -> Vec<String> {
+    let append = |record: &str| ["pre", "mid", "durable"].map(|p| format!("{record}:blob:{p}"));
+    let mut sites = Vec::new();
+    for i in 0..n_chunks {
+        sites.push(format!("chunk-{i}:begin"));
+        sites.extend(append(&format!("chunk-{i}")));
+        sites.push(format!("chunk-{i}:committed"));
+    }
+    sites.extend(["stage:study:done", "stage:classify:done"].map(String::from));
+    sites.extend(append("stage-completion"));
+    sites.extend(["stage:completion:done", "stage:geolocate:done"].map(String::from));
+    sites
+}
+
 /// Kill at every site of a durable run (sweep), resume, and pin equality
-/// against batch. Covers chunk boundaries, both manifest+blob writes of
-/// every chunk (pre / mid-write torn tmp / durable-unrenamed / post), the
-/// completion stage blob, and the stage boundaries.
+/// against batch. Covers chunk boundaries, the three phases of every
+/// chunk's journal append, the completion stage's append, and the stage
+/// boundaries; each kill must land on the site the derived list names.
 #[test]
 fn kill_anywhere_resume_matches_batch() {
     let seed = 11u64;
@@ -200,10 +221,9 @@ fn kill_anywhere_resume_matches_batch() {
         assert_eq!(fp, batch_fp, "un-killed durable run must match batch");
         let _ = fs::remove_dir_all(&dir);
         let n_sites = probe.sites_visited();
-        assert!(
-            n_sites > 20,
-            "expected chunk+stage+write sites, saw {n_sites}"
-        );
+        // tiny_config has 10 users.
+        let sites = durable_run_sites(10usize.div_ceil(chunk_users));
+        assert_eq!(n_sites, sites.len() as u64, "{sites:?}");
 
         let mut site = 0u64;
         while site < n_sites {
@@ -217,7 +237,9 @@ fn kill_anywhere_resume_matches_batch() {
                 &kill,
             );
             match killed {
-                Err(StreamError::Killed { .. }) => {}
+                Err(StreamError::Killed { label, .. }) => {
+                    assert_eq!(label, sites[site as usize], "site {site}")
+                }
                 other => panic!("site {site}: expected a kill, got {other:?}"),
             }
             // The crash happened; a fresh run on the same directory must
@@ -237,9 +259,10 @@ fn kill_anywhere_resume_matches_batch() {
     }
 }
 
-/// The directory-entry fsync after the manifest rename is its own kill
-/// site, *after* the commit point: a crash there must leave the chunk
-/// durable, and the resume must consume it and land on batch.
+/// The `:durable` site of an append sits *after* the commit point (the
+/// journal has no per-commit directory sync; this site replaces it): a
+/// crash there must leave the chunk durable, and the resume must consume
+/// it and land on batch.
 #[test]
 fn dirsync_kill_lands_after_the_commit_point() {
     let seed = 7u64;
@@ -247,14 +270,13 @@ fn dirsync_kill_lands_after_the_commit_point() {
     let dir = tmp_dir("dirsync");
     let stream = StreamConfig::durable(3, &dir);
 
-    let kill = KillSwitch::at_label("chunk-1:manifest:dirsync");
+    let kill = KillSwitch::at_label("chunk-1:blob:durable");
     let r = run_streaming(tiny_config(seed), &plan, &stream, &kill);
     assert!(matches!(r, Err(StreamError::Killed { .. })), "{r:?}");
-    let manifest = fs::read_to_string(dir.join("manifest.json")).expect("manifest committed");
     assert_eq!(
-        manifest.matches("chunk-").count(),
+        open_store(&dir, seed).chunks().len(),
         2,
-        "chunk 1 committed before the dirsync site fired:\n{manifest}"
+        "chunk 1 committed before the durable site fired"
     );
 
     let (batch_fp, batch_report) = run_batch(tiny_config(seed), &plan);
@@ -295,8 +317,20 @@ fn double_kill_schedule_still_converges() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Opens the checkpoint journal `dir` holds for `tiny_config(seed)` without
+/// a fault plan.
+fn open_store(dir: &Path, seed: u64) -> CheckpointStore {
+    let fingerprint = config_fingerprint(&tiny_config(seed), &FaultPlan::none()).unwrap();
+    CheckpointStore::open(dir, fingerprint).expect("journal opens")
+}
+
+/// The journal's length on disk.
+fn journal_len(dir: &Path) -> u64 {
+    fs::metadata(dir.join(JOURNAL)).expect("journal exists").len()
+}
+
 /// Resume must *use* the durable chunks, not redo them: after a mid-run
-/// kill the manifest holds the completed chunks, and the resumed run
+/// kill the journal holds the completed chunks, and the resumed run
 /// finishes the remainder on the same directory.
 #[test]
 fn resume_consumes_durable_chunks() {
@@ -305,38 +339,32 @@ fn resume_consumes_durable_chunks() {
     let dir = tmp_dir("consume");
     let stream = StreamConfig::durable(3, &dir);
 
-    // Kill while chunk 2's blob is mid-write: chunks 0 and 1 are durable.
-    // Fresh chunk blobs write directly at their final name (the manifest
-    // rename is the sole commit point), so the crash leaves a torn file
-    // at `chunk-00002.xbc` that the manifest does not reference — the
-    // resume overwrites it by re-executing the chunk.
+    // Kill while chunk 2's record is mid-write: chunks 0 and 1 are
+    // durable, and half of chunk 2's record sits past the committed end as
+    // a torn tail. The resume truncates it and re-executes the chunk.
     let kill = KillSwitch::at_label("chunk-2:blob:mid");
     let r = run_streaming(tiny_config(seed), &plan, &stream, &kill);
     assert!(matches!(r, Err(StreamError::Killed { .. })), "{r:?}");
-    let manifest = fs::read_to_string(dir.join("manifest.json")).expect("manifest committed");
-    assert_eq!(
-        manifest.matches("chunk-").count(),
-        2,
-        "exactly chunks 0 and 1 should be durable:\n{manifest}"
-    );
+    let store = open_store(&dir, seed);
+    assert_eq!(store.chunks().len(), 2, "exactly chunks 0 and 1 should be durable");
+    let committed = store.chunks()[0].offset + store.records_len();
     assert!(
-        dir.join("chunk-00002.xbc").exists(),
-        "mid-write kill should leave a torn file at the final name"
+        journal_len(&dir) > committed,
+        "a mid-write kill should leave a torn tail past the committed end"
     );
-    assert!(
-        !manifest.contains("chunk-00002.xbc"),
-        "the torn chunk must not be referenced:\n{manifest}"
-    );
+    drop(store);
 
     let (batch_fp, _) = run_batch(tiny_config(seed), &plan);
     let (fp, _) = run_streaming(tiny_config(seed), &plan, &stream, &KillSwitch::none())
         .expect("resume succeeds");
     assert_eq!(fp, batch_fp);
     // The finished run committed all four chunks (10 users / 3 per chunk)
-    // and the completion stage.
-    let manifest = fs::read_to_string(dir.join("manifest.json")).unwrap();
-    assert_eq!(manifest.matches("chunk-").count(), 4, "{manifest}");
-    assert!(manifest.contains("stage-completion.xbc"), "{manifest}");
+    // and the completion stage, over the truncated tail, in one file.
+    let store = open_store(&dir, seed);
+    assert_eq!(store.chunks().len(), 4);
+    assert!(store.load_stage("completion").unwrap().is_some());
+    assert_eq!(journal_len(&dir), store.chunks()[0].offset + store.records_len());
+    assert_eq!(snapshot(&dir).len(), 1, "the journal is the only file");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -360,66 +388,69 @@ fn corruption_matrix_refuses_with_typed_errors_and_leaves_dir_untouched() {
     let cfg = || tiny_config(seed);
     let dir = tmp_dir("corrupt");
     let stream = StreamConfig::durable(3, &dir);
+    let (batch_fp, batch_report) = run_batch(cfg(), &plan);
     run_streaming(cfg(), &plan, &stream, &KillSwitch::none()).expect("seed checkpoint");
 
-    let chunk1 = dir.join("chunk-00001.xbc");
-    let manifest_path = dir.join("manifest.json");
-    let pristine_chunk = fs::read(&chunk1).unwrap();
-    let pristine_manifest = fs::read_to_string(&manifest_path).unwrap();
+    let journal = dir.join(JOURNAL);
+    let pristine = fs::read(&journal).unwrap();
+    let chunk1 = open_store(&dir, seed).chunks()[1].clone();
+    let (at, end) = (chunk1.offset as usize, (chunk1.offset + chunk1.bytes) as usize);
 
-    // --- Truncated blob → Truncated (length checked before checksum). ---
-    fs::write(&chunk1, &pristine_chunk[..pristine_chunk.len() - 7]).unwrap();
-    let before = snapshot(&dir);
-    match run_streaming(cfg(), &plan, &stream, &KillSwitch::none()) {
-        Err(StreamError::Checkpoint(CheckpointError::Truncated { needed, have, .. })) => {
-            assert_eq!(needed, pristine_chunk.len() as u64);
-            assert_eq!(have, pristine_chunk.len() as u64 - 7);
-        }
-        other => panic!("expected Truncated, got {other:?}"),
+    // --- Truncation anywhere is a torn tail: resume lands on batch. ---
+    // Inside the header, inside chunk 1's head, its payload and its
+    // trailer, and one byte short of the end (inside the stage record).
+    for cut in [10, at + 20, (at + end) / 2, end - 3, pristine.len() - 1] {
+        fs::write(&journal, &pristine[..cut]).unwrap();
+        let (fp, report) = run_streaming(cfg(), &plan, &stream, &KillSwitch::none())
+            .unwrap_or_else(|e| panic!("resume after a cut at byte {cut} failed: {e}"));
+        assert_eq!(fp, batch_fp, "cut at byte {cut}");
+        assert_eq!(report, batch_report, "cut at byte {cut}");
     }
-    assert_eq!(snapshot(&dir), before, "refusal must not write to the dir");
 
-    // --- Same-length bit flip → ChecksumMismatch. ---
-    let mut flipped = pristine_chunk.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x20;
-    fs::write(&chunk1, &flipped).unwrap();
-    let before = snapshot(&dir);
-    match run_streaming(cfg(), &plan, &stream, &KillSwitch::none()) {
-        Err(StreamError::Checkpoint(CheckpointError::ChecksumMismatch { .. })) => {}
-        other => panic!("expected ChecksumMismatch, got {other:?}"),
-    }
-    assert_eq!(snapshot(&dir), before, "refusal must not write to the dir");
-    fs::write(&chunk1, &pristine_chunk).unwrap();
+    // Each refusal below must name its typed error and write nothing.
+    let refuse = |damaged: &[u8], cfg: WorldConfig| -> CheckpointError {
+        fs::write(&journal, damaged).unwrap();
+        let before = snapshot(&dir);
+        let err = match run_streaming(cfg, &plan, &stream, &KillSwitch::none()) {
+            Err(StreamError::Checkpoint(e)) => e,
+            other => panic!("expected a typed refusal, got {other:?}"),
+        };
+        assert_eq!(snapshot(&dir), before, "refusal must not write to the dir: {err}");
+        err
+    };
+    let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut j = pristine.clone();
+        edit(&mut j);
+        j
+    };
 
-    // --- Manifest from a future format version → VersionMismatch. ---
-    let needle = format!("\"version\": {}", xborder_checkpoint::CHECKPOINT_VERSION);
-    let bumped = pristine_manifest.replacen(&needle, "\"version\": 99", 1);
-    assert_ne!(bumped, pristine_manifest, "manifest version field not found");
-    fs::write(&manifest_path, &bumped).unwrap();
-    let before = snapshot(&dir);
-    match run_streaming(cfg(), &plan, &stream, &KillSwitch::none()) {
-        Err(StreamError::Checkpoint(CheckpointError::VersionMismatch {
-            found: 99,
-            expected,
-        })) => assert_eq!(expected, xborder_checkpoint::CHECKPOINT_VERSION),
-        other => panic!("expected VersionMismatch, got {other:?}"),
-    }
-    assert_eq!(snapshot(&dir), before, "refusal must not write to the dir");
-    fs::write(&manifest_path, &pristine_manifest).unwrap();
+    // --- Same-length flip in chunk 1's payload → ChecksumMismatch. ---
+    let err = refuse(&edited(&|j| j[(at + end) / 2] ^= 0x20), cfg());
+    assert!(matches!(err, CheckpointError::ChecksumMismatch { .. }), "{err:?}");
+
+    // --- A flipped length in chunk 1's head → Corrupt, not a torn tail.
+    // The payload length follows magic (4), version (4) and kind (1). ---
+    let err = refuse(&edited(&|j| j[at + 9] ^= 0x01), cfg());
+    assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err:?}");
+
+    // --- A journal header from a future format → VersionMismatch. ---
+    let err = refuse(&edited(&|j| j[4..8].copy_from_slice(&99u32.to_le_bytes())), cfg());
+    assert_eq!(
+        err,
+        CheckpointError::VersionMismatch { found: 99, expected: CHECKPOINT_VERSION }
+    );
 
     // --- A different world (seed) on the same directory → SeedMismatch. ---
-    let before = snapshot(&dir);
-    match run_streaming(tiny_config(seed + 1), &plan, &stream, &KillSwitch::none()) {
-        Err(StreamError::Checkpoint(CheckpointError::SeedMismatch { found, expected })) => {
-            assert_ne!(found, expected);
-        }
-        other => panic!("expected SeedMismatch, got {other:?}"),
-    }
-    assert_eq!(snapshot(&dir), before, "refusal must not write to the dir");
+    let err = refuse(&pristine, tiny_config(seed + 1));
+    assert!(
+        matches!(err, CheckpointError::SeedMismatch { found, expected } if found != expected),
+        "{err:?}"
+    );
 
     // And the untouched directory still resumes cleanly afterwards.
-    run_streaming(cfg(), &plan, &stream, &KillSwitch::none()).expect("pristine dir still valid");
+    let (fp, _) = run_streaming(cfg(), &plan, &stream, &KillSwitch::none())
+        .expect("pristine dir still valid");
+    assert_eq!(fp, batch_fp);
     let _ = fs::remove_dir_all(&dir);
 }
 
