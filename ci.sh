@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, lint-clean workspace, full test suite.
+# Tier-1 gate: release build, lint-clean workspace and docs, full test suite.
 # Offline by design — the container vendors every dependency under
 # vendor/ and must never reach for the network.
 set -euo pipefail
@@ -30,6 +30,9 @@ cargo build --release --offline --workspace
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== rustdoc (deny warnings: no doc link may point at a deleted item) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "== tests =="
 cargo test -q --offline

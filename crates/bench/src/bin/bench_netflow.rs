@@ -4,9 +4,10 @@
 //!
 //! The workload is the Sect. 7 join stripped to its hot loop: columnar
 //! [`FlowBlock`]s from the seeded synthetic generator, matched by the
-//! compiled [`TrackerIntervalSet`]. Scales sweep 10⁶/10⁷/10⁸ records
-//! (capped by `XBORDER_NETFLOW_MAX_RECORDS` for CI smoke runs) at thread
-//! budgets {1, available}. A separate oracle section re-matches the same
+//! compiled [`TrackerIntervalSet`](xborder_netflow::TrackerIntervalSet).
+//! Scales sweep 10⁶/10⁷/10⁸ records (capped by
+//! `XBORDER_NETFLOW_MAX_RECORDS` for CI smoke runs) at thread budgets
+//! {1, available}. A separate oracle section re-matches the same
 //! stream through the per-record `HashSet` collector, asserts the results
 //! identical, and records the interval-set speedup — the bench can never
 //! report a fast number from a divergent matcher.

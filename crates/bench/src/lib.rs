@@ -1,4 +1,4 @@
-//! Shared harness for the reproduction binary and the criterion benches.
+//! Shared harness for the `repro` binary and the `bench_*` binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -248,49 +248,6 @@ impl VisitSampler {
     }
 }
 
-/// Runs the full study: generates the population, simulates every visit,
-/// and returns the dataset. All DNS resolutions flow through `dns` (and
-/// therefore into its passive-DNS sensor).
-pub fn run_study<R: Rng>(
-    cfg: &StudyConfig,
-    graph: &WebGraph,
-    dns: &mut DnsSim,
-    rng: &mut R,
-) -> ExtensionDataset {
-    let inj = FaultInjector::inactive();
-    let mut report = DegradationReport::default();
-    run_study_degraded(cfg, graph, dns, rng, &inj, &mut report)
-}
-
-/// [`run_study`] with fault injection — the sequential entry point:
-/// exactly [`run_study_sharded`] with a thread budget of 1.
-///
-/// Two fault layers apply:
-///
-/// * **In-path** (during rendering): resolver timeouts with bounded retry
-///   and sim-clock backoff — a request whose resolution fails outright
-///   never enters the log, and its cascade children fall back to the page
-///   as referrer.
-/// * **Post-hoc** (at the log layer): per-entry log loss and per-user log
-///   truncation drop entries *after* generation — the request happened
-///   (its DNS resolution fed the pDNS sensor) but never reached the
-///   collection server. Referrers pointing at dropped entries are remapped
-///   to [`Referrer::FirstParty`], mirroring what a real log-joiner sees
-///   when a parent entry is missing.
-///
-/// With an inactive injector this is exactly [`run_study`] — same RNG
-/// streams, same outputs.
-pub fn run_study_degraded<R: Rng>(
-    cfg: &StudyConfig,
-    graph: &WebGraph,
-    dns: &mut DnsSim,
-    rng: &mut R,
-    inj: &FaultInjector,
-    report: &mut DegradationReport,
-) -> ExtensionDataset {
-    run_study_sharded(cfg, graph, dns, rng, inj, report, 1)
-}
-
 /// What one shard of contiguous users produces. Everything here is local
 /// to the shard: request indices (and the cascade referrers into them)
 /// start at 0, counters count only the shard's own events, and pDNS
@@ -595,8 +552,25 @@ impl<'a> StudyStream<'a> {
     }
 }
 
-/// [`run_study_degraded`] with an explicit thread budget — the parallel
-/// study driver (DESIGN.md §5d).
+/// Runs the full study — generates the population, simulates every visit
+/// and returns the dataset — over a thread budget: the parallel study
+/// driver (DESIGN.md §5d). Every resolution's observation is replayed into
+/// `dns`'s passive-DNS sensor.
+///
+/// Two fault layers apply:
+///
+/// * **In-path** (during rendering): resolver timeouts with bounded retry
+///   and sim-clock backoff — a request whose resolution fails outright
+///   never enters the log, and its cascade children fall back to the page
+///   as referrer.
+/// * **Post-hoc** (at the log layer): per-entry log loss and per-user log
+///   truncation drop entries *after* generation — the request happened
+///   (its DNS resolution fed the pDNS sensor) but never reached the
+///   collection server. Referrers pointing at dropped entries are remapped
+///   to [`Referrer::FirstParty`], mirroring what a real log-joiner sees
+///   when a parent entry is missing.
+///
+/// With an inactive injector neither layer draws a coin.
 ///
 /// The thread budget is a pure performance knob: every budget produces
 /// bit-identical datasets, reports and pDNS state. That invariance rests
@@ -751,12 +725,32 @@ mod tests {
         }
     }
 
-    fn run_small(seed: u64) -> (WebGraph, ExtensionDataset) {
+    /// One fault-free study over a freshly generated small world at a
+    /// given thread budget, with its report and the replayed simulator.
+    fn run_sharded(
+        seed: u64,
+        threads: usize,
+    ) -> (WebGraph, ExtensionDataset, DegradationReport, DnsSim) {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = generate(&WebGraphConfig::small(), &mut rng);
         let mut dns = DnsSim::new();
         wire_all(&graph, &mut dns);
-        let ds = run_study(&StudyConfig::small(), &graph, &mut dns, &mut rng);
+        let inj = FaultInjector::inactive();
+        let mut report = DegradationReport::default();
+        let ds = run_study_sharded(
+            &StudyConfig::small(),
+            &graph,
+            &mut dns,
+            &mut rng,
+            &inj,
+            &mut report,
+            threads,
+        );
+        (graph, ds, report, dns)
+    }
+
+    fn run_small(seed: u64) -> (WebGraph, ExtensionDataset) {
+        let (graph, ds, _, _) = run_sharded(seed, 1);
         (graph, ds)
     }
 
@@ -816,11 +810,7 @@ mod tests {
 
     #[test]
     fn pdns_sensor_saw_resolutions() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let graph = generate(&WebGraphConfig::small(), &mut rng);
-        let mut dns = DnsSim::new();
-        wire_all(&graph, &mut dns);
-        let ds = run_study(&StudyConfig::small(), &graph, &mut dns, &mut rng);
+        let (_, ds, _, dns) = run_sharded(4, 1);
         assert!(!dns.pdns().is_empty());
         assert!(dns.pdns().len() <= ds.stats().n_third_party_domains.max(1) * 2);
     }
@@ -848,31 +838,11 @@ mod tests {
         assert!(ds.try_user_country(UserId(n as u32)).is_none());
     }
 
-    /// One call of the sharded driver at a given budget, plus its report.
-    fn run_sharded(seed: u64, threads: usize) -> (ExtensionDataset, DegradationReport, DnsSim) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = generate(&WebGraphConfig::small(), &mut rng);
-        let mut dns = DnsSim::new();
-        wire_all(&graph, &mut dns);
-        let inj = FaultInjector::inactive();
-        let mut report = DegradationReport::default();
-        let ds = run_study_sharded(
-            &StudyConfig::small(),
-            &graph,
-            &mut dns,
-            &mut rng,
-            &inj,
-            &mut report,
-            threads,
-        );
-        (ds, report, dns)
-    }
-
     #[test]
     fn thread_budget_is_invisible_in_output() {
-        let (a, ra, dns_a) = run_sharded(11, 1);
+        let (_, a, ra, dns_a) = run_sharded(11, 1);
         for threads in [2, 3, 8, 64] {
-            let (b, rb, dns_b) = run_sharded(11, threads);
+            let (_, b, rb, dns_b) = run_sharded(11, threads);
             assert_eq!(a.visits, b.visits, "visits differ at {threads} threads");
             assert_eq!(
                 a.requests.len(),
@@ -894,27 +864,5 @@ mod tests {
         }
         assert!(ra.dns_cache_hits > 0, "cache never hit in a whole study");
         assert!(ra.dns_cache_misses > 0);
-    }
-
-    #[test]
-    fn sequential_entry_point_equals_sharded_at_one() {
-        let mut rng_a = StdRng::seed_from_u64(13);
-        let graph_a = generate(&WebGraphConfig::small(), &mut rng_a);
-        let mut dns_a = DnsSim::new();
-        wire_all(&graph_a, &mut dns_a);
-        let inj = FaultInjector::inactive();
-        let mut report_a = DegradationReport::default();
-        let a = run_study_degraded(
-            &StudyConfig::small(),
-            &graph_a,
-            &mut dns_a,
-            &mut rng_a,
-            &inj,
-            &mut report_a,
-        );
-        let (b, report_b, _) = run_sharded(13, 1);
-        assert_eq!(a.visits, b.visits);
-        assert_eq!(a.requests.len(), b.requests.len());
-        assert_eq!(report_a.dns_cache_misses, report_b.dns_cache_misses);
     }
 }

@@ -30,8 +30,8 @@ pub mod user;
 
 pub use colog::{SegmentBlock, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI};
 pub use extension::{
-    run_study, run_study_degraded, run_study_sharded, DatasetStats, ExtensionDataset, StudyChunk,
-    StudyConfig, StudyCtx, StudyStream, Visit, VisitSampler,
+    run_study_sharded, DatasetStats, ExtensionDataset, StudyChunk, StudyConfig, StudyCtx,
+    StudyStream, Visit, VisitSampler,
 };
 pub use render::{RenderConfig, RenderEngine};
 pub use request::{LoggedRequest, Referrer, RequestId};

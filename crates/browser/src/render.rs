@@ -5,48 +5,10 @@ use crate::user::{User, UserId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use xborder_dns::{DnsCache, DnsSim, IndexedZoneView};
+use xborder_dns::{DnsCache, IndexedZoneView};
 use xborder_faults::{DegradationReport, FaultInjector};
 use xborder_netsim::time::SimTime;
-use xborder_webgraph::{
-    url, Domain, DomainId, EmbedMode, Publisher, ServiceId, ServiceKind, WebGraph,
-};
-
-/// How a render resolves hosts: either directly against the mutable
-/// authoritative simulator (legacy path: resolution draws from the visit
-/// RNG and captures pDNS immediately), or through a per-user stub cache
-/// over a shared dense [`IndexedZoneView`] (study path: resolution draws
-/// from a hash-derived per-lookup stream and buffers observations, so
-/// user shards can render concurrently — with zero per-request clones,
-/// DESIGN.md §5f).
-enum HostResolver<'d, 'c> {
-    Direct(&'d mut DnsSim),
-    Cached {
-        view: &'d IndexedZoneView<'d>,
-        cache: &'c mut DnsCache,
-    },
-}
-
-impl HostResolver<'_, '_> {
-    #[allow(clippy::too_many_arguments)]
-    fn resolve<R: Rng + ?Sized>(
-        &mut self,
-        host_id: DomainId,
-        host: &Domain,
-        ctx: &xborder_dns::ClientCtx,
-        t: SimTime,
-        rng: &mut R,
-        inj: &FaultInjector,
-        report: &mut DegradationReport,
-    ) -> Option<(xborder_dns::ZoneServer, SimTime)> {
-        match self {
-            HostResolver::Direct(dns) => dns.resolve_degraded(host, ctx, t, rng, inj, report).ok(),
-            HostResolver::Cached { view, cache } => {
-                cache.resolve_shared_id(view, host_id, ctx, t, inj, report).ok()
-            }
-        }
-    }
-}
+use xborder_webgraph::{url, EmbedMode, Publisher, ServiceId, ServiceKind, WebGraph};
 
 /// Tunables of the render model.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -67,8 +29,9 @@ impl Default for RenderConfig {
     }
 }
 
-/// Renders visits against a web graph, resolving hosts through DNS and
-/// appending [`LoggedRequest`]s to the dataset under construction.
+/// Renders visits against a web graph, resolving hosts through a stub
+/// cache over the shared zone view and appending [`LoggedRequest`]s to
+/// the dataset under construction.
 #[derive(Debug)]
 pub struct RenderEngine<'a> {
     graph: &'a WebGraph,
@@ -142,7 +105,8 @@ impl<'a> RenderEngine<'a> {
         referrer: Referrer,
         style_override: Option<xborder_webgraph::url::UrlStyle>,
         t: SimTime,
-        dns: &mut HostResolver<'_, '_>,
+        view: &IndexedZoneView<'_>,
+        cache: &mut DnsCache,
         rng: &mut R,
         inj: &FaultInjector,
         report: &mut DegradationReport,
@@ -154,7 +118,7 @@ impl<'a> RenderEngine<'a> {
         let host_id = self.graph.service_host_id(service, host_idx);
         let host = self.graph.domains().domain(host_id);
         let ctx = self.client_ctx_memo(user)?;
-        let (answer, t_eff) = dns.resolve(host_id, host, &ctx, t, rng, inj, report)?;
+        let (answer, t_eff) = cache.resolve_shared_id(view, host_id, &ctx, t, inj, report).ok()?;
         // Stable per-(user, service) identity: the tracker's cookie id.
         let identity = (user.id.0 as u64) << 32 | service.0 as u64;
         let style = style_override.unwrap_or(svc.url_style);
@@ -199,47 +163,16 @@ impl<'a> RenderEngine<'a> {
 
     /// Renders one visit of `user` to `publisher` at time `t`, appending
     /// all generated requests to `out`. Returns how many were appended.
-    pub fn render_visit<R: Rng + ?Sized>(
-        &self,
-        user: &User,
-        publisher: &Publisher,
-        t: SimTime,
-        dns: &mut DnsSim,
-        out: &mut Vec<LoggedRequest>,
-        rng: &mut R,
-    ) -> usize {
-        let inj = FaultInjector::inactive();
-        let mut report = DegradationReport::default();
-        self.render_visit_degraded(user, publisher, t, dns, out, rng, &inj, &mut report)
-    }
-
-    /// [`RenderEngine::render_visit`] with fault injection: resolver
-    /// timeouts (with sim-clock backoff and bounded retry) can suppress or
-    /// delay individual requests. With an inactive injector this is
-    /// exactly the fault-free render path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn render_visit_degraded<R: Rng + ?Sized>(
-        &self,
-        user: &User,
-        publisher: &Publisher,
-        t: SimTime,
-        dns: &mut DnsSim,
-        out: &mut Vec<LoggedRequest>,
-        rng: &mut R,
-        inj: &FaultInjector,
-        report: &mut DegradationReport,
-    ) -> usize {
-        let mut resolver = HostResolver::Direct(dns);
-        self.render_visit_with(user, publisher, t, &mut resolver, out, rng, inj, report)
-    }
-
-    /// The study's render path: resolves through the user's own stub
-    /// cache against a shared dense id-indexed zone view. DNS never draws
-    /// from the visit RNG here (cache misses use hash-derived per-lookup
-    /// streams), which is what makes per-user renders independent and
-    /// the study shardable (DESIGN.md §5d); host lookups and cache slots
-    /// are all `DomainId`-indexed, so no strings are hashed or cloned
-    /// (DESIGN.md §5f).
+    ///
+    /// Hosts resolve through the user's own stub cache against a shared
+    /// dense id-indexed zone view. DNS never draws from the visit RNG
+    /// (cache misses use hash-derived per-lookup streams), which is what
+    /// makes per-user renders independent and the study shardable
+    /// (DESIGN.md §5d); host lookups and cache slots are all
+    /// `DomainId`-indexed, so no strings are hashed or cloned (DESIGN.md
+    /// §5f). Resolver timeouts under fault injection (sim-clock backoff,
+    /// bounded retry) can delay a request or suppress it; with an inactive
+    /// injector the render is fault-free.
     #[allow(clippy::too_many_arguments)]
     pub fn render_visit_cached<R: Rng + ?Sized>(
         &self,
@@ -248,22 +181,6 @@ impl<'a> RenderEngine<'a> {
         t: SimTime,
         view: &IndexedZoneView<'_>,
         cache: &mut DnsCache,
-        out: &mut Vec<LoggedRequest>,
-        rng: &mut R,
-        inj: &FaultInjector,
-        report: &mut DegradationReport,
-    ) -> usize {
-        let mut resolver = HostResolver::Cached { view, cache };
-        self.render_visit_with(user, publisher, t, &mut resolver, out, rng, inj, report)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn render_visit_with<R: Rng + ?Sized>(
-        &self,
-        user: &User,
-        publisher: &Publisher,
-        t: SimTime,
-        dns: &mut HostResolver<'_, '_>,
         out: &mut Vec<LoggedRequest>,
         rng: &mut R,
         inj: &FaultInjector,
@@ -289,7 +206,8 @@ impl<'a> RenderEngine<'a> {
                 Referrer::FirstParty,
                 Some(xborder_webgraph::url::UrlStyle::Plain),
                 t,
-                dns,
+                view,
+                cache,
                 rng,
                 inj,
                 report,
@@ -305,8 +223,8 @@ impl<'a> RenderEngine<'a> {
             };
             for _ in 0..self.extra_requests(rng) {
                 self.issue_request(
-                    out, user, publisher, embed.service, followup_ref, None, t, dns, rng, inj,
-                    report,
+                    out, user, publisher, embed.service, followup_ref, None, t, view, cache, rng,
+                    inj, report,
                 );
             }
             // RTB cascade: only ad networks fan out further.
@@ -333,8 +251,8 @@ impl<'a> RenderEngine<'a> {
                             continue;
                         }
                         fired[i] = self.issue_request(
-                            out, user, publisher, step.service, parent_req, None, t, dns, rng,
-                            inj, report,
+                            out, user, publisher, step.service, parent_req, None, t, view, cache,
+                            rng, inj, report,
                         );
                     }
                 }
@@ -349,7 +267,7 @@ mod tests {
     use super::*;
     use crate::user::{UserPopulation, UserPopulationConfig};
     use rand::{rngs::StdRng, SeedableRng};
-    use xborder_dns::{MappingPolicy, ZoneEntry, ZoneServer};
+    use xborder_dns::{DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
     use xborder_geo::{CountryCode, WORLD};
     use xborder_netsim::ServerId;
     use xborder_webgraph::{generate, WebGraphConfig};
@@ -389,29 +307,48 @@ mod tests {
         (graph, dns, pop)
     }
 
+    /// Renders one fault-free visit of `user` to each of `publishers` at
+    /// time `t` through one stub cache and one visit RNG; returns the log
+    /// and the summed per-visit counts.
+    fn render<'p>(
+        graph: &WebGraph,
+        dns: &DnsSim,
+        user: &User,
+        publishers: impl IntoIterator<Item = &'p Publisher>,
+        t: SimTime,
+        seed: u64,
+    ) -> (Vec<LoggedRequest>, usize) {
+        let engine = RenderEngine::new(graph, RenderConfig::default());
+        let view = dns.indexed_view(graph.domains());
+        let mut cache = DnsCache::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let inj = FaultInjector::inactive();
+        let mut report = DegradationReport::default();
+        let mut out = Vec::new();
+        let total = publishers
+            .into_iter()
+            .map(|p| {
+                engine.render_visit_cached(
+                    user, p, t, &view, &mut cache, &mut out, &mut rng, &inj, &mut report,
+                )
+            })
+            .sum();
+        (out, total)
+    }
+
     #[test]
     fn render_produces_requests() {
-        let (graph, mut dns, pop) = setup();
-        let engine = RenderEngine::new(&graph, RenderConfig::default());
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut out = Vec::new();
-        let mut total = 0usize;
-        for p in graph.publishers.iter().take(30) {
-            total += engine.render_visit(&pop.users[0], p, SimTime(100), &mut dns, &mut out, &mut rng);
-        }
+        let (graph, dns, pop) = setup();
+        let publishers = graph.publishers.iter().take(30);
+        let (out, total) = render(&graph, &dns, &pop.users[0], publishers, SimTime(100), 2);
         assert_eq!(total, out.len());
         assert!(total > 100, "only {total} requests from 30 visits");
     }
 
     #[test]
     fn cascade_requests_have_request_referrers() {
-        let (graph, mut dns, pop) = setup();
-        let engine = RenderEngine::new(&graph, RenderConfig::default());
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut out = Vec::new();
-        for p in &graph.publishers {
-            engine.render_visit(&pop.users[1], p, SimTime(100), &mut dns, &mut out, &mut rng);
-        }
+        let (graph, dns, pop) = setup();
+        let (out, _) = render(&graph, &dns, &pop.users[1], &graph.publishers, SimTime(100), 3);
         let cascade_reqs = out
             .iter()
             .filter(|r| matches!(r.referrer, Referrer::Request(_)))
@@ -427,21 +364,15 @@ mod tests {
 
     #[test]
     fn interaction_gates_lazy_embeds() {
-        let (graph, mut dns, pop) = setup();
-        let engine = RenderEngine::new(&graph, RenderConfig::default());
+        let (graph, dns, pop) = setup();
 
         let mut eager = pop.users[0].clone();
         eager.interaction_p = 1.0;
         let mut passive = pop.users[0].clone();
         passive.interaction_p = 0.0;
 
-        let mut count_for = |user: &User, seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut out = Vec::new();
-            for p in &graph.publishers {
-                engine.render_visit(user, p, SimTime(100), &mut dns, &mut out, &mut rng);
-            }
-            out.len()
+        let count_for = |user: &User, seed: u64| {
+            render(&graph, &dns, user, &graph.publishers, SimTime(100), seed).1
         };
         // Average over a few seeds to avoid flakiness.
         let eager_total: usize = (0..3).map(|s| count_for(&eager, 100 + s)).sum();
@@ -454,13 +385,9 @@ mod tests {
 
     #[test]
     fn requests_resolve_to_wired_ips() {
-        let (graph, mut dns, pop) = setup();
-        let engine = RenderEngine::new(&graph, RenderConfig::default());
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut out = Vec::new();
-        for p in graph.publishers.iter().take(10) {
-            engine.render_visit(&pop.users[2], p, SimTime(100), &mut dns, &mut out, &mut rng);
-        }
+        let (graph, dns, pop) = setup();
+        let publishers = graph.publishers.iter().take(10);
+        let (out, _) = render(&graph, &dns, &pop.users[2], publishers, SimTime(100), 4);
         for r in &out {
             assert!(xborder_netsim::ip::is_simulator_address(r.ip));
             // Host must belong to a known service.
@@ -476,11 +403,9 @@ mod tests {
     fn unwired_dns_yields_no_requests() {
         let mut rng = StdRng::seed_from_u64(5);
         let graph = generate(&WebGraphConfig::small(), &mut rng);
-        let mut dns = DnsSim::new(); // nothing wired
+        let dns = DnsSim::new(); // nothing wired
         let pop = UserPopulation::generate(&UserPopulationConfig::small(), &mut rng);
-        let engine = RenderEngine::new(&graph, RenderConfig::default());
-        let mut out = Vec::new();
-        let n = engine.render_visit(&pop.users[0], &graph.publishers[0], SimTime(0), &mut dns, &mut out, &mut rng);
+        let (out, n) = render(&graph, &dns, &pop.users[0], &graph.publishers[..1], SimTime(0), 6);
         assert_eq!(n, 0);
         assert!(out.is_empty());
     }

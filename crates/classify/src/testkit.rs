@@ -2,8 +2,11 @@
 
 use crate::rules::{FilterList, FilterRule};
 use rand::{rngs::StdRng, SeedableRng};
-use xborder_browser::{run_study, LoggedRequest, Referrer, RequestId, StudyConfig, UserId};
+use xborder_browser::{
+    run_study_sharded, LoggedRequest, Referrer, RequestId, StudyConfig, UserId,
+};
 use xborder_dns::{DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
+use xborder_faults::{DegradationReport, FaultInjector};
 use xborder_geo::{CountryCode, WORLD};
 use xborder_netsim::time::SimTime;
 use xborder_netsim::ServerId;
@@ -35,7 +38,9 @@ pub(crate) fn dataset(seed: u64) -> (WebGraph, Vec<LoggedRequest>) {
             .unwrap();
         }
     }
-    let ds = run_study(&StudyConfig::small(), &graph, &mut dns, &mut rng);
+    let inj = FaultInjector::inactive();
+    let mut report = DegradationReport::default();
+    let ds = run_study_sharded(&StudyConfig::small(), &graph, &mut dns, &mut rng, &inj, &mut report, 1);
     (graph, ds.requests)
 }
 

@@ -7,34 +7,30 @@
 //! that dynamic measurable: resolve through it, flip the zone, and watch
 //! the old answer linger for exactly one TTL.
 //!
-//! Since the parallel-study refactor (DESIGN.md §5d) this is also the
-//! *per-user* resolver state of the extension study, mirroring the paper's
-//! per-client caching (Sect. 5.1): each simulated user starts from an
-//! empty cache, resolves against a shared read-only [`ZoneView`], and
-//! buffers the [`PdnsObservation`]s its cache misses would have produced
-//! at a production resolver. Lookup RNG is hash-derived from
+//! It is also the *per-user* resolver state of the extension study
+//! (DESIGN.md §5d), mirroring the paper's per-client caching (Sect. 5.1):
+//! each simulated user starts from an empty cache, resolves interned hosts
+//! against a shared read-only [`IndexedZoneView`], and buffers the
+//! [`PdnsIdObservation`]s its cache misses would have produced at a
+//! production resolver. Lookup RNG is hash-derived from
 //! `(user stream, host, time)`, so a lookup's answer never depends on how
 //! many lookups ran before it — the property that lets user shards run
 //! concurrently and still merge bit-identically.
 //!
 //! A study shard holds one `DnsCache` and hands it from user to user with
 //! [`DnsCache::reset_for_user`] (DESIGN.md §5f): the user-visible state
-//! starts over exactly as [`DnsCache::for_user`] would build it, while
-//! the allocations and the [`PopOrders`] memo carry over — the memo holds
-//! pure functions of the zone table, never anything a user did.
+//! starts over as if the cache were new, while the allocations and the
+//! [`PopOrders`] memo carry over — the memo holds pure functions of the
+//! zone table, never anything a user did.
 
 use crate::resolver::ClientCtx;
-use crate::sim::{DnsSim, IndexedZoneView, PdnsIdObservation, PdnsObservation, ZoneView};
+use crate::sim::{IndexedZoneView, PdnsIdObservation};
 use crate::zone::{PopOrders, ZoneServer};
-use crate::DnsError;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use xborder_faults::{
-    derive_stream_seed, stable_hash, DegradationReport, FaultError, FaultInjector,
-};
+use rand::SeedableRng;
+use xborder_faults::{derive_stream_seed, DegradationReport, FaultError, FaultInjector};
 use xborder_netsim::time::SimTime;
-use xborder_webgraph::{Domain, DomainId};
+use xborder_webgraph::DomainId;
 
 /// One cached answer.
 #[derive(Debug, Clone, Copy)]
@@ -43,12 +39,11 @@ struct CacheEntry {
     expires: SimTime,
 }
 
-/// A per-client (or per-resolver) answer cache.
+/// A per-client answer cache over interned hosts.
 #[derive(Debug, Default)]
 pub struct DnsCache {
-    entries: HashMap<Domain, CacheEntry>,
-    /// Dense id-indexed entries for the allocation-free study path
-    /// (DESIGN.md §5f); grown lazily to the highest id touched.
+    /// Dense id-indexed entries (DESIGN.md §5f); grown lazily to the
+    /// highest id touched.
     by_id: Vec<Option<CacheEntry>>,
     /// Ids whose `by_id` slot this user filled, so a reset clears only
     /// those.
@@ -56,14 +51,11 @@ pub struct DnsCache {
     /// Per-resolver-site PoP orders of the zones missed so far; kept
     /// across users.
     orders: PopOrders,
-    hits: u64,
-    misses: u64,
-    /// Seed of this client's lookup-RNG stream (see [`DnsCache::for_user`]).
+    /// Seed of this client's lookup-RNG stream (see
+    /// [`DnsCache::reset_for_user`]).
     lookup_seed: u64,
     /// Observations buffered on cache misses, for deterministic replay
     /// into the central pDNS database.
-    observations: Vec<PdnsObservation>,
-    /// Id-form observations buffered by [`DnsCache::resolve_shared_id`].
     id_observations: Vec<PdnsIdObservation>,
 }
 
@@ -73,123 +65,29 @@ impl DnsCache {
         Self::default()
     }
 
-    /// The stub-resolver state of one study user: lookup RNG derives from
+    /// Makes this cache the stub-resolver state of one study user without
+    /// giving back its allocations: entries and buffered observations are
+    /// dropped (clearing only the id slots the previous user filled), the
+    /// PoP-order memo is kept, and lookup RNG now derives from
     /// `(study_seed, user)`, so two users' DNS answers are independent and
     /// a user's answers are independent of every other user's progress.
-    pub fn for_user(study_seed: u64, user: u64) -> Self {
-        DnsCache {
-            lookup_seed: derive_stream_seed(study_seed, user),
-            ..Self::default()
-        }
-    }
-
-    /// Turns this cache into [`DnsCache::for_user`]`(study_seed, user)`
-    /// without giving back its allocations: entries, counters and buffered
-    /// observations are dropped (clearing only the id slots the previous
-    /// user filled), the PoP-order memo is kept. Drain the previous user's
-    /// observations first.
+    /// Drain the previous user's observations first.
     pub fn reset_for_user(&mut self, study_seed: u64, user: u64) {
-        self.entries.clear();
         for id in self.touched.drain(..) {
             self.by_id[id as usize] = None;
         }
-        self.hits = 0;
-        self.misses = 0;
         self.lookup_seed = derive_stream_seed(study_seed, user);
-        self.observations.clear();
         self.id_observations.clear();
     }
 
-    /// Resolves through the cache: returns the cached answer while its TTL
-    /// lasts, otherwise asks the authoritative simulator and caches the
-    /// fresh answer (one lookup: the answer carries its zone's TTL).
-    pub fn resolve<R: Rng + ?Sized>(
-        &mut self,
-        dns: &mut DnsSim,
-        host: &Domain,
-        client: &ClientCtx,
-        now: SimTime,
-        rng: &mut R,
-    ) -> Result<ZoneServer, DnsError> {
-        if let Some(entry) = self.entries.get(host) {
-            if now < entry.expires {
-                self.hits += 1;
-                return Ok(entry.answer);
-            }
-        }
-        self.misses += 1;
-        let (answer, ttl) = dns.resolve_with_ttl(host, client, now, rng)?;
-        let fresh = CacheEntry {
-            answer,
-            expires: now.plus_secs(ttl as u64),
-        };
-        // Refresh in place when the host already has a (stale) slot; clone
-        // the key only on a first-ever miss.
-        match self.entries.get_mut(host) {
-            Some(e) => *e = fresh,
-            None => {
-                self.entries.insert(host.clone(), fresh);
-            }
-        }
-        Ok(answer)
-    }
-
     /// Resolves through the cache against a shared read-only zone view —
-    /// the study's per-user path. A hit answers from the cache (no
-    /// authoritative query, no pDNS observation, no RNG); a miss resolves
-    /// with a lookup RNG derived from `(user stream, host, time)`, buffers
-    /// the observation a sensor would have recorded, and caches the answer
-    /// until its TTL runs out (TTL measured from the *effective* resolve
-    /// time, after any fault backoff).
-    pub fn resolve_shared(
-        &mut self,
-        view: &ZoneView<'_>,
-        host: &Domain,
-        client: &ClientCtx,
-        now: SimTime,
-        inj: &FaultInjector,
-        report: &mut DegradationReport,
-    ) -> Result<(ZoneServer, SimTime), FaultError> {
-        if let Some(entry) = self.entries.get(host) {
-            if now < entry.expires {
-                self.hits += 1;
-                report.dns_cache_hits += 1;
-                return Ok((entry.answer, now));
-            }
-        }
-        self.misses += 1;
-        report.dns_cache_misses += 1;
-        let mut rng = StdRng::seed_from_u64(derive_stream_seed(
-            self.lookup_seed,
-            stable_hash(host.as_str().as_bytes()) ^ now.0.rotate_left(32),
-        ));
-        let (answer, t_eff, ttl) = view.resolve_degraded(host, client, now, &mut rng, inj, report)?;
-        self.observations.push(PdnsObservation {
-            host: host.clone(),
-            ip: answer.ip,
-            time: t_eff,
-        });
-        let fresh = CacheEntry {
-            answer,
-            expires: t_eff.plus_secs(ttl as u64),
-        };
-        // One clone per steady-state miss (the observation above): expired
-        // entries refresh in place, so the key is cloned again only on a
-        // host's first-ever miss. The id path below clones nothing at all.
-        match self.entries.get_mut(host) {
-            Some(e) => *e = fresh,
-            None => {
-                self.entries.insert(host.clone(), fresh);
-            }
-        }
-        Ok((answer, t_eff))
-    }
-
-    /// The allocation-free study path (DESIGN.md §5f): semantics of
-    /// [`DnsCache::resolve_shared`] over interned host ids. The miss-RNG
-    /// seed derives from the view's precomputed `stable_hash` of the host
-    /// bytes — the same value the string path hashes per miss — so answers,
-    /// effective times, and fault coins are bit-identical. No `Domain` is
+    /// the study's per-user path (DESIGN.md §5f). A hit answers from the
+    /// cache (no authoritative query, no pDNS observation, no RNG); a miss
+    /// resolves with a lookup RNG derived from `(user stream, host, time)`
+    /// — the host keyed by the view's precomputed `stable_hash` of its
+    /// bytes — buffers the observation a sensor would have recorded, and
+    /// caches the answer until its TTL runs out (TTL measured from the
+    /// *effective* resolve time, after any fault backoff). No `Domain` is
     /// cloned anywhere: cache slots are a dense `Vec` indexed by id and
     /// observations buffer the id. Each zone's PoP order is computed once
     /// per resolver site and kept in the cache's [`PopOrders`] memo.
@@ -208,12 +106,10 @@ impl DnsCache {
         }
         if let Some(entry) = self.by_id[idx] {
             if now < entry.expires {
-                self.hits += 1;
                 report.dns_cache_hits += 1;
                 return Ok((entry.answer, now));
             }
         }
-        self.misses += 1;
         report.dns_cache_misses += 1;
         let mut rng = StdRng::seed_from_u64(derive_stream_seed(
             self.lookup_seed,
@@ -243,58 +139,23 @@ impl DnsCache {
         Ok((answer, t_eff))
     }
 
-    /// Drains the buffered pDNS observations (in lookup order) for replay
-    /// into [`DnsSim::absorb_observations`].
-    pub fn take_observations(&mut self) -> Vec<PdnsObservation> {
-        std::mem::take(&mut self.observations)
-    }
-
-    /// Drains the buffered id observations (in lookup order) for replay
-    /// into [`DnsSim::absorb_id_observations`]; the buffer keeps its
+    /// Drains the buffered observations (in lookup order) for replay into
+    /// [`crate::DnsSim::absorb_id_observations`]; the buffer keeps its
     /// capacity for the next user.
     pub fn drain_id_observations(&mut self) -> std::vec::Drain<'_, PdnsIdObservation> {
         self.id_observations.drain(..)
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses (authoritative queries) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of live entries at `now`, on both the string-keyed and the
-    /// id-indexed path.
-    pub fn live_entries(&self, now: SimTime) -> usize {
-        let by_id = self.by_id.iter().flatten().filter(|e| now < e.expires).count();
-        self.entries.values().filter(|e| now < e.expires).count() + by_id
-    }
-
-    /// Drops expired entries on both paths (housekeeping; correctness never
-    /// needs it: an expired entry already misses).
-    pub fn evict_expired(&mut self, now: SimTime) {
-        self.entries.retain(|_, e| now < e.expires);
-        let by_id = &mut self.by_id;
-        self.touched.retain(|&id| {
-            let slot = &mut by_id[id as usize];
-            if slot.is_some_and(|e| e.expires <= now) {
-                *slot = None;
-            }
-            slot.is_some()
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::DnsSim;
     use crate::zone::{MappingPolicy, ZoneEntry};
-    use rand::{rngs::StdRng, SeedableRng};
+    use xborder_faults::stable_hash;
     use xborder_geo::{cc, CountryCode, WORLD};
     use xborder_netsim::ServerId;
+    use xborder_webgraph::{Domain, DomainTable};
 
     fn zone(host: &str, ip: &str, country: &str, ttl: u32) -> ZoneEntry {
         let c = WORLD.country_or_panic(CountryCode::parse(country).unwrap());
@@ -312,274 +173,256 @@ mod tests {
         }
     }
 
+    /// A geo-DNS zone with one PoP per country, in the order given.
+    fn geo_zone(host: &str, k: u8, countries: &[&str], epsilon: f64, ttl: u32) -> ZoneEntry {
+        let mut z = zone(host, "1.0.0.1", countries[0], ttl);
+        z.servers = countries
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let c = WORLD.country_or_panic(CountryCode::parse(c).unwrap());
+                ZoneServer {
+                    server: ServerId(i as u32),
+                    ip: std::net::IpAddr::from([1, k, i as u8, 1]),
+                    country: c.code,
+                    location: c.centroid(),
+                    valid: None,
+                }
+            })
+            .collect();
+        z.policy = MappingPolicy::NearestToResolver { epsilon };
+        z
+    }
+
+    /// A simulator serving `zones`, with their hosts interned in order.
+    fn world(zones: Vec<ZoneEntry>) -> (DnsSim, DomainTable, Vec<DomainId>) {
+        let mut dns = DnsSim::new();
+        let mut domains = DomainTable::new();
+        let ids = zones.iter().map(|z| domains.intern(&z.host)).collect();
+        for z in zones {
+            dns.add_zone(z).unwrap();
+        }
+        (dns, domains, ids)
+    }
+
     fn client() -> ClientCtx {
         let de = WORLD.country_or_panic(cc!("DE"));
         ClientCtx::with_isp_resolver(cc!("DE"), de.centroid())
     }
 
+    /// One fault-free lookup by the test client.
+    fn lookup(
+        cache: &mut DnsCache,
+        view: &IndexedZoneView<'_>,
+        host: DomainId,
+        t: u64,
+        report: &mut DegradationReport,
+    ) -> Result<(ZoneServer, SimTime), FaultError> {
+        let inj = FaultInjector::inactive();
+        cache.resolve_shared_id(view, host, &client(), SimTime(t), &inj, report)
+    }
+
+    fn hits_misses(report: &DegradationReport) -> (u64, u64) {
+        (report.dns_cache_hits, report.dns_cache_misses)
+    }
+
     #[test]
     fn caches_within_ttl() {
-        let mut dns = DnsSim::new();
-        dns.add_zone(zone("t.x.com", "1.0.0.1", "DE", 300)).unwrap();
+        let (mut dns, domains, ids) = world(vec![zone("t.x.com", "1.0.0.1", "DE", 300)]);
         let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut report = DegradationReport::default();
+        let view = dns.indexed_view(&domains);
+        lookup(&mut cache, &view, ids[0], 0, &mut report).unwrap();
+        lookup(&mut cache, &view, ids[0], 299, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (1, 1));
+        // The authoritative side (and, after replay, its pDNS sensor) saw
+        // exactly one query.
+        let obs: Vec<_> = cache.drain_id_observations().collect();
+        dns.absorb_id_observations(&obs, &domains);
         let host = Domain::new("t.x.com");
-
-        cache.resolve(&mut dns, &host, &client(), SimTime(0), &mut rng).unwrap();
-        cache.resolve(&mut dns, &host, &client(), SimTime(299), &mut rng).unwrap();
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
-        // The authoritative side (and its pDNS sensor) saw exactly one query.
         assert_eq!(dns.pdns().forward(&host).len(), 1);
         assert_eq!(dns.pdns().forward(&host)[0].count, 1);
     }
 
     #[test]
     fn expires_after_ttl() {
-        let mut dns = DnsSim::new();
-        dns.add_zone(zone("t.x.com", "1.0.0.1", "DE", 300)).unwrap();
+        let (dns, domains, ids) = world(vec![
+            zone("a.x.com", "1.0.0.1", "DE", 300),
+            zone("b.x.com", "1.0.0.2", "DE", 1000),
+        ]);
+        let view = dns.indexed_view(&domains);
         let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(2);
-        let host = Domain::new("t.x.com");
-
-        cache.resolve(&mut dns, &host, &client(), SimTime(0), &mut rng).unwrap();
-        cache.resolve(&mut dns, &host, &client(), SimTime(300), &mut rng).unwrap();
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 0);
+        let mut report = DegradationReport::default();
+        lookup(&mut cache, &view, ids[0], 0, &mut report).unwrap();
+        lookup(&mut cache, &view, ids[0], 300, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (0, 2));
+        // Each entry expires on its own zone's TTL: at t = 500 the 300 s
+        // answer (refreshed at 300) still serves, at 800 it is gone while
+        // the 1,000 s answer cached at 0 still serves.
+        lookup(&mut cache, &view, ids[1], 0, &mut report).unwrap();
+        lookup(&mut cache, &view, ids[0], 500, &mut report).unwrap();
+        lookup(&mut cache, &view, ids[0], 800, &mut report).unwrap();
+        lookup(&mut cache, &view, ids[1], 800, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (2, 4));
     }
 
     #[test]
     fn ttl_boundary_is_half_open() {
         // An answer cached at t with TTL d serves [t, t+d) — the instant
-        // `now == expires` is already a miss, on both resolve paths.
-        let mut dns = DnsSim::new();
-        dns.add_zone(zone("t.x.com", "1.0.0.1", "DE", 100)).unwrap();
-        let host = Domain::new("t.x.com");
-
+        // `now == expires` is already a miss.
+        let (dns, domains, ids) = world(vec![zone("t.x.com", "1.0.0.1", "DE", 100)]);
+        let view = dns.indexed_view(&domains);
         let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        cache.resolve(&mut dns, &host, &client(), SimTime(0), &mut rng).unwrap();
-        cache.resolve(&mut dns, &host, &client(), SimTime(99), &mut rng).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        cache.resolve(&mut dns, &host, &client(), SimTime(100), &mut rng).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        assert_eq!(cache.live_entries(SimTime(199)), 1);
-        assert_eq!(cache.live_entries(SimTime(200)), 0);
-
-        let mut shared = DnsCache::for_user(42, 7);
-        let inj = FaultInjector::inactive();
+        cache.reset_for_user(42, 7);
         let mut report = DegradationReport::default();
-        let view = dns.view();
-        shared.resolve_shared(&view, &host, &client(), SimTime(0), &inj, &mut report).unwrap();
-        shared.resolve_shared(&view, &host, &client(), SimTime(99), &inj, &mut report).unwrap();
-        shared.resolve_shared(&view, &host, &client(), SimTime(100), &inj, &mut report).unwrap();
-        assert_eq!((shared.hits(), shared.misses()), (1, 2));
-        assert_eq!(report.dns_cache_hits, 1);
-        assert_eq!(report.dns_cache_misses, 2);
-        assert_eq!(shared.take_observations().len(), 2);
+        lookup(&mut cache, &view, ids[0], 0, &mut report).unwrap();
+        lookup(&mut cache, &view, ids[0], 99, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (1, 1));
+        lookup(&mut cache, &view, ids[0], 100, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (1, 2));
+        lookup(&mut cache, &view, ids[0], 199, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (2, 2));
+        lookup(&mut cache, &view, ids[0], 200, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (2, 3));
+        assert_eq!(cache.drain_id_observations().len(), 3);
     }
 
     #[test]
     fn shared_path_buffers_observations_instead_of_capturing() {
-        let mut dns = DnsSim::new();
-        dns.add_zone(zone("t.x.com", "1.0.0.1", "DE", 300)).unwrap();
+        let (mut dns, domains, ids) = world(vec![zone("t.x.com", "1.0.0.1", "DE", 300)]);
         let host = Domain::new("t.x.com");
-        let inj = FaultInjector::inactive();
         let mut report = DegradationReport::default();
-
-        let mut cache = DnsCache::for_user(1, 2);
-        let view = dns.view();
-        let (ans, t_eff) = cache
-            .resolve_shared(&view, &host, &client(), SimTime(50), &inj, &mut report)
-            .unwrap();
+        let mut cache = DnsCache::new();
+        cache.reset_for_user(1, 2);
+        let view = dns.indexed_view(&domains);
+        let (ans, t_eff) = lookup(&mut cache, &view, ids[0], 50, &mut report).unwrap();
         assert_eq!(t_eff, SimTime(50));
         // Hit within TTL: no new observation.
-        cache.resolve_shared(&view, &host, &client(), SimTime(60), &inj, &mut report).unwrap();
+        lookup(&mut cache, &view, ids[0], 60, &mut report).unwrap();
         assert!(dns.pdns().is_empty(), "view resolution must not capture");
 
-        let obs = cache.take_observations();
+        let obs: Vec<_> = cache.drain_id_observations().collect();
         assert_eq!(obs.len(), 1);
         assert_eq!(obs[0].ip, ans.ip);
-        dns.absorb_observations(&obs);
+        assert_eq!(obs[0].host, ids[0]);
+        dns.absorb_id_observations(&obs, &domains);
         assert_eq!(dns.pdns().forward(&host).len(), 1);
         assert_eq!(dns.pdns().forward(&host)[0].count, 1);
-        assert!(cache.take_observations().is_empty(), "drain is one-shot");
+        assert_eq!(cache.drain_id_observations().len(), 0, "drain is one-shot");
     }
 
     #[test]
     fn redirection_takes_one_ttl_to_roll_out() {
         // The paper's Sect. 5.1 dynamic: flip the zone to a new country and
         // the old answer lingers until the TTL runs out.
-        let mut dns = DnsSim::new();
-        dns.add_zone(zone("t.x.com", "1.0.0.1", "US", 7200)).unwrap();
+        let (mut dns, domains, ids) = world(vec![zone("t.x.com", "1.0.0.1", "US", 7200)]);
         let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        let host = Domain::new("t.x.com");
+        let mut report = DegradationReport::default();
+        let before = lookup(&mut cache, &dns.indexed_view(&domains), ids[0], 0, &mut report);
+        assert_eq!(before.unwrap().0.country, cc!("US"));
 
-        let before = cache.resolve(&mut dns, &host, &client(), SimTime(0), &mut rng).unwrap();
-        assert_eq!(before.country, cc!("US"));
-
-        // Operator redirects to a German server ("GDPR-friendly DNS").
+        // Operator redirects to a German server ("GDPR-friendly DNS"); the
+        // view is rebuilt over the flipped zone table.
         dns.add_zone(zone("t.x.com", "1.0.0.2", "DE", 7200)).unwrap();
-
+        let view = dns.indexed_view(&domains);
         // Mid-TTL: still the stale US answer.
-        let stale = cache.resolve(&mut dns, &host, &client(), SimTime(3600), &mut rng).unwrap();
+        let stale = lookup(&mut cache, &view, ids[0], 3600, &mut report).unwrap().0;
         assert_eq!(stale.country, cc!("US"));
         // Post-TTL: the redirection is live.
-        let fresh = cache.resolve(&mut dns, &host, &client(), SimTime(7200), &mut rng).unwrap();
+        let fresh = lookup(&mut cache, &view, ids[0], 7200, &mut report).unwrap().0;
         assert_eq!(fresh.country, cc!("DE"));
-    }
+        drop(view);
 
-    #[test]
-    fn eviction_and_live_count() {
-        let mut dns = DnsSim::new();
-        dns.add_zone(zone("a.x.com", "1.0.0.1", "DE", 100)).unwrap();
-        dns.add_zone(zone("b.x.com", "1.0.0.2", "DE", 1000)).unwrap();
-        let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(4);
-        cache.resolve(&mut dns, &Domain::new("a.x.com"), &client(), SimTime(0), &mut rng).unwrap();
-        cache.resolve(&mut dns, &Domain::new("b.x.com"), &client(), SimTime(0), &mut rng).unwrap();
-        assert_eq!(cache.live_entries(SimTime(50)), 2);
-        assert_eq!(cache.live_entries(SimTime(500)), 1);
-        cache.evict_expired(SimTime(500));
-        assert_eq!(cache.live_entries(SimTime(50)), 1);
-    }
-
-    #[test]
-    fn id_path_entries_are_counted_and_evicted() {
-        use xborder_webgraph::DomainTable;
-        let mut dns = DnsSim::new();
-        dns.add_zone(zone("a.x.com", "1.0.0.1", "DE", 100)).unwrap();
-        dns.add_zone(zone("b.x.com", "1.0.0.2", "DE", 1000)).unwrap();
-        let mut domains = DomainTable::new();
-        let a = domains.intern(&Domain::new("a.x.com"));
-        let b = domains.intern(&Domain::new("b.x.com"));
-        let iview = dns.indexed_view(&domains);
-        let inj = FaultInjector::inactive();
-        let mut report = DegradationReport::default();
-        let mut cache = DnsCache::for_user(5, 1);
-        for h in [a, b] {
-            cache.resolve_shared_id(&iview, h, &client(), SimTime(0), &inj, &mut report).unwrap();
+        // The kept PoP-order memo belongs to the table it was filled
+        // against. Flip a geo-DNS zone so its PoP order for this resolver
+        // reverses (BR, US → DE, US): after the flip the kept cache must
+        // answer exactly like a new one, user after user.
+        dns.add_zone(geo_zone("t.x.com", 1, &["BR", "US"], 0.0, 7200)).unwrap();
+        let view = dns.indexed_view(&domains);
+        for user in 0..32 {
+            cache.reset_for_user(5, user);
+            lookup(&mut cache, &view, ids[0], 0, &mut report).unwrap();
         }
-        assert_eq!(cache.live_entries(SimTime(99)), 2);
-        // `a` expires at its TTL boundary (half-open, like `resolve`).
-        assert_eq!(cache.live_entries(SimTime(100)), 1);
-        cache.evict_expired(SimTime(100));
-        assert_eq!(cache.live_entries(SimTime(0)), 1, "the expired id entry is gone");
-        // The evicted host misses again and refills its slot.
-        cache.resolve_shared_id(&iview, a, &client(), SimTime(100), &inj, &mut report).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 3));
-        assert_eq!(cache.live_entries(SimTime(150)), 2);
-        cache.evict_expired(SimTime(1000));
-        assert_eq!(cache.live_entries(SimTime(0)), 0);
-        // A reset after eviction still clears every slot it must.
-        cache.resolve_shared_id(&iview, b, &client(), SimTime(1000), &inj, &mut report).unwrap();
-        cache.reset_for_user(5, 2);
-        assert_eq!(cache.live_entries(SimTime(1000)), 0);
+        drop(view);
+        dns.add_zone(geo_zone("t.x.com", 2, &["DE", "US"], 0.0, 7200)).unwrap();
+        let view = dns.indexed_view(&domains);
+        let mut answers = std::collections::HashSet::new();
+        for user in 0..32 {
+            cache.reset_for_user(5, user);
+            let mut new = DnsCache::new();
+            new.reset_for_user(5, user);
+            let kept = lookup(&mut cache, &view, ids[0], 7200, &mut report).unwrap();
+            assert_eq!(kept, lookup(&mut new, &view, ids[0], 7200, &mut report).unwrap());
+            answers.insert(kept.0.ip);
+        }
+        assert!(answers.contains(&std::net::IpAddr::from([1, 2, 0, 1])), "DE never answered");
     }
 
     #[test]
     fn nxdomain_is_not_cached() {
-        let mut dns = DnsSim::new();
+        let (dns, mut domains, _) = world(vec![]);
+        let missing = domains.intern(&Domain::new("missing.com"));
+        let view = dns.indexed_view(&domains);
         let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        let host = Domain::new("missing.com");
+        let mut report = DegradationReport::default();
         for _ in 0..3 {
-            assert!(cache.resolve(&mut dns, &host, &client(), SimTime(0), &mut rng).is_err());
+            assert!(lookup(&mut cache, &view, missing, 0, &mut report).is_err());
         }
-        assert_eq!(cache.misses(), 3);
+        assert_eq!(hits_misses(&report), (0, 3));
+        assert_eq!(cache.drain_id_observations().len(), 0);
     }
 
     #[test]
     fn id_path_matches_string_path_bit_for_bit() {
-        use xborder_webgraph::DomainTable;
-        // Same lookup stream, same hosts, same times: the dense id path
-        // must produce identical answers, effective times, counters, and
-        // (after id→domain replay) identical pDNS content.
-        let mut dns = DnsSim::new();
-        dns.add_zone(zone("a.x.com", "1.0.0.1", "DE", 100)).unwrap();
-        dns.add_zone(zone("b.x.com", "1.0.0.2", "US", 300)).unwrap();
-        let mut domains = DomainTable::new();
-        let hosts = [Domain::new("a.x.com"), Domain::new("b.x.com")];
-        let ids = [domains.intern(&hosts[0]), domains.intern(&hosts[1])];
-        let view = dns.view();
-        let iview = dns.indexed_view(&domains);
-        let inj = FaultInjector::inactive();
-
-        let mut string_cache = DnsCache::for_user(99, 3);
-        let mut id_cache = DnsCache::for_user(99, 3);
-        let mut rep_s = DegradationReport::default();
-        let mut rep_i = DegradationReport::default();
+        // Every miss draws from the stream the string-keyed resolver drew
+        // from, seeded by the user stream, `stable_hash` of the host's
+        // bytes and the query time, so interning hosts moved no answer.
+        let (dns, domains, ids) = world(vec![
+            geo_zone("a.x.com", 1, &["DE", "US", "SG"], 0.3, 100),
+            geo_zone("b.x.com", 2, &["FR", "GB"], 0.3, 300),
+        ]);
+        let view = dns.indexed_view(&domains);
+        let mut cache = DnsCache::new();
+        let mut orders = PopOrders::new();
+        let mut report = DegradationReport::default();
         for step in 0..40u64 {
-            let h = (step % 2) as usize;
-            let t = SimTime(step * 37);
-            let a = string_cache
-                .resolve_shared(&view, &hosts[h], &client(), t, &inj, &mut rep_s)
-                .unwrap();
-            let b = id_cache
-                .resolve_shared_id(&iview, ids[h], &client(), t, &inj, &mut rep_i)
-                .unwrap();
-            assert_eq!(a, b, "answers diverged at step {step}");
-        }
-        assert_eq!((string_cache.hits(), string_cache.misses()), (id_cache.hits(), id_cache.misses()));
-        assert_eq!(rep_s.dns_cache_hits, rep_i.dns_cache_hits);
-        assert_eq!(rep_s.dns_cache_misses, rep_i.dns_cache_misses);
-
-        let obs_s = string_cache.take_observations();
-        let obs_i: Vec<_> = id_cache.drain_id_observations().collect();
-        assert_eq!(obs_s.len(), obs_i.len());
-        let mut replay_s = DnsSim::new();
-        let mut replay_i = DnsSim::new();
-        replay_s.absorb_observations(&obs_s);
-        replay_i.absorb_id_observations(&obs_i, &domains);
-        for h in &hosts {
-            assert_eq!(replay_s.pdns().forward(h), replay_i.pdns().forward(h));
+            // A reset per step makes every lookup a miss.
+            cache.reset_for_user(99, 3);
+            let (id, t) = (ids[step as usize % 2], SimTime(step * 37));
+            let got = lookup(&mut cache, &view, id, t.0, &mut report).unwrap();
+            let host = domains.domain(id).as_str().as_bytes();
+            let mut rng = StdRng::seed_from_u64(derive_stream_seed(
+                derive_stream_seed(99, 3),
+                stable_hash(host) ^ t.0.rotate_left(32),
+            ));
+            let (want, _) = view.resolve_id(id, &client(), t, &mut rng, &mut orders).unwrap();
+            assert_eq!(got, (want, t), "answers diverged at step {step}");
         }
     }
 
     #[test]
     fn reset_cache_matches_fresh_per_user_caches() {
-        use xborder_webgraph::DomainTable;
         // One cache handed from user to user must behave exactly like a
-        // fresh `for_user` cache per user: same answers, effective times,
+        // new cache reset once per user: same answers, effective times,
         // hit/miss counts and observations. Users differ in resolver site
         // (so the kept PoP-order memo serves several sites), in which hosts
         // they touch (user 2 reaches a higher id than user 1 did), and in
         // time, so stale slots from an earlier user would show as hits.
-        let mut dns = DnsSim::new();
-        let mut domains = DomainTable::new();
-        let mut ids = Vec::new();
-        for (k, countries) in [
-            &["DE", "US", "SG"][..],
-            &["FR"],
-            &["GB", "DE"],
-            &["US", "BR", "JP", "DE"],
-        ]
-        .iter()
-        .enumerate()
-        {
-            let host = format!("h{k}.x.com");
-            let mut z = zone(&host, "1.0.0.1", countries[0], 300 + 100 * k as u32);
-            z.servers = countries
+        let (dns, domains, ids) = world(
+            [&["DE", "US", "SG"][..], &["FR"], &["GB", "DE"], &["US", "BR", "JP", "DE"]]
                 .iter()
                 .enumerate()
-                .map(|(i, c)| {
-                    let c = WORLD.country_or_panic(CountryCode::parse(c).unwrap());
-                    ZoneServer {
-                        server: ServerId(i as u32),
-                        ip: std::net::IpAddr::from([1, k as u8, i as u8, 1]),
-                        country: c.code,
-                        location: c.centroid(),
-                        valid: None,
+                .map(|(k, countries)| {
+                    let host = format!("h{k}.x.com");
+                    let ttl = 300 + 100 * k as u32;
+                    if countries.len() > 1 {
+                        geo_zone(&host, k as u8, countries, 0.2, ttl)
+                    } else {
+                        zone(&host, "1.0.0.1", countries[0], ttl)
                     }
                 })
-                .collect();
-            if countries.len() > 1 {
-                z.policy = MappingPolicy::NearestToResolver { epsilon: 0.2 };
-            }
-            dns.add_zone(z).unwrap();
-            ids.push(domains.intern(&Domain::new(&host)));
-        }
+                .collect(),
+        );
         let view = dns.indexed_view(&domains);
         let inj = FaultInjector::inactive();
         let site = |c| ClientCtx::with_isp_resolver(c, WORLD.country_or_panic(c).centroid());
@@ -592,7 +435,8 @@ mod tests {
         ];
         let mut shared = DnsCache::new();
         for (user, client, hosts) in users {
-            let mut fresh = DnsCache::for_user(77, user);
+            let mut fresh = DnsCache::new();
+            fresh.reset_for_user(77, user);
             shared.reset_for_user(77, user);
             let (mut rep_f, mut rep_s) =
                 (DegradationReport::default(), DegradationReport::default());
@@ -606,13 +450,7 @@ mod tests {
                     .unwrap();
                 assert_eq!(a, b, "user {user} step {step}");
             }
-            assert_eq!(
-                (fresh.hits(), fresh.misses()),
-                (shared.hits(), shared.misses()),
-                "user {user}"
-            );
-            assert_eq!(rep_f.dns_cache_hits, rep_s.dns_cache_hits);
-            assert_eq!(rep_f.dns_cache_misses, rep_s.dns_cache_misses);
+            assert_eq!(hits_misses(&rep_f), hits_misses(&rep_s), "user {user}");
             let obs_f: Vec<_> = fresh.drain_id_observations().collect();
             let obs_s: Vec<_> = shared.drain_id_observations().collect();
             assert_eq!(obs_f, obs_s, "user {user}");
@@ -622,11 +460,14 @@ mod tests {
     #[test]
     fn lookup_streams_differ_per_user_and_are_reproducible() {
         // Two users' lookup seeds are decorrelated; the same user's seed is
-        // stable — the per-user determinism the parallel study rests on.
-        let a = DnsCache::for_user(9, 0);
-        let b = DnsCache::for_user(9, 1);
-        let a2 = DnsCache::for_user(9, 0);
+        // stable, also on a cache that served another user in between —
+        // the per-user determinism the parallel study rests on.
+        let mut a = DnsCache::new();
+        a.reset_for_user(9, 0);
+        let mut b = DnsCache::new();
+        b.reset_for_user(9, 1);
         assert_ne!(a.lookup_seed, b.lookup_seed);
-        assert_eq!(a.lookup_seed, a2.lookup_seed);
+        b.reset_for_user(9, 0);
+        assert_eq!(a.lookup_seed, b.lookup_seed);
     }
 }

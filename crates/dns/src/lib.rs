@@ -29,7 +29,7 @@ pub mod zone;
 pub use cache::DnsCache;
 pub use pdns::{PassiveDnsDb, PdnsRecord};
 pub use resolver::{ClientCtx, Resolver, ResolverKind};
-pub use sim::{DnsSim, IndexedZoneView, PdnsIdObservation, PdnsObservation, ZoneView};
+pub use sim::{DnsSim, IndexedZoneView, PdnsIdObservation};
 pub use zone::{MappingPolicy, PopOrders, ZoneEntry, ZoneServer};
 
 /// Errors produced by this crate.

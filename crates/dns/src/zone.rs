@@ -80,42 +80,6 @@ fn p_accept(country: CountryCode) -> f64 {
 }
 
 impl ZoneEntry {
-    /// Stack capacity of the allocation-free [`ZoneEntry::select`] path:
-    /// comfortably above any PoP count the world generators emit (the
-    /// largest small-world zone carries ~92 servers). Bigger zones sort
-    /// their order on the heap, with identical draws.
-    const STACK_POPS: usize = 128;
-
-    /// Picks an answer per policy. `resolver_loc` is where the query came
-    /// from (the resolver, not the end user — geo-DNS cannot see past it);
-    /// `t` scopes the candidate set to servers valid at query time.
-    ///
-    /// This is the uncached path (the string-keyed [`crate::DnsSim`] and
-    /// [`crate::ZoneView`]): it computes [`ZoneEntry::pop_order`] on the
-    /// stack when the capacity walk needs it. The study resolves through
-    /// [`PopOrders`] instead, which computes each order once per resolver
-    /// site; both run the same walk, so their answers and draws agree.
-    pub fn select<R: rand::Rng + ?Sized>(
-        &self,
-        resolver_loc: LatLon,
-        t: SimTime,
-        rng: &mut R,
-    ) -> Option<ZoneServer> {
-        let mut stack = [(0.0f64, 0u32); Self::STACK_POPS];
-        let mut heap = Vec::new();
-        self.select_in_order(t, rng, || {
-            let n = self.servers.len();
-            let keyed = if n <= Self::STACK_POPS {
-                &mut stack[..n]
-            } else {
-                heap.resize(n, (0.0, 0));
-                &mut heap[..]
-            };
-            self.pop_order(resolver_loc, keyed);
-            keyed.iter().map(|&(_, i)| i)
-        })
-    }
-
     /// Writes every server as a `(distance_km from resolver_loc, index)`
     /// pair into `keyed` (which must hold exactly one slot per server),
     /// stably sorted by distance: servers at equal distance keep the lower
@@ -236,9 +200,13 @@ impl PopOrders {
         Self::default()
     }
 
-    /// Answers like [`ZoneEntry::select`], computing the zone's PoP order
-    /// for this resolver site only on the site's first capacity walk.
-    /// `view` identifies the zone table `zone` and `host` come from.
+    /// Picks an answer from `zone` per its policy — the one production
+    /// selection. `resolver_loc` is where the query came from (the
+    /// resolver, not the end user — geo-DNS cannot see past it); `t`
+    /// scopes the candidate set to servers valid at query time. The zone's
+    /// PoP order for this resolver site is computed only on the site's
+    /// first capacity walk. `view` identifies the zone table `zone` and
+    /// `host` come from.
     pub(crate) fn select<R: rand::Rng + ?Sized>(
         &mut self,
         view: u64,
@@ -317,6 +285,12 @@ mod tests {
             policy,
             ttl_secs: 300,
         }
+    }
+
+    /// One selection through a new memo, so the PoP order is computed
+    /// afresh on every call.
+    fn select(zone: &ZoneEntry, loc: LatLon, t: SimTime, rng: &mut StdRng) -> Option<ZoneServer> {
+        PopOrders::new().select(1, DomainId(0), zone, loc, t, rng)
     }
 
     /// The selection scan `select` ran before the PoP-order split, kept as
@@ -425,9 +399,10 @@ mod tests {
         // Random zones of 1..=150 servers (past the scan's 128-slot stack
         // path, so its heap fallback is an oracle too) drawn from a small
         // palette of sites, so co-located servers tie on distance; random
-        // validity windows; every policy. Uncached `select`, the memoized
-        // walk on first use and on a memo hit must all return the oracle's
-        // server and leave the RNG where the oracle left it.
+        // validity windows; every policy. The walk through a new memo and
+        // the kept memo's walk, on first use and on a memo hit, must all
+        // return the oracle's server and leave the RNG where the oracle
+        // left it.
         let countries = ["DE", "US", "SG", "CY", "GB", "BR", "ZA", "JP"];
         let policies = [
             MappingPolicy::Pinned,
@@ -487,7 +462,7 @@ mod tests {
                 let mut r_memo = StdRng::seed_from_u64(seed);
                 let want = oracle_select(&zone, loc, t, &mut r_oracle);
                 assert_eq!(
-                    zone.select(loc, t, &mut r_plain),
+                    select(&zone, loc, t, &mut r_plain),
                     want,
                     "select, case {case}"
                 );
@@ -515,7 +490,8 @@ mod tests {
         let majority = |loc: LatLon, rng: &mut StdRng| {
             let mut counts = std::collections::HashMap::new();
             for _ in 0..300 {
-                *counts.entry(zone.select(loc, SimTime(0), rng).unwrap().country).or_insert(0) += 1;
+                let answer = select(&zone, loc, SimTime(0), rng).unwrap();
+                *counts.entry(answer.country).or_insert(0) += 1;
             }
             counts.into_iter().max_by_key(|(_, n)| *n).unwrap().0
         };
@@ -544,7 +520,7 @@ mod tests {
         let nicosia = LatLon::new(35.2, 33.4);
         let n = 2000;
         let local = (0..n)
-            .filter(|_| zone.select(nicosia, SimTime(0), &mut rng).unwrap().country == cc!("CY"))
+            .filter(|_| select(&zone, nicosia, SimTime(0), &mut rng).unwrap().country == cc!("CY"))
             .count();
         let share = local as f64 / n as f64;
         // Acceptance for CY is 0.08 + 0.85*0.10^2 = 0.0885; when CY
@@ -562,7 +538,7 @@ mod tests {
         let mut non_de = 0usize;
         let mut seen = std::collections::HashSet::new();
         for _ in 0..n {
-            let ans = zone.select(vienna, SimTime(0), &mut rng).unwrap();
+            let ans = select(&zone, vienna, SimTime(0), &mut rng).unwrap();
             seen.insert(ans.country);
             if ans.country != cc!("DE") {
                 non_de += 1;
@@ -580,7 +556,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
-            seen.insert(zone.select(LatLon::new(0.0, 0.0), SimTime(0), &mut rng).unwrap().server);
+            seen.insert(select(&zone, LatLon::new(0.0, 0.0), SimTime(0), &mut rng).unwrap().server);
         }
         assert_eq!(seen.len(), 3);
     }
@@ -591,7 +567,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..20 {
             assert_eq!(
-                zone.select(LatLon::new(48.0, 16.0), SimTime(0), &mut rng).unwrap().server,
+                select(&zone, LatLon::new(48.0, 16.0), SimTime(0), &mut rng).unwrap().server,
                 ServerId(0)
             );
         }
@@ -606,7 +582,7 @@ mod tests {
             ttl_secs: 60,
         };
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(zone.select(LatLon::new(0.0, 0.0), SimTime(0), &mut rng).is_none());
+        assert!(select(&zone, LatLon::new(0.0, 0.0), SimTime(0), &mut rng).is_none());
     }
 
     #[test]
@@ -625,8 +601,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let la = LatLon::new(34.0, -118.0);
         for _ in 0..20 {
-            assert_eq!(zone.select(la, SimTime(500), &mut rng).unwrap().server, ServerId(0));
-            assert_eq!(zone.select(la, SimTime(1500), &mut rng).unwrap().server, ServerId(1));
+            assert_eq!(select(&zone, la, SimTime(500), &mut rng).unwrap().server, ServerId(0));
+            assert_eq!(select(&zone, la, SimTime(1500), &mut rng).unwrap().server, ServerId(1));
         }
         // A gap with no valid server yields no answer.
         let gap_zone = ZoneEntry {
@@ -639,7 +615,7 @@ mod tests {
             policy: MappingPolicy::Pinned,
             ttl_secs: 300,
         };
-        assert!(gap_zone.select(la, SimTime(11), &mut rng).is_none());
+        assert!(select(&gap_zone, la, SimTime(11), &mut rng).is_none());
     }
 
     #[test]
@@ -659,7 +635,8 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..10 {
-            assert_eq!(zone.select(LatLon::new(0.0, 0.0), SimTime(0), &mut rng).unwrap().server, ServerId(7));
+            let answer = select(&zone, LatLon::new(0.0, 0.0), SimTime(0), &mut rng);
+            assert_eq!(answer.unwrap().server, ServerId(7));
         }
     }
 }

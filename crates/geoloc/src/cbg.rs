@@ -1,6 +1,6 @@
 //! Constraint-based geolocation (CBG) — the classic alternative to
 //! shortest-ping estimation (Gueye et al.; the family of techniques the
-//! paper cites via Katz-Bassett et al. [39]).
+//! paper cites via Katz-Bassett et al. \[39\]).
 //!
 //! Each probe's best RTT yields a distance upper bound — a disc around the
 //! probe the target must lie in. The feasible region is the intersection

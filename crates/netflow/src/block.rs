@@ -22,7 +22,7 @@
 //!   `u64` sum, so any partition — any thread count, any block size for a
 //!   fixed record stream — yields bit-identical totals.
 //!
-//! The per-record [`FlowRecord`](crate::record::FlowRecord) path and the
+//! The per-record [`FlowRecord`] path and the
 //! `HashSet` matcher in [`collector`](crate::collector) survive as the
 //! test oracle, exactly like the PR 8 rule-engine oracle.
 

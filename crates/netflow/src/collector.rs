@@ -16,8 +16,8 @@
 //!   tracker list compiled into sorted, merged `u32` ranges probed with a
 //!   branchless binary search, validity windows and per-IP counters held
 //!   in dense side-tables indexed by *interval slot* instead of hashed by
-//!   address. It consumes [`FlowBlock`](crate::block::FlowBlock) columns
-//!   and accumulates into [`BlockMatchStats`], whose `u64` counters merge
+//!   address. It consumes [`FlowBlock`] columns and accumulates into
+//!   [`BlockMatchStats`], whose `u64` counters merge
 //!   additively — the basis of the thread- and block-size-invariance
 //!   guarantees.
 

@@ -1,8 +1,9 @@
 //! Per-snapshot ISP traffic generation.
 //!
 //! The real ISPs exported 24 hours of sampled NetFlow; we generate the
-//! *sampled* flows directly. Each sampled page view is rendered through the
-//! same web-graph/DNS machinery as the extension study — so the
+//! *sampled* flows directly, as columnar [`FlowBlock`]s. Each sampled page
+//! view is rendered through the same web-graph/DNS machinery as the
+//! extension study (one stub cache over the shared zone view) — so the
 //! resolver-mix differences between ISPs (mobile = carrier DNS, broadband =
 //! plenty of public DNS) produce the confinement differences of Table 8
 //! mechanically. Non-web background flows are mixed in so the tracker
@@ -16,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr};
 use xborder_browser::{LoggedRequest, RenderConfig, RenderEngine, User, UserId, VisitSampler};
-use xborder_dns::{DnsCache, DnsSim, IndexedZoneView, PdnsIdObservation, ResolverKind};
+use xborder_dns::{DnsCache, IndexedZoneView, PdnsIdObservation, ResolverKind};
 use xborder_faults::{DegradationReport, FaultInjector};
 use xborder_geo::WORLD;
 use xborder_netsim::time::{SimTime, SECS_PER_DAY};
@@ -53,16 +54,6 @@ impl Default for SnapshotConfig {
             foreign_site_damping: 0.02,
         }
     }
-}
-
-/// Output of one snapshot generation.
-#[derive(Debug, Default)]
-pub struct Snapshot {
-    /// Sampled flow records of the day (web + background), arrival order.
-    pub flows: Vec<FlowRecord>,
-    /// How many flows came from rendered third-party requests (the rest is
-    /// background) — generator-internal truth for tests.
-    pub n_web_flows: usize,
 }
 
 fn subscriber_ip<R: Rng + ?Sized>(rng: &mut R) -> Ipv4Addr {
@@ -129,72 +120,6 @@ fn background_flow<R: Rng + ?Sized>(t: SimTime, sub_ip: Ipv4Addr, rng: &mut R) -
     }
 }
 
-/// Generates one sampled 24-hour snapshot for an ISP.
-pub fn generate_snapshot<R: Rng>(
-    profile: &IspProfile,
-    cfg: &SnapshotConfig,
-    graph: &WebGraph,
-    dns: &mut DnsSim,
-    rng: &mut R,
-) -> Snapshot {
-    let engine = RenderEngine::new(graph, cfg.render);
-    let mut sampler = VisitSampler::new();
-    let country = WORLD.country_or_panic(profile.country);
-
-    let mut snapshot = Snapshot::default();
-    let mut scratch: Vec<LoggedRequest> = Vec::new();
-
-    for _ in 0..cfg.n_page_views {
-        // Ephemeral subscriber for this sampled view.
-        let on_mobile = match profile.access {
-            AccessKind::Broadband => false,
-            AccessKind::Mobile => true,
-            AccessKind::Mixed { mobile_share } => rng.gen::<f64>() < mobile_share,
-        };
-        // Mobile devices use the carrier resolver; broadband users use
-        // public DNS at the ISP's measured share.
-        let resolver_kind = if on_mobile || rng.gen::<f64>() >= profile.public_dns_share {
-            ResolverKind::IspLocal
-        } else {
-            ResolverKind::PublicAnycast
-        };
-        let user = User {
-            id: UserId(0),
-            country: profile.country,
-            location: country.centroid().jitter(country.radius_km * 0.8, rng),
-            resolver_kind,
-            activity: 1.0,
-            interaction_p: 0.7,
-        };
-        let t = SimTime(cfg.day_start.0 + rng.gen_range(0..SECS_PER_DAY));
-        let pid = sampler.sample(
-            profile.country,
-            graph,
-            cfg.home_visit_share,
-            cfg.foreign_site_damping,
-            rng,
-        );
-        let publisher = graph.publisher(pid);
-        let sub_ip = subscriber_ip(rng);
-
-        scratch.clear();
-        engine.render_visit(&user, publisher, t, dns, &mut scratch, rng);
-        for req in &scratch {
-            if let Some(flow) = flow_from_request(req, sub_ip, rng) {
-                snapshot.flows.push(flow);
-                snapshot.n_web_flows += 1;
-            }
-        }
-        // Background noise.
-        let n_bg = cfg.background_per_view.floor() as usize
-            + usize::from(rng.gen::<f64>() < cfg.background_per_view.fract());
-        for _ in 0..n_bg {
-            snapshot.flows.push(background_flow(t, sub_ip, rng));
-        }
-    }
-    snapshot
-}
-
 /// Tallies of one block-mode snapshot generation (the flows themselves
 /// stream through the `on_block` callback and are never held whole).
 #[derive(Debug, Default)]
@@ -205,14 +130,12 @@ pub struct SnapshotBlocksOutput {
     pub n_web_flows: u64,
     /// pDNS observations the per-view stub caches buffered, in view
     /// order, for deterministic central replay
-    /// ([`DnsSim::absorb_id_observations`]).
+    /// ([`xborder_dns::DnsSim::absorb_id_observations`]).
     pub id_observations: Vec<PdnsIdObservation>,
 }
 
-/// Block-mode snapshot generation: the scaled ISP-study path.
-///
-/// Same traffic model as [`generate_snapshot`], restructured for scale and
-/// sharding (DESIGN.md §5i):
+/// Generates one sampled 24-hour snapshot for an ISP: the Sect. 7
+/// generator, built for scale and sharding (DESIGN.md §5i):
 ///
 /// * Flows are emitted as columnar [`FlowBlock`]s through `on_block` —
 ///   resident memory is one block, not the day's `Vec<FlowRecord>`.
@@ -251,8 +174,9 @@ pub fn generate_snapshot_blocks(
     let mut cache = DnsCache::new();
 
     for view_idx in 0..cfg.n_page_views {
-        // Ephemeral subscriber for this sampled view (same coins, in the
-        // same order, as the per-record generator).
+        // Ephemeral subscriber for this sampled view. Mobile devices use
+        // the carrier resolver; broadband users use public DNS at the
+        // ISP's measured share.
         let on_mobile = match profile.access {
             AccessKind::Broadband => false,
             AccessKind::Mobile => true,
@@ -332,7 +256,7 @@ pub fn generate_snapshot_blocks(
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-    use xborder_dns::{MappingPolicy, ZoneEntry, ZoneServer};
+    use xborder_dns::{DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
     use xborder_geo::CountryCode;
     use xborder_netsim::ServerId;
     use xborder_webgraph::{generate, WebGraphConfig};
@@ -360,62 +284,6 @@ mod tests {
         }
     }
 
-    fn snapshot_for(name: &str, seed: u64) -> Snapshot {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let graph = generate(&WebGraphConfig::small(), &mut rng);
-        let mut dns = DnsSim::new();
-        wire_all(&graph, &mut dns);
-        let profile = IspProfile::by_name(name).unwrap();
-        let cfg = SnapshotConfig {
-            n_page_views: 200,
-            ..Default::default()
-        };
-        generate_snapshot(&profile, &cfg, &graph, &mut dns, &mut rng)
-    }
-
-    #[test]
-    fn snapshot_has_web_and_background() {
-        let s = snapshot_for("DE-Broadband", 1);
-        assert!(s.n_web_flows > 500, "web flows {}", s.n_web_flows);
-        assert!(s.flows.len() > s.n_web_flows, "no background flows");
-    }
-
-    #[test]
-    fn web_flows_use_web_ports() {
-        let s = snapshot_for("PL", 2);
-        let web_port_flows = s.flows.iter().filter(|f| f.is_web()).count();
-        // All rendered flows hit 80/443; background almost never does.
-        assert!(web_port_flows >= s.n_web_flows);
-        let https = s.flows.iter().filter(|f| f.is_encrypted_web()).count();
-        let https_share = https as f64 / web_port_flows as f64;
-        assert!((0.7..0.95).contains(&https_share), "https share {https_share}");
-    }
-
-    #[test]
-    fn subscriber_side_is_in_cgnat_pool() {
-        let s = snapshot_for("HU", 3);
-        for f in &s.flows {
-            assert_eq!(f.src.octets()[0], 10, "subscriber outside 10/8: {}", f.src);
-        }
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let a = snapshot_for("DE-Mobile", 4);
-        let b = snapshot_for("DE-Mobile", 4);
-        assert_eq!(a.flows.len(), b.flows.len());
-        assert_eq!(a.flows.first(), b.flows.first());
-        assert_eq!(a.flows.last(), b.flows.last());
-    }
-
-    #[test]
-    fn flows_fall_on_the_snapshot_day() {
-        let s = snapshot_for("DE-Broadband", 5);
-        for f in &s.flows {
-            assert!(f.start.0 < SECS_PER_DAY + 60);
-        }
-    }
-
     /// Materializes one block-mode run into a single concatenated block.
     fn blocks_for(name: &str, seed: u64, block_len: usize) -> (FlowBlock, SnapshotBlocksOutput) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -425,7 +293,7 @@ mod tests {
         let view = dns.indexed_view(graph.domains());
         let profile = IspProfile::by_name(name).unwrap();
         let cfg = SnapshotConfig {
-            n_page_views: 150,
+            n_page_views: 200,
             ..Default::default()
         };
         let mut all = FlowBlock::default();
@@ -435,6 +303,42 @@ mod tests {
             }
         });
         (all, out)
+    }
+
+    #[test]
+    fn snapshot_has_web_and_background() {
+        let (all, out) = blocks_for("DE-Broadband", 1, 256);
+        assert!(out.n_web_flows > 500, "web flows {}", out.n_web_flows);
+        assert!(all.len() as u64 > out.n_web_flows, "no background flows");
+    }
+
+    #[test]
+    fn web_flows_use_web_ports() {
+        let (all, out) = blocks_for("PL", 2, 256);
+        let web_port = |p: &u16| matches!(p, 80 | 443);
+        let web_port_flows = all.remote_port.iter().filter(|p| web_port(p)).count();
+        // All rendered flows hit 80/443; background almost never does.
+        assert!(web_port_flows as u64 >= out.n_web_flows);
+        let https = all.remote_port.iter().filter(|&&p| p == 443).count();
+        let https_share = https as f64 / web_port_flows as f64;
+        assert!((0.7..0.95).contains(&https_share), "https share {https_share}");
+    }
+
+    #[test]
+    fn generation_is_deterministic() {
+        let (a, out_a) = blocks_for("DE-Mobile", 4, 256);
+        let (b, out_b) = blocks_for("DE-Mobile", 4, 256);
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
+        assert_eq!(out_a.id_observations, out_b.id_observations);
+    }
+
+    #[test]
+    fn flows_fall_on_the_snapshot_day() {
+        let (all, _) = blocks_for("DE-Broadband", 5, 256);
+        for &t in &all.start {
+            assert!((t as u64) < SECS_PER_DAY + 60);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   mix, resolver mix, sampling).
 //! * [`generate`] — the per-snapshot traffic generator: subscriber page
 //!   views rendered through the shared web-graph/DNS machinery, plus
-//!   non-web background flows, emitted as sampled flow records.
+//!   non-web background flows, emitted as columnar flow blocks.
 //! * [`collector`] — ingestion with the paper's ethics constraints applied
 //!   (subscriber IPs replaced by the ISP's country code), the hash-set
 //!   tracker-IP oracle matcher, and the scaled interval-set matcher.
@@ -37,9 +37,7 @@ pub use block::{
 pub use collector::{
     AnonymizedFlow, BlockMatchStats, FlowCollector, MatchStats, TrackerIntervalSet,
 };
-pub use generate::{
-    generate_snapshot, generate_snapshot_blocks, SnapshotBlocksOutput, SnapshotConfig,
-};
+pub use generate::{generate_snapshot_blocks, SnapshotBlocksOutput, SnapshotConfig};
 pub use isp::{AccessKind, IspProfile};
 pub use record::{FlowRecord, V5Packet, V5View};
 pub use v9::{Template, V9Decoder};

@@ -99,7 +99,7 @@ impl Url {
         })
     }
 
-    /// Parses a URL string produced by [`Url::to_string`]. Not a general
+    /// Parses a URL string produced by `Url::to_string`. Not a general
     /// RFC 3986 parser — just enough for round-tripping simulator URLs and
     /// for tests feeding hand-written inputs.
     pub fn parse(s: &str) -> Option<Url> {
@@ -225,31 +225,11 @@ const PLAIN_PATHS: &[&str] = &["/js/widget.js", "/static/embed.css", "/img/logo.
 /// Beacon paths used by [`UrlStyle::Args`] URLs.
 const ARG_PATHS: &[&str] = &["/collect", "/event", "/t", "/imp", "/log"];
 
-/// Synthesizes a request URL for a host in the given style.
-///
-/// `identity` is the stable per-(user, service) identifier: the same user
-/// revisiting the same tracker produces *recurring* URL strings, which is
-/// why the paper's unique-URL counts (Table 2) sit far below its total
-/// request counts. Cache busters (`cb`) are added to a fraction of
-/// requests only.
-pub fn synth_url<R: Rng + ?Sized>(
-    rng: &mut R,
-    host: &Domain,
-    style: UrlStyle,
-    https_share: f64,
-    identity: u64,
-) -> Url {
-    EncodedUrl::synth(rng, style, https_share, identity).to_url(host)
-}
-
 /// A synthesized URL in compact, allocation-free form (DESIGN.md §5f).
 ///
 /// The study hot path renders requests as `EncodedUrl`s and materializes
 /// the string only at the log-emission boundary (into a reused scratch
-/// buffer). [`EncodedUrl::synth`] consumes the RNG in *exactly* the same
-/// order as the eager [`synth_url`] ever did — the eager path now
-/// delegates here, so the two cannot drift — and
-/// [`EncodedUrl::write_into`] emits bytes identical to
+/// buffer). [`EncodedUrl::write_into`] emits bytes identical to
 /// `Url::to_string()` of [`EncodedUrl::to_url`] (property-pinned below).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodedUrl {
@@ -270,9 +250,16 @@ pub struct EncodedUrl {
 }
 
 impl EncodedUrl {
-    /// Synthesizes the compact form. RNG draw order is the contract: https
-    /// coin, then per-style path/keyword pick, then (Args) event pick,
-    /// then cache-buster coin and, on a hit, eight token draws.
+    /// Synthesizes a request URL in the given style, in compact form. RNG
+    /// draw order is the contract: https coin, then per-style path/keyword
+    /// pick, then (Args) event pick, then cache-buster coin and, on a hit,
+    /// eight token draws.
+    ///
+    /// `identity` is the stable per-(user, service) identifier: the same
+    /// user revisiting the same tracker produces *recurring* URL strings,
+    /// which is why the paper's unique-URL counts (Table 2) sit far below
+    /// its total request counts. Cache busters (`cb`) are added to a
+    /// fraction of requests only.
     pub fn synth<R: Rng + ?Sized>(
         rng: &mut R,
         style: UrlStyle,
@@ -456,11 +443,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let host = Domain::new("t.example.com");
         for i in 0..100u64 {
-            let plain = synth_url(&mut rng, &host, UrlStyle::Plain, 0.83, i);
+            let plain = EncodedUrl::synth(&mut rng, UrlStyle::Plain, 0.83, i).to_url(&host);
             assert!(!plain.has_args());
-            let args = synth_url(&mut rng, &host, UrlStyle::Args, 0.83, i);
+            let args = EncodedUrl::synth(&mut rng, UrlStyle::Args, 0.83, i).to_url(&host);
             assert!(args.has_args() && !args.has_tracking_keyword());
-            let kw = synth_url(&mut rng, &host, UrlStyle::ArgsAndKeywords, 0.83, i);
+            let kw = EncodedUrl::synth(&mut rng, UrlStyle::ArgsAndKeywords, 0.83, i).to_url(&host);
             assert!(kw.has_args() && kw.has_tracking_keyword());
         }
     }
@@ -481,7 +468,8 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let n = 200;
         for _ in 0..n {
-            seen.insert(synth_url(&mut rng, &host, UrlStyle::Args, 1.0, 99).to_string());
+            let url = EncodedUrl::synth(&mut rng, UrlStyle::Args, 1.0, 99).to_url(&host);
+            seen.insert(url.to_string());
         }
         assert!(seen.len() < n / 2, "{} unique of {n}", seen.len());
     }
@@ -489,11 +477,10 @@ mod tests {
     #[test]
     fn https_share_is_respected() {
         let mut rng = StdRng::seed_from_u64(6);
-        let host = Domain::new("t.example.com");
         let n = 2000;
         let https = (0..n)
             .filter(|_| {
-                synth_url(&mut rng, &host, UrlStyle::Args, 0.83, 5).scheme == Scheme::Https
+                EncodedUrl::synth(&mut rng, UrlStyle::Args, 0.83, 5).scheme == Scheme::Https
             })
             .count();
         let share = https as f64 / n as f64;
@@ -516,29 +503,19 @@ mod tests {
     #[test]
     fn deferred_materialization_is_byte_identical_to_eager() {
         // The study hot path renders EncodedUrl + write_into; the eager
-        // path materializes a Url and Displays it. Replay the same RNG
-        // stream through both and require byte equality plus identical RNG
-        // consumption.
+        // form materializes a Url and Displays it. Both must give the same
+        // bytes for every style, identity and cache-buster draw.
         let host = Domain::new("sync.gtrack.com");
         let styles = [UrlStyle::Plain, UrlStyle::Args, UrlStyle::ArgsAndKeywords];
         let mut buf = String::new();
         for seed in 0..50u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
             for style in styles {
                 for identity in [0u64, 42, u64::MAX, seed.wrapping_mul(0x9E3779B97F4A7C15)] {
-                    let mut eager_rng = StdRng::seed_from_u64(seed);
-                    let mut deferred_rng = eager_rng.clone();
-                    let eager = synth_url(&mut eager_rng, &host, style, 0.83, identity);
-                    let enc = EncodedUrl::synth(&mut deferred_rng, style, 0.83, identity);
+                    let enc = EncodedUrl::synth(&mut rng, style, 0.83, identity);
                     buf.clear();
                     enc.write_into(host.as_str(), &mut buf);
-                    assert_eq!(buf, eager.to_string(), "seed {seed} style {style:?}");
-                    assert_eq!(enc.to_url(&host), eager);
-                    // Same number of draws: the next value must agree.
-                    assert_eq!(
-                        eager_rng.gen::<u64>(),
-                        deferred_rng.gen::<u64>(),
-                        "RNG consumption diverged at seed {seed} style {style:?}"
-                    );
+                    assert_eq!(buf, enc.to_url(&host).to_string(), "seed {seed} style {style:?}");
                 }
             }
         }

@@ -381,6 +381,13 @@ fn snapshot(dir: &Path) -> HashMap<String, Vec<u8>> {
     out
 }
 
+/// Replaces the journal with `bytes` as a fresh file: rewriting it in
+/// place through a truncation makes ext4 flush it on close.
+fn put_journal(path: &Path, bytes: &[u8]) {
+    let _ = fs::remove_file(path);
+    fs::write(path, bytes).unwrap();
+}
+
 #[test]
 fn corruption_matrix_refuses_with_typed_errors_and_leaves_dir_untouched() {
     let seed = 11u64;
@@ -400,7 +407,7 @@ fn corruption_matrix_refuses_with_typed_errors_and_leaves_dir_untouched() {
     // Inside the header, inside chunk 1's head, its payload and its
     // trailer, and one byte short of the end (inside the stage record).
     for cut in [10, at + 20, (at + end) / 2, end - 3, pristine.len() - 1] {
-        fs::write(&journal, &pristine[..cut]).unwrap();
+        put_journal(&journal, &pristine[..cut]);
         let (fp, report) = run_streaming(cfg(), &plan, &stream, &KillSwitch::none())
             .unwrap_or_else(|e| panic!("resume after a cut at byte {cut} failed: {e}"));
         assert_eq!(fp, batch_fp, "cut at byte {cut}");
@@ -409,7 +416,7 @@ fn corruption_matrix_refuses_with_typed_errors_and_leaves_dir_untouched() {
 
     // Each refusal below must name its typed error and write nothing.
     let refuse = |damaged: &[u8], cfg: WorldConfig| -> CheckpointError {
-        fs::write(&journal, damaged).unwrap();
+        put_journal(&journal, damaged);
         let before = snapshot(&dir);
         let err = match run_streaming(cfg, &plan, &stream, &KillSwitch::none()) {
             Err(StreamError::Checkpoint(e)) => e,

@@ -1,7 +1,9 @@
-//! Property-style invariants of generated worlds across many seeds.
+//! Invariants of generated worlds: property-style across many seeds, plus
+//! the reference world's id-indexed DNS view.
 
 use proptest::prelude::*;
 use xborder::{World, WorldConfig};
+use xborder_faults::stable_hash;
 use xborder_geo::WORLD;
 use xborder_webgraph::HostingPolicy;
 
@@ -81,4 +83,29 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn indexed_zone_view_matches_the_zone_table() {
+    // The study resolves through the id-indexed view only, so on the
+    // reference world every interned domain's slot must be exactly the
+    // string-keyed table's zone (or none) and its precomputed hash the
+    // `stable_hash` of the domain's bytes, which every fault coin and
+    // miss-RNG seed keys on.
+    let world = World::build(WorldConfig::small(11));
+    let domains = world.graph.domains();
+    let view = world.dns.indexed_view(domains);
+    let mut zoned = 0usize;
+    for (id, domain) in domains.iter() {
+        match (view.zone_by_id(id), world.dns.zone(domain)) {
+            (Some(a), Some(b)) => {
+                assert!(std::ptr::eq(a, b), "{domain}: a different zone");
+                zoned += 1;
+            }
+            (None, None) => {}
+            (a, b) => panic!("{domain}: view {:?} vs table {:?}", a.is_some(), b.is_some()),
+        }
+        assert_eq!(view.host_hash(id), stable_hash(domain.as_str().as_bytes()), "{domain}");
+    }
+    assert_eq!(zoned, world.dns.n_zones(), "every zone is reachable by id");
 }
