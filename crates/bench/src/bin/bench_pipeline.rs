@@ -13,11 +13,12 @@
 //! is the one the hardware the bench ran on can back, and
 //! `threads_available` says how many threads that was.
 
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use xborder::ispstudy::{run_isp_study, IspStudyConfig};
 use xborder::pipeline::{run_extension_pipeline_degraded, StudyOutputs};
@@ -69,47 +70,6 @@ fn engine_workload(n_rules: usize, n_urls: usize, seed: u64) -> (FilterList, Vec
     (list, probes)
 }
 
-/// Allocation calls and requested bytes since process start. The library
-/// crates are `forbid(unsafe_code)`, so the counting allocator lives here
-/// in the bench binary and feeds the pipeline's report through the safe
-/// `xborder_faults::install_alloc_probe` hook, which the profile's spans
-/// read.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// System-allocator wrapper that counts every allocation and reallocation.
-struct CountingAlloc;
-
-// SAFETY: delegates every operation unchanged to `System`; the counters are
-// relaxed atomics with no effect on allocation behavior.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_probe() -> (u64, u64) {
-    (
-        ALLOCS.load(Ordering::Relaxed),
-        ALLOC_BYTES.load(Ordering::Relaxed),
-    )
-}
-
 /// `[min, max]` of one timed value over its repeats.
 fn spread(xs: impl IntoIterator<Item = f64>) -> [f64; 2] {
     xs.into_iter()
@@ -142,7 +102,7 @@ fn fastest(runs: &[(f64, Profile)]) -> (f64, Profile) {
 
 fn main() {
     let seed = 11u64;
-    xborder_faults::install_alloc_probe(alloc_probe);
+    counting_alloc::install();
     let n_threads = Parallelism::from_env().threads;
     let mut budgets: Vec<usize> = [1, 2, 4, n_threads]
         .into_iter()

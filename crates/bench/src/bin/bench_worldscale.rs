@@ -4,7 +4,8 @@
 //!
 //! Sweeps users 10⁴/10⁵/10⁶ (capped by `XBORDER_WORLDSCALE_MAX_USERS` for
 //! CI smoke runs) × segment sizes and records wall time, users/sec, the
-//! run's own per-layer profile (with the classifier's resident bytes) and
+//! run's own per-layer profile (with the classifier's resident bytes and,
+//! through the shared counting allocator, each layer's allocations) and
 //! each row's own process high-water mark (`VmHWM`): the mark is reset
 //! through `/proc/self/clear_refs` before every row, so a row reports what
 //! its world build and run needed, not what an earlier row left behind.
@@ -14,6 +15,9 @@
 //! reported.
 //!
 //! [`ScaleOutputs::fingerprint`]: xborder::worldscale::ScaleOutputs::fingerprint
+
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
 
 use std::time::Instant;
 use xborder::worldscale::{run_worldscale_pipeline, ScaleConfig};
@@ -36,6 +40,7 @@ fn reset_vm_hwm() -> bool {
 }
 
 fn main() {
+    counting_alloc::install();
     let n_threads = Parallelism::from_env().threads;
     let cap: usize = std::env::var("XBORDER_WORLDSCALE_MAX_USERS")
         .ok()

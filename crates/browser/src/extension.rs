@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use xborder_dns::{DnsCache, DnsSim, IndexedZoneView, PdnsIdObservation};
-use xborder_faults::{derive_stream_seed, DegradationReport, FaultInjector};
+use xborder_faults::{derive_stream_seed, shard_map, DegradationReport, FaultInjector};
 use xborder_geo::CountryCode;
 use xborder_netsim::time::{anchors, SimTime, TimeWindow};
 use xborder_webgraph::{Audience, DomainId, DomainTable, PublisherId, WebGraph};
@@ -248,23 +248,14 @@ impl VisitSampler {
     }
 }
 
-/// What one shard of contiguous users produces. Everything here is local
-/// to the shard: request indices (and the cascade referrers into them)
-/// start at 0, counters count only the shard's own events, and pDNS
-/// observations are buffered instead of applied.
-struct ShardOutput {
-    visits: Vec<Visit>,
-    requests: Vec<LoggedRequest>,
-    observations: Vec<PdnsIdObservation>,
-    report: DegradationReport,
-}
-
 /// Simulates one contiguous run of users. Each user gets an independent
 /// hash-derived RNG stream (`derive_stream_seed(study_seed, user_id)`) and
 /// starts from an empty stub-resolver cache (the shard's one [`DnsCache`],
 /// reset per user), so this function's output depends only on
 /// `(study_seed, the users given)` — never on which shard, thread, or
-/// order it runs in.
+/// order it runs in. The returned chunk is the run's alone and pre-fault:
+/// [`StudyCtx::simulate_users`] merges the runs, then applies the log
+/// faults and the generated/delivered counts.
 #[allow(clippy::too_many_arguments)]
 fn simulate_shard(
     shard: &[User],
@@ -275,12 +266,12 @@ fn simulate_shard(
     study_seed: u64,
     mean_activity: f64,
     window_len: u64,
-) -> ShardOutput {
+) -> StudyChunk {
     let engine = RenderEngine::new(graph, cfg.render);
     // Sampler tables are deterministic functions of the graph (no RNG), so
     // a per-shard instance reproduces the shared sequential tables.
     let mut sampler = VisitSampler::new();
-    let mut out = ShardOutput {
+    let mut out = StudyChunk {
         visits: Vec::new(),
         requests: Vec::new(),
         observations: Vec::new(),
@@ -411,6 +402,7 @@ impl<'a> StudyCtx<'a> {
     /// the global pre-fault request index, so the chunk must know where in
     /// the global sequence its requests fall. Referrers in the returned
     /// chunk are chunk-local (they never cross users, hence never chunks).
+    /// The users shard over `threads` contiguous runs ([`shard_map`]).
     pub fn simulate_users(
         &self,
         chunk_users: &[User],
@@ -418,43 +410,31 @@ impl<'a> StudyCtx<'a> {
         threads: usize,
         pre_fault_offset: u64,
     ) -> StudyChunk {
-        let threads = threads.clamp(1, chunk_users.len().max(1));
-        let shards: Vec<ShardOutput> = if threads <= 1 {
-            vec![self.simulate(chunk_users, inj)]
-        } else {
-            let per = chunk_users.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = chunk_users
-                    .chunks(per)
-                    .map(|shard| s.spawn(move || self.simulate(shard, inj)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("study shard panicked"))
-                    .collect()
-            })
-        };
-
-        // Merge in user order: concatenation + referrer rebasing
-        // reproduces the single-shard vectors exactly.
-        let mut out = StudyChunk {
-            visits: Vec::with_capacity(shards.iter().map(|o| o.visits.len()).sum()),
-            requests: Vec::with_capacity(shards.iter().map(|o| o.requests.len()).sum()),
-            observations: Vec::new(),
-            report: DegradationReport::default(),
-        };
-        for shard in shards {
+        // Merge in user order: appending runs 2.. onto run 1's vectors,
+        // with referrers rebased, reproduces the single-run vectors exactly.
+        let mut runs = shard_map(chunk_users.len(), threads, |r| {
+            self.simulate(&chunk_users[r], inj)
+        })
+        .into_iter();
+        let mut out = runs.next().expect("shard_map returns at least one run");
+        for run in runs {
             let offset = out.requests.len() as u32;
-            out.visits.extend(shard.visits);
-            out.requests.extend(shard.requests.into_iter().map(|mut r| {
+            out.visits.extend(run.visits);
+            out.requests.extend(run.requests.into_iter().map(|mut r| {
                 if let Referrer::Request(RequestId(p)) = r.referrer {
                     r.referrer = Referrer::Request(RequestId(p + offset));
                 }
                 r
             }));
-            out.observations.extend(shard.observations);
-            out.report.absorb_counters(&shard.report);
+            out.observations.extend(run.observations);
+            out.report.absorb_counters(&run.report);
         }
+        // The run vectors grew by doubling and the chunk outlives this call
+        // (the batch log, the segment driver's classify and block), so the
+        // slack goes back.
+        out.visits.shrink_to_fit();
+        out.requests.shrink_to_fit();
+        out.observations.shrink_to_fit();
 
         out.report.requests_generated += out.requests.len() as u64;
         if inj.is_active() {
@@ -473,7 +453,7 @@ impl<'a> StudyCtx<'a> {
         out
     }
 
-    fn simulate(&self, shard: &[User], inj: &FaultInjector) -> ShardOutput {
+    fn simulate(&self, shard: &[User], inj: &FaultInjector) -> StudyChunk {
         simulate_shard(
             shard,
             self.cfg,

@@ -21,6 +21,7 @@ use crate::label::{semi_automatic, ChunkIndex, Tally};
 use crate::rules::FilterList;
 use serde::{Deserialize, Serialize};
 use xborder_browser::LoggedRequest;
+use xborder_faults::shard_map;
 use xborder_webgraph::DomainTable;
 
 /// Per-request classification outcome.
@@ -218,7 +219,7 @@ pub fn classify_with_stages_threads(
         &rows,
         &engine,
         domains,
-        threads.max(1),
+        threads,
     );
     let mut labels = Vec::with_capacity(requests.len());
     let mut host_of = Vec::with_capacity(requests.len());
@@ -265,8 +266,9 @@ pub fn classify_with_stages_threads(
 /// Stage 1: the blocklist verdict of each unique URL (`first` holds one
 /// request per URL, `host_of_url` its dense host). Anchor-decided rows
 /// need no URL; the rest take one engine scan. The URLs shard over
-/// `threads` contiguous ranges; the engine is shared read-only —
-/// `url_verdict` takes `&self`, so no shard-local state can diverge.
+/// `threads` contiguous runs ([`shard_map`]); the engine is shared
+/// read-only — `url_verdict` takes `&self`, so no run-local state can
+/// diverge.
 fn stage1_blocklists(
     requests: &[LoggedRequest],
     first: &[u32],
@@ -276,32 +278,25 @@ fn stage1_blocklists(
     domains: &DomainTable,
     threads: usize,
 ) -> Vec<bool> {
-    let shard = |first: &[u32], host_of_url: &[u32], hits: &mut [bool]| {
-        for ((&i, &h), hit) in first.iter().zip(host_of_url).zip(hits) {
-            let row = rows[h as usize];
-            *hit = row.always()
-                || (!row.never() && {
-                    let r = &requests[i as usize];
-                    engine.url_verdict(row, domains.domain(r.host), &r.url)
-                });
-        }
-    };
-    let mut hits = vec![false; first.len()];
-    if threads <= 1 || first.len() < 2 * threads {
-        shard(first, host_of_url, &mut hits);
-        return hits;
+    let mut runs = shard_map(first.len(), threads, |run| {
+        first[run.clone()]
+            .iter()
+            .zip(&host_of_url[run])
+            .map(|(&i, &h)| {
+                let row = rows[h as usize];
+                row.always()
+                    || (!row.never() && {
+                        let r = &requests[i as usize];
+                        engine.url_verdict(row, domains.domain(r.host), &r.url)
+                    })
+            })
+            .collect::<Vec<bool>>()
+    })
+    .into_iter();
+    let mut hits = runs.next().expect("shard_map returns at least one run");
+    for run in runs {
+        hits.extend(run);
     }
-    let chunk = first.len().div_ceil(threads);
-    let shard = &shard;
-    std::thread::scope(|scope| {
-        for ((first, host_of_url), hits) in first
-            .chunks(chunk)
-            .zip(host_of_url.chunks(chunk))
-            .zip(hits.chunks_mut(chunk))
-        {
-            scope.spawn(move || shard(first, host_of_url, hits));
-        }
-    });
     hits
 }
 

@@ -1,5 +1,5 @@
-//! Compiled filter-list engine: Aho-Corasick literal matching with a
-//! token-indexed prefilter and dense per-host gate rows (DESIGN.md §5h).
+//! Compiled filter-list engine: Aho-Corasick literal matching and dense
+//! per-host gate rows (DESIGN.md §5h).
 //!
 //! [`crate::rules`] keeps the reference semantics: a [`FilterList`] matches
 //! a request by scanning every candidate rule's substring against the URL,
@@ -17,15 +17,9 @@
 //!   URL bytes yields the candidate rules; substring candidates are
 //!   matches outright, path candidates re-check the oracle's positional
 //!   condition, so the verdict is exactly the reference implementation's;
-//! - a 512-bit token bloom ([`TokenPrefilter`]) over each literal's
-//!   *interior* alphanumeric token rejects URLs whose token stream cannot
-//!   contain any literal before the automaton ever runs — and, via
-//!   [`RuleEngine::may_match_encoded`], before a deferred
-//!   [`EncodedUrl`] is even rendered to a string;
 //! - host-level work is cached as dense [`HostRow`]s keyed by
 //!   [`DomainId`]: anchor verdicts, the pay-level-domain id, and a
-//!   content-interned bitset of the host-gated path rules — replacing the
-//!   per-host `Vec<&FilterRule>` gates the classifier used to allocate.
+//!   content-interned bitset of the host-gated path rules.
 //!
 //! The engine owns all of its data (no borrows into the source lists), so
 //! the streaming classifier persists it across chunks and stops re-deriving
@@ -36,7 +30,7 @@
 
 use crate::rules::{FilterList, FilterRule};
 use std::collections::VecDeque;
-use xborder_webgraph::url::{EncodedUrl, TRACKING_KEYWORDS};
+use xborder_webgraph::url::TRACKING_KEYWORDS;
 use xborder_webgraph::{Domain, DomainId, DomainTable, FxMap};
 
 /// Sentinel for an absent goto transition during construction.
@@ -271,134 +265,6 @@ impl AhoCorasick {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn is_token_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric()
-}
-
-/// 512-bit bloom filter over the *required token* of every automaton
-/// pattern: the longest alphanumeric run bounded by non-alphanumeric bytes
-/// on **both sides within the literal**. Wherever the literal occurs in a
-/// URL, those two boundary bytes come with it, so the run appears as a
-/// complete token of the URL's own token stream — which means a URL none
-/// of whose tokens hits the bloom cannot contain any literal, and the scan
-/// (or even the string rendering, via [`EncodedUrl::visit_bytes`]) can be
-/// skipped. Runs touching a literal's edge are *not* usable: they can
-/// extend into neighboring URL bytes and hash differently.
-///
-/// Only built when every pattern has such an interior token; false
-/// positives merely cost the scan that would have run anyway.
-#[derive(Debug, Clone)]
-pub struct TokenPrefilter {
-    bloom: [u64; 8],
-}
-
-impl TokenPrefilter {
-    /// Builds the bloom, or `None` if some pattern has no interior token
-    /// (the prefilter would then be unsound to consult).
-    fn build(patterns: &[Vec<u8>]) -> Option<TokenPrefilter> {
-        if patterns.is_empty() {
-            return None;
-        }
-        let mut bloom = [0u64; 8];
-        for p in patterns {
-            let h = required_token_hash(p)?;
-            bloom[(h >> 6) as usize & 7] |= 1u64 << (h & 63);
-        }
-        Some(TokenPrefilter { bloom })
-    }
-
-    fn hit(&self, h: u64) -> bool {
-        self.bloom[(h >> 6) as usize & 7] & (1u64 << (h & 63)) != 0
-    }
-
-    /// True unless the byte stream provably contains no pattern literal.
-    pub fn may_match(&self, bytes: &[u8]) -> bool {
-        let mut scan = TokenScan::new(self);
-        scan.feed(bytes);
-        scan.finish()
-    }
-}
-
-/// FNV-1a hash of the longest interior alphanumeric run of `p`.
-fn required_token_hash(p: &[u8]) -> Option<u64> {
-    let mut best: Option<(usize, usize)> = None;
-    let mut i = 0usize;
-    while i < p.len() {
-        if is_token_byte(p[i]) {
-            let start = i;
-            while i < p.len() && is_token_byte(p[i]) {
-                i += 1;
-            }
-            if start > 0 && i < p.len() && best.is_none_or(|(s, e)| i - start > e - s) {
-                best = Some((start, i));
-            }
-        } else {
-            i += 1;
-        }
-    }
-    best.map(|(s, e)| fnv1a(&p[s..e]))
-}
-
-/// Incremental token-stream walker over a byte sequence delivered in
-/// slices (the shape [`EncodedUrl::visit_bytes`] produces), carrying the
-/// in-progress token hash across slice boundaries.
-struct TokenScan<'a> {
-    pf: &'a TokenPrefilter,
-    h: u64,
-    in_token: bool,
-    hit: bool,
-}
-
-impl<'a> TokenScan<'a> {
-    fn new(pf: &'a TokenPrefilter) -> TokenScan<'a> {
-        TokenScan {
-            pf,
-            h: FNV_OFFSET,
-            in_token: false,
-            hit: false,
-        }
-    }
-
-    fn feed(&mut self, bytes: &[u8]) {
-        if self.hit {
-            return;
-        }
-        for &b in bytes {
-            if is_token_byte(b) {
-                if !self.in_token {
-                    self.h = FNV_OFFSET;
-                    self.in_token = true;
-                }
-                self.h = (self.h ^ b as u64).wrapping_mul(FNV_PRIME);
-            } else if self.in_token {
-                self.in_token = false;
-                if self.pf.hit(self.h) {
-                    self.hit = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    fn finish(mut self) -> bool {
-        if !self.hit && self.in_token {
-            self.hit = self.pf.hit(self.h);
-        }
-        self.hit
-    }
-}
-
 /// ASCII-case-insensitive multi-keyword matcher over
 /// [`TRACKING_KEYWORDS`] — a thin wrapper around a case-folded
 /// [`AhoCorasick`], replacing the first-byte-dispatch scanner the
@@ -435,9 +301,7 @@ const ROW_NEVER: u8 = 1;
 const ROW_ALWAYS: u8 = 2;
 const ROW_SCAN: u8 = 3;
 
-/// A host's compiled gate: the engine-level replacement for
-/// [`crate::rules::HostGate`], 12 bytes and `Copy` instead of a
-/// heap-allocated rule vector.
+/// A host's compiled gate: 12 bytes and `Copy`.
 ///
 /// Exactly one of three verdict shapes, plus the host's dense
 /// pay-level-domain id (resolved here so classifiers stop re-deriving
@@ -499,12 +363,6 @@ enum LitRef {
     Path(u32),
 }
 
-/// Consulting the token prefilter costs a second pass over the URL bytes,
-/// which only pays off once the automaton (and its candidate set) is big
-/// enough to be worth skipping; below this many patterns the scan itself
-/// is the cheaper filter.
-const PREFILTER_HOT_MIN_PATTERNS: usize = 16;
-
 /// The compiled engine over one or more frozen filter lists. See the
 /// module docs for the construction; the verdict contract is
 ///
@@ -534,8 +392,6 @@ pub struct RuleEngine {
     match_all: bool,
     /// Any non-empty `UrlSubstring` rules (they apply to every host).
     has_substrings: bool,
-    prefilter: Option<TokenPrefilter>,
-    prefilter_hot: bool,
     /// Words per path-rule bitset (`ceil(path_rules / 64)`).
     n_path_words: usize,
     n_rules: usize,
@@ -608,8 +464,6 @@ impl RuleEngine {
                 }
             }
         }
-        let prefilter = TokenPrefilter::build(&patterns);
-        let prefilter_hot = patterns.len() >= PREFILTER_HOT_MIN_PATTERNS;
         let ac = if patterns.is_empty() {
             None
         } else {
@@ -628,8 +482,6 @@ impl RuleEngine {
             ac,
             match_all,
             has_substrings,
-            prefilter,
-            prefilter_hot,
             n_path_words,
             n_rules,
             rows: Vec::new(),
@@ -657,8 +509,7 @@ impl RuleEngine {
 
     /// Resolves a host's row without consulting or filling the
     /// [`DomainId`] cache (still interns TLD ids and bitsets). One `tld()`
-    /// derivation per call — the classifiers' former three per unique host
-    /// (two `host_gate`s plus the interner's own pass) collapse into this.
+    /// derivation per call.
     pub fn resolve(&mut self, host: &Domain) -> HostRow {
         let tld = host.tld();
         let next_t = self.tld_ids.len() as u32;
@@ -706,25 +557,16 @@ impl RuleEngine {
     }
 
     /// The URL-dependent verdict for a host whose row is
-    /// [`HostRow::url_dependent`]: one automaton pass over the URL bytes
-    /// (behind the token prefilter when the pattern set is large enough to
-    /// make the extra pass pay), with candidates filtered through the
-    /// row's bitset and the positional path verify.
+    /// [`HostRow::url_dependent`]: one automaton pass over the URL bytes,
+    /// with candidates filtered through the row's bitset and the
+    /// positional path verify.
     pub fn url_verdict(&self, row: HostRow, host: &Domain, url: &str) -> bool {
         debug_assert_eq!(row.kind, ROW_SCAN, "url_verdict wants a url-dependent row");
         let Some(ac) = &self.ac else {
             return false;
         };
-        let bytes = url.as_bytes();
-        if self.prefilter_hot {
-            if let Some(pf) = &self.prefilter {
-                if !pf.may_match(bytes) {
-                    return false;
-                }
-            }
-        }
         let words = &self.row_sets[row.set as usize * self.n_path_words..][..self.n_path_words];
-        ac.scan(bytes, |pid| match self.lit_ref[pid as usize] {
+        ac.scan(url.as_bytes(), |pid| match self.lit_ref[pid as usize] {
             LitRef::Substring => true,
             LitRef::Path(rid) => {
                 words[rid as usize >> 6] & (1u64 << (rid & 63)) != 0
@@ -742,31 +584,6 @@ impl RuleEngine {
             ROW_ALWAYS => true,
             ROW_NEVER => false,
             _ => self.url_verdict(row, host, url),
-        }
-    }
-
-    /// Token-prefilter screen over a rendered URL: `false` means no
-    /// URL-dependent rule can match it (host rows still apply). `true`
-    /// when the prefilter is unavailable.
-    pub fn may_match_url(&self, url: &str) -> bool {
-        match &self.prefilter {
-            Some(pf) => pf.may_match(url.as_bytes()),
-            None => true,
-        }
-    }
-
-    /// Token-prefilter screen over a *deferred* URL: walks the exact byte
-    /// stream [`EncodedUrl::write_into`] would render — via
-    /// [`EncodedUrl::visit_bytes`] — without materializing the string, so
-    /// a rejected URL is never allocated at all.
-    pub fn may_match_encoded(&self, enc: &EncodedUrl, host: &str) -> bool {
-        match &self.prefilter {
-            Some(pf) => {
-                let mut scan = TokenScan::new(pf);
-                enc.visit_bytes(host, |chunk| scan.feed(chunk));
-                scan.finish()
-            }
-            None => true,
         }
     }
 
@@ -789,12 +606,6 @@ impl RuleEngine {
     /// The compiled automaton, when URL-dependent literals exist.
     pub fn automaton(&self) -> Option<&AhoCorasick> {
         self.ac.as_ref()
-    }
-
-    /// Whether the token prefilter was buildable *and* is consulted on the
-    /// hot path.
-    pub fn prefilter_active(&self) -> bool {
-        self.prefilter.is_some() && self.prefilter_hot
     }
 }
 
@@ -981,20 +792,6 @@ mod tests {
         assert!(!engine.url_verdict(ra, &d("a.cdn.com"), "https://a.cdn.com/q/x"));
     }
 
-    #[test]
-    fn prefilter_soundness_on_simulator_urls() {
-        let mut list = FilterList::new("t");
-        for i in 0..20usize {
-            list.push(FilterRule::UrlSubstring(format!("/seg{i}?x")));
-        }
-        let engine = RuleEngine::compile(&[&list]);
-        assert!(engine.prefilter_active());
-        // A URL that matches must pass the prefilter…
-        assert!(engine.may_match_url("https://a.com/seg7?x=1"));
-        // …and one with token-disjoint content must be rejected.
-        assert!(!engine.may_match_url("https://a.com/collect?uid=abc"));
-    }
-
     // ---- randomized equivalence: engine == reference lists ----
     //
     // The vendored proptest shim only generates primitives, so the
@@ -1060,8 +857,7 @@ mod tests {
         /// Tentpole satellite: for random rule sets x hosts x URLs
         /// (overlapping literals, empty prefixes, empty substrings, empty
         /// lists all reachable), the compiled engine's verdict equals the
-        /// reference `FilterList::matches` for each list union, and the
-        /// prefilter never rejects a matching URL.
+        /// reference `FilterList::matches` for each list union.
         #[test]
         fn engine_equals_reference(seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1083,13 +879,6 @@ mod tests {
                     single.matches(&host, &url), la.matches(&host, &url),
                     "single-list verdict diverged for host {} url {:?}", host, url
                 );
-                // Prefilter soundness: a URL matched by a *URL-dependent*
-                // rule is never screened out (anchor matches carry no
-                // literal, so the screen owes them nothing).
-                let row = engine.resolve(&host);
-                if row.url_dependent() && engine.url_verdict(row, &host, &url) {
-                    prop_assert!(engine.may_match_url(&url));
-                }
             }
         }
 
@@ -1126,44 +915,6 @@ mod tests {
             seen.sort_unstable();
             seen.dedup();
             prop_assert_eq!(seen, want);
-        }
-
-        /// Prefilter screens computed over the deferred byte stream agree
-        /// with the rendered-string screen (the streaming sink must hash
-        /// tokens across slice boundaries identically).
-        #[test]
-        fn encoded_prefilter_agrees_with_rendered(
-            seed in any::<u64>(),
-            style_idx in 0usize..3,
-            identity in any::<u64>(),
-        ) {
-            use xborder_webgraph::url::{Scheme, UrlStyle};
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut list = FilterList::new("t");
-            for _ in 0..rng.gen_range(16..24) {
-                let a: String =
-                    (0..rng.gen_range(2..6)).map(|_| rng.gen_range(b'a'..=b'z') as char).collect();
-                let b: String =
-                    (0..rng.gen_range(1..4)).map(|_| rng.gen_range(b'a'..=b'z') as char).collect();
-                list.push(FilterRule::UrlSubstring(format!("{a}?{b}")));
-            }
-            let engine = RuleEngine::compile(&[&list]);
-            let style = [UrlStyle::Plain, UrlStyle::Args, UrlStyle::ArgsAndKeywords][style_idx];
-            let enc = EncodedUrl {
-                scheme: Scheme::Https,
-                style,
-                path_idx: 0,
-                event_idx: 0,
-                identity,
-                cb: None,
-            };
-            let host = "sync.gtrack.com";
-            let mut rendered = String::new();
-            enc.write_into(host, &mut rendered);
-            prop_assert_eq!(
-                engine.may_match_encoded(&enc, host),
-                engine.may_match_url(&rendered)
-            );
         }
     }
 }

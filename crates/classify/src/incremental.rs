@@ -12,7 +12,7 @@
 //!   [`HostRow`] table (DESIGN.md §5h), so every string is hashed, every
 //!   host gate-resolved and `tld()`-ed, once per *unique* value across the
 //!   whole stream, not once per chunk it appears in — and the engine
-//!   itself (automaton, anchor buckets, prefilter) is compiled exactly
+//!   itself (automaton, anchor buckets) is compiled exactly
 //!   once, at construction;
 //! - the per-unique-URL state bytes: the argument, keyword and
 //!   URL-dependent stage-1 gate memos — all pure functions of the URL
@@ -489,7 +489,7 @@ impl ChunkScratch {
 /// why feeding chunks in order is bit-identical to batch classification.
 pub struct IncrementalClassifier {
     /// The compiled filter-list engine (DESIGN.md §5h) — automaton, anchor
-    /// buckets, prefilter, and the dense per-host row cache, all owned, so
+    /// buckets and the dense per-host row cache, all owned, so
     /// nothing about the frozen lists is re-derived per chunk.
     engine: RuleEngine,
     stages: ClassifierStages,

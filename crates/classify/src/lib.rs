@@ -45,8 +45,8 @@ pub use classifier::{
     classify, classify_with_stages, classify_with_stages_threads, Classification,
     ClassificationResult, ClassifierStages, MethodCounts,
 };
-pub use engine::{AhoCorasick, HostRow, KeywordScanner, RuleEngine, TokenPrefilter};
+pub use engine::{AhoCorasick, HostRow, KeywordScanner, RuleEngine};
 pub use incremental::{ChunkClassification, IncrementalClassifier, ResidentBytes};
 pub use eval::{evaluate, Evaluation};
 pub use listgen::generate_lists;
-pub use rules::{FilterList, FilterRule, HostGate};
+pub use rules::{FilterList, FilterRule};

@@ -7,7 +7,6 @@
 //! lists, split the way the real ones are: **easylist** carries
 //! advertising rules, **easyprivacy** carries tracker/analytics rules.
 
-use crate::engine::RuleEngine;
 use crate::rules::{FilterList, FilterRule};
 use xborder_webgraph::{ServiceKind, WebGraph};
 
@@ -37,20 +36,10 @@ pub fn generate_lists(graph: &WebGraph) -> (FilterList, FilterList) {
     (easylist, easyprivacy)
 }
 
-/// Builds the lists and compiles them straight into a [`RuleEngine`]
-/// (DESIGN.md §5h) — the form every matching path consumes. The textual
-/// lists stay the source of truth (and the test oracle); callers that
-/// only ever match should take the compiled engine and skip holding the
-/// lists alive.
-pub fn generate_engine(graph: &WebGraph) -> (RuleEngine, FilterList, FilterList) {
-    let (easylist, easyprivacy) = generate_lists(graph);
-    let engine = RuleEngine::compile(&[&easylist, &easyprivacy]);
-    (engine, easylist, easyprivacy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RuleEngine;
     use rand::{rngs::StdRng, SeedableRng};
     use xborder_webgraph::{generate, WebGraphConfig};
 
@@ -103,11 +92,11 @@ mod tests {
 
     #[test]
     fn compiled_engine_agrees_with_lists_on_every_service_host() {
-        // `generate_engine` must be a pure repackaging: the compiled
-        // engine's verdict equals the union of the two lists' on every
-        // host the generator can emit, listed or not.
+        // The compiled engine's verdict equals the union of the two
+        // lists' on every host the generator can emit, listed or not.
         let g = graph();
-        let (mut engine, el, ep) = generate_engine(&g);
+        let (el, ep) = generate_lists(&g);
+        let mut engine = RuleEngine::compile(&[&el, &ep]);
         for s in &g.services {
             for h in &s.hosts {
                 for url in [format!("https://{h}/t?x=1"), format!("https://{h}/js/widget.js")] {

@@ -109,49 +109,6 @@ impl FilterList {
         }
         self.global.iter().any(|&i| self.rules[i].matches(host, url))
     }
-
-    /// The list's verdict for a host, factored so a classifier can hoist
-    /// the host-dependent work out of its per-request loop:
-    ///
-    /// * [`HostGate::Always`] — a domain-anchor rule matches the host, so
-    ///   every URL on it matches regardless of path.
-    /// * [`HostGate::UrlDependent`] — only the returned rules (host-gated
-    ///   path rules plus global substring rules) can still match; an empty
-    ///   set means no rule of this list can ever match the host.
-    ///
-    /// For any `url`, `list.matches(host, url)` equals the gate's verdict.
-    pub fn host_gate(&self, host: &Domain) -> HostGate<'_> {
-        let mut url_rules: Vec<&FilterRule> = Vec::new();
-        if let Some(idxs) = self.by_tld.get(&host.tld()) {
-            for &i in idxs {
-                match &self.rules[i] {
-                    FilterRule::DomainAnchor(d) => {
-                        if host.is_subdomain_of(d) {
-                            return HostGate::Always;
-                        }
-                    }
-                    rule @ FilterRule::DomainWithPath { domain, .. } => {
-                        if host.is_subdomain_of(domain) {
-                            url_rules.push(rule);
-                        }
-                    }
-                    // Substring rules are never TLD-indexed.
-                    FilterRule::UrlSubstring(_) => {}
-                }
-            }
-        }
-        url_rules.extend(self.global.iter().map(|&i| &self.rules[i]));
-        HostGate::UrlDependent(url_rules)
-    }
-}
-
-/// A [`FilterList`]'s host-level verdict — see [`FilterList::host_gate`].
-#[derive(Debug)]
-pub enum HostGate<'a> {
-    /// A domain anchor covers the host: every URL matches.
-    Always,
-    /// Only these URL-dependent rules can match (none match if empty).
-    UrlDependent(Vec<&'a FilterRule>),
 }
 
 #[cfg(test)]
@@ -208,36 +165,5 @@ mod tests {
         let list = FilterList::new("empty");
         assert!(list.is_empty());
         assert!(!list.matches(&d("a.com"), "https://a.com/"));
-    }
-
-    #[test]
-    fn host_gate_agrees_with_matches() {
-        let mut list = FilterList::new("mixed");
-        list.push(FilterRule::DomainAnchor(d("tracker.com")));
-        list.push(FilterRule::DomainWithPath {
-            domain: d("cdn.com"),
-            path_prefix: "/ads/".into(),
-        });
-        list.push(FilterRule::UrlSubstring("cookiesync".into()));
-        let cases = [
-            (d("px.tracker.com"), "https://px.tracker.com/x"),
-            (d("cdn.com"), "https://cdn.com/ads/banner.js"),
-            (d("cdn.com"), "https://cdn.com/static/app.js"),
-            (d("clean.org"), "https://clean.org/cookiesync?x=1"),
-            (d("clean.org"), "https://clean.org/app.js"),
-        ];
-        for (host, url) in &cases {
-            let via_gate = match list.host_gate(host) {
-                HostGate::Always => true,
-                HostGate::UrlDependent(rules) => rules.iter().any(|r| r.matches(host, url)),
-            };
-            assert_eq!(via_gate, list.matches(host, url), "host {host} url {url}");
-        }
-        // Anchored host short-circuits; clean host keeps only the global rule.
-        assert!(matches!(list.host_gate(&d("tracker.com")), HostGate::Always));
-        match list.host_gate(&d("clean.org")) {
-            HostGate::UrlDependent(rules) => assert_eq!(rules.len(), 1),
-            HostGate::Always => panic!("clean host cannot be anchor-matched"),
-        }
     }
 }

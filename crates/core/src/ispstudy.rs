@@ -11,8 +11,8 @@
 //! snapshot day into a [`TrackerIntervalSet`], each of the 16 (ISP, day)
 //! cells generates its flows as [`FlowBlock`](xborder_netflow::FlowBlock)s
 //! from its own hash-derived RNG stream against a read-only DNS view, and
-//! cells are partitioned across the world's [`Parallelism`] budget under
-//! `std::thread::scope`. Per-cell results — statistics *and* the pDNS
+//! cells are partitioned across the world's [`Parallelism`] budget by
+//! [`shard_map`]. Per-cell results — statistics *and* the pDNS
 //! observations the per-view stub caches buffered — merge in canonical
 //! cell order, so every thread budget and every block size produces
 //! bit-identical results.
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::IpAddr;
 use xborder_dns::PdnsIdObservation;
-use xborder_faults::{derive_stream_seed, Profile};
+use xborder_faults::{derive_stream_seed, shard_map, Profile};
 use xborder_geo::{CountryCode, Region};
 use xborder_netflow::{
     generate_snapshot_blocks, IspProfile, SnapshotConfig, TrackerIntervalSet, DEFAULT_BLOCK_LEN,
@@ -200,7 +200,6 @@ pub fn run_isp_study(
     let cells: Vec<(usize, usize)> = (0..profiles.len())
         .flat_map(|p| (0..days.len()).map(move |d| (p, d)))
         .collect();
-    let threads = world.config.parallelism.threads.clamp(1, cells.len());
 
     let outputs: Vec<CellOutput> = {
         let graph = &world.graph;
@@ -256,23 +255,16 @@ pub fn run_isp_study(
             }
         };
 
-        if threads == 1 {
-            cells.iter().map(run_cell).collect()
-        } else {
-            // Contiguous cell runs per worker; outputs keep cell order.
-            let per = cells.len().div_ceil(threads);
-            let run_cell = &run_cell;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = cells
-                    .chunks(per)
-                    .map(|chunk| s.spawn(move || chunk.iter().map(run_cell).collect::<Vec<_>>()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("ISP study worker panicked"))
-                    .collect()
-            })
+        // Contiguous cell runs; outputs keep cell order.
+        let mut runs = shard_map(cells.len(), world.config.parallelism.threads, |run| {
+            cells[run].iter().map(run_cell).collect::<Vec<_>>()
+        })
+        .into_iter();
+        let mut outputs = runs.next().expect("shard_map returns at least one run");
+        for run in runs {
+            outputs.extend(run);
         }
+        outputs
     };
 
     // Merge in canonical cell order: results into the table, buffered

@@ -1,11 +1,13 @@
 //! Pipeline parallelism configuration.
 //!
-//! The pipeline's determinism contract (DESIGN.md §"Parallel execution")
-//! allows sharding only stages whose per-entity results are independent of
-//! processing order — stage-1 blocklist matching and the provider freezes,
-//! whose fault coins are hash-derived from `(seed, class, entity)` rather
-//! than drawn from a shared RNG stream. `threads == 1` takes the exact
-//! legacy sequential code path, byte for byte.
+//! The pipeline's determinism contract (DESIGN.md §5c) allows sharding
+//! only stages whose per-entity results are independent of processing
+//! order: the study (per-user RNG streams), stage-1 blocklist matching,
+//! the provider freezes, the NetFlow join and the ISP × day cells, whose
+//! RNG streams and fault coins are hash-derived from `(seed, class,
+//! entity)` rather than drawn from a shared stream. All five shard
+//! through [`xborder_faults::shard_map`]; a budget of 1 is one run,
+//! called inline.
 
 use serde::{Deserialize, Serialize};
 
@@ -15,13 +17,13 @@ pub const THREADS_ENV: &str = "XBORDER_THREADS";
 /// Thread budget for the shardable pipeline stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Parallelism {
-    /// Worker threads for sharded stages. `1` runs the exact legacy
-    /// sequential path; values are clamped to at least 1.
+    /// Worker threads for sharded stages. `1` runs every stage inline on
+    /// the calling thread; values are clamped to at least 1.
     pub threads: usize,
 }
 
 impl Parallelism {
-    /// The legacy sequential path.
+    /// A budget of one thread.
     pub fn sequential() -> Parallelism {
         Parallelism { threads: 1 }
     }
@@ -42,11 +44,6 @@ impl Parallelism {
             .filter(|&t| t > 0)
             .unwrap_or_else(available_cores);
         Parallelism { threads }
-    }
-
-    /// True when this budget takes the sequential code path.
-    pub fn is_sequential(&self) -> bool {
-        self.threads <= 1
     }
 }
 
@@ -69,7 +66,6 @@ mod tests {
 
     #[test]
     fn sequential_is_one_thread() {
-        assert!(Parallelism::sequential().is_sequential());
         assert_eq!(Parallelism::sequential().threads, 1);
     }
 

@@ -17,7 +17,7 @@ use xborder_classify::{
     classify_with_stages_threads, generate_lists, ClassificationResult, ClassifierStages,
     FilterList,
 };
-use xborder_faults::{DegradationReport, FaultInjector, FaultPlan, Profile};
+use xborder_faults::{shard_map, DegradationReport, FaultInjector, FaultPlan, Profile};
 use xborder_geo::Region;
 use xborder_geoloc::{GeoEstimate, Geolocator, IpMap, RegistryDb, RegistryStyle};
 
@@ -82,58 +82,16 @@ pub fn freeze_estimates_degraded<G: Geolocator + ?Sized>(
         .collect()
 }
 
-/// [`freeze_estimates_degraded`] sharded over contiguous chunks of the IP
-/// list with `std::thread::scope`.
-///
-/// Bit-identical to the sequential freeze for any `threads`: each lookup
-/// depends only on `(provider, ip, inj)` — fault coins are hash-derived
-/// per entity, per-IP measurement RNG is seeded from the address — and the
-/// per-shard reports are merged by original chunk order (counter addition
-/// commutes, see [`DegradationReport::absorb_counters`]). Returns the map
-/// plus the merged counters for the caller to absorb into its report.
-pub fn freeze_estimates_degraded_sharded<G: Geolocator + Sync + ?Sized>(
-    provider: &G,
-    ips: &[IpAddr],
-    inj: &FaultInjector,
-    threads: usize,
-) -> (EstimateMap, DegradationReport) {
-    let mut merged = DegradationReport::default();
-    if threads <= 1 || ips.len() < 2 * threads {
-        let map = freeze_estimates_degraded(provider, ips, inj, &mut merged);
-        return (map, merged);
-    }
-    let chunk = ips.len().div_ceil(threads);
-    let shards: Vec<(EstimateMap, DegradationReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ips
-            .chunks(chunk)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut r = DegradationReport::default();
-                    let m = freeze_estimates_degraded(provider, c, inj, &mut r);
-                    (m, r)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("freeze shard panicked"))
-            .collect()
-    });
-    let mut map = EstimateMap::with_capacity(ips.len());
-    for (m, r) in shards {
-        map.extend(m);
-        merged.absorb_counters(&r);
-    }
-    (map, merged)
-}
-
 /// The geolocation stage, shared verbatim by the batch and streaming
 /// drivers: freezes all three providers over the sorted tracker IP list.
 ///
-/// All world-RNG draws stay on the calling thread, in the legacy order:
-/// the IPmap build consumes `rng`, then the registry seeds are drawn. The
-/// freezes never touch `rng` (per-IP measurement RNG is seeded from the
-/// address), which is what frees them to run concurrently.
+/// All world-RNG draws come first, in a fixed order: the IPmap build
+/// consumes `rng`, then the registry seeds are drawn. The freezes never
+/// touch `rng` (per-IP measurement RNG is seeded from the address, fault
+/// coins are hash-derived per entity), which is what lets each one shard
+/// the IP list over the whole thread budget ([`shard_map`]). IPmap,
+/// MaxMind and ip-api freeze in turn and their counters are absorbed in
+/// that order; the first run's map is kept and later runs extend it.
 pub(crate) fn geolocate_providers(
     world: &World,
     rng: &mut StdRng,
@@ -153,49 +111,28 @@ pub(crate) fn geolocate_providers(
     let seat_seed: u64 = rng.gen();
     let mm_noise_seed: u64 = rng.gen();
     let ia_noise_seed: u64 = rng.gen();
-    let build_mm = || {
+    let registry = |style: RegistryStyle, noise_seed: u64| {
         let mut seat = StdRng::seed_from_u64(seat_seed);
-        let mut noise = StdRng::seed_from_u64(mm_noise_seed);
-        RegistryDb::build(RegistryStyle::MaxMindLike, &world.infra, &mut seat, &mut noise)
+        let mut noise = StdRng::seed_from_u64(noise_seed);
+        RegistryDb::build(style, &world.infra, &mut seat, &mut noise)
     };
-    let build_ia = || {
-        let mut seat = StdRng::seed_from_u64(seat_seed);
-        let mut noise = StdRng::seed_from_u64(ia_noise_seed);
-        RegistryDb::build(RegistryStyle::IpApiLike, &world.infra, &mut seat, &mut noise)
+    let mut freeze = |provider: &(dyn Geolocator + Sync)| {
+        let mut runs = shard_map(ip_list.len(), threads, |run| {
+            let mut r = DegradationReport::default();
+            (freeze_estimates_degraded(provider, &ip_list[run], inj, &mut r), r)
+        })
+        .into_iter();
+        let (mut map, r) = runs.next().expect("shard_map returns at least one run");
+        report.absorb_counters(&r);
+        for (m, r) in runs {
+            map.extend(m);
+            report.absorb_counters(&r);
+        }
+        map
     };
-    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) = if threads <= 1 {
-        // Exact legacy sequential path.
-        let a = freeze_estimates_degraded(&ipmap, &ip_list, inj, report);
-        let b = freeze_estimates_degraded(&build_mm(), &ip_list, inj, report);
-        let c = freeze_estimates_degraded(&build_ia(), &ip_list, inj, report);
-        (a, b, c)
-    } else {
-        // The three provider freezes run concurrently, each sharded over
-        // the IP list; per-provider reports merge in the fixed sequential
-        // order (ipmap → mm → ia), which equals the legacy totals because
-        // counter addition commutes.
-        let per_provider = threads.div_ceil(3).max(1);
-        let ((a, ra), (b, rb), (c, rc)) = std::thread::scope(|scope| {
-            let ha = scope.spawn(|| {
-                freeze_estimates_degraded_sharded(&ipmap, &ip_list, inj, per_provider)
-            });
-            let hb = scope.spawn(|| {
-                freeze_estimates_degraded_sharded(&build_mm(), &ip_list, inj, per_provider)
-            });
-            let hc = scope.spawn(|| {
-                freeze_estimates_degraded_sharded(&build_ia(), &ip_list, inj, per_provider)
-            });
-            (
-                ha.join().expect("ipmap freeze panicked"),
-                hb.join().expect("maxmind freeze panicked"),
-                hc.join().expect("ipapi freeze panicked"),
-            )
-        });
-        report.absorb_counters(&ra);
-        report.absorb_counters(&rb);
-        report.absorb_counters(&rc);
-        (a, b, c)
-    };
+    let ipmap_estimates = freeze(&ipmap);
+    let maxmind_estimates = freeze(&registry(RegistryStyle::MaxMindLike, mm_noise_seed));
+    let ipapi_estimates = freeze(&registry(RegistryStyle::IpApiLike, ia_noise_seed));
     // Assignment-cache counters accumulate inside the IpMap (shared
     // read-only across the shard threads); snapshot them into the report
     // after the freeze. Budget-invariant by construction (DESIGN.md §5e).

@@ -8,7 +8,7 @@
 //! weathers all of this silently; this crate makes the weathering explicit
 //! so its effect on the headline numbers can be *measured*.
 //!
-//! Four pieces:
+//! Five pieces:
 //!
 //! * [`FaultPlan`] — a seeded, serializable description of which fault
 //!   classes fire and how often. [`FaultPlan::none`] is the identity plan:
@@ -23,14 +23,19 @@
 //!   (`dropped + delivered == generated`) the property tests enforce.
 //! * [`Profile`] — the per-layer run profile every driver books into
 //!   [`DegradationReport::profile`] (module [`profile`]).
+//! * [`shard_map`] — the one primitive every parallel stage shards its
+//!   work through: contiguous runs over a thread budget, results in run
+//!   order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod profile;
+mod shard;
 
 pub use profile::{install_alloc_probe, Profile};
 use serde::{Deserialize, Serialize};
+pub use shard::shard_map;
 use std::net::IpAddr;
 
 /// A typed result for degradation-aware lookups.

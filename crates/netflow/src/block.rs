@@ -15,8 +15,8 @@
 //!   any shard may produce any block and resident memory stays at
 //!   `O(threads × block_len)` no matter how many records stream by.
 //! * [`generate_and_match_sharded`] — the sharded join: block indices are
-//!   partitioned into contiguous runs across a thread budget under
-//!   `std::thread::scope`, each shard matches its blocks against the
+//!   partitioned into contiguous runs across a thread budget by
+//!   [`shard_map`], each shard matches its blocks against the
 //!   shared read-only [`TrackerIntervalSet`], and the per-shard
 //!   [`BlockMatchStats`] are merged in shard order. Every counter is a
 //!   `u64` sum, so any partition — any thread count, any block size for a
@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
-use xborder_faults::derive_stream_seed;
+use xborder_faults::{derive_stream_seed, shard_map};
 use xborder_netsim::time::SimTime;
 
 /// Default records per block: large enough that per-block overhead
@@ -255,86 +255,53 @@ impl SyntheticFlowGen {
 }
 
 /// Generates and matches the whole synthetic stream, sharded across
-/// `threads` workers under `std::thread::scope`.
+/// `threads` contiguous runs of block indices ([`shard_map`]).
 ///
-/// Contiguous runs of block indices go to each worker; per-shard
-/// [`BlockMatchStats`] merge in shard order. Totals are `u64` sums of
-/// per-record indicator counts, so the result is bit-identical for every
-/// thread budget and for every `block_len` that partitions the same record
-/// stream.
+/// Per-run [`BlockMatchStats`] merge in run order. Totals are `u64` sums
+/// of per-record indicator counts, so the result is bit-identical for
+/// every thread budget and for every `block_len` that partitions the same
+/// record stream.
 pub fn generate_and_match_sharded(
     gen: &SyntheticFlowGen,
     set: &TrackerIntervalSet,
     threads: usize,
 ) -> BlockMatchStats {
-    let n_blocks = gen.n_blocks();
-    let threads = threads.max(1).min(n_blocks.max(1) as usize);
-    if threads == 1 {
+    let mut runs = shard_map(block_count(gen), threads, |run| {
         let mut stats = set.new_stats();
         let mut block = FlowBlock::with_capacity(gen.cfg.block_len);
-        for idx in 0..n_blocks {
-            gen.fill_block(idx, &mut block);
+        for idx in run {
+            gen.fill_block(idx as u64, &mut block);
             set.match_block(&block, &mut stats);
         }
-        return stats;
-    }
-    let per = n_blocks.div_ceil(threads as u64);
-    let mut shards: Vec<BlockMatchStats> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads as u64)
-            .map(|t| {
-                s.spawn(move || {
-                    let lo = t * per;
-                    let hi = ((t + 1) * per).min(n_blocks);
-                    let mut stats = set.new_stats();
-                    let mut block = FlowBlock::with_capacity(gen.cfg.block_len);
-                    for idx in lo..hi {
-                        gen.fill_block(idx, &mut block);
-                        set.match_block(&block, &mut stats);
-                    }
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("netflow shard worker panicked"))
-            .collect()
-    });
-    let mut merged = shards.remove(0);
-    for shard in &shards {
-        merged.absorb(shard);
+        stats
+    })
+    .into_iter();
+    let mut merged = runs.next().expect("shard_map returns at least one run");
+    for run in runs {
+        merged.absorb(&run);
     }
     merged
+}
+
+fn block_count(gen: &SyntheticFlowGen) -> usize {
+    usize::try_from(gen.n_blocks()).expect("the block count fits the address space")
 }
 
 /// Generation-only sweep (no matching), for per-stage bench attribution.
 /// Returns the records produced, folding each block's length so the
 /// optimizer cannot elide the work.
 pub fn generate_only_sharded(gen: &SyntheticFlowGen, threads: usize) -> u64 {
-    let n_blocks = gen.n_blocks();
-    let threads = threads.max(1).min(n_blocks.max(1) as usize);
-    let sweep = |lo: u64, hi: u64| {
+    shard_map(block_count(gen), threads, |run| {
         let mut block = FlowBlock::with_capacity(gen.cfg.block_len);
         let mut total = 0u64;
-        for idx in lo..hi {
-            gen.fill_block(idx, &mut block);
+        for idx in run {
+            gen.fill_block(idx as u64, &mut block);
             total += block.len() as u64;
         }
         total
-    };
-    if threads == 1 {
-        return sweep(0, n_blocks);
-    }
-    let per = n_blocks.div_ceil(threads as u64);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads as u64)
-            .map(|t| s.spawn(move || sweep(t * per, ((t + 1) * per).min(n_blocks))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("netflow generate worker panicked"))
-            .sum()
     })
+    .into_iter()
+    .sum()
 }
 
 #[cfg(test)]

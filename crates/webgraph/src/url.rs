@@ -191,28 +191,18 @@ pub fn identity_token(identity: u64) -> String {
     s
 }
 
-/// The 13 ASCII bytes of [`identity_token`], on the stack — the shared
-/// core of the string writer and the byte-stream visitor.
-fn identity_token_bytes(identity: u64) -> [u8; 13] {
+/// Appends [`identity_token`]'s 13 characters to `buf` without allocating
+/// a fresh `String`.
+fn write_identity_token(identity: u64, buf: &mut String) {
     // Splitmix-style scramble so adjacent identities produce unrelated
     // tokens (and identity 0 still yields a non-trivial one).
     let mut x = identity
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(0x85EB_CA6B);
     x ^= x >> 31;
-    let mut out = [0u8; 13];
-    for b in &mut out {
-        *b = ALPHABET[(x % 36) as usize];
+    for _ in 0..13 {
+        buf.push(ALPHABET[(x % 36) as usize] as char);
         x /= 36;
-    }
-    out
-}
-
-/// Appends [`identity_token`]'s 13 characters to `buf` without allocating
-/// a fresh `String`.
-fn write_identity_token(identity: u64, buf: &mut String) {
-    for b in identity_token_bytes(identity) {
-        buf.push(b as char);
     }
 }
 
@@ -332,42 +322,6 @@ impl EncodedUrl {
             for b in cb {
                 buf.push(b as char);
             }
-        }
-    }
-
-    /// Streams the exact byte sequence [`EncodedUrl::write_into`] would
-    /// append — as a series of slices, in order — without materializing
-    /// the string. This is the hook the classify engine's token prefilter
-    /// uses to screen a deferred URL *before* deciding whether rendering
-    /// it is worthwhile at all (DESIGN.md §5h); the byte-for-byte
-    /// agreement with `write_into` is property-pinned below.
-    pub fn visit_bytes(&self, host: &str, mut sink: impl FnMut(&[u8])) {
-        sink(self.scheme.as_str().as_bytes());
-        sink(b"://");
-        sink(host.as_bytes());
-        match self.style {
-            UrlStyle::Plain => {
-                sink(PLAIN_PATHS[self.path_idx as usize].as_bytes());
-            }
-            UrlStyle::Args => {
-                sink(ARG_PATHS[self.path_idx as usize].as_bytes());
-                sink(b"?uid=");
-                sink(&identity_token_bytes(self.identity));
-                sink(b"&ev=");
-                sink(EVENTS[self.event_idx as usize].as_bytes());
-            }
-            UrlStyle::ArgsAndKeywords => {
-                sink(b"/");
-                sink(TRACKING_KEYWORDS[self.path_idx as usize].as_bytes());
-                sink(b"?partner=");
-                sink(&identity_token_bytes(self.identity.rotate_left(17)));
-                sink(b"&rtb_id=");
-                sink(&identity_token_bytes(self.identity));
-            }
-        }
-        if let Some(cb) = self.cb {
-            sink(b"&cb=");
-            sink(&cb);
         }
     }
 
@@ -582,12 +536,6 @@ mod tests {
             let mut buf = String::new();
             enc.write_into(host.as_str(), &mut buf);
             prop_assert_eq!(&buf, &enc.to_url(&host).to_string());
-
-            // PR 8: the byte-stream visitor concatenates to the exact same
-            // bytes as the string writer, for every reachable encoding.
-            let mut streamed = Vec::new();
-            enc.visit_bytes(host.as_str(), |chunk| streamed.extend_from_slice(chunk));
-            prop_assert_eq!(streamed, buf.into_bytes());
         }
     }
 }

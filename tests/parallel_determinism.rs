@@ -113,7 +113,8 @@ fn thread_budget_never_changes_outputs() {
     for seed in [1u64, 3, 7, 11, 23] {
         for plan in [FaultPlan::none(), FaultPlan::aggressive(seed)] {
             let (base_fp, base_report) = run(tiny_config(seed).with_threads(1), &plan);
-            for threads in [2usize, 8] {
+            // An odd budget too: each provider freeze then shards three ways.
+            for threads in [2usize, 3, 8] {
                 let (fp, report) = run(tiny_config(seed).with_threads(threads), &plan);
                 assert_eq!(
                     fp, base_fp,
