@@ -16,6 +16,8 @@
 # "runs[last]" the largest run both documents share; runs pair with the
 # baseline's by (threads, users, segment_users). Values are dotted paths
 # into a row; inside a profile, a step names a layer ("profile.study").
+# A comparison whose value is missing on either side (a layer the baseline
+# predates) is skipped, never fatal.
 # A warning prints the value's spread over its repeats, which a row keeps
 # under "spread" by the value's path.
 import json
@@ -32,7 +34,8 @@ RULES = [
     (PIPE, SEQ, "profile.study.allocs", "fatal-rise", 0.20),
     (PIPE, SEQ, "pipeline_ms", "warn-rise", 0.20),
     *[(PIPE, SEQ, f"profile.{layer}.wall_ms", "warn-rise", 0.20)
-      for layer in ("study", "classify", "geolocate", "netflow/generate", "netflow/match")],
+      for layer in ("study", "classify", "geolocate", "fold", "netflow/generate",
+                    "netflow/match")],
     *[(PIPE, "streaming", value, "warn-rise", 0.20)
       for value in ("streaming_ms", "streaming_ckpt_ms", "incremental_classify_ms",
                     "profile.ingest/snapshot.wall_ms", "classify_overhead_vs_batch_pct",

@@ -58,9 +58,11 @@ echo "== bench gate (fresh docs against the rule table and the stashed baselines
 # warns at 20% (CI boxes are noisy), printing its spread over repeats.
 python3 bench_gate.py . "$stash"
 
-echo "== bench gate self-test (every doctored copy of the fresh docs must fail) =="
-# Each case breaks one fatal check against the fresh docs as baseline;
-# the undoctored docs (case None) must pass.
+echo "== bench gate self-test (doctored docs fail; a pre-fold baseline passes) =="
+# Each case doctors one copy of the fresh docs, as the fresh side or as the
+# baseline. A case with a needle breaks one fatal check and must print it;
+# the undoctored docs (case None) and a baseline that predates the fold
+# layer (its rule skips) must pass.
 python3 - <<'EOF'
 import copy, json, os, subprocess, sys, tempfile
 from bench_gate import NETFLOW, PIPE, SEQ, WORLD, get, rows
@@ -69,30 +71,36 @@ def scale(row, path, factor):
     head, _, last = path.rpartition(".")
     get(row, head)[last] = round(get(row, path) * factor)
 
+def drop_layer(doc, layer):
+    for run in doc["runs"]:
+        run["profile"] = [l for l in run["profile"] if l["path"] != layer]
+
 fresh = {name: json.load(open(name)) for name in (PIPE, NETFLOW, WORLD)}
-cases = {  # what each doctored copy breaks: (FATAL line it must print, edit)
+cases = {  # (FATAL line it must print or None to pass, edit, doctored side)
     "threads=1 study allocs +25%": ("profile.study.allocs", lambda d: scale(
-        rows(d[PIPE], SEQ)[0][1], "profile.study.allocs", 1.25)),
+        rows(d[PIPE], SEQ)[0][1], "profile.study.allocs", 1.25), "fresh"),
     "one worldscale VmHWM +25%": ("vm_hwm_bytes", lambda d: scale(
-        d[WORLD]["runs"][0], "vm_hwm_bytes", 1.25)),
+        d[WORLD]["runs"][0], "vm_hwm_bytes", 1.25), "fresh"),
     "netflow oracle speedup 4.9": ("speedup_vs_oracle", lambda d: d[NETFLOW]["oracle"].update(
-        speedup_vs_oracle=4.9)),
+        speedup_vs_oracle=4.9), "fresh"),
     "threads=1 row missing": (SEQ, lambda d: d[PIPE].update(
-        runs=[r for r in d[PIPE]["runs"] if r["threads"] != 1])),
-    "streaming row missing": ("streaming", lambda d: d[PIPE].pop("streaming")),
-    None: (None, lambda d: None),
+        runs=[r for r in d[PIPE]["runs"] if r["threads"] != 1]), "fresh"),
+    "streaming row missing": ("streaming", lambda d: d[PIPE].pop("streaming"), "fresh"),
+    "baseline without a fold layer": (None, lambda d: drop_layer(d[PIPE], "fold"), "baseline"),
+    None: (None, lambda d: None, "fresh"),
 }
-for case, (needle, doctor) in cases.items():
+for case, (needle, doctor, side) in cases.items():
     docs = copy.deepcopy(fresh)
     doctor(docs)
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in docs.items():
             with open(os.path.join(tmp, name), "w") as f:
                 json.dump(doc, f)
-        gate = subprocess.run([sys.executable, "bench_gate.py", tmp, "."],
+        dirs = [tmp, "."] if side == "fresh" else [".", tmp]
+        gate = subprocess.run([sys.executable, "bench_gate.py", *dirs],
                               capture_output=True, text=True)
     fatal = [line for line in gate.stdout.splitlines() if line.startswith("FATAL")]
-    if (gate.returncode != 0) != (case is not None) or any(needle not in f for f in fatal):
+    if (gate.returncode != 0) != (needle is not None) or any(needle not in f for f in fatal):
         sys.exit(f"FATAL: bench gate exits {gate.returncode} on {case or 'the undoctored docs'}:"
                  f"\n{gate.stdout}")
     print(f"bench gate self-test: {case or 'undoctored docs'}: exit {gate.returncode}")

@@ -24,8 +24,9 @@ use xborder::ispstudy::{run_isp_study, IspStudyConfig};
 use xborder::pipeline::{run_extension_pipeline_degraded, StudyOutputs};
 use xborder::stream::{run_extension_pipeline_streaming, StreamConfig};
 use xborder::{Parallelism, World, WorldConfig};
+use xborder_bench::{layer_spreads, spread};
 use xborder_classify::{FilterList, FilterRule, RuleEngine};
-use xborder_faults::{profile::LAYERS, FaultPlan, KillSwitch, Profile};
+use xborder_faults::{FaultPlan, KillSwitch, Profile};
 use xborder_webgraph::Domain;
 
 /// Deterministic URL-dependent workload for the rule-engine microbench: a
@@ -68,28 +69,6 @@ fn engine_workload(n_rules: usize, n_urls: usize, seed: u64) -> (FilterList, Vec
         })
         .collect();
     (list, probes)
-}
-
-/// `[min, max]` of one timed value over its repeats.
-fn spread(xs: impl IntoIterator<Item = f64>) -> [f64; 2] {
-    xs.into_iter()
-        .fold([f64::INFINITY, f64::NEG_INFINITY], |[lo, hi], x| [lo.min(x), hi.max(x)])
-}
-
-/// The spread of every layer's wall clock over repeated runs' profiles,
-/// keyed by its path in a bench row (`{key}.{layer}.wall_ms`).
-fn layer_spreads<'a>(
-    key: &str,
-    profiles: impl Iterator<Item = &'a Profile> + Clone,
-) -> BTreeMap<String, [f64; 2]> {
-    LAYERS
-        .iter()
-        .filter(|path| profiles.clone().any(|p| p.layer(path).is_some()))
-        .map(|path| {
-            let walls = profiles.clone().filter_map(|p| p.layer(path)).map(|l| l.wall_ms);
-            (format!("{key}.{path}.wall_ms"), spread(walls))
-        })
-        .collect()
 }
 
 /// The run with the smallest wall clock.

@@ -6,6 +6,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
+use std::collections::BTreeMap;
 use xborder::confine::{country_matrix_eu28, region_breakdown_eu28, region_matrix};
 use xborder::dedicated::DedicatedAnalysis;
 use xborder::ispstudy::{run_isp_study, IspStudyConfig, IspStudyResults};
@@ -13,6 +14,7 @@ use xborder::pipeline::run_extension_pipeline;
 use xborder::sensitive::{detect_sensitive_sites, trace_sensitive_flows, DetectorConfig};
 use xborder::whatif;
 use xborder::{StudyOutputs, World, WorldConfig};
+use xborder_faults::{profile::LAYERS, Profile};
 
 /// Which configuration scale to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,4 +199,31 @@ pub fn write_bench_doc(path: &str, doc: &serde_json::Value) {
         eprintln!("{path}: FAIL — {e}");
         std::process::exit(1);
     }
+}
+
+/// `[min, max]` of one timed value over its repeats.
+pub fn spread(xs: impl IntoIterator<Item = f64>) -> [f64; 2] {
+    xs.into_iter()
+        .fold([f64::INFINITY, f64::NEG_INFINITY], |[lo, hi], x| {
+            [lo.min(x), hi.max(x)]
+        })
+}
+
+/// The spread of every layer's wall clock over repeated runs' profiles,
+/// keyed by its path in a bench row (`{key}.{layer}.wall_ms`).
+pub fn layer_spreads<'a>(
+    key: &str,
+    profiles: impl Iterator<Item = &'a Profile> + Clone,
+) -> BTreeMap<String, [f64; 2]> {
+    LAYERS
+        .iter()
+        .filter(|path| profiles.clone().any(|p| p.layer(path).is_some()))
+        .map(|path| {
+            let walls = profiles
+                .clone()
+                .filter_map(|p| p.layer(path))
+                .map(|l| l.wall_ms);
+            (format!("{key}.{path}.wall_ms"), spread(walls))
+        })
+        .collect()
 }

@@ -337,6 +337,26 @@ impl SegmentBlock {
         self.labels[i] != LABEL_CLEAN
     }
 
+    /// Calls `f(user, host, time, IP)` for each tracking row, in row order,
+    /// in one pass over the columns: the IPv6 side rows are walked with a
+    /// cursor rather than searched for each row. An unclassified block has
+    /// none. A callback rather than an iterator: with the loop in one
+    /// piece the tracker fold over a block runs as fast as over AoS rows,
+    /// where an iterator-adaptor form of it ran about three times slower.
+    pub fn for_each_tracking_row(&self, mut f: impl FnMut(UserId, DomainId, SimTime, IpAddr)) {
+        let mut v6 = self.r_ip6.iter().peekable();
+        for (i, &label) in self.labels.iter().enumerate() {
+            let ip = match v6.next_if(|&&(row, _)| row as usize == i) {
+                Some(&(_, octets)) => IpAddr::V6(Ipv6Addr::from(octets)),
+                None => IpAddr::V4(Ipv4Addr::from(self.r_ip4[i])),
+            };
+            if label != LABEL_CLEAN {
+                let (host, time) = (DomainId(self.r_host[i]), SimTime(self.r_time[i]));
+                f(UserId(self.r_user[i]), host, time, ip);
+            }
+        }
+    }
+
     /// The chunk report's commutative counters (counters only — absorb
     /// with `DegradationReport::from_counter_values`).
     pub fn counters(&self) -> DegradationReport {
@@ -360,13 +380,17 @@ impl SegmentBlock {
     /// [`SegmentBlock::decode_bytes`] (and interners fed from the
     /// decoded segment) can pre-reserve exactly.
     pub fn encode_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(
-            64 + self.n_visits() * 16
-                + self.n_requests() * 33
-                + self.url_bytes.len()
-                + self.n_observations() * 16
-                + self.labels.len(),
-        );
+        // The exact encoded length: an estimate short by a few bytes per
+        // row would double the buffer while the payload is assembled.
+        let len = 72
+            + 8 * self.counters.len()
+            + 16 * self.n_visits()
+            + 36 * self.n_requests()
+            + self.url_bytes.len()
+            + 20 * (self.r_ip6.len() + self.o_ip6.len())
+            + 16 * self.n_observations()
+            + self.labels.len();
+        let mut w = ByteWriter::with_capacity(len);
         w.put_u32(self.user_start);
         w.put_u32(self.user_end);
         w.put_usize(self.n_visits());
@@ -434,6 +458,7 @@ impl SegmentBlock {
             w.put_bytes(&octets);
         }
         w.put_bytes(&self.labels);
+        debug_assert_eq!(w.len(), len, "encoded length");
         w.into_bytes()
     }
 

@@ -5,12 +5,21 @@
 //! server IP. Confinement is measured at three granularities: the user's
 //! country (national jurisdiction), the EU28 region (GDPR jurisdiction),
 //! and the physical continent.
+//!
+//! Fig. 7's EU28 breakdown counts a flow by its origin filter and its
+//! destination IP only, so it is read from a per-IP tally of EU28-origin
+//! flows ([`DestBreakdown::absorb_eu28_tally`]) that the tracker fold in
+//! `crate::ips` counts while it folds the tracking rows; every driver sets
+//! its EU28 headline that way, without a second sweep over its log.
+//! [`DestBreakdown::absorb_eu28_flow`] is the per-flow reference.
 
+use crate::ips::TrackerFold;
 use crate::pipeline::{EstimateMap, StudyOutputs};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::IpAddr;
 use xborder_geo::{CountryCode, Region, WORLD};
+use xborder_webgraph::FxMap;
 
 /// Serde helper: tuple-keyed maps as entry lists (JSON keys must be
 /// strings).
@@ -138,9 +147,10 @@ impl DestBreakdown {
     /// exactly what [`DestBreakdown::absorb_eu28_flow`] counts over the
     /// same flows one by one, because the per-flow count depends only on
     /// the origin filter (already applied by whoever built the tally) and
-    /// the destination IP. The out-of-core driver tallies during ingest,
-    /// before any estimate exists, and folds the tally after geolocation.
-    pub fn absorb_eu28_tally(&mut self, tally: &HashMap<IpAddr, u64>, estimates: &EstimateMap) {
+    /// the destination IP. Every driver tallies through the tracker fold
+    /// (`crate::ips`) while it folds the tracking rows, before any estimate
+    /// exists, and reads the breakdown from the tally after geolocation.
+    pub fn absorb_eu28_tally(&mut self, tally: &FxMap<IpAddr, u64>, estimates: &EstimateMap) {
         for (&ip, &n) in tally {
             self.absorb_flows(ip, n, estimates);
         }
@@ -267,13 +277,9 @@ pub fn region_matrix(out: &StudyOutputs, estimates: &EstimateMap) -> RegionMatri
 }
 
 /// Destination breakdown of EU28-origin flows (Fig. 7a/7b depending on the
-/// provider map passed).
+/// provider map passed), read from the tracker fold's per-IP tally.
 pub fn region_breakdown_eu28(out: &StudyOutputs, estimates: &EstimateMap) -> DestBreakdown {
-    let mut b = DestBreakdown::default();
-    for (_, r) in tracking_flows(out) {
-        b.absorb_eu28_flow(out.dataset.user_country(r.user), r.ip, estimates);
-    }
-    b
+    TrackerFold::over_log(&out.dataset, &out.classification).eu28_breakdown(estimates)
 }
 
 /// EU28 confinement per 30-day period of the study window — the temporal
@@ -387,7 +393,7 @@ mod tests {
                 }
             }
             let mut per_flow = DestBreakdown::default();
-            let mut tally: HashMap<IpAddr, u64> = HashMap::new();
+            let mut tally: FxMap<IpAddr, u64> = FxMap::default();
             for _ in 0..rng.gen_range(0..300) {
                 let origin = countries[rng.gen_range(0..countries.len())];
                 let ip = ips[rng.gen_range(0..ips.len())];

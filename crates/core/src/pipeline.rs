@@ -6,7 +6,7 @@
 //! the request log, completes the tracker IP set through passive DNS, and
 //! geolocates every tracker IP with all three providers.
 
-use crate::ips::{CompletionStats, TrackerIpSet};
+use crate::ips::{CompletionStats, TrackerFold, TrackerIpSet};
 use crate::worldgen::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -204,12 +204,18 @@ pub fn run_extension_pipeline_degraded(
         (easylist, easyprivacy, classification)
     });
 
-    // 3. Tracker IP set + pDNS completion (Sect. 3.3).
-    let (tracker_ips, completion) = profile.span("completion", |_| {
-        let mut tracker_ips = TrackerIpSet::from_dataset(&dataset, &classification);
+    // 3. Tracker IP set + pDNS completion (Sect. 3.3). One fold over the
+    // tracking rows gives the observed set and the EU28 tally the headline
+    // reads after geolocation.
+    let (fold, tracker_ips, completion) = profile.span("completion", |profile| {
+        let (fold, mut tracker_ips) = profile.span("fold", |_| {
+            let fold = TrackerFold::over_log(&dataset, &classification);
+            let tracker_ips = fold.tracker_ips(&dataset.domains);
+            (fold, tracker_ips)
+        });
         let completion =
             tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut report);
-        (tracker_ips, completion)
+        (fold, tracker_ips, completion)
     });
 
     // 4. Geolocation with all three providers (Sect. 3.4).
@@ -217,6 +223,12 @@ pub fn run_extension_pipeline_degraded(
         geolocate_providers(world, &mut rng, &tracker_ips, &inj, &mut report, threads)
     });
 
+    // Headline metric over whatever survived the faults, so drift can be
+    // compared against a fault-free run of the same seed.
+    report.eu28_confinement = profile
+        .span("fold", |_| fold.eu28_breakdown(&ipmap_estimates))
+        .share(Region::Eu28);
+    report.profile = profile;
     let out = StudyOutputs {
         dataset,
         classification,
@@ -229,12 +241,6 @@ pub fn run_extension_pipeline_degraded(
         ipapi_estimates,
         snapshots: Vec::new(),
     };
-
-    // Headline metric over whatever survived the faults, so drift can be
-    // compared against a fault-free run of the same seed.
-    report.eu28_confinement =
-        crate::confine::region_breakdown_eu28(&out, &out.ipmap_estimates).share(Region::Eu28);
-    report.profile = profile;
     (out, report)
 }
 

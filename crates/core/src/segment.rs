@@ -11,11 +11,16 @@
 //!    population (drawn the sink's way), the study seed;
 //! 3. replay every durable chunk: user-range check, payload decode,
 //!    id checks (users, publishers, hosts), classifier delta, pDNS and
-//!    counter absorption;
+//!    counter absorption, the tracker fold;
 //! 4. ingest the remaining users segment by segment: simulate, classify,
-//!    persist when a store exists, observe pDNS;
+//!    persist when a store exists, observe pDNS, the tracker fold;
 //! 5. the completion stage (loaded from its checkpoint, or completed from
-//!    the sink's observed tracker set and checkpointed) and geolocation.
+//!    the folded tracker set and checkpointed), geolocation, and the EU28
+//!    breakdown read from the fold's tally.
+//!
+//! The tracker fold (`crate::ips`) absorbs every committed segment, replayed
+//! or ingested, while it is at hand, so neither sink keeps tracker state and
+//! no driver sweeps its log again after geolocation.
 //!
 //! Every kill site outside the sink (`chunk-{i}:begin`,
 //! `chunk-{i}:committed`, `stage:*:done` and the store's own) is the
@@ -26,7 +31,8 @@
 //! them. Floats are stored as IEEE-754 bit patterns, so round trips are
 //! bit-exact.
 
-use crate::ips::{CompletionStats, IpInfo, TrackerIpSet};
+use crate::confine::DestBreakdown;
+use crate::ips::{eu28_users, CompletionStats, IpInfo, TrackerFold, TrackerIpSet};
 use crate::pipeline::{geolocate_providers, EstimateMap};
 use crate::stream::{config_fingerprint, StreamError};
 use crate::worldgen::World;
@@ -45,6 +51,7 @@ use xborder_classify::{
     IncrementalClassifier,
 };
 use xborder_faults::{DegradationReport, FaultInjector, FaultPlan, KillSwitch, Profile};
+use xborder_geo::Region;
 use xborder_netsim::time::{SimTime, TimeWindow};
 use xborder_netsim::Infrastructure;
 use xborder_webgraph::{Domain, DomainTable};
@@ -76,6 +83,8 @@ pub(crate) struct Located {
     pub(crate) ipmap_estimates: EstimateMap,
     pub(crate) maxmind_estimates: EstimateMap,
     pub(crate) ipapi_estimates: EstimateMap,
+    /// Destination breakdown of EU28-origin tracking flows under IPmap.
+    pub(crate) eu28: DestBreakdown,
 }
 
 /// What a pipeline does with the segments [`run_segments`] commits.
@@ -96,16 +105,9 @@ pub(crate) trait SegmentSink: Sized {
     /// The users `range` of the drawn population.
     fn users(&self, range: Range<usize>) -> Vec<User>;
 
-    /// Absorbs one committed segment whose users are `users`, booking any
-    /// work of its own into `profile`.
-    fn absorb(
-        &mut self,
-        segment: Segment<'_>,
-        users: &[User],
-        domains: &DomainTable,
-        infra: &Infrastructure,
-        profile: &mut Profile,
-    );
+    /// Absorbs one committed segment, booking any work of its own into
+    /// `profile`.
+    fn absorb(&mut self, segment: Segment<'_>, infra: &Infrastructure, profile: &mut Profile);
 
     /// Runs after every absorbed segment, and once after ingest, with the
     /// number of users now durable.
@@ -126,13 +128,8 @@ pub(crate) trait SegmentSink: Sized {
         domains: &DomainTable,
     ) -> Result<Self::Study, StreamError>;
 
-    /// The observed tracker set the completion stage starts from (asked
-    /// only when no durable completion exists).
-    fn observed_tracker_ips(study: &mut Self::Study) -> TrackerIpSet;
-
-    /// Assembles the outputs and sets the report's EU28 confinement.
-    fn finish(study: Self::Study, located: Located, report: &mut DegradationReport)
-        -> Self::Output;
+    /// Assembles the outputs.
+    fn finish(study: Self::Study, located: Located) -> Self::Output;
 }
 
 /// Fires a driver-level kill site, turning a hit into the typed error.
@@ -156,10 +153,13 @@ pub(crate) fn killable(kill: &KillSwitch, label: &str) -> Result<(), StreamError
 /// chunks and continues from the first missing one.
 ///
 /// The report's profile books the ingest loop as `study`, with the
-/// classify, `ingest/checkpoint` and sink spans inside it booked to their
-/// own layers; replay is booked to no layer. `ingest/checkpoint` books one
-/// call per chunk append and every journal byte this run wrote past the
-/// header, the completion stage record included.
+/// classify, `ingest/checkpoint`, `ingest/pdns`, `fold` and sink spans
+/// inside it booked to their own layers; outside those spans replay is
+/// booked to no layer. `ingest/pdns` and `fold` book one call per segment,
+/// replayed or ingested; `fold` also books materializing the tracker set
+/// and the EU28 breakdown. `ingest/checkpoint` books one call per chunk
+/// append and every journal byte this run wrote past the header, the
+/// completion stage record included.
 pub(crate) fn run_segments<S: SegmentSink>(
     world: &mut World,
     plan: &FaultPlan,
@@ -207,6 +207,7 @@ pub(crate) fn run_segments<S: SegmentSink>(
     let mut stage3_rounds = 0usize;
     let mut pre_fault_offset: u64 = 0;
     let mut next_user = 0usize;
+    let mut fold = TrackerFold::default();
 
     // Replay: every chunk the journal holds is loaded and
     // validated instead of simulated. The loader never writes: a corrupt
@@ -240,22 +241,19 @@ pub(crate) fn run_segments<S: SegmentSink>(
                 )
                 .map_err(|e| corrupt(&entry.file, e))?;
             apply_chunk_delta(&mut classifier, &entry.file, cls_bytes, &block, domains)?;
-            world
-                .dns
-                .absorb_id_observations(&block.observations_vec(), domains);
+            profile.span("ingest/pdns", |_| {
+                world
+                    .dns
+                    .absorb_id_observations(&block.observations_vec(), domains)
+            });
+            let users = sink.users(next_user..entry.user_end as usize);
+            profile.span("fold", |_| fold.absorb_block(&block, eu28_users(&users)));
             let counters = block.counters();
             report.absorb_counters(&counters);
             pre_fault_offset += counters.requests_generated;
             stage2_depth = stage2_depth.max((block.stage2_rounds as usize).saturating_sub(1));
             stage3_rounds = stage3_rounds.max(block.stage3_rounds as usize);
-            let users = sink.users(next_user..entry.user_end as usize);
-            sink.absorb(
-                Segment::Replayed(block),
-                &users,
-                domains,
-                &world.infra,
-                &mut profile,
-            );
+            sink.absorb(Segment::Replayed(block), &world.infra, &mut profile);
             next_user = entry.user_end as usize;
             n_segments += 1;
             sink.committed(next_user, kill, &mut profile)?;
@@ -267,7 +265,7 @@ pub(crate) fn run_segments<S: SegmentSink>(
     // alongside it (disjoint fields) so each committed segment's buffered
     // observations absorb immediately, in segment order. Each iteration's
     // AoS chunk dies with it: what outlives it is the sink's business.
-    let mut study = profile.span("study", |profile| -> Result<S::Study, StreamError> {
+    let study = profile.span("study", |profile| -> Result<S::Study, StreamError> {
         let (view, pdns) = world.dns.indexed_view_and_pdns(domains);
         let ctx = StudyCtx::new(
             &world.config.study,
@@ -307,9 +305,15 @@ pub(crate) fn run_segments<S: SegmentSink>(
                 profile.layer_mut("ingest/checkpoint").bytes_written += written;
             }
             killable(kill, &format!("chunk-{index}:committed"))?;
-            for o in &chunk.observations {
-                pdns.observe(domains.domain(o.host), o.ip, o.time);
-            }
+            profile.span("ingest/pdns", |_| {
+                for o in &chunk.observations {
+                    pdns.observe(domains.domain(o.host), o.ip, o.time);
+                }
+            });
+            profile.span("fold", |_| {
+                let tracking = |i: usize| label_bytes[i] != LABEL_CLEAN;
+                fold.absorb_requests(&chunk.requests, tracking, eu28_users(&users))
+            });
             report.absorb_counters(&chunk.report);
             pre_fault_offset += chunk.report.requests_generated;
             stage2_depth = stage2_depth.max(cls.stage2_rounds.saturating_sub(1));
@@ -319,7 +323,7 @@ pub(crate) fn run_segments<S: SegmentSink>(
                 labels: &label_bytes,
                 block,
             };
-            sink.absorb(segment, &users, domains, &world.infra, profile);
+            sink.absorb(segment, &world.infra, profile);
             next_user = end;
             n_segments += 1;
             sink.committed(next_user, kill, profile)?;
@@ -367,7 +371,7 @@ pub(crate) fn run_segments<S: SegmentSink>(
                 (ips, stats)
             }
             None => {
-                let mut tracker_ips = S::observed_tracker_ips(&mut study);
+                let mut tracker_ips = profile.span("fold", |_| fold.tracker_ips(domains));
                 let mut delta = DegradationReport::default();
                 let stats =
                     tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut delta);
@@ -394,6 +398,8 @@ pub(crate) fn run_segments<S: SegmentSink>(
         geolocate_providers(world, &mut rng, &tracker_ips, &inj, &mut report, threads)
     });
     killable(kill, "stage:geolocate:done")?;
+    let eu28 = profile.span("fold", |_| fold.eu28_breakdown(&ipmap_estimates));
+    report.eu28_confinement = eu28.share(Region::Eu28);
 
     let located = Located {
         easylist,
@@ -404,8 +410,9 @@ pub(crate) fn run_segments<S: SegmentSink>(
         ipmap_estimates,
         maxmind_estimates,
         ipapi_estimates,
+        eu28,
     };
-    let out = S::finish(study, located, &mut report);
+    let out = S::finish(study, located);
     report.profile = profile;
     Ok((out, report))
 }

@@ -34,6 +34,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::net::IpAddr;
 use xborder_browser::{
     ExtensionDataset, LoggedRequest, UserPopulation, Visit, LABEL_ABP, LABEL_SEMI,
@@ -42,6 +43,7 @@ use xborder_classify::Classification;
 use xborder_geo::WORLD;
 use xborder_netsim::time::{SimTime, TimeWindow};
 use xborder_netsim::Infrastructure;
+use xborder_webgraph::FxHasher;
 
 /// One cumulative rolling-window snapshot, emitted mid-stream after every
 /// user covered by its window has been ingested.
@@ -162,7 +164,9 @@ pub(crate) struct SnapshotAccumulator {
     /// Buckets absorbed so far == snapshots emitted so far.
     emitted: usize,
     cum: Delta,
-    cum_ips: HashSet<IpAddr>,
+    /// Distinct tracker IPs so far: one insert per tracking row, so the
+    /// set is Fx-hashed; only its size is ever read.
+    cum_ips: HashSet<IpAddr, BuildHasherDefault<FxHasher>>,
     snapshots: Vec<RollingSnapshot>,
 }
 
@@ -183,7 +187,7 @@ impl SnapshotAccumulator {
             buckets: (0..windows).map(|_| Delta::default()).collect(),
             emitted: 0,
             cum: Delta::default(),
-            cum_ips: HashSet::new(),
+            cum_ips: HashSet::default(),
             snapshots: Vec::new(),
         }
     }

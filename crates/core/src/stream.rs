@@ -72,7 +72,6 @@
 //! minus the IO; with `chunk_users >= n_users` it is structurally the
 //! batch pipeline.
 
-use crate::ips::TrackerIpSet;
 use crate::pipeline::StudyOutputs;
 use crate::segment::{killable, labels_from_bytes, run_segments, Located, Segment, SegmentSink};
 use crate::snapshots::{RollingSnapshot, SnapshotAccumulator};
@@ -88,7 +87,6 @@ use xborder_browser::{
 use xborder_checkpoint::CheckpointError;
 use xborder_classify::ClassificationResult;
 use xborder_faults::{stable_hash, DegradationReport, FaultPlan, KillSwitch, Profile};
-use xborder_geo::Region;
 use xborder_netsim::Infrastructure;
 use xborder_webgraph::DomainTable;
 
@@ -263,14 +261,7 @@ impl SegmentSink for Materialize {
         self.population.users[range].to_vec()
     }
 
-    fn absorb(
-        &mut self,
-        segment: Segment<'_>,
-        _users: &[User],
-        _domains: &DomainTable,
-        infra: &Infrastructure,
-        profile: &mut Profile,
-    ) {
+    fn absorb(&mut self, segment: Segment<'_>, infra: &Infrastructure, profile: &mut Profile) {
         if let Some(acc) = &mut self.snapshots {
             profile.span("ingest/snapshot", |_| match &segment {
                 Segment::Replayed(block) => {
@@ -320,6 +311,7 @@ impl SegmentSink for Materialize {
         mut classification: ClassificationResult,
         domains: &DomainTable,
     ) -> Result<Materialized, StreamError> {
+        let n_requests: usize = self.segments.iter().map(SegmentBlock::n_requests).sum();
         let mut visits: Vec<Visit> = Vec::new();
         let mut requests: Vec<LoggedRequest> = Vec::new();
         for (i, block) in self.segments.into_iter().enumerate() {
@@ -329,6 +321,14 @@ impl SegmentSink for Materialize {
                 .labels
                 .extend(labels_from_bytes(&format!("segment-{i:05}"), &labels)?);
             let offset = requests.len() as u32;
+            // Grow by doubling, as `extend` would, but never past the whole
+            // log: the last growth happens while unconverted blocks are
+            // still resident, at the run's high-water mark.
+            let need = requests.len() + chunk.requests.len();
+            if need > requests.capacity() {
+                let grown = (2 * requests.capacity()).clamp(need, n_requests.max(need));
+                requests.reserve_exact(grown - requests.len());
+            }
             visits.extend(chunk.visits);
             requests.extend(chunk.requests.into_iter().map(|mut r| {
                 if let Referrer::Request(RequestId(p)) = r.referrer {
@@ -356,16 +356,8 @@ impl SegmentSink for Materialize {
         })
     }
 
-    fn observed_tracker_ips(study: &mut Materialized) -> TrackerIpSet {
-        TrackerIpSet::from_dataset(&study.dataset, &study.classification)
-    }
-
-    fn finish(
-        study: Materialized,
-        located: Located,
-        report: &mut DegradationReport,
-    ) -> StudyOutputs {
-        let out = StudyOutputs {
+    fn finish(study: Materialized, located: Located) -> StudyOutputs {
+        StudyOutputs {
             dataset: study.dataset,
             classification: study.classification,
             easylist: located.easylist,
@@ -376,10 +368,7 @@ impl SegmentSink for Materialize {
             maxmind_estimates: located.maxmind_estimates,
             ipapi_estimates: located.ipapi_estimates,
             snapshots: study.snapshots,
-        };
-        report.eu28_confinement =
-            crate::confine::region_breakdown_eu28(&out, &out.ipmap_estimates).share(Region::Eu28);
-        out
+        }
     }
 }
 
@@ -388,7 +377,7 @@ impl SegmentSink for Materialize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ips::{CompletionStats, IpInfo};
+    use crate::ips::{CompletionStats, IpInfo, TrackerIpSet};
     use crate::segment::{
         decode_chunk_payload, decode_completion_state, encode_completion_state, labels_to_bytes,
     };

@@ -15,13 +15,14 @@
 //! this module is its *fold* sink, `Aggregates`. No segment outlives
 //! its iteration: a committed segment becomes a columnar
 //! [`xborder_browser::SegmentBlock`] only as the payload of a checkpoint
-//! chunk. EU28 confinement needs each flow's origin country, which the
-//! fold state never keeps, so the sink tallies `tracking IP → flow count`
-//! for EU28-origin users while the segment's users are at hand; the tally
-//! (bounded by the tracker-IP set) folds into the destination breakdown
-//! once geolocation has produced estimates. Resident memory is one segment
-//! of simulation plus the fold state plus the classifier's interned
-//! state, which still grows with the number of unique URLs.
+//! chunk. The tracker IP set and the EU28 tally are the driver's own
+//! tracker fold (`crate::ips`), the one every driver uses: it folds each
+//! segment's tracking rows once per `(IP, host id)` pair, counting the
+//! flows of EU28-origin users while the segment's users are at hand, so
+//! the tally (bounded by the tracker-IP set) folds into the destination
+//! breakdown once geolocation has produced estimates. Resident memory is
+//! one segment of simulation plus the fold state plus the classifier's
+//! interned state, which still grows with the number of unique URLs.
 //!
 //! ## The determinism contract, unchanged
 //!
@@ -34,9 +35,10 @@
 //! * **Commutative folds stay commutative.** The visit digest XORs
 //!   per-visit hashes, so the batch driver's final timestamp sort cannot
 //!   show; dataset stats fold through bitsets (users never span segments,
-//!   so distinct counts are unions of segment-local sets); the tracker IP
-//!   set folds through [`TrackerIpSet::absorb_tracking_request`]; the EU28
-//!   tally is a per-IP count ([`DestBreakdown::absorb_eu28_tally`]).
+//!   so distinct counts are unions of segment-local sets); the tracker
+//!   fold's per-pair entries are sums, minima and maxima, and so is the
+//!   [`TrackerIpSet`] materialized from them; the EU28 tally is a per-IP
+//!   count ([`DestBreakdown::absorb_eu28_tally`]).
 //! * **Order-sensitive folds key on global coordinates.** The request
 //!   digest chains in global log order and rebases cascade referrers to
 //!   the *global* row index before hashing — a segment-local index would
@@ -47,7 +49,7 @@
 //! every aggregate against the materialized batch pipeline on a shared
 //! segmented config.
 
-use crate::confine::{is_eu28_origin, DestBreakdown};
+use crate::confine::DestBreakdown;
 use crate::ips::{CompletionStats, TrackerIpSet};
 use crate::pipeline::EstimateMap;
 use crate::segment::{put_ip, put_tracker_state, run_segments, Located, Segment, SegmentSink};
@@ -56,13 +58,11 @@ use crate::worldgen::World;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::net::IpAddr;
 use std::ops::Range;
 use std::path::PathBuf;
 use xborder_browser::{
-    Referrer, RequestId, StudyChunk, StudyConfig, User, UserId, UserPopulation,
-    UserPopulationConfig, LABEL_CLEAN,
+    Referrer, RequestId, StudyChunk, StudyConfig, User, UserPopulation, UserPopulationConfig,
 };
 use xborder_checkpoint::ByteWriter;
 use xborder_classify::{ClassificationResult, MethodCounts};
@@ -287,10 +287,9 @@ impl Bitset {
 }
 
 /// The fold state every segment absorbs into. All fields are either
-/// commutative (bitsets, XOR digest, tracker set, EU28 tally) or chained
-/// in global log order with global coordinates (request digest), so the
-/// final values are invariant to how the stream was segmented. Only the
-/// tracker set and the EU28 tally grow, both bounded by the tracker IPs.
+/// commutative (bitsets, XOR digest) or chained in global log order with
+/// global coordinates (request digest), so the final values are invariant
+/// to how the stream was segmented. None of them grows with the run.
 struct Aggregates {
     visited_publishers: Bitset,
     request_hosts: Bitset,
@@ -298,9 +297,6 @@ struct Aggregates {
     n_requests: u64,
     visit_hash: u64,
     request_hash: u64,
-    tracker_ips: TrackerIpSet,
-    /// Tracking flows from EU28-origin users, per destination IP.
-    eu28_tally: HashMap<IpAddr, u64>,
     row_buf: Vec<u8>,
 }
 
@@ -313,23 +309,14 @@ impl Aggregates {
             n_requests: 0,
             visit_hash: 0,
             request_hash: 0,
-            tracker_ips: TrackerIpSet::default(),
-            eu28_tally: HashMap::new(),
             row_buf: Vec::with_capacity(256),
         }
     }
 
-    /// Folds one classified chunk. `labels` are the per-request tag bytes;
-    /// `eu28_user` says whether a user of the chunk is an EU28 origin.
+    /// Folds one classified chunk. `labels` are the per-request tag bytes.
     /// Chunks must arrive in user (= global log) order for the request
     /// digest to chain correctly.
-    fn absorb_chunk(
-        &mut self,
-        chunk: &StudyChunk,
-        labels: &[u8],
-        eu28_user: impl Fn(UserId) -> bool,
-        domains: &DomainTable,
-    ) {
+    fn absorb_chunk(&mut self, chunk: &StudyChunk, labels: &[u8]) {
         debug_assert_eq!(labels.len(), chunk.requests.len());
         for v in &chunk.visits {
             self.visited_publishers.insert(v.publisher.0 as usize);
@@ -351,13 +338,6 @@ impl Aggregates {
             };
             self.request_hash = self.request_hash.rotate_left(3)
                 ^ request_row_hash(&mut self.row_buf, base + i as u64, r, parent, fp, labels[i]);
-            if labels[i] != LABEL_CLEAN {
-                self.tracker_ips
-                    .absorb_tracking_request(r.ip, domains.domain(r.host), r.time);
-                if eu28_user(r.user) {
-                    *self.eu28_tally.entry(r.ip).or_insert(0) += 1;
-                }
-            }
         }
         self.n_requests += chunk.requests.len() as u64;
     }
@@ -406,9 +386,9 @@ pub fn run_worldscale_pipeline(
 }
 
 /// The fold sink: every segment, replayed or ingested, folds into the
-/// aggregates and dies. Replayed blocks materialize once for the fold, and
-/// their EU28 tally reads users regenerated for the chunk's range, so a
-/// resumed run accumulates exactly what the killed run had and the
+/// aggregates and dies. Replayed blocks materialize once for the digests;
+/// the driver's tracker fold reads users regenerated for the chunk's range,
+/// so a resumed run accumulates exactly what the killed run had and the
 /// checkpoint format carries no countries.
 struct Fold {
     agg: Aggregates,
@@ -438,14 +418,7 @@ impl SegmentSink for Fold {
         )
     }
 
-    fn absorb(
-        &mut self,
-        segment: Segment<'_>,
-        users: &[User],
-        domains: &DomainTable,
-        _infra: &Infrastructure,
-        _profile: &mut Profile,
-    ) {
+    fn absorb(&mut self, segment: Segment<'_>, _infra: &Infrastructure, _profile: &mut Profile) {
         let (chunk, labels) = match segment {
             Segment::Replayed(block) => {
                 let (chunk, labels, _, _) = block.to_chunk();
@@ -455,16 +428,7 @@ impl SegmentSink for Fold {
                 (Cow::Borrowed(chunk), Cow::Borrowed(labels))
             }
         };
-        // Users are contiguous ids, and the driver has checked that every
-        // request's user lies in the segment's range.
-        let user_start = users.first().map_or(0, |u| u.id.0 as usize);
-        let eu28: Vec<bool> = users.iter().map(|u| is_eu28_origin(u.country)).collect();
-        self.agg.absorb_chunk(
-            &chunk,
-            &labels,
-            |u| eu28[u.0 as usize - user_start],
-            domains,
-        );
+        self.agg.absorb_chunk(&chunk, &labels);
     }
 
     fn finish_study(
@@ -475,23 +439,8 @@ impl SegmentSink for Fold {
         Ok((self, classification))
     }
 
-    /// The observed set was folded during ingest; only the pDNS walk is
-    /// left for the completion stage.
-    fn observed_tracker_ips((fold, _): &mut Self::Study) -> TrackerIpSet {
-        std::mem::take(&mut fold.agg.tracker_ips)
-    }
-
-    /// The EU28 tally was counted during ingest, keyed by destination IP;
-    /// with estimates in hand it folds into the destination breakdown.
-    fn finish(
-        (fold, cls): Self::Study,
-        located: Located,
-        report: &mut DegradationReport,
-    ) -> ScaleOutputs {
+    fn finish((fold, cls): Self::Study, located: Located) -> ScaleOutputs {
         let agg = fold.agg;
-        let mut eu28 = DestBreakdown::default();
-        eu28.absorb_eu28_tally(&agg.eu28_tally, &located.ipmap_estimates);
-        report.eu28_confinement = eu28.share(Region::Eu28);
         ScaleOutputs {
             n_segments: located.n_segments,
             stats: agg.stats(fold.pop_cfg.n_users),
@@ -506,7 +455,7 @@ impl SegmentSink for Fold {
             ipmap_estimates: located.ipmap_estimates,
             maxmind_estimates: located.maxmind_estimates,
             ipapi_estimates: located.ipapi_estimates,
-            eu28,
+            eu28: located.eu28,
         }
     }
 }
@@ -529,15 +478,9 @@ mod tests {
         // Two chunks absorbed in opposite orders must disagree: the
         // request digest is chained, not commutative (the global log has
         // one order).
-        use xborder_browser::{LoggedRequest, LABEL_ABP};
+        use xborder_browser::{LoggedRequest, UserId, LABEL_ABP};
         use xborder_netsim::time::SimTime;
         use xborder_webgraph::{DomainId, PublisherId};
-        let domains = {
-            let mut t = DomainTable::default();
-            t.intern(&xborder_webgraph::Domain::new("a.example"));
-            t.intern(&xborder_webgraph::Domain::new("b.example"));
-            t
-        };
         let req = |host: u32, url: &str| LoggedRequest {
             user: UserId(0),
             time: SimTime(1),
@@ -556,11 +499,11 @@ mod tests {
         };
         let (c1, c2) = (chunk(0, "https://a.example/x"), chunk(1, "https://b.example/y"));
         let mut fwd = Aggregates::new(4, 4);
-        fwd.absorb_chunk(&c1, &[LABEL_ABP], |_| false, &domains);
-        fwd.absorb_chunk(&c2, &[LABEL_ABP], |_| false, &domains);
+        fwd.absorb_chunk(&c1, &[LABEL_ABP]);
+        fwd.absorb_chunk(&c2, &[LABEL_ABP]);
         let mut rev = Aggregates::new(4, 4);
-        rev.absorb_chunk(&c2, &[LABEL_ABP], |_| false, &domains);
-        rev.absorb_chunk(&c1, &[LABEL_ABP], |_| false, &domains);
+        rev.absorb_chunk(&c2, &[LABEL_ABP]);
+        rev.absorb_chunk(&c1, &[LABEL_ABP]);
         assert_ne!(fwd.request_hash, rev.request_hash);
         // The visit digest and distinct counts stay commutative.
         assert_eq!(fwd.visit_hash, rev.visit_hash);

@@ -6,13 +6,18 @@
 //! IPs our users were never mapped to, +2.78 %) and the reverse view to
 //! check whether an IP is *dedicated* to one tracking domain or shared by
 //! many (Figs. 4–5), plus the validity windows that scope the NetFlow join.
+//!
+//! The sensor absorbs one observation per study cache miss, so `observe` is
+//! on every driver's ingest path (the `ingest/pdns` profile layer). Both
+//! indexes are [`FxMap`]s, and a domain is cloned only when its first record
+//! is created. Only the record lists' order is observable — each list is in
+//! first-observation order — never the maps' hash order.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::IpAddr;
 use xborder_faults::{ip_key, stable_hash, DegradationReport, FaultInjector};
 use xborder_netsim::time::{SimTime, TimeWindow};
-use xborder_webgraph::Domain;
+use xborder_webgraph::{Domain, FxMap};
 
 /// One (domain, ip) association with its observed validity window.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,8 +37,8 @@ pub struct PdnsRecord {
 #[derive(Debug, Default)]
 pub struct PassiveDnsDb {
     records: Vec<PdnsRecord>,
-    forward: HashMap<Domain, Vec<usize>>,
-    reverse: HashMap<IpAddr, Vec<usize>>,
+    forward: FxMap<Domain, Vec<usize>>,
+    reverse: FxMap<IpAddr, Vec<usize>>,
 }
 
 impl PassiveDnsDb {
@@ -55,26 +60,32 @@ impl PassiveDnsDb {
             .find(|&i| self.records[i].ip == ip)
     }
 
-    /// Records one observation of `domain` resolving to `ip` at time `t`.
+    /// Records one observation of `domain` resolving to `ip` at time `t`:
+    /// one hash of the borrowed domain, whether the pair is new or not.
     pub fn observe(&mut self, domain: &Domain, ip: IpAddr, t: SimTime) {
-        match self.index_of(domain, ip) {
-            Some(idx) => {
-                let rec = &mut self.records[idx];
-                rec.window.extend_to(t);
-                rec.count += 1;
+        let idx = self.records.len();
+        match self.forward.get_mut(domain) {
+            Some(idxs) => {
+                if let Some(&i) = idxs.iter().find(|&&i| self.records[i].ip == ip) {
+                    let rec = &mut self.records[i];
+                    rec.window.extend_to(t);
+                    rec.count += 1;
+                    return;
+                }
+                idxs.push(idx);
             }
+            // The index key is cloned on the domain's first record only.
             None => {
-                let idx = self.records.len();
-                self.records.push(PdnsRecord {
-                    domain: domain.clone(),
-                    ip,
-                    window: TimeWindow::new(t, SimTime(t.0 + 1)),
-                    count: 1,
-                });
-                self.forward.entry(domain.clone()).or_default().push(idx);
-                self.reverse.entry(ip).or_default().push(idx);
+                self.forward.insert(domain.clone(), vec![idx]);
             }
         }
+        self.records.push(PdnsRecord {
+            domain: domain.clone(),
+            ip,
+            window: TimeWindow::new(t, SimTime(t.0 + 1)),
+            count: 1,
+        });
+        self.reverse.entry(ip).or_default().push(idx);
     }
 
     /// Forward lookup: every address ever seen answering for `domain`.
@@ -226,6 +237,48 @@ mod tests {
         assert_eq!(early[0].ip, ip("1.2.3.4"));
         let tlds = db.tlds_on_ip(ip("5.6.7.8"), TimeWindow::new(SimTime(0), SimTime(200)));
         assert!(tlds.is_empty());
+    }
+
+    #[test]
+    fn lookups_keep_first_observation_order() {
+        // Interleaved names and addresses, with repeats that must not
+        // reorder anything: every list is in first-observation order,
+        // whatever order the hasher keeps the keys in.
+        let mut db = PassiveDnsDb::new();
+        let names: Vec<Domain> = (0..12)
+            .map(|i| d(&format!("t{i}.x{}.com", i % 3)))
+            .collect();
+        let ips: Vec<IpAddr> = (0..9).map(|i| ip(&format!("10.0.{}.{i}", i % 2))).collect();
+        let mut order: Vec<(usize, usize)> = Vec::new();
+        for step in 0..200usize {
+            let (n, a) = ((step * 7) % names.len(), (step * 5 + step / 3) % ips.len());
+            db.observe(&names[n], ips[a], SimTime(1_000 - step as u64));
+            if !order.contains(&(n, a)) {
+                order.push((n, a));
+            }
+        }
+        assert_eq!(db.len(), order.len());
+        for (n, name) in names.iter().enumerate() {
+            let want: Vec<IpAddr> = order
+                .iter()
+                .filter(|p| p.0 == n)
+                .map(|p| ips[p.1])
+                .collect();
+            let got: Vec<IpAddr> = db.forward(name).iter().map(|r| r.ip).collect();
+            assert_eq!(got, want, "forward({name})");
+        }
+        for (a, &addr) in ips.iter().enumerate() {
+            let want: Vec<&Domain> = order
+                .iter()
+                .filter(|p| p.1 == a)
+                .map(|p| &names[p.0])
+                .collect();
+            let got: Vec<&Domain> = db.reverse(addr).iter().map(|r| &r.domain).collect();
+            assert_eq!(got, want, "reverse({addr})");
+        }
+        let all: Vec<(&Domain, IpAddr)> = db.iter().map(|r| (&r.domain, r.ip)).collect();
+        let want: Vec<(&Domain, IpAddr)> = order.iter().map(|p| (&names[p.0], ips[p.1])).collect();
+        assert_eq!(all, want);
     }
 
     #[test]

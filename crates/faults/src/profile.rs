@@ -6,7 +6,7 @@
 //! call, [`Profile::span`]. Spans nest: a span's layer receives its *self*
 //! cost, the cost of the spans opened inside it going to their own layers,
 //! so the segment driver's `study` layer is the ingest loop minus the
-//! classify, checkpoint and snapshot work it encloses.
+//! classify, checkpoint, pDNS, tracker-fold and snapshot work it encloses.
 //!
 //! Like the rest of [`crate::DegradationReport::profile`], a profile is
 //! observational and never part of the determinism contract: zero it
@@ -21,12 +21,14 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// The layer paths a profile may hold, in report order.
-pub const LAYERS: [&str; 8] = [
+pub const LAYERS: [&str; 10] = [
     "study",
     "classify",
     "completion",
     "geolocate",
+    "fold",
     "ingest/checkpoint",
+    "ingest/pdns",
     "ingest/snapshot",
     "netflow/generate",
     "netflow/match",

@@ -1,9 +1,10 @@
 //! The run profile (`DegradationReport::profile`) every driver books:
 //! batch, durable streaming with rolling snapshots and worldscale, all at
-//! `small(11)`, each report the study, classify, completion and geolocate
-//! layers; the durable run leaves one journal file, books one checkpoint
-//! call per chunk and exactly the journal bytes past its header; and the
-//! segment driver reports the classifier's resident bytes, read before it
+//! `small(11)`, each report the study, classify, completion, geolocate and
+//! tracker-fold layers; the durable run leaves one journal file, books one
+//! checkpoint call per chunk and exactly the journal bytes past its header;
+//! the segment driver books one pDNS call per segment, replayed or
+//! ingested, and reports the classifier's resident bytes, read before it
 //! drops the classifier.
 
 use std::fs;
@@ -15,12 +16,17 @@ use xborder_checkpoint::{CheckpointStore, JOURNAL};
 use xborder_faults::{FaultPlan, KillSwitch, Profile};
 
 fn assert_pipeline_layers(driver: &str, profile: &Profile) {
-    for path in ["study", "classify", "completion", "geolocate"] {
+    for path in ["study", "classify", "completion", "geolocate", "fold"] {
         let layer = profile
             .layer(path)
             .unwrap_or_else(|| panic!("{driver}: no {path} layer in {profile:?}"));
         assert!(layer.calls >= 1, "{driver}: {path} booked no call");
     }
+}
+
+/// Calls booked to `ingest/pdns`: one per segment the driver absorbed.
+fn pdns_calls(profile: &Profile) -> u64 {
+    profile.layer("ingest/pdns").map_or(0, |l| l.calls)
 }
 
 #[test]
@@ -61,11 +67,26 @@ fn every_driver_books_the_pipeline_layers() {
     assert_eq!(ckpt.bytes_written, store.records_len());
     let snapshot = streaming.profile.layer("ingest/snapshot").expect("snapshot layer");
     assert!(snapshot.calls >= windows as u64, "{snapshot:?}");
+    let n_chunks = store.chunks().len() as u64;
+    assert_eq!(pdns_calls(&streaming.profile), n_chunks);
+
+    // A rerun on the finished directory replays every chunk: the replay
+    // books the same pDNS calls, and the fold layer its segments too.
+    let (_, replayed) = run_extension_pipeline_streaming(
+        &mut World::build(WorldConfig::small(11)),
+        &plan,
+        &StreamConfig::durable(5, &dir),
+        &KillSwitch::none(),
+    )
+    .expect("replayed streaming run succeeds");
+    assert_eq!(pdns_calls(&replayed.profile), n_chunks);
+    let fold = replayed.profile.layer("fold").expect("fold layer");
+    assert!(fold.calls >= n_chunks, "{fold:?}");
     let _ = fs::remove_dir_all(&dir);
 
     let mut cfg = WorldConfig::small(11);
     cfg.study.population.segmented = true;
-    let (_, scale) = run_worldscale_pipeline(
+    let (scale_out, scale) = run_worldscale_pipeline(
         &mut World::build(cfg),
         &plan,
         &ScaleConfig::in_memory(20),
@@ -73,6 +94,7 @@ fn every_driver_books_the_pipeline_layers() {
     )
     .expect("worldscale run succeeds");
     assert_pipeline_layers("worldscale", &scale.profile);
+    assert_eq!(pdns_calls(&scale.profile), scale_out.n_segments as u64);
     for (driver, profile) in [("streaming", &streaming.profile), ("worldscale", &scale.profile)] {
         let resident = profile.layer("classify").map_or(0, |l| l.resident_bytes);
         assert!(resident > 0, "{driver}: no classifier resident bytes");
@@ -80,5 +102,6 @@ fn every_driver_books_the_pipeline_layers() {
     // Only the segment driver runs the ingest layers, and the in-memory
     // worldscale run writes nothing.
     assert!(batch.profile.layer("ingest/checkpoint").is_none());
+    assert!(batch.profile.layer("ingest/pdns").is_none());
     assert!(scale.profile.layer("ingest/checkpoint").is_none());
 }
