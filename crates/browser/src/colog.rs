@@ -1,12 +1,13 @@
 //! Columnar study-log segments (SoA layout for out-of-core worlds).
 //!
-//! The AoS study log — `Vec<LoggedRequest>` with a `Box<str>` URL per
-//! record — is what caps in-RAM worlds near 10⁵ users. This module is the
-//! log's columnar twin, one [`SegmentBlock`] per driver chunk, following
-//! the PR 9 `FlowBlock` idiom: every `LoggedRequest` field becomes a
-//! dense column keyed by row index, URLs live in one shared byte arena
-//! with an offset column, and the rare IPv6 addresses sit in sorted side
-//! rows next to a packed IPv4 column. A block round-trips exactly to the
+//! This module is the study log's columnar twin, one [`SegmentBlock`] per
+//! driver chunk, following the `FlowBlock` idiom: every `LoggedRequest`
+//! field becomes a dense column keyed by row index. A row's URL is its
+//! compact [`EncodedUrl`] split into three narrow columns (a shape byte, an
+//! index byte and the identity's service half) plus the rare cache-buster
+//! tokens in a side column, 6 bytes a row where the rendered string took
+//! about 60, and the rare IPv6 addresses sit in sorted side rows next to
+//! a packed IPv4 column. A block round-trips exactly to the
 //! `StudyChunk` (plus per-row classification labels and fixpoint round
 //! counts) it was built from, so storing blocks instead of AoS chunks is
 //! invisible to every fingerprint.
@@ -27,6 +28,7 @@ use xborder_checkpoint::{ByteReader, ByteWriter, DecodeError};
 use xborder_dns::PdnsIdObservation;
 use xborder_faults::DegradationReport;
 use xborder_netsim::time::SimTime;
+use xborder_webgraph::url::{EncodedUrl, Scheme, UrlParts, UrlStyle};
 use xborder_webgraph::{DomainId, PublisherId};
 
 /// Referrer column sentinel: no referrer.
@@ -66,11 +68,16 @@ pub struct SegmentBlock {
     r_host: Vec<u32>,
     /// Segment-local parent row, or [`REF_NONE`] / [`REF_FIRST_PARTY`].
     r_referrer: Vec<u32>,
-    /// Row `i`'s URL is `url_bytes[url_off[i] as usize..url_off[i + 1] as usize]`.
-    /// The offsets rise from 0 to `url_bytes.len()` and each falls on a
-    /// char boundary (checked when a block is decoded).
-    url_off: Vec<u32>,
-    url_bytes: String,
+    /// Row `i`'s compact URL: [`URL_HTTPS`], the style tag shifted by one
+    /// and [`URL_CB`] in `r_url_shape[i]`; the path index (low nibble) and
+    /// event index (high nibble) in `r_url_index[i]`; the identity's
+    /// service half in `r_service[i]`. Each row with [`URL_CB`] set takes
+    /// the next cache buster of `r_cb`, in row order. Every row is a
+    /// canonical [`EncodedUrl`] (checked when a block is decoded).
+    r_url_shape: Vec<u8>,
+    r_url_index: Vec<u8>,
+    r_service: Vec<u32>,
+    r_cb: Vec<[u8; 8]>,
     /// Packed IPv4 octets; rows with an IPv6 address hold 0 here and a
     /// side row below.
     r_ip4: Vec<u32>,
@@ -93,6 +100,50 @@ pub struct SegmentBlock {
     /// The chunk report's commutative counters, in
     /// [`DegradationReport::counter_values`] order.
     counters: [u64; DegradationReport::N_COUNTERS],
+}
+
+/// URL shape bit: the scheme is HTTPS.
+const URL_HTTPS: u8 = 1;
+/// URL shape bits: the style tag, an index into [`STYLES`].
+const URL_STYLE: u8 = 6;
+/// URL shape bit: the row has a cache buster in `r_cb`.
+const URL_CB: u8 = 8;
+
+/// The style tags of a URL shape byte.
+const STYLES: [UrlStyle; 3] = [UrlStyle::Plain, UrlStyle::Args, UrlStyle::ArgsAndKeywords];
+
+/// `(shape, index)` bytes of a compact URL's parts.
+fn pack_url(p: &UrlParts) -> (u8, u8) {
+    let style = STYLES.iter().position(|&s| s == p.style).expect("every style has a tag") as u8;
+    let https = if p.scheme == Scheme::Https { URL_HTTPS } else { 0 };
+    let cb = if p.cb.is_some() { URL_CB } else { 0 };
+    (https | style << 1 | cb, p.path_idx | p.event_idx << 4)
+}
+
+/// Reverses [`pack_url`]: an unknown shape bit, a style tag past
+/// [`STYLES`] or a non-canonical URL is an error, not a value.
+fn unpack_url(
+    shape: u8,
+    index: u8,
+    service: u32,
+    cb: Option<[u8; 8]>,
+) -> Result<EncodedUrl, String> {
+    if shape & !(URL_HTTPS | URL_STYLE | URL_CB) != 0 {
+        return Err(format!("URL shape {shape:#04x} sets unknown bits"));
+    }
+    let tag = ((shape & URL_STYLE) >> 1) as usize;
+    let &style = STYLES
+        .get(tag)
+        .ok_or_else(|| format!("URL style tag {tag} out of range"))?;
+    let scheme = if shape & URL_HTTPS != 0 { Scheme::Https } else { Scheme::Http };
+    EncodedUrl::try_from(UrlParts {
+        scheme,
+        style,
+        path_idx: index & 0xF,
+        event_idx: index >> 4,
+        service,
+        cb,
+    })
 }
 
 fn pack_ip(ip: IpAddr, row: u32, ip4: &mut Vec<u32>, ip6: &mut Vec<(u32, [u8; 16])>) {
@@ -143,8 +194,10 @@ impl SegmentBlock {
             r_publisher: Vec::with_capacity(n_req),
             r_host: Vec::with_capacity(n_req),
             r_referrer: Vec::with_capacity(n_req),
-            url_off: Vec::with_capacity(n_req + 1),
-            url_bytes: String::with_capacity(chunk.requests.iter().map(|r| r.url.len()).sum()),
+            r_url_shape: Vec::with_capacity(n_req),
+            r_url_index: Vec::with_capacity(n_req),
+            r_service: Vec::with_capacity(n_req),
+            r_cb: Vec::new(),
             r_ip4: Vec::with_capacity(n_req),
             r_ip6: Vec::new(),
             o_host: Vec::with_capacity(chunk.observations.len()),
@@ -161,7 +214,6 @@ impl SegmentBlock {
             b.v_publisher.push(v.publisher.0);
             b.v_time.push(v.time.0);
         }
-        b.url_off.push(0);
         for (row, r) in chunk.requests.iter().enumerate() {
             b.r_user.push(r.user.0);
             b.r_time.push(r.time.0);
@@ -176,9 +228,12 @@ impl SegmentBlock {
                     p
                 }
             });
-            b.url_bytes.push_str(&r.url);
-            assert!(b.url_bytes.len() <= u32::MAX as usize, "URL arena > 4 GiB");
-            b.url_off.push(b.url_bytes.len() as u32);
+            let url = r.url.parts();
+            let (shape, index) = pack_url(&url);
+            b.r_url_shape.push(shape);
+            b.r_url_index.push(index);
+            b.r_service.push(url.service);
+            b.r_cb.extend(url.cb);
             pack_ip(r.ip, row as u32, &mut b.r_ip4, &mut b.r_ip6);
         }
         for (row, o) in chunk.observations.iter().enumerate() {
@@ -204,13 +259,18 @@ impl SegmentBlock {
             });
         }
         let mut requests = Vec::with_capacity(self.n_requests());
+        let mut cbs = self.r_cb.iter();
         for i in 0..self.n_requests() {
+            let shape = self.r_url_shape[i];
+            let cb = (shape & URL_CB != 0).then(|| *cbs.next().expect("one cache buster per flag"));
+            let url = unpack_url(shape, self.r_url_index[i], self.r_service[i], cb)
+                .expect("URL columns are canonical when built and checked when decoded");
             requests.push(LoggedRequest {
                 user: UserId(self.r_user[i]),
                 time: SimTime(self.r_time[i]),
                 first_party: DomainId(self.r_first_party[i]),
                 publisher: PublisherId(self.r_publisher[i]),
-                url: self.url(i).into(),
+                url,
                 host: DomainId(self.r_host[i]),
                 referrer: match self.r_referrer[i] {
                     REF_NONE => Referrer::None,
@@ -242,11 +302,6 @@ impl SegmentBlock {
     /// pDNS observation rows.
     pub fn n_observations(&self) -> usize {
         self.o_host.len()
-    }
-
-    /// Row `i`'s URL, straight from the arena (no allocation).
-    pub fn url(&self, i: usize) -> &str {
-        &self.url_bytes[self.url_off[i] as usize..self.url_off[i + 1] as usize]
     }
 
     /// Row `i`'s user id.
@@ -282,16 +337,18 @@ impl SegmentBlock {
     /// Checks every id the block carries against the run replaying it:
     /// visit and request users inside `users`, visit and request
     /// publishers below `n_publishers`, request hosts, request first
-    /// parties and observation hosts below `n_domains`, and referrer rows
-    /// (other than the two sentinels) below the block's request count.
-    /// Decoding checks the framing and the URL arena only, so a
-    /// checksum-valid block a buggy writer filled with foreign ids is
-    /// refused here, before anything indexes by them.
+    /// parties and observation hosts below `n_domains`, URL services below
+    /// `n_services`, and referrer rows (other than the two sentinels)
+    /// below the block's request count. Decoding checks the framing and
+    /// that every URL is canonical, so a checksum-valid block a buggy
+    /// writer filled with foreign ids is refused here, before anything
+    /// indexes by them.
     pub fn check_ids(
         &self,
         users: Range<u64>,
         n_publishers: usize,
         n_domains: usize,
+        n_services: usize,
     ) -> Result<(), DecodeError> {
         let refuse = |detail: String| Err(DecodeError { offset: 0, detail });
         let foreign = |&&u: &&u32| !users.contains(&u64::from(u));
@@ -314,6 +371,11 @@ impl SegmentBlock {
         if let Some(d) = past(&self.r_first_party, n_domains) {
             return refuse(format!(
                 "first-party domain {d} outside the world's {n_domains} domains"
+            ));
+        }
+        if let Some(s) = past(&self.r_service, n_services) {
+            return refuse(format!(
+                "URL service {s} outside the world's {n_services} services"
             ));
         }
         let n_requests = self.n_requests();
@@ -385,8 +447,8 @@ impl SegmentBlock {
         let len = 72
             + 8 * self.counters.len()
             + 16 * self.n_visits()
-            + 36 * self.n_requests()
-            + self.url_bytes.len()
+            + 38 * self.n_requests()
+            + 8 * self.r_cb.len()
             + 20 * (self.r_ip6.len() + self.o_ip6.len())
             + 16 * self.n_observations()
             + self.labels.len();
@@ -396,7 +458,7 @@ impl SegmentBlock {
         w.put_usize(self.n_visits());
         w.put_usize(self.n_requests());
         w.put_usize(self.n_observations());
-        w.put_usize(self.url_bytes.len());
+        w.put_usize(self.r_cb.len());
         w.put_usize(self.r_ip6.len());
         w.put_usize(self.o_ip6.len());
         w.put_usize(self.labels.len());
@@ -432,11 +494,14 @@ impl SegmentBlock {
         for &v in &self.r_referrer {
             w.put_u32(v);
         }
-        // url_off[0] is always 0; store the n trailing offsets.
-        for &v in &self.url_off[1..] {
+        w.put_bytes(&self.r_url_shape);
+        w.put_bytes(&self.r_url_index);
+        for &v in &self.r_service {
             w.put_u32(v);
         }
-        w.put_bytes(self.url_bytes.as_bytes());
+        for cb in &self.r_cb {
+            w.put_bytes(cb);
+        }
         for &v in &self.r_ip4 {
             w.put_u32(v);
         }
@@ -471,7 +536,7 @@ impl SegmentBlock {
         let n_visits = r.len_prefix()?;
         let n_requests = r.len_prefix()?;
         let n_obs = r.len_prefix()?;
-        let url_len = r.len_prefix()?;
+        let n_cb = r.len_prefix()?;
         let n_r_ip6 = r.len_prefix()?;
         let n_o_ip6 = r.len_prefix()?;
         let n_labels = r.len_prefix()?;
@@ -536,41 +601,38 @@ impl SegmentBlock {
         let r_publisher = col_u32(&mut r, n_requests)?;
         let r_host = col_u32(&mut r, n_requests)?;
         let r_referrer = col_u32(&mut r, n_requests)?;
-        let off_at = bytes.len() - r.remaining();
-        let mut url_off = Vec::with_capacity(r.bounded_count(n_requests, 4)? + 1);
-        url_off.push(0);
-        for _ in 0..n_requests {
-            url_off.push(r.u32()?);
+        let shape_at = bytes.len() - r.remaining();
+        let r_url_shape = r.bytes(n_requests)?.to_vec();
+        let r_url_index = r.bytes(n_requests)?.to_vec();
+        let r_service = col_u32(&mut r, n_requests)?;
+        let mut r_cb = Vec::with_capacity(r.bounded_count(n_cb, 8)?);
+        for _ in 0..n_cb {
+            r_cb.push(r.bytes(8)?.try_into().expect("8 bytes"));
         }
-        let arena_at = bytes.len() - r.remaining();
-        let url_bytes = String::from_utf8(r.bytes(url_len)?.to_vec()).map_err(|e| {
-            let valid = e.utf8_error().valid_up_to();
-            DecodeError {
-                offset: arena_at + valid,
-                detail: format!("URL arena is not UTF-8 after byte {valid}"),
-            }
-        })?;
-        // Every row's URL must be an in-order slice of the arena on char
-        // boundaries, so that `url` never panics.
-        for (i, w) in url_off.windows(2).enumerate() {
-            if w[1] < w[0] || !url_bytes.is_char_boundary(w[1] as usize) {
-                return Err(DecodeError {
-                    offset: off_at + 4 * i,
-                    detail: format!(
-                        "URL offset {} of row {i} does not follow {} on a char boundary \
-                         of the {url_len}-byte arena",
-                        w[1], w[0]
-                    ),
-                });
-            }
+        // Every row must be a canonical URL, with one cache buster per
+        // flagged row, so that `to_chunk` never panics and equal rows
+        // render equal strings.
+        let mut cbs = r_cb.iter();
+        for i in 0..n_requests {
+            let shape = r_url_shape[i];
+            let cb = if shape & URL_CB != 0 {
+                let cb = cbs.next().ok_or_else(|| DecodeError {
+                    offset: shape_at + i,
+                    detail: format!("URL of row {i} flags a cache buster past the {n_cb} stored"),
+                })?;
+                Some(*cb)
+            } else {
+                None
+            };
+            unpack_url(shape, r_url_index[i], r_service[i], cb).map_err(|e| DecodeError {
+                offset: shape_at + i,
+                detail: format!("URL of row {i}: {e}"),
+            })?;
         }
-        if url_off[n_requests] as usize != url_len {
+        if cbs.next().is_some() {
             return Err(DecodeError {
-                offset: arena_at,
-                detail: format!(
-                    "URL offsets end at {} but the arena holds {url_len} bytes",
-                    url_off[n_requests]
-                ),
+                offset: shape_at,
+                detail: format!("{n_cb} cache busters stored for fewer flagged rows"),
             });
         }
         let r_ip4 = col_u32(&mut r, n_requests)?;
@@ -593,8 +655,10 @@ impl SegmentBlock {
             r_publisher,
             r_host,
             r_referrer,
-            url_off,
-            url_bytes,
+            r_url_shape,
+            r_url_index,
+            r_service,
+            r_cb,
             r_ip4,
             r_ip6,
             o_host,
@@ -619,10 +683,12 @@ impl SegmentBlock {
                 + self.r_host.len()
                 + self.r_referrer.len()
                 + self.r_ip4.len()
-                + self.url_off.len())
+                + self.r_service.len())
                 * 4
             + self.r_time.len() * 8
-            + self.url_bytes.len()
+            + self.r_url_shape.len()
+            + self.r_url_index.len()
+            + self.r_cb.len() * 8
             + self.r_ip6.len() * 20
             + (self.o_host.len() + self.o_ip4.len()) * 4
             + self.o_time.len() * 8
@@ -634,6 +700,25 @@ impl SegmentBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A canonical HTTPS URL (panics on a non-canonical one).
+    fn url(
+        style: UrlStyle,
+        path_idx: u8,
+        event_idx: u8,
+        service: u32,
+        cb: Option<[u8; 8]>,
+    ) -> EncodedUrl {
+        EncodedUrl::try_from(UrlParts {
+            scheme: Scheme::Https,
+            style,
+            path_idx,
+            event_idx,
+            service,
+            cb,
+        })
+        .unwrap()
+    }
 
     fn sample_chunk() -> StudyChunk {
         let report = DegradationReport {
@@ -661,7 +746,7 @@ mod tests {
                     time: SimTime(101),
                     first_party: DomainId(10),
                     publisher: PublisherId(2),
-                    url: "https://ads.t.com/pixel?id=1".into(),
+                    url: url(UrlStyle::ArgsAndKeywords, 4, 0, 1, Some(*b"k3v9q0zz")),
                     host: DomainId(11),
                     referrer: Referrer::FirstParty,
                     ip: "1.2.3.4".parse().unwrap(),
@@ -671,7 +756,7 @@ mod tests {
                     time: SimTime(102),
                     first_party: DomainId(10),
                     publisher: PublisherId(2),
-                    url: "https://sync.x.com/um?rtb=9".into(),
+                    url: url(UrlStyle::Args, 1, 2, 2, None),
                     host: DomainId(12),
                     referrer: Referrer::Request(RequestId(0)),
                     ip: "2001:db8::7".parse().unwrap(),
@@ -681,7 +766,7 @@ mod tests {
                     time: SimTime(221),
                     first_party: DomainId(13),
                     publisher: PublisherId(3),
-                    url: "https://cdn.y.com/w.js".into(),
+                    url: url(UrlStyle::Plain, 3, 0, 0, None),
                     host: DomainId(14),
                     referrer: Referrer::None,
                     ip: "5.6.7.8".parse().unwrap(),
@@ -703,7 +788,6 @@ mod tests {
         let block = SegmentBlock::from_chunk(&chunk, &labels, 4, 2, (7, 9));
         assert_eq!(block.n_visits(), 2);
         assert_eq!(block.n_requests(), 3);
-        assert_eq!(block.url(1), "https://sync.x.com/um?rtb=9");
         assert_eq!(block.request_ip(1), "2001:db8::7".parse::<IpAddr>().unwrap());
         assert!(block.is_tracking(1));
         assert!(!block.is_tracking(2));
@@ -748,13 +832,12 @@ mod tests {
         // bounds. Inflating any one of them must fail as a `DecodeError`
         // before a column is sized from it — on an empty block (nothing to
         // back any count) and on a full one. At 2^40 an unchecked
-        // `with_capacity` aborts the process; at u64::MAX the request
-        // count's `+ 1` for `url_off` overflows.
+        // `with_capacity` aborts the process.
         let fields = [
             "n_visits",
             "n_requests",
             "n_observations",
-            "url_len",
+            "n_cb",
             "n_r_ip6",
             "n_o_ip6",
             "n_labels",
@@ -788,36 +871,70 @@ mod tests {
 
     #[test]
     fn tampered_url_columns_are_typed_errors() {
-        // A writer bug that keeps the framing intact: offsets out of
-        // order, past the arena, short of its end or inside a multi-byte
-        // char, and arena bytes that are not UTF-8. Each must decode to a
-        // `DecodeError`, never to a block whose `url` panics.
-        let mut chunk = sample_chunk();
-        chunk.requests[0].url = "https://ads.t.com/p\u{fc}xel?id=1".into();
-        let good = SegmentBlock::from_chunk(&chunk, &[], 0, 0, (7, 9));
-        let len = good.url_bytes.len() as u32;
-        let mid_char = chunk.requests[0].url.find('\u{fc}').unwrap() as u32 + 1;
-        // (what, offset index, tampered value)
-        for (what, at, value) in [
-            ("out of order", 1, good.url_off[2] + 1),
-            ("past the arena", 1, len + 1),
-            ("short of the end", 3, len - 1),
-            ("inside a char", 1, mid_char),
-        ] {
+        // A writer bug that keeps the framing intact: a shape byte with
+        // unknown bits or a style tag past the table, a path or event
+        // index past its table, a cache-buster byte outside the token
+        // alphabet, an identity on a plain URL, and cache-buster flags
+        // that disagree with the stored tokens. Each must decode to a
+        // `DecodeError`, never to a block whose `to_chunk` panics.
+        let good = SegmentBlock::from_chunk(&sample_chunk(), &[], 0, 0, (7, 9));
+        assert_eq!(good.r_cb.len(), 1, "row 0 has the one cache buster");
+        type Edit = fn(&mut SegmentBlock);
+        let cases: [(&str, Edit); 8] = [
+            ("unknown bits", |b| b.r_url_shape[0] |= 0x10),
+            ("style tag 3", |b| b.r_url_shape[2] = URL_STYLE),
+            ("path index 4", |b| b.r_url_index[2] = 4),
+            ("path index 10", |b| b.r_url_index[0] = 10),
+            ("event index 5", |b| b.r_url_index[1] = 1 | 5 << 4),
+            ("cache-buster byte", |b| b.r_cb[0][3] = b'A'),
+            ("plain URL", |b| b.r_service[2] = 1),
+            ("flags a cache buster", |b| b.r_url_shape[1] |= URL_CB),
+        ];
+        for (what, edit) in cases {
             let mut bad = good.clone();
-            bad.url_off[at] = value;
+            edit(&mut bad);
             let err = SegmentBlock::decode_bytes(&bad.encode_bytes()).expect_err(what);
-            assert!(err.detail.contains("URL offset"), "{what}: {err}");
+            assert!(err.detail.contains(what), "{what}: {err}");
         }
-        // Arena bytes that are not UTF-8: overwrite the lead byte of the
-        // multi-byte char in the encoded block.
-        let mut bytes = good.encode_bytes();
-        let url = chunk.requests[0].url.as_bytes();
-        let at = bytes.windows(url.len()).position(|w| w == url).unwrap();
-        bytes[at + mid_char as usize - 1] = 0xFF;
-        let err = SegmentBlock::decode_bytes(&bytes).expect_err("not UTF-8");
-        assert!(err.detail.contains("not UTF-8"), "{err}");
+        let mut spare = good.clone();
+        spare.r_url_shape[0] &= !URL_CB;
+        let err = SegmentBlock::decode_bytes(&spare.encode_bytes()).expect_err("spare");
+        assert!(err.detail.contains("fewer flagged rows"), "{err}");
         assert_eq!(SegmentBlock::decode_bytes(&good.encode_bytes()).unwrap(), good);
+    }
+
+    proptest::proptest! {
+        /// Any bytes written over the URL columns of an encoded block
+        /// decode to a block or a typed error, never a panic, and a block
+        /// that decodes turns back into a chunk.
+        #[test]
+        fn overwritten_url_columns_decode_or_refuse_typed(
+            at in proptest::prelude::any::<u64>(),
+            fill in proptest::prelude::any::<u64>(),
+            len in 1usize..9,
+        ) {
+            let good = SegmentBlock::from_chunk(&sample_chunk(), &[], 0, 0, (7, 9));
+            let (nv, nr) = (good.n_visits(), good.n_requests());
+            let urls_at = 72 + 8 * DegradationReport::N_COUNTERS + 16 * nv + 28 * nr;
+            let span = 6 * nr + 8 * good.r_cb.len();
+            let mut bytes = good.encode_bytes();
+            let start = urls_at + (at % span as u64) as usize;
+            let end = (start + len).min(urls_at + span);
+            for (i, b) in bytes[start..end].iter_mut().enumerate() {
+                *b = fill.rotate_left(8 * i as u32) as u8;
+            }
+            if let Ok(block) = SegmentBlock::decode_bytes(&bytes) {
+                block.to_chunk();
+            }
+        }
+    }
+
+    #[test]
+    fn foreign_url_service_is_refused_by_the_id_check() {
+        let block = SegmentBlock::from_chunk(&sample_chunk(), &[], 0, 0, (7, 9));
+        assert!(block.check_ids(7..9, 4, 15, 3).is_ok());
+        let err = block.check_ids(7..9, 4, 15, 2).expect_err("service 2 of 2");
+        assert!(err.detail.contains("URL service 2"), "{err}");
     }
 
     #[test]
@@ -868,6 +985,6 @@ mod tests {
         let block = SegmentBlock::from_chunk(&chunk, &[], 0, 0, (0, 0));
         let back = SegmentBlock::decode_bytes(&block.encode_bytes()).unwrap();
         assert_eq!(back, block);
-        assert_eq!(back.resident_bytes_logical(), 4); // url_off[0]
+        assert_eq!(back.resident_bytes_logical(), 0);
     }
 }

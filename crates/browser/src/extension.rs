@@ -278,13 +278,18 @@ fn simulate_shard(
         report: DegradationReport::default(),
     };
     let mut cache = DnsCache::new();
+    let visit_budget = |user: &User| {
+        ((cfg.visits_per_user_mean * user.activity / mean_activity).round() as usize).max(1)
+    };
+    let mut visits_left: usize = shard.iter().map(visit_budget).sum();
+    out.visits.reserve_exact(visits_left);
     for user in shard {
         let mut urng = StdRng::seed_from_u64(derive_stream_seed(study_seed, user.id.0 as u64));
         cache.reset_for_user(study_seed, user.id.0 as u64);
-        let n_visits = ((cfg.visits_per_user_mean * user.activity / mean_activity).round()
-            as usize)
-            .max(1);
+        let n_visits = visit_budget(user);
         for _ in 0..n_visits {
+            reserve_log(&mut out.requests, out.visits.len(), visits_left);
+            visits_left -= 1;
             let t = SimTime(cfg.window.start.0 + urng.gen_range(0..window_len));
             let pid = sampler.sample(
                 user.country,
@@ -316,6 +321,23 @@ fn simulate_shard(
         out.observations.extend(cache.drain_id_observations());
     }
     out
+}
+
+/// Sizes the request log from the visit budget. When the log is nearly
+/// full, it is extended to the requests the `visits_left` visits will log
+/// at the rate of the `visits_done` so far (two a visit before the first),
+/// plus a sixteenth. Doubling instead would leave up to half the log's
+/// capacity unused at the study's high-water mark.
+fn reserve_log(requests: &mut Vec<LoggedRequest>, visits_done: usize, visits_left: usize) {
+    // Room for a visit's requests; a visit that logs more falls back to
+    // the vector's doubling.
+    const ROOM: usize = 256;
+    if requests.capacity() - requests.len() >= ROOM {
+        return;
+    }
+    let per_visit = if visits_done == 0 { 2.0 } else { requests.len() as f64 / visits_done as f64 };
+    let more = (per_visit * visits_left as f64 * 17.0 / 16.0) as usize;
+    requests.reserve_exact(more + ROOM);
 }
 
 /// What one append-only chunk of the study produces — the unit of work the
@@ -429,9 +451,10 @@ impl<'a> StudyCtx<'a> {
             out.observations.extend(run.observations);
             out.report.absorb_counters(&run.report);
         }
-        // The run vectors grew by doubling and the chunk outlives this call
-        // (the batch log, the segment driver's classify and block), so the
-        // slack goes back.
+        // The request log was sized from the visit budget with a sixteenth
+        // to spare (and merged runs grew by doubling), and the chunk
+        // outlives this call (the batch log, the segment driver's classify
+        // and block), so the slack goes back.
         out.visits.shrink_to_fit();
         out.requests.shrink_to_fit();
         out.observations.shrink_to_fit();

@@ -12,7 +12,8 @@
 //!   than crawlers), and every rendered ad network runs its RTB cascade
 //!   with realistic referrer chains.
 //! * [`request`] — the compact logged-request record (the extension's
-//!   schema: domains, URL string, IP — never full browsing history).
+//!   schema: domains, URL, IP — never full browsing history), which carries
+//!   its URL in compact form and renders the string on demand.
 //! * [`extension`] — the study driver producing an [`ExtensionDataset`]
 //!   over the simulated study window, plus Table-1-style statistics.
 //! * [`colog`] — the log's columnar (SoA) twin: per-segment
@@ -34,5 +35,5 @@ pub use extension::{
     StudyStream, Visit, VisitSampler,
 };
 pub use render::{RenderConfig, RenderEngine};
-pub use request::{LoggedRequest, Referrer, RequestId};
+pub use request::{LoggedRequest, Referrer, RequestId, UrlKey};
 pub use user::{User, UserId, UserPopulation, UserPopulationConfig};

@@ -36,12 +36,6 @@ impl Default for RenderConfig {
 pub struct RenderEngine<'a> {
     graph: &'a WebGraph,
     cfg: RenderConfig,
-    /// Reused URL scratch buffer: the hot path renders each URL here and
-    /// pays exactly one allocation per logged request (the `Box<str>`).
-    /// `RefCell` keeps `issue_request` callable through `&self`; engines
-    /// are per-shard (never shared across threads), so the non-`Sync`
-    /// cell is fine.
-    scratch: RefCell<String>,
     /// One-slot memo of the current user's [`ClientCtx`]: resolving the
     /// public-anycast egress PoP is a 14-country haversine scan, and the
     /// context is a pure function of the user — computing it per request
@@ -61,7 +55,6 @@ impl<'a> RenderEngine<'a> {
         RenderEngine {
             graph,
             cfg,
-            scratch: RefCell::new(String::with_capacity(128)),
             ctx_memo: RefCell::new(None),
             cascade_scratch: RefCell::new(Vec::new()),
         }
@@ -116,22 +109,13 @@ impl<'a> RenderEngine<'a> {
         // the id table is parallel to it (validated by the graph).
         let host_idx = rng.gen_range(0..svc.hosts.len());
         let host_id = self.graph.service_host_id(service, host_idx);
-        let host = self.graph.domains().domain(host_id);
         let ctx = self.client_ctx_memo(user)?;
         let (answer, t_eff) = cache.resolve_shared_id(view, host_id, &ctx, t, inj, report).ok()?;
-        // Stable per-(user, service) identity: the tracker's cookie id.
-        let identity = (user.id.0 as u64) << 32 | service.0 as u64;
+        // The row keeps the URL in compact form: its identity's user half
+        // is the row's user, the service half is stored, and the string is
+        // rendered only where bytes are needed (DESIGN.md §5f).
         let style = style_override.unwrap_or(svc.url_style);
-        let enc = url::EncodedUrl::synth(rng, style, self.cfg.https_share, identity);
-        // Deferred materialization: render into the reused scratch buffer
-        // (byte-identical to the eager `Url` Display) and pay a single
-        // allocation for the log's own `Box<str>`.
-        let url = {
-            let mut buf = self.scratch.borrow_mut();
-            buf.clear();
-            enc.write_into(host.as_str(), &mut buf);
-            Box::<str>::from(buf.as_str())
-        };
+        let url = url::EncodedUrl::synth(rng, style, self.cfg.https_share, service.0);
         let id = RequestId(out.len() as u32);
         out.push(LoggedRequest {
             user: user.id,

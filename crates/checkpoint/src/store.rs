@@ -63,8 +63,10 @@ use xborder_faults::{checksum64, KillSwitch};
 /// (v3: chunk blobs carry columnar segment blocks, DESIGN.md §5j; v4: the
 /// frame trailer is XXH64, not FNV-1a; v5: classifier deltas carry URLs in
 /// split form with one state byte, DESIGN.md §5g; v6: one append-only
-/// journal replaces the manifest and the per-chunk files.)
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// journal replaces the manifest and the per-chunk files; v7: a block's
+/// URL column is the compact URL's shape, index, service and cache-buster
+/// columns, not a byte arena.)
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// The last version that kept a `manifest.json` beside one file per blob.
 /// Such a directory is refused as this version: there is no reader for it.
@@ -635,10 +637,43 @@ mod tests {
             CheckpointStore::open(&dir, 7),
             Err(CheckpointError::VersionMismatch {
                 found: 5,
-                expected: 6
+                expected: CHECKPOINT_VERSION
             })
         ));
         assert_eq!(snapshot(&dir), before);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v6_journal_is_refused() {
+        // A journal as the previous format wrote it: the same framing with
+        // version 6 in every head, each head check and trailer valid. Its
+        // chunk blocks carry a URL byte arena no v7 reader decodes, so
+        // opening it is a typed refusal that leaves the directory as it was.
+        let dir = tmp_dir("v6");
+        let (mut journal, records) = journal_of(2, true, 0x1234_5678);
+        let heads = std::iter::once((0, HEAD as u64)).chain(records.iter().map(|r| (r.0, r.1)));
+        for (at, len) in heads {
+            let (at, len) = (at as usize, len as usize);
+            journal[at + 4..at + 8].copy_from_slice(&6u32.to_le_bytes());
+            let check = checksum64(&journal[at..at + HEAD - 8]);
+            journal[at + HEAD - 8..at + HEAD].copy_from_slice(&check.to_le_bytes());
+            if len > HEAD {
+                let trailer = checksum64(&journal[at..at + len - 8]);
+                journal[at + len - 8..at + len].copy_from_slice(&trailer.to_le_bytes());
+            }
+        }
+        let got = open_damaged(&dir, &journal);
+        assert!(
+            matches!(
+                got,
+                Err(CheckpointError::VersionMismatch {
+                    found: 6,
+                    expected: CHECKPOINT_VERSION
+                })
+            ),
+            "{got:?}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -2,13 +2,14 @@
 //! borrowed log.
 //!
 //! [`classify_with_stages_threads`] indexes the log's URLs into dense ids
-//! (the log repeats a few tens of thousands of URLs across ~100k
-//! requests), remaps the world-level `DomainId`s (DESIGN.md §5f) of those
-//! URLs to log-local dense host ids, and resolves each host once through
-//! the compiled [`RuleEngine`] (DESIGN.md §5h) to a [`HostRow`]: always /
-//! never / url-dependent, plus the host's TLD id. Stage 1 then decides
-//! each *unique* URL once — url-dependent rows take one Aho-Corasick pass
-//! — and projects the verdicts onto requests. It is the one stage that
+//! on their compact keys (the log repeats a few tens of thousands of URLs
+//! across ~100k requests), remaps the world-level `DomainId`s (DESIGN.md
+//! §5f) of those URLs to log-local dense host ids, and resolves each host
+//! once through the compiled [`RuleEngine`] (DESIGN.md §5h) to a
+//! [`HostRow`]: always / never / url-dependent, plus the host's TLD id.
+//! Stage 1 then decides each *unique* URL once — url-dependent rows render
+//! the URL into a reused buffer and take one Aho-Corasick pass over it —
+//! and projects the verdicts onto requests. It is the one stage that
 //! shards over the thread budget.
 //!
 //! Stages 2 and 3 and the Table-2 counts are the labelling core in
@@ -17,7 +18,7 @@
 //! seen-bits.
 
 use crate::engine::{HostRow, KeywordScanner, RuleEngine};
-use crate::label::{semi_automatic, ChunkIndex, Tally};
+use crate::label::{semi_automatic, ChunkIndex, Tally, UrlRenderer};
 use crate::rules::FilterList;
 use serde::{Deserialize, Serialize};
 use xborder_browser::LoggedRequest;
@@ -190,7 +191,7 @@ pub fn classify_with_stages_threads(
     index.build(requests);
 
     // World `DomainId` -> log-local dense host id (`u32::MAX` = unseen),
-    // assigned per unique URL: a URL string embeds its host, so equal URLs
+    // assigned per unique URL: a URL's key holds its host, so equal URLs
     // share a host and only first occurrences touch the remap. One engine
     // resolution per unique host yields the stage-1 row and the TLD id.
     let mut host_remap: Vec<u32> = Vec::new();
@@ -223,11 +224,7 @@ pub fn classify_with_stages_threads(
     );
     let mut labels = Vec::with_capacity(requests.len());
     let mut host_of = Vec::with_capacity(requests.len());
-    for (i, &u) in index.url_of.iter().enumerate() {
-        debug_assert_eq!(
-            requests[index.first[u as usize] as usize].host, requests[i].host,
-            "requests sharing a URL string must share its embedded host"
-        );
+    for &u in &index.url_of {
         host_of.push(host_of_url[u as usize]);
         labels.push(if hits[u as usize] {
             Classification::AbpTracking
@@ -237,13 +234,14 @@ pub fn classify_with_stages_threads(
     }
 
     let mut states = vec![0u8; index.first.len()];
+    let (scanner, mut urls) = (KeywordScanner::new(), UrlRenderer::new(domains));
     let (stage2_rounds, stage3_rounds) = semi_automatic(
         requests,
         &index.url_of,
         &index.referrer_of,
         &mut labels,
         stages,
-        &KeywordScanner::new(),
+        |r| scanner.matches(urls.render(r)),
         &mut states[..],
     );
     let mut tally = Tally {
@@ -265,10 +263,10 @@ pub fn classify_with_stages_threads(
 
 /// Stage 1: the blocklist verdict of each unique URL (`first` holds one
 /// request per URL, `host_of_url` its dense host). Anchor-decided rows
-/// need no URL; the rest take one engine scan. The URLs shard over
-/// `threads` contiguous runs ([`shard_map`]); the engine is shared
-/// read-only — `url_verdict` takes `&self`, so no run-local state can
-/// diverge.
+/// need no URL; the rest render it and take one engine scan. The URLs
+/// shard over `threads` contiguous runs ([`shard_map`]), each with its own
+/// render buffer; the engine is shared read-only — `url_verdict` takes
+/// `&self`, so no run-local state can diverge.
 fn stage1_blocklists(
     requests: &[LoggedRequest],
     first: &[u32],
@@ -279,6 +277,7 @@ fn stage1_blocklists(
     threads: usize,
 ) -> Vec<bool> {
     let mut runs = shard_map(first.len(), threads, |run| {
+        let mut urls = UrlRenderer::new(domains);
         first[run.clone()]
             .iter()
             .zip(&host_of_url[run])
@@ -287,7 +286,7 @@ fn stage1_blocklists(
                 row.always()
                     || (!row.never() && {
                         let r = &requests[i as usize];
-                        engine.url_verdict(row, domains.domain(r.host), &r.url)
+                        engine.url_verdict(row, domains.domain(r.host), urls.render(r))
                     })
             })
             .collect::<Vec<bool>>()

@@ -4,8 +4,8 @@
 //! [`crate::IncrementalClassifier`] one chunk at a time; both call the
 //! functions here and differ only in where their ids and state live:
 //!
-//! - [`ChunkIndex`] dedups a slice's URLs in one software-pipelined pass
-//!   and extracts its referrer edges;
+//! - [`ChunkIndex`] dedups a slice's URLs on their compact keys in one
+//!   pass and extracts its referrer edges;
 //! - [`semi_automatic`] runs stage 2 (referrer propagation over URLs with
 //!   arguments) and stage 3 (keywords) on top of the caller's stage-1
 //!   labels;
@@ -18,27 +18,15 @@
 //! for the incremental one.
 
 use crate::classifier::{Classification, ClassifierStages, MethodCounts};
-use crate::engine::{HostRow, KeywordScanner};
+use crate::engine::HostRow;
 use std::collections::VecDeque;
+use std::hash::BuildHasher;
 use std::mem::size_of;
-use xborder_browser::{LoggedRequest, Referrer};
-use xborder_webgraph::fx_hash;
+use xborder_browser::{LoggedRequest, Referrer, UrlKey};
+use xborder_webgraph::{DomainTable, FxHasher};
 
 /// Sentinel in [`ChunkIndex::referrer_of`] for "no positional referrer".
 const NO_REFERRER: u32 = u32::MAX;
-
-/// Dedup-probe hash for URL strings: FxHash over the final 32 bytes,
-/// mixed with the length. Simulator URLs share long `scheme://host/path`
-/// prefixes and differ in their identity-token/query tails, so the tail
-/// carries nearly all the entropy at a fraction of the whole-string
-/// hashing cost. Safe to weaken: the hash only *locates* probe slots —
-/// equality is always verified byte-for-byte, and interned ids are
-/// assigned in first-occurrence order, so collisions cost a compare, never
-/// a wrong id.
-pub(crate) fn url_hash(bytes: &[u8]) -> u64 {
-    fx_hash(&bytes[bytes.len().saturating_sub(32)..])
-        .wrapping_add((bytes.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
 
 /// Tri-state memo values of a state-byte field.
 const MEMO_UNKNOWN: u8 = 0;
@@ -74,9 +62,10 @@ impl UrlStates for [u8] {
 
 /// Tri-state memo lookup in the `field` bits of a URL's state byte:
 /// unknown until first asked, then cached. Every memoized predicate is a
-/// pure function of the URL string, so filling lazily is invisible in the
-/// output — and stage 2 only asks about requests whose parent is tracking,
-/// stage 3 only about requests still clean, a small minority of the URLs.
+/// pure function of the URL string (so of its compact key), so filling
+/// lazily is invisible in the output — and stage 2 only asks about
+/// requests whose parent is tracking, stage 3 only about requests still
+/// clean, a small minority of the URLs.
 pub(crate) fn memo_get<S: UrlStates + ?Sized>(
     states: &mut S,
     url: u32,
@@ -98,15 +87,17 @@ pub(crate) fn memo_get<S: UrlStates + ?Sized>(
 /// The dense view of one request slice: slice-local URL ids and referrer
 /// positions, built by one pass over an open-addressing dedup table.
 ///
-/// Two things make the table faster than a general-purpose map here:
+/// URLs are deduped on their compact [`UrlKey`]s, never on rendered bytes:
+/// two rows render equal strings exactly when their keys are equal, and a
+/// key is a few words read from the row itself, so a probe chases no
+/// pointer. Two things make the table faster than a general-purpose map
+/// here:
 /// - slots are 12 bytes (tag, id, last occurrence) and the table is sized
 ///   for the slice up front at under 3/4 load, so it never grows;
-/// - equality is verified against the *most recent* occurrence of the URL,
-///   not the first. High-frequency URLs recur every few dozen requests, so
-///   the comparison target is usually still in cache, where the first
-///   occurrence of a hot URL is tens of megabytes of allocations away.
+/// - equality is checked against the *most recent* row with the URL, not
+///   the first, which is usually still in cache.
 ///
-/// Lookups stay exact: a 32-bit hash tag only short-circuits the full byte
+/// Lookups stay exact: a 32-bit hash tag only short-circuits the key
 /// comparison, it never replaces it. URL ids are first-occurrence ranks,
 /// so walking them in order preserves first-occurrence order. The buffers
 /// are reused from slice to slice.
@@ -118,8 +109,6 @@ pub(crate) struct ChunkIndex {
     pub(crate) url_of: Vec<u32>,
     /// URL id -> its first request.
     pub(crate) first: Vec<u32>,
-    /// URL id -> [`url_hash`] of its bytes.
-    pub(crate) hash: Vec<u64>,
     /// Request -> referrer position, or [`NO_REFERRER`] for first-party
     /// and absent referrers.
     pub(crate) referrer_of: Vec<u32>,
@@ -134,23 +123,18 @@ struct IndexSlot {
     last: u32,
 }
 
+/// The dedup table's hash of a compact key.
+fn key_hash(key: &UrlKey) -> u64 {
+    std::hash::BuildHasherDefault::<FxHasher>::default().hash_one(key)
+}
+
 impl ChunkIndex {
     /// Indexes `requests`, replacing the previous slice's view.
     ///
-    /// The pass is software-pipelined around the log's two cache-hostile
-    /// access patterns:
-    ///  - each URL string is a fresh pointer chase the hardware prefetcher
-    ///    cannot follow, so a byte of the string BYTES_AHEAD iterations out
-    ///    is touched early to overlap the DRAM latency (`copied()` matters:
-    ///    it forces the load, not just the address);
-    ///  - the dedup table is a random probe per request, so the URL
-    ///    HASH_AHEAD iterations out is hashed early (its bytes arrived via
-    ///    the byte prefetch) and its slot pulled into cache, leaving the
-    ///    probe at iteration `i` to hit warm lines.
-    ///
-    /// `ring` carries the HASH_AHEAD in-flight hashes; request `i` is
-    /// interned with the hash computed HASH_AHEAD iterations ago, while its
-    /// string bytes are still in L1.
+    /// The dedup table is a random probe per request, so the key
+    /// HASH_AHEAD rows out is hashed early and its slot pulled into cache,
+    /// leaving the probe at row `i` to hit a warm line. `ring` carries the
+    /// HASH_AHEAD in-flight hashes.
     pub(crate) fn build(&mut self, requests: &[LoggedRequest]) {
         let n = requests.len();
         // Under 3/4 load for `n` insertions, so no grow path. A larger
@@ -166,32 +150,25 @@ impl ChunkIndex {
         self.mask = self.slots.len() - 1;
         self.url_of.clear();
         self.first.clear();
-        self.hash.clear();
         self.referrer_of.clear();
         self.url_of.reserve(n);
         self.referrer_of.reserve(n);
 
-        const BYTES_AHEAD: usize = 16;
         const HASH_AHEAD: usize = 8;
         let mut ring = [0u64; HASH_AHEAD];
         for (j, slot) in ring.iter_mut().enumerate().take(n.min(HASH_AHEAD)) {
-            *slot = url_hash(requests[j].url.as_bytes());
+            *slot = key_hash(&requests[j].url_key());
             self.prefetch(*slot);
         }
         for (i, r) in requests.iter().enumerate() {
-            if let Some(ahead) = requests.get(i + BYTES_AHEAD) {
-                let u = ahead.url.as_bytes();
-                std::hint::black_box(u.first().copied());
-                std::hint::black_box(u.last().copied());
-            }
             let hash = if let Some(ahead) = requests.get(i + HASH_AHEAD) {
-                let h = url_hash(ahead.url.as_bytes());
+                let h = key_hash(&ahead.url_key());
                 self.prefetch(h);
                 std::mem::replace(&mut ring[i % HASH_AHEAD], h)
             } else {
                 ring[i % HASH_AHEAD]
             };
-            let u = self.intern(hash, &r.url, i as u32, requests);
+            let u = self.intern(hash, r.url_key(), i as u32, requests);
             self.url_of.push(u);
             self.referrer_of.push(match r.referrer {
                 Referrer::Request(parent) => parent.0,
@@ -206,7 +183,7 @@ impl ChunkIndex {
     }
 
     /// The URL id of request `i`, assigning the next id on first sight.
-    fn intern(&mut self, hash: u64, url: &str, i: u32, requests: &[LoggedRequest]) -> u32 {
+    fn intern(&mut self, hash: u64, key: UrlKey, i: u32, requests: &[LoggedRequest]) -> u32 {
         let tag = (hash >> 32) as u32;
         let mut s = hash as usize & self.mask;
         loop {
@@ -219,10 +196,9 @@ impl ChunkIndex {
                     last: i,
                 };
                 self.first.push(i);
-                self.hash.push(hash);
                 return u;
             }
-            if slot.tag == tag && &*requests[slot.last as usize].url == url {
+            if slot.tag == tag && requests[slot.last as usize].url_key() == key {
                 self.slots[s].last = i;
                 return slot.id1 - 1;
             }
@@ -233,9 +209,31 @@ impl ChunkIndex {
     /// Bytes held by the table and the views, from their capacities.
     pub(crate) fn resident_bytes(&self) -> usize {
         self.slots.capacity() * size_of::<IndexSlot>()
-            + self.hash.capacity() * size_of::<u64>()
             + (self.url_of.capacity() + self.first.capacity() + self.referrer_of.capacity())
                 * size_of::<u32>()
+    }
+}
+
+/// Renders request URLs into one reused buffer, for the predicates that
+/// read bytes (the stage-1 URL scan and the stage-3 keyword scan).
+pub(crate) struct UrlRenderer<'a> {
+    domains: &'a DomainTable,
+    buf: String,
+}
+
+impl<'a> UrlRenderer<'a> {
+    pub(crate) fn new(domains: &'a DomainTable) -> UrlRenderer<'a> {
+        UrlRenderer {
+            domains,
+            buf: String::new(),
+        }
+    }
+
+    /// `r`'s URL string, valid until the next call.
+    pub(crate) fn render(&mut self, r: &LoggedRequest) -> &str {
+        self.buf.clear();
+        r.write_url(self.domains, &mut self.buf);
+        &self.buf
     }
 }
 
@@ -253,7 +251,8 @@ impl ChunkIndex {
 ///
 /// Stage 3 keyword-matches the remaining argument-carrying requests, then
 /// re-propagates from exactly the newly labeled requests via the worklist
-/// — again to true convergence.
+/// — again to true convergence. `has_keyword` is the keyword scan of a
+/// request's URL string; the memo asks it once per URL.
 ///
 /// Referrer edges are positional; children of dropped parents were
 /// remapped to `Referrer::FirstParty` by the log compaction, and chains
@@ -264,7 +263,7 @@ pub(crate) fn semi_automatic<S: UrlStates + ?Sized>(
     referrer_of: &[u32],
     labels: &mut [Classification],
     stages: ClassifierStages,
-    scanner: &KeywordScanner,
+    mut has_keyword: impl FnMut(&LoggedRequest) -> bool,
     states: &mut S,
 ) -> (usize, usize) {
     let n = requests.len();
@@ -313,7 +312,7 @@ pub(crate) fn semi_automatic<S: UrlStates + ?Sized>(
             }
             let u = url_of[i];
             if !memo_get(states, u, ARGS, || requests[i].has_args())
-                || !memo_get(states, u, KW, || scanner.matches(&requests[i].url))
+                || !memo_get(states, u, KW, || has_keyword(&requests[i]))
             {
                 continue;
             }

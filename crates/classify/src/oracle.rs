@@ -15,7 +15,7 @@ use crate::testkit::{backward_chain, dataset, rebased, reversed_chain};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
 use xborder_browser::{LoggedRequest, Referrer};
-use xborder_webgraph::url::TRACKING_KEYWORDS;
+use xborder_webgraph::url::{EncodedUrl, UrlParts, UrlStyle, TRACKING_KEYWORDS};
 use xborder_webgraph::DomainTable;
 
 /// Labels and both Table-2 rows, as the paper defines them.
@@ -26,17 +26,21 @@ fn reference(
     easyprivacy: &FilterList,
     stages: ClassifierStages,
 ) -> (Vec<Classification>, MethodCounts, MethodCounts) {
-    let has_args = |r: &LoggedRequest| r.url.contains('?');
-    let has_keyword = |r: &LoggedRequest| {
-        let url = r.url.to_ascii_lowercase();
+    // Every row's URL string, rendered once; nothing below reads the
+    // compact form.
+    let urls: Vec<String> = requests.iter().map(|r| r.url_string(domains)).collect();
+    let has_args = |i: usize| urls[i].contains('?');
+    let has_keyword = |i: usize| {
+        let url = urls[i].to_ascii_lowercase();
         TRACKING_KEYWORDS.iter().any(|k| url.contains(k))
     };
     // Stage 1: the blocklists, matched passively against every request.
     let mut labels: Vec<Classification> = requests
         .iter()
-        .map(|r| {
+        .zip(&urls)
+        .map(|(r, url)| {
             let host = domains.domain(r.host);
-            if easylist.matches(host, &r.url) || easyprivacy.matches(host, &r.url) {
+            if easylist.matches(host, url) || easyprivacy.matches(host, url) {
                 Classification::AbpTracking
             } else {
                 Classification::Clean
@@ -54,7 +58,7 @@ fn reference(
             let Referrer::Request(parent) = r.referrer else {
                 continue;
             };
-            if labels[parent.0 as usize].is_tracking() && (!stages.require_args || has_args(r)) {
+            if labels[parent.0 as usize].is_tracking() && (!stages.require_args || has_args(i)) {
                 labels[i] = Classification::SemiTracking;
                 changed = true;
             }
@@ -69,9 +73,9 @@ fn reference(
     // Stage 3: remaining requests with arguments and a tracking keyword,
     // then propagation again from what they added.
     if stages.keywords {
-        for (i, r) in requests.iter().enumerate() {
-            if !labels[i].is_tracking() && has_args(r) && has_keyword(r) {
-                labels[i] = Classification::SemiTracking;
+        for (i, label) in labels.iter_mut().enumerate() {
+            if !label.is_tracking() && has_args(i) && has_keyword(i) {
+                *label = Classification::SemiTracking;
             }
         }
         if stages.referrer_propagation {
@@ -81,21 +85,21 @@ fn reference(
     let count = |method: Classification| {
         let mut hosts = HashSet::new();
         let mut tlds = HashSet::new();
-        let mut urls = HashSet::new();
+        let mut unique = HashSet::new();
         let mut total = 0;
-        for (r, &l) in requests.iter().zip(&labels) {
+        for ((r, url), &l) in requests.iter().zip(&urls).zip(&labels) {
             if l == method {
                 let host = domains.domain(r.host);
                 hosts.insert(host.as_str().to_string());
                 tlds.insert(host.tld().as_str().to_string());
-                urls.insert(&*r.url);
+                unique.insert(url.as_str());
                 total += 1;
             }
         }
         MethodCounts {
             n_fqdn: hosts.len(),
             n_tld: tlds.len(),
-            n_unique_urls: urls.len(),
+            n_unique_urls: unique.len(),
             n_total_requests: total,
         }
     };
@@ -223,7 +227,7 @@ fn both_classifiers_match_the_reference_for_every_stage_toggle() {
 }
 
 /// Deep chains in both edge directions, whole and with every seventh link
-/// stripped of its arguments. The generated study never logs an
+/// stripped of its arguments (made a plain URL). The generated study never logs an
 /// argument-free child of a tracking request, so the stripped chains are
 /// what make stage 2's argument test observable.
 #[test]
@@ -244,8 +248,14 @@ fn both_classifiers_match_the_reference_on_deep_chains() {
             1,
         );
         for r in requests.iter_mut().skip(3).step_by(7) {
-            let bare = r.url.split('?').next().unwrap_or_default().to_string();
-            r.url = bare.into_boxed_str();
+            r.url = EncodedUrl::try_from(UrlParts {
+                style: UrlStyle::Plain,
+                service: 0,
+                cb: None,
+                ..r.url.parts()
+            })
+            .expect("a plain URL with the first path");
+            assert!(!r.url_string(&domains).contains('?'));
         }
         let (labels, ..) = reference(&requests, &domains, &el, &ep, ClassifierStages::default());
         assert!(

@@ -10,6 +10,7 @@ use xborder_faults::{DegradationReport, FaultInjector};
 use xborder_geo::{CountryCode, WORLD};
 use xborder_netsim::time::SimTime;
 use xborder_netsim::ServerId;
+use xborder_webgraph::url::{EncodedUrl, Scheme, UrlParts, UrlStyle, TRACKING_KEYWORDS};
 use xborder_webgraph::{generate, Domain, DomainTable, PublisherId, WebGraph, WebGraphConfig};
 
 /// The small study's log over a generated web graph, every host served
@@ -81,24 +82,39 @@ pub(crate) fn rebased(chunk: &[LoggedRequest], offset: usize) -> Vec<LoggedReque
 }
 
 /// Hand-built request `i` of user 0 on host `h{i}.example.com`, with a
-/// clean (keyword-free) URL carrying args, interning its hosts into the
-/// test's own `DomainTable`.
+/// clean (keyword-free) URL carrying args — `/collect?uid=..&ev=view` with
+/// identity `i` — interning its hosts into the test's own `DomainTable`.
 pub(crate) fn chain_request(
     i: usize,
     referrer: Referrer,
     domains: &mut DomainTable,
 ) -> LoggedRequest {
     let host = Domain::new(format!("h{i}.example.com"));
-    LoggedRequest {
+    let url = EncodedUrl::try_from(UrlParts {
+        scheme: Scheme::Https,
+        style: UrlStyle::Args,
+        path_idx: 0,
+        event_idx: 0,
+        service: i as u32,
+        cb: None,
+    })
+    .expect("a canonical args URL");
+    let r = LoggedRequest {
         user: UserId(0),
         time: SimTime(i as u64),
         first_party: domains.intern(&Domain::new("pub.example.org")),
         publisher: PublisherId(0),
-        url: format!("https://{host}/p?x={i}").into_boxed_str(),
+        url,
         host: domains.intern(&host),
         referrer,
         ip: "10.0.0.1".parse().unwrap(),
-    }
+    };
+    let s = r.url_string(domains);
+    assert!(
+        !TRACKING_KEYWORDS.iter().any(|k| s.contains(k)),
+        "identity {i} spells a keyword: {s}"
+    );
+    r
 }
 
 /// A `len`-link referrer chain stored in *reverse* order (each request's

@@ -336,6 +336,7 @@ mod tests {
     use xborder_browser::{Referrer, StudyChunk, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI};
     use xborder_geo::{cc, CountryCode, LatLon};
     use xborder_geoloc::GeoEstimate;
+    use xborder_webgraph::url::{EncodedUrl, Scheme, UrlParts, UrlStyle};
     use xborder_webgraph::PublisherId;
 
     fn d(s: &str) -> Domain {
@@ -461,7 +462,15 @@ mod tests {
                     time: SimTime(rng.gen_range(0..10_000)),
                     first_party: DomainId(0),
                     publisher: PublisherId(0),
-                    url: "https://t0.tracker.example/p".into(),
+                    url: EncodedUrl::try_from(UrlParts {
+                        scheme: Scheme::Https,
+                        style: UrlStyle::Plain,
+                        path_idx: 0,
+                        event_idx: 0,
+                        service: 0,
+                        cb: None,
+                    })
+                    .unwrap(),
                     host: DomainId(rng.gen_range(0..5)),
                     referrer: Referrer::None,
                     ip: addr(rng.gen_range(0..12)),

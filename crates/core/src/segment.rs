@@ -238,6 +238,7 @@ pub(crate) fn run_segments<S: SegmentSink>(
                     entry.user_start..entry.user_end,
                     world.graph.publishers.len(),
                     domains.len(),
+                    world.graph.services.len(),
                 )
                 .map_err(|e| corrupt(&entry.file, e))?;
             apply_chunk_delta(&mut classifier, &entry.file, cls_bytes, &block, domains)?;
@@ -766,6 +767,7 @@ mod tests {
                 entry.user_start..entry.user_end,
                 f.world.graph.publishers.len(),
                 domains.len(),
+                f.world.graph.services.len(),
             )
             .map_err(|e| corrupt(&entry.file, e))?;
         apply_chunk_delta(classifier, &entry.file, cls_bytes, &block, domains)?;
@@ -835,25 +837,39 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// A genuine chunk payload damaged by bit flips, a truncation or a
-        /// byte-range overwrite — aimed at the whole payload or at its
-        /// classifier-delta section — and re-sealed with a valid frame
-        /// checksum replays to `Ok` or typed corruption, never a panic.
+        /// byte-range overwrite — aimed at the whole payload, at its
+        /// classifier-delta section or at the block's URL columns — and
+        /// re-sealed with a valid frame checksum replays to `Ok` or typed
+        /// corruption, never a panic.
         #[test]
         fn resealed_mutated_chunks_replay_or_refuse_typed(
             mutation in 0u8..3,
-            in_delta in any::<bool>(),
+            target in 0u8..3,
             at in any::<u64>(),
             fill in any::<u64>(),
         ) {
             FIXTURE.with(|f| {
                 let genuine = &f.chunks[1].1;
                 let mut rd = ByteReader::new(genuine);
-                let _ = rd.blob().unwrap();
+                let seg = rd.blob().unwrap();
                 let delta_len = rd.blob().unwrap().len();
-                let (lo, span) = if in_delta {
-                    (genuine.len() - delta_len, delta_len)
-                } else {
-                    (0, genuine.len())
+                let (lo, span) = match target {
+                    0 => (0, genuine.len()),
+                    1 => (genuine.len() - delta_len, delta_len),
+                    _ => {
+                        // The URL columns follow the 72-byte header, the
+                        // counters, the visit columns (16 bytes a row) and
+                        // six request columns (28 bytes a row); they hold
+                        // 6 bytes a row and 8 per cache buster.
+                        let block = SegmentBlock::decode_bytes(seg).unwrap();
+                        let (nv, nr) = (block.n_visits(), block.n_requests());
+                        let n_cb = block.to_chunk().0.requests.iter()
+                            .filter(|r| r.url.parts().cb.is_some())
+                            .count();
+                        let seg_at = seg.as_ptr() as usize - genuine.as_ptr() as usize;
+                        let shape_at = 72 + 8 * DegradationReport::N_COUNTERS + 16 * nv + 28 * nr;
+                        (seg_at + shape_at, 6 * nr + 8 * n_cb)
+                    }
                 };
                 let pos = |salt: u32| lo + (at.rotate_left(salt) % span as u64) as usize;
                 let mut mutated = genuine.clone();
@@ -873,7 +889,7 @@ mod tests {
                         }
                     }
                 }
-                let what = format!("mutation {mutation}, delta {in_delta}, at {at}, fill {fill}");
+                let what = format!("mutation {mutation}, target {target}, at {at}, fill {fill}");
                 assert_ok_or_corrupt(reseal_and_replay(f, &mutated), &what);
             });
         }

@@ -388,7 +388,20 @@ mod tests {
     use xborder_classify::Classification;
     use xborder_dns::PdnsIdObservation;
     use xborder_netsim::time::{SimTime, TimeWindow};
+    use xborder_webgraph::url::{EncodedUrl, Scheme, UrlParts, UrlStyle};
     use xborder_webgraph::{Domain, DomainId, PublisherId};
+
+    fn url(style: UrlStyle, path_idx: u8, service: u32) -> EncodedUrl {
+        EncodedUrl::try_from(UrlParts {
+            scheme: Scheme::Https,
+            style,
+            path_idx,
+            event_idx: 0,
+            service,
+            cb: None,
+        })
+        .unwrap()
+    }
 
     fn sample_block() -> SegmentBlock {
         let report = DegradationReport {
@@ -409,7 +422,7 @@ mod tests {
                     time: SimTime(101),
                     first_party: DomainId(2),
                     publisher: PublisherId(9),
-                    url: "https://t.example/px?id=1".into(),
+                    url: url(UrlStyle::Args, 2, 1),
                     host: DomainId(3),
                     referrer: Referrer::FirstParty,
                     ip: "10.1.2.3".parse().unwrap(),
@@ -419,7 +432,7 @@ mod tests {
                     time: SimTime(102),
                     first_party: DomainId(2),
                     publisher: PublisherId(9),
-                    url: "https://u.example/js".into(),
+                    url: url(UrlStyle::Plain, 3, 0),
                     host: DomainId(4),
                     referrer: Referrer::Request(RequestId(0)),
                     ip: "2001:db8::7".parse().unwrap(),

@@ -227,7 +227,22 @@ fn request_row_hash(
         }
     }
     buf.push(label);
-    buf.extend_from_slice(r.url.as_bytes());
+    // The canonical URL fields: with the host and user hashed above they
+    // determine the URL string, and rendering is injective on them, so
+    // rows separate here exactly when their strings differ.
+    let url = r.url.parts();
+    buf.push(url.scheme as u8);
+    buf.push(url.style as u8);
+    buf.push(url.path_idx);
+    buf.push(url.event_idx);
+    buf.extend_from_slice(&url.service.to_le_bytes());
+    match url.cb {
+        Some(cb) => {
+            buf.push(1);
+            buf.extend_from_slice(&cb);
+        }
+        None => buf.push(0),
+    }
     checksum64(buf)
 }
 
@@ -480,24 +495,33 @@ mod tests {
         // one order).
         use xborder_browser::{LoggedRequest, UserId, LABEL_ABP};
         use xborder_netsim::time::SimTime;
+        use xborder_webgraph::url::{EncodedUrl, Scheme, UrlParts, UrlStyle};
         use xborder_webgraph::{DomainId, PublisherId};
-        let req = |host: u32, url: &str| LoggedRequest {
+        let req = |host: u32, path_idx: u8| LoggedRequest {
             user: UserId(0),
             time: SimTime(1),
             first_party: DomainId(0),
             publisher: PublisherId(0),
-            url: url.into(),
+            url: EncodedUrl::try_from(UrlParts {
+                scheme: Scheme::Https,
+                style: UrlStyle::Plain,
+                path_idx,
+                event_idx: 0,
+                service: 0,
+                cb: None,
+            })
+            .unwrap(),
             host: DomainId(host),
             referrer: Referrer::FirstParty,
             ip: "10.0.0.1".parse().unwrap(),
         };
-        let chunk = |host: u32, url: &str| StudyChunk {
+        let chunk = |host: u32, path_idx: u8| StudyChunk {
             visits: vec![],
-            requests: vec![req(host, url)],
+            requests: vec![req(host, path_idx)],
             observations: vec![],
             report: DegradationReport::default(),
         };
-        let (c1, c2) = (chunk(0, "https://a.example/x"), chunk(1, "https://b.example/y"));
+        let (c1, c2) = (chunk(0, 0), chunk(1, 1));
         let mut fwd = Aggregates::new(4, 4);
         fwd.absorb_chunk(&c1, &[LABEL_ABP]);
         fwd.absorb_chunk(&c2, &[LABEL_ABP]);

@@ -71,7 +71,7 @@ fn flow_from_request<R: Rng + ?Sized>(
     let IpAddr::V4(dst) = req.ip else {
         return None;
     };
-    let https = req.url.starts_with("https://");
+    let https = req.is_https();
     let dst_port = if https { 443 } else { 80 };
     // QUIC adoption puts a chunk of 443 on UDP (paper cites its rise).
     let protocol = if https && rng.gen::<f64>() < 0.25 {

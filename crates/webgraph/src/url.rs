@@ -215,14 +215,10 @@ const PLAIN_PATHS: &[&str] = &["/js/widget.js", "/static/embed.css", "/img/logo.
 /// Beacon paths used by [`UrlStyle::Args`] URLs.
 const ARG_PATHS: &[&str] = &["/collect", "/event", "/t", "/imp", "/log"];
 
-/// A synthesized URL in compact, allocation-free form (DESIGN.md §5f).
-///
-/// The study hot path renders requests as `EncodedUrl`s and materializes
-/// the string only at the log-emission boundary (into a reused scratch
-/// buffer). [`EncodedUrl::write_into`] emits bytes identical to
-/// `Url::to_string()` of [`EncodedUrl::to_url`] (property-pinned below).
+/// The fields of an [`EncodedUrl`], unchecked: what a decoder reads or a
+/// test writes before [`EncodedUrl::try_from`] validates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodedUrl {
+pub struct UrlParts {
     /// Scheme picked by the https-share coin.
     pub scheme: Scheme,
     /// Style the URL was synthesized in (decides the template).
@@ -231,12 +227,86 @@ pub struct EncodedUrl {
     /// [`UrlStyle::Args`]) or into [`TRACKING_KEYWORDS`]
     /// ([`UrlStyle::ArgsAndKeywords`]).
     pub path_idx: u8,
-    /// Index into the event-name table ([`UrlStyle::Args`] only).
+    /// Index into the event-name table ([`UrlStyle::Args`] only, else 0).
     pub event_idx: u8,
-    /// The stable per-(user, service) identity echoed in argument tokens.
-    pub identity: u64,
-    /// Cache-buster token bytes, present on ~30 % of argument-style URLs.
+    /// The service half of the identity echoed in argument tokens (0 for
+    /// [`UrlStyle::Plain`], which carries no identity).
+    pub service: u32,
+    /// Cache-buster token bytes, from the token alphabet; never on a
+    /// [`UrlStyle::Plain`] URL.
     pub cb: Option<[u8; 8]>,
+}
+
+/// A synthesized request URL in canonical compact form (DESIGN.md §5f):
+/// the log row stores this, not the string, and renders the string on
+/// demand with [`EncodedUrl::write_into`].
+///
+/// The string is `scheme://host` plus a template filled from the path and
+/// event tables, the identity `user << 32 | service` and the cache
+/// buster. The request's host and user live in its log row; this type
+/// holds the rest. It is *canonical*: a field that never reaches the
+/// string is zero ([`UrlStyle::Plain`] has no identity, event or cache
+/// buster; [`UrlStyle::ArgsAndKeywords`] has no event), and every index is
+/// inside its table. Rendering is injective on canonical forms, so for one
+/// host two URLs render equal strings exactly when they are equal and,
+/// unless they are plain, so are their users — the equality the Table-2
+/// unique-URL counts rest on (property-pinned below).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EncodedUrl {
+    scheme: Scheme,
+    style: UrlStyle,
+    path_idx: u8,
+    event_idx: u8,
+    service: u32,
+    cb: Option<[u8; 8]>,
+}
+
+impl TryFrom<UrlParts> for EncodedUrl {
+    type Error = String;
+
+    /// Accepts exactly the canonical forms: indices inside their tables,
+    /// cache-buster bytes from the token alphabet, and zero in every field
+    /// the style does not render.
+    fn try_from(p: UrlParts) -> Result<EncodedUrl, String> {
+        let (paths, events) = match p.style {
+            UrlStyle::Plain => (PLAIN_PATHS.len(), 1),
+            UrlStyle::Args => (ARG_PATHS.len(), EVENTS.len()),
+            UrlStyle::ArgsAndKeywords => (TRACKING_KEYWORDS.len(), 1),
+        };
+        // Membership in ALPHABET (a–z, 0–9) without a scan per byte.
+        let token = |b: &u8| b.is_ascii_lowercase() || b.is_ascii_digit();
+        let canonical = (p.path_idx as usize) < paths
+            && (p.event_idx as usize) < events
+            && (p.style != UrlStyle::Plain || (p.service == 0 && p.cb.is_none()))
+            && p.cb.is_none_or(|cb| cb.iter().all(token));
+        if !canonical {
+            return Err(non_canonical(&p, paths, events));
+        }
+        Ok(EncodedUrl {
+            scheme: p.scheme,
+            style: p.style,
+            path_idx: p.path_idx,
+            event_idx: p.event_idx,
+            service: p.service,
+            cb: p.cb,
+        })
+    }
+}
+
+/// Why `p` is not canonical (`paths`/`events`: its style's table sizes).
+#[cold]
+fn non_canonical(p: &UrlParts, paths: usize, events: usize) -> String {
+    if p.path_idx as usize >= paths {
+        format!("path index {} past the {paths} paths of style {:?}", p.path_idx, p.style)
+    } else if p.event_idx as usize >= events {
+        format!("event index {} past the {events} events of style {:?}", p.event_idx, p.style)
+    } else if p.style == UrlStyle::Plain && (p.service != 0 || p.cb.is_some()) {
+        format!("plain URL carries service {} or a cache buster", p.service)
+    } else {
+        let cb = p.cb.unwrap_or_default();
+        let b = cb.iter().find(|b| !ALPHABET.contains(b)).copied().unwrap_or_default();
+        format!("cache-buster byte {b:#04x} outside the token alphabet")
+    }
 }
 
 impl EncodedUrl {
@@ -245,16 +315,17 @@ impl EncodedUrl {
     /// pick, then (Args) event pick, then cache-buster coin and, on a hit,
     /// eight token draws.
     ///
-    /// `identity` is the stable per-(user, service) identifier: the same
-    /// user revisiting the same tracker produces *recurring* URL strings,
-    /// which is why the paper's unique-URL counts (Table 2) sit far below
-    /// its total request counts. Cache busters (`cb`) are added to a
-    /// fraction of requests only.
+    /// `service` is the service half of the stable per-(user, service)
+    /// identity; the user half is the logging user's id. The same user
+    /// revisiting the same tracker produces *recurring* URL strings, which
+    /// is why the paper's unique-URL counts (Table 2) sit far below its
+    /// total request counts. Cache busters (`cb`) are added to a fraction
+    /// of requests only.
     pub fn synth<R: Rng + ?Sized>(
         rng: &mut R,
         style: UrlStyle,
         https_share: f64,
-        identity: u64,
+        service: u32,
     ) -> EncodedUrl {
         let scheme = if rng.gen::<f64>() < https_share {
             Scheme::Https
@@ -266,12 +337,13 @@ impl EncodedUrl {
             style,
             path_idx: 0,
             event_idx: 0,
-            identity,
+            service,
             cb: None,
         };
         match style {
             UrlStyle::Plain => {
                 enc.path_idx = rng.gen_range(0..PLAIN_PATHS.len()) as u8;
+                enc.service = 0;
             }
             UrlStyle::Args => {
                 enc.path_idx = rng.gen_range(0..ARG_PATHS.len()) as u8;
@@ -290,13 +362,53 @@ impl EncodedUrl {
         enc
     }
 
-    /// Appends the URL string for `host` to `buf` — byte-identical to
-    /// `self.to_url(host).to_string()` without any intermediate
-    /// allocation.
-    pub fn write_into(&self, host: &str, buf: &mut String) {
+    /// The fields, for encoders.
+    pub fn parts(&self) -> UrlParts {
+        UrlParts {
+            scheme: self.scheme,
+            style: self.style,
+            path_idx: self.path_idx,
+            event_idx: self.event_idx,
+            service: self.service,
+            cb: self.cb,
+        }
+    }
+
+    /// The URL's scheme.
+    pub fn scheme(&self) -> Scheme {
+        self.scheme
+    }
+
+    /// True if the string carries query arguments: every style but
+    /// [`UrlStyle::Plain`].
+    pub fn has_args(&self) -> bool {
+        self.style != UrlStyle::Plain
+    }
+
+    /// The part of a logging user's id the string depends on: the user
+    /// itself for identity-bearing styles, 0 for a plain URL.
+    pub fn rendered_user(&self, user: u32) -> u32 {
+        if self.has_args() {
+            user
+        } else {
+            0
+        }
+    }
+
+    /// Appends the URL string for `host`, as logged by `user`, to `buf` —
+    /// byte-identical to `self.to_url(host, user).to_string()` without any
+    /// intermediate allocation.
+    pub fn write_into(&self, host: &str, user: u32, buf: &mut String) {
         buf.push_str(self.scheme.as_str());
         buf.push_str("://");
         buf.push_str(host);
+        self.write_suffix(user, buf);
+    }
+
+    /// Appends what follows `scheme://host` in [`EncodedUrl::write_into`]'s
+    /// string: the path and the query.
+    pub fn write_suffix(&self, user: u32, buf: &mut String) {
+        let identity = (user as u64) << 32 | self.service as u64;
         match self.style {
             UrlStyle::Plain => {
                 buf.push_str(PLAIN_PATHS[self.path_idx as usize]);
@@ -304,7 +416,7 @@ impl EncodedUrl {
             UrlStyle::Args => {
                 buf.push_str(ARG_PATHS[self.path_idx as usize]);
                 buf.push_str("?uid=");
-                write_identity_token(self.identity, buf);
+                write_identity_token(identity, buf);
                 buf.push_str("&ev=");
                 buf.push_str(EVENTS[self.event_idx as usize]);
             }
@@ -312,9 +424,9 @@ impl EncodedUrl {
                 buf.push('/');
                 buf.push_str(TRACKING_KEYWORDS[self.path_idx as usize]);
                 buf.push_str("?partner=");
-                write_identity_token(self.identity.rotate_left(17), buf);
+                write_identity_token(identity.rotate_left(17), buf);
                 buf.push_str("&rtb_id=");
-                write_identity_token(self.identity, buf);
+                write_identity_token(identity, buf);
             }
         }
         if let Some(cb) = self.cb {
@@ -326,21 +438,22 @@ impl EncodedUrl {
     }
 
     /// Materializes the structured [`Url`] (the eager path).
-    pub fn to_url(&self, host: &Domain) -> Url {
+    pub fn to_url(&self, host: &Domain, user: u32) -> Url {
+        let identity = (user as u64) << 32 | self.service as u64;
         let mut url = match self.style {
             UrlStyle::Plain => {
                 Url::new(self.scheme, host.clone(), PLAIN_PATHS[self.path_idx as usize])
             }
             UrlStyle::Args => {
                 Url::new(self.scheme, host.clone(), ARG_PATHS[self.path_idx as usize])
-                    .with_arg("uid", identity_token(self.identity))
+                    .with_arg("uid", identity_token(identity))
                     .with_arg("ev", EVENTS[self.event_idx as usize])
             }
             UrlStyle::ArgsAndKeywords => {
                 let kw = TRACKING_KEYWORDS[self.path_idx as usize];
                 Url::new(self.scheme, host.clone(), format!("/{kw}"))
-                    .with_arg("partner", identity_token(self.identity.rotate_left(17)))
-                    .with_arg("rtb_id", identity_token(self.identity))
+                    .with_arg("partner", identity_token(identity.rotate_left(17)))
+                    .with_arg("rtb_id", identity_token(identity))
             }
         };
         if let Some(cb) = self.cb {
@@ -396,12 +509,13 @@ mod tests {
     fn synth_styles_have_expected_signals() {
         let mut rng = StdRng::seed_from_u64(5);
         let host = Domain::new("t.example.com");
-        for i in 0..100u64 {
-            let plain = EncodedUrl::synth(&mut rng, UrlStyle::Plain, 0.83, i).to_url(&host);
+        for i in 0..100u32 {
+            let plain = EncodedUrl::synth(&mut rng, UrlStyle::Plain, 0.83, i).to_url(&host, 0);
             assert!(!plain.has_args());
-            let args = EncodedUrl::synth(&mut rng, UrlStyle::Args, 0.83, i).to_url(&host);
+            let args = EncodedUrl::synth(&mut rng, UrlStyle::Args, 0.83, i).to_url(&host, 0);
             assert!(args.has_args() && !args.has_tracking_keyword());
-            let kw = EncodedUrl::synth(&mut rng, UrlStyle::ArgsAndKeywords, 0.83, i).to_url(&host);
+            let kw =
+                EncodedUrl::synth(&mut rng, UrlStyle::ArgsAndKeywords, 0.83, i).to_url(&host, 0);
             assert!(kw.has_args() && kw.has_tracking_keyword());
         }
     }
@@ -422,7 +536,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let n = 200;
         for _ in 0..n {
-            let url = EncodedUrl::synth(&mut rng, UrlStyle::Args, 1.0, 99).to_url(&host);
+            let url = EncodedUrl::synth(&mut rng, UrlStyle::Args, 1.0, 99).to_url(&host, 3);
             seen.insert(url.to_string());
         }
         assert!(seen.len() < n / 2, "{} unique of {n}", seen.len());
@@ -434,7 +548,7 @@ mod tests {
         let n = 2000;
         let https = (0..n)
             .filter(|_| {
-                EncodedUrl::synth(&mut rng, UrlStyle::Args, 0.83, 5).scheme == Scheme::Https
+                EncodedUrl::synth(&mut rng, UrlStyle::Args, 0.83, 5).scheme() == Scheme::Https
             })
             .count();
         let share = https as f64 / n as f64;
@@ -465,11 +579,15 @@ mod tests {
         for seed in 0..50u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             for style in styles {
-                for identity in [0u64, 42, u64::MAX, seed.wrapping_mul(0x9E3779B97F4A7C15)] {
-                    let enc = EncodedUrl::synth(&mut rng, style, 0.83, identity);
+                for (user, service) in [(0, 0), (0, 42), (u32::MAX, u32::MAX), (seed as u32, 7)] {
+                    let enc = EncodedUrl::synth(&mut rng, style, 0.83, service);
                     buf.clear();
-                    enc.write_into(host.as_str(), &mut buf);
-                    assert_eq!(buf, enc.to_url(&host).to_string(), "seed {seed} style {style:?}");
+                    enc.write_into(host.as_str(), user, &mut buf);
+                    assert_eq!(
+                        buf,
+                        enc.to_url(&host, user).to_string(),
+                        "seed {seed} style {style:?}"
+                    );
                 }
             }
         }
@@ -504,38 +622,140 @@ mod tests {
             prop_assert_eq!(back.to_string(), s);
         }
 
-        // Satellite: the deferred writer agrees with the eager Display for
-        // every reachable EncodedUrl, not just RNG-synthesized ones.
+        // The deferred writer agrees with the eager Display for every
+        // canonical compact URL and identity, and the argument and scheme
+        // reads agree with the string.
         #[test]
-        fn write_into_matches_display_for_all_encodings(
-            https in any::<bool>(),
-            style_idx in 0usize..3,
-            path_idx in 0u8..4,
-            event_idx in 0u8..5,
-            identity in any::<u64>(),
-            has_cb in any::<bool>(),
-            cb_seed in any::<u64>(),
-        ) {
-            let style = [UrlStyle::Plain, UrlStyle::Args, UrlStyle::ArgsAndKeywords][style_idx];
-            // Plain URLs never carry a cache buster.
-            let cb = if has_cb && style != UrlStyle::Plain {
-                let mut rng = StdRng::seed_from_u64(cb_seed);
-                Some(super::token_bytes(&mut rng))
-            } else {
-                None
-            };
-            let enc = EncodedUrl {
-                scheme: if https { Scheme::Https } else { Scheme::Http },
-                style,
-                path_idx,
-                event_idx,
-                identity,
-                cb,
-            };
+        fn write_into_matches_display_for_all_encodings(seed in any::<u64>()) {
             let host = Domain::new("t.example.com");
-            let mut buf = String::new();
-            enc.write_into(host.as_str(), &mut buf);
-            prop_assert_eq!(&buf, &enc.to_url(&host).to_string());
+            for (enc, user, s) in drawn_urls(seed, &host) {
+                prop_assert_eq!(&s, &enc.to_url(&host, user).to_string());
+                prop_assert_eq!(enc.has_args(), s.contains('?'));
+                prop_assert_eq!(enc.scheme() == Scheme::Https, s.starts_with("https://"));
+            }
+        }
+
+        // Two canonical URLs on one host render equal strings exactly when
+        // they and, unless plain, their users are equal: the equality the
+        // Table-2 unique-URL counts rest on.
+        #[test]
+        fn canonical_urls_are_equal_exactly_when_their_strings_are(seed in any::<u64>()) {
+            let rendered = drawn_urls(seed, &Domain::new("t.example.com"));
+            for (ea, ua, sa) in &rendered {
+                for (eb, ub, sb) in &rendered {
+                    let same = ea == eb && ea.rendered_user(*ua) == eb.rendered_user(*ub);
+                    prop_assert_eq!(same, sa == sb, "{} vs {}", sa, sb);
+                }
+            }
+        }
+    }
+
+    /// Forty canonical URLs over every style, scheme, cache buster and
+    /// identity, with their users and strings on `host`. Half copy an
+    /// earlier one with at most one field or the user changed, so equal
+    /// and near-equal pairs are common.
+    fn drawn_urls(seed: u64, host: &Domain) -> Vec<(EncodedUrl, u32, String)> {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let mut drawn: Vec<(UrlParts, u32)> = Vec::new();
+        for _ in 0..40 {
+            let next = match drawn.len() {
+                n if n > 0 && rng.gen_bool(0.5) => {
+                    let (mut p, mut user) = drawn[rng.gen_range(0..n)];
+                    match rng.gen_range(0..5) {
+                        0 => user = draw_user(rng),
+                        1 => p.service = draw_service(rng),
+                        2 => p.cb = draw_cb(rng),
+                        3 => p.scheme = draw_parts(rng).scheme,
+                        _ => {}
+                    }
+                    (canonical(p), user)
+                }
+                _ => (draw_parts(rng), draw_user(rng)),
+            };
+            drawn.push(next);
+        }
+        drawn
+            .into_iter()
+            .map(|(p, user)| {
+                let enc = EncodedUrl::try_from(p).expect("canonical parts");
+                let mut buf = String::new();
+                enc.write_into(host.as_str(), user, &mut buf);
+                (enc, user, buf)
+            })
+            .collect()
+    }
+
+    /// Mostly a few values, so identities coincide; sometimes any value.
+    fn draw_user(rng: &mut StdRng) -> u32 {
+        if rng.gen_bool(0.75) { rng.gen_range(0..3) } else { rng.gen() }
+    }
+
+    fn draw_service(rng: &mut StdRng) -> u32 {
+        draw_user(rng)
+    }
+
+    fn draw_cb(rng: &mut StdRng) -> Option<[u8; 8]> {
+        match rng.gen_range(0..4) {
+            0 | 1 => None,
+            2 => Some(*b"aaaaaaaa"),
+            _ => Some(super::token_bytes(rng)),
+        }
+    }
+
+    /// Clears what the style does not render and wraps the indices into
+    /// the style's tables.
+    fn canonical(p: UrlParts) -> UrlParts {
+        let (paths, events) = match p.style {
+            UrlStyle::Plain => (PLAIN_PATHS.len(), 1),
+            UrlStyle::Args => (ARG_PATHS.len(), EVENTS.len()),
+            UrlStyle::ArgsAndKeywords => (TRACKING_KEYWORDS.len(), 1),
+        };
+        let plain = p.style == UrlStyle::Plain;
+        UrlParts {
+            path_idx: (p.path_idx as usize % paths) as u8,
+            event_idx: (p.event_idx as usize % events) as u8,
+            service: if plain { 0 } else { p.service },
+            cb: if plain { None } else { p.cb },
+            ..p
+        }
+    }
+
+    fn draw_parts(rng: &mut StdRng) -> UrlParts {
+        let styles = [UrlStyle::Plain, UrlStyle::Args, UrlStyle::ArgsAndKeywords];
+        let style = styles[rng.gen_range(0..3)];
+        canonical(UrlParts {
+            scheme: if rng.gen() { Scheme::Https } else { Scheme::Http },
+            style,
+            path_idx: rng.gen(),
+            event_idx: rng.gen(),
+            service: draw_service(rng),
+            cb: draw_cb(rng),
+        })
+    }
+
+    #[test]
+    fn non_canonical_parts_are_refused() {
+        let args = UrlParts {
+            scheme: Scheme::Https,
+            style: UrlStyle::Args,
+            path_idx: 0,
+            event_idx: 0,
+            service: 7,
+            cb: Some(*b"abc12345"),
+        };
+        assert!(EncodedUrl::try_from(args).is_ok());
+        let plain = UrlParts { style: UrlStyle::Plain, service: 0, cb: None, ..args };
+        assert!(EncodedUrl::try_from(plain).is_ok());
+        for (what, bad) in [
+            ("path index", UrlParts { path_idx: ARG_PATHS.len() as u8, ..args }),
+            ("event index", UrlParts { event_idx: EVENTS.len() as u8, ..args }),
+            ("event index", UrlParts { style: UrlStyle::ArgsAndKeywords, event_idx: 1, ..args }),
+            ("plain URL", UrlParts { service: 1, ..plain }),
+            ("plain URL", UrlParts { cb: Some(*b"abc12345"), ..plain }),
+            ("cache-buster byte", UrlParts { cb: Some(*b"abc1234A"), ..args }),
+        ] {
+            let err = EncodedUrl::try_from(bad).expect_err(what);
+            assert!(err.contains(what), "{what}: {err}");
         }
     }
 }

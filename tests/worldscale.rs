@@ -41,7 +41,8 @@ use xborder_browser::{
 };
 use xborder_checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointStore};
 use xborder_classify::Classification;
-use xborder_faults::{FaultPlan, KillSwitch, Profile};
+use xborder_faults::{DegradationReport, FaultPlan, KillSwitch, Profile};
+use xborder_webgraph::url::Scheme;
 use xborder_webgraph::{DomainId, PublisherId};
 
 /// Small segmented world (mirrors streaming_resume.rs) so the matrix and
@@ -289,8 +290,10 @@ fn snapshot(dir: &Path) -> HashMap<String, Vec<u8>> {
 /// must not be folded on replay: an unknown label tag (the folds count
 /// every non-clean tag as tracking), a request naming a user outside the
 /// chunk's range (the EU28 tally looks users up by id), an id past the
-/// world's tables, a dangling referrer row, a URL column whose offsets
-/// or bytes do not form the arena's UTF-8 slices, and IPv6 side rows that
+/// world's tables, a dangling referrer row, a URL that is not canonical
+/// (a style tag, path or event index past its table, a cache-buster byte
+/// outside the token alphabet) or names a service past the world's, and
+/// IPv6 side rows that
 /// are unsorted, repeated or outside their column (the address lookup
 /// binary-searches them) each refuse with typed corruption and write
 /// nothing.
@@ -355,40 +358,41 @@ fn replay_refuses_checksum_valid_corrupt_chunks() {
         )
         .encode_bytes()
     };
-    // The URL columns, edited in the encoded block: the arena starts with
-    // row 0's URL and the `n_requests` trailing offsets (u32 LE) sit right
-    // before it.
+    // The URL columns, edited in the encoded block. They follow the
+    // 72-byte header, the counters, the visit columns (16 bytes a row) and
+    // six request columns (28 bytes a row): one shape byte per row, one
+    // index byte per row, the services (u32 LE), then the cache busters.
     let genuine = encode(&chunk, &labels);
     assert_eq!(genuine, seg, "block encoding is deterministic");
-    let first_url = chunk.requests[0].url.as_bytes();
-    let arena_at = genuine
-        .windows(first_url.len())
-        .position(|w| w == first_url)
-        .expect("row 0's URL in the arena");
-    let offsets_at = arena_at - 4 * n_requests as usize;
-    let url_len: u32 = chunk.requests.iter().map(|r| r.url.len() as u32).sum();
-    let offset = |row: usize| offsets_at + 4 * row;
+    let n = n_requests as usize;
+    let shape_at = 72 + 8 * DegradationReport::N_COUNTERS + 16 * chunk.visits.len() + 28 * n;
+    let (index_at, service_at, cb_at) = (shape_at + n, shape_at + 2 * n, shape_at + 6 * n);
+    let url0 = chunk.requests[0].url.parts();
     assert_eq!(
-        genuine[offset(n_requests as usize - 1)..arena_at],
-        url_len.to_le_bytes(),
-        "the last offset ends the arena"
+        genuine[shape_at] & 1,
+        (url0.scheme == Scheme::Https) as u8,
+        "row 0's shape byte leads the URL columns"
     );
+    assert_eq!(genuine[index_at], url0.path_idx | url0.event_idx << 4);
+    let args_row = chunk.requests.iter().position(|r| r.has_args()).expect("an args URL");
+    assert!(chunk.requests.iter().any(|r| r.url.parts().cb.is_some()), "a cache buster");
     let edit_bytes = |edit: &dyn Fn(&mut Vec<u8>)| {
         let mut b = genuine.clone();
         edit(&mut b);
         b
     };
+    let style_tag_3 = edit_bytes(&|b| b[shape_at] = b[shape_at] & !6 | 3 << 1);
+    let path_past_table = edit_bytes(&|b| b[index_at] = b[index_at] & 0xF0 | 0xF);
+    let event_past_table = edit_bytes(&|b| b[index_at] = b[index_at] & 0xF | 0xF0);
+    let cb_outside_alphabet = edit_bytes(&|b| b[cb_at] = b'A');
+    let n_services = world.graph.services.len() as u32;
+    let foreign_service = edit_bytes(&|b| {
+        let at = service_at + 4 * args_row;
+        b[at..at + 4].copy_from_slice(&n_services.to_le_bytes());
+    });
     let put_u32 = |b: &mut Vec<u8>, at: usize, v: u32| {
         b[at..at + 4].copy_from_slice(&v.to_le_bytes());
     };
-    let offset_out_of_order = edit_bytes(&|b| {
-        let second = u32::from_le_bytes(b[offset(1)..offset(1) + 4].try_into().unwrap());
-        put_u32(b, offset(0), second + 1);
-    });
-    let offset_past_arena = edit_bytes(&|b| put_u32(b, offset(0), url_len + 1));
-    let offsets_end_short =
-        edit_bytes(&|b| put_u32(b, offset(n_requests as usize - 1), url_len - 1));
-    let not_utf8 = edit_bytes(&|b| b[arena_at] = 0xFF);
     // IPv6 side rows: two v6 requests (rows 0 and 1) and two v6
     // observations (rows 0 and 1), then each column's side rows doctored
     // in the encoded block. A side row is its row index (u32 LE) followed
@@ -471,10 +475,11 @@ fn replay_refuses_checksum_valid_corrupt_chunks() {
             cls,
             "referrer row",
         ),
-        ("URL offset out of order", offset_out_of_order, cls, "URL offset"),
-        ("URL offset past the arena", offset_past_arena, cls, "URL offset"),
-        ("URL offsets end short", offsets_end_short, cls, "URL offset"),
-        ("URL bytes not UTF-8", not_utf8, cls, "not UTF-8"),
+        ("URL style tag out of range", style_tag_3, cls, "style tag 3"),
+        ("URL path index past its table", path_past_table, cls, "path index 15"),
+        ("URL event index past its table", event_past_table, cls, "event index 15"),
+        ("URL cache buster outside the alphabet", cb_outside_alphabet, cls, "cache-buster byte"),
+        ("URL service past the world", foreign_service, cls, "URL service"),
         ("request IPv6 rows unsorted", side_rows(1, [1, 0]), cls, "IPv6 side row"),
         ("request IPv6 rows repeated", side_rows(1, [0, 0]), cls, "IPv6 side row"),
         ("request IPv6 row out of range", side_rows(1, [0, n_requests]), cls, "IPv6 side row"),
