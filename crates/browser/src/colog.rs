@@ -3,11 +3,11 @@
 //! This module is the study log's columnar twin, one [`SegmentBlock`] per
 //! driver chunk, following the `FlowBlock` idiom: every `LoggedRequest`
 //! field becomes a dense column keyed by row index. A row's URL is its
-//! compact [`EncodedUrl`] split into three narrow columns (a shape byte, an
-//! index byte and the identity's service half) plus the rare cache-buster
-//! tokens in a side column, 6 bytes a row where the rendered string took
-//! about 60, and the rare IPv6 addresses sit in sorted side rows next to
-//! a packed IPv4 column. A block round-trips exactly to the
+//! compact [`EncodedUrl`](xborder_webgraph::url::EncodedUrl) split into
+//! three narrow columns (a shape byte, an index byte and the identity's
+//! service half) plus the rare cache-buster tokens in a side column, 6
+//! bytes a row where the rendered string took about 60, and the rare IPv6
+//! addresses sit in sorted side rows next to a packed IPv4 column. A block round-trips exactly to the
 //! `StudyChunk` (plus per-row classification labels and fixpoint round
 //! counts) it was built from, so storing blocks instead of AoS chunks is
 //! invisible to every fingerprint.
@@ -28,7 +28,7 @@ use xborder_checkpoint::{ByteReader, ByteWriter, DecodeError};
 use xborder_dns::PdnsIdObservation;
 use xborder_faults::DegradationReport;
 use xborder_netsim::time::SimTime;
-use xborder_webgraph::url::{EncodedUrl, Scheme, UrlParts, UrlStyle};
+use xborder_webgraph::url::{pack_url, unpack_url, URL_CB};
 use xborder_webgraph::{DomainId, PublisherId};
 
 /// Referrer column sentinel: no referrer.
@@ -68,12 +68,11 @@ pub struct SegmentBlock {
     r_host: Vec<u32>,
     /// Segment-local parent row, or [`REF_NONE`] / [`REF_FIRST_PARTY`].
     r_referrer: Vec<u32>,
-    /// Row `i`'s compact URL: [`URL_HTTPS`], the style tag shifted by one
-    /// and [`URL_CB`] in `r_url_shape[i]`; the path index (low nibble) and
-    /// event index (high nibble) in `r_url_index[i]`; the identity's
-    /// service half in `r_service[i]`. Each row with [`URL_CB`] set takes
-    /// the next cache buster of `r_cb`, in row order. Every row is a
-    /// canonical [`EncodedUrl`] (checked when a block is decoded).
+    /// Row `i`'s compact URL in [`pack_url`]'s form: the shape byte in
+    /// `r_url_shape[i]`, the index byte in `r_url_index[i]` and the
+    /// identity's service half in `r_service[i]`. Each row with [`URL_CB`]
+    /// set takes the next cache buster of `r_cb`, in row order. Every row is a
+    /// canonical `EncodedUrl` (checked when a block is decoded).
     r_url_shape: Vec<u8>,
     r_url_index: Vec<u8>,
     r_service: Vec<u32>,
@@ -100,50 +99,6 @@ pub struct SegmentBlock {
     /// The chunk report's commutative counters, in
     /// [`DegradationReport::counter_values`] order.
     counters: [u64; DegradationReport::N_COUNTERS],
-}
-
-/// URL shape bit: the scheme is HTTPS.
-const URL_HTTPS: u8 = 1;
-/// URL shape bits: the style tag, an index into [`STYLES`].
-const URL_STYLE: u8 = 6;
-/// URL shape bit: the row has a cache buster in `r_cb`.
-const URL_CB: u8 = 8;
-
-/// The style tags of a URL shape byte.
-const STYLES: [UrlStyle; 3] = [UrlStyle::Plain, UrlStyle::Args, UrlStyle::ArgsAndKeywords];
-
-/// `(shape, index)` bytes of a compact URL's parts.
-fn pack_url(p: &UrlParts) -> (u8, u8) {
-    let style = STYLES.iter().position(|&s| s == p.style).expect("every style has a tag") as u8;
-    let https = if p.scheme == Scheme::Https { URL_HTTPS } else { 0 };
-    let cb = if p.cb.is_some() { URL_CB } else { 0 };
-    (https | style << 1 | cb, p.path_idx | p.event_idx << 4)
-}
-
-/// Reverses [`pack_url`]: an unknown shape bit, a style tag past
-/// [`STYLES`] or a non-canonical URL is an error, not a value.
-fn unpack_url(
-    shape: u8,
-    index: u8,
-    service: u32,
-    cb: Option<[u8; 8]>,
-) -> Result<EncodedUrl, String> {
-    if shape & !(URL_HTTPS | URL_STYLE | URL_CB) != 0 {
-        return Err(format!("URL shape {shape:#04x} sets unknown bits"));
-    }
-    let tag = ((shape & URL_STYLE) >> 1) as usize;
-    let &style = STYLES
-        .get(tag)
-        .ok_or_else(|| format!("URL style tag {tag} out of range"))?;
-    let scheme = if shape & URL_HTTPS != 0 { Scheme::Https } else { Scheme::Http };
-    EncodedUrl::try_from(UrlParts {
-        scheme,
-        style,
-        path_idx: index & 0xF,
-        event_idx: index >> 4,
-        service,
-        cb,
-    })
 }
 
 fn pack_ip(ip: IpAddr, row: u32, ip4: &mut Vec<u32>, ip6: &mut Vec<(u32, [u8; 16])>) {
@@ -700,6 +655,7 @@ impl SegmentBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xborder_webgraph::url::{EncodedUrl, Scheme, UrlParts, UrlStyle, URL_STYLE};
 
     /// A canonical HTTPS URL (panics on a non-canonical one).
     fn url(

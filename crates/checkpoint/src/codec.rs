@@ -85,6 +85,26 @@ impl ByteWriter {
         self.buf.extend_from_slice(b);
     }
 
+    /// Appends a length-prefixed (`u64`) byte string that `write` encodes
+    /// straight into this writer: the length is reserved, then
+    /// back-patched once `write` returns, so the blob is never built in a
+    /// buffer of its own and copied in. The bytes equal
+    /// [`ByteWriter::put_blob`] of what `write` would write to a fresh
+    /// writer.
+    pub fn put_blob_with(&mut self, write: impl FnOnce(&mut ByteWriter)) {
+        let at = self.buf.len();
+        self.put_u64(0);
+        write(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Makes room for exactly `n` more bytes, so a writer whose final
+    /// length is known grows once and holds no doubling slack.
+    pub fn reserve(&mut self, n: usize) {
+        self.buf.reserve_exact(n);
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_blob(s.as_bytes());
@@ -265,6 +285,26 @@ mod tests {
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.blob().unwrap(), &[1, 2, 3]);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn blob_written_in_place_equals_a_copied_blob() {
+        let body = |w: &mut ByteWriter| {
+            w.put_u32(7);
+            w.put_str("delta");
+        };
+        let mut inner = ByteWriter::new();
+        body(&mut inner);
+        let mut copied = ByteWriter::new();
+        copied.put_blob(b"head");
+        copied.put_blob(&inner.into_bytes());
+        let mut in_place = ByteWriter::new();
+        in_place.put_blob(b"head");
+        in_place.reserve(8 + 4 + 8 + 5);
+        in_place.put_blob_with(body);
+        in_place.put_blob_with(|_| {});
+        copied.put_blob(&[]);
+        assert_eq!(in_place.into_bytes(), copied.into_bytes());
     }
 
     #[test]

@@ -65,8 +65,9 @@ use xborder_faults::{checksum64, KillSwitch};
 /// split form with one state byte, DESIGN.md §5g; v6: one append-only
 /// journal replaces the manifest and the per-chunk files; v7: a block's
 /// URL column is the compact URL's shape, index, service and cache-buster
-/// columns, not a byte arena.)
-pub const CHECKPOINT_VERSION: u32 = 7;
+/// columns, not a byte arena; v8: a classifier delta carries each new URL
+/// as its compact key, not a rendered suffix, DESIGN.md §5g.)
+pub const CHECKPOINT_VERSION: u32 = 8;
 
 /// The last version that kept a `manifest.json` beside one file per blob.
 /// Such a directory is refused as this version: there is no reader for it.
@@ -644,18 +645,16 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn v6_journal_is_refused() {
-        // A journal as the previous format wrote it: the same framing with
-        // version 6 in every head, each head check and trailer valid. Its
-        // chunk blocks carry a URL byte arena no v7 reader decodes, so
-        // opening it is a typed refusal that leaves the directory as it was.
-        let dir = tmp_dir("v6");
+    /// Opens a journal as an earlier format wrote it: the same framing
+    /// with `version` in every head, each head check and trailer valid.
+    /// Returns what opening it gave; the directory must stay as it was.
+    fn open_at_version(tag: &str, version: u32) -> Result<Vec<Vec<u8>>, CheckpointError> {
+        let dir = tmp_dir(tag);
         let (mut journal, records) = journal_of(2, true, 0x1234_5678);
         let heads = std::iter::once((0, HEAD as u64)).chain(records.iter().map(|r| (r.0, r.1)));
         for (at, len) in heads {
             let (at, len) = (at as usize, len as usize);
-            journal[at + 4..at + 8].copy_from_slice(&6u32.to_le_bytes());
+            journal[at + 4..at + 8].copy_from_slice(&version.to_le_bytes());
             let check = checksum64(&journal[at..at + HEAD - 8]);
             journal[at + HEAD - 8..at + HEAD].copy_from_slice(&check.to_le_bytes());
             if len > HEAD {
@@ -664,6 +663,16 @@ mod tests {
             }
         }
         let got = open_damaged(&dir, &journal);
+        let _ = fs::remove_dir_all(&dir);
+        got
+    }
+
+    #[test]
+    fn v6_journal_is_refused() {
+        // Its chunk blocks carry a URL byte arena no later reader decodes,
+        // so opening it is a typed refusal that leaves the directory as it
+        // was.
+        let got = open_at_version("v6", 6);
         assert!(
             matches!(
                 got,
@@ -674,7 +683,24 @@ mod tests {
             ),
             "{got:?}"
         );
-        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v7_journal_is_refused() {
+        // Its classifier deltas carry rendered URL suffixes, which a v8
+        // reader would misread as compact keys: refused by version, with
+        // the directory left byte-identical.
+        let got = open_at_version("v7", 7);
+        assert!(
+            matches!(
+                got,
+                Err(CheckpointError::VersionMismatch {
+                    found: 7,
+                    expected: CHECKPOINT_VERSION
+                })
+            ),
+            "{got:?}"
+        );
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! [`IncrementalClassifier::append_chunk`] calls, what batch rebuilds per
 //! log:
 //!
-//! - the URL interner (owned URLs + open-addressing dedup table), the
-//!   host remap, and the compiled [`RuleEngine`] with its dense
-//!   [`HostRow`] table (DESIGN.md §5h), so every string is hashed, every
+//! - the URL interner (owned compact URL keys + open-addressing dedup
+//!   table), the host remap, and the compiled [`RuleEngine`] with its dense
+//!   [`HostRow`] table (DESIGN.md §5h), so every URL is stored, every
 //!   host gate-resolved and `tld()`-ed, once per *unique* value across the
 //!   whole stream, not once per chunk it appears in — and the engine
 //!   itself (automaton, anchor buckets) is compiled exactly
@@ -22,32 +22,40 @@
 //!   so the counts absorb per chunk and finalize re-walks nothing.
 //!
 //! What only this classifier does is the cross-chunk resolve: the core's
-//! chunk index dedups the chunk against itself on compact URL keys, pass 2
-//! renders each chunk-distinct URL's suffix once and resolves it against
-//! the owned store to its stream-global id, and pass 3 projects those ids
-//! onto the requests. Propagation runs over the frontier the new chunk
-//! introduces only: referrer edges are positional
-//! within a chunk and never cross users (hence never cross chunk
-//! boundaries — chunks are whole-user ranges), so the fixpoint over the
-//! concatenated log decomposes exactly into per-chunk fixpoints. Labels are
-//! monotone (Clean → Semi/AbpTracking, never back), so a chunk's labels are
-//! final the moment the chunk is processed.
+//! chunk index dedups the chunk against itself on compact URL keys and
+//! keeps each chunk-distinct URL's hash, pass 2 resolves each
+//! chunk-distinct URL against the owned store to its stream-global id with
+//! that hash, and pass 3 projects those ids onto the requests. No URL
+//! string is rendered to dedup; strings are rendered only where bytes are
+//! scanned (a URL-dependent stage-1 rule, the stage-3 keyword scan), once
+//! per unique URL, since both verdicts are memoized. Propagation runs over
+//! the frontier the new chunk introduces only: referrer edges are
+//! positional within a chunk and never cross users (hence never cross
+//! chunk boundaries — chunks are whole-user ranges), so the fixpoint over
+//! the concatenated log decomposes exactly into per-chunk fixpoints.
+//! Labels are monotone (Clean → Semi/AbpTracking, never back), so a
+//! chunk's labels are final the moment the chunk is processed.
 //!
 //! # Per-URL layout
 //!
 //! The per-unique-URL state is what grows with the stream (DESIGN.md §5g,
-//! "Classifier state layout"), so it is kept to about 17 bytes plus the
-//! URL's suffix:
+//! "Classifier state layout"), so it is a fixed 30 bytes per URL, however
+//! long the string it renders:
 //!
-//! - a rendered URL is `http(s)://` + its request's host name + a suffix,
-//!   and is stored in *split form*: a scheme, the host id it already
-//!   carries, and only the suffix bytes. Equal URLs share a host, so
-//!   comparing form, host id and suffix is exact;
-//! - suffix bytes and the fixed-width columns (locator, host id, the low
-//!   half of the URL hash, one state byte) live in fixed-size pages that
-//!   are never reallocated, so growth copies nothing and leaves at most
-//!   one page of slack per structure;
-//! - the three tri-state memos and the two seen-bits share one state byte.
+//! - the URL's canonical compact key, 24 bytes: the [`EncodedUrl`] plus
+//!   the user its string renders (the row's user, 0 for a plain URL), the
+//!   row key of `LoggedRequest::url_key` without the host. Rendering is
+//!   injective on these keys, so for one host two URLs are equal strings
+//!   exactly when their keys are equal, and comparing fixed-width records
+//!   is exact;
+//! - the dense host id (4 bytes), in a column of its own;
+//! - one state byte shared by the three tri-state memos and the two
+//!   seen-bits, and its serialization snapshot;
+//! - every column lives in fixed-size pages that are never reallocated,
+//!   so growth copies nothing and leaves at most one page of slack per
+//!   column. Beside them sits the dedup table, one 8-byte slot per request
+//!   absorbed, rounded up to a power of two, whose tags are the high half
+//!   of each URL's hash; growing it re-hashes the stored keys.
 //!
 //! # Determinism
 //!
@@ -76,55 +84,49 @@
 use crate::classifier::{Classification, ClassifierStages, MethodCounts};
 use crate::engine::{HostRow, KeywordScanner, RuleEngine};
 use crate::label::{
-    memo_get, semi_automatic, ChunkIndex, Tally, UrlRenderer, UrlStates, ARGS, GATE, KW, MEMO_YES,
-    SEEN,
+    key_hash, memo_get, semi_automatic, ChunkIndex, Tally, UrlRenderer, UrlStates, ARGS, GATE,
+    KW, MEMO_YES, SEEN,
 };
 use crate::rules::FilterList;
 use std::mem::size_of;
-use xborder_browser::LoggedRequest;
+use xborder_browser::{LoggedRequest, UrlKey};
 use xborder_checkpoint::{ByteReader, ByteWriter, DecodeError};
-use xborder_webgraph::{fx_hash, DomainId, DomainTable};
+use xborder_webgraph::url::{pack_url, unpack_url, EncodedUrl, URL_CB};
+use xborder_webgraph::{DomainId, DomainTable};
 
 /// True if no memo field of a decoded state byte holds the unused value 3.
 fn valid_state(state: u8) -> bool {
     [ARGS, KW, GATE].iter().all(|&f| (state >> f) & 3 <= MEMO_YES)
 }
 
-/// Storage forms of a unique URL: the scheme it is split under, so that
-/// the URL is `http://` (form 1) or `https://` (form 2) + host + suffix.
-/// The values are part of the delta format; 0 is no form.
-const FORM_HTTP: u8 = 1;
-const FORM_HTTPS: u8 = 2;
+/// A unique URL as the store keeps it: a row's [`UrlKey`] without the
+/// host, which has a column of its own.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct StoredUrl {
+    url: EncodedUrl,
+    /// The user the string renders: the row's user, or 0 for a plain URL.
+    user: u32,
+}
 
-/// The storage form of a request's URL.
-fn url_form(r: &LoggedRequest) -> u8 {
-    if r.is_https() {
-        FORM_HTTPS
-    } else {
-        FORM_HTTP
+/// The store's per-URL record stays within 24 bytes.
+const _: () = assert!(size_of::<StoredUrl>() <= 24);
+
+impl StoredUrl {
+    fn of(key: UrlKey) -> StoredUrl {
+        StoredUrl {
+            url: key.url,
+            user: key.user,
+        }
     }
-}
 
-/// Probe hash of a split-form URL: FxHash over the suffix's final 32
-/// bytes, mixed with its length, form and world host id. Simulator URLs
-/// differ in their identity-token/query tails, so the tail carries nearly
-/// all the entropy at a fraction of the whole-string hashing cost. Safe to
-/// weaken: the hash only *locates* probe slots — equality is always
-/// verified on form, host and suffix bytes, and ids are assigned in
-/// insertion order, so collisions cost a compare, never a wrong id.
-fn url_hash(form: u8, host: DomainId, suffix: &[u8]) -> u64 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let shape = (suffix.len() as u64) << 34 | (host.0 as u64) << 2 | form as u64;
-    fx_hash(&suffix[suffix.len().saturating_sub(32)..]).wrapping_add(shape.wrapping_mul(K))
-}
-
-/// A unique URL as the store compares and keeps it.
-#[derive(Clone, Copy)]
-struct UrlKey<'a> {
-    form: u8,
-    /// Dense host id.
-    host: u32,
-    suffix: &'a [u8],
+    /// The row key this URL has on world host `host`.
+    fn on(self, host: DomainId) -> UrlKey {
+        UrlKey {
+            host,
+            user: self.user,
+            url: self.url,
+        }
+    }
 }
 
 /// One chunk's classification, emitted by
@@ -149,10 +151,10 @@ pub struct ChunkClassification {
 /// not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidentBytes {
-    /// Pages of unique-URL suffix bytes.
-    pub url_suffixes: usize,
-    /// Fixed-width per-URL columns: locator, host id, hash half, state
-    /// byte, and the serialization snapshot of the state bytes.
+    /// Pages of unique-URL compact keys, 24 bytes each.
+    pub url_keys: usize,
+    /// The other fixed-width per-URL columns: host id, state byte, and the
+    /// serialization snapshot of the state bytes.
     pub url_columns: usize,
     /// The cross-chunk dedup table: one 8-byte slot per request absorbed,
     /// rounded up to a power of two.
@@ -168,7 +170,7 @@ pub struct ResidentBytes {
 impl ResidentBytes {
     /// Everything that grows with the stream: all but the chunk scratch.
     pub fn state(&self) -> usize {
-        self.url_suffixes + self.url_columns + self.url_slots + self.hosts
+        self.url_keys + self.url_columns + self.url_slots + self.hosts
     }
 }
 
@@ -178,20 +180,29 @@ const COLUMN_PAGE: usize = 1 << 12;
 /// An append-only column in fixed-size pages that are never reallocated:
 /// growing it allocates one more page and copies nothing, and at most one
 /// page is slack.
-#[derive(Default)]
 struct Paged<T> {
     pages: Vec<Box<[T]>>,
     len: usize,
 }
 
-impl<T: Copy + Default + PartialEq> Paged<T> {
+impl<T> Default for Paged<T> {
+    fn default() -> Paged<T> {
+        Paged {
+            pages: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T: Copy + PartialEq> Paged<T> {
     fn len(&self) -> usize {
         self.len
     }
 
     fn push(&mut self, v: T) {
         if self.len == self.pages.len() * COLUMN_PAGE {
-            self.pages.push(vec![T::default(); COLUMN_PAGE].into_boxed_slice());
+            // A fresh page is filled with the value that opens it.
+            self.pages.push(vec![v; COLUMN_PAGE].into_boxed_slice());
         }
         self.pages[self.len / COLUMN_PAGE][self.len % COLUMN_PAGE] = v;
         self.len += 1;
@@ -247,83 +258,38 @@ impl UrlStates for Paged<u8> {
     }
 }
 
-/// Suffix bytes per page of a [`UrlStore`].
-const SUFFIX_PAGE: usize = 1 << 16;
-/// Locator length field of a suffix too long for a shared page: it has a
-/// page of its own and is the whole of it.
-const WHOLE_PAGE: u64 = 0xFFFF;
-
-/// Owned unique-URL store: suffix bytes in fixed-size pages plus one
-/// locator and one host id per URL.
+/// Owned unique-URL store: one fixed-width compact key and one dense host
+/// id per URL, each in its own [`Paged`] column.
 ///
 /// The core's chunk index never copies a URL — it borrows equality
-/// targets from the request slice. Across chunks the log is gone, so the classifier
-/// must own one copy per unique URL. In split form only the bytes after
-/// `scheme://host` are kept (about a third of a simulator URL is that
-/// prefix). Pages are never reallocated, so the store never copies what it
-/// holds as it grows.
+/// targets from the request slice. Across chunks the log is gone, so the
+/// classifier keeps each unique URL's key, which is what a row's string
+/// is a function of: equal keys on equal hosts render equal strings and
+/// unequal ones never do, so comparing records is exact and no string is
+/// ever rendered to dedup.
 #[derive(Default)]
 struct UrlStore {
-    pages: Vec<Vec<u8>>,
-    /// Whether the last page takes further suffixes (a page holding one
-    /// oversized suffix does not).
-    tail_open: bool,
-    /// Per URL: form (2 bits) | page (30) | offset in the page (16) |
-    /// length (16, or [`WHOLE_PAGE`]).
-    loc: Paged<u64>,
-    /// Per URL: dense host id.
+    key: Paged<StoredUrl>,
     host: Paged<u32>,
 }
 
 impl UrlStore {
     fn len(&self) -> usize {
-        self.loc.len()
+        self.key.len()
     }
 
-    fn push(&mut self, key: UrlKey<'_>) {
-        let len = key.suffix.len();
-        let (off, len_field) = if len as u64 >= WHOLE_PAGE {
-            self.pages.push(key.suffix.to_vec());
-            self.tail_open = false;
-            (0, WHOLE_PAGE)
-        } else {
-            // Offset plus length stays below SUFFIX_PAGE, so both fit 16 bits.
-            if !self.tail_open || self.pages.last().is_some_and(|p| p.len() + len >= SUFFIX_PAGE) {
-                self.pages.push(Vec::with_capacity(SUFFIX_PAGE));
-                self.tail_open = true;
-            }
-            let page = self.pages.last_mut().expect("a page was just ensured");
-            let off = page.len() as u64;
-            page.extend_from_slice(key.suffix);
-            (off, len as u64)
-        };
-        let page = (self.pages.len() - 1) as u64;
-        assert!(page < 1 << 30, "suffix page index overflows its locator field");
-        self.loc.push((key.form as u64) << 62 | page << 32 | off << 16 | len_field);
-        self.host.push(key.host);
+    fn push(&mut self, key: StoredUrl, host: u32) {
+        self.key.push(key);
+        self.host.push(host);
     }
 
-    fn key(&self, id: usize) -> UrlKey<'_> {
-        let l = self.loc.get(id);
-        let page = &self.pages[(l >> 32 & 0x3FFF_FFFF) as usize];
-        let suffix = if l & 0xFFFF == WHOLE_PAGE {
-            &page[..]
-        } else {
-            let off = (l >> 16 & 0xFFFF) as usize;
-            &page[off..off + (l & 0xFFFF) as usize]
-        };
-        UrlKey { form: (l >> 62) as u8, host: self.host.get(id), suffix }
+    fn matches(&self, id: usize, key: StoredUrl, host: u32) -> bool {
+        self.key.get(id) == key && self.host.get(id) == host
     }
 
-    fn matches(&self, id: usize, key: UrlKey<'_>) -> bool {
-        let stored = self.key(id);
-        stored.form == key.form && stored.host == key.host && stored.suffix == key.suffix
-    }
-
-    /// Bytes held by the suffix pages (the columns are counted apart).
-    fn suffix_bytes(&self) -> usize {
-        self.pages.iter().map(Vec::capacity).sum::<usize>()
-            + self.pages.capacity() * size_of::<Vec<u8>>()
+    /// URL `id`'s [`key_hash`], the hash its first row had in its chunk.
+    fn hash(&self, id: usize, host_ids: &[DomainId]) -> u64 {
+        key_hash(&self.key.get(id).on(host_ids[self.host.get(id) as usize]))
     }
 }
 
@@ -332,16 +298,13 @@ impl UrlStore {
 /// 3/4 load, ids in insertion order, but it is only ever probed once per
 /// *chunk-distinct* URL (the core's chunk index absorbs all within-chunk
 /// repeats), so its slots carry no occurrence index — 8 bytes, equality
-/// always against the owned store.
+/// always against the owned store. A slot holds the high half of the
+/// URL's [`key_hash`] as its tag; growing the table re-hashes the stored
+/// keys.
 struct UrlSlots {
     slots: Vec<Slot>,
     mask: usize,
     len: u32,
-    /// Interned id -> low 32 bits of its hash (the slot's tag holds the
-    /// high 32). Together they reject nearly every false tag match without
-    /// touching the colder suffix bytes, and let a table grow re-insert
-    /// from the old slots alone instead of re-hashing every owned URL.
-    hash_lo: Paged<u32>,
 }
 
 /// `id1` is the interned id plus one (0 = empty slot).
@@ -365,13 +328,12 @@ impl UrlSlots {
             slots: vec![Slot::default(); slots],
             mask: slots - 1,
             len: 0,
-            hash_lo: Paged::default(),
         }
     }
 
-    /// Home slot of a hash (from its low half, the part the sidecar keeps).
+    /// Home slot of a hash.
     fn home(&self, hash: u64) -> usize {
-        hash as u32 as usize & self.mask
+        hash as usize & self.mask
     }
 
     /// Pulls the slot a hash maps to into cache ahead of its `intern` call.
@@ -380,24 +342,30 @@ impl UrlSlots {
     }
 
     /// Chases a probed slot into the store: if the hash's home slot holds
-    /// a tag match, its hash half and suffix are about to be compared —
-    /// touching them a few iterations early overlaps those dependent DRAM
-    /// loads with the resolve loop.
+    /// a tag match, its stored key is about to be compared — touching it a
+    /// few iterations early overlaps that dependent DRAM load with the
+    /// resolve loop.
     fn prefetch_url(&self, hash: u64, urls: &UrlStore) {
         let slot = self.slots[self.home(hash)];
         if slot.id1 != 0 && slot.tag == (hash >> 32) as u32 {
-            let id = (slot.id1 - 1) as usize;
-            std::hint::black_box(self.hash_lo.get(id));
-            std::hint::black_box(urls.key(id).suffix.first().copied());
+            std::hint::black_box(urls.key.get((slot.id1 - 1) as usize).user);
         }
     }
 
     /// Interns against the owned unique-URL store (both the pass-2 resolve
     /// loop and the `apply_delta` path, where no chunk slice exists).
-    /// `hash` is the URL's [`url_hash`].
-    fn intern_owned(&mut self, hash: u64, key: UrlKey<'_>, urls: &UrlStore) -> UrlSlot {
+    /// `hash` is the URL's [`key_hash`]; `host_ids` maps the store's dense
+    /// host ids to world ids, for re-hashing should the table grow.
+    fn intern_owned(
+        &mut self,
+        hash: u64,
+        key: StoredUrl,
+        host: u32,
+        urls: &UrlStore,
+        host_ids: &[DomainId],
+    ) -> UrlSlot {
         if self.len as usize * 4 >= self.slots.len() * 3 {
-            self.grow_to(self.slots.len() * 2);
+            self.grow_to(self.slots.len() * 2, urls, host_ids);
         }
         let tag = (hash >> 32) as u32;
         let mut s = self.home(hash);
@@ -406,15 +374,11 @@ impl UrlSlots {
             if slot.id1 == 0 {
                 self.len += 1;
                 self.slots[s] = Slot { tag, id1: self.len };
-                self.hash_lo.push(hash as u32);
                 return UrlSlot::New(self.len - 1);
             }
-            // Tag (high 32 bits) filters in the slot line itself; the low
-            // half from the dense sidecar then rejects nearly every
-            // residual false tag match without touching the (colder)
-            // suffix bytes. The key comparison stays authoritative.
-            let id = (slot.id1 - 1) as usize;
-            if slot.tag == tag && self.hash_lo.get(id) == hash as u32 && urls.matches(id, key) {
+            // The tag filters in the slot line itself; the fixed-width key
+            // comparison stays authoritative.
+            if slot.tag == tag && urls.matches((slot.id1 - 1) as usize, key, host) {
                 return UrlSlot::Existing(slot.id1 - 1);
             }
             s = (s + 1) & self.mask;
@@ -429,56 +393,53 @@ impl UrlSlots {
     /// larger one doubles the cache footprint every probe has to miss
     /// through. It also means a chunk never pays repeated doublings
     /// mid-pass.
-    fn reserve_for_total(&mut self, total_requests: usize) {
+    fn reserve_for_total(&mut self, total_requests: usize, urls: &UrlStore, host_ids: &[DomainId]) {
         let target = total_requests.max(16).next_power_of_two();
         if target > self.slots.len() {
-            self.grow_to(target);
+            self.grow_to(target, urls, host_ids);
         }
     }
 
-    /// Rebuilds the table at `n` slots from the old slots, which carry
-    /// each entry's tag and id; the home slot comes from the hash half in
-    /// the sidecar. Linear-probe lookups only need every key reachable
-    /// from its home slot without crossing an empty slot, and re-inserting
-    /// every key into an empty table preserves that regardless of
-    /// insertion order — slot layout is not part of the determinism
-    /// contract (interned ids are, and they don't move).
-    fn grow_to(&mut self, n: usize) {
+    /// Rebuilds the table at `n` slots by re-inserting every stored URL in
+    /// id order, which reads the key column front to back. Linear-probe
+    /// lookups only need every key reachable from its home slot without
+    /// crossing an empty slot, and re-inserting every key into an empty
+    /// table preserves that regardless of insertion order — slot layout is
+    /// not part of the determinism contract (interned ids are, and they
+    /// don't move).
+    fn grow_to(&mut self, n: usize, urls: &UrlStore, host_ids: &[DomainId]) {
+        debug_assert_eq!(urls.len(), self.len as usize, "every slot has a stored URL");
         let mut slots = vec![Slot::default(); n];
         let mask = n - 1;
-        for &old in &self.slots {
-            if old.id1 == 0 {
-                continue;
-            }
-            let mut d = self.hash_lo.get((old.id1 - 1) as usize) as usize & mask;
+        for id in 0..urls.len() {
+            let hash = urls.hash(id, host_ids);
+            let mut d = hash as usize & mask;
             while slots[d].id1 != 0 {
                 d = (d + 1) & mask;
             }
-            slots[d] = old;
+            slots[d] = Slot {
+                tag: (hash >> 32) as u32,
+                id1: id as u32 + 1,
+            };
         }
         self.slots = slots;
         self.mask = mask;
     }
 }
 
-/// How far ahead of the resolve loop a chunk-distinct URL is rendered,
-/// hashed and its dedup slot prefetched.
+/// How far ahead of the resolve loop a chunk-distinct URL's dedup slot is
+/// prefetched.
 const SLOT_AHEAD: usize = 8;
 /// How far ahead the stored URL a slot points at is prefetched.
 const URL_AHEAD: usize = 4;
 
-/// Reusable per-chunk working memory: the core's chunk index, the URLs in
-/// flight in the resolve loop, and the dense per-request/per-chunk-distinct
+/// Reusable per-chunk working memory: the core's chunk index (with each
+/// chunk-distinct URL's hash) and the dense per-request/per-chunk-distinct
 /// views. At streaming chunk sizes (~1.3K requests) allocating these
 /// afresh would repeat hundreds of times over a stream, so the buffers
 /// persist across chunks and are cleared instead.
-#[derive(Default)]
 struct ChunkScratch {
     index: ChunkIndex,
-    /// The rendered suffixes and [`url_hash`]es of the chunk-distinct
-    /// URLs in flight in the resolve loop: URL `k` is in entry
-    /// `k % SLOT_AHEAD`.
-    ahead: [(String, u64); SLOT_AHEAD],
     /// Chunk-local URL id -> stream-global URL id, dense host id, and
     /// stage-1 verdict.
     gid_of: Vec<u32>,
@@ -489,10 +450,22 @@ struct ChunkScratch {
     host_of: Vec<u32>,
 }
 
+impl Default for ChunkScratch {
+    fn default() -> ChunkScratch {
+        ChunkScratch {
+            index: ChunkIndex::keeping_hashes(),
+            gid_of: Vec::new(),
+            gid_host: Vec::new(),
+            hit: Vec::new(),
+            url_of: Vec::new(),
+            host_of: Vec::new(),
+        }
+    }
+}
+
 impl ChunkScratch {
     fn resident_bytes(&self) -> usize {
         self.index.resident_bytes()
-            + self.ahead.iter().map(|(s, _)| s.capacity()).sum::<usize>()
             + self.hit.capacity()
             + (self.gid_of.capacity()
                 + self.gid_host.capacity()
@@ -512,7 +485,7 @@ pub struct IncrementalClassifier {
     stages: ClassifierStages,
     scanner: KeywordScanner,
 
-    /// Owned unique URLs (split or raw form) with their host ids.
+    /// Owned unique URLs (compact keys) with their host ids.
     urls: UrlStore,
     url_slots: UrlSlots,
     /// World `DomainId` -> classifier-local dense host id (`u32::MAX` =
@@ -544,10 +517,12 @@ pub struct IncrementalClassifier {
 }
 
 /// Minimum encoded widths of the delta's items: a new host (u32 id + seen
-/// byte), a new URL (u32 host ref, form byte, state byte, u64 suffix
-/// length), a host update (u32 + seen byte), a URL update (u32 + state).
+/// byte), a new URL (u32 host ref, state byte, shape byte, index byte, u32
+/// service, u32 user; 8 cache-buster bytes follow only when the shape
+/// flags them), a host update (u32 + seen byte), a URL update (u32 +
+/// state).
 const NEW_HOST_MIN: usize = 5;
-const NEW_URL_MIN: usize = 4 + 1 + 1 + 8;
+const NEW_URL_MIN: usize = 4 + 1 + 1 + 1 + 4 + 4;
 const HOST_UPDATE_MIN: usize = 5;
 const URL_UPDATE_MIN: usize = 5;
 
@@ -595,10 +570,8 @@ impl IncrementalClassifier {
     /// scratch reported apart (see [`ResidentBytes`]).
     pub fn resident_bytes(&self) -> ResidentBytes {
         ResidentBytes {
-            url_suffixes: self.urls.suffix_bytes(),
-            url_columns: self.urls.loc.resident_bytes()
-                + self.urls.host.resident_bytes()
-                + self.url_slots.hash_lo.resident_bytes()
+            url_keys: self.urls.key.resident_bytes(),
+            url_columns: self.urls.host.resident_bytes()
                 + self.url_state.resident_bytes()
                 + self.enc_state.resident_bytes(),
             url_slots: self.url_slots.slots.capacity() * size_of::<Slot>(),
@@ -635,6 +608,21 @@ impl IncrementalClassifier {
         h
     }
 
+    /// Interns one URL in the owned store, given its [`key_hash`] and its
+    /// host's dense id: its stream-global id, and whether it is new (then
+    /// its state byte is pushed as `state`).
+    fn intern_url(&mut self, hash: u64, key: StoredUrl, host: u32, state: u8) -> UrlSlot {
+        let slot = self
+            .url_slots
+            .intern_owned(hash, key, host, &self.urls, &self.host_ids);
+        if let UrlSlot::New(u) = slot {
+            debug_assert_eq!(u as usize, self.urls.len());
+            self.urls.push(key, host);
+            self.url_state.push(state);
+        }
+        slot
+    }
+
     /// Classifies one appended chunk and absorbs its counts.
     ///
     /// Chunks must arrive in log order; `requests` must be a whole-user
@@ -650,14 +638,13 @@ impl IncrementalClassifier {
         // unique) before the resolve pass — the pipelined loop never
         // rehashes.
         self.url_slots
-            .reserve_for_total(self.n_requests as usize + n);
+            .reserve_for_total(self.n_requests as usize + n, &self.urls, &self.host_ids);
         // Per-chunk working memory persists across chunks (reset, not
         // reallocated); taken out of `self` so the borrow checker lets the
         // passes below index `self`'s per-unique tables while filling it.
         let mut sc = std::mem::take(&mut self.chunk_scratch);
         let ChunkScratch {
             index,
-            ahead,
             gid_of,
             gid_host,
             hit,
@@ -668,62 +655,48 @@ impl IncrementalClassifier {
         // Two-level interning. Pass 1 is the core's chunk index: it dedups
         // the chunk against itself on compact keys in a cache-resident
         // table, absorbing the ~40% of requests that repeat a URL within
-        // their own chunk.
+        // their own chunk, and keeps each chunk-distinct URL's hash.
         // Chunk-local ids are first-occurrence ranks, so walking them in
         // order preserves the global first-occurrence id assignment the
         // determinism contract pins.
         index.build(requests);
 
         // Pass 2 resolves each chunk-distinct URL to its cross-chunk id in
-        // one tight pipelined loop. Each URL's suffix (what follows
-        // `scheme://host`; the owned store keeps the rendered string in
-        // split form) is rendered and hashed SLOT_AHEAD iterations before
-        // it is resolved, and its slot in the big table prefetched then;
-        // the stored URL the slot points at (the equality target for a
+        // one tight pipelined loop, probing with the hash pass 1 kept and
+        // comparing fixed-width keys. Each URL's slot in the big table is
+        // prefetched SLOT_AHEAD iterations before it is resolved; the
+        // stored key the slot points at (the equality target for a
         // recurring URL) is prefetched URL_AHEAD out, once the slot line
         // has had time to arrive — the dependent DRAM chases that
         // otherwise stall every first-recurrence-this-chunk probe.
-        let first = &index.first;
-        let render = |k: usize, (suffix, hash): &mut (String, u64)| {
-            let r = &requests[first[k] as usize];
-            suffix.clear();
-            r.url.write_suffix(r.user.0, suffix);
-            *hash = url_hash(url_form(r), r.host, suffix.as_bytes());
-        };
+        let (first, hashes) = (&index.first, &index.hashes);
         let m = first.len();
         gid_of.clear();
         gid_host.clear();
         hit.clear();
         gid_of.reserve(m);
         gid_host.reserve(m);
-        for (k, entry) in ahead.iter_mut().enumerate().take(m) {
-            render(k, entry);
-            self.url_slots.prefetch(entry.1);
+        for &hash in hashes.iter().take(SLOT_AHEAD) {
+            self.url_slots.prefetch(hash);
         }
-        for entry in ahead.iter().take(m.min(URL_AHEAD)) {
-            self.url_slots.prefetch_url(entry.1, &self.urls);
+        for &hash in hashes.iter().take(URL_AHEAD) {
+            self.url_slots.prefetch_url(hash, &self.urls);
         }
         let mut urls = UrlRenderer::new(domains);
         for k in 0..m {
-            if k + URL_AHEAD < m {
-                let h = ahead[(k + URL_AHEAD) % SLOT_AHEAD].1;
-                self.url_slots.prefetch_url(h, &self.urls);
+            if let Some(&hash) = hashes.get(k + SLOT_AHEAD) {
+                self.url_slots.prefetch(hash);
             }
-            let r = &requests[index.first[k] as usize];
+            if let Some(&hash) = hashes.get(k + URL_AHEAD) {
+                self.url_slots.prefetch_url(hash, &self.urls);
+            }
+            let r = &requests[first[k] as usize];
             // A recurring URL's host is already interned (equal URLs share
             // a host), so interning it first assigns new host ids in the
             // same first-occurrence order as interning it for new URLs only.
             let h = self.intern_host(r.host, domains);
-            let (suffix, hash) = &ahead[k % SLOT_AHEAD];
-            let key = UrlKey { form: url_form(r), host: h, suffix: suffix.as_bytes() };
-            let u = match self.url_slots.intern_owned(*hash, key, &self.urls) {
-                UrlSlot::New(u) => {
-                    self.urls.push(key);
-                    self.url_state.push(0);
-                    u
-                }
-                UrlSlot::Existing(u) => u,
-            };
+            let (UrlSlot::New(u) | UrlSlot::Existing(u)) =
+                self.intern_url(hashes[k], StoredUrl::of(r.url_key()), h, 0);
             // Stage 1, decided once per chunk-distinct URL here and
             // memoized across chunks (a URL-dependent row renders the
             // whole string once); the projection below only copies a bool.
@@ -737,11 +710,6 @@ impl IncrementalClassifier {
             );
             gid_of.push(u);
             gid_host.push(h);
-            if k + SLOT_AHEAD < m {
-                let entry = &mut ahead[k % SLOT_AHEAD];
-                render(k + SLOT_AHEAD, entry);
-                self.url_slots.prefetch(entry.1);
-            }
         }
 
         // Pass 3 projects the per-request views and the stage-1 labels
@@ -793,31 +761,10 @@ impl IncrementalClassifier {
     /// On a fresh classifier this is a full encoding of the state.
     pub fn encode_delta(&mut self, w: &mut ByteWriter) {
         let (enc_hosts, enc_urls) = (self.enc_host_seen.len(), self.enc_state.len());
-        w.put_u64(self.n_requests);
-        w.put_usize(enc_hosts);
-        w.put_usize(enc_urls);
-        w.put_usize(self.host_ids.len() - enc_hosts);
-        for h in enc_hosts..self.host_ids.len() {
-            w.put_u32(self.host_ids[h].0);
-            w.put_u8(self.tally.host_seen[h]);
-        }
-        w.put_usize(self.urls.len() - enc_urls);
-        for u in enc_urls..self.urls.len() {
-            let key = self.urls.key(u);
-            w.put_u32(key.host);
-            w.put_u8(key.form);
-            w.put_u8(self.url_state.get(u));
-            w.put_blob(key.suffix);
-        }
         let dirty_hosts: Vec<u32> = (0..enc_hosts)
             .filter(|&h| self.tally.host_seen[h] != self.enc_host_seen[h])
             .map(|h| h as u32)
             .collect();
-        w.put_usize(dirty_hosts.len());
-        for &h in &dirty_hosts {
-            w.put_u32(h);
-            w.put_u8(self.tally.host_seen[h as usize]);
-        }
         // Page by page: an unchanged page is one slice comparison.
         let mut dirty_urls: Vec<u32> = Vec::new();
         for (p, (now, then)) in self
@@ -835,6 +782,49 @@ impl IncrementalClassifier {
                 );
             }
         }
+        // The exact length, so the writer grows once.
+        let new_urls = enc_urls..self.urls.len();
+        let n_cb = new_urls
+            .clone()
+            .filter(|&u| self.urls.key.get(u).url.parts().cb.is_some())
+            .count();
+        let len = 8 * 7
+            + NEW_HOST_MIN * (self.host_ids.len() - enc_hosts)
+            + NEW_URL_MIN * new_urls.len()
+            + 8 * n_cb
+            + HOST_UPDATE_MIN * dirty_hosts.len()
+            + URL_UPDATE_MIN * dirty_urls.len()
+            + 8 * 8;
+        w.reserve(len);
+        let start = w.len();
+        w.put_u64(self.n_requests);
+        w.put_usize(enc_hosts);
+        w.put_usize(enc_urls);
+        w.put_usize(self.host_ids.len() - enc_hosts);
+        for h in enc_hosts..self.host_ids.len() {
+            w.put_u32(self.host_ids[h].0);
+            w.put_u8(self.tally.host_seen[h]);
+        }
+        w.put_usize(new_urls.len());
+        for u in new_urls {
+            let key = self.urls.key.get(u);
+            let parts = key.url.parts();
+            let (shape, index) = pack_url(&parts);
+            w.put_u32(self.urls.host.get(u));
+            w.put_u8(self.url_state.get(u));
+            w.put_u8(shape);
+            w.put_u8(index);
+            w.put_u32(parts.service);
+            w.put_u32(key.user);
+            if let Some(cb) = parts.cb {
+                w.put_bytes(&cb);
+            }
+        }
+        w.put_usize(dirty_hosts.len());
+        for &h in &dirty_hosts {
+            w.put_u32(h);
+            w.put_u8(self.tally.host_seen[h as usize]);
+        }
         w.put_usize(dirty_urls.len());
         for &u in &dirty_urls {
             w.put_u32(u);
@@ -846,6 +836,7 @@ impl IncrementalClassifier {
             w.put_usize(c.n_unique_urls);
             w.put_usize(c.n_total_requests);
         }
+        debug_assert_eq!(w.len() - start, len, "the reserved length is exact");
         self.sync_baseline();
     }
 
@@ -927,9 +918,12 @@ impl IncrementalClassifier {
         // that only leaves the table at a load factor of 1/4 instead of
         // lower.
         let unique_after = (base_urls + n_new_urls) as u64;
-        self.url_slots
-            .reserve_for_total(n_requests.min(unique_after.saturating_mul(4)) as usize);
-        for _ in 0..n_new_urls {
+        self.url_slots.reserve_for_total(
+            n_requests.min(unique_after.saturating_mul(4)) as usize,
+            &self.urls,
+            &self.host_ids,
+        );
+        for k in base_urls..base_urls + n_new_urls {
             let h = r.u32()?;
             if h as usize >= self.host_ids.len() {
                 return Err(bad(format!(
@@ -937,25 +931,27 @@ impl IncrementalClassifier {
                     self.host_ids.len()
                 )));
             }
-            let form = r.u8()?;
-            if form != FORM_HTTP && form != FORM_HTTPS {
-                return Err(bad(format!("url form {form} out of range")));
-            }
             let state = r.u8()?;
             if !valid_state(state) {
                 return Err(bad(format!("url state byte {state:#04x} out of range")));
             }
-            let suffix = r.str()?.as_bytes();
-            let hash = url_hash(form, self.host_ids[h as usize], suffix);
-            let key = UrlKey { form, host: h, suffix };
-            match self.url_slots.intern_owned(hash, key, &self.urls) {
-                UrlSlot::New(u) => debug_assert_eq!(u as usize, self.urls.len()),
-                UrlSlot::Existing(u) => {
-                    return Err(bad(format!("duplicate of url {u} in delta")));
-                }
+            let (shape, index, service, user) = (r.u8()?, r.u8()?, r.u32()?, r.u32()?);
+            let cb = if shape & URL_CB != 0 {
+                Some(r.bytes(8)?.try_into().expect("8 bytes"))
+            } else {
+                None
+            };
+            // The same canonical-form check a block's URL columns pass.
+            let url = unpack_url(shape, index, service, cb)
+                .map_err(|e| bad(format!("url {k}: {e}")))?;
+            if url.rendered_user(user) != user {
+                return Err(bad(format!("url {k}: plain URL carries user {user}")));
             }
-            self.urls.push(key);
-            self.url_state.push(state);
+            let key = StoredUrl { url, user };
+            let hash = key_hash(&key.on(self.host_ids[h as usize]));
+            if let UrlSlot::Existing(u) = self.intern_url(hash, key, h, state) {
+                return Err(bad(format!("url {k}: duplicate of url {u} in delta")));
+            }
         }
         let n_host_updates = r.count(HOST_UPDATE_MIN)?;
         for _ in 0..n_host_updates {
@@ -1028,7 +1024,7 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
     use std::mem::size_of;
     use xborder_browser::Referrer;
-    use xborder_webgraph::url::{EncodedUrl, Scheme, UrlParts, UrlStyle};
+    use xborder_webgraph::url::{Scheme, UrlParts, UrlStyle, URL_HTTPS, URL_STYLE};
     use xborder_webgraph::{Domain, WebGraph};
 
     fn run_incremental(
@@ -1183,7 +1179,7 @@ mod tests {
         };
         assert_eq!(
             [NEW_HOST_MIN, NEW_URL_MIN, HOST_UPDATE_MIN, URL_UPDATE_MIN],
-            [5, 14, 5, 5]
+            [5, 15, 5, 5]
         );
         for (k, field) in header.iter().enumerate() {
             // Past the header come the later counts and the 8 running
@@ -1275,43 +1271,39 @@ mod tests {
     }
 
     #[test]
-    fn url_store_keeps_every_suffix_length() {
-        // Empty, page-filling and oversized suffixes, mixed with enough
-        // small ones to cross page boundaries, all read back exactly.
+    fn url_store_keeps_every_key() {
+        // Keys of every style, with and without users and cache busters,
+        // enough of them to cross column pages, all read back exactly; a
+        // key matches only under its own host and with its own user.
         let mut store = UrlStore::default();
-        let lens = [0usize, 1, 40, 65_534, 3, 65_535, 0, 70_000, 2, SUFFIX_PAGE, 7];
-        let mut want: Vec<(u8, u32, Vec<u8>)> = Vec::new();
-        for round in 0..3u32 {
-            for (i, &len) in lens.iter().enumerate() {
-                let suffix: Vec<u8> = (0..len).map(|b| (b * 7 + i) as u8).collect();
-                let form = (i % 3) as u8;
-                let host = round * 100 + i as u32;
-                store.push(UrlKey { form, host, suffix: &suffix });
-                want.push((form, host, suffix));
-            }
-        }
-        for _ in 0..3 * COLUMN_PAGE {
-            store.push(UrlKey { form: FORM_HTTPS, host: 9, suffix: b"/p?x=1" });
-            want.push((FORM_HTTPS, 9, b"/p?x=1".to_vec()));
+        let mut want: Vec<(StoredUrl, u32)> = Vec::new();
+        for i in 0..3 * COLUMN_PAGE as u32 + 17 {
+            let url = compact(
+                [UrlStyle::Plain, UrlStyle::Args, UrlStyle::ArgsAndKeywords][i as usize % 3],
+                (i % 4) as u8,
+                if i % 3 == 1 { (i % 5) as u8 } else { 0 },
+                if i % 3 == 0 { 0 } else { i },
+                (i % 3 != 0 && i % 7 == 0).then_some(*b"a0cb0000"),
+            );
+            let key = StoredUrl { url, user: url.rendered_user(i / 2) };
+            store.push(key, i % 11);
+            want.push((key, i % 11));
         }
         assert_eq!(store.len(), want.len());
-        for (id, (form, host, suffix)) in want.iter().enumerate() {
-            let key = store.key(id);
-            assert_eq!((key.form, key.host, key.suffix), (*form, *host, &suffix[..]), "url {id}");
-            assert!(store.matches(id, UrlKey { form: *form, host: *host, suffix }));
-            assert!(!store.matches(id, UrlKey { form: *form, host: *host + 1, suffix }));
-            assert!(!store.matches(id, UrlKey { form: (*form + 1) % 3, host: *host, suffix }));
+        for (id, &(key, host)) in want.iter().enumerate() {
+            assert!(store.key.get(id) == key && store.host.get(id) == host, "url {id}");
+            assert!(store.matches(id, key, host));
+            assert!(!store.matches(id, key, host + 1));
+            assert!(!store.matches(id, StoredUrl { user: key.user + 1, ..key }, host));
         }
-        // Shared pages are never grown past their first allocation.
-        assert!(store.pages.iter().all(|p| p.capacity() == SUFFIX_PAGE || p.len() >= 0xFFFF));
     }
 
     #[test]
     fn resident_bytes_stay_within_the_layout_bound() {
-        // Per-URL state may cost the suffix bytes plus at most 32 bytes per
-        // unique URL, beside the request-sized slot table and one page of
-        // slack per paged structure. A layout that regrows past that (or
-        // that stops dropping the `scheme://host` prefix) fails here.
+        // Per-URL state may cost at most 32 bytes per unique URL, whatever
+        // its string's length, beside the request-sized slot table and one
+        // page of slack over the paged columns. A layout that regrows past
+        // that, or that keeps bytes per rendered character, fails here.
         let (graph, requests) = dataset(27);
         let domains = graph.domains();
         let (el, ep) = generate_lists(&graph);
@@ -1321,38 +1313,184 @@ mod tests {
             cls.append_chunk(&rebased(chunk, offset), domains);
             offset += chunk.len();
         }
-        let mut unique: std::collections::HashMap<String, DomainId> = Default::default();
-        for r in &requests {
-            unique.entry(r.url_string(domains)).or_insert(r.host);
-        }
-        let suffix_bytes: usize = unique
-            .iter()
-            .map(|(url, &host)| {
-                let host = domains.domain(host).as_str();
-                ["https://", "http://"]
-                    .iter()
-                    .find_map(|scheme| url.strip_prefix(scheme)?.strip_prefix(host))
-                    .unwrap_or(url)
-                    .len()
-            })
-            .sum();
+        let unique: std::collections::HashSet<String> =
+            requests.iter().map(|r| r.url_string(domains)).collect();
         let slot_table = requests.len().max(1024).next_power_of_two() * size_of::<Slot>();
-        let one_page = SUFFIX_PAGE + COLUMN_PAGE * (size_of::<u64>() + 2 * size_of::<u32>() + 1);
+        // A key, a host id, a state byte and its snapshot.
+        let per_url = size_of::<StoredUrl>() + size_of::<u32>() + 2;
+        let one_page = COLUMN_PAGE * per_url;
         let rb = cls.resident_bytes();
-        let bound = suffix_bytes + 32 * unique.len() + slot_table + one_page;
+        let bound = 32 * unique.len() + slot_table + one_page;
         assert!(
             rb.state() <= bound,
-            "{rb:?}: {} resident bytes past the bound {bound} ({} unique urls, {suffix_bytes} \
-             suffix bytes)",
+            "{rb:?}: {} resident bytes past the bound {bound} ({} unique urls)",
             rb.state(),
             unique.len()
         );
-        assert!(rb.url_suffixes >= suffix_bytes && rb.url_slots == slot_table);
+        assert_eq!(cls.urls.len(), unique.len());
+        assert!(rb.url_keys >= 24 * unique.len() && rb.url_slots == slot_table);
         assert!(rb.chunk_scratch > 0, "the chunk scratch is reported apart");
     }
 
-    /// Hosts whose names prefix one another (`a.co` / `a.com`), so a
-    /// suffix split off one host's URL could be read under another.
+    /// A canonical compact URL (panics on a non-canonical one).
+    fn compact(
+        style: UrlStyle,
+        path_idx: u8,
+        event_idx: u8,
+        service: u32,
+        cb: Option<[u8; 8]>,
+    ) -> EncodedUrl {
+        EncodedUrl::try_from(UrlParts {
+            scheme: Scheme::Https,
+            style,
+            path_idx,
+            event_idx,
+            service,
+            cb,
+        })
+        .expect("a canonical URL")
+    }
+
+    /// A first-party-referred row of `user` on `host`.
+    fn row(user: u32, host: DomainId, url: EncodedUrl) -> LoggedRequest {
+        LoggedRequest {
+            user: xborder_browser::UserId(user),
+            time: xborder_netsim::time::SimTime(0),
+            first_party: host,
+            publisher: xborder_webgraph::PublisherId(0),
+            url,
+            host,
+            referrer: Referrer::FirstParty,
+            ip: "10.0.0.1".parse().unwrap(),
+        }
+    }
+
+    /// One tracker host, blocklisted, so every row counts in Table 2.
+    fn tracker_world() -> (DomainTable, DomainId, FilterList, FilterList) {
+        let mut domains = DomainTable::new();
+        let host = domains.intern(&Domain::new("t.example.com"));
+        let mut el = FilterList::new("easylist");
+        el.push(crate::rules::FilterRule::DomainAnchor(Domain::new("t.example.com")));
+        (domains, host, el, FilterList::new("easyprivacy"))
+    }
+
+    #[test]
+    fn store_keys_are_equal_exactly_when_strings_are() {
+        // Two users log the same plain URL (one string) and the same args
+        // URL (two strings, one per user), in two chunks. The plain rows
+        // share an id across the chunk boundary, the args rows do not, and
+        // the unique-URL count is the number of distinct strings, both
+        // live and for a classifier rebuilt from the deltas.
+        let (domains, host, el, ep) = tracker_world();
+        let plain = compact(UrlStyle::Plain, 1, 0, 0, None);
+        let args = compact(UrlStyle::Args, 0, 1, 3, None);
+        let chunks = [
+            vec![row(0, host, plain), row(0, host, args)],
+            vec![row(1, host, plain), row(1, host, args)],
+        ];
+        let strings: std::collections::HashSet<String> =
+            chunks.iter().flatten().map(|r| r.url_string(&domains)).collect();
+        assert_eq!(strings.len(), 3);
+
+        let fresh = || IncrementalClassifier::new(&el, &ep, ClassifierStages::default());
+        let mut live = fresh();
+        let mut deltas = Vec::new();
+        let mut ids = Vec::new();
+        for chunk in &chunks {
+            live.append_chunk(chunk, &domains);
+            ids.push(live.chunk_scratch.url_of.clone());
+            let mut w = ByteWriter::new();
+            live.encode_delta(&mut w);
+            deltas.push(w.into_bytes());
+        }
+        assert_eq!(ids, [[0, 1], [0, 2]], "plain: one id; args: one per user");
+        assert_eq!(live.counts().0.n_unique_urls, strings.len());
+
+        // Chunk 0's delta, then chunk 1 live: the same ids.
+        let mut resumed = fresh();
+        resumed
+            .apply_delta(&mut ByteReader::new(&deltas[0]), &domains)
+            .expect("delta applies");
+        resumed.append_chunk(&chunks[1], &domains);
+        assert_eq!(resumed.chunk_scratch.url_of, [0, 2]);
+        assert_eq!(resumed.counts(), live.counts());
+
+        // Both deltas: the same store, and a replayed row finds its id.
+        let mut replayed = fresh();
+        for bytes in &deltas {
+            replayed
+                .apply_delta(&mut ByteReader::new(bytes), &domains)
+                .expect("delta applies");
+        }
+        assert_eq!(replayed.urls.len(), strings.len());
+        assert_eq!(replayed.counts(), live.counts());
+        replayed.append_chunk(&[row(2, host, plain), row(1, host, args)], &domains);
+        assert_eq!(replayed.chunk_scratch.url_of, [0, 2]);
+        assert_eq!(replayed.counts().0.n_unique_urls, strings.len());
+    }
+
+    #[test]
+    fn tampered_delta_urls_are_typed_errors() {
+        // A writer bug that keeps the delta's framing intact, aimed at one
+        // field of a new-URL entry. Each must be refused as a
+        // `DecodeError` naming the fault, never a panic or a wrong store.
+        let (domains, host, el, ep) = tracker_world();
+        let user = 5;
+        let requests = [
+            row(user, host, compact(UrlStyle::Args, 1, 2, 7, Some(*b"k3v9q0zz"))),
+            row(user, host, compact(UrlStyle::Plain, 2, 0, 0, None)),
+            row(user, host, compact(UrlStyle::Plain, 3, 0, 0, None)),
+        ];
+        let fresh = || IncrementalClassifier::new(&el, &ep, ClassifierStages::default());
+        let mut cls = fresh();
+        cls.append_chunk(&requests, &domains);
+        let mut w = ByteWriter::new();
+        cls.encode_delta(&mut w);
+        let good = w.into_bytes();
+
+        // Four header counts and one new host, then the new-URL count and
+        // the entries: host ref, state, shape, index, service, user, and
+        // the first entry's cache buster.
+        const SHAPE: usize = 5;
+        const INDEX: usize = 6;
+        const SERVICE: usize = 7;
+        const USER: usize = 11;
+        const CB: usize = 15;
+        let e0 = 4 * 8 + NEW_HOST_MIN + 8;
+        let (e1, e2) = (e0 + NEW_URL_MIN + 8, e0 + 2 * NEW_URL_MIN + 8);
+        assert_eq!(good[e0 + SHAPE], URL_HTTPS | 1 << 1 | URL_CB);
+        assert_eq!(good[e0 + USER..e0 + USER + 4], user.to_le_bytes());
+        assert_eq!(good[e0 + CB..e0 + CB + 8], *b"k3v9q0zz");
+        assert_eq!((good[e1 + INDEX], good[e2 + INDEX]), (2, 3));
+        fresh()
+            .apply_delta(&mut ByteReader::new(&good), &domains)
+            .expect("the genuine delta applies");
+
+        // Each edit gets the offsets of the three entries.
+        type Edit = fn(&mut [u8], usize, usize, usize);
+        let cases: [(&str, Edit); 9] = [
+            ("unknown bits", |b, e0, _, _| b[e0 + SHAPE] |= 0x10),
+            ("style tag 3", |b, e0, _, _| b[e0 + SHAPE] |= URL_STYLE),
+            ("path index 15", |b, e0, _, _| b[e0 + INDEX] |= 0x0F),
+            ("event index 5", |b, e0, _, _| b[e0 + INDEX] = 1 | 5 << 4),
+            ("cache-buster byte", |b, e0, _, _| b[e0 + CB + 3] = b'A'),
+            ("plain URL carries service", |b, _, e1, _| b[e1 + SERVICE] = 1),
+            ("plain URL carries user", |b, _, e1, _| b[e1 + USER] = 1),
+            ("url host ref 1 out of range", |b, _, e1, _| b[e1] = 1),
+            ("duplicate of url 1", |b, _, e1, e2| b[e2 + INDEX] = b[e1 + INDEX]),
+        ];
+        for (what, edit) in cases {
+            let mut bad = good.clone();
+            edit(&mut bad, e0, e1, e2);
+            let err = fresh()
+                .apply_delta(&mut ByteReader::new(&bad), &domains)
+                .expect_err(what);
+            assert!(err.detail.contains(what), "{what}: {err}");
+        }
+    }
+
+    /// Hosts whose names prefix one another (`a.co` / `a.com`), so a key
+    /// matched without its host would join URLs of two hosts.
     const HOSTS: [&str; 6] = ["a.com", "a.co", "ads.b.com", "b.com", "tr1.net", "x.zz"];
 
     /// A canonical compact URL drawn from small value sets, so that rows of

@@ -105,10 +105,15 @@ pub(crate) fn memo_get<S: UrlStates + ?Sized>(
 pub(crate) struct ChunkIndex {
     slots: Vec<IndexSlot>,
     mask: usize,
+    /// Whether `build` keeps [`ChunkIndex::hashes`].
+    keep_hashes: bool,
     /// Request -> slice-local URL id.
     pub(crate) url_of: Vec<u32>,
     /// URL id -> its first request.
     pub(crate) first: Vec<u32>,
+    /// URL id -> its [`key_hash`], for an index made by
+    /// [`ChunkIndex::keeping_hashes`]; empty otherwise.
+    pub(crate) hashes: Vec<u64>,
     /// Request -> referrer position, or [`NO_REFERRER`] for first-party
     /// and absent referrers.
     pub(crate) referrer_of: Vec<u32>,
@@ -124,11 +129,20 @@ struct IndexSlot {
 }
 
 /// The dedup table's hash of a compact key.
-fn key_hash(key: &UrlKey) -> u64 {
+pub(crate) fn key_hash(key: &UrlKey) -> u64 {
     std::hash::BuildHasherDefault::<FxHasher>::default().hash_one(key)
 }
 
 impl ChunkIndex {
+    /// An index whose `build` also keeps each URL's hash, for a caller
+    /// that probes a second table with it.
+    pub(crate) fn keeping_hashes() -> ChunkIndex {
+        ChunkIndex {
+            keep_hashes: true,
+            ..ChunkIndex::default()
+        }
+    }
+
     /// Indexes `requests`, replacing the previous slice's view.
     ///
     /// The dedup table is a random probe per request, so the key
@@ -150,6 +164,7 @@ impl ChunkIndex {
         self.mask = self.slots.len() - 1;
         self.url_of.clear();
         self.first.clear();
+        self.hashes.clear();
         self.referrer_of.clear();
         self.url_of.reserve(n);
         self.referrer_of.reserve(n);
@@ -196,6 +211,9 @@ impl ChunkIndex {
                     last: i,
                 };
                 self.first.push(i);
+                if self.keep_hashes {
+                    self.hashes.push(hash);
+                }
                 return u;
             }
             if slot.tag == tag && requests[slot.last as usize].url_key() == key {
@@ -211,6 +229,7 @@ impl ChunkIndex {
         self.slots.capacity() * size_of::<IndexSlot>()
             + (self.url_of.capacity() + self.first.capacity() + self.referrer_of.capacity())
                 * size_of::<u32>()
+            + self.hashes.capacity() * size_of::<u64>()
     }
 }
 

@@ -523,13 +523,15 @@ fn read_counters(rd: &mut ByteReader<'_>) -> Result<DegradationReport, DecodeErr
 /// encodes each chunk exactly once, in order); replay applies every
 /// durable chunk's delta in the same order to reconstruct the state.
 fn encode_chunk_payload(block: &SegmentBlock, classifier: &mut IncrementalClassifier) -> Vec<u8> {
-    let mut cw = ByteWriter::new();
-    classifier.encode_delta(&mut cw);
-    let cls = cw.into_bytes();
     let seg = block.encode_bytes();
-    let mut w = ByteWriter::with_capacity(16 + seg.len() + cls.len());
+    let mut w = ByteWriter::with_capacity(16 + seg.len());
     w.put_blob(&seg);
-    w.put_blob(&cls);
+    drop(seg);
+    // The block bytes are gone before the delta is encoded, in place
+    // behind its back-patched length; the delta reserves its exact size,
+    // so the payload grows once and is never held twice (without the
+    // reservation, doubling slack raised a durable run's peak heap).
+    w.put_blob_with(|w| classifier.encode_delta(w));
     w.into_bytes()
 }
 
@@ -825,6 +827,52 @@ mod tests {
         );
     }
 
+    /// Where a classifier delta's new-URL entries start and how many bytes
+    /// they take: past four header counts, 5 bytes a new host and the
+    /// new-URL count, each entry is 15 bytes plus 8 when its shape byte
+    /// flags a cache buster.
+    fn delta_url_entries(delta: &[u8]) -> (usize, usize) {
+        let mut rd = ByteReader::new(delta);
+        let n_new_hosts = (0..4).map(|_| rd.u64().unwrap()).last().unwrap() as usize;
+        rd.bytes(5 * n_new_hosts).unwrap();
+        let n_new_urls = rd.u64().unwrap();
+        let at = delta.len() - rd.remaining();
+        for _ in 0..n_new_urls {
+            let entry = rd.bytes(15).unwrap();
+            if entry[5] & xborder_webgraph::url::URL_CB != 0 {
+                rd.bytes(8).unwrap();
+            }
+        }
+        (at, delta.len() - rd.remaining() - at)
+    }
+
+    #[test]
+    fn chunk_payload_is_the_two_step_encoding() {
+        // The block blob, then the delta encoded in place behind its
+        // back-patched length: the same bytes as encoding the delta apart
+        // and copying both blobs in, and as the durable run's chunk 0.
+        FIXTURE.with(|f| {
+            let (easylist, easyprivacy) = &f.lists;
+            let domains = f.world.graph.domains();
+            let (block, _) = decode_chunk_payload("chunk-0", &f.chunks[0].1).unwrap();
+            let requests = block.to_chunk().0.requests;
+            let fresh = || {
+                let mut c =
+                    IncrementalClassifier::new(easylist, easyprivacy, ClassifierStages::default());
+                c.append_chunk(&requests, domains);
+                c
+            };
+            let in_place = encode_chunk_payload(&block, &mut fresh());
+            let mut cw = ByteWriter::new();
+            fresh().encode_delta(&mut cw);
+            let mut w = ByteWriter::new();
+            w.put_blob(&block.encode_bytes());
+            w.put_blob(&cw.into_bytes());
+            assert_eq!(in_place, w.into_bytes());
+            assert_eq!(in_place, f.chunks[0].1);
+        });
+    }
+
     #[test]
     fn genuine_chunks_replay() {
         FIXTURE.with(|f| {
@@ -838,13 +886,13 @@ mod tests {
 
         /// A genuine chunk payload damaged by bit flips, a truncation or a
         /// byte-range overwrite — aimed at the whole payload, at its
-        /// classifier-delta section or at the block's URL columns — and
-        /// re-sealed with a valid frame checksum replays to `Ok` or typed
-        /// corruption, never a panic.
+        /// classifier-delta section, at the block's URL columns or at the
+        /// delta's new-URL entries — and re-sealed with a valid frame
+        /// checksum replays to `Ok` or typed corruption, never a panic.
         #[test]
         fn resealed_mutated_chunks_replay_or_refuse_typed(
             mutation in 0u8..3,
-            target in 0u8..3,
+            target in 0u8..4,
             at in any::<u64>(),
             fill in any::<u64>(),
         ) {
@@ -856,7 +904,7 @@ mod tests {
                 let (lo, span) = match target {
                     0 => (0, genuine.len()),
                     1 => (genuine.len() - delta_len, delta_len),
-                    _ => {
+                    2 => {
                         // The URL columns follow the 72-byte header, the
                         // counters, the visit columns (16 bytes a row) and
                         // six request columns (28 bytes a row); they hold
@@ -869,6 +917,12 @@ mod tests {
                         let seg_at = seg.as_ptr() as usize - genuine.as_ptr() as usize;
                         let shape_at = 72 + 8 * DegradationReport::N_COUNTERS + 16 * nv + 28 * nr;
                         (seg_at + shape_at, 6 * nr + 8 * n_cb)
+                    }
+                    _ => {
+                        let delta_at = genuine.len() - delta_len;
+                        let (at, len) = delta_url_entries(&genuine[delta_at..]);
+                        assert!(len > 0, "chunk 1 interns new URLs");
+                        (delta_at + at, len)
                     }
                 };
                 let pos = |salt: u32| lo + (at.rotate_left(salt) % span as u64) as usize;

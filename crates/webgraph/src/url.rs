@@ -402,12 +402,6 @@ impl EncodedUrl {
         buf.push_str(self.scheme.as_str());
         buf.push_str("://");
         buf.push_str(host);
-        self.write_suffix(user, buf);
-    }
-
-    /// Appends what follows `scheme://host` in [`EncodedUrl::write_into`]'s
-    /// string: the path and the query.
-    pub fn write_suffix(&self, user: u32, buf: &mut String) {
         let identity = (user as u64) << 32 | self.service as u64;
         match self.style {
             UrlStyle::Plain => {
@@ -462,6 +456,59 @@ impl EncodedUrl {
         }
         url
     }
+}
+
+/// Shape-byte bit of a packed URL ([`pack_url`]): the scheme is HTTPS.
+pub const URL_HTTPS: u8 = 1;
+/// Shape-byte bits of a packed URL: the style tag, an index into the
+/// style table (`Plain`, `Args`, `ArgsAndKeywords`), shifted by one.
+pub const URL_STYLE: u8 = 6;
+/// Shape-byte bit of a packed URL: it has a cache buster, which the
+/// packed formats store apart, as eight bytes.
+pub const URL_CB: u8 = 8;
+
+/// The style tags of a URL shape byte.
+const STYLES: [UrlStyle; 3] = [UrlStyle::Plain, UrlStyle::Args, UrlStyle::ArgsAndKeywords];
+
+/// The `(shape, index)` bytes of a compact URL's parts, the packed form
+/// the checkpoint formats store beside the service half and the cache
+/// buster: [`URL_HTTPS`], the style tag and [`URL_CB`] in the shape byte,
+/// the path index (low nibble) and event index (high nibble) in the index
+/// byte.
+#[inline]
+pub fn pack_url(p: &UrlParts) -> (u8, u8) {
+    let style = STYLES.iter().position(|&s| s == p.style).expect("every style has a tag") as u8;
+    let https = if p.scheme == Scheme::Https { URL_HTTPS } else { 0 };
+    let cb = if p.cb.is_some() { URL_CB } else { 0 };
+    (https | style << 1 | cb, p.path_idx | p.event_idx << 4)
+}
+
+/// Reverses [`pack_url`] through [`EncodedUrl::try_from`]: an unknown shape
+/// bit, a style tag past the table or a non-canonical URL is an error, not
+/// a value.
+#[inline]
+pub fn unpack_url(
+    shape: u8,
+    index: u8,
+    service: u32,
+    cb: Option<[u8; 8]>,
+) -> Result<EncodedUrl, String> {
+    if shape & !(URL_HTTPS | URL_STYLE | URL_CB) != 0 {
+        return Err(format!("URL shape {shape:#04x} sets unknown bits"));
+    }
+    let tag = ((shape & URL_STYLE) >> 1) as usize;
+    let &style = STYLES
+        .get(tag)
+        .ok_or_else(|| format!("URL style tag {tag} out of range"))?;
+    let scheme = if shape & URL_HTTPS != 0 { Scheme::Https } else { Scheme::Http };
+    EncodedUrl::try_from(UrlParts {
+        scheme,
+        style,
+        path_idx: index & 0xF,
+        event_idx: index >> 4,
+        service,
+        cb,
+    })
 }
 
 #[cfg(test)]
