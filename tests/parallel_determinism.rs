@@ -26,6 +26,7 @@
 use std::net::IpAddr;
 use xborder::pipeline::{run_extension_pipeline_degraded, StudyOutputs};
 use xborder::{World, WorldConfig};
+use xborder_classify::MethodCounts;
 use xborder_faults::{DegradationReport, FaultPlan, Profile};
 
 /// FNV-fold over every output surface the pipeline produces: request log
@@ -37,6 +38,11 @@ struct Fingerprint {
     visits: usize,
     abp: u64,
     semi: u64,
+    /// `(n_fqdn, n_tld, n_unique_urls)` of the ABP and semi rows.
+    abp_distinct: [usize; 3],
+    semi_distinct: [usize; 3],
+    /// `(stage2_rounds, stage3_rounds)`.
+    rounds: (usize, usize),
     trackers: usize,
     added: usize,
     ip_hash: u64,
@@ -75,6 +81,12 @@ fn fingerprint(out: &StudyOutputs) -> Fingerprint {
         visits: out.dataset.visits.len(),
         abp: out.classification.abp.n_total_requests as u64,
         semi: out.classification.semi.n_total_requests as u64,
+        abp_distinct: distinct(&out.classification.abp),
+        semi_distinct: distinct(&out.classification.semi),
+        rounds: (
+            out.classification.stage2_rounds,
+            out.classification.stage3_rounds,
+        ),
         trackers: out.tracker_ips.len(),
         added: out.completion.n_added,
         ip_hash,
@@ -82,6 +94,10 @@ fn fingerprint(out: &StudyOutputs) -> Fingerprint {
         maxmind_hash: est[1],
         ipapi_hash: est[2],
     }
+}
+
+fn distinct(c: &MethodCounts) -> [usize; 3] {
+    [c.n_fqdn, c.n_tld, c.n_unique_urls]
 }
 
 /// Small world (mirrors fault_injection.rs's tiny_config) so the
@@ -137,6 +153,11 @@ const GOLDEN_REQUESTS: usize = 92_125;
 const GOLDEN_ABP: u64 = 57_405;
 const GOLDEN_SEMI: u64 = 11_310;
 const GOLDEN_TRACKERS: usize = 660;
+/// Table 2's distinct columns `(n_fqdn, n_tld, n_unique_urls)` and the
+/// fixpoint rounds `(stage2, stage3)` of the same run.
+const GOLDEN_ABP_DISTINCT: [usize; 3] = [157, 57, 34_435];
+const GOLDEN_SEMI_DISTINCT: [usize; 3] = [78, 22, 7_263];
+const GOLDEN_ROUNDS: (usize, usize) = (1, 0);
 const GOLDEN_IP_HASH: u64 = 9_725_130_701_688_395_146;
 
 #[test]
@@ -150,6 +171,9 @@ fn every_thread_budget_matches_the_sequential_golden() {
         assert_eq!(fp.requests, GOLDEN_REQUESTS, "threads {threads}");
         assert_eq!(fp.abp, GOLDEN_ABP, "threads {threads}");
         assert_eq!(fp.semi, GOLDEN_SEMI, "threads {threads}");
+        assert_eq!(fp.abp_distinct, GOLDEN_ABP_DISTINCT, "threads {threads}");
+        assert_eq!(fp.semi_distinct, GOLDEN_SEMI_DISTINCT, "threads {threads}");
+        assert_eq!(fp.rounds, GOLDEN_ROUNDS, "threads {threads}");
         assert_eq!(fp.trackers, GOLDEN_TRACKERS, "threads {threads}");
         assert_eq!(fp.ip_hash, GOLDEN_IP_HASH, "threads {threads}");
         fps.push(fp);
