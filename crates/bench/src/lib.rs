@@ -95,7 +95,7 @@ impl Repro {
     ) -> (xborder::sensitive::SensitiveSites, xborder::sensitive::SensitiveFlowStats) {
         let mut rng = StdRng::seed_from_u64(seed);
         let sites = detect_sensitive_sites(&self.world.graph, &DetectorConfig::default(), &mut rng);
-        let stats = trace_sensitive_flows(&self.out, &self.world.graph, &sites, &self.out.ipmap_estimates);
+        let stats = trace_sensitive_flows(&self.out, &sites, &self.out.ipmap_estimates);
         (sites, stats)
     }
 

@@ -264,26 +264,6 @@ impl SegmentBlock {
         self.r_user[i]
     }
 
-    /// Row `i`'s timestamp.
-    pub fn request_time(&self, i: usize) -> SimTime {
-        SimTime(self.r_time[i])
-    }
-
-    /// Row `i`'s interned request host.
-    pub fn request_host(&self, i: usize) -> DomainId {
-        DomainId(self.r_host[i])
-    }
-
-    /// Row `i`'s first-party domain.
-    pub fn request_first_party(&self, i: usize) -> DomainId {
-        DomainId(self.r_first_party[i])
-    }
-
-    /// Row `i`'s publisher.
-    pub fn request_publisher(&self, i: usize) -> PublisherId {
-        PublisherId(self.r_publisher[i])
-    }
-
     /// Row `i`'s response IP.
     pub fn request_ip(&self, i: usize) -> IpAddr {
         unpack_ip(i, &self.r_ip4, &self.r_ip6)

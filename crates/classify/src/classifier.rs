@@ -1,28 +1,18 @@
 //! The three-stage tracking-flow classifier (paper Sect. 3.2) over a whole
 //! borrowed log.
 //!
-//! [`classify_with_stages_threads`] indexes the log's URLs into dense ids
-//! on their compact keys (the log repeats a few tens of thousands of URLs
-//! across ~100k requests), remaps the world-level `DomainId`s (DESIGN.md
-//! §5f) of those URLs to log-local dense host ids, and resolves each host
-//! once through the compiled [`RuleEngine`] (DESIGN.md §5h) to a
-//! [`HostRow`]: always / never / url-dependent, plus the host's TLD id.
-//! Stage 1 then decides each *unique* URL once — url-dependent rows render
-//! the URL into a reused buffer and take one Aho-Corasick pass over it —
-//! and projects the verdicts onto requests. It is the one stage that
-//! shards over the thread budget.
-//!
-//! Stages 2 and 3 and the Table-2 counts are the labelling core in
-//! `label.rs`, the same functions the incremental classifier runs
-//! per chunk; here they run once over the log, with fresh state bytes and
-//! seen-bits.
+//! [`classify_with_stages_threads`] runs a fresh slice labeller
+//! (`label.rs`) over the log as one slice: it indexes the log's URLs into
+//! dense ids on their compact keys (the log repeats a few tens of
+//! thousands of URLs across ~100k requests), and those ids — the URLs'
+//! first-occurrence ranks — index the state bytes directly. Stage 1, the
+//! one stage that shards over the thread budget, decides each *unique*
+//! URL once.
 
-use crate::engine::{HostRow, KeywordScanner, RuleEngine};
-use crate::label::{semi_automatic, ChunkIndex, Tally, UrlRenderer};
+use crate::label::{ChunkIndex, Labeller};
 use crate::rules::FilterList;
 use serde::{Deserialize, Serialize};
 use xborder_browser::LoggedRequest;
-use xborder_faults::shard_map;
 use xborder_webgraph::DomainTable;
 
 /// Per-request classification outcome.
@@ -88,6 +78,24 @@ pub struct ClassificationResult {
 }
 
 impl ClassificationResult {
+    /// Assembles a result from its labels, the Table-2 rows `(abp, semi)`
+    /// and the rounds each referrer stage needed.
+    pub fn new(
+        labels: Vec<Classification>,
+        (abp, semi): (MethodCounts, MethodCounts),
+        stage2_rounds: usize,
+        stage3_rounds: usize,
+    ) -> ClassificationResult {
+        ClassificationResult {
+            labels,
+            abp,
+            semi,
+            propagation_rounds: stage2_rounds + stage3_rounds,
+            stage2_rounds,
+            stage3_rounds,
+        }
+    }
+
     /// Label of request `i`.
     ///
     /// `i` must be a position in the request slice this result was computed
@@ -186,117 +194,16 @@ pub fn classify_with_stages_threads(
     stages: ClassifierStages,
     threads: usize,
 ) -> ClassificationResult {
-    let mut engine = RuleEngine::compile(&[easylist, easyprivacy]);
-    let mut index = ChunkIndex::default();
-    index.build(requests);
-
-    // World `DomainId` -> log-local dense host id (`u32::MAX` = unseen),
-    // assigned per unique URL: a URL's key holds its host, so equal URLs
-    // share a host and only first occurrences touch the remap. One engine
-    // resolution per unique host yields the stage-1 row and the TLD id.
-    let mut host_remap: Vec<u32> = Vec::new();
-    let mut rows: Vec<HostRow> = Vec::new();
-    let host_of_url: Vec<u32> = index
-        .first
-        .iter()
-        .map(|&i| {
-            let host = requests[i as usize].host;
-            let hid = host.0 as usize;
-            if hid >= host_remap.len() {
-                host_remap.resize(hid + 1, u32::MAX);
-            }
-            if host_remap[hid] == u32::MAX {
-                host_remap[hid] = rows.len() as u32;
-                rows.push(engine.host_row(host, domains));
-            }
-            host_remap[hid]
-        })
-        .collect();
-
-    let hits = stage1_blocklists(
-        requests,
-        &index.first,
-        &host_of_url,
-        &rows,
-        &engine,
-        domains,
-        threads,
-    );
-    let mut labels = Vec::with_capacity(requests.len());
-    let mut host_of = Vec::with_capacity(requests.len());
-    for &u in &index.url_of {
-        host_of.push(host_of_url[u as usize]);
-        labels.push(if hits[u as usize] {
-            Classification::AbpTracking
-        } else {
-            Classification::Clean
-        });
-    }
-
-    let mut states = vec![0u8; index.first.len()];
-    let (scanner, mut urls) = (KeywordScanner::new(), UrlRenderer::new(domains));
-    let (stage2_rounds, stage3_rounds) = semi_automatic(
-        requests,
-        &index.url_of,
-        &index.referrer_of,
-        &mut labels,
-        stages,
-        |r| scanner.matches(urls.render(r)),
-        &mut states[..],
-    );
-    let mut tally = Tally {
-        host_seen: vec![0; rows.len()],
-        tld_seen: vec![0; engine.n_tlds()],
-        ..Tally::default()
-    };
-    tally.absorb(&labels, &host_of, &index.url_of, &rows, &mut states[..]);
-
-    ClassificationResult {
-        labels,
-        abp: tally.abp,
-        semi: tally.semi,
-        propagation_rounds: stage2_rounds + stage3_rounds,
-        stage2_rounds,
-        stage3_rounds,
-    }
-}
-
-/// Stage 1: the blocklist verdict of each unique URL (`first` holds one
-/// request per URL, `host_of_url` its dense host). Anchor-decided rows
-/// need no URL; the rest render it and take one engine scan. The URLs
-/// shard over `threads` contiguous runs ([`shard_map`]), each with its own
-/// render buffer; the engine is shared read-only — `url_verdict` takes
-/// `&self`, so no run-local state can diverge.
-fn stage1_blocklists(
-    requests: &[LoggedRequest],
-    first: &[u32],
-    host_of_url: &[u32],
-    rows: &[HostRow],
-    engine: &RuleEngine,
-    domains: &DomainTable,
-    threads: usize,
-) -> Vec<bool> {
-    let mut runs = shard_map(first.len(), threads, |run| {
-        let mut urls = UrlRenderer::new(domains);
-        first[run.clone()]
-            .iter()
-            .zip(&host_of_url[run])
-            .map(|(&i, &h)| {
-                let row = rows[h as usize];
-                row.always()
-                    || (!row.never() && {
-                        let r = &requests[i as usize];
-                        engine.url_verdict(row, domains.domain(r.host), urls.render(r))
-                    })
-            })
-            .collect::<Vec<bool>>()
-    })
-    .into_iter();
-    let mut hits = runs.next().expect("shard_map returns at least one run");
-    for run in runs {
-        hits.extend(run);
-    }
-    hits
+    let mut labeller = Labeller::new(easylist, easyprivacy, stages, ChunkIndex::default());
+    labeller.index_slice(requests, domains);
+    let mut states = vec![0u8; labeller.index.first.len()];
+    let out = labeller.label(requests, None, &mut states[..], domains, threads);
+    ClassificationResult::new(
+        out.labels,
+        labeller.counts(),
+        out.stage2_rounds,
+        out.stage3_rounds,
+    )
 }
 
 #[cfg(test)]

@@ -587,12 +587,6 @@ impl RuleEngine {
         }
     }
 
-    /// Distinct pay-level domains interned so far (sizes the classifiers'
-    /// TLD seen-bit arrays).
-    pub fn n_tlds(&self) -> usize {
-        self.tld_ids.len()
-    }
-
     /// Total rules compiled in.
     pub fn n_rules(&self) -> usize {
         self.n_rules

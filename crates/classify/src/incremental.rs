@@ -1,40 +1,36 @@
 //! Delta-fixpoint incremental classifier for the streaming driver.
 //!
 //! The streaming and out-of-core drivers ingest the log in append-only
-//! chunks. [`IncrementalClassifier`] labels each chunk with the same
-//! labelling core as the batch classifier (`label.rs`: chunk index,
-//! stages 2–3, Table-2 count walk) and keeps, between
-//! [`IncrementalClassifier::append_chunk`] calls, what batch rebuilds per
-//! log:
+//! chunks. [`IncrementalClassifier`] keeps one slice labeller
+//! (`label.rs`, the same one the batch classifier runs once over a whole
+//! log) across [`IncrementalClassifier::append_chunk`] calls, so the
+//! compiled [`crate::RuleEngine`] (DESIGN.md §5h), the host table and the
+//! Table-2 tally persist: the engine is compiled exactly once, at
+//! construction, every host is gate-resolved and `tld()`-ed once across
+//! the whole stream, and the counts absorb per chunk, so finalizing
+//! re-walks nothing.
 //!
-//! - the URL interner (owned compact URL keys + open-addressing dedup
-//!   table), the host remap, and the compiled [`RuleEngine`] with its dense
-//!   [`HostRow`] table (DESIGN.md §5h), so every URL is stored, every
-//!   host gate-resolved and `tld()`-ed, once per *unique* value across the
-//!   whole stream, not once per chunk it appears in — and the engine
-//!   itself (automaton, anchor buckets) is compiled exactly
-//!   once, at construction;
-//! - the per-unique-URL state bytes: the argument, keyword and
-//!   URL-dependent stage-1 gate memos — all pure functions of the URL
-//!   string, so a memo filled in chunk 0 is exact in chunk 40 — and the
-//!   URL seen-bits;
-//! - the Table-2 tally (host/TLD seen-bits and running [`MethodCounts`]),
-//!   so the counts absorb per chunk and finalize re-walks nothing.
-//!
-//! What only this classifier does is the cross-chunk resolve: the core's
-//! chunk index dedups the chunk against itself on compact URL keys and
-//! keeps each chunk-distinct URL's hash, pass 2 resolves each
-//! chunk-distinct URL against the owned store to its stream-global id with
-//! that hash, and pass 3 projects those ids onto the requests. No URL
-//! string is rendered to dedup; strings are rendered only where bytes are
-//! scanned (a URL-dependent stage-1 rule, the stage-3 keyword scan), once
-//! per unique URL, since both verdicts are memoized. Propagation runs over
-//! the frontier the new chunk introduces only: referrer edges are
-//! positional within a chunk and never cross users (hence never cross
+//! What only this classifier does is give each URL a stream-global id.
+//! It owns the unique-URL store (compact URL keys, dense host ids, an
+//! open-addressing dedup table) and one state byte per unique URL: the
+//! argument, keyword and URL-dependent stage-1 gate memos — all pure
+//! functions of the URL string, so a memo filled in chunk 0 is exact in
+//! chunk 40 — and the URL seen-bits. The labeller's chunk index dedups
+//! the chunk against itself on compact URL keys and keeps each
+//! chunk-distinct URL's hash; a pipelined pass then resolves each
+//! chunk-distinct URL against the owned store to its stream-global id
+//! with that hash, and the labeller labels the chunk over those ids. No
+//! URL string is rendered to dedup; strings are rendered only where bytes
+//! are scanned (a URL-dependent stage-1 rule, the stage-3 keyword scan),
+//! once per unique URL, since both verdicts are memoized. Propagation
+//! runs over the frontier the new chunk introduces only: referrer edges
+//! are positional within a chunk and never cross users (hence never cross
 //! chunk boundaries — chunks are whole-user ranges), so the fixpoint over
 //! the concatenated log decomposes exactly into per-chunk fixpoints.
 //! Labels are monotone (Clean → Semi/AbpTracking, never back), so a
-//! chunk's labels are final the moment the chunk is processed.
+//! chunk's labels are final the moment the chunk is processed. The other
+//! things it owns are the delta codec below and the checkpoint replay,
+//! which re-interns hosts through the same host table.
 //!
 //! # Per-URL layout
 //!
@@ -62,7 +58,7 @@
 //! Feeding chunks in log order reproduces the batch classifier bit for
 //! bit, for every chunking: the stage verdicts are per-URL or
 //! per-chunk-closed, and the absorbed counts walk requests in the same
-//! global order through the same count walk, over seen-bits that persist
+//! global order through the same labeller, over seen-bits that persist
 //! instead of starting fresh. `tests/streaming_resume.rs` pins this
 //! against the batch fingerprints.
 //!
@@ -82,11 +78,7 @@
 //! is opened.
 
 use crate::classifier::{Classification, ClassifierStages, MethodCounts};
-use crate::engine::{HostRow, KeywordScanner, RuleEngine};
-use crate::label::{
-    key_hash, memo_get, semi_automatic, ChunkIndex, Tally, UrlRenderer, UrlStates, ARGS, GATE,
-    KW, MEMO_YES, SEEN,
-};
+use crate::label::{key_hash, ChunkIndex, Labeller, UrlStates, ARGS, GATE, KW, MEMO_YES, SEEN};
 use crate::rules::FilterList;
 use std::mem::size_of;
 use xborder_browser::{LoggedRequest, UrlKey};
@@ -261,7 +253,7 @@ impl UrlStates for Paged<u8> {
 /// Owned unique-URL store: one fixed-width compact key and one dense host
 /// id per URL, each in its own [`Paged`] column.
 ///
-/// The core's chunk index never copies a URL — it borrows equality
+/// The labeller's chunk index never copies a URL — it borrows equality
 /// targets from the request slice. Across chunks the log is gone, so the
 /// classifier keeps each unique URL's key, which is what a row's string
 /// is a function of: equal keys on equal hosts render equal strings and
@@ -296,7 +288,7 @@ impl UrlStore {
 /// Cross-chunk dedup table over the classifier's owned URLs — level two
 /// of the two-level intern (see `append_chunk`). Linear probing at under
 /// 3/4 load, ids in insertion order, but it is only ever probed once per
-/// *chunk-distinct* URL (the core's chunk index absorbs all within-chunk
+/// *chunk-distinct* URL (the labeller's chunk index absorbs all within-chunk
 /// repeats), so its slots carry no occurrence index — 8 bytes, equality
 /// always against the owned store. A slot holds the high half of the
 /// URL's [`key_hash`] as its tag; growing the table re-hashes the stored
@@ -352,7 +344,7 @@ impl UrlSlots {
         }
     }
 
-    /// Interns against the owned unique-URL store (both the pass-2 resolve
+    /// Interns against the owned unique-URL store (both the level-two resolve
     /// loop and the `apply_delta` path, where no chunk slice exists).
     /// `hash` is the URL's [`key_hash`]; `host_ids` maps the store's dense
     /// host ids to world ids, for re-hashing should the table grow.
@@ -433,75 +425,19 @@ const SLOT_AHEAD: usize = 8;
 /// How far ahead the stored URL a slot points at is prefetched.
 const URL_AHEAD: usize = 4;
 
-/// Reusable per-chunk working memory: the core's chunk index (with each
-/// chunk-distinct URL's hash) and the dense per-request/per-chunk-distinct
-/// views. At streaming chunk sizes (~1.3K requests) allocating these
-/// afresh would repeat hundreds of times over a stream, so the buffers
-/// persist across chunks and are cleared instead.
-struct ChunkScratch {
-    index: ChunkIndex,
-    /// Chunk-local URL id -> stream-global URL id, dense host id, and
-    /// stage-1 verdict.
-    gid_of: Vec<u32>,
-    gid_host: Vec<u32>,
-    hit: Vec<bool>,
-    /// Request -> stream-global URL id / dense host id.
-    url_of: Vec<u32>,
-    host_of: Vec<u32>,
-}
-
-impl Default for ChunkScratch {
-    fn default() -> ChunkScratch {
-        ChunkScratch {
-            index: ChunkIndex::keeping_hashes(),
-            gid_of: Vec::new(),
-            gid_host: Vec::new(),
-            hit: Vec::new(),
-            url_of: Vec::new(),
-            host_of: Vec::new(),
-        }
-    }
-}
-
-impl ChunkScratch {
-    fn resident_bytes(&self) -> usize {
-        self.index.resident_bytes()
-            + self.hit.capacity()
-            + (self.gid_of.capacity()
-                + self.gid_host.capacity()
-                + self.url_of.capacity()
-                + self.host_of.capacity())
-                * size_of::<u32>()
-    }
-}
-
 /// Cross-chunk classifier state. See the module docs for what persists and
 /// why feeding chunks in order is bit-identical to batch classification.
 pub struct IncrementalClassifier {
-    /// The compiled filter-list engine (DESIGN.md §5h) — automaton, anchor
-    /// buckets and the dense per-host row cache, all owned, so
-    /// nothing about the frozen lists is re-derived per chunk.
-    engine: RuleEngine,
-    stages: ClassifierStages,
-    scanner: KeywordScanner,
+    /// The slice labeller — compiled engine, host table and Table-2
+    /// tally — kept across chunks.
+    labeller: Labeller,
 
     /// Owned unique URLs (compact keys) with their host ids.
     urls: UrlStore,
     url_slots: UrlSlots,
-    /// World `DomainId` -> classifier-local dense host id (`u32::MAX` =
-    /// unseen), lazily grown.
-    host_remap: Vec<u32>,
-    /// Dense host id -> world `DomainId` (serialization, host names, and
-    /// row re-resolution on decode).
-    host_ids: Vec<DomainId>,
-    /// Dense host id -> compiled engine row (gate verdict + TLD id).
-    rows: Vec<HostRow>,
-
-    /// Per-unique-URL state byte (the core's memo fields and URL
+    /// Per-unique-URL state byte (the labeller's memo fields and URL
     /// seen-bits), by stream-global URL id.
     url_state: Paged<u8>,
-    /// Host/TLD seen-bits and the running Table-2 rows.
-    tally: Tally,
     n_requests: u64,
 
     /// Serialization baseline: snapshots of the mutable per-entry state as
@@ -512,8 +448,9 @@ pub struct IncrementalClassifier {
     enc_state: Paged<u8>,
     enc_host_seen: Vec<u8>,
 
-    /// Reusable per-chunk working memory (see [`ChunkScratch`]).
-    chunk_scratch: ChunkScratch,
+    /// Chunk-local URL rank -> stream-global URL id, reused from chunk to
+    /// chunk.
+    gid_of: Vec<u32>,
 }
 
 /// Minimum encoded widths of the delta's items: a new host (u32 id + seen
@@ -528,7 +465,7 @@ const URL_UPDATE_MIN: usize = 5;
 
 impl IncrementalClassifier {
     /// A fresh classifier over the given filter lists and stage toggles.
-    /// Compiles the lists into a [`RuleEngine`] once, here — the
+    /// Compiles the lists into a [`crate::RuleEngine`] once, here — the
     /// classifier owns the compiled form, so the lists themselves are not
     /// borrowed past construction.
     pub fn new(
@@ -537,20 +474,14 @@ impl IncrementalClassifier {
         stages: ClassifierStages,
     ) -> IncrementalClassifier {
         IncrementalClassifier {
-            engine: RuleEngine::compile(&[easylist, easyprivacy]),
-            stages,
-            scanner: KeywordScanner::new(),
+            labeller: Labeller::new(easylist, easyprivacy, stages, ChunkIndex::keeping_hashes()),
             urls: UrlStore::default(),
             url_slots: UrlSlots::with_capacity(1024),
-            host_remap: Vec::new(),
-            host_ids: Vec::new(),
-            rows: Vec::new(),
             url_state: Paged::default(),
-            tally: Tally::default(),
             n_requests: 0,
             enc_state: Paged::default(),
             enc_host_seen: Vec::new(),
-            chunk_scratch: ChunkScratch::default(),
+            gid_of: Vec::new(),
         }
     }
 
@@ -563,7 +494,7 @@ impl IncrementalClassifier {
     /// far. Equals the counts [`crate::classify`] returns over the concatenated
     /// log.
     pub fn counts(&self) -> (MethodCounts, MethodCounts) {
-        (self.tally.abp, self.tally.semi)
+        self.labeller.counts()
     }
 
     /// Bytes held by the per-URL and per-host structures, with the chunk
@@ -575,46 +506,17 @@ impl IncrementalClassifier {
                 + self.url_state.resident_bytes()
                 + self.enc_state.resident_bytes(),
             url_slots: self.url_slots.slots.capacity() * size_of::<Slot>(),
-            hosts: self.host_remap.capacity() * size_of::<u32>()
-                + self.host_ids.capacity() * size_of::<DomainId>()
-                + self.rows.capacity() * size_of::<HostRow>()
-                + self.tally.host_seen.capacity()
-                + self.tally.tld_seen.capacity()
-                + self.enc_host_seen.capacity(),
-            chunk_scratch: self.chunk_scratch.resident_bytes(),
+            hosts: self.labeller.host_bytes() + self.enc_host_seen.capacity(),
+            chunk_scratch: self.labeller.slice_bytes() + self.gid_of.capacity() * size_of::<u32>(),
         }
-    }
-
-    /// Interns a URL's host, resolving its engine row (gate and TLD id),
-    /// and returns the dense host id.
-    fn intern_host(&mut self, host_id: DomainId, domains: &DomainTable) -> u32 {
-        let hid = host_id.0 as usize;
-        if hid >= self.host_remap.len() {
-            self.host_remap.resize(hid + 1, u32::MAX);
-        }
-        if self.host_remap[hid] != u32::MAX {
-            return self.host_remap[hid];
-        }
-        let h = self.host_ids.len() as u32;
-        self.host_remap[hid] = h;
-        self.host_ids.push(host_id);
-        self.tally.host_seen.push(0);
-        let row = self.engine.host_row(host_id, domains);
-        self.rows.push(row);
-        let t = row.tld() as usize;
-        if t >= self.tally.tld_seen.len() {
-            self.tally.tld_seen.resize(t + 1, 0);
-        }
-        h
     }
 
     /// Interns one URL in the owned store, given its [`key_hash`] and its
     /// host's dense id: its stream-global id, and whether it is new (then
     /// its state byte is pushed as `state`).
     fn intern_url(&mut self, hash: u64, key: StoredUrl, host: u32, state: u8) -> UrlSlot {
-        let slot = self
-            .url_slots
-            .intern_owned(hash, key, host, &self.urls, &self.host_ids);
+        let host_ids = &self.labeller.host_ids;
+        let slot = self.url_slots.intern_owned(hash, key, host, &self.urls, host_ids);
         if let UrlSlot::New(u) = slot {
             debug_assert_eq!(u as usize, self.urls.len());
             self.urls.push(key, host);
@@ -637,119 +539,63 @@ impl IncrementalClassifier {
         // Size the cross-chunk table for the worst case (every request
         // unique) before the resolve pass — the pipelined loop never
         // rehashes.
-        self.url_slots
-            .reserve_for_total(self.n_requests as usize + n, &self.urls, &self.host_ids);
-        // Per-chunk working memory persists across chunks (reset, not
-        // reallocated); taken out of `self` so the borrow checker lets the
-        // passes below index `self`'s per-unique tables while filling it.
-        let mut sc = std::mem::take(&mut self.chunk_scratch);
-        let ChunkScratch {
-            index,
-            gid_of,
-            gid_host,
-            hit,
-            url_of,
-            host_of,
-        } = &mut sc;
+        self.url_slots.reserve_for_total(
+            self.n_requests as usize + n,
+            &self.urls,
+            &self.labeller.host_ids,
+        );
 
-        // Two-level interning. Pass 1 is the core's chunk index: it dedups
-        // the chunk against itself on compact keys in a cache-resident
-        // table, absorbing the ~40% of requests that repeat a URL within
-        // their own chunk, and keeps each chunk-distinct URL's hash.
-        // Chunk-local ids are first-occurrence ranks, so walking them in
-        // order preserves the global first-occurrence id assignment the
-        // determinism contract pins.
-        index.build(requests);
+        // Two-level interning. Level one is the labeller's chunk index: it
+        // dedups the chunk against itself on compact keys in a
+        // cache-resident table, absorbing the ~40% of requests that repeat
+        // a URL within their own chunk, and keeps each chunk-distinct
+        // URL's hash. Chunk-local ids are first-occurrence ranks, so
+        // walking them in order preserves the global first-occurrence id
+        // assignment the determinism contract pins.
+        self.labeller.index_slice(requests, domains);
 
-        // Pass 2 resolves each chunk-distinct URL to its cross-chunk id in
-        // one tight pipelined loop, probing with the hash pass 1 kept and
-        // comparing fixed-width keys. Each URL's slot in the big table is
-        // prefetched SLOT_AHEAD iterations before it is resolved; the
-        // stored key the slot points at (the equality target for a
+        // Level two resolves each chunk-distinct URL to its cross-chunk id
+        // in one tight pipelined loop, probing with the hash the index
+        // kept and comparing fixed-width keys. Each URL's slot in the big
+        // table is prefetched SLOT_AHEAD iterations before it is resolved;
+        // the stored key the slot points at (the equality target for a
         // recurring URL) is prefetched URL_AHEAD out, once the slot line
         // has had time to arrive — the dependent DRAM chases that
         // otherwise stall every first-recurrence-this-chunk probe.
-        let (first, hashes) = (&index.first, &index.hashes);
-        let m = first.len();
-        gid_of.clear();
-        gid_host.clear();
-        hit.clear();
-        gid_of.reserve(m);
-        gid_host.reserve(m);
-        for &hash in hashes.iter().take(SLOT_AHEAD) {
+        let m = self.labeller.index.first.len();
+        self.gid_of.clear();
+        self.gid_of.reserve(m);
+        for &hash in self.labeller.index.hashes.iter().take(SLOT_AHEAD) {
             self.url_slots.prefetch(hash);
         }
-        for &hash in hashes.iter().take(URL_AHEAD) {
+        for &hash in self.labeller.index.hashes.iter().take(URL_AHEAD) {
             self.url_slots.prefetch_url(hash, &self.urls);
         }
-        let mut urls = UrlRenderer::new(domains);
         for k in 0..m {
-            if let Some(&hash) = hashes.get(k + SLOT_AHEAD) {
+            let index = &self.labeller.index;
+            if let Some(&hash) = index.hashes.get(k + SLOT_AHEAD) {
                 self.url_slots.prefetch(hash);
             }
-            if let Some(&hash) = hashes.get(k + URL_AHEAD) {
+            if let Some(&hash) = index.hashes.get(k + URL_AHEAD) {
                 self.url_slots.prefetch_url(hash, &self.urls);
             }
-            let r = &requests[first[k] as usize];
-            // A recurring URL's host is already interned (equal URLs share
-            // a host), so interning it first assigns new host ids in the
-            // same first-occurrence order as interning it for new URLs only.
-            let h = self.intern_host(r.host, domains);
+            let (hash, i) = (index.hashes[k], index.first[k] as usize);
+            let key = StoredUrl::of(requests[i].url_key());
             let (UrlSlot::New(u) | UrlSlot::Existing(u)) =
-                self.intern_url(hashes[k], StoredUrl::of(r.url_key()), h, 0);
-            // Stage 1, decided once per chunk-distinct URL here and
-            // memoized across chunks (a URL-dependent row renders the
-            // whole string once); the projection below only copies a bool.
-            let row = self.rows[h as usize];
-            hit.push(
-                row.always()
-                    || (!row.never()
-                        && memo_get(&mut self.url_state, u, GATE, || {
-                            self.engine.url_verdict(row, domains.domain(r.host), urls.render(r))
-                        })),
-            );
-            gid_of.push(u);
-            gid_host.push(h);
+                self.intern_url(hash, key, self.labeller.url_host[k], 0);
+            self.gid_of.push(u);
         }
 
-        // Pass 3 projects the per-request views and the stage-1 labels
-        // through the two maps — linear over arrays that are all still
-        // warm.
-        url_of.clear();
-        host_of.clear();
-        url_of.reserve(n);
-        host_of.reserve(n);
-        let mut labels = Vec::with_capacity(n);
-        for &cu in &index.url_of {
-            let cu = cu as usize;
-            url_of.push(gid_of[cu]);
-            host_of.push(gid_host[cu]);
-            labels.push(if hit[cu] {
-                Classification::AbpTracking
-            } else {
-                Classification::Clean
-            });
-        }
-
-        let (stage2_rounds, stage3_rounds) = semi_automatic(
+        // No thread budget here: stage 1 shards only in the batch run.
+        let out = self.labeller.label(
             requests,
-            url_of,
-            &index.referrer_of,
-            &mut labels,
-            self.stages,
-            |r| self.scanner.matches(urls.render(r)),
+            Some(&self.gid_of),
             &mut self.url_state,
+            domains,
+            1,
         );
-        self.tally
-            .absorb(&labels, host_of, url_of, &self.rows, &mut self.url_state);
         self.n_requests += n as u64;
-        self.chunk_scratch = sc;
-
-        ChunkClassification {
-            labels,
-            stage2_rounds,
-            stage3_rounds,
-        }
+        out
     }
 
     /// Serializes everything that changed since the previous
@@ -762,7 +608,7 @@ impl IncrementalClassifier {
     pub fn encode_delta(&mut self, w: &mut ByteWriter) {
         let (enc_hosts, enc_urls) = (self.enc_host_seen.len(), self.enc_state.len());
         let dirty_hosts: Vec<u32> = (0..enc_hosts)
-            .filter(|&h| self.tally.host_seen[h] != self.enc_host_seen[h])
+            .filter(|&h| self.labeller.tally.host_seen[h] != self.enc_host_seen[h])
             .map(|h| h as u32)
             .collect();
         // Page by page: an unchanged page is one slice comparison.
@@ -789,7 +635,7 @@ impl IncrementalClassifier {
             .filter(|&u| self.urls.key.get(u).url.parts().cb.is_some())
             .count();
         let len = 8 * 7
-            + NEW_HOST_MIN * (self.host_ids.len() - enc_hosts)
+            + NEW_HOST_MIN * (self.labeller.host_ids.len() - enc_hosts)
             + NEW_URL_MIN * new_urls.len()
             + 8 * n_cb
             + HOST_UPDATE_MIN * dirty_hosts.len()
@@ -800,10 +646,10 @@ impl IncrementalClassifier {
         w.put_u64(self.n_requests);
         w.put_usize(enc_hosts);
         w.put_usize(enc_urls);
-        w.put_usize(self.host_ids.len() - enc_hosts);
-        for h in enc_hosts..self.host_ids.len() {
-            w.put_u32(self.host_ids[h].0);
-            w.put_u8(self.tally.host_seen[h]);
+        w.put_usize(self.labeller.host_ids.len() - enc_hosts);
+        for h in enc_hosts..self.labeller.host_ids.len() {
+            w.put_u32(self.labeller.host_ids[h].0);
+            w.put_u8(self.labeller.tally.host_seen[h]);
         }
         w.put_usize(new_urls.len());
         for u in new_urls {
@@ -823,14 +669,14 @@ impl IncrementalClassifier {
         w.put_usize(dirty_hosts.len());
         for &h in &dirty_hosts {
             w.put_u32(h);
-            w.put_u8(self.tally.host_seen[h as usize]);
+            w.put_u8(self.labeller.tally.host_seen[h as usize]);
         }
         w.put_usize(dirty_urls.len());
         for &u in &dirty_urls {
             w.put_u32(u);
             w.put_u8(self.url_state.get(u as usize));
         }
-        for c in [&self.tally.abp, &self.tally.semi] {
+        for c in [&self.labeller.tally.abp, &self.labeller.tally.semi] {
             w.put_usize(c.n_fqdn);
             w.put_usize(c.n_tld);
             w.put_usize(c.n_unique_urls);
@@ -865,11 +711,11 @@ impl IncrementalClassifier {
         }
         let base_hosts = r.len_prefix()?;
         let base_urls = r.len_prefix()?;
-        if base_hosts != self.host_ids.len() || base_urls != self.urls.len() {
+        if base_hosts != self.labeller.host_ids.len() || base_urls != self.urls.len() {
             return Err(bad(format!(
                 "delta baseline ({base_hosts} hosts, {base_urls} urls) does not match \
                  state ({} hosts, {} urls): chunk deltas must be applied in order",
-                self.host_ids.len(),
+                self.labeller.host_ids.len(),
                 self.urls.len()
             )));
         }
@@ -878,12 +724,7 @@ impl IncrementalClassifier {
         // world-id remap to its final extent, so cross-segment replay
         // never pays doubling spikes mid-chunk (the same cold-growth
         // class `reserve_for_total` kills for the URL table below).
-        self.host_ids.reserve(n_new_hosts);
-        self.tally.host_seen.reserve(n_new_hosts);
-        self.rows.reserve(n_new_hosts);
-        if self.host_remap.len() < domains.len() {
-            self.host_remap.resize(domains.len(), u32::MAX);
-        }
+        self.labeller.reserve_hosts(n_new_hosts, domains.len());
         for _ in 0..n_new_hosts {
             let wid = r.u32()?;
             if wid as usize >= domains.len() {
@@ -896,11 +737,11 @@ impl IncrementalClassifier {
             if seen > 3 {
                 return Err(bad(format!("host seen-bits {seen} out of range")));
             }
-            let h = self.intern_host(DomainId(wid), domains);
-            if h as usize + 1 != self.host_ids.len() {
+            let h = self.labeller.intern_host(DomainId(wid), domains);
+            if h as usize + 1 != self.labeller.host_ids.len() {
                 return Err(bad(format!("duplicate host id {wid} in delta")));
             }
-            self.tally.host_seen[h as usize] = seen;
+            self.labeller.tally.host_seen[h as usize] = seen;
         }
         let n_new_urls = r.count(NEW_URL_MIN)?;
         if (base_urls + n_new_urls) as u64 > n_requests {
@@ -921,14 +762,14 @@ impl IncrementalClassifier {
         self.url_slots.reserve_for_total(
             n_requests.min(unique_after.saturating_mul(4)) as usize,
             &self.urls,
-            &self.host_ids,
+            &self.labeller.host_ids,
         );
         for k in base_urls..base_urls + n_new_urls {
             let h = r.u32()?;
-            if h as usize >= self.host_ids.len() {
+            if h as usize >= self.labeller.host_ids.len() {
                 return Err(bad(format!(
                     "url host ref {h} out of range ({} hosts)",
-                    self.host_ids.len()
+                    self.labeller.host_ids.len()
                 )));
             }
             let state = r.u8()?;
@@ -948,7 +789,7 @@ impl IncrementalClassifier {
                 return Err(bad(format!("url {k}: plain URL carries user {user}")));
             }
             let key = StoredUrl { url, user };
-            let hash = key_hash(&key.on(self.host_ids[h as usize]));
+            let hash = key_hash(&key.on(self.labeller.host_ids[h as usize]));
             if let UrlSlot::Existing(u) = self.intern_url(hash, key, h, state) {
                 return Err(bad(format!("url {k}: duplicate of url {u} in delta")));
             }
@@ -964,13 +805,15 @@ impl IncrementalClassifier {
             let seen = r.u8()?;
             // Seen-bits are monotone: an update that drops a bit means the
             // delta does not belong to this state.
-            if seen > 3 || seen & self.tally.host_seen[h] != self.tally.host_seen[h] {
+            if seen > 3
+                || seen & self.labeller.tally.host_seen[h] != self.labeller.tally.host_seen[h]
+            {
                 return Err(bad(format!(
                     "host {h} seen-bits update {seen} is not a superset of {}",
-                    self.tally.host_seen[h]
+                    self.labeller.tally.host_seen[h]
                 )));
             }
-            self.tally.host_seen[h] = seen;
+            self.labeller.tally.host_seen[h] = seen;
         }
         let n_url_updates = r.count(URL_UPDATE_MIN)?;
         for _ in 0..n_url_updates {
@@ -993,11 +836,12 @@ impl IncrementalClassifier {
         // TLD seen-bits are the union of their hosts' (a TLD bit is only
         // ever set alongside a host bit in the absorb pass), so they are
         // recomputed rather than stored.
-        self.tally.tld_seen.fill(0);
-        for h in 0..self.host_ids.len() {
-            self.tally.tld_seen[self.rows[h].tld() as usize] |= self.tally.host_seen[h];
+        let Labeller { rows, tally, .. } = &mut self.labeller;
+        tally.tld_seen.fill(0);
+        for (row, &seen) in rows.iter().zip(&tally.host_seen) {
+            tally.tld_seen[row.tld() as usize] |= seen;
         }
-        for c in [&mut self.tally.abp, &mut self.tally.semi] {
+        for c in [&mut self.labeller.tally.abp, &mut self.labeller.tally.semi] {
             c.n_fqdn = r.len_prefix()?;
             c.n_tld = r.len_prefix()?;
             c.n_unique_urls = r.len_prefix()?;
@@ -1011,7 +855,7 @@ impl IncrementalClassifier {
     /// Advances the serialization baseline to the current state.
     fn sync_baseline(&mut self) {
         self.enc_state.copy_from(&self.url_state);
-        self.enc_host_seen.clone_from(&self.tally.host_seen);
+        self.enc_host_seen.clone_from(&self.labeller.tally.host_seen);
     }
 }
 
@@ -1398,7 +1242,7 @@ mod tests {
         let mut ids = Vec::new();
         for chunk in &chunks {
             live.append_chunk(chunk, &domains);
-            ids.push(live.chunk_scratch.url_of.clone());
+            ids.push(live.gid_of.clone());
             let mut w = ByteWriter::new();
             live.encode_delta(&mut w);
             deltas.push(w.into_bytes());
@@ -1412,7 +1256,7 @@ mod tests {
             .apply_delta(&mut ByteReader::new(&deltas[0]), &domains)
             .expect("delta applies");
         resumed.append_chunk(&chunks[1], &domains);
-        assert_eq!(resumed.chunk_scratch.url_of, [0, 2]);
+        assert_eq!(resumed.gid_of, [0, 2]);
         assert_eq!(resumed.counts(), live.counts());
 
         // Both deltas: the same store, and a replayed row finds its id.
@@ -1425,7 +1269,7 @@ mod tests {
         assert_eq!(replayed.urls.len(), strings.len());
         assert_eq!(replayed.counts(), live.counts());
         replayed.append_chunk(&[row(2, host, plain), row(1, host, args)], &domains);
-        assert_eq!(replayed.chunk_scratch.url_of, [0, 2]);
+        assert_eq!(replayed.gid_of, [0, 2]);
         assert_eq!(replayed.counts().0.n_unique_urls, strings.len());
     }
 

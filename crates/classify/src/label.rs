@@ -1,29 +1,38 @@
-//! The labelling core both classifiers run (paper Sect. 3.2).
+//! The slice labeller both classifiers run (paper Sect. 3.2).
 //!
-//! [`crate::classify`] labels a whole borrowed log and
-//! [`crate::IncrementalClassifier`] one chunk at a time; both call the
-//! functions here and differ only in where their ids and state live:
+//! [`Labeller`] labels one request slice at a time: [`crate::classify`]
+//! runs a fresh one over a whole borrowed log, and
+//! [`crate::IncrementalClassifier`] keeps one across a stream's chunks.
+//! The two differ only in how a URL gets its id in the state bytes
+//! ([`UrlIds`]): batch uses the slice's own URL ranks, the incremental
+//! classifier stream-global ids from its owned URL store. The rest runs
+//! here, once:
 //!
 //! - [`ChunkIndex`] dedups a slice's URLs on their compact keys in one
-//!   pass and extracts its referrer edges;
+//!   pass and extracts its referrer edges, and the host table maps each
+//!   distinct URL's world host to a dense id, resolving every new host once
+//!   through the compiled [`RuleEngine`] to its [`HostRow`];
+//! - stage 1 decides each distinct URL once, sharded over the thread
+//!   budget and memoized in the URL's state byte, and its verdicts are
+//!   projected onto the requests;
 //! - [`semi_automatic`] runs stage 2 (referrer propagation over URLs with
-//!   arguments) and stage 3 (keywords) on top of the caller's stage-1
-//!   labels;
+//!   arguments) and stage 3 (keywords);
 //! - [`Tally::absorb`] adds the slice's labels to the Table-2 counts
 //!   through host/TLD/URL seen-bits.
 //!
 //! Per-URL predicates and seen-bits share one state byte per URL
-//! ([`UrlStates`], [`memo_get`]), indexed by whatever URL id the caller
-//! assigns: slice-local ranks for the batch classifier, stream-global ids
-//! for the incremental one.
+//! ([`UrlStates`], [`memo_get`]).
 
 use crate::classifier::{Classification, ClassifierStages, MethodCounts};
-use crate::engine::HostRow;
+use crate::engine::{HostRow, KeywordScanner, RuleEngine};
+use crate::incremental::ChunkClassification;
+use crate::rules::FilterList;
 use std::collections::VecDeque;
 use std::hash::BuildHasher;
 use std::mem::size_of;
 use xborder_browser::{LoggedRequest, Referrer, UrlKey};
-use xborder_webgraph::{DomainTable, FxHasher};
+use xborder_faults::shard_map;
+use xborder_webgraph::{DomainId, DomainTable, FxHasher};
 
 /// Sentinel in [`ChunkIndex::referrer_of`] for "no positional referrer".
 const NO_REFERRER: u32 = u32::MAX;
@@ -68,19 +77,43 @@ impl UrlStates for [u8] {
 /// clean, a small minority of the URLs.
 pub(crate) fn memo_get<S: UrlStates + ?Sized>(
     states: &mut S,
-    url: u32,
+    url: usize,
     field: u32,
     eval: impl FnOnce() -> bool,
 ) -> bool {
-    let s = states.state(url as usize);
+    let s = states.state(url);
     match (s >> field) & 3 {
         MEMO_UNKNOWN => {
             let hit = eval();
             let memo = if hit { MEMO_YES } else { MEMO_NO };
-            states.set_state(url as usize, s | memo << field);
+            states.set_state(url, s | memo << field);
             hit
         }
         m => m == MEMO_YES,
+    }
+}
+
+/// Each request's URL id in the state bytes: its slice-local rank, or, for
+/// ids that outlive the slice, the id a rank-indexed table gives it.
+#[derive(Clone, Copy)]
+pub(crate) struct UrlIds<'a> {
+    /// Request -> slice-local URL rank ([`ChunkIndex::url_of`]).
+    ranks: &'a [u32],
+    /// Rank -> stream-global id; `None` when the ranks are the ids.
+    global: Option<&'a [u32]>,
+}
+
+impl UrlIds<'_> {
+    /// The id of the URL with rank `k`.
+    #[inline]
+    fn of_rank(self, k: usize) -> usize {
+        self.global.map_or(k, |ids| ids[k] as usize)
+    }
+
+    /// The id of request `i`'s URL.
+    #[inline]
+    fn of(self, i: usize) -> usize {
+        self.of_rank(self.ranks[i] as usize)
     }
 }
 
@@ -257,7 +290,7 @@ impl<'a> UrlRenderer<'a> {
 }
 
 /// Stages 2 and 3 over one indexed slice whose stage-1 labels are set.
-/// `url_of` maps each request to its id in `states`. Returns the
+/// `ids` maps each request to its URL's state byte. Returns the
 /// `(stage2_rounds, stage3_rounds)` of [`crate::ClassificationResult`].
 ///
 /// Stage 2 propagates tracking labels along referrer edges. Referrer
@@ -278,7 +311,7 @@ impl<'a> UrlRenderer<'a> {
 /// never cross users, so every index is inside the slice (debug-asserted).
 pub(crate) fn semi_automatic<S: UrlStates + ?Sized>(
     requests: &[LoggedRequest],
-    url_of: &[u32],
+    ids: UrlIds<'_>,
     referrer_of: &[u32],
     labels: &mut [Classification],
     stages: ClassifierStages,
@@ -308,7 +341,7 @@ pub(crate) fn semi_automatic<S: UrlStates + ?Sized>(
             if labels[i].is_tracking() || !labels[p].is_tracking() {
                 continue;
             }
-            if stages.require_args && !memo_get(states, url_of[i], ARGS, || requests[i].has_args())
+            if stages.require_args && !memo_get(states, ids.of(i), ARGS, || requests[i].has_args())
             {
                 continue;
             }
@@ -317,8 +350,7 @@ pub(crate) fn semi_automatic<S: UrlStates + ?Sized>(
         if forward_edges {
             let idx = children.get_or_insert_with(|| ChildIndex::build(referrer_of));
             let seeds: Vec<usize> = (0..n).filter(|&i| labels[i].is_tracking()).collect();
-            stage2_rounds +=
-                propagate_worklist(requests, url_of, labels, stages, states, idx, seeds);
+            stage2_rounds += propagate_worklist(requests, ids, labels, stages, states, idx, seeds);
         }
     }
 
@@ -329,7 +361,7 @@ pub(crate) fn semi_automatic<S: UrlStates + ?Sized>(
             if labels[i].is_tracking() {
                 continue;
             }
-            let u = url_of[i];
+            let u = ids.of(i);
             if !memo_get(states, u, ARGS, || requests[i].has_args())
                 || !memo_get(states, u, KW, || has_keyword(&requests[i]))
             {
@@ -340,8 +372,7 @@ pub(crate) fn semi_automatic<S: UrlStates + ?Sized>(
         }
         if stages.referrer_propagation && !newly.is_empty() {
             let idx = children.get_or_insert_with(|| ChildIndex::build(referrer_of));
-            stage3_rounds =
-                propagate_worklist(requests, url_of, labels, stages, states, idx, newly);
+            stage3_rounds = propagate_worklist(requests, ids, labels, stages, states, idx, newly);
         }
     }
     (stage2_rounds, stage3_rounds)
@@ -388,7 +419,7 @@ impl ChildIndex {
 /// processing order.
 fn propagate_worklist<S: UrlStates + ?Sized>(
     requests: &[LoggedRequest],
-    url_of: &[u32],
+    ids: UrlIds<'_>,
     labels: &mut [Classification],
     stages: ClassifierStages,
     states: &mut S,
@@ -403,7 +434,7 @@ fn propagate_worklist<S: UrlStates + ?Sized>(
             if labels[c].is_tracking() {
                 continue;
             }
-            if stages.require_args && !memo_get(states, url_of[c], ARGS, || requests[c].has_args())
+            if stages.require_args && !memo_get(states, ids.of(c), ARGS, || requests[c].has_args())
             {
                 continue;
             }
@@ -432,12 +463,13 @@ pub(crate) struct Tally {
 impl Tally {
     /// Adds one labeled slice: distinctness is a seen-bit per dense id
     /// instead of a hash-set insert, and `rows` carries each host's TLD id,
-    /// so `tld()` is never re-derived here.
-    pub(crate) fn absorb<S: UrlStates + ?Sized>(
+    /// so `tld()` is never re-derived here. `url_host` is the dense host of
+    /// each URL rank.
+    fn absorb<S: UrlStates + ?Sized>(
         &mut self,
         labels: &[Classification],
-        host_of: &[u32],
-        url_of: &[u32],
+        ids: UrlIds<'_>,
+        url_host: &[u32],
         rows: &[HostRow],
         states: &mut S,
     ) {
@@ -448,7 +480,7 @@ impl Tally {
                 Classification::Clean => continue,
             };
             counts.n_total_requests += 1;
-            let h = host_of[i] as usize;
+            let h = url_host[ids.ranks[i] as usize] as usize;
             if self.host_seen[h] & bit == 0 {
                 self.host_seen[h] |= bit;
                 counts.n_fqdn += 1;
@@ -460,12 +492,221 @@ impl Tally {
                     counts.n_tld += 1;
                 }
             }
-            let u = url_of[i] as usize;
+            let u = ids.of(i);
             let state = states.state(u);
             if (state >> SEEN) & bit == 0 {
                 states.set_state(u, state | bit << SEEN);
                 counts.n_unique_urls += 1;
             }
         }
+    }
+}
+
+/// The slice-labelling front end of both classifiers: the compiled
+/// stage-1 engine, the keyword scanner and the stage toggles, the chunk
+/// index, the host table, and the Table-2 tally. A fresh one labels one
+/// log; a kept one labels a stream chunk by chunk, resolving and counting
+/// every host once across the stream.
+pub(crate) struct Labeller {
+    engine: RuleEngine,
+    scanner: KeywordScanner,
+    stages: ClassifierStages,
+    /// The current slice's index.
+    pub(crate) index: ChunkIndex,
+    /// URL rank of the current slice -> dense host id.
+    pub(crate) url_host: Vec<u32>,
+    /// World `DomainId` -> dense host id (`u32::MAX` = unseen), lazily
+    /// grown.
+    host_remap: Vec<u32>,
+    /// Dense host id -> world `DomainId`.
+    pub(crate) host_ids: Vec<DomainId>,
+    /// Dense host id -> compiled engine row (stage-1 gate and TLD id).
+    pub(crate) rows: Vec<HostRow>,
+    pub(crate) tally: Tally,
+}
+
+impl Labeller {
+    /// Compiles the lists once, here; `index` is the (empty) chunk index
+    /// every slice is built into.
+    pub(crate) fn new(
+        easylist: &FilterList,
+        easyprivacy: &FilterList,
+        stages: ClassifierStages,
+        index: ChunkIndex,
+    ) -> Labeller {
+        Labeller {
+            engine: RuleEngine::compile(&[easylist, easyprivacy]),
+            scanner: KeywordScanner::new(),
+            stages,
+            index,
+            url_host: Vec::new(),
+            host_remap: Vec::new(),
+            host_ids: Vec::new(),
+            rows: Vec::new(),
+            tally: Tally::default(),
+        }
+    }
+
+    /// The running Table-2 rows `(abp, semi)`.
+    pub(crate) fn counts(&self) -> (MethodCounts, MethodCounts) {
+        (self.tally.abp, self.tally.semi)
+    }
+
+    /// Interns a world host, resolving its engine row (gate and TLD id)
+    /// on first sight, and returns its dense id. The tally's host and TLD
+    /// seen-bits grow with the table.
+    pub(crate) fn intern_host(&mut self, host: DomainId, domains: &DomainTable) -> u32 {
+        let hid = host.0 as usize;
+        if hid >= self.host_remap.len() {
+            self.host_remap.resize(hid + 1, u32::MAX);
+        }
+        if self.host_remap[hid] != u32::MAX {
+            return self.host_remap[hid];
+        }
+        let h = self.host_ids.len() as u32;
+        self.host_remap[hid] = h;
+        self.host_ids.push(host);
+        self.tally.host_seen.push(0);
+        let row = self.engine.host_row(host, domains);
+        self.rows.push(row);
+        let t = row.tld() as usize;
+        if t >= self.tally.tld_seen.len() {
+            self.tally.tld_seen.resize(t + 1, 0);
+        }
+        h
+    }
+
+    /// Sizes the host table for `additional` more hosts out of a world of
+    /// `n_domains`, so a replay that interns many at once never regrows.
+    pub(crate) fn reserve_hosts(&mut self, additional: usize, n_domains: usize) {
+        self.host_ids.reserve(additional);
+        self.tally.host_seen.reserve(additional);
+        self.rows.reserve(additional);
+        if self.host_remap.len() < n_domains {
+            self.host_remap.resize(n_domains, u32::MAX);
+        }
+    }
+
+    /// Indexes a slice and interns the host of each of its distinct URLs.
+    /// A URL's key holds its host, so equal URLs share a host, and walking
+    /// the URLs in rank order assigns host and TLD ids in first-occurrence
+    /// order.
+    pub(crate) fn index_slice(&mut self, requests: &[LoggedRequest], domains: &DomainTable) {
+        self.index.build(requests);
+        self.url_host.clear();
+        self.url_host.reserve(self.index.first.len());
+        for k in 0..self.index.first.len() {
+            let host = requests[self.index.first[k] as usize].host;
+            let h = self.intern_host(host, domains);
+            self.url_host.push(h);
+        }
+    }
+
+    /// Labels the slice [`Labeller::index_slice`] indexed and adds it to
+    /// the tally. `global` gives each URL rank its id in `states`; without
+    /// it the ranks are the ids.
+    pub(crate) fn label<S: UrlStates + Sync + ?Sized>(
+        &mut self,
+        requests: &[LoggedRequest],
+        global: Option<&[u32]>,
+        states: &mut S,
+        domains: &DomainTable,
+        threads: usize,
+    ) -> ChunkClassification {
+        let ids = UrlIds {
+            ranks: &self.index.url_of,
+            global,
+        };
+        let hit = self.stage1(requests, ids, states, domains, threads);
+        let mut labels: Vec<Classification> = ids
+            .ranks
+            .iter()
+            .map(|&k| {
+                if hit[k as usize] {
+                    Classification::AbpTracking
+                } else {
+                    Classification::Clean
+                }
+            })
+            .collect();
+        let (scanner, mut urls) = (&self.scanner, UrlRenderer::new(domains));
+        let (stage2_rounds, stage3_rounds) = semi_automatic(
+            requests,
+            ids,
+            &self.index.referrer_of,
+            &mut labels,
+            self.stages,
+            |r| scanner.matches(urls.render(r)),
+            states,
+        );
+        self.tally
+            .absorb(&labels, ids, &self.url_host, &self.rows, states);
+        ChunkClassification {
+            labels,
+            stage2_rounds,
+            stage3_rounds,
+        }
+    }
+
+    /// Stage 1: the blocklist verdict of each distinct URL. Anchor-decided
+    /// rows need no URL; the rest take the URL's `GATE` memo, or render
+    /// the URL and take one engine scan. The URLs shard over `threads`
+    /// contiguous runs ([`shard_map`]), each with its own render buffer;
+    /// the engine and the memos are shared read-only, so no run-local
+    /// state can diverge, and the new verdicts fill the memos behind them.
+    fn stage1<S: UrlStates + Sync + ?Sized>(
+        &self,
+        requests: &[LoggedRequest],
+        ids: UrlIds<'_>,
+        states: &mut S,
+        domains: &DomainTable,
+        threads: usize,
+    ) -> Vec<bool> {
+        let (engine, first, url_host, rows) =
+            (&self.engine, &self.index.first, &self.url_host, &self.rows);
+        let memos: &S = states;
+        let mut runs = shard_map(first.len(), threads, |run| {
+            let mut urls = UrlRenderer::new(domains);
+            run.map(|k| {
+                let row = rows[url_host[k] as usize];
+                row.always()
+                    || (!row.never()
+                        && match (memos.state(ids.of_rank(k)) >> GATE) & 3 {
+                            MEMO_UNKNOWN => {
+                                let r = &requests[first[k] as usize];
+                                engine.url_verdict(row, domains.domain(r.host), urls.render(r))
+                            }
+                            m => m == MEMO_YES,
+                        })
+            })
+            .collect::<Vec<bool>>()
+        })
+        .into_iter();
+        let mut hit = runs.next().expect("shard_map returns at least one run");
+        for run in runs {
+            hit.extend(run);
+        }
+        for (k, &h) in hit.iter().enumerate() {
+            if rows[url_host[k] as usize].url_dependent() {
+                memo_get(states, ids.of_rank(k), GATE, || h);
+            }
+        }
+        hit
+    }
+
+    /// Bytes held by the host table and the tally's seen-bits, from their
+    /// capacities.
+    pub(crate) fn host_bytes(&self) -> usize {
+        self.host_remap.capacity() * size_of::<u32>()
+            + self.host_ids.capacity() * size_of::<DomainId>()
+            + self.rows.capacity() * size_of::<HostRow>()
+            + self.tally.host_seen.capacity()
+            + self.tally.tld_seen.capacity()
+    }
+
+    /// Bytes held by the per-slice index and host column, from their
+    /// capacities.
+    pub(crate) fn slice_bytes(&self) -> usize {
+        self.index.resident_bytes() + self.url_host.capacity() * size_of::<u32>()
     }
 }

@@ -18,13 +18,16 @@
 //! easylist/easyprivacy-style lists from the synthetic world's blocklist
 //! bits, and [`eval`] scores the result against ground truth.
 //!
-//! One labelling core (`label.rs`) implements the algorithm: the chunk
-//! index that dedups a request slice's URLs, stages 2 and 3, and the
-//! Table-2 count walk. It has two callers. [`classifier`] runs it once
-//! over a whole borrowed log, after a log-local host remap and a stage 1
-//! sharded over the thread budget; [`incremental`] runs it per chunk for
-//! the streaming and out-of-core drivers, after resolving the chunk's URLs
-//! against the state it keeps across chunks and checkpoints.
+//! One slice labeller (`label.rs`) implements the algorithm: the chunk
+//! index that dedups a request slice's URLs, the host table and its
+//! compiled stage-1 rows, stage 1 (sharded over the thread budget), the
+//! projection of its verdicts onto requests, stages 2 and 3, and the
+//! Table-2 count walk. [`classifier`] runs a fresh labeller once over a
+//! whole borrowed log, with the log's own URL ranks as URL ids;
+//! [`incremental`] keeps one across the chunks of the streaming and
+//! out-of-core drivers, and adds only what gives a URL a stream-global id
+//! and what checkpoints it: the owned URL store and its dedup table, and
+//! the delta codec.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +49,7 @@ pub use classifier::{
     ClassificationResult, ClassifierStages, MethodCounts,
 };
 pub use engine::{AhoCorasick, HostRow, KeywordScanner, RuleEngine};
-pub use incremental::{ChunkClassification, IncrementalClassifier, ResidentBytes};
 pub use eval::{evaluate, Evaluation};
+pub use incremental::{ChunkClassification, IncrementalClassifier, ResidentBytes};
 pub use listgen::generate_lists;
 pub use rules::{FilterList, FilterRule};

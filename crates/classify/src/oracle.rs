@@ -1,7 +1,7 @@
 //! An independent reference classifier: paper Sect. 3.2 followed
-//! literally, sharing no code with the labelling core. Both classifiers
-//! run the same core, so comparing them with each other cannot catch a
-//! defect in it; comparing each with this reference can.
+//! literally, sharing no code with the slice labeller. Both classifiers
+//! run the same labeller, so comparing them with each other cannot catch
+//! a defect in it; comparing each with this reference can.
 //!
 //! - stage 1 matches every request against the textual filter lists;
 //! - stages 2 and 3 rescan the whole log until nothing changes;

@@ -50,13 +50,6 @@ pub struct StudyOutputs {
     pub snapshots: Vec<crate::snapshots::RollingSnapshot>,
 }
 
-impl StudyOutputs {
-    /// Destination estimate for a request's IP under a chosen provider map.
-    pub fn estimate_for(&self, map: &EstimateMap, ip: IpAddr) -> Option<GeoEstimate> {
-        map.get(&ip).copied()
-    }
-}
-
 /// Freezes a provider's answers over an IP list into a map.
 pub fn freeze_estimates<G: Geolocator + ?Sized>(provider: &G, ips: &[IpAddr]) -> EstimateMap {
     let inj = FaultInjector::inactive();

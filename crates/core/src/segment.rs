@@ -338,20 +338,13 @@ pub(crate) fn run_segments<S: SegmentSink>(
 
         // Table-2 distinct counts absorbed segment by segment through the
         // classifier's persistent seen-bits: no full-log recount.
-        let (abp, semi) = classifier.counts();
+        let counts = classifier.counts();
         let resident = classifier.resident_bytes();
         profile.layer_mut("classify").resident_bytes =
             (resident.state() + resident.chunk_scratch) as u64;
         drop(classifier);
-        let stage2_rounds = 1 + stage2_depth;
-        let classification = ClassificationResult {
-            labels: Vec::new(),
-            abp,
-            semi,
-            propagation_rounds: stage2_rounds + stage3_rounds,
-            stage2_rounds,
-            stage3_rounds,
-        };
+        let classification =
+            ClassificationResult::new(Vec::new(), counts, 1 + stage2_depth, stage3_rounds);
         sink.finish_study(classification, domains)
     })?;
     killable(kill, "stage:classify:done")?;

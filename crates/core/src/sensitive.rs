@@ -186,7 +186,6 @@ impl SensitiveFlowStats {
 /// Traces every sensitive tracking flow of the study.
 pub fn trace_sensitive_flows(
     out: &StudyOutputs,
-    graph: &WebGraph,
     sites: &SensitiveSites,
     estimates: &EstimateMap,
 ) -> SensitiveFlowStats {
@@ -220,7 +219,6 @@ pub fn trace_sensitive_flows(
             }
         }
     }
-    let _ = graph; // graph reserved for future per-site weighting
     stats
 }
 
@@ -280,7 +278,7 @@ mod tests {
         let out = run_extension_pipeline(&mut world);
         let mut rng = StdRng::seed_from_u64(34);
         let sites = detect_sensitive_sites(&world.graph, &DetectorConfig::default(), &mut rng);
-        let stats = trace_sensitive_flows(&out, &world.graph, &sites, &out.ipmap_estimates);
+        let stats = trace_sensitive_flows(&out, &sites, &out.ipmap_estimates);
         assert!(stats.total_sensitive_flows > 0, "no sensitive flows traced");
         let share = stats.sensitive_share();
         // Sensitive sites sit in the popularity tail; their flows must be a
@@ -294,7 +292,7 @@ mod tests {
         let out = run_extension_pipeline(&mut world);
         let mut rng = StdRng::seed_from_u64(36);
         let sites = detect_sensitive_sites(&world.graph, &DetectorConfig::default(), &mut rng);
-        let stats = trace_sensitive_flows(&out, &world.graph, &sites, &out.ipmap_estimates);
+        let stats = trace_sensitive_flows(&out, &sites, &out.ipmap_estimates);
         if stats.total_sensitive_flows > 0 {
             let sum: f64 = SiteCategory::SENSITIVE
                 .iter()
@@ -310,7 +308,7 @@ mod tests {
         let out = run_extension_pipeline(&mut world);
         let mut rng = StdRng::seed_from_u64(38);
         let sites = detect_sensitive_sites(&world.graph, &DetectorConfig::default(), &mut rng);
-        let stats = trace_sensitive_flows(&out, &world.graph, &sites, &out.ipmap_estimates);
+        let stats = trace_sensitive_flows(&out, &sites, &out.ipmap_estimates);
         for cat in SiteCategory::SENSITIVE {
             let l = stats.category_leakage(cat);
             assert!((0.0..=1.0).contains(&l), "{cat}: {l}");

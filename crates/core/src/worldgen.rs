@@ -409,15 +409,6 @@ impl World {
         }
     }
 
-    /// All distinct countries a service answers from (its zone footprint).
-    pub fn service_countries(&self, svc: ServiceId) -> Vec<CountryCode> {
-        let service = self.graph.service(svc);
-        let Some(zone) = self.dns.zone(&service.hosts[0]) else {
-            return Vec::new();
-        };
-        zone.countries()
-    }
-
     /// The cloud providers hosting a specific service's servers (via its
     /// primary host's zone, which carries the full footprint).
     pub fn service_clouds(&self, svc: ServiceId) -> Vec<CloudId> {
@@ -430,25 +421,6 @@ impl World {
             .iter()
             .filter_map(|zs| {
                 let s = self.infra.server_by_ip(zs.ip)?;
-                match self.infra.pop(s.pop).ok()?.kind {
-                    PopKind::Cloud(c) => Some(c),
-                    _ => None,
-                }
-            })
-            .collect();
-        clouds.sort();
-        clouds.dedup();
-        clouds
-    }
-
-    /// The cloud providers hosting any of an org's servers.
-    pub fn org_clouds(&self, org: OrgId) -> Vec<CloudId> {
-        let mut clouds: Vec<CloudId> = self
-            .infra
-            .servers_of_org(org)
-            .iter()
-            .filter_map(|sid| {
-                let s = self.infra.server(*sid).ok()?;
                 match self.infra.pop(s.pop).ok()?.kind {
                     PopKind::Cloud(c) => Some(c),
                     _ => None,

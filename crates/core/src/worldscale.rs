@@ -258,22 +258,57 @@ pub fn dataset_digests(
     labels: &[u8],
 ) -> (u64, u64) {
     assert_eq!(labels.len(), requests.len(), "one label byte per request");
-    let mut visit_hash = 0u64;
-    for v in visits {
-        visit_hash ^= visit_row_hash(v.user.0, v.publisher.0, v.time.0);
+    let mut digests = Digests::new();
+    digests.absorb(visits, requests, labels);
+    (digests.visit_hash, digests.request_hash)
+}
+
+/// The `(visit_hash, request_hash)` fold over a log fed slice by slice in
+/// global log order. The visit digest XORs per-visit hashes, so it is
+/// order-insensitive; the request digest chains in global log order over
+/// global row indices.
+struct Digests {
+    visit_hash: u64,
+    request_hash: u64,
+    /// Requests folded so far: the global row index of the next one.
+    n_requests: u64,
+    row_buf: Vec<u8>,
+}
+
+impl Digests {
+    fn new() -> Digests {
+        Digests {
+            visit_hash: 0,
+            request_hash: 0,
+            n_requests: 0,
+            row_buf: Vec::with_capacity(256),
+        }
     }
-    let mut request_hash = 0u64;
-    let mut buf = Vec::with_capacity(256);
-    for (i, r) in requests.iter().enumerate() {
-        let (parent, fp) = match r.referrer {
-            Referrer::None => (None, false),
-            Referrer::FirstParty => (None, true),
-            Referrer::Request(RequestId(p)) => (Some(p as u64), false),
-        };
-        request_hash = request_hash.rotate_left(3)
-            ^ request_row_hash(&mut buf, i as u64, r, parent, fp, labels[i]);
+
+    /// Folds the next slice of the log, whose referrers are positions in
+    /// the slice. Referrers never cross users (hence never slices), so a
+    /// parent and its child share the slice's base row.
+    fn absorb(
+        &mut self,
+        visits: &[xborder_browser::Visit],
+        requests: &[xborder_browser::LoggedRequest],
+        labels: &[u8],
+    ) {
+        for v in visits {
+            self.visit_hash ^= visit_row_hash(v.user.0, v.publisher.0, v.time.0);
+        }
+        let base = self.n_requests;
+        for (i, r) in requests.iter().enumerate() {
+            let (parent, fp) = match r.referrer {
+                Referrer::None => (None, false),
+                Referrer::FirstParty => (None, true),
+                Referrer::Request(RequestId(p)) => (Some(base + p as u64), false),
+            };
+            self.request_hash = self.request_hash.rotate_left(3)
+                ^ request_row_hash(&mut self.row_buf, base + i as u64, r, parent, fp, labels[i]);
+        }
+        self.n_requests += requests.len() as u64;
     }
-    (visit_hash, request_hash)
 }
 
 /// Dense-id membership set: the out-of-core stand-in for the batch
@@ -309,10 +344,7 @@ struct Aggregates {
     visited_publishers: Bitset,
     request_hosts: Bitset,
     n_visits: u64,
-    n_requests: u64,
-    visit_hash: u64,
-    request_hash: u64,
-    row_buf: Vec<u8>,
+    digests: Digests,
 }
 
 impl Aggregates {
@@ -321,10 +353,7 @@ impl Aggregates {
             visited_publishers: Bitset::new(n_publishers),
             request_hosts: Bitset::new(n_domains),
             n_visits: 0,
-            n_requests: 0,
-            visit_hash: 0,
-            request_hash: 0,
-            row_buf: Vec::with_capacity(256),
+            digests: Digests::new(),
         }
     }
 
@@ -335,26 +364,14 @@ impl Aggregates {
         debug_assert_eq!(labels.len(), chunk.requests.len());
         for v in &chunk.visits {
             self.visited_publishers.insert(v.publisher.0 as usize);
-            // XOR fold: the batch dataset sorts visits by timestamp at
-            // finalization; an order-insensitive digest sees through that.
-            self.visit_hash ^= visit_row_hash(v.user.0, v.publisher.0, v.time.0);
         }
         self.n_visits += chunk.visits.len() as u64;
-        let base = self.n_requests;
-        for (i, r) in chunk.requests.iter().enumerate() {
+        for r in &chunk.requests {
             self.request_hosts.insert(r.host.0 as usize);
-            // Chunk-local parent row → global row: referrers never cross
-            // users (hence never chunks), so parent and child share the
-            // same base offset.
-            let (parent, fp) = match r.referrer {
-                Referrer::None => (None, false),
-                Referrer::FirstParty => (None, true),
-                Referrer::Request(RequestId(p)) => (Some(base + p as u64), false),
-            };
-            self.request_hash = self.request_hash.rotate_left(3)
-                ^ request_row_hash(&mut self.row_buf, base + i as u64, r, parent, fp, labels[i]);
         }
-        self.n_requests += chunk.requests.len() as u64;
+        // The batch dataset sorts visits by timestamp at finalization; the
+        // order-insensitive visit digest sees through that.
+        self.digests.absorb(&chunk.visits, &chunk.requests, labels);
     }
 
     fn stats(&self, n_users: usize) -> xborder_browser::DatasetStats {
@@ -363,7 +380,7 @@ impl Aggregates {
             n_first_party_domains: self.visited_publishers.count,
             n_first_party_requests: self.n_visits as usize,
             n_third_party_domains: self.request_hosts.count,
-            n_third_party_requests: self.n_requests as usize,
+            n_third_party_requests: self.digests.n_requests as usize,
         }
     }
 }
@@ -459,8 +476,8 @@ impl SegmentSink for Fold {
         ScaleOutputs {
             n_segments: located.n_segments,
             stats: agg.stats(fold.pop_cfg.n_users),
-            visit_hash: agg.visit_hash,
-            request_hash: agg.request_hash,
+            visit_hash: agg.digests.visit_hash,
+            request_hash: agg.digests.request_hash,
             abp: cls.abp,
             semi: cls.semi,
             stage2_rounds: cls.stage2_rounds,
@@ -528,9 +545,9 @@ mod tests {
         let mut rev = Aggregates::new(4, 4);
         rev.absorb_chunk(&c2, &[LABEL_ABP]);
         rev.absorb_chunk(&c1, &[LABEL_ABP]);
-        assert_ne!(fwd.request_hash, rev.request_hash);
+        assert_ne!(fwd.digests.request_hash, rev.digests.request_hash);
         // The visit digest and distinct counts stay commutative.
-        assert_eq!(fwd.visit_hash, rev.visit_hash);
+        assert_eq!(fwd.digests.visit_hash, rev.digests.visit_hash);
         assert_eq!(fwd.request_hosts.count, rev.request_hosts.count);
     }
 }

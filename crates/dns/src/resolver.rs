@@ -115,15 +115,6 @@ impl ClientCtx {
         }
     }
 
-    /// Fallible variant of [`ClientCtx::with_isp_resolver`].
-    pub fn try_with_isp_resolver(country: CountryCode, location: LatLon) -> DegradedResult<ClientCtx> {
-        Ok(ClientCtx {
-            country,
-            location,
-            resolver: Resolver::try_isp_local(country)?,
-        })
-    }
-
     /// Client using anycast public DNS.
     pub fn with_public_resolver(country: CountryCode, location: LatLon) -> ClientCtx {
         ClientCtx {
@@ -131,18 +122,6 @@ impl ClientCtx {
             location,
             resolver: Resolver::public_anycast(location),
         }
-    }
-
-    /// Fallible variant of [`ClientCtx::with_public_resolver`].
-    pub fn try_with_public_resolver(
-        country: CountryCode,
-        location: LatLon,
-    ) -> DegradedResult<ClientCtx> {
-        Ok(ClientCtx {
-            country,
-            location,
-            resolver: Resolver::try_public_anycast(location)?,
-        })
     }
 }
 

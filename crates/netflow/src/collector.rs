@@ -88,11 +88,6 @@ impl FlowCollector {
         self.validity.insert(ip, window);
     }
 
-    /// Number of tracked IPs.
-    pub fn n_tracker_ips(&self) -> usize {
-        self.tracker_ips.len()
-    }
-
     /// Compiles the tracker list (and any validity windows set so far)
     /// into the dense interval-set matcher. IPv6 trackers are excluded —
     /// the block path carries v4 columns only; v6 flows ride the

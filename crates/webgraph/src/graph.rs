@@ -126,15 +126,6 @@ impl WebGraph {
         self.services.iter().filter(|s| s.is_tracking()).count()
     }
 
-    /// Number of distinct tracking FQDNs (ground truth).
-    pub fn n_tracking_fqdns(&self) -> usize {
-        self.services
-            .iter()
-            .filter(|s| s.is_tracking())
-            .map(|s| s.hosts.len())
-            .sum()
-    }
-
     /// Structural invariants; the generator's tests run this on every
     /// configuration.
     pub fn validate(&self) -> Result<(), String> {

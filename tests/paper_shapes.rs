@@ -139,7 +139,7 @@ fn finding_6_sensitive_tracking_exists_but_is_a_small_slice() {
     let s = shared();
     let mut rng = StdRng::seed_from_u64(5);
     let sites = detect_sensitive_sites(&s.world.graph, &DetectorConfig::default(), &mut rng);
-    let stats = trace_sensitive_flows(&s.out, &s.world.graph, &sites, &s.out.ipmap_estimates);
+    let stats = trace_sensitive_flows(&s.out, &sites, &s.out.ipmap_estimates);
     let share = stats.sensitive_share();
     assert!(share > 0.001, "sensitive share {share} ~ zero");
     assert!(share < 0.20, "sensitive share {share} too large");
