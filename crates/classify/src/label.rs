@@ -75,7 +75,7 @@ impl UrlStates for [u8] {
 /// lazily is invisible in the output — and stage 2 only asks about
 /// requests whose parent is tracking, stage 3 only about requests still
 /// clean, a small minority of the URLs.
-pub(crate) fn memo_get<S: UrlStates + ?Sized>(
+fn memo_get<S: UrlStates + ?Sized>(
     states: &mut S,
     url: usize,
     field: u32,
@@ -268,13 +268,13 @@ impl ChunkIndex {
 
 /// Renders request URLs into one reused buffer, for the predicates that
 /// read bytes (the stage-1 URL scan and the stage-3 keyword scan).
-pub(crate) struct UrlRenderer<'a> {
+struct UrlRenderer<'a> {
     domains: &'a DomainTable,
     buf: String,
 }
 
 impl<'a> UrlRenderer<'a> {
-    pub(crate) fn new(domains: &'a DomainTable) -> UrlRenderer<'a> {
+    fn new(domains: &'a DomainTable) -> UrlRenderer<'a> {
         UrlRenderer {
             domains,
             buf: String::new(),
@@ -282,7 +282,7 @@ impl<'a> UrlRenderer<'a> {
     }
 
     /// `r`'s URL string, valid until the next call.
-    pub(crate) fn render(&mut self, r: &LoggedRequest) -> &str {
+    fn render(&mut self, r: &LoggedRequest) -> &str {
         self.buf.clear();
         r.write_url(self.domains, &mut self.buf);
         &self.buf
@@ -309,7 +309,7 @@ impl<'a> UrlRenderer<'a> {
 /// Referrer edges are positional; children of dropped parents were
 /// remapped to `Referrer::FirstParty` by the log compaction, and chains
 /// never cross users, so every index is inside the slice (debug-asserted).
-pub(crate) fn semi_automatic<S: UrlStates + ?Sized>(
+fn semi_automatic<S: UrlStates + ?Sized>(
     requests: &[LoggedRequest],
     ids: UrlIds<'_>,
     referrer_of: &[u32],
